@@ -5,7 +5,8 @@ even moments and the literal commutator/trace oracle in exact rational
 arithmetic and checks that the two lists of rationals are identical.
 The oracle knows nothing about the closed form: it builds the
 Hamiltonian and the coordinate operator as matrices, applies the
-commutator 2K times, and takes weighted traces.
+commutator K times, and takes weighted traces of the iterates
+(mu_2k = (L^k eta, L^k eta), since L is self-adjoint).
 
 Usage:
     python3 demos/exact_moment_verification.py

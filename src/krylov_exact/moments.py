@@ -8,7 +8,8 @@ Three independent routes produce the moments mu_m = (O_0, L^m O_0):
 * :func:`moments_closed_thermal` evaluates the Boltzmann-weighted series
   for the six unbounded systems with a certified geometric tail bound;
 * :func:`moments_oracle` applies the Liouville commutator literally to
-  matrices and takes inner products, with no closed forms anywhere.
+  matrices (K times for mu_0 .. mu_2K) and takes inner products, with no
+  closed forms anywhere.
 
 Cross-checking the closed forms against the oracle is the package's
 central acceptance gate.
@@ -199,7 +200,13 @@ def moments_closed(spec: SystemSpec, K: int = 6, beta=None, tail_tol=None) -> Mo
 
 
 def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 6) -> MomentTable:
-    """Brute-force moments: m successive commutators plus one inner product."""
+    """Brute-force moments from K literal commutators and inner products.
+
+    With v_k = L^k eta, mu_2k = (v_k, v_k) / |eta|^2 and
+    mu_2k+1 = (v_k, v_k+1) / |eta|^2, because L is self-adjoint under
+    the (metric) trace and the Wightman inner products.  No closed form
+    enters: every value is an inner product of commutator iterates.
+    """
     from .operators import trace_inner
 
     ctx = pair.ctx
@@ -208,9 +215,11 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
         norm = norm_sq(ip, pair.eta)
         values = [ctx.one]
         v = pair.eta
-        for _ in range(1, 2 * K + 1):
-            v = liouville(pair.h, v)
-            values.append(inner(ip, pair.eta, v) / norm)
+        for _ in range(K):
+            v_next = liouville(pair.h, v)
+            values.append(inner(ip, v, v_next) / norm)
+            values.append(norm_sq(ip, v_next) / norm)
+            v = v_next
     return MomentTable(
         values=values,
         provenance=ORACLE,

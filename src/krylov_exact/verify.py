@@ -142,15 +142,18 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
         cdev, cok = 0, True
     add("lanczos_recursion_vs_operator_chain", "agree", _fmt_dev(ctx, cdev), cok)
 
-    try:
-        b1, b2, b3 = b123_closed_forms(table)
-        ok3 = all(
-            ctx.close(x, y)
-            for x, y in zip((b1, b2, b3), [coeffs.b2(k) for k in (1, 2, 3)])
-        )
-        add("b123_closed_forms", "match recursion", "match" if ok3 else "mismatch", ok3)
-    except DegenerateChain:
-        add("b123_closed_forms", "-", "degenerate (chain stopped at b_2)", True)
+    if table.order < 6:
+        add("b123_closed_forms", "-", "not applicable (needs K >= 3)", True)
+    else:
+        try:
+            b1, b2, b3 = b123_closed_forms(table)
+            ok3 = all(
+                ctx.close(x, y)
+                for x, y in zip((b1, b2, b3), [coeffs.b2(k) for k in (1, 2, 3)])
+            )
+            add("b123_closed_forms", "match recursion", "match" if ok3 else "mismatch", ok3)
+        except DegenerateChain:
+            add("b123_closed_forms", "-", "degenerate (chain stopped at b_2)", True)
 
     back = lanczos_to_moments(coeffs, K)
     rt_ok = all(ctx.close(x, y) for x, y in zip(back.values, table.values))
@@ -158,7 +161,10 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
 
     expected_stop = EXPECTED_STOP.get(spec.kind)
     cls = classify_stop(coeffs, K)
-    if expected_stop is not None:
+    if expected_stop is not None and expected_stop >= K:
+        # b_{k+1} = 0 is visible only when the moments reach b_{k+1}
+        add(f"b{expected_stop + 1}_is_zero", "-", f"not applicable (needs K >= {expected_stop + 1})", True)
+    elif expected_stop is not None:
         add(
             f"b{expected_stop + 1}_is_zero",
             f"stop at O_{expected_stop}",
@@ -182,7 +188,7 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
 
         h2 = np.array([lam * e for e in pair.h], dtype=object)
     else:
-        h2 = lam * pair.h
+        h2 = pair.h * lam
     from .operators import OperatorPair
 
     scaled_pair = OperatorPair(h2, pair.eta, pair.basis, ctx, pair.metric, spec)

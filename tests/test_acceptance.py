@@ -285,3 +285,21 @@ def test_criterion_12_conversion_round_trips():
         ok &= rec.b_squared == b2
         ok &= lanczos_to_moments(rec, K=6, ctx=EXACT).values == table.values
     report(12, "moments <-> Lanczos conversions are exact inverses on 100 chains", ok)
+
+
+@pytest.mark.slow
+def test_exact_sweep_n32():
+    """Opt-in (``pytest -m slow``): the ten finite systems at N=32, K=6.
+
+    Closed form == commutator oracle, and Hankel-route b^2 == operator
+    b^2 on their common prefix, all as exact rationals.
+    """
+    for kind in FINITE_KINDS:
+        spec = make_system(kind, 32, param_samples(kind, 32)[0], EXACT)
+        pair = position_pair(spec)
+        closed = moments_closed_finite(spec, 6)
+        assert closed.values == moments_oracle(pair, K=6).values, kind
+        hankel = moments_to_lanczos(closed).b_squared
+        ops = operator_lanczos(pair, k_max=6).b_squared
+        m = min(len(hankel), len(ops))
+        assert m >= 2 and hankel[:m] == ops[:m], kind

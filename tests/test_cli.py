@@ -148,3 +148,16 @@ def test_env_precision_override(capsys, monkeypatch):
     monkeypatch.setenv("KRYLOV_EXACT_PRECISION", "junk")
     code, _, err = run(capsys, "moments", "--system", "charlier", "--beta", "1")
     assert code == 2 and "KRYLOV_EXACT_PRECISION" in err
+
+
+def test_verify_small_k_runs_every_check(capsys):
+    # b_3 and the b_1..b_3 closed forms need mu_6, i.e. K >= 3
+    code, out, _ = run(capsys, "verify", "--system", "krawtchouk", "-K", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
+    rows = {line.split()[1]: line for line in out.splitlines()[:-1]}
+    assert "setup" not in rows
+    assert "not applicable" in rows["b123_closed_forms"]
+    assert "not applicable" in rows["b3_is_zero"]
+    _, full, _ = run(capsys, "verify", "--system", "krawtchouk")
+    assert set(rows) == {line.split()[1] for line in full.splitlines()[:-1]}

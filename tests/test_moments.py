@@ -8,6 +8,7 @@ from krylov_exact import (
     moments_closed_thermal,
     moments_oracle,
     position_pair,
+    trace_inner,
     wightman_inner,
 )
 from krylov_exact.errors import (
@@ -22,8 +23,9 @@ from krylov_exact.moments import (
     dual_hahn_mu2_closed,
     scale_table,
 )
+from krylov_exact.operators import inner, liouville, norm_sq
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, THERMAL_KINDS, param_samples
 
 
 def test_krawtchouk_constant_moments(ctx):
@@ -120,6 +122,40 @@ def test_thermal_oracle_cross_check(bctx):
     scale = max(abs(v) for v in t.values)
     dev = max(abs(a - b) for a, b in zip(t.values, oracle.values))
     assert dev < bctx.num("1e-34") * scale
+
+
+def _oracle_2k(pair, ip, K):
+    """Reference oracle mu_m = (eta, L^m eta) / |eta|^2 from 2K commutators."""
+    ctx = pair.ctx
+    with ctx.work():
+        norm = norm_sq(ip, pair.eta)
+        values = [ctx.one]
+        v = pair.eta
+        for _ in range(2 * K):
+            v = liouville(pair.h, v)
+            values.append(inner(ip, pair.eta, v) / norm)
+    return values
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+def test_oracle_equals_2k_commutator_reference(ctx, kind):
+    for params in param_samples(kind, 6):
+        pair = position_pair(make_system(kind, 6, params, ctx))
+        assert moments_oracle(pair, K=6).values == _oracle_2k(pair, trace_inner(pair), 6)
+
+
+@pytest.mark.parametrize("kind", THERMAL_KINDS)
+def test_thermal_oracle_equals_2k_commutator_reference(bctx, kind):
+    spec = default_system(kind, bctx)
+    table = moments_closed_thermal(spec, 6, beta="1")
+    pair = energy_pair(spec, n_max=max(table.truncation.n_max, 8))
+    ip = wightman_inner(pair, bctx.num(1))
+    got = moments_oracle(pair, ip, K=6).values
+    ref = _oracle_2k(pair, ip, 6)
+    # the tolerance of the verify command's moments_closed_vs_oracle row
+    scale = max(abs(v) for v in ref)
+    dev = max(abs(a - b) for a, b in zip(got, ref))
+    assert dev <= bctx.default_tolerance().rel_eps * scale * 1000
 
 
 def test_thermal_truncation_stability(bctx):

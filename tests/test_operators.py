@@ -17,6 +17,7 @@ from krylov_exact import (
     operator_lanczos,
     position_pair,
     trace_inner,
+    verify_closure,
     wightman_inner,
 )
 from krylov_exact.errors import (
@@ -34,6 +35,7 @@ from krylov_exact.operators import (
     max_abs,
     norm_sq,
     random_metric_hermitian,
+    zeros,
 )
 
 from helpers import FINITE_KINDS, param_samples
@@ -137,6 +139,71 @@ def test_liouville_basics(ctx):
     assert max_abs(l1 + l1.T) == 0  # antisymmetric
     with pytest.raises(DimensionMismatch):
         liouville(h, identity(3, ctx))
+    with pytest.raises(DimensionMismatch):
+        liouville(h.diagonal().copy(), identity(3, ctx))
+
+
+def _random_band(n, w, ctx, rng):
+    """Random non-symmetric matrix with every entry |a - b| <= w drawn."""
+    m = zeros(n, ctx)
+    for a in range(n):
+        for b in range(max(0, a - w), min(n, a + w + 1)):
+            m[a, b] = ctx.frac(rng.randint(-9, 9), rng.randint(1, 7))
+    return m
+
+
+def _identical(x, y):
+    """Entrywise equal in type and value; mpf values are normalised, so
+    equal values are equal bit patterns."""
+    return x.shape == y.shape and all(
+        type(p) is type(q) and p == q for p, q in zip(x.ravel(), y.ravel())
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_liouville_equals_dense_commutator(ctx, bctx, n):
+    rng = random.Random(n)
+    for c in (ctx, bctx):
+        for w_h in sorted({0, 1, 2, n - 1}):
+            h = _random_band(n, w_h, c, rng)
+            for w_v in sorted({0, 1, n - 1}):
+                v = _random_band(n, w_v, c, rng)
+                assert _identical(liouville(h, v), h @ v - v @ h), (c.mode, w_h, w_v)
+
+
+def test_liouville_metric_pairs_equal_dense(ctx):
+    # birth-death form: distinct upper (-B) and lower (-D) diagonals
+    rng = random.Random(3)
+    metric_kinds = 0
+    for kind in FINITE_KINDS:
+        pair = position_pair(make_system(kind, 8, param_samples(kind, 8)[0], ctx))
+        metric_kinds += pair.metric is not None
+        v = pair.eta
+        for w in range(4):  # L^w eta has bandwidth w
+            assert _identical(liouville(pair.h, v), pair.h @ v - v @ pair.h), (kind, w)
+            v = liouville(pair.h, v)
+        v = _random_band(pair.dim, pair.dim - 1, ctx, rng)
+        assert _identical(liouville(pair.h, v), pair.h @ v - v @ pair.h), kind
+    assert metric_kinds > 0
+
+
+def test_no_numpy_conversion_in_bigreal_chain(bctx, monkeypatch):
+    # an mpf on the left of an object array makes mpmath build repr() of
+    # the whole array in npconvert before numpy takes over
+    calls = []
+    orig = mpmath.mp.npconvert
+    monkeypatch.setattr(mpmath.mp, "npconvert", lambda x: calls.append(x) or orig(x))
+    mpmath.mpf(2) * np.array([bctx.one], dtype=object)
+    assert len(calls) == 1  # the probe sees the slow path
+    calls.clear()
+    spec = make_system("gegenbauer", None, {"g": "2"}, bctx)
+    pair = energy_pair(spec, n_max=12)
+    operator_lanczos(pair, wightman_inner(pair, 1))
+    verify_closure(pair, spec)
+    pos = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
+    operator_lanczos(pos, k_max=6)
+    verify_closure(pos)
+    assert calls == []
 
 
 def test_trace_inner_identity(ctx):

@@ -44,7 +44,7 @@ from .moments import (
     moments_closed_thermal,
     moments_oracle,
 )
-from .numeric import BIGREAL, EXACT, Context, Tolerance, is_zero, scalar_exp
+from .numeric import BIGREAL, EXACT, Context, Tolerance
 from .operators import (
     InnerProduct,
     OperatorChain,
@@ -94,7 +94,6 @@ __all__ = [
     "hankel_check",
     "heisenberg_closed_form",
     "inner",
-    "is_zero",
     "krylov_profile",
     "lanczos_to_moments",
     "liouville",
@@ -107,7 +106,6 @@ __all__ = [
     "moments_to_lanczos",
     "operator_lanczos",
     "position_pair",
-    "scalar_exp",
     "spectrum_shift_relations",
     "system_from_json",
     "system_to_json",

@@ -25,14 +25,12 @@ from .catalog import (
     make_system,
 )
 from .chain import chain_report
-from .dynamics import krylov_profile, verify_closure, heisenberg_closed_form
+from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile, verify_closure
 from .errors import KrylovExactError
 from .moments import moments_closed
 from .numeric import BIGREAL, EXACT, Context
 from .operators import (
     energy_pair,
-    matrix_exponential_conjugate,
-    max_abs,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--t-grid",
         nargs="*",
-        default=("1/10", "7/10", "157/50", "10"),
+        default=HEISENBERG_TIMES,
         metavar="T",
         help="times to test",
     )
@@ -307,18 +305,8 @@ def cmd_heisenberg_check(args) -> int:
         table = moments_closed(spec, K=2, beta=args.beta, tail_tol=args.tail_tol)
         pair = energy_pair(spec, n_max=max(table.truncation.n_max, 8))
     closure = verify_closure(pair, spec)
-    tol = ctx.default_tolerance()
-    rows = []
-    worst = ctx.zero
-    for tv in args.t_grid:
-        t = ctx.num(tv)
-        x = heisenberg_closed_form(pair, closure, t)
-        y = matrix_exponential_conjugate(pair.h, pair.eta, t, ctx)
-        dev = max_abs(x - y)
-        worst = max(worst, dev)
-        rows.append({"t": tv, "max_deviation": ctx.fmt(dev)})
-    scale = max(max_abs(pair.eta), ctx.one)
-    passed = worst <= tol.rel_eps * scale * 1000
+    devs, passed = heisenberg_check(pair, closure, args.t_grid)
+    rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
     config = _resolved_config(args, spec, ctx)
     doc = {"config": config, "checks": rows, "passed": bool(passed)}
     if args.format == "json":
@@ -378,6 +366,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "K", 1) < 1:
+            raise ConfigError(f"-K: must be at least 1, got {args.K}")
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .catalog import SystemSpec
+from .catalog import SystemSpec, _polyval
 from .errors import (
     ClosureViolated,
     ComplexAmplitude,
@@ -33,15 +33,14 @@ from .operators import (
     InnerProduct,
     OperatorChain,
     OperatorPair,
-    eig_symmetric,
-    inner,
     liouville,
     matrix_exponential_conjugate,
     max_abs,
     solve_consistent,
-    zeros,
-    identity,
 )
+
+#: Times at which the closed-form Heisenberg operator is checked by default.
+HEISENBERG_TIMES = ("1/10", "7/10", "157/50", "10")
 
 
 @dataclass
@@ -64,49 +63,6 @@ class ClosureData:
         return _polyval(self.rm1, e)
 
 
-def _polyval(coeffs, e):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * e + c
-    return acc
-
-
-def _poly_of_h(coeffs, h, ctx: Context):
-    """Evaluate a coefficient tuple on the Hamiltonian (1-D or matrix)."""
-    if h.ndim == 1:
-        out = np.empty(h.shape[0], dtype=object)
-        for i, e in enumerate(h):
-            out[i] = _polyval(coeffs, e)
-        return out
-    acc = zeros(h.shape[0], ctx)
-    for i in range(h.shape[0]):
-        acc[i, i] = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc @ h
-        for i in range(h.shape[0]):
-            acc[i, i] = acc[i, i] + c
-    return acc
-
-
-def _right_mul(v: np.ndarray, f, ctx: Context):
-    """V * f(H) where f is diagonal (1-D) or a dense matrix."""
-    if f.ndim == 1:
-        out = np.empty_like(v)
-        for b in range(v.shape[1]):
-            out[:, b] = v[:, b] * f[b]
-        return out
-    return v @ f
-
-
-def _add_diag(v: np.ndarray, d, ctx: Context, sign=1):
-    out = np.array(v, dtype=object)
-    if d.ndim == 1:
-        for i in range(out.shape[0]):
-            out[i, i] = out[i, i] + sign * d[i]
-        return out
-    return out + sign * d
-
-
 def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tolerance | None = None) -> ClosureData:
     """Reconstruct R_{-1} from the double-commutator residual.
 
@@ -120,56 +76,31 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
         raise ClosureViolated("closure data needs the system's R_0, R_1")
     ctx = pair.ctx
     tol = tol or ctx.default_tolerance()
+    rep = pair.rep
     with ctx.work():
         r0 = tuple(spec.r0_coeffs)
         r1 = tuple(spec.r1_coeffs)
         l1 = liouville(pair.h, pair.eta)
         l2 = liouville(pair.h, l1)
-        m = (
-            l2
-            - _right_mul(pair.eta, _poly_of_h(r0, pair.h, ctx), ctx)
-            - _right_mul(l1, _poly_of_h(r1, pair.h, ctx), ctx)
-        )
-        dim = m.shape[0]
+        m = l2 - rep.right_mul(pair.eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
         scale = max(max_abs(m), ctx.one)
         comm = liouville(pair.h, m)
         worst = max_abs(comm)
         if (ctx.is_exact and worst != 0) or (not ctx.is_exact and worst > tol.rel_eps * scale * 10):
             raise ClosureViolated(f"residual does not commute with H (defect {ctx.fmt(worst)})")
-
-        if pair.h.ndim == 1:
-            # off-diagonal part must vanish; diagonal is R_{-1}(E(n))
-            off = ctx.zero
-            diag = []
-            for i in range(dim):
-                diag.append(m[i, i])
-                for j in range(dim):
-                    if i != j and abs(m[i, j]) > off:
-                        off = abs(m[i, j])
-            if (ctx.is_exact and off != 0) or (not ctx.is_exact and off > tol.rel_eps * scale * 10):
-                raise ClosureViolated(f"residual off-diagonal {ctx.fmt(off)}")
-            energies = list(pair.h)
-        else:
-            energies = [spec.energy(n) for n in range(dim)]
-            diag = None
+        m_of_h, off = rep.as_function(m)
+        if (ctx.is_exact and off != 0) or (not ctx.is_exact and off > tol.rel_eps * scale * 10):
+            raise ClosureViolated(f"residual off-diagonal {ctx.fmt(off)}")
 
         # fit M = c0 + c1 H + c2 H^2
-        if pair.h.ndim == 1:
-            cols = []
-            for k in range(3):
-                col = np.array([e**k for e in energies], dtype=object)
-                cols.append(col)
-            coeffs = solve_consistent(cols, np.array(diag, dtype=object), ctx, tol)
-        else:
-            h2 = pair.h @ pair.h
-            cols = [identity(dim, ctx), pair.h, h2]
-            coeffs = solve_consistent(cols, m, ctx, tol)
+        one, zero = ctx.one, ctx.zero
+        cols = [rep.poly(c) for c in ((one,), (zero, one), (zero, zero, one))]
+        coeffs = solve_consistent(cols, m_of_h, ctx, tol)
         if coeffs is None:
             raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
         rm1 = tuple(coeffs)
-        rm1_diag = [_polyval(rm1, e) for e in energies]
-        residual = worst
-        return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=residual)
+        rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(m.shape[0])]
+        return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=worst)
 
 
 def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ctx: Context) -> bool:
@@ -200,9 +131,11 @@ def _alpha_at(closure: ClosureData, e, ctx: Context):
 def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> np.ndarray:
     """L^m eta through the closure coefficients, no commutators.
 
-    In the energy basis the frequency power formulas are used literally;
-    with a dense Hamiltonian the equivalent polynomial recurrence
-    (division free) evaluates the same three coefficient functions.
+    Iterating the closure relation gives
+    L^m eta = eta A_m(H) + (L eta) B_m(H) + C_m(H), with the division-free
+    recurrence A_{k+1} = R_0 B_k, B_{k+1} = A_k + R_1 B_k,
+    C_{k+1} = R_{-1} B_k from A_0 = 1, B_0 = C_0 = 0, evaluated as
+    functions of H in the pair's representation.
     """
     ctx = pair.ctx
     if m == 0:
@@ -210,38 +143,13 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     l1 = liouville(pair.h, pair.eta)
     if m == 1:
         return l1
+    rep = pair.rep
     with ctx.work():
-        if pair.h.ndim == 1:
-            dim = pair.h.shape[0]
-            a_m = np.empty(dim, dtype=object)
-            b_m = np.empty(dim, dtype=object)
-            c_m = np.empty(dim, dtype=object)
-            for i, e in enumerate(pair.h):
-                ap, am = _alpha_at(closure, e, ctx)
-                diff = ap - am
-                if diff == 0:
-                    raise DegenerateFrequencies(f"alpha_+ = alpha_- at level {i}")
-                powm1 = (ap ** (m - 1) - am ** (m - 1)) / diff
-                powm = (ap**m - am**m) / diff
-                a_m[i] = closure.r0_at(e) * powm1
-                b_m[i] = powm
-                c_m[i] = closure.rm1_at(e) * powm1
-            out = _right_mul(pair.eta, a_m, ctx) + _right_mul(l1, b_m, ctx)
-            return _add_diag(out, c_m, ctx)
-        # dense H: A_{k+1} = R0 B_k, B_{k+1} = A_k + R1 B_k, C_{k+1} = Rm1 B_k
-        dim = pair.h.shape[0]
-        r0m = _poly_of_h(closure.r0, pair.h, ctx)
-        r1m = _poly_of_h(closure.r1, pair.h, ctx)
-        rm1m = _poly_of_h(closure.rm1, pair.h, ctx)
-        a_k = identity(dim, ctx)
-        b_k = zeros(dim, ctx)
-        c_k = zeros(dim, ctx)
+        r0, r1, rm1 = (rep.poly(c) for c in (closure.r0, closure.r1, closure.rm1))
+        a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
         for _ in range(m):
-            a_next = r0m @ b_k
-            b_next = a_k + r1m @ b_k
-            c_next = rm1m @ b_k
-            a_k, b_k, c_k = a_next, b_next, c_next
-        return pair.eta @ a_k + l1 @ b_k + c_k
+            a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
+        return rep.add(rep.right_mul(pair.eta, a_k) + rep.right_mul(l1, b_k), c_k)
 
 
 def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.ndarray:
@@ -259,26 +167,11 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
     tol = ctx.default_tolerance()
+    rep = pair.rep
     with ctx.work():
         t = ctx.num(t)
-        if pair.h.ndim == 1:
-            energies = list(pair.h)
-            to_matrix = None
-        else:
-            evals, q = eig_symmetric(pair.h, ctx)
-            energies = list(evals)
-
-            def to_matrix(vals):
-                d = np.empty((len(energies), len(energies)), dtype=object)
-                zero = ctx.num(0)
-                for i in range(len(energies)):
-                    for j in range(len(energies)):
-                        d[i, j] = zero
-                    d[i, i] = vals[i]
-                return q @ d @ q.T
-
         gvals, fvals, rhovals = [], [], []
-        for i, e in enumerate(energies):
+        for i, e in enumerate(rep.spectrum):
             ap, am = _alpha_at(closure, e, ctx)
             diff = ap - am
             if abs(diff) <= tol.zero_eps:
@@ -291,19 +184,26 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
             gvals.append((ep - em) / diff)
             fvals.append((-am * ep + ap * em) / diff)
             rhovals.append(closure.rm1_at(e) / r0val)
-
+        g, f, rho = (rep.of_spectrum(v) for v in (gvals, fvals, rhovals))
         l1 = liouville(pair.h, pair.eta)
-        if pair.h.ndim == 1:
-            g = np.array(gvals, dtype=object)
-            f = np.array(fvals, dtype=object)
-            rho = np.array(rhovals, dtype=object)
-            shifted = _add_diag(pair.eta, rho, ctx)
-            out = _right_mul(l1, g, ctx) + _right_mul(shifted, f, ctx)
-            return _add_diag(out, rho, ctx, sign=-1)
-        g = to_matrix(gvals)
-        f = to_matrix(fvals)
-        rho = to_matrix(rhovals)
-        return l1 @ g + (pair.eta + rho) @ f - rho
+        out = rep.right_mul(l1, g) + rep.right_mul(rep.add(pair.eta, rho), f)
+        return rep.add(out, rho, sign=-1)
+
+
+def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
+    """Closed form against :func:`matrix_exponential_conjugate` at each time.
+
+    Returns the max-abs deviation per time and whether every one is
+    within 1000 rel_eps max(|eta|, 1).
+    """
+    ctx = pair.ctx
+    with ctx.work():
+        devs = [
+            max_abs(heisenberg_closed_form(pair, closure, t) - matrix_exponential_conjugate(pair, pair.eta, t))
+            for t in times
+        ]
+        bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000
+        return devs, max(devs, default=ctx.zero) <= bound
 
 
 @dataclass
@@ -362,7 +262,6 @@ def krylov_profile(
         raise ModeError("profiles need bigreal mode")
     tol = ctx.default_tolerance()
     with ctx.work():
-        o0 = chain.ops[0]
         # (-i)**n cycles with period four and is exact
         one = ctx.one
         phases = [
@@ -372,27 +271,7 @@ def krylov_profile(
             mpmath.mpc(0, one),
         ]
         times = [ctx.num(t) for t in times]
-
-        if pair.h.ndim == 1:
-            # gathered evaluation on the eta support: O(t) is an
-            # elementwise phase twist there, so each amplitude is a short
-            # weighted sum sum_S c_S exp(i freq_S t)
-            from .operators import SupportBasis
-
-            support = SupportBasis(pair, ip)
-            o0g = support.gather(o0)
-            coeff = [support.weight * support.gather(o_n) * o0g for o_n in chain.ops]
-
-            def amplitudes(t):
-                ph = np.array([ctx.expj(f * t) for f in support.freq], dtype=object)
-                return [(c * ph).sum() for c in coeff]
-
-        else:
-
-            def amplitudes(t):
-                ot = matrix_exponential_conjugate(pair.h, o0, t, ctx)
-                return [inner(ip, o_n, ot) for o_n in chain.ops]
-
+        amplitudes = pair.rep.space(pair, ip).overlaps(chain.ops)
         phi_rows = []
         complexity = []
         for t in times:

@@ -17,7 +17,7 @@ silently (a machine float is always foreign).
 from __future__ import annotations
 
 import numbers
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +28,7 @@ from .errors import ModeError
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra; Fraction is the fallback
     _rational = Fraction
 
 EXACT = "exact"
@@ -127,7 +127,7 @@ class Context:
         decimal round trip is lossless.
         """
         if self.is_exact:
-            return _null_scope()
+            return nullcontext()
         return mp.workdps(self.precision + 5)
 
     def num(self, v):
@@ -165,10 +165,6 @@ class Context:
             p, q = s.split("/")
             return mp.mpf(int(p)) / mp.mpf(int(q))
         return mp.mpf(s)
-
-    def parse(self, s: str):
-        """Parse 'p/q' (exact) or decimal/'p/q' (bigreal) string."""
-        return self.num(s)
 
     def frac(self, p, q=1):
         """Literal fraction p/q in this context's type."""
@@ -263,17 +259,3 @@ class Context:
             scale = max(abs(x), abs(y), mp.mpf(1))
             return diff <= tol.rel_eps * scale
 
-
-def scalar_exp(ctx: Context, x):
-    """Exponential through the context; see :meth:`Context.exp`."""
-    return ctx.exp(x)
-
-
-def is_zero(ctx: Context, x, tol: Tolerance | None = None) -> bool:
-    """Zero test through the context; see :meth:`Context.is_zero`."""
-    return ctx.is_zero(x, tol)
-
-
-@contextmanager
-def _null_scope():
-    yield

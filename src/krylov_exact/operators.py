@@ -1,9 +1,17 @@
 """Finite-dimensional operator algebra for the solvable systems.
 
 Matrices are numpy arrays with ``dtype=object`` so that entries can be
-exact rationals or mpmath numbers.  Diagonal operators (the Hamiltonian
-in its eigenbasis) are 1-D arrays of eigenvalues, which keeps commutators
-and Heisenberg evolution elementwise.
+exact rationals or mpmath numbers.  An :class:`OperatorPair` holds H in
+one of two representations, picked once from the shape of ``h``:
+
+* a spectrum -- H diagonal, stored as the 1-D array of its energies
+  (the energy basis).  Functions of H are 1-D arrays of their values,
+  commutators and Heisenberg evolution act elementwise, and the Lanczos
+  chain lives on the support of eta (:class:`SupportBasis`).
+* a banded symmetric matrix -- the tridiagonal position-basis H.
+  Functions of H are dense matrices, and spectral functions go through
+  the eigendecomposition (E, Q), computed at most once per pair and then
+  reused for every time and every function.
 
 A matrix Hamiltonian is applied through its nonzero diagonals: with
 bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
@@ -32,7 +40,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .catalog import SystemSpec
+from .catalog import SystemSpec, _polyval
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -61,14 +69,6 @@ def identity(n: int, ctx: Context) -> np.ndarray:
     return m
 
 
-def from_rows(rows, ctx: Context) -> np.ndarray:
-    m = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            m[i, j] = ctx.num(v)
-    return m
-
-
 def operator_to_json(mat: np.ndarray, ctx: Context) -> str:
     """Serialize a dense operator as {dim, entries} with string entries
     (row-major), so exact rationals survive the round trip."""
@@ -86,7 +86,7 @@ def operator_from_json(doc: str, ctx: Context) -> np.ndarray:
     dim = data["dim"]
     out = np.empty((dim, dim), dtype=object)
     for i, s in enumerate(data["entries"]):
-        out[i // dim, i % dim] = ctx.parse(s)
+        out[i // dim, i % dim] = ctx.num(s)
     return out
 
 
@@ -108,9 +108,10 @@ class OperatorPair:
     """A Hamiltonian/eta pair in one basis, with optional rational metric.
 
     ``h`` is a 1-D array of eigenvalues (energy basis) or a 2-D matrix
-    (position basis).  ``metric`` is None for an orthonormal basis, or
-    the diagonal g of the similarity that maps the stored matrices back
-    to the honest symmetric representation.
+    (position basis); ``rep`` is the matching representation of H.
+    ``metric`` is None for an orthonormal basis, or the diagonal g of the
+    similarity that maps the stored matrices back to the honest symmetric
+    representation.
     """
 
     h: np.ndarray
@@ -119,6 +120,10 @@ class OperatorPair:
     ctx: Context
     metric: np.ndarray | None = None
     spec: SystemSpec | None = None
+    rep: _Spectrum | _Banded = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rep = (_Spectrum if self.h.ndim == 1 else _Banded)(self.h, self.ctx)
 
     @property
     def dim(self) -> int:
@@ -250,6 +255,123 @@ def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The two representations of H
+# ---------------------------------------------------------------------------
+
+
+class _Spectrum:
+    """H diagonal, stored as the 1-D array of its energies.
+
+    A function f(H) is the 1-D array of its values on the spectrum, so
+    V f(H) scales the columns of V and V + f(H) touches only the diagonal.
+    """
+
+    def __init__(self, h: np.ndarray, ctx: Context):
+        self.h = h
+        self.ctx = ctx
+
+    @property
+    def spectrum(self) -> list:
+        return list(self.h)
+
+    def of_spectrum(self, values) -> np.ndarray:
+        """The function of H with the given values on :attr:`spectrum`."""
+        return np.array(values, dtype=object)
+
+    def poly(self, coeffs) -> np.ndarray:
+        return self.of_spectrum([_polyval(coeffs, e) for e in self.h])
+
+    def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """V f(H); with V itself a function of H, their product."""
+        return v * f
+
+    def add(self, v: np.ndarray, f: np.ndarray, sign: int = 1) -> np.ndarray:
+        """V + sign * f(H)."""
+        out = np.array(v, dtype=object)
+        for i in range(out.shape[0]):
+            out[i, i] = out[i, i] + sign * f[i]
+        return out
+
+    def as_function(self, m: np.ndarray):
+        """(f, off): the function of H on the diagonal of M, and the
+        largest |M_ab| off it, which a function of H must not have."""
+        n = m.shape[0]
+        off = max(
+            (abs(m[a, b]) for a in range(n) for b in range(n) if a != b),
+            default=self.ctx.zero,
+        )
+        return self.of_spectrum([m[i, i] for i in range(n)]), off
+
+    def conjugate_exp(self, v: np.ndarray, t) -> np.ndarray:
+        """exp(iHt) V exp(-iHt): the phase twist exp(i(E_a - E_b)t) V_ab."""
+        n = len(self.h)
+        out = np.empty((n, n), dtype=object)
+        phases = [self.ctx.expj(e * t) for e in self.h]
+        for a in range(n):
+            for b in range(n):
+                out[a, b] = phases[a] * phases[b].conjugate() * v[a, b]
+        return out
+
+    def space(self, pair: OperatorPair, ip: InnerProduct) -> SupportBasis:
+        return SupportBasis(pair, ip)
+
+
+class _Banded:
+    """H as a symmetric banded matrix (tridiagonal in the position basis).
+
+    A function f(H) is a dense matrix.  Spectral functions go through the
+    eigendecomposition H = Q diag(E) Q^T, computed on first use and kept,
+    so each pair runs :func:`eig_symmetric` at most once.
+    """
+
+    def __init__(self, h: np.ndarray, ctx: Context):
+        self.h = h
+        self.ctx = ctx
+        self._eigen = None
+
+    def _decomposition(self) -> tuple[_Spectrum, np.ndarray]:
+        if self._eigen is None:
+            energies, q = eig_symmetric(self.h, self.ctx)
+            self._eigen = (_Spectrum(energies, self.ctx), q)
+        return self._eigen
+
+    @property
+    def spectrum(self) -> list:
+        return self._decomposition()[0].spectrum
+
+    def of_spectrum(self, values) -> np.ndarray:
+        """Q diag(values) Q^T."""
+        q = self._decomposition()[1]
+        return (q * np.array(values, dtype=object)) @ q.T
+
+    def poly(self, coeffs) -> np.ndarray:
+        acc = zeros(self.h.shape[0], self.ctx)
+        for k, c in enumerate(reversed(coeffs)):  # Horner: acc = acc H + c
+            if k:
+                acc = acc @ self.h
+            for i in range(self.h.shape[0]):
+                acc[i, i] = acc[i, i] + c
+        return acc
+
+    def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return v @ f
+
+    def add(self, v: np.ndarray, f: np.ndarray, sign: int = 1) -> np.ndarray:
+        return v + f if sign > 0 else v - f
+
+    def as_function(self, m: np.ndarray):
+        """A matrix commuting with H already is the function of H."""
+        return m, self.ctx.zero
+
+    def conjugate_exp(self, v: np.ndarray, t) -> np.ndarray:
+        eigen, q = self._decomposition()
+        return q @ eigen.conjugate_exp(q.T @ v @ q, t) @ q.T
+
+    def space(self, pair: OperatorPair, ip: InnerProduct) -> _MatrixSpace:
+        return _MatrixSpace(pair, ip)
+
+
+# ---------------------------------------------------------------------------
 # Representation builders
 # ---------------------------------------------------------------------------
 
@@ -283,39 +405,45 @@ def position_pair(spec: SystemSpec, allow_metric: bool = True) -> OperatorPair:
     ctx = spec.ctx
     n = spec.dim
     h = zeros(n, ctx)
-    metric = None
     for x in range(n):
         h[x, x] = spec.B(x) + spec.D(x)
-    offs = [spec.B(x) * spec.D(x + 1) for x in range(n - 1)]
-    for v in offs:
-        if v < 0:
-            raise NegativeUnderSquareRoot("B(x)*D(x+1) negative; invalid parameters")
-    if ctx.is_exact:
-        roots = [exact_sqrt(v) for v in offs]
-        if all(r is not None for r in roots):
-            for x, r in enumerate(roots):
-                h[x, x + 1] = -r
-                h[x + 1, x] = -r
-        elif not allow_metric:
-            raise ModeError(
-                "off-diagonal sqrt(B*D) is irrational; use position_pair()"
-            )
-        else:
-            # birth-death form, similar to the symmetric one by diag(g)
-            g = np.empty(n, dtype=object)
-            g[0] = ctx.one
-            for x in range(n - 1):
-                h[x, x + 1] = -spec.B(x)
-                h[x + 1, x] = -spec.D(x + 1)
-                g[x + 1] = g[x] * spec.D(x + 1) / spec.B(x)
-            metric = g
-    else:
-        with ctx.work():
-            for x in range(n - 1):
-                r = -ctx.sqrt(offs[x])
-                h[x, x + 1] = r
-                h[x + 1, x] = r
+    metric = _off_diagonals(
+        h, [spec.B(x) for x in range(n - 1)], [spec.D(x + 1) for x in range(n - 1)],
+        -1, ctx, allow_metric, "B(x)*D(x+1)", "position_pair",
+    )
     return OperatorPair(h, build_eta_position(spec), POSITION, ctx, metric, spec)
+
+
+def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
+    """Fill the first off-diagonals of the tridiagonal ``m``.
+
+    Entry k couples levels k, k+1 with strength sqrt(upper[k] * lower[k]).
+    Both entries get sign * sqrt(...), unless in exact mode a root is
+    irrational: then, if allowed, they get sign * upper[k] above and
+    sign * lower[k] below, similar to the symmetric form by diag(g), and
+    the metric g is returned.  Returns None for the symmetric form.
+    """
+    prods = [u * w for u, w in zip(upper, lower)]
+    if any(v < 0 for v in prods):
+        raise NegativeUnderSquareRoot(f"{what} negative; invalid parameters")
+    if not ctx.is_exact:
+        with ctx.work():
+            roots = [ctx.sqrt(v) for v in prods]
+    else:
+        roots = [exact_sqrt(v) for v in prods]
+        if any(r is None for r in roots):
+            if not allow_metric:
+                raise ModeError(f"sqrt({what}) is irrational; use {builder}()")
+            g = np.empty(len(prods) + 1, dtype=object)
+            g[0] = ctx.one
+            for k, (u, w) in enumerate(zip(upper, lower)):
+                m[k, k + 1] = sign * u
+                m[k + 1, k] = sign * w
+                g[k + 1] = g[k] * w / u
+            return g
+    for k, r in enumerate(roots):
+        m[k, k + 1] = m[k + 1, k] = sign * r
+    return None
 
 
 def build_energy_rep(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,33 +474,10 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None, allow_metric: bool =
     eta = zeros(dim, ctx)
     for k in range(dim):
         eta[k, k] = spec.eta_diag(k)
-    prods = [spec.ac_product(k) for k in range(dim - 1)]
-    for v in prods:
-        if v < 0:
-            raise NegativeUnderSquareRoot("A(n)*C(n+1) negative; invalid parameters")
-    metric = None
-    if ctx.is_exact:
-        roots = [exact_sqrt(v) for v in prods]
-        if all(r is not None for r in roots):
-            for k, r in enumerate(roots):
-                eta[k, k + 1] = r
-                eta[k + 1, k] = r
-        elif not allow_metric:
-            raise ModeError("sqrt(A*C) is irrational; use energy_pair()")
-        else:
-            g = np.empty(dim, dtype=object)
-            g[0] = ctx.one
-            for k in range(dim - 1):
-                eta[k, k + 1] = prods[k]
-                eta[k + 1, k] = ctx.one
-                g[k + 1] = g[k] / prods[k]
-            metric = g
-    else:
-        with ctx.work():
-            for k in range(dim - 1):
-                r = ctx.sqrt(prods[k])
-                eta[k, k + 1] = r
-                eta[k + 1, k] = r
+    metric = _off_diagonals(
+        eta, [spec.ac_product(k) for k in range(dim - 1)], [ctx.one] * (dim - 1),
+        1, ctx, allow_metric, "A(n)*C(n+1)", "energy_pair",
+    )
     return OperatorPair(energies, eta, ENERGY, ctx, metric, spec)
 
 
@@ -438,9 +543,11 @@ class SupportBasis:
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         n = pair.dim
         self.dim = n
+        self.ctx = pair.ctx
         self.index = [
             (a, b) for a in range(n) for b in range(n) if pair.eta[a, b] != 0
         ]
+        self.size = len(self.index)
         self.freq = np.array(
             [pair.h[a] - pair.h[b] for a, b in self.index], dtype=object
         )
@@ -451,14 +558,59 @@ class SupportBasis:
     def gather(self, mat: np.ndarray) -> np.ndarray:
         return np.array([mat[a, b] for a, b in self.index], dtype=object)
 
-    def scatter(self, vec: np.ndarray, ctx: Context) -> np.ndarray:
-        out = zeros(self.dim, ctx)
+    def scatter(self, vec: np.ndarray) -> np.ndarray:
+        out = zeros(self.dim, self.ctx)
         for v, (a, b) in zip(vec, self.index):
             out[a, b] = v
         return out
 
+    def liouville(self, vec: np.ndarray) -> np.ndarray:
+        return self.freq * vec
+
     def dot(self, u: np.ndarray, v: np.ndarray):
         return (self.weight * u * v).sum()
+
+    def overlaps(self, ops: list):
+        """t -> [(O_n, O_0(t))].  O_0(t) is a phase twist on the support,
+        so each overlap is a short weighted sum of exp(i freq_S t)."""
+        o0 = self.gather(ops[0])
+        coeff = [self.weight * self.gather(o_n) * o0 for o_n in ops]
+
+        def at(t):
+            ph = np.array([self.ctx.expj(f * t) for f in self.freq], dtype=object)
+            return [(c * ph).sum() for c in coeff]
+
+        return at
+
+
+class _MatrixSpace:
+    """The whole operator space of a matrix H: chain vectors are matrices."""
+
+    def __init__(self, pair: OperatorPair, ip: InnerProduct):
+        self.pair = pair
+        self.ip = ip
+        self.size = pair.dim * pair.dim
+
+    def gather(self, mat: np.ndarray) -> np.ndarray:
+        return mat
+
+    def scatter(self, vec: np.ndarray) -> np.ndarray:
+        return vec
+
+    def liouville(self, vec: np.ndarray) -> np.ndarray:
+        return liouville(self.pair.h, vec)
+
+    def dot(self, u: np.ndarray, v: np.ndarray):
+        return inner(self.ip, u, v)
+
+    def overlaps(self, ops: list):
+        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle."""
+
+        def at(t):
+            ot = matrix_exponential_conjugate(self.pair, ops[0], t)
+            return [inner(self.ip, o_n, ot) for o_n in ops]
+
+        return at
 
 
 def operator_lanczos(
@@ -470,32 +622,22 @@ def operator_lanczos(
     """Orthonormalise the Krylov chain seeded by eta.
 
     Iterates W_k = L O_k - b_k O_{k-1}, b_{k+1} = |W_k|, stopping at
-    k_max, at the dimension bound dim**2, or when b_{k+1} is declared
-    zero by the tolerance.
+    k_max, at the dimension of the space the chain lives in (dim**2, or
+    the eta support for a diagonal H), or when b_{k+1} is declared zero
+    by the tolerance.
     """
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
     tol = tol or ctx.default_tolerance()
-    support = SupportBasis(pair, ip) if pair.h.ndim == 1 else None
-    cap = pair.dim * pair.dim
-    if support is not None:
-        # the chain never leaves the eta support
-        cap = min(cap, len(support.index))
-    k_max = cap if k_max is None else min(k_max, cap)
+    space = pair.rep.space(pair, ip)
+    k_max = space.size if k_max is None else min(k_max, space.size)
 
     if ctx.is_exact:
-        return _lanczos_exact(pair, ip, k_max, support)
+        return _lanczos_exact(space, pair.eta, k_max, ctx)
 
     with ctx.work():
-        if support is None:
-            seed = pair.eta
-            apply_l = lambda v: liouville(pair.h, v)
-            dot = lambda u, v: inner(ip, u, v)
-        else:
-            seed = support.gather(pair.eta)
-            apply_l = lambda v: support.freq * v
-            dot = support.dot
-        nrm2 = dot(seed, seed)
+        seed = space.gather(pair.eta)
+        nrm2 = space.dot(seed, seed)
         if ctx.is_zero(nrm2, tol):
             raise ZeroEta("eta has zero norm")
         o_prev = None
@@ -504,7 +646,7 @@ def operator_lanczos(
         bs = []
         stopped = False
         while len(bs) < k_max:
-            w = apply_l(o_cur)
+            w = space.liouville(o_cur)
             if o_prev is not None:
                 w = w - o_prev * bs[-1]
             # full reorthogonalisation: thermal weights make the inner
@@ -512,8 +654,8 @@ def operator_lanczos(
             # recurrence would drift into ghost directions near the end
             # of the chain
             for o_j in ops:
-                w = w - o_j * dot(o_j, w)
-            b2 = dot(w, w)
+                w = w - o_j * space.dot(o_j, w)
+            b2 = space.dot(w, w)
             b = ctx.sqrt(b2)
             if ctx.is_zero(b, tol):
                 stopped = True
@@ -521,10 +663,8 @@ def operator_lanczos(
             o_prev, o_cur = o_cur, w / b
             ops.append(o_cur)
             bs.append(b)
-        if support is not None:
-            ops = [support.scatter(v, ctx) for v in ops]
         return OperatorChain(
-            ops=ops,
+            ops=[space.scatter(v) for v in ops],
             b_squared=[v * v for v in bs],
             stopped=stopped,
             ctx=ctx,
@@ -532,27 +672,15 @@ def operator_lanczos(
         )
 
 
-def _lanczos_exact(
-    pair: OperatorPair,
-    ip: InnerProduct,
-    k_max: int,
-    support: "SupportBasis | None" = None,
-) -> OperatorChain:
+def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> OperatorChain:
     """Unnormalised three-term recurrence V_{k+1} = L V_k - b_k^2 V_{k-1}.
 
     With V_k = (b_1 ... b_k |eta|) O_k the squared norms nu_k satisfy
     b_k^2 = nu_k / nu_{k-1}, all rational, and the stop test is V = 0.
     """
-    if support is None:
-        v_cur = pair.eta
-        apply_l = lambda v: liouville(pair.h, v)
-        dot = lambda u, v: inner(ip, u, v)
-    else:
-        v_cur = support.gather(pair.eta)
-        apply_l = lambda v: support.freq * v
-        dot = support.dot
+    v_cur = space.gather(eta)
     v_prev = None
-    nu_cur = dot(v_cur, v_cur)
+    nu_cur = space.dot(v_cur, v_cur)
     if nu_cur == 0:
         raise ZeroEta("eta has zero norm")
     ops = [v_cur]
@@ -560,10 +688,10 @@ def _lanczos_exact(
     b2s = []
     stopped = False
     while len(b2s) < k_max:
-        w = apply_l(v_cur)
+        w = space.liouville(v_cur)
         if v_prev is not None:
             w = w - v_prev * b2s[-1]
-        nu_next = dot(w, w)
+        nu_next = space.dot(w, w)
         if nu_next == 0:
             stopped = True
             break
@@ -572,13 +700,11 @@ def _lanczos_exact(
         v_prev, v_cur = v_cur, w
         nu_cur = nu_next
         ops.append(v_cur)
-    if support is not None:
-        ops = [support.scatter(v, pair.ctx) for v in ops]
     return OperatorChain(
-        ops=ops,
+        ops=[space.scatter(v) for v in ops],
         b_squared=b2s,
         stopped=stopped,
-        ctx=pair.ctx,
+        ctx=ctx,
         norms_sq=nus,
     )
 
@@ -588,33 +714,18 @@ def _lanczos_exact(
 # ---------------------------------------------------------------------------
 
 
-def matrix_exponential_conjugate(h: np.ndarray, v: np.ndarray, t, ctx: Context) -> np.ndarray:
+def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.ndarray:
     """exp(iHt) V exp(-iHt) via the eigenbasis phases (bigreal only).
 
-    With H already diagonal (1-D spectrum array) the result is the
-    elementwise phase twist exp(i(E_a - E_b)t) V_ab; a dense symmetric H
-    is eigendecomposed first.
+    In the eigenbasis this is the phase twist exp(i(E_a - E_b)t) V_ab; a
+    matrix H gets there and back through its eigendecomposition, which
+    the pair computes once.
     """
+    ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
     with ctx.work():
-        t = ctx.num(t)
-        if h.ndim == 1:
-            return _phase_conjugate(h, v, t, ctx)
-        energies, q = eig_symmetric(h, ctx)
-        vq = q.T @ v @ q
-        wq = _phase_conjugate(energies, vq, t, ctx)
-        return q @ wq @ q.T
-
-
-def _phase_conjugate(energies, v, t, ctx):
-    n = len(energies)
-    out = np.empty((n, n), dtype=object)
-    phases = [ctx.expj(e * t) for e in energies]
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = phases[a] * phases[b].conjugate() * v[a, b]
-    return out
+        return pair.rep.conjugate_exp(v, ctx.num(t))
 
 
 def eig_symmetric(h: np.ndarray, ctx: Context):

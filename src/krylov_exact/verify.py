@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 from .catalog import SystemKind, SystemSpec, spectrum_shift_relations
 from .chain import b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
-from .dynamics import closure_diagonal_identity, heisenberg_closed_form, krylov_profile, verify_closure
+from .dynamics import HEISENBERG_TIMES, closure_diagonal_identity, heisenberg_check, krylov_profile, verify_closure
 from .errors import DegenerateChain, KrylovExactError
 from .moments import moments_closed_finite, moments_closed_thermal, moments_oracle, scale_table
 from .numeric import exact_sqrt
 from .operators import (
+    OperatorPair,
     energy_pair,
-    matrix_exponential_conjugate,
-    max_abs,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -128,9 +127,11 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     # moment route inverts a Hankel structure whose conditioning grows
     # exponentially with K, so in bigreal mode the recovered b^2 carry
     # far fewer digits than the working precision; the comparison budget
-    # reflects that information loss, not a defect of either route.
+    # reflects that information loss, not a defect of either route.  In
+    # bigreal mode the profile check below needs the full chain; its first
+    # K coefficients are those of the k_max=K chain, so one chain serves both.
     coeffs = moments_to_lanczos(table)
-    chain = operator_lanczos(pair, ip, k_max=K)
+    chain = operator_lanczos(pair, ip, k_max=K if ctx.is_exact else None)
     m = min(len(coeffs.b_squared), len(chain.b_squared))
     if m:
         cdev = max(
@@ -183,24 +184,28 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
 
     # scaling covariance (oracle level)
     lam = ctx.frac(2)
-    if pair.h.ndim == 1:
-        import numpy as np
-
-        h2 = np.array([lam * e for e in pair.h], dtype=object)
-    else:
-        h2 = pair.h * lam
-    from .operators import OperatorPair
-
-    scaled_pair = OperatorPair(h2, pair.eta, pair.basis, ctx, pair.metric, spec)
+    scaled_pair = OperatorPair(pair.h * lam, pair.eta, pair.basis, ctx, pair.metric, spec)
     o_scaled = moments_oracle(scaled_pair, ip, K=2)
     expect = scale_table(oracle, lam)
     sdev = max(abs(a - b) for a, b in zip(o_scaled.values[:5], expect.values[:5]))
     sok = sdev == 0 if ctx.is_exact else sdev <= tol.rel_eps * max(abs(v) for v in expect.values[:5]) * 100
     add("scaling_covariance", "mu_2m -> lam^2m mu_2m", _fmt_dev(ctx, sdev), sok)
 
-    # closure relation and the diagonal identity
+    # closure relation and the diagonal identity; the Heisenberg check
+    # below reuses the same closure data (or fails with the same error)
+    closure = closure_error = None
+    try:
+        closure = verify_closure(pair, spec)
+    except KrylovExactError as exc:
+        closure_error = exc
+
+    def closure_data():
+        if closure_error is not None:
+            raise closure_error
+        return closure
+
     def _closure():
-        cl = verify_closure(pair, spec)
+        cl = closure_data()
         rng = range(spec.N + 1) if spec.is_finite else range(min(pair.dim, 12))
         netn = all(closure_diagonal_identity(cl, spec, n, ctx) for n in rng)
         return ("residual polynomial, diagonal matches", netn)
@@ -210,22 +215,14 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     # Heisenberg closed form vs exponential oracle (bigreal only)
     if not ctx.is_exact:
         def _heisenberg():
-            cl = verify_closure(pair, spec)
-            worst = ctx.zero
-            for tv in ("1/10", "7/10", "157/50", "10"):
-                t = ctx.num(tv)
-                x = heisenberg_closed_form(pair, cl, t)
-                y = matrix_exponential_conjugate(pair.h, pair.eta, t, ctx)
-                worst = max(worst, max_abs(x - y))
-            hscale = max(max_abs(pair.eta), ctx.one)
-            return (_fmt_dev(ctx, worst), worst <= tol.rel_eps * hscale * 1000)
+            devs, ok = heisenberg_check(pair, closure_data(), HEISENBERG_TIMES)
+            return (_fmt_dev(ctx, max(devs)), ok)
 
         guarded("heisenberg_closed_form_vs_oracle", "within tolerance", _heisenberg)
 
         def _profile():
-            ch = operator_lanczos(pair, ip)
             times = [ctx.num(k) / 4 + ctx.frac(1, 10) for k in range(8)]
-            prof = krylov_profile(ch, pair, ip, times)
+            prof = krylov_profile(chain, pair, ip, times)
             worst = max(prof.sum_rule_defect(i) for i in range(len(times)))
             return (_fmt_dev(ctx, worst), worst <= ctx.num("1e-30"))
 

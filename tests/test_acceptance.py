@@ -209,7 +209,7 @@ def test_criterion_09_heisenberg_closed_form():
         for t_s in ("1/10", "7/10", "157/50", "10"):
             t = BIG.num(t_s)
             closed = heisenberg_closed_form(pair, closure, t)
-            oracle = matrix_exponential_conjugate(pair.h, pair.eta, t, BIG)
+            oracle = matrix_exponential_conjugate(pair, pair.eta, t)
             dev = max_abs(closed - oracle)
             worst_overall = max(worst_overall, dev)
             ok &= dev < tol

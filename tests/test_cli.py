@@ -161,3 +161,29 @@ def test_verify_small_k_runs_every_check(capsys):
     assert "not applicable" in rows["b3_is_zero"]
     _, full, _ = run(capsys, "verify", "--system", "krawtchouk")
     assert set(rows) == {line.split()[1] for line in full.splitlines()[:-1]}
+
+
+def test_k_below_one_rejected(capsys):
+    for command in ("moments", "verify"):
+        for k in ("0", "-1"):
+            code, out, err = run(capsys, command, "--system", "krawtchouk", "-K", k)
+            assert code == 2, (command, k)
+            assert out == ""
+            assert err.startswith("configuration error: -K:"), (command, k)
+
+
+def test_verify_bigreal_decomposes_h_once(capsys, monkeypatch):
+    import mpmath
+
+    calls = []
+    eigsy = mpmath.mp.eigsy
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigsy(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath.mp, "eigsy", counting)
+    code, out, _ = run(capsys, "verify", "--system", "hahn", "--mode", "bigreal")
+    assert code == 0
+    assert "heisenberg_closed_form_vs_oracle" in out and "profile_sum_rule" in out
+    assert len(calls) == 1

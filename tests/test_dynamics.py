@@ -112,6 +112,16 @@ def test_liouville_power_all_finite_orders(ctx, kind):
         assert (apply_liouville_power(pair, cl, m) == v).all()
 
 
+def test_liouville_power_bigreal_energy_basis(bctx):
+    spec = make_system("gegenbauer", None, {"g": "2"}, bctx)
+    pair = energy_pair(spec, n_max=20)
+    cl = verify_closure(pair)
+    v = pair.eta
+    for m in range(1, 9):
+        v = liouville(pair.h, v)
+        assert max_abs(apply_liouville_power(pair, cl, m) - v) < bctx.num("1e-40"), m
+
+
 def test_heisenberg_t0_is_eta(bctx):
     spec = default_system("hahn", bctx)
     pair = position_pair(spec)
@@ -128,7 +138,7 @@ def test_heisenberg_matches_oracle(bctx):
         for t_s in ("7/10", "10"):
             t = bctx.num(t_s)
             closed = heisenberg_closed_form(pair, cl, t)
-            oracle = matrix_exponential_conjugate(pair.h, pair.eta, t, bctx)
+            oracle = matrix_exponential_conjugate(pair, pair.eta, t)
             assert max_abs(closed - oracle) < bctx.num("1e-40")
 
 
@@ -138,7 +148,7 @@ def test_heisenberg_energy_basis(bctx):
     cl = verify_closure(pair)
     t = bctx.num("3/2")
     closed = heisenberg_closed_form(pair, cl, t)
-    oracle = matrix_exponential_conjugate(pair.h, pair.eta, t, bctx)
+    oracle = matrix_exponential_conjugate(pair, pair.eta, t)
     assert max_abs(closed - oracle) < bctx.num("1e-40")
 
 
@@ -244,3 +254,25 @@ def test_profile_csv_format(bctx):
     lines = prof.to_csv().splitlines()
     assert lines[0].startswith("t,K,phi_0")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("mode", ["exact", "bigreal"])
+def test_run_system_checks_fits_closure_once(ctx, bctx, monkeypatch, mode):
+    import krylov_exact.dynamics as dynamics_mod
+    from krylov_exact import verify
+
+    calls = []
+    real = dynamics_mod.verify_closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "verify_closure", counting)
+    c = ctx if mode == "exact" else bctx
+    rows = verify.run_system_checks(default_system("krawtchouk", c))
+    assert all(r.passed for r in rows)
+    names = [r.name for r in rows]
+    assert "closure_and_diagonal_identity" in names
+    assert ("heisenberg_closed_form_vs_oracle" in names) == (mode == "bigreal")
+    assert len(calls) == 1

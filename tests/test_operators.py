@@ -47,6 +47,9 @@ def test_hamiltonian_krawtchouk_n1(ctx):
     half = ctx.frac(1, 2)
     assert h[0, 0] == half and h[1, 1] == half
     assert h[0, 1] == -half and h[1, 0] == -half
+    # p = 1/3 puts B(0) D(1) = 2/9 under the root: no rational symmetric H
+    with pytest.raises(ModeError):
+        build_hamiltonian(make_system("krawtchouk", 1, {"p": "1/3"}, ctx))
 
 
 def test_hamiltonian_row0_boundary(ctx):
@@ -331,7 +334,7 @@ def test_zero_eta_rejected(ctx):
 def test_exponential_conjugate_t0(bctx):
     spec = make_system("krawtchouk", 3, {"p": "1/3"}, bctx)
     pair = position_pair(spec)
-    out = matrix_exponential_conjugate(pair.h, pair.eta, bctx.zero, bctx)
+    out = matrix_exponential_conjugate(pair, pair.eta, bctx.zero)
     assert max_abs(out - pair.eta) < bctx.num("1e-45")
 
 
@@ -340,7 +343,7 @@ def test_exponential_conjugate_norm_preserved(bctx):
     pair = position_pair(spec)
     ip = trace_inner(pair)
     o0 = pair.eta / bctx.sqrt(norm_sq(ip, pair.eta))
-    ot = matrix_exponential_conjugate(pair.h, o0, bctx.num("7/10"), bctx)
+    ot = matrix_exponential_conjugate(pair, o0, bctx.num("7/10"))
     assert abs(inner(ip, ot, ot) - 1) < bctx.num("1e-45")
 
 
@@ -350,7 +353,7 @@ def test_exponential_conjugate_2x2_analytic(bctx):
     spec = make_system("krawtchouk", 1, {"p": "1/2"}, bctx)
     pair = position_pair(spec)
     t = bctx.num("9/10")
-    out = matrix_exponential_conjugate(pair.h, pair.eta, t, bctx)
+    out = matrix_exponential_conjugate(pair, pair.eta, t)
     with bctx.work():
         c, s = mpmath.cos(t), mpmath.sin(t)
         half = bctx.frac(1, 2)
@@ -369,7 +372,7 @@ def test_exponential_conjugate_exact_rejected(ctx):
     spec = make_system("krawtchouk", 1, {"p": "1/2"}, ctx)
     pair = position_pair(spec)
     with pytest.raises(ModeError):
-        matrix_exponential_conjugate(pair.h, pair.eta, ctx.one, ctx)
+        matrix_exponential_conjugate(pair, pair.eta, ctx.one)
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS)

@@ -92,30 +92,29 @@ def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) ->
     p_cur = [ctx.zero, ctx.one]  # the monomial x
     b2s = []
     stop = None
-    with ctx.work():
-        for k in range(1, K + 1):
-            h_cur = dot(p_cur, p_cur)
-            if ctx.is_exact:
-                if h_cur == 0:
-                    stop = k - 1
-                    break
-                if h_cur < 0:
-                    raise NegativeBSquared(f"h_{k} = {ctx.fmt(h_cur)} < 0")
-            else:
-                b2_probe = h_cur / h_prev
-                if abs(b2_probe) <= tol.zero_eps:
-                    stop = k - 1
-                    break
-                if b2_probe < 0:
-                    raise NegativeBSquared(f"b_{k}^2 = {ctx.fmt(b2_probe)} < 0")
-            b2 = h_cur / h_prev
-            b2s.append(b2)
-            # p_{k+1} = x*p_k - b_k^2 * p_{k-1}
-            nxt = [ctx.zero] + list(p_cur)
-            for i, c in enumerate(p_prev):
-                nxt[i] = nxt[i] - b2 * c
-            p_prev, p_cur = p_cur, nxt
-            h_prev = h_cur
+    for k in range(1, K + 1):
+        h_cur = dot(p_cur, p_cur)
+        if ctx.is_exact:
+            if h_cur == 0:
+                stop = k - 1
+                break
+            if h_cur < 0:
+                raise NegativeBSquared(f"h_{k} = {ctx.fmt(h_cur)} < 0")
+        else:
+            b2_probe = h_cur / h_prev
+            if abs(b2_probe) <= tol.zero_eps:
+                stop = k - 1
+                break
+            if b2_probe < 0:
+                raise NegativeBSquared(f"b_{k}^2 = {ctx.fmt(b2_probe)} < 0")
+        b2 = h_cur / h_prev
+        b2s.append(b2)
+        # p_{k+1} = x*p_k - b_k^2 * p_{k-1}
+        nxt = [ctx.zero] + list(p_cur)
+        for i, c in enumerate(p_prev):
+            nxt[i] = nxt[i] - b2 * c
+        p_prev, p_cur = p_cur, nxt
+        h_prev = h_cur
     return LanczosCoefficients(b_squared=b2s, stop_index=stop, ctx=ctx)
 
 
@@ -130,27 +129,26 @@ def lanczos_to_moments(coeffs: LanczosCoefficients | list, K: int, ctx: Context 
         b2 = list(coeffs.b_squared)
         ctx = ctx or coeffs.ctx
     else:
-        b2 = list(coeffs)
         if ctx is None:
             raise ValueError("a context is required with a bare coefficient list")
+        b2 = [ctx.num(v) for v in coeffs]
     from .moments import CLOSED_FORM
 
     size = len(b2) + 1
-    with ctx.work():
-        v = [ctx.one] + [ctx.zero] * (size - 1)
-        values = [ctx.one]
-        for _ in range(2 * K):
-            nxt = [ctx.zero] * size
-            for i in range(size):
-                if v[i] == 0:
-                    continue
-                # row action of the rescaled Jacobi matrix
-                if i > 0:
-                    nxt[i - 1] = nxt[i - 1] + b2[i - 1] * v[i]
-                if i < size - 1:
-                    nxt[i + 1] = nxt[i + 1] + v[i]
-            v = nxt
-            values.append(v[0])
+    v = [ctx.one] + [ctx.zero] * (size - 1)
+    values = [ctx.one]
+    for _ in range(2 * K):
+        nxt = [ctx.zero] * size
+        for i in range(size):
+            if v[i] == 0:
+                continue
+            # row action of the rescaled Jacobi matrix
+            if i > 0:
+                nxt[i - 1] = nxt[i - 1] + b2[i - 1] * v[i]
+            if i < size - 1:
+                nxt[i + 1] = nxt[i + 1] + v[i]
+        v = nxt
+        values.append(v[0])
     return MomentTable(values=values, provenance=CLOSED_FORM, ctx=ctx)
 
 
@@ -158,16 +156,15 @@ def b123_closed_forms(table: MomentTable):
     """The explicit rational b_1^2, b_2^2, b_3^2 in terms of mu_2..mu_6."""
     ctx = table.ctx
     mu2, mu4, mu6 = table.mu(2), table.mu(4), table.mu(6)
-    with ctx.work():
-        b1 = mu2
-        b2 = mu4 / mu2 - mu2
-        gap = mu4 - mu2 * mu2
-        tol = ctx.default_tolerance()
-        degenerate = gap == 0 if ctx.is_exact else abs(gap) <= tol.zero_eps
-        if degenerate:
-            raise DegenerateChain("mu_4 = mu_2^2: chain stops at b_2, b_3 undefined")
-        b3 = mu2 * (mu6 - 2 * mu2 * mu4 + mu2**3) / (mu2 * gap) - mu4 / mu2 + mu2
-        return b1, b2, b3
+    b1 = mu2
+    b2 = mu4 / mu2 - mu2
+    gap = mu4 - mu2 * mu2
+    tol = ctx.default_tolerance()
+    degenerate = gap == 0 if ctx.is_exact else abs(gap) <= tol.zero_eps
+    if degenerate:
+        raise DegenerateChain("mu_4 = mu_2^2: chain stops at b_2, b_3 undefined")
+    b3 = mu2 * (mu6 - 2 * mu2 * mu4 + mu2**3) / (mu2 * gap) - mu4 / mu2 + mu2
+    return b1, b2, b3
 
 
 def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
@@ -184,20 +181,19 @@ def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
 
     if table.order < 2 * n:
         raise IndexOutOfRange(f"need moments through mu_{2*n}")
-    with ctx.work():
-        m = np.empty((n + 1, n + 1), dtype=object)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                m[i, j] = table.mu(i + j)
-        lhs = determinant(m, ctx)
-        rhs = ctx.one
-        naive = ctx.one
-        for k in range(1, n + 1):
-            b2k = coeffs.b2(k)
-            rhs = rhs * b2k ** (n + 1 - k)
-            naive = naive * b2k
-        naive_fails = not ctx.close(lhs, naive)
-        return lhs, rhs, naive_fails
+    m = np.empty((n + 1, n + 1), dtype=object)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            m[i, j] = table.mu(i + j)
+    lhs = determinant(m, ctx)
+    rhs = ctx.one
+    naive = ctx.one
+    for k in range(1, n + 1):
+        b2k = coeffs.b2(k)
+        rhs = rhs * b2k ** (n + 1 - k)
+        naive = naive * b2k
+    naive_fails = not ctx.close(lhs, naive)
+    return lhs, rhs, naive_fails
 
 
 STOPS_AT_O1 = "StopsAtO1"

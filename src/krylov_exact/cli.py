@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import mpmath
+
 from . import __version__
 from .catalog import (
     DEFAULT_PARAMS,
@@ -28,7 +30,7 @@ from .chain import chain_report
 from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile, verify_closure
 from .errors import KrylovExactError
 from .moments import moments_closed
-from .numeric import BIGREAL, EXACT, Context
+from .numeric import BIGREAL, EXACT, RATIONAL_BACKEND, Context
 from .operators import (
     energy_pair,
     operator_lanczos,
@@ -60,7 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="krylov-exact",
         description="Moments, Lanczos chains, and complexity profiles of solvable systems",
     )
-    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    p.add_argument(
+        "--version",
+        action="version",
+        version=f"%(prog)s {__version__} (rationals: {RATIONAL_BACKEND}, mpmath backend: {mpmath.libmp.BACKEND})",
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, needs_system=True):

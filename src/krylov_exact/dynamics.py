@@ -17,7 +17,6 @@ import io
 import json
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .catalog import SystemSpec, _polyval
@@ -77,30 +76,29 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
     ctx = pair.ctx
     tol = tol or ctx.default_tolerance()
     rep = pair.rep
-    with ctx.work():
-        r0 = tuple(spec.r0_coeffs)
-        r1 = tuple(spec.r1_coeffs)
-        l1 = liouville(pair.h, pair.eta)
-        l2 = liouville(pair.h, l1)
-        m = l2 - rep.right_mul(pair.eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
-        scale = max(max_abs(m), ctx.one)
-        comm = liouville(pair.h, m)
-        worst = max_abs(comm)
-        if (ctx.is_exact and worst != 0) or (not ctx.is_exact and worst > tol.rel_eps * scale * 10):
-            raise ClosureViolated(f"residual does not commute with H (defect {ctx.fmt(worst)})")
-        m_of_h, off = rep.as_function(m)
-        if (ctx.is_exact and off != 0) or (not ctx.is_exact and off > tol.rel_eps * scale * 10):
-            raise ClosureViolated(f"residual off-diagonal {ctx.fmt(off)}")
+    r0 = tuple(spec.r0_coeffs)
+    r1 = tuple(spec.r1_coeffs)
+    l1 = liouville(pair.h, pair.eta)
+    l2 = liouville(pair.h, l1)
+    m = l2 - rep.right_mul(pair.eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
+    scale = max(max_abs(m), ctx.one)
+    comm = liouville(pair.h, m)
+    worst = max_abs(comm)
+    if (ctx.is_exact and worst != 0) or (not ctx.is_exact and worst > tol.rel_eps * scale * 10):
+        raise ClosureViolated(f"residual does not commute with H (defect {ctx.fmt(worst)})")
+    m_of_h, off = rep.as_function(m)
+    if (ctx.is_exact and off != 0) or (not ctx.is_exact and off > tol.rel_eps * scale * 10):
+        raise ClosureViolated(f"residual off-diagonal {ctx.fmt(off)}")
 
-        # fit M = c0 + c1 H + c2 H^2
-        one, zero = ctx.one, ctx.zero
-        cols = [rep.poly(c) for c in ((one,), (zero, one), (zero, zero, one))]
-        coeffs = solve_consistent(cols, m_of_h, ctx, tol)
-        if coeffs is None:
-            raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
-        rm1 = tuple(coeffs)
-        rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(m.shape[0])]
-        return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=worst)
+    # fit M = c0 + c1 H + c2 H^2
+    one, zero = ctx.one, ctx.zero
+    cols = [rep.poly(c) for c in ((one,), (zero, one), (zero, zero, one))]
+    coeffs = solve_consistent(cols, m_of_h, ctx, tol)
+    if coeffs is None:
+        raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
+    rm1 = tuple(coeffs)
+    rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(m.shape[0])]
+    return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=worst)
 
 
 def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ctx: Context) -> bool:
@@ -144,12 +142,11 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     if m == 1:
         return l1
     rep = pair.rep
-    with ctx.work():
-        r0, r1, rm1 = (rep.poly(c) for c in (closure.r0, closure.r1, closure.rm1))
-        a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
-        for _ in range(m):
-            a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
-        return rep.add(rep.right_mul(pair.eta, a_k) + rep.right_mul(l1, b_k), c_k)
+    r0, r1, rm1 = (rep.poly(c) for c in (closure.r0, closure.r1, closure.rm1))
+    a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
+    for _ in range(m):
+        a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
+    return rep.add(rep.right_mul(pair.eta, a_k) + rep.right_mul(l1, b_k), c_k)
 
 
 def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.ndarray:
@@ -168,26 +165,25 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
         raise ModeError("Heisenberg evolution needs bigreal mode")
     tol = ctx.default_tolerance()
     rep = pair.rep
-    with ctx.work():
-        t = ctx.num(t)
-        gvals, fvals, rhovals = [], [], []
-        for i, e in enumerate(rep.spectrum):
-            ap, am = _alpha_at(closure, e, ctx)
-            diff = ap - am
-            if abs(diff) <= tol.zero_eps:
-                raise DegenerateFrequencies(f"alpha_+ = alpha_- at level {i}")
-            r0val = closure.r0_at(e)
-            if ctx.is_zero(r0val, tol):
-                raise R0Vanishing(f"R_0 vanishes at spectral point {i}")
-            ep = ctx.expj(ap * t)
-            em = ctx.expj(am * t)
-            gvals.append((ep - em) / diff)
-            fvals.append((-am * ep + ap * em) / diff)
-            rhovals.append(closure.rm1_at(e) / r0val)
-        g, f, rho = (rep.of_spectrum(v) for v in (gvals, fvals, rhovals))
-        l1 = liouville(pair.h, pair.eta)
-        out = rep.right_mul(l1, g) + rep.right_mul(rep.add(pair.eta, rho), f)
-        return rep.add(out, rho, sign=-1)
+    t = ctx.num(t)
+    gvals, fvals, rhovals = [], [], []
+    for i, e in enumerate(rep.spectrum):
+        ap, am = _alpha_at(closure, e, ctx)
+        diff = ap - am
+        if abs(diff) <= tol.zero_eps:
+            raise DegenerateFrequencies(f"alpha_+ = alpha_- at level {i}")
+        r0val = closure.r0_at(e)
+        if ctx.is_zero(r0val, tol):
+            raise R0Vanishing(f"R_0 vanishes at spectral point {i}")
+        ep = ctx.expj(ap * t)
+        em = ctx.expj(am * t)
+        gvals.append((ep - em) / diff)
+        fvals.append((-am * ep + ap * em) / diff)
+        rhovals.append(closure.rm1_at(e) / r0val)
+    g, f, rho = (rep.of_spectrum(v) for v in (gvals, fvals, rhovals))
+    l1 = liouville(pair.h, pair.eta)
+    out = rep.right_mul(l1, g) + rep.right_mul(rep.add(pair.eta, rho), f)
+    return rep.add(out, rho, sign=-1)
 
 
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
@@ -197,13 +193,12 @@ def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[l
     within 1000 rel_eps max(|eta|, 1).
     """
     ctx = pair.ctx
-    with ctx.work():
-        devs = [
-            max_abs(heisenberg_closed_form(pair, closure, t) - matrix_exponential_conjugate(pair, pair.eta, t))
-            for t in times
-        ]
-        bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000
-        return devs, max(devs, default=ctx.zero) <= bound
+    devs = [
+        max_abs(heisenberg_closed_form(pair, closure, t) - matrix_exponential_conjugate(pair, pair.eta, t))
+        for t in times
+    ]
+    bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000
+    return devs, max(devs, default=ctx.zero) <= bound
 
 
 @dataclass
@@ -261,36 +256,30 @@ def krylov_profile(
     if ctx.is_exact:
         raise ModeError("profiles need bigreal mode")
     tol = ctx.default_tolerance()
-    with ctx.work():
-        # (-i)**n cycles with period four and is exact
-        one = ctx.one
-        phases = [
-            mpmath.mpc(one, 0),
-            mpmath.mpc(0, -one),
-            mpmath.mpc(-one, 0),
-            mpmath.mpc(0, one),
-        ]
-        times = [ctx.num(t) for t in times]
-        amplitudes = pair.rep.space(pair, ip).overlaps(chain.ops)
-        phi_rows = []
-        complexity = []
-        for t in times:
-            raw = amplitudes(t)
-            row = []
-            k_t = ctx.zero
-            for n, val in enumerate(raw):
-                val = val * phases[n % 4]
-                if abs(val.imag) > tol.rel_eps * max(1, abs(val)) * 100:
-                    raise ComplexAmplitude(
-                        f"phi_{n} imaginary part {ctx.fmt(val.imag)}"
-                    )
-                phi = val.real
-                row.append(phi)
-                if n >= 1:
-                    k_t = k_t + n * phi * phi
-            phi_rows.append(row)
-            complexity.append(k_t)
-        return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)
+    # (-i)**n cycles with period four and is exact
+    one, mpc = ctx.one, ctx.mp.mpc
+    phases = [mpc(one, 0), mpc(0, -one), mpc(-one, 0), mpc(0, one)]
+    times = [ctx.num(t) for t in times]
+    amplitudes = pair.rep.space(pair, ip).overlaps(chain.ops)
+    phi_rows = []
+    complexity = []
+    for t in times:
+        raw = amplitudes(t)
+        row = []
+        k_t = ctx.zero
+        for n, val in enumerate(raw):
+            val = val * phases[n % 4]
+            if abs(val.imag) > tol.rel_eps * max(1, abs(val)) * 100:
+                raise ComplexAmplitude(
+                    f"phi_{n} imaginary part {ctx.fmt(val.imag)}"
+                )
+            phi = val.real
+            row.append(phi)
+            if n >= 1:
+                k_t = k_t + n * phi * phi
+        phi_rows.append(row)
+        complexity.append(k_t)
+    return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)
 
 
 def profile_to_json(profile: KrylovProfile) -> str:

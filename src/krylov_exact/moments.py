@@ -132,61 +132,60 @@ def moments_closed_thermal(
     ctx = spec.ctx
     if ctx.is_exact:
         raise ModeError("thermal sums need Boltzmann factors; use bigreal mode")
-    with ctx.work():
-        beta = ctx.num(beta if beta is not None else 1)
-        if not beta > 0:
-            raise TailNotConvergent("beta must be positive")
-        tol = ctx.default_tolerance()
-        tail_tol = ctx.num(tail_tol) if tail_tol is not None else tol.rel_eps
+    beta = ctx.num(beta if beta is not None else 1)
+    if not beta > 0:
+        raise TailNotConvergent("beta must be positive")
+    tol = ctx.default_tolerance()
+    tail_tol = ctx.num(tail_tol) if tail_tol is not None else tol.rel_eps
 
-        numer = [ctx.zero] * K  # series for mu_2, mu_4, ..., mu_2K
-        denom = ctx.zero  # Z * |eta|_beta^2
-        prev_terms = None
-        n = 0
-        while n <= n_cap:
-            e_n = spec.energy(n)
-            e_n1 = spec.energy(n + 1)
-            link = ctx.exp(-beta * (e_n + e_n1) / 2) * spec.ac_product(n)
-            diag = spec.eta_diag(n)
-            denom_term = ctx.exp(-beta * e_n) * diag * diag + 2 * link
-            denom = denom + denom_term
-            ap2 = spec.alpha_plus(n) ** 2
-            terms = []
-            power = ctx.one
-            for m in range(K):
-                power = power * ap2
-                t = 2 * link * power
-                numer[m] = numer[m] + t
-                terms.append(t)
-            terms.append(denom_term)
-            if prev_terms is not None and n >= 4:
-                ratios = [
-                    t / p for t, p in zip(terms, prev_terms) if p > 0 and t > 0
-                ]
-                if ratios and max(ratios) < ctx.frac(1, 2):
-                    r = max(ratios)
-                    # tail of each series bounded by current term * r/(1-r)
-                    bound = ctx.zero
-                    for t, total in zip(terms, numer + [denom]):
-                        if total > 0:
-                            rel = (t * r / (1 - r)) / total
-                            bound = max(bound, rel)
-                    if bound < tail_tol:
-                        trunc = Truncation(n_max=n, tail_bound=bound)
-                        values = [ctx.one]
-                        for m in range(K):
-                            values.append(ctx.zero)
-                            values.append(numer[m] / denom)
-                        return MomentTable(
-                            values=values,
-                            provenance=CLOSED_FORM,
-                            ctx=ctx,
-                            kind=spec.kind,
-                            beta=beta,
-                            truncation=trunc,
-                        )
-            prev_terms = terms
-            n += 1
+    numer = [ctx.zero] * K  # series for mu_2, mu_4, ..., mu_2K
+    denom = ctx.zero  # Z * |eta|_beta^2
+    prev_terms = None
+    n = 0
+    while n <= n_cap:
+        e_n = spec.energy(n)
+        e_n1 = spec.energy(n + 1)
+        link = ctx.exp(-beta * (e_n + e_n1) / 2) * spec.ac_product(n)
+        diag = spec.eta_diag(n)
+        denom_term = ctx.exp(-beta * e_n) * diag * diag + 2 * link
+        denom = denom + denom_term
+        ap2 = spec.alpha_plus(n) ** 2
+        terms = []
+        power = ctx.one
+        for m in range(K):
+            power = power * ap2
+            t = 2 * link * power
+            numer[m] = numer[m] + t
+            terms.append(t)
+        terms.append(denom_term)
+        if prev_terms is not None and n >= 4:
+            ratios = [
+                t / p for t, p in zip(terms, prev_terms) if p > 0 and t > 0
+            ]
+            if ratios and max(ratios) < ctx.frac(1, 2):
+                r = max(ratios)
+                # tail of each series bounded by current term * r/(1-r)
+                bound = ctx.zero
+                for t, total in zip(terms, numer + [denom]):
+                    if total > 0:
+                        rel = (t * r / (1 - r)) / total
+                        bound = max(bound, rel)
+                if bound < tail_tol:
+                    trunc = Truncation(n_max=n, tail_bound=bound)
+                    values = [ctx.one]
+                    for m in range(K):
+                        values.append(ctx.zero)
+                        values.append(numer[m] / denom)
+                    return MomentTable(
+                        values=values,
+                        provenance=CLOSED_FORM,
+                        ctx=ctx,
+                        kind=spec.kind,
+                        beta=beta,
+                        truncation=trunc,
+                    )
+        prev_terms = terms
+        n += 1
     raise TailNotConvergent(
         f"tail bound {ctx.fmt(tail_tol)} not certified within {n_cap} terms"
     )
@@ -211,15 +210,14 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
 
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    with ctx.work():
-        norm = norm_sq(ip, pair.eta)
-        values = [ctx.one]
-        v = pair.eta
-        for _ in range(K):
-            v_next = liouville(pair.h, v)
-            values.append(inner(ip, v, v_next) / norm)
-            values.append(norm_sq(ip, v_next) / norm)
-            v = v_next
+    norm = norm_sq(ip, pair.eta)
+    values = [ctx.one]
+    v = pair.eta
+    for _ in range(K):
+        v_next = liouville(pair.h, v)
+        values.append(inner(ip, v, v_next) / norm)
+        values.append(norm_sq(ip, v_next) / norm)
+        v = v_next
     return MomentTable(
         values=values,
         provenance=ORACLE,
@@ -245,12 +243,11 @@ def diagonal_eta_identity(spec: SystemSpec, n: int, n_max: int | None = None) ->
         from .operators import eig_symmetric, position_pair
 
         pair = position_pair(spec)
-        with ctx.work():
-            _, q = eig_symmetric(pair.h, ctx)
-            got = ctx.zero
-            for x in range(spec.dim):
-                got = got + q[x, n] * q[x, n] * spec.eta(x)
-            return ctx.close(got, expected)
+        _, q = eig_symmetric(pair.h, ctx)
+        got = ctx.zero
+        for x in range(spec.dim):
+            got = got + q[x, n] * q[x, n] * spec.eta(x)
+        return ctx.close(got, expected)
     if spec.is_finite or spec.kind in (SystemKind.MEIXNER, SystemKind.CHARLIER):
         return ctx.close(expected, -(spec.A(n) + spec.C(n)))
     return True  # thermal families with explicit diagonal data
@@ -263,23 +260,22 @@ def dual_hahn_mu2_closed(N: int, a, b, ctx: Context):
     numerator and denominator below were obtained by summing that lattice
     expression symbolically and are verified against it in the tests.
     """
-    with ctx.work():
-        a = ctx.num(a)
-        b = ctx.num(b)
-        s = a + b
-        numer = (N + 2) * (2 * N * N + 5 * s * N - 6 * N + 10 * a * b - 5 * s + 4)
-        denom = (
-            6 * N**3
-            + 15 * s * N**2
-            - 6 * N**2
-            + 10 * s * s * N
-            - 5 * s * N
-            - 4 * N
-            + 5 * s * s
-            - 10 * s
-            + 4
-        )
-        return numer / denom
+    a = ctx.num(a)
+    b = ctx.num(b)
+    s = a + b
+    numer = (N + 2) * (2 * N * N + 5 * s * N - 6 * N + 10 * a * b - 5 * s + 4)
+    denom = (
+        6 * N**3
+        + 15 * s * N**2
+        - 6 * N**2
+        + 10 * s * s * N
+        - 5 * s * N
+        - 4 * N
+        + 5 * s * s
+        - 10 * s
+        + 4
+    )
+    return numer / denom
 
 
 def affine_qk_norm_closed(N: int, q, ctx: Context):
@@ -288,21 +284,19 @@ def affine_qk_norm_closed(N: int, q, ctx: Context):
     Derived independently as N + q^{-2N} (1-q^N)(1-q^N(1+2q)) / (1-q^2)
     and verified against the direct sum in the tests.
     """
-    with ctx.work():
-        q = ctx.num(q)
-        return N + q ** (-2 * N) * (1 - q**N) * (1 - q**N * (1 + 2 * q)) / (1 - q * q)
+    q = ctx.num(q)
+    return N + q ** (-2 * N) * (1 - q**N) * (1 - q**N * (1 + 2 * q)) / (1 - q * q)
 
 
 def scale_table(table: MomentTable, lam) -> MomentTable:
     """Moments of the system with Hamiltonian scaled by lambda."""
     ctx = table.ctx
-    with ctx.work():
-        lam = ctx.num(lam)
-        values = []
-        power = ctx.one
-        for v in table.values:
-            values.append(v * power)
-            power = power * lam
+    lam = ctx.num(lam)
+    values = []
+    power = ctx.one
+    for v in table.values:
+        values.append(v * power)
+        power = power * lam
     return MomentTable(
         values=values,
         provenance=table.provenance,

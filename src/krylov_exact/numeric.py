@@ -12,24 +12,35 @@ A :class:`Context` fixes the mode once; every public operation receives
 values created through its context.  Values of foreign modes raise
 :class:`~krylov_exact.errors.ModeError` instead of being promoted
 silently (a machine float is always foreign).
+
+Precision belongs to the context, not to global mpmath state: a bigreal
+context creates its values in a private ``mpmath.MPContext`` (one per
+precision), so arithmetic on them rounds at that precision whatever the
+global one is, and no result depends on contexts created earlier.
+:meth:`Context.num` converts foreign mpmath numbers into those classes.
 """
 
 from __future__ import annotations
 
+import copyreg
+import math
 import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath
-from mpmath import mp
 
 from .errors import ModeError
 
 try:
     from gmpy2 import mpq as _rational
+
+    RATIONAL_BACKEND = "gmpy2"
 except ImportError:  # gmpy2 is the optional "fast" extra; Fraction is the fallback
     _rational = Fraction
+    RATIONAL_BACKEND = "Fraction"
 
 EXACT = "exact"
 BIGREAL = "bigreal"
@@ -59,17 +70,32 @@ def exact_sqrt(x):
         raise ValueError("square root of negative value")
     r = rational(x)
     num, den = int(r.numerator), int(r.denominator)
-    sn = _isqrt(num)
-    sd = _isqrt(den)
+    sn = math.isqrt(num)
+    sd = math.isqrt(den)
     if sn * sn == num and sd * sd == den:
         return rational(sn, sd)
     return None
 
 
-def _isqrt(n: int) -> int:
-    import math
+@cache
+def _mp_context(dps: int) -> mpmath.MPContext:
+    """The private mpmath context working at ``dps`` decimal digits."""
+    context = mpmath.MPContext()
+    context.dps = dps
+    # values pickle as (dps, digits) and unpickle into this context again
+    copyreg.pickle(context.mpf, lambda x: (_unpickle, (dps, x._mpf_)))
+    copyreg.pickle(context.mpc, lambda z: (_unpickle, (dps, z._mpc_)))
+    return context
 
-    return math.isqrt(n)
+
+def _unpickle(dps: int, state: tuple):
+    context = _mp_context(dps)
+    return context.make_mpc(state) if isinstance(state[0], tuple) else context.make_mpf(state)
+
+
+def _is_mp(x) -> bool:
+    """True for an mpmath real or complex of any mpmath context."""
+    return hasattr(x, "_mpf_") or hasattr(x, "_mpc_")
 
 
 @dataclass(frozen=True)
@@ -88,8 +114,8 @@ class Tolerance:
     def for_mode(cls, mode: str, precision: int = DEFAULT_PRECISION) -> "Tolerance":
         if mode == EXACT:
             return cls(0, 0)
-        with mp.workdps(precision):
-            eps = mp.mpf(10) ** (-precision + 10)
+        # rounded at `precision` digits, held at the context's guard digits
+        eps = _mp_context(precision + 5).convert(_mp_context(precision).mpf(10) ** (-precision + 10))
         return cls(eps, eps)
 
 
@@ -106,11 +132,6 @@ class Context:
         if self.mode == BIGREAL:
             if self.precision < 30:
                 raise ValueError("bigreal precision must be at least 30 digits")
-            # mpmath rounds at the *global* working precision, so keep it
-            # at least as high as any live context; explicit work() scopes
-            # still pin exact printing and tolerance computations.
-            if mp.dps < self.precision + 5:
-                mp.dps = self.precision + 5
 
     # -- construction -------------------------------------------------
 
@@ -118,20 +139,23 @@ class Context:
     def is_exact(self) -> bool:
         return self.mode == EXACT
 
-    def work(self):
-        """mpmath working-precision scope; a no-op in exact mode.
+    @property
+    def mp(self) -> mpmath.MPContext:
+        """The private mpmath context of this precision.  Its five guard
+        digits give every value of the context one uniform precision and a
+        lossless decimal round trip."""
+        return _mp_context(self.precision + 5)
 
-        Bigreal computations run with five guard digits beyond the
-        configured precision (the same floor applied globally), so every
-        value in one context carries a single uniform precision and the
-        decimal round trip is lossless.
-        """
+    def work(self):
+        """A scope for caller code that mixes global ``mpmath`` functions
+        with this context's values: it sets ``mpmath.mp`` to the context's
+        working precision until exit.  A no-op in exact mode."""
         if self.is_exact:
             return nullcontext()
-        return mp.workdps(self.precision + 5)
+        return mpmath.mp.workdps(self.precision + 5)
 
     def num(self, v):
-        """Coerce an int, rational, or string to this context's scalar type."""
+        """Coerce an int, rational, string or mpmath number to this context's scalar type."""
         if isinstance(v, bool):
             raise ModeError("booleans are not scalars")
         if isinstance(v, float):
@@ -139,7 +163,7 @@ class Context:
                 "machine floats are rejected; pass a string or rational instead"
             )
         if self.is_exact:
-            if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+            if _is_mp(v):
                 raise ModeError("bigreal value in exact context")
             if isinstance(v, str):
                 return rational(v)
@@ -148,30 +172,25 @@ class Context:
             if isinstance(v, (int, numbers.Rational)):
                 return rational(v.numerator, v.denominator)
             raise ModeError(f"cannot interpret {type(v).__name__} as exact rational")
-        with self.work():
-            if isinstance(v, str):
-                return self._parse_big(v)
-            if isinstance(v, int):
-                return mp.mpf(v)
-            if isinstance(v, numbers.Rational):
-                return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-            if isinstance(v, (mpmath.mpf, mpmath.mpc)):
-                return v
+        mp = self.mp
+        if _is_mp(v):
+            # a value of another mpmath context keeps its digits but
+            # takes this context's class, and so its precision
+            return mp.convert(v)
+        if isinstance(v, str):
+            p, slash, q = v.strip().partition("/")
+            return mp.mpf(int(p)) / mp.mpf(int(q)) if slash else mp.mpf(p)
+        if isinstance(v, int):
+            return mp.mpf(v)
+        if isinstance(v, numbers.Rational):
+            return mp.mpf(v.numerator) / mp.mpf(v.denominator)
         raise ModeError(f"cannot interpret {type(v).__name__} as bigreal")
-
-    def _parse_big(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            p, q = s.split("/")
-            return mp.mpf(int(p)) / mp.mpf(int(q))
-        return mp.mpf(s)
 
     def frac(self, p, q=1):
         """Literal fraction p/q in this context's type."""
         if self.is_exact:
             return rational(p, q)
-        with self.work():
-            return mp.mpf(p) / mp.mpf(q)
+        return self.mp.mpf(p) / self.mp.mpf(q)
 
     @property
     def zero(self):
@@ -188,12 +207,11 @@ class Context:
             if r.denominator == 1:
                 return str(r.numerator)
             return f"{r.numerator}/{r.denominator}"
-        with self.work():
-            if isinstance(x, mpmath.mpc):
-                return f"({self.fmt(x.real)} {self.fmt(x.imag)}j)"
-            # repr_dps digits guarantee a lossless decimal round trip
-            digits = mpmath.libmp.repr_dps(mp.prec)
-            return mp.nstr(mp.mpf(x), digits)
+        mp = self.mp
+        if hasattr(x, "_mpc_"):
+            return f"({self.fmt(x.real)} {self.fmt(x.imag)}j)"
+        # repr_dps digits guarantee a lossless decimal round trip
+        return mp.nstr(mp.mpf(x), mpmath.libmp.repr_dps(mp.prec))
 
     def ensure(self, x):
         """Validate that ``x`` belongs to this context; return it unchanged."""
@@ -203,7 +221,7 @@ class Context:
             if not isinstance(x, (int, numbers.Rational)):
                 raise ModeError(f"{type(x).__name__} value in exact context")
         else:
-            if not isinstance(x, (int, mpmath.mpf, mpmath.mpc, numbers.Rational)):
+            if not (isinstance(x, (int, numbers.Rational)) or _is_mp(x)):
                 raise ModeError(f"{type(x).__name__} value in bigreal context")
             if isinstance(x, numbers.Rational) and not isinstance(x, int):
                 raise ModeError("exact rational value in bigreal context")
@@ -217,8 +235,7 @@ class Context:
             if x == 0:
                 return self.one
             raise ModeError("exp of a nonzero argument is irrational; use bigreal")
-        with self.work():
-            return mp.exp(x)
+        return self.mp.exp(x)
 
     def sqrt(self, x):
         if self.is_exact:
@@ -226,15 +243,13 @@ class Context:
             if root is None:
                 raise ModeError(f"sqrt({x}) is irrational; use bigreal")
             return root
-        with self.work():
-            return mp.sqrt(x)
+        return self.mp.sqrt(x)
 
     def expj(self, x):
         """e**(i*x) as a complex value (bigreal only)."""
         if self.is_exact:
             raise ModeError("complex exponentials require bigreal mode")
-        with self.work():
-            return mp.exp(mp.mpc(0, 1) * x)
+        return self.mp.exp(self.mp.mpc(0, 1) * x)
 
     # -- comparisons ---------------------------------------------------
 
@@ -246,16 +261,14 @@ class Context:
         if self.is_exact:
             return x == 0
         tol = tol or self.default_tolerance()
-        with self.work():
-            return abs(x) <= tol.zero_eps
+        return abs(x) <= tol.zero_eps
 
     def close(self, x, y, tol: Tolerance | None = None) -> bool:
         """Equality up to rel_eps (relative to the larger magnitude)."""
         if self.is_exact:
             return x == y
         tol = tol or self.default_tolerance()
-        with self.work():
-            diff = abs(x - y)
-            scale = max(abs(x), abs(y), mp.mpf(1))
-            return diff <= tol.rel_eps * scale
+        diff = abs(x - y)
+        scale = max(abs(x), abs(y), self.one)
+        return diff <= tol.rel_eps * scale
 

@@ -36,9 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from mpmath import mp
 
 from .catalog import SystemSpec, _polyval
 from .errors import (
@@ -95,7 +93,7 @@ def conjugate(mat: np.ndarray) -> np.ndarray:
     flat_in = mat.ravel()
     flat_out = out.ravel()
     for i, v in enumerate(flat_in):
-        flat_out[i] = v.conjugate() if isinstance(v, mpmath.mpc) else v
+        flat_out[i] = v.conjugate() if hasattr(v, "_mpc_") else v
     return out
 
 
@@ -123,6 +121,11 @@ class OperatorPair:
     rep: _Spectrum | _Banded = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.ctx.is_exact:
+            # entries made elsewhere (ints, global mpmath) take the context's
+            # class; otherwise arithmetic on them rounds at their own precision
+            to_ctx = np.vectorize(self.ctx.num, otypes=[object])
+            self.h, self.eta = to_ctx(self.h), to_ctx(self.eta)
         self.rep = (_Spectrum if self.h.ndim == 1 else _Banded)(self.h, self.ctx)
 
     @property
@@ -174,18 +177,17 @@ def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
         raise BasisMismatch("beta must be positive")
     energies = pair.h
     n = pair.dim
-    with ctx.work():
-        half = [ctx.exp(-beta * e / 2) for e in energies]
-        z = sum(hw * hw for hw in half)
-        w = np.empty((n, n), dtype=object)
+    half = [ctx.exp(-beta * e / 2) for e in energies]
+    z = sum(hw * hw for hw in half)
+    w = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            w[a, b] = half[a] * half[b] / z
+    if pair.metric is not None:
+        g = pair.metric
         for a in range(n):
             for b in range(n):
-                w[a, b] = half[a] * half[b] / z
-        if pair.metric is not None:
-            g = pair.metric
-            for a in range(n):
-                for b in range(n):
-                    w[a, b] = w[a, b] * g[b] / g[a]
+                w[a, b] = w[a, b] * g[b] / g[a]
     return InnerProduct("wightman", w, ctx, beta)
 
 
@@ -193,8 +195,7 @@ def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
     """(V, W) under the given inner product."""
     if v.shape != w.shape or v.shape != ip.weight.shape:
         raise DimensionMismatch(f"shapes {v.shape}, {w.shape}, {ip.weight.shape}")
-    with ip.ctx.work():
-        return (ip.weight * conjugate(v) * w).sum()
+    return (ip.weight * conjugate(v) * w).sum()
 
 
 def norm_sq(ip: InnerProduct, v: np.ndarray):
@@ -427,8 +428,7 @@ def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
     if any(v < 0 for v in prods):
         raise NegativeUnderSquareRoot(f"{what} negative; invalid parameters")
     if not ctx.is_exact:
-        with ctx.work():
-            roots = [ctx.sqrt(v) for v in prods]
+        roots = [ctx.sqrt(v) for v in prods]
     else:
         roots = [exact_sqrt(v) for v in prods]
         if any(r is None for r in roots):
@@ -518,8 +518,7 @@ class OperatorChain:
             if all(r is not None for r in roots):
                 return roots
             raise ModeError("b values are irrational; pass a bigreal context")
-        with ctx.work():
-            return [ctx.sqrt(ctx.num(v)) for v in self.b_squared]
+        return [ctx.sqrt(ctx.num(v)) for v in self.b_squared]
 
     def to_json_dict(self) -> dict:
         ctx = self.ctx
@@ -635,41 +634,40 @@ def operator_lanczos(
     if ctx.is_exact:
         return _lanczos_exact(space, pair.eta, k_max, ctx)
 
-    with ctx.work():
-        seed = space.gather(pair.eta)
-        nrm2 = space.dot(seed, seed)
-        if ctx.is_zero(nrm2, tol):
-            raise ZeroEta("eta has zero norm")
-        o_prev = None
-        o_cur = seed / ctx.sqrt(nrm2)
-        ops = [o_cur]
-        bs = []
-        stopped = False
-        while len(bs) < k_max:
-            w = space.liouville(o_cur)
-            if o_prev is not None:
-                w = w - o_prev * bs[-1]
-            # full reorthogonalisation: thermal weights make the inner
-            # product extremely ill-conditioned, and the bare three-term
-            # recurrence would drift into ghost directions near the end
-            # of the chain
-            for o_j in ops:
-                w = w - o_j * space.dot(o_j, w)
-            b2 = space.dot(w, w)
-            b = ctx.sqrt(b2)
-            if ctx.is_zero(b, tol):
-                stopped = True
-                break
-            o_prev, o_cur = o_cur, w / b
-            ops.append(o_cur)
-            bs.append(b)
-        return OperatorChain(
-            ops=[space.scatter(v) for v in ops],
-            b_squared=[v * v for v in bs],
-            stopped=stopped,
-            ctx=ctx,
-            b=bs,
-        )
+    seed = space.gather(pair.eta)
+    nrm2 = space.dot(seed, seed)
+    if ctx.is_zero(nrm2, tol):
+        raise ZeroEta("eta has zero norm")
+    o_prev = None
+    o_cur = seed / ctx.sqrt(nrm2)
+    ops = [o_cur]
+    bs = []
+    stopped = False
+    while len(bs) < k_max:
+        w = space.liouville(o_cur)
+        if o_prev is not None:
+            w = w - o_prev * bs[-1]
+        # full reorthogonalisation: thermal weights make the inner
+        # product extremely ill-conditioned, and the bare three-term
+        # recurrence would drift into ghost directions near the end
+        # of the chain
+        for o_j in ops:
+            w = w - o_j * space.dot(o_j, w)
+        b2 = space.dot(w, w)
+        b = ctx.sqrt(b2)
+        if ctx.is_zero(b, tol):
+            stopped = True
+            break
+        o_prev, o_cur = o_cur, w / b
+        ops.append(o_cur)
+        bs.append(b)
+    return OperatorChain(
+        ops=[space.scatter(v) for v in ops],
+        b_squared=[v * v for v in bs],
+        stopped=stopped,
+        ctx=ctx,
+        b=bs,
+    )
 
 
 def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> OperatorChain:
@@ -724,8 +722,7 @@ def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.nda
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    with ctx.work():
-        return pair.rep.conjugate_exp(v, ctx.num(t))
+    return pair.rep.conjugate_exp(v, ctx.num(t))
 
 
 def eig_symmetric(h: np.ndarray, ctx: Context):
@@ -737,20 +734,19 @@ def eig_symmetric(h: np.ndarray, ctx: Context):
     if ctx.is_exact:
         raise ModeError("eigendecomposition needs bigreal mode")
     n = h.shape[0]
-    with ctx.work():
-        m = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = h[i, j]
-        evals, q = mp.eigsy(m)
-        order = sorted(range(n), key=lambda i: evals[i])
-        energies = np.empty(n, dtype=object)
-        qm = np.empty((n, n), dtype=object)
-        for col, i in enumerate(order):
-            energies[col] = evals[i]
-            for r in range(n):
-                qm[r, col] = q[r, i]
-        return energies, qm
+    m = ctx.mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = h[i, j]
+    evals, q = ctx.mp.eigsy(m)
+    order = sorted(range(n), key=lambda i: evals[i])
+    energies = np.empty(n, dtype=object)
+    qm = np.empty((n, n), dtype=object)
+    for col, i in enumerate(order):
+        energies[col] = evals[i]
+        for r in range(n):
+            qm[r, col] = q[r, i]
+    return energies, qm
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +766,7 @@ def hermiticity_defect(v: np.ndarray, metric: np.ndarray | None = None, sign: in
         for b in range(a, n):
             lhs = v[a, b]
             rhs = v[b, a]
-            if isinstance(lhs, mpmath.mpc):
+            if hasattr(lhs, "_mpc_"):
                 lhs = lhs.conjugate()
             if metric is not None:
                 lhs = lhs * metric[b]
@@ -809,31 +805,30 @@ def determinant(m: np.ndarray, ctx: Context):
     """
     a = np.array(m, dtype=object)
     n = a.shape[0]
-    with ctx.work():
-        det = ctx.one
-        for col in range(n):
-            piv = None
-            if ctx.is_exact:
-                for r in range(col, n):
-                    if a[r, col] != 0:
-                        piv = r
-                        break
-            else:
-                piv = max(range(col, n), key=lambda r: abs(a[r, col]))
-                if a[piv, col] == 0:
-                    piv = None
-            if piv is None:
-                return ctx.zero
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                det = -det
-            det = det * a[col, col]
-            inv = 1 / a[col, col]
-            for r in range(col + 1, n):
+    det = ctx.one
+    for col in range(n):
+        piv = None
+        if ctx.is_exact:
+            for r in range(col, n):
                 if a[r, col] != 0:
-                    f = a[r, col] * inv
-                    a[r, col:] = a[r, col:] - a[col, col:] * f
-        return det
+                    piv = r
+                    break
+        else:
+            piv = max(range(col, n), key=lambda r: abs(a[r, col]))
+            if a[piv, col] == 0:
+                piv = None
+        if piv is None:
+            return ctx.zero
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            det = -det
+        det = det * a[col, col]
+        inv = 1 / a[col, col]
+        for r in range(col + 1, n):
+            if a[r, col] != 0:
+                f = a[r, col] * inv
+                a[r, col:] = a[r, col:] - a[col, col:] * f
+    return det
 
 
 def solve_consistent(columns: list, target: np.ndarray, ctx: Context, tol: Tolerance | None = None):
@@ -848,59 +843,58 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context, tol: Toler
     rhs = np.asarray(target, dtype=object).ravel()
     mrows = len(rhs)
     k = len(cols)
-    with ctx.work():
-        a = np.empty((mrows, k + 1), dtype=object)
-        for j, c in enumerate(cols):
-            a[:, j] = c
-        a[:, k] = rhs
-        row = 0
-        pivots = []
-        for col in range(k):
-            piv = None
-            best = None
-            for r in range(row, mrows):
-                val = a[r, col]
-                if ctx.is_exact:
-                    if val != 0:
-                        piv = r
-                        break
-                else:
-                    if best is None or abs(val) > best:
-                        best = abs(val)
-                        piv = r
-            if piv is None or (not ctx.is_exact and ctx.is_zero(a[piv, col], tol)):
-                continue
-            a[[row, piv]] = a[[piv, row]]
-            inv = 1 / a[row, col]
-            a[row, :] = a[row, :] * inv
-            for r in range(mrows):
-                if r != row and a[r, col] != 0:
-                    a[r, :] = a[r, :] - a[row, :] * a[r, col]
-            pivots.append(col)
-            row += 1
-            if row == mrows:
-                break
-        # consistency: remaining rows must have zero rhs
-        scale = max([abs(v) for v in rhs] + [ctx.one])
+    a = np.empty((mrows, k + 1), dtype=object)
+    for j, c in enumerate(cols):
+        a[:, j] = c
+    a[:, k] = rhs
+    row = 0
+    pivots = []
+    for col in range(k):
+        piv = None
+        best = None
         for r in range(row, mrows):
-            resid = a[r, k]
+            val = a[r, col]
             if ctx.is_exact:
-                if resid != 0:
-                    return None
-            elif abs(resid) > tol.rel_eps * scale:
+                if val != 0:
+                    piv = r
+                    break
+            else:
+                if best is None or abs(val) > best:
+                    best = abs(val)
+                    piv = r
+        if piv is None or (not ctx.is_exact and ctx.is_zero(a[piv, col], tol)):
+            continue
+        a[[row, piv]] = a[[piv, row]]
+        inv = 1 / a[row, col]
+        a[row, :] = a[row, :] * inv
+        for r in range(mrows):
+            if r != row and a[r, col] != 0:
+                a[r, :] = a[r, :] - a[row, :] * a[r, col]
+        pivots.append(col)
+        row += 1
+        if row == mrows:
+            break
+    # consistency: remaining rows must have zero rhs
+    scale = max([abs(v) for v in rhs] + [ctx.one])
+    for r in range(row, mrows):
+        resid = a[r, k]
+        if ctx.is_exact:
+            if resid != 0:
                 return None
-        coeffs = [ctx.zero] * k
-        for r, col in enumerate(pivots):
-            coeffs[col] = a[r, k]
-        # verify (the elimination above already guarantees pivot rows)
-        recon = np.array([ctx.zero] * mrows, dtype=object)
-        for j, c in enumerate(cols):
-            recon = recon + c * coeffs[j]
-        for i in range(mrows):
-            diff = recon[i] - rhs[i]
-            if ctx.is_exact:
-                if diff != 0:
-                    return None
-            elif abs(diff) > 4 * tol.rel_eps * scale:
+        elif abs(resid) > tol.rel_eps * scale:
+            return None
+    coeffs = [ctx.zero] * k
+    for r, col in enumerate(pivots):
+        coeffs[col] = a[r, k]
+    # verify (the elimination above already guarantees pivot rows)
+    recon = np.array([ctx.zero] * mrows, dtype=object)
+    for j, c in enumerate(cols):
+        recon = recon + c * coeffs[j]
+    for i in range(mrows):
+        diff = recon[i] - rhs[i]
+        if ctx.is_exact:
+            if diff != 0:
                 return None
-        return coeffs
+        elif abs(diff) > 4 * tol.rel_eps * scale:
+            return None
+    return coeffs

@@ -1,5 +1,6 @@
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +78,14 @@ def test_single_coefficient_chain_moments(ctx):
     t = lanczos_to_moments([ctx.num(3)], K=4, ctx=ctx)
     assert t.even()[1:] == [3, 9, 27, 81]
     assert all(v == 0 for v in t.values[1::2])
+
+
+def test_bare_coefficients_take_the_context_precision(bctx):
+    with bctx.work():  # 55-digit values in global mpmath's class
+        b2 = [mpmath.mpf(1) / 3, mpmath.mpf(2) / 7]
+    got = lanczos_to_moments(b2, K=3, ctx=bctx).values
+    assert got == lanczos_to_moments([bctx.num(v) for v in b2], K=3, ctx=bctx).values
+    assert all(type(v) is bctx.mp.mpf for v in got)
 
 
 def test_two_coefficient_constant_chain(ctx):

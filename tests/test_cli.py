@@ -1,7 +1,11 @@
 import json
 
+import mpmath
+import pytest
 
+from krylov_exact import Context
 from krylov_exact.cli import main
+from krylov_exact.numeric import RATIONAL_BACKEND
 
 
 def run(capsys, *argv):
@@ -173,17 +177,34 @@ def test_k_below_one_rejected(capsys):
 
 
 def test_verify_bigreal_decomposes_h_once(capsys, monkeypatch):
-    import mpmath
-
     calls = []
-    eigsy = mpmath.mp.eigsy
+    mp = Context("bigreal", 50).mp
+    eigsy = mp.eigsy
 
     def counting(*args, **kwargs):
         calls.append(1)
         return eigsy(*args, **kwargs)
 
-    monkeypatch.setattr(mpmath.mp, "eigsy", counting)
+    monkeypatch.setattr(mp, "eigsy", counting)
     code, out, _ = run(capsys, "verify", "--system", "hahn", "--mode", "bigreal")
     assert code == 0
     assert "heisenberg_closed_form_vs_oracle" in out and "profile_sum_rule" in out
     assert len(calls) == 1
+
+
+def test_verify_report_independent_of_earlier_contexts(capsys, monkeypatch):
+    monkeypatch.setattr(mpmath.mp, "dps", 15)  # start from mpmath's default
+    before = run(capsys, "verify", "--system", "gegenbauer")
+    assert before[0] == 0
+    big = Context("bigreal", 300)
+    big.sqrt(big.num(2))
+    assert run(capsys, "verify", "--system", "gegenbauer") == before
+
+
+def test_version_names_backends(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert f"rationals: {RATIONAL_BACKEND}" in out
+    assert f"mpmath backend: {mpmath.libmp.BACKEND}" in out

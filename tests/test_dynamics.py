@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from krylov_exact import (
+    Context,
     apply_liouville_power,
     default_system,
     energy_pair,
@@ -208,6 +209,23 @@ def test_profile_sum_rule_and_bound(bctx):
         assert prof.sum_rule_defect(i) < bctx.num("1e-40")
     bound = len(chain.ops) - 1
     assert all(k <= bound for k in prof.complexity)
+
+
+def _gegenbauer_sum_rule_defects():
+    ctx = Context("bigreal", 50)
+    spec = make_system("gegenbauer", None, {"g": "2"}, ctx)
+    pair = energy_pair(spec, n_max=20)
+    ip = wightman_inner(pair, 1)
+    prof = krylov_profile(operator_lanczos(pair, ip), pair, ip, [ctx.frac(1, 2), ctx.num(2)])
+    return [ctx.fmt(prof.sum_rule_defect(i)) for i in range(2)]
+
+
+def test_profile_independent_of_earlier_contexts(monkeypatch):
+    monkeypatch.setattr(mpmath.mp, "dps", 15)  # start from mpmath's default
+    before = _gegenbauer_sum_rule_defects()
+    big = Context("bigreal", 300)
+    big.sqrt(big.num(2))
+    assert _gegenbauer_sum_rule_defects() == before
 
 
 def test_profile_time_reversal(bctx):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -110,6 +111,42 @@ def test_exact_sqrt():
     assert exact_sqrt(rational(0)) == 0
     with pytest.raises(ValueError):
         exact_sqrt(rational(-1))
+
+
+def test_context_leaves_global_precision_alone(monkeypatch):
+    monkeypatch.setattr(mpmath.mp, "dps", 15)  # start from mpmath's default
+    prec = mpmath.mp.prec
+    for ctx in (Context("exact"), Context("bigreal", 50), Context("bigreal", 300)):
+        ctx.sqrt(ctx.num(4))
+        assert mpmath.mp.prec == prec
+
+
+def test_contexts_keep_their_own_precision():
+    c50, c100 = Context("bigreal", 50), Context("bigreal", 100)
+    with mpmath.workdps(400):
+        ref = mpmath.sqrt(2)
+    for ctx in (c50, c100, c50):
+        root = ctx.sqrt(ctx.num(2))
+        assert root.context is ctx.mp and ctx.mp.dps == ctx.precision + 5
+        # correctly rounded at the context's precision, and not beyond it
+        err = abs(root - ref)
+        assert mpmath.mpf(10) ** -(ctx.precision + 25) < err <= ref * mpmath.mpf(2) ** -ctx.mp.prec
+
+
+def test_num_converts_foreign_mpmath_values(bctx):
+    third = mpmath.mpf("1/3")
+    v = bctx.num(third)
+    assert type(v) is bctx.mp.mpf and v == third
+    z = bctx.num(mpmath.mpc(1, 2))
+    assert type(z) is bctx.mp.mpc and z == mpmath.mpc(1, 2)
+    with pytest.raises(ModeError):
+        Context("exact").num(v)
+
+
+def test_bigreal_values_pickle(bctx):
+    for v in (bctx.num("1/3"), bctx.expj(bctx.num(2))):
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v) and back == v
 
 
 def test_precision_floor_enforced():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from krylov_exact import (
+    OperatorPair,
     build_energy_rep,
     build_eta_position,
     build_hamiltonian,
@@ -194,9 +195,9 @@ def test_no_numpy_conversion_in_bigreal_chain(bctx, monkeypatch):
     # an mpf on the left of an object array makes mpmath build repr() of
     # the whole array in npconvert before numpy takes over
     calls = []
-    orig = mpmath.mp.npconvert
-    monkeypatch.setattr(mpmath.mp, "npconvert", lambda x: calls.append(x) or orig(x))
-    mpmath.mpf(2) * np.array([bctx.one], dtype=object)
+    orig = bctx.mp.npconvert
+    monkeypatch.setattr(bctx.mp, "npconvert", lambda x: calls.append(x) or orig(x))
+    bctx.mp.mpf(2) * np.array([bctx.one], dtype=object)
     assert len(calls) == 1  # the probe sees the slow path
     calls.clear()
     spec = make_system("gegenbauer", None, {"g": "2"}, bctx)
@@ -305,6 +306,9 @@ def test_lanczos_orthonormality_bigreal(bctx):
     for n, op in enumerate(chain.ops):
         sign = 1 if n % 2 == 0 else -1
         assert hermiticity_defect(op, None, sign) < 10 * tol.rel_eps
+        if sign < 0:
+            # i times an anti-hermitian operator is hermitian
+            assert hermiticity_defect(op * bctx.mp.mpc(0, 1)) < 10 * tol.rel_eps
 
 
 def test_lanczos_hermite_b2_zero(bctx):
@@ -347,6 +351,18 @@ def test_exponential_conjugate_norm_preserved(bctx):
     assert abs(inner(ip, ot, ot) - 1) < bctx.num("1e-45")
 
 
+def test_pair_takes_the_context_precision(bctx):
+    # the same 55-digit matrices in global mpmath's class, whose own
+    # arithmetic would round at the global precision
+    pair = position_pair(default_system("krawtchouk", bctx))
+    to_global = np.vectorize(mpmath.mpf, otypes=[object])
+    with bctx.work():
+        h, eta = to_global(pair.h), to_global(pair.eta)
+    foreign = OperatorPair(h, eta, pair.basis, bctx, None, pair.spec)
+    assert all(type(v) is bctx.mp.mpf for v in np.concatenate([foreign.h.ravel(), foreign.eta.ravel()]))
+    assert operator_lanczos(foreign).b_squared == operator_lanczos(pair).b_squared
+
+
 def test_exponential_conjugate_2x2_analytic(bctx):
     # two-level closed form: eigenvectors (1, +-1)/sqrt(2) give
     # diag entries (1 -+ cos t)/2 and off-diagonal -+(i/2) sin t
@@ -354,16 +370,15 @@ def test_exponential_conjugate_2x2_analytic(bctx):
     pair = position_pair(spec)
     t = bctx.num("9/10")
     out = matrix_exponential_conjugate(pair, pair.eta, t)
-    with bctx.work():
-        c, s = mpmath.cos(t), mpmath.sin(t)
-        half = bctx.frac(1, 2)
-        expected = np.array(
-            [
-                [half * (1 - c), -mpmath.mpc(0, 1) * half * s],
-                [mpmath.mpc(0, 1) * half * s, half * (1 + c)],
-            ],
-            dtype=object,
-        )
+    c, s, i = bctx.mp.cos(t), bctx.mp.sin(t), bctx.mp.mpc(0, 1)
+    half = bctx.frac(1, 2)
+    expected = np.array(
+        [
+            [half * (1 - c), -i * half * s],
+            [i * half * s, half * (1 + c)],
+        ],
+        dtype=object,
+    )
     assert max_abs(out - expected) < bctx.num("1e-45")
     assert abs(abs(out[0, 1]) - half * abs(s)) < bctx.num("1e-45")
 

@@ -10,7 +10,6 @@ explicit rational b_1..b_3 formulas and to the operator-space chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .catalog import SystemSpec
@@ -254,7 +253,3 @@ def chain_report(
             "naive_formula_fails": naive_fails,
         }
     return doc
-
-
-def chain_report_json(spec: SystemSpec, **kw) -> str:
-    return json.dumps(chain_report(spec, **kw), sort_keys=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +279,3 @@ def krylov_profile(
         phi_rows.append(row)
         complexity.append(k_t)
     return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)
-
-
-def profile_to_json(profile: KrylovProfile) -> str:
-    return json.dumps(profile.to_json_dict(), sort_keys=True)

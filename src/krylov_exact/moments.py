@@ -7,9 +7,10 @@ Three independent routes produce the moments mu_m = (O_0, L^m O_0):
   exact rational arithmetic when the context allows;
 * :func:`moments_closed_thermal` evaluates the Boltzmann-weighted series
   for the six unbounded systems with a certified geometric tail bound;
-* :func:`moments_oracle` applies the Liouville commutator literally to
-  matrices (K times for mu_0 .. mu_2K) and takes inner products, with no
-  closed forms anywhere.
+* :func:`moments_oracle` applies the Liouville commutator literally
+  (K times for mu_0 .. mu_2K) in the pair's operator space -- the eta
+  support for a diagonal H, banded matrices for the position basis --
+  and takes inner products, with no closed forms anywhere.
 
 Cross-checking the closed forms against the oracle is the package's
 central acceptance gate.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 from .catalog import SystemKind, SystemSpec
@@ -31,7 +31,7 @@ from .errors import (
     TailNotConvergent,
 )
 from .numeric import Context
-from .operators import InnerProduct, OperatorPair, inner, liouville, norm_sq
+from .operators import InnerProduct, OperatorPair, trace_inner
 
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
@@ -203,20 +203,21 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
 
     With v_k = L^k eta, mu_2k = (v_k, v_k) / |eta|^2 and
     mu_2k+1 = (v_k, v_k+1) / |eta|^2, because L is self-adjoint under
-    the (metric) trace and the Wightman inner products.  No closed form
-    enters: every value is an inner product of commutator iterates.
+    the (metric) trace and the Wightman inner products.  The iterates
+    live in the operator space of :func:`operator_lanczos`: the eta
+    support for a diagonal H, where [H, V]_ab = (E_a - E_b) V_ab, else
+    banded matrices.  No closed form enters.
     """
-    from .operators import trace_inner
-
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    norm = norm_sq(ip, pair.eta)
+    space = pair.rep.space(pair, ip)
+    v = space.gather(pair.eta)
+    norm = space.dot(v, v)
     values = [ctx.one]
-    v = pair.eta
     for _ in range(K):
-        v_next = liouville(pair.h, v)
-        values.append(inner(ip, v, v_next) / norm)
-        values.append(norm_sq(ip, v_next) / norm)
+        v_next = space.liouville(v)
+        values.append(space.dot(v, v_next) / norm)
+        values.append(space.dot(v_next, v_next) / norm)
         v = v_next
     return MomentTable(
         values=values,
@@ -305,14 +306,3 @@ def scale_table(table: MomentTable, lam) -> MomentTable:
         beta=table.beta,
         truncation=table.truncation,
     )
-
-
-def tables_equal(t1: MomentTable, t2: MomentTable, ctx: Context | None = None) -> bool:
-    ctx = ctx or t1.ctx
-    if t1.order != t2.order:
-        return False
-    return all(ctx.close(x, y) for x, y in zip(t1.values, t2.values))
-
-
-def table_to_json(table: MomentTable) -> str:
-    return json.dumps(table.to_json_dict(), sort_keys=True)

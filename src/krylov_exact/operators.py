@@ -6,8 +6,9 @@ one of two representations, picked once from the shape of ``h``:
 
 * a spectrum -- H diagonal, stored as the 1-D array of its energies
   (the energy basis).  Functions of H are 1-D arrays of their values,
-  commutators and Heisenberg evolution act elementwise, and the Lanczos
-  chain lives on the support of eta (:class:`SupportBasis`).
+  commutators and Heisenberg evolution act elementwise, and the moment
+  oracle and the Lanczos chain both live on the support of eta
+  (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
   Functions of H are dense matrices, and spectral functions go through
   the eigendecomposition (E, Q), computed at most once per pair and then
@@ -196,10 +197,6 @@ def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
     if v.shape != w.shape or v.shape != ip.weight.shape:
         raise DimensionMismatch(f"shapes {v.shape}, {w.shape}, {ip.weight.shape}")
     return (ip.weight * conjugate(v) * w).sum()
-
-
-def norm_sq(ip: InnerProduct, v: np.ndarray):
-    return inner(ip, v, v)
 
 
 def _bandwidth(m: np.ndarray) -> int:
@@ -530,16 +527,23 @@ class OperatorChain:
         }
 
 
+def _check_dims(pair: OperatorPair, ip: InnerProduct) -> None:
+    if ip.dim != pair.dim:
+        raise DimensionMismatch(f"inner product dim {ip.dim} vs pair dim {pair.dim}")
+
+
 class SupportBasis:
     """Index set of the eta support, closed under the diagonal-H Liouvillian.
 
     With H diagonal the commutator acts elementwise, so every operator in
     the Krylov chain is supported exactly where eta is.  Gathering the
-    matrices onto that support turns each Lanczos step from O(dim^2) into
-    O(support) work, which matters for the long thermal chains.
+    matrices onto that support turns each commutator and inner product of
+    the moment oracle and the Lanczos chain from O(dim^2) into O(support)
+    work, which matters for the long thermal chains.
     """
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
+        _check_dims(pair, ip)
         n = pair.dim
         self.dim = n
         self.ctx = pair.ctx
@@ -586,6 +590,7 @@ class _MatrixSpace:
     """The whole operator space of a matrix H: chain vectors are matrices."""
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
+        _check_dims(pair, ip)
         self.pair = pair
         self.ip = ip
         self.size = pair.dim * pair.dim

@@ -9,7 +9,7 @@ and the closed-form Heisenberg solution against the exponential oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import SystemKind, SystemSpec, spectrum_shift_relations
 from .chain import b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
@@ -18,7 +18,6 @@ from .errors import DegenerateChain, KrylovExactError
 from .moments import moments_closed_finite, moments_closed_thermal, moments_oracle, scale_table
 from .numeric import exact_sqrt
 from .operators import (
-    OperatorPair,
     energy_pair,
     operator_lanczos,
     position_pair,
@@ -103,14 +102,21 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     # moments: closed form vs oracle
     if spec.is_finite:
         table = moments_closed_finite(spec, K)
-        pair = position_pair(spec)
-        oracle = moments_oracle(pair, K=K)
-        ip = trace_inner(pair)
+        pair = oracle_pair = position_pair(spec)
+        ip = oracle_ip = trace_inner(pair)
     else:
         table = moments_closed_thermal(spec, K, beta=beta, tail_tol=tail_tol)
-        pair = energy_pair(spec, n_max=max(table.truncation.n_max, 8))
-        ip = wightman_inner(pair, ctx.num(beta if beta is not None else 1))
-        oracle = moments_oracle(pair, ip, K=K)
+        beta = ctx.num(beta if beta is not None else 1)
+        cut = max(table.truncation.n_max, 8)
+        pair = energy_pair(spec, n_max=cut)
+        ip = wightman_inner(pair, beta)
+        # The closed form's last term links levels cut and cut + 1, beyond a
+        # pair on levels 0..cut, and weighs about the tolerance.  The oracle
+        # rows run K levels further, where the oracle's own cut lies far below
+        # the certified tail; the other rows stay at the cut, which is cheaper.
+        oracle_pair = energy_pair(spec, n_max=cut + K)
+        oracle_ip = wightman_inner(oracle_pair, beta)
+    oracle = moments_oracle(oracle_pair, oracle_ip, K=K)
     dev = max(abs(a - b) for a, b in zip(table.values, oracle.values))
     scale = max(abs(v) for v in table.values)
     tol = ctx.default_tolerance()
@@ -184,8 +190,8 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
 
     # scaling covariance (oracle level)
     lam = ctx.frac(2)
-    scaled_pair = OperatorPair(pair.h * lam, pair.eta, pair.basis, ctx, pair.metric, spec)
-    o_scaled = moments_oracle(scaled_pair, ip, K=2)
+    scaled_pair = replace(oracle_pair, h=oracle_pair.h * lam)
+    o_scaled = moments_oracle(scaled_pair, oracle_ip, K=2)
     expect = scale_table(oracle, lam)
     sdev = max(abs(a - b) for a, b in zip(o_scaled.values[:5], expect.values[:5]))
     sok = sdev == 0 if ctx.is_exact else sdev <= tol.rel_eps * max(abs(v) for v in expect.values[:5]) * 100

@@ -137,6 +137,13 @@ def test_verify_single_system(capsys):
     assert "b3_is_zero" in out
 
 
+def test_verify_thermal_oracle_beyond_the_cut(capsys):
+    # the oracle pair must reach past the closed form's last term
+    code, out, _ = run(capsys, "verify", "--system", "gegenbauer", "--precision", "60")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
+
+
 def test_verify_requires_target(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "--system" in err

@@ -23,7 +23,9 @@ from krylov_exact.moments import (
     dual_hahn_mu2_closed,
     scale_table,
 )
-from krylov_exact.operators import inner, liouville, norm_sq
+from krylov_exact import moments as moments_module
+from krylov_exact import operators as operators_module
+from krylov_exact.operators import inner, liouville
 
 from helpers import FINITE_KINDS, THERMAL_KINDS, param_samples
 
@@ -128,7 +130,7 @@ def _oracle_2k(pair, ip, K):
     """Reference oracle mu_m = (eta, L^m eta) / |eta|^2 from 2K commutators."""
     ctx = pair.ctx
     with ctx.work():
-        norm = norm_sq(ip, pair.eta)
+        norm = inner(ip, pair.eta, pair.eta)
         values = [ctx.one]
         v = pair.eta
         for _ in range(2 * K):
@@ -137,11 +139,28 @@ def _oracle_2k(pair, ip, K):
     return values
 
 
+def _oracle_dense(pair, ip, K):
+    """mu_0 .. mu_2K from K dense commutators over all dim^2 entries."""
+    ctx = pair.ctx
+    norm = inner(ip, pair.eta, pair.eta)
+    values = [ctx.one]
+    v = pair.eta
+    for _ in range(K):
+        v_next = liouville(pair.h, v)
+        values.append(inner(ip, v, v_next) / norm)
+        values.append(inner(ip, v_next, v_next) / norm)
+        v = v_next
+    return values
+
+
 @pytest.mark.parametrize("kind", FINITE_KINDS)
 def test_oracle_equals_2k_commutator_reference(ctx, kind):
     for params in param_samples(kind, 6):
-        pair = position_pair(make_system(kind, 6, params, ctx))
-        assert moments_oracle(pair, K=6).values == _oracle_2k(pair, trace_inner(pair), 6)
+        spec = make_system(kind, 6, params, ctx)
+        # the energy pairs carry metric weights wherever sqrt(A(n)C(n+1))
+        # is irrational
+        for pair in (position_pair(spec), energy_pair(spec)):
+            assert moments_oracle(pair, K=6).values == _oracle_2k(pair, trace_inner(pair), 6)
 
 
 @pytest.mark.parametrize("kind", THERMAL_KINDS)
@@ -156,6 +175,28 @@ def test_thermal_oracle_equals_2k_commutator_reference(bctx, kind):
     scale = max(abs(v) for v in ref)
     dev = max(abs(a - b) for a, b in zip(got, ref))
     assert dev <= bctx.default_tolerance().rel_eps * scale * 1000
+    # the support drops only exact zeros and keeps the summation order
+    assert got == _oracle_dense(pair, ip, 6)
+
+
+def test_energy_oracle_skips_dense_commutators(bctx, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (operators_module, moments_module):
+        for name, fn in (("liouville", liouville), ("inner", inner)):
+            monkeypatch.setattr(module, name, counted(fn), raising=False)
+    spec = default_system("charlier", bctx)
+    pair = energy_pair(spec, n_max=30)
+    oracle = moments_oracle(pair, wightman_inner(pair, bctx.num(1)), K=6)
+    assert calls == []
+    assert oracle.order == 12
 
 
 def test_thermal_truncation_stability(bctx):

@@ -12,9 +12,11 @@ from krylov_exact import (
     default_system,
     energy_pair,
     inner,
+    krylov_profile,
     liouville,
     make_system,
     matrix_exponential_conjugate,
+    moments_oracle,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -34,7 +36,6 @@ from krylov_exact.operators import (
     hermiticity_defect,
     identity,
     max_abs,
-    norm_sq,
     random_metric_hermitian,
     zeros,
 )
@@ -106,7 +107,7 @@ def test_energy_rep_krawtchouk_exact(ctx):
         build_energy_rep(spec, 2)
     pair = energy_pair(spec)
     ip = trace_inner(pair)
-    assert norm_sq(ip, pair.eta) == spec.norm_eta_sq()
+    assert inner(ip, pair.eta, pair.eta) == spec.norm_eta_sq()
 
 
 def test_energy_rep_charlier_diag(ctx):
@@ -248,6 +249,32 @@ def test_flip_property_wightman(bctx):
         assert abs(inner(ip, v, liouville(pair.h, v))) <= tol
 
 
+def test_inner_product_of_another_dimension_rejected(ctx, bctx):
+    geg = default_system("gegenbauer", bctx)
+    small, big = energy_pair(geg, n_max=6), energy_pair(geg, n_max=10)
+    one = bctx.num(1)
+    for pair, other in ((small, big), (big, small)):
+        ip = wightman_inner(other, one)
+        chain = operator_lanczos(pair, wightman_inner(pair, one), k_max=2)
+        for run in (
+            lambda: moments_oracle(pair, ip, K=2),
+            lambda: operator_lanczos(pair, ip, k_max=2),
+            lambda: krylov_profile(chain, pair, ip, [one]),
+        ):
+            with pytest.raises(DimensionMismatch, match=rf"dim {other.dim} vs pair dim {pair.dim}"):
+                run()
+    kraw = make_system("krawtchouk", 6, {"p": "1/3"}, ctx)
+    kraw4 = make_system("krawtchouk", 4, {"p": "1/3"}, ctx)
+    for build in (energy_pair, position_pair):
+        pair, other = build(kraw4), build(kraw)
+        for p, o in ((pair, other), (other, pair)):
+            ip = trace_inner(o)
+            with pytest.raises(DimensionMismatch):
+                moments_oracle(p, ip, K=2)
+            with pytest.raises(DimensionMismatch):
+                operator_lanczos(p, ip)
+
+
 def test_wightman_requires_energy_basis(bctx):
     spec = make_system("krawtchouk", 3, {"p": "1/2"}, bctx)
     pair = position_pair(spec)
@@ -346,7 +373,7 @@ def test_exponential_conjugate_norm_preserved(bctx):
     spec = make_system("krawtchouk", 3, {"p": "1/3"}, bctx)
     pair = position_pair(spec)
     ip = trace_inner(pair)
-    o0 = pair.eta / bctx.sqrt(norm_sq(ip, pair.eta))
+    o0 = pair.eta / bctx.sqrt(inner(ip, pair.eta, pair.eta))
     ot = matrix_exponential_conjugate(pair, o0, bctx.num("7/10"))
     assert abs(inner(ip, ot, ot) - 1) < bctx.num("1e-45")
 

@@ -7,7 +7,8 @@ Everything here rests on the closure relation
 with polynomial R_i of degree at most 2, 1, 2.  The catalog supplies
 R_0 and R_1; R_{-1} is never tabulated and is reconstructed from the
 matrix residual, then cross-checked against the diagonal identity
-<n|eta|n> = -R_{-1}(E(n)) / R_0(E(n)).
+R_0(E(n)) <n|eta|n> + R_{-1}(E(n)) = 0.  Nothing here divides by R_0
+or by alpha_+ - alpha_-.
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SystemSpec, _polyval
-from .errors import (
-    ClosureViolated,
-    ComplexAmplitude,
-    DegenerateFrequencies,
-    ModeError,
-    R0Vanishing,
-)
-from .numeric import Context, Tolerance, exact_sqrt
+from .errors import ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
+from .numeric import Context, Tolerance
 from .operators import (
     InnerProduct,
     OperatorChain,
@@ -101,28 +96,17 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
 
 
 def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ctx: Context) -> bool:
-    """Check -R_{-1}(E(n)) / R_0(E(n)) against the recurrence diagonal."""
+    """Check R_0(E(n)) <n|eta|n> + R_{-1}(E(n)) = 0, the energy-basis
+    diagonal of the closure relation (L eta and L^2 eta vanish there)."""
     e = spec.energy(n)
-    r0val = closure.r0_at(e)
-    if r0val == 0:
-        raise R0Vanishing(f"R_0(E({n})) = 0")
-    return ctx.close(-closure.rm1_at(e) / r0val, spec.eta_diag(n))
+    return ctx.close(closure.r0_at(e) * spec.eta_diag(n), -closure.rm1_at(e))
 
 
-def _alpha_at(closure: ClosureData, e, ctx: Context):
-    """Roots of a^2 - R_1(e) a - R_0(e) = 0 with alpha_plus >= alpha_minus."""
-    r1 = closure.r1_at(e)
-    disc = r1 * r1 + 4 * closure.r0_at(e)
-    if ctx.is_exact:
-        root = exact_sqrt(disc) if disc >= 0 else None
-        if root is None:
-            raise ModeError("frequency discriminant is not a perfect square")
-    else:
-        if disc < 0:
-            raise DegenerateFrequencies("negative discriminant on the spectrum")
-        root = ctx.sqrt(disc)
-    half = ctx.frac(1, 2)
-    return (r1 + root) * half, (r1 - root) * half
+def _closure_combination(pair: OperatorPair, a, b, c) -> np.ndarray:
+    """eta a(H) + (L eta) b(H) + c(H) for functions a, b, c of H."""
+    rep = pair.rep
+    l1 = liouville(pair.h, pair.eta)
+    return rep.add(rep.right_mul(pair.eta, a) + rep.right_mul(l1, b), c)
 
 
 def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> np.ndarray:
@@ -135,54 +119,60 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     functions of H in the pair's representation.
     """
     ctx = pair.ctx
-    if m == 0:
-        return np.array(pair.eta, dtype=object)
-    l1 = liouville(pair.h, pair.eta)
-    if m == 1:
-        return l1
     rep = pair.rep
     r0, r1, rm1 = (rep.poly(c) for c in (closure.r0, closure.r1, closure.rm1))
     a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
     for _ in range(m):
         a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
-    return rep.add(rep.right_mul(pair.eta, a_k) + rep.right_mul(l1, b_k), c_k)
+    return _closure_combination(pair, a_k, b_k, c_k)
+
+
+def _exp_difference(ctx: Context, t, x, y):
+    """e[x, y] for e(x) = exp(i x t), also where y = x (then e'(x))."""
+    return ctx.mp.mpc(0, t) * ctx.expj((x + y) * t / 2) * ctx.mp.sinc((x - y) * t / 2)
+
+
+def _exp_second_difference(ctx: Context, t, x, y):
+    """e[x, y, 0], dividing across the widest pair of the three points;
+    if all three meet, e''(0) / 2."""
+    lo, mid, hi = sorted((x, y, ctx.zero))
+    if hi == lo:
+        return -t * t / 2
+    return (_exp_difference(ctx, t, hi, mid) - _exp_difference(ctx, t, mid, lo)) / (hi - lo)
 
 
 def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.ndarray:
     """The exact Heisenberg operator exp(iHt) eta exp(-iHt), closed form.
 
-    Evaluates, with every operator-valued function acting from the
-    right,
+    Summing the series of :func:`apply_liouville_power` gives, with
+    every function of H acting from the right,
 
-        L eta * (e^{i a+ t} - e^{i a- t}) / (a+ - a-)
-        - R^{-}(H) + (eta + R^{-}(H)) * (-a- e^{i a+ t} + a+ e^{i a- t}) / (a+ - a-)
+        exp(iLt) eta = eta A(H) + (L eta) B(H) + C(H),
+        B = e[a+, a-],   A = e(a-) - a- B,   C = R_{-1} e[a+, a-, 0],
 
-    where a+- = alpha_+-(H) and R^- = R_{-1}(H)/R_0(H).  Bigreal only.
+    where e(x) = exp(ixt), a+- = alpha_+-(H) are the roots of
+    a^2 = R_1 a + R_0, and [.] are divided differences.  These stay
+    finite where R_0 = 0 or a+ = a-; a negative discriminant raises
+    :class:`~krylov_exact.errors.DegenerateFrequencies`.  Bigreal only.
     """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    tol = ctx.default_tolerance()
     rep = pair.rep
     t = ctx.num(t)
-    gvals, fvals, rhovals = [], [], []
+    avals, bvals, cvals = [], [], []
     for i, e in enumerate(rep.spectrum):
-        ap, am = _alpha_at(closure, e, ctx)
-        diff = ap - am
-        if abs(diff) <= tol.zero_eps:
-            raise DegenerateFrequencies(f"alpha_+ = alpha_- at level {i}")
-        r0val = closure.r0_at(e)
-        if ctx.is_zero(r0val, tol):
-            raise R0Vanishing(f"R_0 vanishes at spectral point {i}")
-        ep = ctx.expj(ap * t)
-        em = ctx.expj(am * t)
-        gvals.append((ep - em) / diff)
-        fvals.append((-am * ep + ap * em) / diff)
-        rhovals.append(closure.rm1_at(e) / r0val)
-    g, f, rho = (rep.of_spectrum(v) for v in (gvals, fvals, rhovals))
-    l1 = liouville(pair.h, pair.eta)
-    out = rep.right_mul(l1, g) + rep.right_mul(rep.add(pair.eta, rho), f)
-    return rep.add(out, rho, sign=-1)
+        r1 = closure.r1_at(e)
+        disc = r1 * r1 + 4 * closure.r0_at(e)
+        if disc < 0:
+            raise DegenerateFrequencies(f"negative frequency discriminant at spectral point {i}")
+        root = ctx.sqrt(disc)
+        ap, am = (r1 + root) / 2, (r1 - root) / 2
+        b = _exp_difference(ctx, t, ap, am)
+        avals.append(ctx.expj(am * t) - am * b)
+        bvals.append(b)
+        cvals.append(closure.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
+    return _closure_combination(pair, *(rep.of_spectrum(v) for v in (avals, bvals, cvals)))
 
 
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:

@@ -79,11 +79,7 @@ class ClosureViolated(KrylovExactError):
 
 
 class DegenerateFrequencies(KrylovExactError):
-    """The two Heisenberg frequencies coincide on an occupied level."""
-
-
-class R0Vanishing(KrylovExactError):
-    """Division by R_0 required at a spectral point where it vanishes."""
+    """The Heisenberg frequencies are complex: R_1^2 + 4 R_0 < 0 at a spectral point."""
 
 
 class ComplexAmplitude(KrylovExactError):

@@ -29,9 +29,10 @@ from .errors import (
     NotFiniteSystem,
     NotInfiniteSystem,
     TailNotConvergent,
+    TruncationTooSmall,
 )
 from .numeric import Context
-from .operators import InnerProduct, OperatorPair, trace_inner
+from .operators import InnerProduct, OperatorPair, eig_symmetric, position_pair, trace_inner
 
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
@@ -228,29 +229,31 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     )
 
 
-def diagonal_eta_identity(spec: SystemSpec, n: int, n_max: int | None = None) -> bool:
-    """Check <n|eta|n> against the recurrence data.
+def diagonal_eta_identity(spec: SystemSpec, n_max: int | None = None) -> bool:
+    """Check <n|eta|n> against the recurrence data at every level.
 
+    Finite systems are checked on levels 0..N, thermal ones on 0..n_max.
     For finite systems in bigreal mode the left side is computed from
-    the position-basis eigenvectors, making this a genuine cross-basis
-    verification; otherwise it reduces to the catalog's own consistency
-    (finite families use -(A_n + C_n), the thermal ones their diagonal
-    recurrence coefficient).
+    the position-basis eigenvectors of one eigendecomposition, making
+    this a genuine cross-basis verification; otherwise it reduces to the
+    catalog's own consistency (finite families use -(A_n + C_n), the
+    thermal ones their diagonal recurrence coefficient).
     """
-    spec.check_level(n, upper=spec.N if spec.is_finite else n_max)
+    hi = spec.N if spec.is_finite else n_max
+    if hi is None:
+        raise TruncationTooSmall("infinite system needs an explicit n_max")
     ctx = spec.ctx
-    expected = spec.eta_diag(n)
     if spec.is_finite and not ctx.is_exact:
-        from .operators import eig_symmetric, position_pair
-
-        pair = position_pair(spec)
-        _, q = eig_symmetric(pair.h, ctx)
-        got = ctx.zero
-        for x in range(spec.dim):
-            got = got + q[x, n] * q[x, n] * spec.eta(x)
-        return ctx.close(got, expected)
+        _, q = eig_symmetric(position_pair(spec).h, ctx)
+        for n in range(hi + 1):
+            got = ctx.zero
+            for x in range(spec.dim):
+                got = got + q[x, n] * q[x, n] * spec.eta(x)
+            if not ctx.close(got, spec.eta_diag(n)):
+                return False
+        return True
     if spec.is_finite or spec.kind in (SystemKind.MEIXNER, SystemKind.CHARLIER):
-        return ctx.close(expected, -(spec.A(n) + spec.C(n)))
+        return all(ctx.close(spec.eta_diag(n), -(spec.A(n) + spec.C(n))) for n in range(hi + 1))
     return True  # thermal families with explicit diagonal data
 
 

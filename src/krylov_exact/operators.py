@@ -283,11 +283,11 @@ class _Spectrum:
         """V f(H); with V itself a function of H, their product."""
         return v * f
 
-    def add(self, v: np.ndarray, f: np.ndarray, sign: int = 1) -> np.ndarray:
-        """V + sign * f(H)."""
+    def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """V + f(H)."""
         out = np.array(v, dtype=object)
         for i in range(out.shape[0]):
-            out[i, i] = out[i, i] + sign * f[i]
+            out[i, i] = out[i, i] + f[i]
         return out
 
     def as_function(self, m: np.ndarray):
@@ -302,13 +302,8 @@ class _Spectrum:
 
     def conjugate_exp(self, v: np.ndarray, t) -> np.ndarray:
         """exp(iHt) V exp(-iHt): the phase twist exp(i(E_a - E_b)t) V_ab."""
-        n = len(self.h)
-        out = np.empty((n, n), dtype=object)
         phases = [self.ctx.expj(e * t) for e in self.h]
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = phases[a] * phases[b].conjugate() * v[a, b]
-        return out
+        return np.multiply.outer(phases, [p.conjugate() for p in phases]) * v
 
     def space(self, pair: OperatorPair, ip: InnerProduct) -> SupportBasis:
         return SupportBasis(pair, ip)
@@ -354,8 +349,8 @@ class _Banded:
     def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return v @ f
 
-    def add(self, v: np.ndarray, f: np.ndarray, sign: int = 1) -> np.ndarray:
-        return v + f if sign > 0 else v - f
+    def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return v + f
 
     def as_function(self, m: np.ndarray):
         """A matrix commuting with H already is the function of H."""

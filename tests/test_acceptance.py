@@ -232,7 +232,7 @@ def test_criterion_10_closure_identity():
             ok &= closure_diagonal_identity(closure, spec, n, EXACT)
             ok &= spec.eta_diag(n) == -(spec.A(n) + spec.C(n))
     report(10, "double-commutator residual is a degree-<=2 polynomial of H; "
-               "-R_-1/R_0 reproduces the recurrence diagonal", ok)
+               "R_0 eta_nn + R_-1 = 0 on the recurrence diagonal", ok)
 
 
 def test_criterion_11_profile_sum_rules():

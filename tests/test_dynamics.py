@@ -5,6 +5,7 @@ from mpmath import mp
 
 from krylov_exact import (
     Context,
+    SystemKind,
     apply_liouville_power,
     default_system,
     energy_pair,
@@ -19,7 +20,7 @@ from krylov_exact import (
     verify_closure,
     wightman_inner,
 )
-from krylov_exact.dynamics import closure_diagonal_identity
+from krylov_exact.dynamics import HEISENBERG_TIMES, closure_diagonal_identity, heisenberg_check
 from krylov_exact.errors import (
     ClosureViolated,
     ComplexAmplitude,
@@ -161,16 +162,71 @@ def test_heisenberg_rejects_exact_mode(ctx):
         heisenberg_closed_form(pair, cl, ctx.one)
 
 
-def test_degenerate_frequencies_guard(bctx):
+def test_closed_form_where_r0_vanishes_and_frequencies_meet(bctx):
     from krylov_exact.dynamics import ClosureData
 
+    # R_0(E) = E and R_1 = 0: at E = 0 both R_0 = 0 and alpha_+ = alpha_- = 0
     spec = default_system("krawtchouk", bctx)
-    pair = position_pair(spec)
-    bad = ClosureData(
-        r0=(bctx.zero,), r1=(bctx.zero,), rm1=(bctx.zero,), rm1_diag=[], residual=0
-    )
+    pair = energy_pair(spec)
+    assert bctx.zero in list(pair.h)
+    zero, one = bctx.zero, bctx.one
+    cl = ClosureData(r0=(zero, one), r1=(zero,), rm1=(one, 2 * one), rm1_diag=[], residual=0)
+    t = bctx.frac(1, 10)
+    series = np.zeros(pair.eta.shape, dtype=object)
+    term = one
+    for m in range(40):
+        series = series + term * apply_liouville_power(pair, cl, m)
+        term = term * bctx.mp.mpc(0, t) / (m + 1)
+    dev = max_abs(heisenberg_closed_form(pair, cl, t) - series)
+    assert dev <= bctx.default_tolerance().rel_eps * max(max_abs(pair.eta), one) * 1000
+    # complex frequencies still have no closed form here
+    negative = ClosureData(r0=(-one,), r1=(zero,), rm1=(zero,), rm1_diag=[], residual=0)
     with pytest.raises(DegenerateFrequencies):
-        heisenberg_closed_form(pair, bad, bctx.one)
+        heisenberg_closed_form(pair, negative, t)
+
+
+# Hahn a=b=1 and the first two q-Racah samples have R_0(E(n)) = 0 at a level
+FORMERLY_SINGULAR = [(kind, i, N) for kind, i in (("hahn", 0), ("q-racah", 0), ("q-racah", 1)) for N in (6, 8)]
+
+
+def _check_closure_and_dynamics(kind, index, N, ctx):
+    spec = make_system(kind, N, param_samples(SystemKind(kind), N)[index], ctx)
+    pair = position_pair(spec)
+    cl = verify_closure(pair)
+    assert all(closure_diagonal_identity(cl, spec, n, ctx) for n in range(N + 1))
+    if not ctx.is_exact:
+        _, ok = heisenberg_check(pair, cl, HEISENBERG_TIMES)
+        assert ok
+    return spec, cl
+
+
+@pytest.mark.parametrize("kind,index,N", FORMERLY_SINGULAR)
+def test_closure_and_dynamics_where_r0_vanishes(ctx, bctx, kind, index, N):
+    spec, cl = _check_closure_and_dynamics(kind, index, N, ctx)
+    assert any(cl.r0_at(spec.energy(n)) == 0 for n in range(N + 1))
+    _check_closure_and_dynamics(kind, index, N, bctx)
+
+
+@pytest.mark.parametrize("mode", ["exact", "bigreal"])
+def test_diagonal_identity_rejects_perturbed_eta(mode):
+    ctx = Context(mode, 50)
+    spec = make_system("hahn", 6, {"a": "1", "b": "1"}, ctx)
+    cl = verify_closure(position_pair(spec))
+    n = next(k for k in range(7) if cl.r0_at(spec.energy(k)) != 0)
+    assert closure_diagonal_identity(cl, spec, n, ctx)
+    eta_diag = spec._fns["eta_diag"]
+    spec._fns["eta_diag"] = lambda k: eta_diag(k) * (1 + ctx.num("1e-30")) if k == n else eta_diag(k)
+    assert not closure_diagonal_identity(cl, spec, n, ctx)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+def test_closure_and_dynamics_sweep(ctx, bctx, kind):
+    """Opt-in (``pytest -m slow``): every parameter sample at N = 6 and 8."""
+    for N in (6, 8):
+        for index in range(3):
+            for c in (ctx, bctx):
+                _check_closure_and_dynamics(kind.value, index, N, c)
 
 
 def test_profile_t0(bctx):

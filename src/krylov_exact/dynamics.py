@@ -102,10 +102,10 @@ def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ct
     return ctx.close(closure.r0_at(e) * spec.eta_diag(n), -closure.rm1_at(e))
 
 
-def _closure_combination(pair: OperatorPair, a, b, c) -> np.ndarray:
-    """eta a(H) + (L eta) b(H) + c(H) for functions a, b, c of H."""
+def _closure_combination(pair: OperatorPair, l1: np.ndarray, a, b, c) -> np.ndarray:
+    """eta a(H) + (L eta) b(H) + c(H) for functions a, b, c of H, with
+    ``l1`` = L eta."""
     rep = pair.rep
-    l1 = liouville(pair.h, pair.eta)
     return rep.add(rep.right_mul(pair.eta, a) + rep.right_mul(l1, b), c)
 
 
@@ -124,7 +124,7 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
     for _ in range(m):
         a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
-    return _closure_combination(pair, a_k, b_k, c_k)
+    return _closure_combination(pair, liouville(pair.h, pair.eta), a_k, b_k, c_k)
 
 
 def _exp_difference(ctx: Context, t, x, y):
@@ -155,24 +155,38 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
     finite where R_0 = 0 or a+ = a-; a negative discriminant raises
     :class:`~krylov_exact.errors.DegenerateFrequencies`.  Bigreal only.
     """
+    return _heisenberg_evaluator(pair, closure)(t)
+
+
+def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
+    """t -> :func:`heisenberg_closed_form` at t.  L eta and, at each
+    spectral point, (a+, a-, R_{-1}) do not depend on t and are computed
+    once, here."""
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
     rep = pair.rep
-    t = ctx.num(t)
-    avals, bvals, cvals = [], [], []
+    l1 = liouville(pair.h, pair.eta)
+    points = []
     for i, e in enumerate(rep.spectrum):
         r1 = closure.r1_at(e)
         disc = r1 * r1 + 4 * closure.r0_at(e)
         if disc < 0:
             raise DegenerateFrequencies(f"negative frequency discriminant at spectral point {i}")
         root = ctx.sqrt(disc)
-        ap, am = (r1 + root) / 2, (r1 - root) / 2
-        b = _exp_difference(ctx, t, ap, am)
-        avals.append(ctx.expj(am * t) - am * b)
-        bvals.append(b)
-        cvals.append(closure.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
-    return _closure_combination(pair, *(rep.of_spectrum(v) for v in (avals, bvals, cvals)))
+        points.append(((r1 + root) / 2, (r1 - root) / 2, closure.rm1_at(e)))
+
+    def at(t):
+        t = ctx.num(t)
+        avals, bvals, cvals = [], [], []
+        for ap, am, rm1 in points:
+            b = _exp_difference(ctx, t, ap, am)
+            avals.append(ctx.expj(am * t) - am * b)
+            bvals.append(b)
+            cvals.append(rm1 * _exp_second_difference(ctx, t, ap, am))
+        return _closure_combination(pair, l1, *(rep.of_spectrum(v) for v in (avals, bvals, cvals)))
+
+    return at
 
 
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
@@ -182,8 +196,9 @@ def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[l
     within 1000 rel_eps max(|eta|, 1).
     """
     ctx = pair.ctx
+    closed_form = _heisenberg_evaluator(pair, closure)
     devs = [
-        max_abs(heisenberg_closed_form(pair, closure, t) - matrix_exponential_conjugate(pair, pair.eta, t))
+        max_abs(closed_form(t) - matrix_exponential_conjugate(pair, pair.eta, t))
         for t in times
     ]
     bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000

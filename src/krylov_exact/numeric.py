@@ -32,7 +32,7 @@ from functools import cache
 
 import mpmath
 
-from .errors import ModeError
+from .errors import DimensionMismatch, ModeError
 
 try:
     from gmpy2 import mpq as _rational
@@ -227,6 +227,22 @@ class Context:
                 raise ModeError("exact rational value in bigreal context")
         return x
 
+    # -- arithmetic ----------------------------------------------------
+
+    def dot(self, u, v):
+        """sum_k u_k v_k over two equally long 1-D object arrays.
+
+        Exact mode sums the rational products literally.  Bigreal mode
+        forms every product exactly and rounds the sum once, at this
+        context's precision, instead of once per product and per partial
+        sum; real and complex entries mix freely.
+        """
+        if len(u) != len(v):
+            raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
+        if self.is_exact:
+            return (u * v).sum()
+        return self.mp.fdot(u, v)
+
     # -- elementary functions -----------------------------------------
 
     def exp(self, x):
@@ -249,7 +265,7 @@ class Context:
         """e**(i*x) as a complex value (bigreal only)."""
         if self.is_exact:
             raise ModeError("complex exponentials require bigreal mode")
-        return self.mp.exp(self.mp.mpc(0, 1) * x)
+        return self.mp.expj(x)
 
     # -- comparisons ---------------------------------------------------
 

@@ -20,6 +20,14 @@ O(n * w_H * (w_H + w_V)) scalar products plus an O(n^2) scan for the
 bandwidths, instead of the O(n^3) of a dense product.  The position-basis
 H is tridiagonal (w_H = 1) and eta diagonal, so L^k eta has bandwidth k.
 
+Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
+:meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
+with W.  In bigreal mode that dot forms the products exactly and rounds
+the sum once; exact mode sums the rational products literally.  The
+Lanczos spaces hand out those covectors (``dual``), so the chain keeps
+one beside each of its vectors and the profile forms them once for all
+times.
+
 Exact mode and the off-diagonal square roots
 --------------------------------------------
 The position-basis Hamiltonian has off-diagonal entries -sqrt(B(x)D(x+1))
@@ -178,8 +186,8 @@ def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
         raise BasisMismatch("beta must be positive")
     energies = pair.h
     n = pair.dim
-    half = [ctx.exp(-beta * e / 2) for e in energies]
-    z = sum(hw * hw for hw in half)
+    half = np.array([ctx.exp(-beta * e / 2) for e in energies], dtype=object)
+    z = ctx.dot(half, half)
     w = np.empty((n, n), dtype=object)
     for a in range(n):
         for b in range(n):
@@ -196,7 +204,7 @@ def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
     """(V, W) under the given inner product."""
     if v.shape != w.shape or v.shape != ip.weight.shape:
         raise DimensionMismatch(f"shapes {v.shape}, {w.shape}, {ip.weight.shape}")
-    return (ip.weight * conjugate(v) * w).sum()
+    return ip.ctx.dot((ip.weight * conjugate(v)).ravel(), w.ravel())
 
 
 def _bandwidth(m: np.ndarray) -> int:
@@ -565,49 +573,69 @@ class SupportBasis:
     def liouville(self, vec: np.ndarray) -> np.ndarray:
         return self.freq * vec
 
+    def dual(self, u: np.ndarray) -> np.ndarray:
+        """The covector of U: (U, V) = ctx.dot(dual(U), V).  Chain vectors
+        on the support are real, so only the weight enters."""
+        return self.weight * u
+
     def dot(self, u: np.ndarray, v: np.ndarray):
-        return (self.weight * u * v).sum()
+        return self.ctx.dot(self.dual(u), v)
 
     def overlaps(self, ops: list):
         """t -> [(O_n, O_0(t))].  O_0(t) is a phase twist on the support,
-        so each overlap is a short weighted sum of exp(i freq_S t)."""
+        so each overlap is a short weighted sum of exp(i freq_S t).  The
+        phase of each distinct frequency is computed once per time."""
         o0 = self.gather(ops[0])
-        coeff = [self.weight * self.gather(o_n) * o0 for o_n in ops]
+        coeff = [self.dual(self.gather(o_n)) * o0 for o_n in ops]
+        # mpf keys compare by exact value; entry s takes phase slot[s]
+        position = {}
+        slot = [position.setdefault(f, len(position)) for f in self.freq]
+        distinct = list(position)
 
         def at(t):
-            ph = np.array([self.ctx.expj(f * t) for f in self.freq], dtype=object)
-            return [(c * ph).sum() for c in coeff]
+            phases = [self.ctx.expj(f * t) for f in distinct]
+            ph = [phases[k] for k in slot]
+            return [self.ctx.dot(c, ph) for c in coeff]
 
         return at
 
 
 class _MatrixSpace:
-    """The whole operator space of a matrix H: chain vectors are matrices."""
+    """The whole operator space of a matrix H.  Chain vectors are the
+    matrices flattened row-major, so that their inner products are plain
+    fused dots against the flattened weight."""
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
         self.pair = pair
-        self.ip = ip
+        self.ctx = pair.ctx
+        self.weight = ip.weight.ravel()
         self.size = pair.dim * pair.dim
 
     def gather(self, mat: np.ndarray) -> np.ndarray:
-        return mat
+        return mat.ravel()
 
     def scatter(self, vec: np.ndarray) -> np.ndarray:
-        return vec
+        return vec.reshape(self.pair.dim, self.pair.dim)
 
     def liouville(self, vec: np.ndarray) -> np.ndarray:
-        return liouville(self.pair.h, vec)
+        return liouville(self.pair.h, self.scatter(vec)).ravel()
+
+    def dual(self, u: np.ndarray) -> np.ndarray:
+        """The covector of U: the weight times the conjugate of U."""
+        return self.weight * conjugate(u)
 
     def dot(self, u: np.ndarray, v: np.ndarray):
-        return inner(self.ip, u, v)
+        return self.ctx.dot(self.dual(u), v)
 
     def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle."""
+        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle;
+        the covectors of the chain are formed once for all times."""
+        duals = [self.dual(self.gather(o_n)) for o_n in ops]
 
         def at(t):
-            ot = matrix_exponential_conjugate(self.pair, ops[0], t)
-            return [inner(self.ip, o_n, ot) for o_n in ops]
+            ot = self.gather(matrix_exponential_conjugate(self.pair, ops[0], t))
+            return [self.ctx.dot(d, ot) for d in duals]
 
         return at
 
@@ -641,6 +669,9 @@ def operator_lanczos(
     o_prev = None
     o_cur = seed / ctx.sqrt(nrm2)
     ops = [o_cur]
+    # each chain vector's covector, kept beside it: a reorthogonalisation
+    # coefficient is then one fused dot
+    duals = [space.dual(o_cur)]
     bs = []
     stopped = False
     while len(bs) < k_max:
@@ -651,8 +682,8 @@ def operator_lanczos(
         # product extremely ill-conditioned, and the bare three-term
         # recurrence would drift into ghost directions near the end
         # of the chain
-        for o_j in ops:
-            w = w - o_j * space.dot(o_j, w)
+        for o_j, d_j in zip(ops, duals):
+            w = w - o_j * ctx.dot(d_j, w)
         b2 = space.dot(w, w)
         b = ctx.sqrt(b2)
         if ctx.is_zero(b, tol):
@@ -660,6 +691,7 @@ def operator_lanczos(
             break
         o_prev, o_cur = o_cur, w / b
         ops.append(o_cur)
+        duals.append(space.dual(o_cur))
         bs.append(b)
     return OperatorChain(
         ops=[space.scatter(v) for v in ops],

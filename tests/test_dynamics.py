@@ -14,6 +14,7 @@ from krylov_exact import (
     liouville,
     make_system,
     matrix_exponential_conjugate,
+    moments_closed_thermal,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -27,7 +28,7 @@ from krylov_exact.errors import (
     DegenerateFrequencies,
     ModeError,
 )
-from krylov_exact.operators import max_abs
+from krylov_exact.operators import conjugate, max_abs
 
 from helpers import FINITE_KINDS, param_samples
 
@@ -350,3 +351,76 @@ def test_run_system_checks_fits_closure_once(ctx, bctx, monkeypatch, mode):
     assert "closure_and_diagonal_identity" in names
     assert ("heisenberg_closed_form_vs_oracle" in names) == (mode == "bigreal")
     assert len(calls) == 1
+
+
+def test_heisenberg_check_forms_l_eta_once(bctx, monkeypatch):
+    import krylov_exact.dynamics as dynamics_mod
+
+    spec = make_system("hahn", 6, {"a": "1", "b": "3/2"}, bctx)
+    pair = position_pair(spec)
+    cl = verify_closure(pair)
+    calls = []
+    real = dynamics_mod.liouville
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics_mod, "liouville", counting)
+    devs, ok = heisenberg_check(pair, cl, HEISENBERG_TIMES)
+    assert ok and len(calls) == 1
+    # the same deviations as the closed form evaluated time by time
+    for t, dev in zip(HEISENBERG_TIMES, devs):
+        per_time = heisenberg_closed_form(pair, cl, t) - matrix_exponential_conjugate(pair, pair.eta, t)
+        assert max_abs(per_time) == dev
+
+
+def test_profile_phase_per_distinct_frequency(bctx, monkeypatch):
+    spec = default_system("charlier", bctx)
+    cut = moments_closed_thermal(spec, 6, beta="1").truncation.n_max
+    pair = energy_pair(spec, n_max=max(cut, 8))
+    ip = wightman_inner(pair, bctx.num(1))
+    chain = operator_lanczos(pair, ip)
+    n = pair.dim
+    support = [(a, b) for a in range(n) for b in range(n) if pair.eta[a, b] != 0]
+    frequencies = {pair.h[a] - pair.h[b] for a, b in support}
+    assert len(frequencies) == 3 and len(support) > 100
+    calls = []
+    real = Context.expj
+
+    def counting(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(Context, "expj", counting)
+    times = [bctx.frac(k, 3) for k in range(5)]
+    krylov_profile(chain, pair, ip, times)
+    assert 0 < len(calls) <= len(frequencies) * len(times)
+
+
+def _reference_profile(chain, pair, ip, t):
+    """phi_n(t) from per-term sums of weight * conj(O_n) * O_0(t)."""
+    ot = matrix_exponential_conjugate(pair, chain.ops[0], t)
+    phases = [1, -1j, -1, 1j]
+    return [
+        ((ip.weight * conjugate(o_n) * ot).sum() * phases[n % 4]).real
+        for n, o_n in enumerate(chain.ops)
+    ]
+
+
+@pytest.mark.parametrize("basis", ["position", "energy"])
+def test_profile_matches_per_time_reference(bctx, basis):
+    if basis == "position":
+        pair = position_pair(make_system("hahn", 5, {"a": "1/2", "b": "2"}, bctx))
+        ip = trace_inner(pair)
+    else:
+        pair = energy_pair(default_system("gegenbauer", bctx), n_max=10)
+        ip = wightman_inner(pair, bctx.num(1))
+    chain = operator_lanczos(pair, ip)
+    times = [bctx.frac(1, 10), bctx.frac(7, 10), bctx.num(3)]
+    prof = krylov_profile(chain, pair, ip, times)
+    bound = 10 * bctx.default_tolerance().rel_eps
+    for t, row in zip(times, prof.phi):
+        ref = _reference_profile(chain, pair, ip, t)
+        assert len(row) == len(ref) > 2
+        assert max(abs(a - b) for a, b in zip(row, ref)) <= bound

@@ -1,12 +1,14 @@
 import pickle
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from krylov_exact import Context, Tolerance
-from krylov_exact.errors import ModeError
+from krylov_exact.errors import DimensionMismatch, ModeError
 from krylov_exact.numeric import exact_sqrt, rational
 
 rationals = st.fractions(
@@ -158,3 +160,84 @@ def test_parse_fraction_strings(ctx):
     assert ctx.num("3/4") == rational(3, 4)
     assert ctx.num("-5") == -5
     assert ctx.num("0.25") == rational(1, 4)
+
+
+def test_expj_equals_exp_of_imaginary_argument(bctx):
+    mp = bctx.mp
+    sample = [bctx.zero] + [bctx.num(s) for s in ("1/3", "-7/2", "157/50", "-10", "999", "-1234567/1000", "2718")]
+    for x in sample:
+        got, ref = bctx.expj(x), mp.exp(mp.mpc(0, 1) * x)
+        assert type(got) is mp.mpc
+        assert got.real == ref.real and got.imag == ref.imag
+
+
+def _exact(x) -> Fraction:
+    """The rational value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def _products_sum(u, v) -> Fraction:
+    return sum((_exact(a) * _exact(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def _dot_sample(ctx, k=40, seed=7):
+    rng = random.Random(seed)
+    u = np.array([ctx.frac(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(k)], dtype=object)
+    v = np.array([ctx.frac(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(k)], dtype=object)
+    return u, v
+
+
+def test_dot_exact_is_the_literal_sum(ctx):
+    u, v = _dot_sample(ctx)
+    got, ref = ctx.dot(u, v), (u * v).sum()
+    assert type(got) is type(ref) and got == ref
+
+
+def test_dot_bigreal_rounds_once(bctx):
+    unit = Fraction(1, 2 ** bctx.mp.prec)  # half an ulp, relative
+    u, v = _dot_sample(bctx)
+    got = bctx.dot(u, v)
+    assert type(got) is bctx.mp.mpf
+    exact = _products_sum(u, v)
+    assert abs(_exact(got) - exact) <= unit * abs(exact)
+    # cancellation: the per-term sum rounds 10**30 + 1/3 and keeps only
+    # the leading digits of 1/3; the fused dot keeps them all
+    big, third = bctx.num(10) ** 30, bctx.frac(1, 3)
+    u = np.array([big, third, -big], dtype=object)
+    v = np.array([bctx.one, bctx.one, bctx.one], dtype=object)
+    exact = _products_sum(u, v)
+    fused, per_term = bctx.dot(u, v), (u * v).sum()
+    assert abs(_exact(fused) - exact) <= unit * abs(exact)
+    assert abs(_exact(fused) - exact) * 10**20 < abs(_exact(per_term) - exact)
+
+
+def test_dot_bigreal_mixes_real_and_complex(bctx):
+    mp = bctx.mp
+    unit = Fraction(1, 2 ** mp.prec)
+    u, v = _dot_sample(bctx)
+    w = np.array([mp.mpc(a, b) for a, b in zip(v, reversed(v))], dtype=object)
+    got = bctx.dot(u, w)
+    assert type(got) is mp.mpc
+    for part, ref in ((got.real, [z.real for z in w]), (got.imag, [z.imag for z in w])):
+        exact = _products_sum(u, ref)
+        assert abs(_exact(part) - exact) <= unit * abs(exact)
+
+
+def test_dot_lengths_must_match(ctx, bctx):
+    for c in (ctx, bctx):
+        u, v = _dot_sample(c, k=5)
+        with pytest.raises(DimensionMismatch):
+            c.dot(u, v[:4])
+
+
+def test_dot_independent_of_global_and_earlier_contexts(monkeypatch):
+    ctx = Context("bigreal", 50)
+    u, v = _dot_sample(ctx)
+    before = ctx.dot(u, v)
+    monkeypatch.setattr(mpmath.mp, "dps", 15)
+    big = Context("bigreal", 300)
+    big.dot(*_dot_sample(big))
+    after = ctx.dot(u, v)
+    assert type(after) is type(before) and after._mpf_ == before._mpf_

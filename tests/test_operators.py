@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from krylov_exact import (
+    Context,
     OperatorPair,
     build_energy_rep,
     build_eta_position,
@@ -449,3 +450,16 @@ def test_chain_json_dump(bctx):
     assert doc["stopped"] is True
     assert doc["stop_index"] == 2
     assert len(doc["b_squared"]) == 2
+
+
+@pytest.mark.parametrize("kind,n_max", [("gegenbauer", 30), ("jacobi", 20)])
+def test_thermal_chain_b2_against_100_digits(kind, n_max):
+    chains = []
+    for precision in (50, 100):
+        ctx = Context("bigreal", precision)
+        pair = energy_pair(default_system(kind, ctx), n_max=n_max)
+        chains.append(operator_lanczos(pair, wightman_inner(pair, 1)))
+    got, ref = chains
+    assert len(got.b_squared) == len(ref.b_squared) > n_max
+    worst = max(abs(ctx.num(x) - y) / y for x, y in zip(got.b_squared, ref.b_squared))
+    assert worst <= ctx.num("1e-45")

@@ -84,3 +84,8 @@ class DegenerateFrequencies(KrylovExactError):
 
 class ComplexAmplitude(KrylovExactError):
     """A chain amplitude kept a non-negligible imaginary part."""
+
+
+class MirrorAsymmetry(KrylovExactError):
+    """A mirror pair of the eta support does not cancel in cross-parity inner
+    products, so the Lanczos chain would need diagonal coefficients a_n."""

@@ -206,8 +206,11 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     mu_2k+1 = (v_k, v_k+1) / |eta|^2, because L is self-adjoint under
     the (metric) trace and the Wightman inner products.  The iterates
     live in the operator space of :func:`operator_lanczos`: the eta
-    support for a diagonal H, where [H, V]_ab = (E_a - E_b) V_ab, else
-    banded matrices.  No closed form enters.
+    support folded to one entry per mirror pair for a diagonal H, where
+    [H, V]_ab = (E_a - E_b) V_ab, else banded matrices.  v_k and v_k+1
+    have opposite parity, so the odd moments take the space's
+    cross-parity dot; no symmetry of eta is assumed.  No closed form
+    enters.
     """
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
@@ -217,7 +220,7 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     values = [ctx.one]
     for _ in range(K):
         v_next = space.liouville(v)
-        values.append(space.dot(v, v_next) / norm)
+        values.append(space.cross_dot(v, v_next) / norm)
         values.append(space.dot(v_next, v_next) / norm)
         v = v_next
     return MomentTable(

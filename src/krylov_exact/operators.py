@@ -7,8 +7,8 @@ one of two representations, picked once from the shape of ``h``:
 * a spectrum -- H diagonal, stored as the 1-D array of its energies
   (the energy basis).  Functions of H are 1-D arrays of their values,
   commutators and Heisenberg evolution act elementwise, and the moment
-  oracle and the Lanczos chain both live on the support of eta
-  (:class:`SupportBasis`).
+  oracle, the Lanczos chain and the profile all live on the support of
+  eta, folded to one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
   Functions of H are dense matrices, and spectral functions go through
   the eigendecomposition (E, Q), computed at most once per pair and then
@@ -27,6 +27,20 @@ the sum once; exact mode sums the rational products literally.  The
 Lanczos spaces hand out those covectors (``dual``), so the chain keeps
 one beside each of its vectors and the profile forms them once for all
 times.
+
+The energy-basis fold
+---------------------
+L multiplies entry (a, b) by E_a - E_b and its mirror (b, a) by the
+negative, so L^k eta has the parity V_ba = (-1)^k r_ab V_ab with the
+mirror ratio r_ab = eta_ba / eta_ab; this is why odd moments vanish.
+:class:`SupportBasis` stores one entry per mirror pair plus the diagonal
+and restores the mirrors from a vector's parity.  Dots of equal parity
+weigh an entry with w+ = w_ab + w_ba r_ab^2, dots of opposite parity
+(the oracle's odd moments) with w- = w_ab - w_ba r_ab^2.  The Lanczos
+chain needs every w- to vanish, which makes vectors of opposite parity
+orthogonal, so it reorthogonalises against only those of its own
+parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
+w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -51,6 +65,7 @@ from .catalog import SystemSpec, _polyval
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
+    MirrorAsymmetry,
     ModeError,
     NegativeUnderSquareRoot,
     NotFiniteSystem,
@@ -146,34 +161,45 @@ class OperatorPair:
 class InnerProduct:
     """Elementwise-weight form of an operator inner product.
 
-    (V, W) = sum_ab weight[a,b] * conj(V[a,b]) * W[a,b].  The trace inner
-    product has unit weights (metric-adjusted in the rescaled exact
-    representation); the Wightman one carries Boltzmann factors
-    exp(-beta*(E_a + E_b)/2) / Z.
+    (V, W) = sum_ab weight[a,b] * conj(V[a,b]) * W[a,b].  The weight is
+    kept factored: the trace inner product has unit weights, or g_b/g_a
+    in the rescaled exact representation with metric g; the Wightman one
+    has h_a * h_b / Z with the half Boltzmann factors h_a =
+    exp(-beta*E_a/2) and Z = sum_a h_a^2, times g_b/g_a under a metric.
+    :meth:`entries` evaluates single entries from the factors; the dense
+    :attr:`weight` is built on first use.
     """
 
     kind: str
-    weight: np.ndarray
     ctx: Context
+    dim: int
     beta: object | None = None
+    half: np.ndarray | None = None
+    z: object | None = None
+    metric: np.ndarray | None = None
+    _weight: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """weight[rows[s], cols[s]] for each s: h_a*h_b/z, then *g_b/g_a."""
+        g = self.metric
+        if self.half is None:
+            if g is None:
+                return np.full(len(rows), self.ctx.one, dtype=object)
+            return g[cols] / g[rows]
+        w = self.half[rows] * self.half[cols] / self.z
+        return w if g is None else w * g[cols] / g[rows]
 
     @property
-    def dim(self) -> int:
-        return self.weight.shape[0]
+    def weight(self) -> np.ndarray:
+        """The dense dim x dim weight."""
+        if self._weight is None:
+            rows, cols = np.indices((self.dim, self.dim))
+            self._weight = self.entries(rows.ravel(), cols.ravel()).reshape(self.dim, self.dim)
+        return self._weight
 
 
 def trace_inner(pair: OperatorPair) -> InnerProduct:
-    n = pair.dim
-    ctx = pair.ctx
-    w = np.empty((n, n), dtype=object)
-    if pair.metric is None:
-        w[:] = ctx.one
-    else:
-        g = pair.metric
-        for a in range(n):
-            for b in range(n):
-                w[a, b] = g[b] / g[a]
-    return InnerProduct("trace", w, ctx)
+    return InnerProduct("trace", pair.ctx, pair.dim, metric=pair.metric)
 
 
 def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
@@ -184,26 +210,16 @@ def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
     beta = ctx.num(beta)
     if not beta > 0:
         raise BasisMismatch("beta must be positive")
-    energies = pair.h
-    n = pair.dim
-    half = np.array([ctx.exp(-beta * e / 2) for e in energies], dtype=object)
-    z = ctx.dot(half, half)
-    w = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            w[a, b] = half[a] * half[b] / z
-    if pair.metric is not None:
-        g = pair.metric
-        for a in range(n):
-            for b in range(n):
-                w[a, b] = w[a, b] * g[b] / g[a]
-    return InnerProduct("wightman", w, ctx, beta)
+    half = np.array([ctx.exp(-beta * e / 2) for e in pair.h], dtype=object)
+    return InnerProduct(
+        "wightman", ctx, pair.dim, beta, half=half, z=ctx.dot(half, half), metric=pair.metric
+    )
 
 
 def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
     """(V, W) under the given inner product."""
-    if v.shape != w.shape or v.shape != ip.weight.shape:
-        raise DimensionMismatch(f"shapes {v.shape}, {w.shape}, {ip.weight.shape}")
+    if v.shape != w.shape or v.shape != (ip.dim, ip.dim):
+        raise DimensionMismatch(f"shapes {v.shape}, {w.shape}, {(ip.dim, ip.dim)}")
     return ip.ctx.dot((ip.weight * conjugate(v)).ravel(), w.ravel())
 
 
@@ -536,66 +552,131 @@ def _check_dims(pair: OperatorPair, ip: InnerProduct) -> None:
 
 
 class SupportBasis:
-    """Index set of the eta support, closed under the diagonal-H Liouvillian.
+    """The eta support, folded to one entry per mirror pair.
 
-    With H diagonal the commutator acts elementwise, so every operator in
-    the Krylov chain is supported exactly where eta is.  Gathering the
-    matrices onto that support turns each commutator and inner product of
-    the moment oracle and the Lanczos chain from O(dim^2) into O(support)
-    work, which matters for the long thermal chains.
+    With H diagonal the commutator acts elementwise, [H, V]_ab =
+    (E_a - E_b) V_ab, so every operator of the Krylov chain lives on the
+    support of eta, and the mirror entry (b, a) of L^k eta is
+    (-1)^k r_ab times the entry (a, b), with the mirror ratio
+    r_ab = eta_ba / eta_ab (zero where the mirror is zero).  The basis
+    therefore keeps the diagonal and one entry of each mirror pair {(a, b),
+    (b, a)} -- the upper one, or the lower one where the upper is zero --
+    in the row-major order of eta, and a vector's parity k mod 2 restores
+    the rest (:meth:`scatter`).  This is the fold of a symmetric support
+    measure into ± frequency pairs (Chihara, *An Introduction to
+    Orthogonal Polynomials*, 1978, ch. I).
+
+    Inner products fold with it.  Two vectors of equal parity pair entry
+    (a, b) with the weight w+ = w_ab + w_ba r_ab^2 (:meth:`dot`, w+ = w_aa
+    on the diagonal); two of opposite parity with w- = w_ab - w_ba r_ab^2
+    (:meth:`cross_dot`, zero on the diagonal, where an odd vector
+    vanishes).  The oracle's odd moments are cross-parity dots, so an eta
+    that is not self-adjoint under the inner product still gets its
+    nonzero odd moments.  When every w- vanishes (the trace and Wightman
+    products of :func:`energy_pair`), vectors of opposite parity are
+    orthogonal and the Lanczos chain reorthogonalises each new vector
+    against only every second earlier one.  ``size`` is the unfolded
+    support count, which bounds the chain length.
     """
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
-        n = pair.dim
-        self.dim = n
-        self.ctx = pair.ctx
-        self.index = [
-            (a, b) for a in range(n) for b in range(n) if pair.eta[a, b] != 0
-        ]
-        self.size = len(self.index)
-        self.freq = np.array(
-            [pair.h[a] - pair.h[b] for a, b in self.index], dtype=object
-        )
-        self.weight = np.array(
-            [ip.weight[a, b] for a, b in self.index], dtype=object
-        )
+        ctx, eta = pair.ctx, pair.eta
+        self.dim = pair.dim
+        self.ctx = ctx
+        rows, cols = np.nonzero(eta)
+        self.size = len(rows)
+        keep = (rows <= cols) | (eta[cols, rows] == 0)
+        r, c = self.rows, self.cols = rows[keep], cols[keep]
+        diag = r == c
+        self.freq = pair.h[r] - pair.h[c]
+        self.ratio = eta[c, r] / eta[r, c]
+        # the weights an overlap takes from a representative entry and from
+        # its mirror; the diagonal is its own mirror and counts once
+        self.weight = ip.entries(r, c)
+        self.mirror_weight = np.where(diag, ctx.zero, ip.entries(c, r))
+        mirror_sq = self.mirror_weight * self.ratio * self.ratio
+        self.wplus = self.weight + mirror_sq
+        self.wminus = np.where(diag, ctx.zero, self.weight - mirror_sq)
+        self.mirrors = np.flatnonzero(~diag & (self.ratio != 0))
 
     def gather(self, mat: np.ndarray) -> np.ndarray:
-        return np.array([mat[a, b] for a, b in self.index], dtype=object)
+        return mat[self.rows, self.cols]
 
-    def scatter(self, vec: np.ndarray) -> np.ndarray:
+    def scatter(self, vec: np.ndarray, parity: int = 0) -> np.ndarray:
+        """The full matrix of a folded vector of the given parity."""
         out = zeros(self.dim, self.ctx)
-        for v, (a, b) in zip(vec, self.index):
-            out[a, b] = v
+        out[self.rows, self.cols] = vec
+        m = self.mirrors
+        mirror = self.ratio[m] * vec[m]
+        out[self.cols[m], self.rows[m]] = -mirror if parity else mirror
         return out
 
     def liouville(self, vec: np.ndarray) -> np.ndarray:
         return self.freq * vec
 
     def dual(self, u: np.ndarray) -> np.ndarray:
-        """The covector of U: (U, V) = ctx.dot(dual(U), V).  Chain vectors
-        on the support are real, so only the weight enters."""
-        return self.weight * u
+        """The covector of U against vectors of its parity: (U, V) =
+        ctx.dot(dual(U), V).  Chain vectors on the support are real, so
+        only the weight enters."""
+        return self.wplus * u
 
     def dot(self, u: np.ndarray, v: np.ndarray):
+        """(U, V) for U and V of equal parity."""
         return self.ctx.dot(self.dual(u), v)
 
+    def cross_dot(self, u: np.ndarray, v: np.ndarray):
+        """(U, V) for U and V of opposite parity."""
+        return self.ctx.dot(self.wminus * u, v)
+
+    def lanczos_stride(self, tol: Tolerance) -> int:
+        """Check that the chain may run here and return the stride of its
+        reorthogonalisation.
+
+        The chain takes a_n = (O_n, L O_n) = 0, a cross-parity dot, so
+        every w- must vanish: literally in exact mode, within rel_eps * w+
+        in bigreal.  Vectors of opposite parity are then orthogonal and
+        only every second earlier vector is needed.
+        """
+        exact = self.ctx.is_exact
+        for s, (wm, wp) in enumerate(zip(self.wminus, self.wplus)):
+            if (wm != 0) if exact else (abs(wm) > tol.rel_eps * abs(wp)):
+                a, b = self.rows[s], self.cols[s]
+                raise MirrorAsymmetry(
+                    f"eta entries ({a}, {b}) and ({b}, {a}) are not mirror images under the "
+                    f"inner product (w- = {self.ctx.fmt(wm)}), so the chain would need a_n != 0"
+                )
+        return 2
+
     def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))].  O_0(t) is a phase twist on the support,
-        so each overlap is a short weighted sum of exp(i freq_S t).  The
-        phase of each distinct frequency is computed once per time."""
-        o0 = self.gather(ops[0])
-        coeff = [self.dual(self.gather(o_n)) * o0 for o_n in ops]
+        """t -> [(O_n, O_0(t))].  O_0(t) is a phase twist on the support:
+        with c_s and c_m the weighted products of O_n and O_0 at the
+        representative entry s and at its mirror, each overlap is
+        sum_s (c_s + c_m) cos(omega_s t) + i (c_s - c_m) sin(omega_s t),
+        two real dots.  The phase of each distinct frequency omega_s is
+        computed once per time; no parity is assumed."""
+        here, there = (self.rows, self.cols), (self.cols, self.rows)
+        o0, o0_mirror = ops[0][here], ops[0][there]
+        even, odd = [], []
+        for o_n in ops:
+            c = self.weight * o_n[here] * o0
+            c_mirror = self.mirror_weight * o_n[there] * o0_mirror
+            even.append(c + c_mirror)
+            odd.append(c - c_mirror)
         # mpf keys compare by exact value; entry s takes phase slot[s]
         position = {}
         slot = [position.setdefault(f, len(position)) for f in self.freq]
         distinct = list(position)
+        ctx = self.ctx
 
         def at(t):
-            phases = [self.ctx.expj(f * t) for f in distinct]
-            ph = [phases[k] for k in slot]
-            return [self.ctx.dot(c, ph) for c in coeff]
+            phases = [ctx.expj(f * t) for f in distinct]
+            cos = [phases[k].real for k in slot]
+            sin = [phases[k].imag for k in slot]
+            return [
+                ctx.mp.make_mpc((ctx.dot(e, cos)._mpf_, ctx.dot(o, sin)._mpf_))
+                for e, o in zip(even, odd)
+            ]
 
         return at
 
@@ -603,7 +684,9 @@ class SupportBasis:
 class _MatrixSpace:
     """The whole operator space of a matrix H.  Chain vectors are the
     matrices flattened row-major, so that their inner products are plain
-    fused dots against the flattened weight."""
+    fused dots against the flattened weight.  Nothing is folded: every
+    dot is :meth:`dot`, and the chain reorthogonalises against every
+    earlier vector."""
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
@@ -615,7 +698,7 @@ class _MatrixSpace:
     def gather(self, mat: np.ndarray) -> np.ndarray:
         return mat.ravel()
 
-    def scatter(self, vec: np.ndarray) -> np.ndarray:
+    def scatter(self, vec: np.ndarray, parity: int = 0) -> np.ndarray:
         return vec.reshape(self.pair.dim, self.pair.dim)
 
     def liouville(self, vec: np.ndarray) -> np.ndarray:
@@ -627,6 +710,11 @@ class _MatrixSpace:
 
     def dot(self, u: np.ndarray, v: np.ndarray):
         return self.ctx.dot(self.dual(u), v)
+
+    cross_dot = dot
+
+    def lanczos_stride(self, tol: Tolerance) -> int:
+        return 1
 
     def overlaps(self, ops: list):
         """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle;
@@ -658,6 +746,7 @@ def operator_lanczos(
     tol = tol or ctx.default_tolerance()
     space = pair.rep.space(pair, ip)
     k_max = space.size if k_max is None else min(k_max, space.size)
+    stride = space.lanczos_stride(tol)
 
     if ctx.is_exact:
         return _lanczos_exact(space, pair.eta, k_max, ctx)
@@ -681,8 +770,10 @@ def operator_lanczos(
         # full reorthogonalisation: thermal weights make the inner
         # product extremely ill-conditioned, and the bare three-term
         # recurrence would drift into ghost directions near the end
-        # of the chain
-        for o_j, d_j in zip(ops, duals):
+        # of the chain.  W has the parity of O_{k+1}; on a folded
+        # support the vectors of the other parity are orthogonal to it.
+        first = len(ops) % stride
+        for o_j, d_j in zip(ops[first::stride], duals[first::stride]):
             w = w - o_j * ctx.dot(d_j, w)
         b2 = space.dot(w, w)
         b = ctx.sqrt(b2)
@@ -694,7 +785,7 @@ def operator_lanczos(
         duals.append(space.dual(o_cur))
         bs.append(b)
     return OperatorChain(
-        ops=[space.scatter(v) for v in ops],
+        ops=[space.scatter(v, k % 2) for k, v in enumerate(ops)],
         b_squared=[v * v for v in bs],
         stopped=stopped,
         ctx=ctx,
@@ -731,7 +822,7 @@ def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> Operator
         nu_cur = nu_next
         ops.append(v_cur)
     return OperatorChain(
-        ops=[space.scatter(v) for v in ops],
+        ops=[space.scatter(v, k % 2) for k, v in enumerate(ops)],
         b_squared=b2s,
         stopped=stopped,
         ctx=ctx,

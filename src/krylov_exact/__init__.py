@@ -49,9 +49,7 @@ from .operators import (
     InnerProduct,
     OperatorChain,
     OperatorPair,
-    build_energy_rep,
     build_eta_position,
-    build_hamiltonian,
     energy_pair,
     inner,
     liouville,
@@ -83,9 +81,7 @@ __all__ = [
     "alpha_pm",
     "apply_liouville_power",
     "b123_closed_forms",
-    "build_energy_rep",
     "build_eta_position",
-    "build_hamiltonian",
     "chain_report",
     "default_system",
     "diagonal_eta_identity",

@@ -125,8 +125,10 @@ def moments_closed_thermal(
     """Boltzmann-weighted closed-form moments for the six thermal systems.
 
     The numerator series for each even moment and the normalisation
-    series are summed together until the term ratio falls below 1/2 and
-    the geometric majorant bounds every relative tail by ``tail_tol``.
+    series are summed together until the largest term ratio r is below 1
+    and the geometric majorant, the current term times r/(1 - r), bounds
+    every relative tail by ``tail_tol``.  The majorant takes the later
+    ratios to stay at most r.
     """
     if spec.is_finite:
         raise NotInfiniteSystem(f"{spec.kind.value} has the finite closed form")
@@ -163,7 +165,7 @@ def moments_closed_thermal(
             ratios = [
                 t / p for t, p in zip(terms, prev_terms) if p > 0 and t > 0
             ]
-            if ratios and max(ratios) < ctx.frac(1, 2):
+            if ratios and max(ratios) < 1:
                 r = max(ratios)
                 # tail of each series bounded by current term * r/(1-r)
                 bound = ctx.zero

@@ -232,7 +232,8 @@ class Context:
     def dot(self, u, v):
         """sum_k u_k v_k over two equally long 1-D object arrays.
 
-        Exact mode sums the rational products literally.  Bigreal mode
+        Exact mode sums the products literally, rational or integer
+        (the exact operator space dots integer numerators).  Bigreal mode
         forms every product exactly and rounds the sum once, at this
         context's precision, instead of once per product and per partial
         sum; real and complex entries mix freely.

@@ -23,10 +23,13 @@ H is tridiagonal (w_H = 1) and eta diagonal, so L^k eta has bandwidth k.
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
 with W.  In bigreal mode that dot forms the products exactly and rounds
-the sum once; exact mode sums the rational products literally.  The
-Lanczos spaces hand out those covectors (``dual``), so the chain keeps
-one beside each of its vectors and the profile forms them once for all
-times.
+the sum once.  The Lanczos spaces hand out those covectors (``dual``),
+so the chain keeps one beside each of its vectors and the profile forms
+them once for all times.  In exact mode a matrix H works in
+:class:`_IntegerSpace`: each vector is integer numerators over one
+denominator, commutators run the same kernel on the integer numerators
+of H, and a dot is one integer sum that becomes a rational only at the
+end, so no rational is formed entry by entry.
 
 The energy-basis fold
 ---------------------
@@ -57,6 +60,7 @@ Lanczos data, and closure residuals come out exactly right.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +76,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, Tolerance, exact_sqrt
+from .numeric import Context, Tolerance, exact_sqrt, rational
 
 POSITION = "position"
 ENERGY = "energy"
@@ -384,24 +388,13 @@ class _Banded:
         eigen, q = self._decomposition()
         return q @ eigen.conjugate_exp(q.T @ v @ q, t) @ q.T
 
-    def space(self, pair: OperatorPair, ip: InnerProduct) -> _MatrixSpace:
-        return _MatrixSpace(pair, ip)
+    def space(self, pair: OperatorPair, ip: InnerProduct) -> _MatrixSpace | _IntegerSpace:
+        return (_IntegerSpace if self.ctx.is_exact else _MatrixSpace)(pair, ip)
 
 
 # ---------------------------------------------------------------------------
 # Representation builders
 # ---------------------------------------------------------------------------
-
-
-def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
-    """Symmetric tridiagonal position-basis Hamiltonian.
-
-    In exact mode this requires every B(x)D(x+1) to be a perfect rational
-    square; otherwise use :func:`position_pair`, which avoids the square
-    roots through a diagonal similarity.
-    """
-    pair = position_pair(spec, allow_metric=False)
-    return pair.h
 
 
 def build_eta_position(spec: SystemSpec) -> np.ndarray:
@@ -460,12 +453,6 @@ def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
     for k, r in enumerate(roots):
         m[k, k + 1] = m[k + 1, k] = sign * r
     return None
-
-
-def build_energy_rep(spec: SystemSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum array and symmetric tridiagonal eta in the energy basis."""
-    pair = energy_pair(spec, n_max, allow_metric=False)
-    return pair.h, pair.eta
 
 
 def energy_pair(spec: SystemSpec, n_max: int | None = None, allow_metric: bool = True) -> OperatorPair:
@@ -682,11 +669,11 @@ class SupportBasis:
 
 
 class _MatrixSpace:
-    """The whole operator space of a matrix H.  Chain vectors are the
-    matrices flattened row-major, so that their inner products are plain
-    fused dots against the flattened weight.  Nothing is folded: every
-    dot is :meth:`dot`, and the chain reorthogonalises against every
-    earlier vector."""
+    """The whole operator space of a matrix H in bigreal mode.  Chain
+    vectors are the matrices flattened row-major, so that their inner
+    products are plain fused dots against the flattened weight.  Nothing
+    is folded: every dot is :meth:`dot`, and the chain reorthogonalises
+    against every earlier vector."""
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
@@ -726,6 +713,94 @@ class _MatrixSpace:
             return [self.ctx.dot(d, ot) for d in duals]
 
         return at
+
+
+def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(num, den): rationals as integer numerators over the least common
+    denominator of the nonzero ones, num[i] / den == values[i]."""
+    flat = values.ravel()
+    nz = np.flatnonzero(flat)
+    picked = flat[nz]
+    dens = [int(v.denominator) for v in picked]
+    den = math.lcm(*dens)
+    num = np.zeros(flat.size, dtype=object)
+    num[nz] = np.array([int(v.numerator) * (den // d) for v, d in zip(picked, dens)], dtype=object)
+    return num.reshape(values.shape), den
+
+
+def _weight_numerators(ip: InnerProduct) -> tuple[np.ndarray, int]:
+    """(w_num, d_w) of the flattened weight, cleared through its rank-one
+    factors w_ab = left_a * right_b (left = h/(z g), right = h g, with unit
+    h and g where absent): 2n rationals instead of n^2.  Exact values."""
+    one = np.full(ip.dim, ip.ctx.one, dtype=object)
+    left, right = (one, one) if ip.half is None else (ip.half / ip.z, ip.half)
+    if ip.metric is not None:
+        left, right = left / ip.metric, right * ip.metric
+    (l_num, d_l), (r_num, d_r) = _integer_numerators(left), _integer_numerators(right)
+    return np.multiply.outer(l_num, r_num).ravel(), d_l * d_r
+
+
+class _Scaled:
+    """An exact vector num / den: Python int numerators over one positive
+    denominator, in lowest terms (den and the numerators share no
+    factor).  Supports the two operations of the exact chain, ``u - v``
+    and ``u * c`` for a rational c."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int):
+        g = math.gcd(den, *num.tolist())
+        self.num = num // g if g > 1 else num
+        self.den = den // g
+
+    def __sub__(self, other: _Scaled) -> _Scaled:
+        den = math.lcm(self.den, other.den)
+        return _Scaled(self.num * (den // self.den) - other.num * (den // other.den), den)
+
+    def __mul__(self, c) -> _Scaled:
+        return _Scaled(self.num * int(c.numerator), self.den * int(c.denominator))
+
+
+class _IntegerSpace:
+    """The whole operator space of a matrix H in exact mode, on integers.
+
+    A vector is a :class:`_Scaled` matrix flattened row-major.  H and the
+    flattened weight (metric factors g_b/g_a included) are cleared of
+    denominators once, h_num / d_H and w_num / d_w
+    (:func:`_weight_numerators`).  A commutator is
+    :func:`liouville` on the integer matrices, [h_num, num] over
+    d_H * den, and a dot is one integer sum over d_w * den_u * den_v, so
+    the only rationals formed are at :meth:`gather`/:meth:`scatter` and
+    the dot's result.  Values equal those of rational arithmetic."""
+
+    def __init__(self, pair: OperatorPair, ip: InnerProduct):
+        _check_dims(pair, ip)
+        self.ctx = pair.ctx
+        self.dim = pair.dim
+        self.size = pair.dim * pair.dim
+        self.h_num, self.d_h = _integer_numerators(pair.h)
+        self.w_num, self.d_w = _weight_numerators(ip)
+
+    def gather(self, mat: np.ndarray) -> _Scaled:
+        return _Scaled(*_integer_numerators(mat.ravel()))
+
+    def scatter(self, vec: _Scaled, parity: int = 0) -> np.ndarray:
+        out = np.full(self.size, self.ctx.zero, dtype=object)
+        for i in np.flatnonzero(vec.num):
+            out[i] = rational(vec.num[i], vec.den)
+        return out.reshape(self.dim, self.dim)
+
+    def liouville(self, vec: _Scaled) -> _Scaled:
+        mat = vec.num.reshape(self.dim, self.dim)
+        return _Scaled(liouville(self.h_num, mat).ravel(), vec.den * self.d_h)
+
+    def dot(self, u: _Scaled, v: _Scaled):
+        return rational(self.ctx.dot(self.w_num * u.num, v.num), self.d_w * u.den * v.den)
+
+    cross_dot = dot
+
+    def lanczos_stride(self, tol: Tolerance) -> int:
+        return 1
 
 
 def operator_lanczos(

@@ -303,3 +303,23 @@ def test_exact_sweep_n32():
         ops = operator_lanczos(pair, k_max=6).b_squared
         m = min(len(hankel), len(ops))
         assert m >= 2 and hankel[:m] == ops[:m], kind
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "kind, params", [("hahn", {"a": "1/2", "b": "2"}), ("krawtchouk", {"p": "1/3"})]
+)
+def test_exact_position_n128(kind, params):
+    """Opt-in (``pytest -m slow``): N=128, K=6 on the exact position pair.
+
+    Closed form == commutator oracle, and Hankel-route b^2 == operator
+    b^2 on their common prefix, all as exact rationals.
+    """
+    spec = make_system(kind, 128, params, EXACT)
+    pair = position_pair(spec)
+    closed = moments_closed_finite(spec, 6)
+    assert closed.values == moments_oracle(pair, K=6).values
+    hankel = moments_to_lanczos(closed).b_squared
+    ops = operator_lanczos(pair, k_max=6).b_squared
+    m = min(len(hankel), len(ops))
+    assert m >= 2 and hankel[:m] == ops[:m]

@@ -144,6 +144,12 @@ def test_verify_thermal_oracle_beyond_the_cut(capsys):
     assert out.splitlines()[-1] == "all checks passed"
 
 
+def test_moments_thermal_tail_at_beta_half(capsys):
+    code, out, _ = run(capsys, "moments", "--system", "charlier", "--beta", "1/2", "-K", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 2 + 5
+
+
 def test_verify_requires_target(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2 and "--system" in err

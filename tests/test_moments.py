@@ -215,10 +215,44 @@ def test_thermal_truncation_stability(bctx):
 
 
 def test_tail_not_convergent_for_tiny_beta(bctx):
-    # at very high temperature the term ratio never falls below 1/2
+    # at very high temperature the term ratio tends to about 0.99, and the
+    # majorant r/(1 - r) certifies the tail only far beyond n_cap
     spec = make_system("meixner", None, {"c": "99/100", "b": "1"}, bctx)
     with pytest.raises(TailNotConvergent):
         moments_closed_thermal(spec, 2, beta="1/1000", n_cap=2000)
+
+
+@pytest.mark.parametrize("kind", ["charlier", "meixner"])
+def test_thermal_tail_certified_with_ratio_above_half(bctx, kind):
+    # at beta = 1/2 the term ratio of a linear spectrum tends to
+    # exp(-1/2) > 1/2; the majorant r/(1 - r) still certifies the tail
+    spec = default_system(kind, bctx)
+    beta = bctx.num("1/2")
+    table = moments_closed_thermal(spec, 2, beta=beta)
+    assert table.truncation.n_max == {"charlier": 200, "meixner": 201}[kind]
+    pair = energy_pair(spec, n_max=table.truncation.n_max + 2)
+    oracle = moments_oracle(pair, wightman_inner(pair, beta), K=2)
+    scale = max(abs(v) for v in table.values)
+    dev = max(abs(a - b) for a, b in zip(table.values, oracle.values))
+    assert dev <= bctx.default_tolerance().rel_eps * scale * 1000
+
+
+@pytest.mark.parametrize(
+    "kind, n_max",
+    [
+        ("meixner", (100, 100)),
+        ("charlier", (99, 99)),
+        ("hermite", (47, 47)),
+        ("laguerre", (24, 24)),
+        ("gegenbauer", (7, 8)),
+        ("jacobi", (4, 4)),
+    ],
+)
+def test_thermal_truncations_at_beta_one(bctx, kind, n_max):
+    # the certified cuts of the default systems at K = 2 and K = 6
+    spec = default_system(kind, bctx)
+    got = tuple(moments_closed_thermal(spec, K, beta="1").truncation.n_max for K in (2, 6))
+    assert got == n_max
 
 
 def test_scaling_covariance_exact(ctx):

@@ -7,9 +7,7 @@ import pytest
 from krylov_exact import (
     Context,
     OperatorPair,
-    build_energy_rep,
     build_eta_position,
-    build_hamiltonian,
     default_system,
     energy_pair,
     inner,
@@ -46,13 +44,13 @@ from helpers import FINITE_KINDS, param_samples
 
 def test_hamiltonian_krawtchouk_n1(ctx):
     spec = make_system("krawtchouk", 1, {"p": "1/2"}, ctx)
-    h = build_hamiltonian(spec)
+    h = position_pair(spec, allow_metric=False).h
     half = ctx.frac(1, 2)
     assert h[0, 0] == half and h[1, 1] == half
     assert h[0, 1] == -half and h[1, 0] == -half
     # p = 1/3 puts B(0) D(1) = 2/9 under the root: no rational symmetric H
     with pytest.raises(ModeError):
-        build_hamiltonian(make_system("krawtchouk", 1, {"p": "1/3"}, ctx))
+        position_pair(make_system("krawtchouk", 1, {"p": "1/3"}, ctx), allow_metric=False)
 
 
 def test_hamiltonian_row0_boundary(ctx):
@@ -64,7 +62,7 @@ def test_hamiltonian_row0_boundary(ctx):
 
 def test_hamiltonian_spectrum_matches_energies(bctx):
     spec = make_system("krawtchouk", 2, {"p": "1/3"}, bctx)
-    h = build_hamiltonian(spec)
+    h = position_pair(spec, allow_metric=False).h
     evals, _ = eig_symmetric(h, bctx)
     tol = bctx.num(10) ** (-(bctx.precision - 15))
     for n in range(3):
@@ -93,7 +91,8 @@ def test_eta_position(ctx):
 
 def test_energy_rep_hermite(bctx):
     spec = make_system("hermite", None, {}, bctx)
-    h, eta = build_energy_rep(spec, 2)
+    pair = energy_pair(spec, 2, allow_metric=False)
+    h, eta = pair.h, pair.eta
     assert [h[k] for k in range(3)] == [0, 2, 4]
     assert abs(eta[0, 1] - bctx.sqrt(bctx.frac(1, 2))) < bctx.num("1e-45")
     assert abs(eta[1, 2] - 1) < bctx.num("1e-45")
@@ -105,7 +104,7 @@ def test_energy_rep_krawtchouk_exact(ctx):
     # A_0 C_1 = 1/2 is not a perfect square, so the symmetric matrix is
     # not rational; the pair with metric carries the same inner products
     with pytest.raises(ModeError):
-        build_energy_rep(spec, 2)
+        energy_pair(spec, 2, allow_metric=False)
     pair = energy_pair(spec)
     ip = trace_inner(pair)
     assert inner(ip, pair.eta, pair.eta) == spec.norm_eta_sq()

@@ -329,7 +329,12 @@ def _verify_one(kind: SystemKind, args) -> tuple[list, bool]:
     params = _parse_params(args.param) or dict(p_def)
     n = args.N if args.N is not None else n_def
     beta = args.beta if args.beta is not None else ("1" if not kind.is_finite else None)
-    spec = make_system(kind, n, params, ctx)
+    try:
+        spec = make_system(kind, n, params, ctx)
+    except KrylovExactError as exc:
+        if args.all:
+            raise  # reported as the system's setup row
+        raise ConfigError(f"--param: {exc}") from exc
     checks = run_system_checks(spec, beta=beta, K=args.K, tail_tol=args.tail_tol)
     return checks, all(c.passed for c in checks)
 

@@ -27,7 +27,6 @@ from .operators import (
     OperatorChain,
     OperatorPair,
     liouville,
-    matrix_exponential_conjugate,
     max_abs,
     solve_consistent,
 )
@@ -102,11 +101,10 @@ def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ct
     return ctx.close(closure.r0_at(e) * spec.eta_diag(n), -closure.rm1_at(e))
 
 
-def _closure_combination(pair: OperatorPair, l1: np.ndarray, a, b, c) -> np.ndarray:
-    """eta a(H) + (L eta) b(H) + c(H) for functions a, b, c of H, with
-    ``l1`` = L eta."""
-    rep = pair.rep
-    return rep.add(rep.right_mul(pair.eta, a) + rep.right_mul(l1, b), c)
+def _closure_combination(rep, eta: np.ndarray, l1: np.ndarray, a, b, c) -> np.ndarray:
+    """eta a(H) + (L eta) b(H) + c(H) for functions a, b, c of H in the
+    representation ``rep``, with ``l1`` = L eta."""
+    return rep.add(rep.right_mul(eta, a) + rep.right_mul(l1, b), c)
 
 
 def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> np.ndarray:
@@ -124,7 +122,7 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
     for _ in range(m):
         a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
-    return _closure_combination(pair, liouville(pair.h, pair.eta), a_k, b_k, c_k)
+    return _closure_combination(rep, pair.eta, liouville(pair.h, pair.eta), a_k, b_k, c_k)
 
 
 def _exp_difference(ctx: Context, t, x, y):
@@ -153,22 +151,32 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
     where e(x) = exp(ixt), a+- = alpha_+-(H) are the roots of
     a^2 = R_1 a + R_0, and [.] are divided differences.  These stay
     finite where R_0 = 0 or a+ = a-; a negative discriminant raises
-    :class:`~krylov_exact.errors.DegenerateFrequencies`.  Bigreal only.
+    :class:`~krylov_exact.errors.DegenerateFrequencies`.  The sum is
+    formed in the eigenbasis of H and moved back.  Bigreal only.
     """
-    return _heisenberg_evaluator(pair, closure)(t)
+    closed_form, _, back = _heisenberg_evaluator(pair, closure)
+    return back(closed_form(pair.ctx.num(t)))
 
 
 def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
-    """t -> :func:`heisenberg_closed_form` at t.  L eta and, at each
-    spectral point, (a+, a-, R_{-1}) do not depend on t and are computed
-    once, here."""
+    """(closed_form, oracle, back) for one pair, all in the eigenbasis of H.
+
+    ``closed_form(t)`` is :func:`heisenberg_closed_form` and ``oracle(t)``
+    the phase twist exp(i(E_a - E_b)t) of eta, both before ``back`` moves
+    them to the pair's basis.  Neither depends on the other: the oracle
+    uses only the energies, never alpha_+-.  What does not depend on t is
+    computed once, here: L eta (one commutator, in the pair's basis), the
+    eigenbasis images of eta and L eta, and (a+, a-, R_{-1}) at each
+    eigenvalue.  A spectrum is its own eigenbasis, and both moves are the
+    identity.
+    """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    rep = pair.rep
-    l1 = liouville(pair.h, pair.eta)
+    eigen, to, back = pair.rep.eigenbasis()
+    eta, l1 = to(pair.eta), to(liouville(pair.h, pair.eta))
     points = []
-    for i, e in enumerate(rep.spectrum):
+    for i, e in enumerate(eigen.h):
         r1 = closure.r1_at(e)
         disc = r1 * r1 + 4 * closure.r0_at(e)
         if disc < 0:
@@ -176,31 +184,30 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
         root = ctx.sqrt(disc)
         points.append(((r1 + root) / 2, (r1 - root) / 2, closure.rm1_at(e)))
 
-    def at(t):
-        t = ctx.num(t)
+    def closed_form(t):
         avals, bvals, cvals = [], [], []
         for ap, am, rm1 in points:
             b = _exp_difference(ctx, t, ap, am)
             avals.append(ctx.expj(am * t) - am * b)
             bvals.append(b)
             cvals.append(rm1 * _exp_second_difference(ctx, t, ap, am))
-        return _closure_combination(pair, l1, *(rep.of_spectrum(v) for v in (avals, bvals, cvals)))
+        return _closure_combination(eigen, eta, l1, *(eigen.of_spectrum(v) for v in (avals, bvals, cvals)))
 
-    return at
+    return closed_form, lambda t: eigen.conjugate_exp(eta, t), back
 
 
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
     """Closed form against :func:`matrix_exponential_conjugate` at each time.
 
-    Returns the max-abs deviation per time and whether every one is
-    within 1000 rel_eps max(|eta|, 1).
+    Both sides are formed in the eigenbasis of H from operators moved
+    there once (:func:`_heisenberg_evaluator`), then each is moved back on
+    its own and compared in the pair's basis, as the two public functions
+    would be.  Returns the max-abs deviation per time and whether every
+    one is within 1000 rel_eps max(|eta|, 1).
     """
     ctx = pair.ctx
-    closed_form = _heisenberg_evaluator(pair, closure)
-    devs = [
-        max_abs(closed_form(t) - matrix_exponential_conjugate(pair, pair.eta, t))
-        for t in times
-    ]
+    closed_form, oracle, back = _heisenberg_evaluator(pair, closure)
+    devs = [max_abs(back(closed_form(t)) - back(oracle(t))) for t in map(ctx.num, times)]
     bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000
     return devs, max(devs, default=ctx.zero) <= bound
 
@@ -251,7 +258,11 @@ def krylov_profile(
 ) -> KrylovProfile:
     """Amplitudes phi_n(t) = (i^n O_n, O(t)) and K(t) = sum n phi_n^2.
 
-    O(t) is the exponential-conjugation oracle applied to O_0.  Each
+    O(t) is the exponential-conjugation oracle applied to O_0: a phase
+    twist on the folded eta support of a spectrum, and for a matrix H a
+    twist of O_0 moved into the eigenbasis once, brought back at each
+    time (``overlaps`` of the pair's operator space).  The chain's
+    covectors are formed once for all times.  Each
     amplitude must be real up to tolerance; a larger imaginary residue
     signals a chain/inner-product mismatch and raises
     :class:`~krylov_exact.errors.ComplexAmplitude`.

@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 
 import mpmath
+import numpy as np
 
 from .errors import DimensionMismatch, ModeError
 
@@ -243,6 +244,21 @@ class Context:
         if self.is_exact:
             return (u * v).sum()
         return self.mp.fdot(u, v)
+
+    def matmul(self, a, b):
+        """The matrix product a @ b of two 2-D object arrays, each entry
+        one :meth:`dot` of a row of ``a`` and a column of ``b``.
+
+        Exact mode gives ``a @ b`` in type and value.  Bigreal mode rounds
+        each entry once, real and complex entries mixed.
+        """
+        if a.shape[1] != b.shape[0]:
+            raise DimensionMismatch(f"matmul of shapes {a.shape} and {b.shape}")
+        out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+        cols = list(b.T)
+        for i, row in enumerate(a):
+            out[i] = [self.dot(row, col) for col in cols]
+        return out
 
     # -- elementary functions -----------------------------------------
 

@@ -10,9 +10,12 @@ one of two representations, picked once from the shape of ``h``:
   oracle, the Lanczos chain and the profile all live on the support of
   eta, folded to one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
-  Functions of H are dense matrices, and spectral functions go through
-  the eigendecomposition (E, Q), computed at most once per pair and then
-  reused for every time and every function.
+  Functions of H are dense matrices.  Spectral work happens in the
+  eigenbasis: the eigendecomposition (E, Q) is computed at most once per
+  pair, and operators move there, Q^T V Q, and back, Q V Q^T, through
+  :meth:`~krylov_exact.numeric.Context.matmul`, which rounds each entry
+  once.  The Heisenberg check and the profile move their
+  time-independent operators once and bring one result per time back.
 
 A matrix Hamiltonian is applied through its nonzero diagonals: with
 bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
@@ -285,6 +288,10 @@ def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _unchanged(v: np.ndarray) -> np.ndarray:
+    return v
+
+
 class _Spectrum:
     """H diagonal, stored as the 1-D array of its energies.
 
@@ -296,12 +303,8 @@ class _Spectrum:
         self.h = h
         self.ctx = ctx
 
-    @property
-    def spectrum(self) -> list:
-        return list(self.h)
-
     def of_spectrum(self, values) -> np.ndarray:
-        """The function of H with the given values on :attr:`spectrum`."""
+        """The function of H with the given values on the energies."""
         return np.array(values, dtype=object)
 
     def poly(self, coeffs) -> np.ndarray:
@@ -333,6 +336,11 @@ class _Spectrum:
         phases = [self.ctx.expj(e * t) for e in self.h]
         return np.multiply.outer(phases, [p.conjugate() for p in phases]) * v
 
+    def eigenbasis(self) -> tuple[_Spectrum, object, object]:
+        """(spectrum, to, back): H is diagonal already, so itself and the
+        identity both ways."""
+        return self, _unchanged, _unchanged
+
     def space(self, pair: OperatorPair, ip: InnerProduct) -> SupportBasis:
         return SupportBasis(pair, ip)
 
@@ -340,9 +348,9 @@ class _Spectrum:
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
-    A function f(H) is a dense matrix.  Spectral functions go through the
-    eigendecomposition H = Q diag(E) Q^T, computed on first use and kept,
-    so each pair runs :func:`eig_symmetric` at most once.
+    A function f(H) is a dense matrix.  Spectral work happens in the
+    eigenbasis H = Q diag(E) Q^T, computed on first use and kept, so each
+    pair runs :func:`eig_symmetric` at most once.
     """
 
     def __init__(self, h: np.ndarray, ctx: Context):
@@ -350,20 +358,20 @@ class _Banded:
         self.ctx = ctx
         self._eigen = None
 
-    def _decomposition(self) -> tuple[_Spectrum, np.ndarray]:
+    def eigenbasis(self) -> tuple[_Spectrum, object, object]:
+        """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum`,
+        V -> Q^T V Q into the eigenbasis and V -> Q V Q^T back, each two
+        :meth:`~krylov_exact.numeric.Context.matmul` products, which round
+        every entry once."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
-            self._eigen = (_Spectrum(energies, self.ctx), q)
+            ctx, qt = self.ctx, q.T
+            self._eigen = (
+                _Spectrum(energies, ctx),
+                lambda v: ctx.matmul(ctx.matmul(qt, v), q),
+                lambda v: ctx.matmul(ctx.matmul(q, v), qt),
+            )
         return self._eigen
-
-    @property
-    def spectrum(self) -> list:
-        return self._decomposition()[0].spectrum
-
-    def of_spectrum(self, values) -> np.ndarray:
-        """Q diag(values) Q^T."""
-        q = self._decomposition()[1]
-        return (q * np.array(values, dtype=object)) @ q.T
 
     def poly(self, coeffs) -> np.ndarray:
         acc = zeros(self.h.shape[0], self.ctx)
@@ -383,10 +391,6 @@ class _Banded:
     def as_function(self, m: np.ndarray):
         """A matrix commuting with H already is the function of H."""
         return m, self.ctx.zero
-
-    def conjugate_exp(self, v: np.ndarray, t) -> np.ndarray:
-        eigen, q = self._decomposition()
-        return q @ eigen.conjugate_exp(q.T @ v @ q, t) @ q.T
 
     def space(self, pair: OperatorPair, ip: InnerProduct) -> _MatrixSpace | _IntegerSpace:
         return (_IntegerSpace if self.ctx.is_exact else _MatrixSpace)(pair, ip)
@@ -673,7 +677,8 @@ class _MatrixSpace:
     vectors are the matrices flattened row-major, so that their inner
     products are plain fused dots against the flattened weight.  Nothing
     is folded: every dot is :meth:`dot`, and the chain reorthogonalises
-    against every earlier vector."""
+    against every earlier vector.  The profile evolves O_0 alone, in the
+    eigenbasis of H (:meth:`overlaps`)."""
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
@@ -704,12 +709,18 @@ class _MatrixSpace:
         return 1
 
     def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle;
-        the covectors of the chain are formed once for all times."""
+        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle.
+        O_0 moves into the eigenbasis of H once, and the covectors of the
+        chain are formed once, for all times; each time then costs the
+        phase twist of O_0 there and one transform back.  The chain
+        vectors stay in the position basis: moving each of them instead
+        would cost two products per vector."""
         duals = [self.dual(self.gather(o_n)) for o_n in ops]
+        eigen, to, back = self.pair.rep.eigenbasis()
+        o0 = to(ops[0])
 
         def at(t):
-            ot = self.gather(matrix_exponential_conjugate(self.pair, ops[0], t))
+            ot = self.gather(back(eigen.conjugate_exp(o0, t)))
             return [self.ctx.dot(d, ot) for d in duals]
 
         return at
@@ -913,14 +924,16 @@ def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> Operator
 def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.ndarray:
     """exp(iHt) V exp(-iHt) via the eigenbasis phases (bigreal only).
 
-    In the eigenbasis this is the phase twist exp(i(E_a - E_b)t) V_ab; a
-    matrix H gets there and back through its eigendecomposition, which
-    the pair computes once.
+    In the eigenbasis this is the phase twist exp(i(E_a - E_b)t) V_ab.  A
+    matrix H moves V there and back, Q^T V Q and Q (.) Q^T, with fused
+    products (:meth:`_Banded.eigenbasis`) and the eigendecomposition the
+    pair computes once; a spectrum needs no move.
     """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    return pair.rep.conjugate_exp(v, ctx.num(t))
+    eigen, to, back = pair.rep.eigenbasis()
+    return back(eigen.conjugate_exp(to(v), ctx.num(t)))
 
 
 def eig_symmetric(h: np.ndarray, ctx: Context):

@@ -221,3 +221,26 @@ def test_version_names_backends(capsys):
     out = capsys.readouterr().out
     assert f"rationals: {RATIONAL_BACKEND}" in out
     assert f"mpmath backend: {mpmath.libmp.BACKEND}" in out
+
+
+@pytest.mark.parametrize("system", ["racah", "quantum-q-krawtchouk", "q-racah"])
+def test_verify_unbuildable_system_is_a_config_error(capsys, system):
+    # the N=6 default parameters are invalid at N=12 for these systems
+    code, out, err = run(capsys, "verify", "--system", system, "-N", "12")
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: --param:")
+    assert code == run(capsys, "moments", "--system", system, "-N", "12")[0]
+
+
+def test_verify_defaults_valid_at_any_n(capsys):
+    code, out, _ = run(capsys, "verify", "--system", "krawtchouk", "-N", "12")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
+
+
+def test_verify_all_reports_setup_rows(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--param", "nosuch=1")
+    assert code == 1 and err == ""
+    rows = out.splitlines()
+    assert rows[-1] == "FAILURES present"
+    assert len(rows[:-1]) == 16 and all(r.split()[1] == "setup" for r in rows[:-1])

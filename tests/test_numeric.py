@@ -241,3 +241,36 @@ def test_dot_independent_of_global_and_earlier_contexts(monkeypatch):
     big.dot(*_dot_sample(big))
     after = ctx.dot(u, v)
     assert type(after) is type(before) and after._mpf_ == before._mpf_
+
+
+def _matrix_sample(ctx, rows, cols, seed):
+    u, _ = _dot_sample(ctx, k=rows * cols, seed=seed)
+    return u.reshape(rows, cols)
+
+
+def test_matmul_exact_is_the_matrix_product():
+    ctx = Context("exact")
+    rng = random.Random(11)
+    a, b = (
+        np.array([[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(c)] for _ in range(r)], dtype=object)
+        for r, c in ((3, 4), (4, 2))
+    )
+    got, ref = ctx.matmul(a, b), a @ b
+    assert got.shape == ref.shape == (3, 2)
+    assert all(type(x) is type(y) and x == y for x, y in zip(got.ravel(), ref.ravel()))
+
+
+def test_matmul_bigreal_is_one_fused_dot_per_entry(bctx):
+    mp = bctx.mp
+    a = _matrix_sample(bctx, 3, 4, seed=1)
+    re, im = _matrix_sample(bctx, 4, 2, seed=2), _matrix_sample(bctx, 4, 2, seed=3)
+    b = np.array([[mp.mpc(x, y) for x, y in zip(r, s)] for r, s in zip(re, im)], dtype=object)
+    b[0, 0] = re[0, 0]  # a real entry among the complex ones
+    got = bctx.matmul(a, b)
+    assert got.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            ref = mp.fdot(a[i], b[:, j])
+            assert type(got[i, j]) is type(ref) and got[i, j] == ref
+    with pytest.raises(DimensionMismatch):
+        bctx.matmul(a, a)

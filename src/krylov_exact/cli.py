@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import mpmath
 
@@ -276,6 +277,14 @@ def _time_grid(args, ctx):
     return [t0 + step * i for i in range(count)]
 
 
+def _thermal_pair(args, spec, n_max=None):
+    """The energy pair of a thermal report: levels 0..n_max, by default
+    the certified truncation of the K=2 closed-form thermal sum, at least
+    8 levels."""
+    table = moments_closed(spec, K=2, beta=args.beta, tail_tol=args.tail_tol)
+    return energy_pair(spec, n_max=n_max or max(table.truncation.n_max, 8))
+
+
 def cmd_complexity(args) -> int:
     kind = _parse_kind(args.system)
     ctx = _resolve_context(args, kind)
@@ -284,9 +293,7 @@ def cmd_complexity(args) -> int:
         pair = energy_pair(spec)
         ip = trace_inner(pair)
     else:
-        table = moments_closed(spec, K=2, beta=args.beta, tail_tol=args.tail_tol)
-        n_max = args.n_max or max(table.truncation.n_max, 8)
-        pair = energy_pair(spec, n_max=n_max)
+        pair = _thermal_pair(args, spec, args.n_max)
         ip = wightman_inner(pair, ctx.num(args.beta))
     chain = operator_lanczos(pair, ip)
     times = _time_grid(args, ctx)
@@ -308,8 +315,7 @@ def cmd_heisenberg_check(args) -> int:
     if spec.is_finite:
         pair = position_pair(spec)
     else:
-        table = moments_closed(spec, K=2, beta=args.beta, tail_tol=args.tail_tol)
-        pair = energy_pair(spec, n_max=max(table.truncation.n_max, 8))
+        pair = _thermal_pair(args, spec)
     closure = verify_closure(pair, spec)
     devs, passed = heisenberg_check(pair, closure, args.t_grid)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
@@ -323,7 +329,8 @@ def cmd_heisenberg_check(args) -> int:
     return 0 if passed else 1
 
 
-def _verify_one(kind: SystemKind, args) -> tuple[list, bool]:
+def _verify_one(kind: SystemKind, args) -> tuple[dict, list]:
+    """(resolved config, check rows) of one system."""
     ctx = _resolve_context(args, kind)
     n_def, p_def = DEFAULT_PARAMS[kind]
     params = _parse_params(args.param) or dict(p_def)
@@ -336,28 +343,48 @@ def _verify_one(kind: SystemKind, args) -> tuple[list, bool]:
             raise  # reported as the system's setup row
         raise ConfigError(f"--param: {exc}") from exc
     checks = run_system_checks(spec, beta=beta, K=args.K, tail_tol=args.tail_tol)
-    return checks, all(c.passed for c in checks)
+    config = _resolved_config(args, spec, ctx)
+    config["beta"] = beta
+    return config, checks
 
 
 def cmd_verify(args) -> int:
+    """The check table, or with ``--format json`` one document: the
+    options as given, per system its resolved config and check rows (or
+    its setup error), and the overall verdict."""
     if not args.all and not args.system:
         raise ConfigError("--system: required unless --all is given")
     kinds = list(SystemKind) if args.all else [_parse_kind(args.system)]
     kinds.sort(key=lambda k: k.value)
-    lines = []
-    all_ok = True
+    results = []  # (system, config, checks, setup error)
     for kind in kinds:
         try:
-            checks, ok = _verify_one(kind, args)
+            results.append((kind.value, *_verify_one(kind, args), None))
         except KrylovExactError as exc:
-            lines.append(f"{kind.value:24s} {'setup':40s} {'-':>12s} error: {exc}")
-            all_ok = False
-            continue
-        all_ok = all_ok and ok
+            results.append((kind.value, None, [], exc))
+    all_ok = all(err is None and all(c.passed for c in checks) for _, _, checks, err in results)
+    if args.format == "json":
+        systems = [
+            {"system": name, "error": str(err), "passed": False}
+            if err is not None
+            else {
+                "system": name,
+                "config": config,
+                "checks": [asdict(c) for c in checks],
+                "passed": all(c.passed for c in checks),
+            }
+            for name, config, checks, err in results
+        ]
+        options = {k: v for k, v in vars(args).items() if k != "output"}
+        text = json.dumps({"config": options, "systems": systems, "passed": all_ok}, sort_keys=True, indent=2)
+        _emit(args, text + "\n")
+        return 0 if all_ok else 1
+    lines = []
+    for name, _, checks, err in results:
+        if err is not None:
+            lines.append(f"{name:24s} {'setup':40s} {'-':>12s} error: {err}")
         for c in checks:
-            lines.append(
-                f"{kind.value:24s} {c.name:40s} {c.status:>6s}  expected: {c.expected}; got: {c.got}"
-            )
+            lines.append(f"{name:24s} {c.name:40s} {c.status:>6s}  expected: {c.expected}; got: {c.got}")
     summary = "all checks passed" if all_ok else "FAILURES present"
     _emit(args, "\n".join(lines) + f"\n{summary}\n")
     return 0 if all_ok else 1

@@ -26,7 +26,6 @@ from .operators import (
     InnerProduct,
     OperatorChain,
     OperatorPair,
-    liouville,
     max_abs,
     solve_consistent,
 )
@@ -61,7 +60,8 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
     Computes M = L^2 eta - eta R_0(H) - (L eta) R_1(H), demands that it
     commute with H, fits it as a polynomial of H of degree at most 2,
     and returns the fitted diagonal.  A residual that fails either test
-    raises :class:`~krylov_exact.errors.ClosureViolated`.
+    raises :class:`~krylov_exact.errors.ClosureViolated`.  A spectrum
+    pair works on the eta support plus the diagonal only.
     """
     spec = spec or pair.spec
     if spec is None:
@@ -69,13 +69,13 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
     ctx = pair.ctx
     tol = tol or ctx.default_tolerance()
     rep = pair.rep
-    r0 = tuple(spec.r0_coeffs)
-    r1 = tuple(spec.r1_coeffs)
-    l1 = liouville(pair.h, pair.eta)
-    l2 = liouville(pair.h, l1)
-    m = l2 - rep.right_mul(pair.eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
+    r0, r1 = tuple(spec.r0_coeffs), tuple(spec.r1_coeffs)
+    eta = rep.gather(pair.eta)
+    l1 = rep.liouville(eta)
+    l2 = rep.liouville(l1)
+    m = l2 - rep.right_mul(eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
     scale = max(max_abs(m), ctx.one)
-    comm = liouville(pair.h, m)
+    comm = rep.liouville(m)
     worst = max_abs(comm)
     if (ctx.is_exact and worst != 0) or (not ctx.is_exact and worst > tol.rel_eps * scale * 10):
         raise ClosureViolated(f"residual does not commute with H (defect {ctx.fmt(worst)})")
@@ -90,7 +90,7 @@ def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tole
     if coeffs is None:
         raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
     rm1 = tuple(coeffs)
-    rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(m.shape[0])]
+    rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(pair.dim)]
     return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=worst)
 
 
@@ -121,8 +121,9 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     r0, r1, rm1 = (rep.poly(c) for c in (closure.r0, closure.r1, closure.rm1))
     a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
     for _ in range(m):
-        a_k, b_k, c_k = rep.right_mul(r0, b_k), a_k + rep.right_mul(r1, b_k), rep.right_mul(rm1, b_k)
-    return _closure_combination(rep, pair.eta, liouville(pair.h, pair.eta), a_k, b_k, c_k)
+        a_k, b_k, c_k = rep.mul(r0, b_k), a_k + rep.mul(r1, b_k), rep.mul(rm1, b_k)
+    eta = rep.gather(pair.eta)
+    return rep.scatter(_closure_combination(rep, eta, rep.liouville(eta), a_k, b_k, c_k))
 
 
 def _exp_difference(ctx: Context, t, x, y):
@@ -155,7 +156,7 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
     formed in the eigenbasis of H and moved back.  Bigreal only.
     """
     closed_form, _, back = _heisenberg_evaluator(pair, closure)
-    return back(closed_form(pair.ctx.num(t)))
+    return pair.rep.scatter(back(closed_form(pair.ctx.num(t))))
 
 
 def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
@@ -163,18 +164,20 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
 
     ``closed_form(t)`` is :func:`heisenberg_closed_form` and ``oracle(t)``
     the phase twist exp(i(E_a - E_b)t) of eta, both before ``back`` moves
-    them to the pair's basis.  Neither depends on the other: the oracle
-    uses only the energies, never alpha_+-.  What does not depend on t is
-    computed once, here: L eta (one commutator, in the pair's basis), the
-    eigenbasis images of eta and L eta, and (a+, a-, R_{-1}) at each
-    eigenvalue.  A spectrum is its own eigenbasis, and both moves are the
-    identity.
+    them to the pair's representation.  Neither depends on the other: the
+    oracle uses only the energies, never alpha_+-.  What does not depend
+    on t is computed once, here: L eta (one commutator, in the pair's
+    basis), the eigenbasis images of eta and L eta, and (a+, a-, R_{-1})
+    at each eigenvalue.  A spectrum is its own eigenbasis, both moves are
+    the identity, and everything stays on the eta support.
     """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    eigen, to, back = pair.rep.eigenbasis()
-    eta, l1 = to(pair.eta), to(liouville(pair.h, pair.eta))
+    rep = pair.rep
+    eigen, to, back = rep.eigenbasis()
+    eta = rep.gather(pair.eta)
+    eta, l1 = to(eta), to(rep.liouville(eta))
     points = []
     for i, e in enumerate(eigen.h):
         r1 = closure.r1_at(e)
@@ -191,7 +194,7 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
             avals.append(ctx.expj(am * t) - am * b)
             bvals.append(b)
             cvals.append(rm1 * _exp_second_difference(ctx, t, ap, am))
-        return _closure_combination(eigen, eta, l1, *(eigen.of_spectrum(v) for v in (avals, bvals, cvals)))
+        return _closure_combination(eigen, eta, l1, *(np.array(v, dtype=object) for v in (avals, bvals, cvals)))
 
     return closed_form, lambda t: eigen.conjugate_exp(eta, t), back
 
@@ -202,13 +205,14 @@ def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[l
     Both sides are formed in the eigenbasis of H from operators moved
     there once (:func:`_heisenberg_evaluator`), then each is moved back on
     its own and compared in the pair's basis, as the two public functions
-    would be.  Returns the max-abs deviation per time and whether every
-    one is within 1000 rel_eps max(|eta|, 1).
+    would be.  A spectrum pair compares them on the eta support plus the
+    diagonal; off it both are exact zeros.  Returns the max-abs deviation
+    per time and whether every one is within 1000 rel_eps max(|eta|, 1).
     """
     ctx = pair.ctx
     closed_form, oracle, back = _heisenberg_evaluator(pair, closure)
     devs = [max_abs(back(closed_form(t)) - back(oracle(t))) for t in map(ctx.num, times)]
-    bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.eta), ctx.one) * 1000
+    bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.rep.gather(pair.eta)), ctx.one) * 1000
     return devs, max(devs, default=ctx.zero) <= bound
 
 
@@ -224,10 +228,7 @@ class KrylovProfile:
 
     def sum_rule_defect(self, i: int):
         """|sum_n phi_n(t_i)^2 - 1|."""
-        total = self.ctx.zero
-        for v in self.phi[i]:
-            total = total + v * v
-        return abs(total - 1)
+        return abs(sum((v * v for v in self.phi[i]), self.ctx.zero) - 1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -5,10 +5,11 @@ exact rationals or mpmath numbers.  An :class:`OperatorPair` holds H in
 one of two representations, picked once from the shape of ``h``:
 
 * a spectrum -- H diagonal, stored as the 1-D array of its energies
-  (the energy basis).  Functions of H are 1-D arrays of their values,
-  commutators and Heisenberg evolution act elementwise, and the moment
-  oracle, the Lanczos chain and the profile all live on the support of
-  eta, folded to one entry per mirror pair (:class:`SupportBasis`).
+  (the energy basis).  Functions of H are 1-D arrays of their values, and
+  an operator is the vector of its entries on the eta support plus the
+  diagonal, where the closure and Heisenberg checks run elementwise.  The
+  moment oracle, the Lanczos chain and the profile fold that support to
+  one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
   Functions of H are dense matrices.  Spectral work happens in the
   eigenbasis: the eigendecomposition (E, Q) is computed at most once per
@@ -91,41 +92,9 @@ def zeros(n: int, ctx: Context) -> np.ndarray:
     return m
 
 
-def identity(n: int, ctx: Context) -> np.ndarray:
-    m = zeros(n, ctx)
-    for i in range(n):
-        m[i, i] = ctx.one
-    return m
-
-
-def operator_to_json(mat: np.ndarray, ctx: Context) -> str:
-    """Serialize a dense operator as {dim, entries} with string entries
-    (row-major), so exact rationals survive the round trip."""
-    import json
-
-    dim = mat.shape[0]
-    entries = [ctx.fmt(v) for v in mat.ravel()]
-    return json.dumps({"dim": dim, "entries": entries}, sort_keys=True)
-
-
-def operator_from_json(doc: str, ctx: Context) -> np.ndarray:
-    import json
-
-    data = json.loads(doc)
-    dim = data["dim"]
-    out = np.empty((dim, dim), dtype=object)
-    for i, s in enumerate(data["entries"]):
-        out[i // dim, i % dim] = ctx.num(s)
-    return out
-
-
 def conjugate(mat: np.ndarray) -> np.ndarray:
-    out = np.empty_like(mat)
-    flat_in = mat.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = v.conjugate() if hasattr(v, "_mpc_") else v
-    return out
+    flat = [v.conjugate() if hasattr(v, "_mpc_") else v for v in mat.ravel()]
+    return np.array(flat, dtype=object).reshape(mat.shape)
 
 
 def max_abs(mat: np.ndarray):
@@ -157,7 +126,7 @@ class OperatorPair:
             # class; otherwise arithmetic on them rounds at their own precision
             to_ctx = np.vectorize(self.ctx.num, otypes=[object])
             self.h, self.eta = to_ctx(self.h), to_ctx(self.eta)
-        self.rep = (_Spectrum if self.h.ndim == 1 else _Banded)(self.h, self.ctx)
+        self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx)
 
     @property
     def dim(self) -> int:
@@ -295,46 +264,66 @@ def _unchanged(v: np.ndarray) -> np.ndarray:
 class _Spectrum:
     """H diagonal, stored as the 1-D array of its energies.
 
-    A function f(H) is the 1-D array of its values on the spectrum, so
-    V f(H) scales the columns of V and V + f(H) touches only the diagonal.
+    An operator is the 1-D vector of its entries on the row-major entries
+    of (eta != 0) plus the diagonal, found once; without eta, on every
+    entry (the eigenbasis of a matrix H).  L V, V f(H), V + f(H) and the
+    phase twist act entry by entry and keep exact zeros zero, so the
+    closure relation and exp(iHt) eta exp(-iHt) live on those entries.  A
+    function f(H) is the 1-D array of its values on the spectrum.
     """
 
-    def __init__(self, h: np.ndarray, ctx: Context):
-        self.h = h
-        self.ctx = ctx
+    def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray | None = None):
+        self.h, self.ctx = h, ctx
+        entries = np.ones((len(h), len(h)), dtype=bool) if eta is None else eta != 0
+        np.fill_diagonal(entries, True)
+        self.rows, self.cols = np.nonzero(entries)
+        self.diag = np.flatnonzero(self.rows == self.cols)
 
-    def of_spectrum(self, values) -> np.ndarray:
-        """The function of H with the given values on the energies."""
-        return np.array(values, dtype=object)
+    def gather(self, mat: np.ndarray) -> np.ndarray:
+        return mat[self.rows, self.cols]
+
+    def scatter(self, vec: np.ndarray) -> np.ndarray:
+        """The matrix of VEC: off the list, exact zeros of its entries' kind."""
+        out = np.full((len(self.h), len(self.h)), self.ctx.zero * vec[0], dtype=object)
+        out[self.rows, self.cols] = vec
+        return out
+
+    def holding(self, mat: np.ndarray) -> _Spectrum:
+        """The same H on the entries of MAT, which may leave eta's support."""
+        return _Spectrum(self.h, self.ctx, mat)
+
+    def liouville(self, v: np.ndarray) -> np.ndarray:
+        return (self.h[self.rows] - self.h[self.cols]) * v
 
     def poly(self, coeffs) -> np.ndarray:
-        return self.of_spectrum([_polyval(coeffs, e) for e in self.h])
+        return np.array([_polyval(coeffs, e) for e in self.h], dtype=object)
 
     def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """V f(H); with V itself a function of H, their product."""
-        return v * f
+        """V f(H)."""
+        return v * f[self.cols]
+
+    def mul(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """f(H) g(H)."""
+        return f * g
 
     def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V + f(H)."""
-        out = np.array(v, dtype=object)
-        for i in range(out.shape[0]):
-            out[i, i] = out[i, i] + f[i]
+        out = v.copy()
+        out[self.diag] = v[self.diag] + f
         return out
 
     def as_function(self, m: np.ndarray):
         """(f, off): the function of H on the diagonal of M, and the
         largest |M_ab| off it, which a function of H must not have."""
-        n = m.shape[0]
-        off = max(
-            (abs(m[a, b]) for a in range(n) for b in range(n) if a != b),
-            default=self.ctx.zero,
-        )
-        return self.of_spectrum([m[i, i] for i in range(n)]), off
+        off = np.delete(m, self.diag)
+        return m[self.diag], max((abs(v) for v in off), default=self.ctx.zero)
 
     def conjugate_exp(self, v: np.ndarray, t) -> np.ndarray:
-        """exp(iHt) V exp(-iHt): the phase twist exp(i(E_a - E_b)t) V_ab."""
-        phases = [self.ctx.expj(e * t) for e in self.h]
-        return np.multiply.outer(phases, [p.conjugate() for p in phases]) * v
+        """exp(iHt) V exp(-iHt): the phase twist (p_a conj(p_b)) V_ab with
+        the phases p = exp(iEt)."""
+        phases = np.array([self.ctx.expj(e * t) for e in self.h], dtype=object)
+        conj = np.array([p.conjugate() for p in phases], dtype=object)
+        return phases[self.rows] * conj[self.cols] * v
 
     def eigenbasis(self) -> tuple[_Spectrum, object, object]:
         """(spectrum, to, back): H is diagonal already, so itself and the
@@ -348,9 +337,9 @@ class _Spectrum:
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
-    A function f(H) is a dense matrix.  Spectral work happens in the
-    eigenbasis H = Q diag(E) Q^T, computed on first use and kept, so each
-    pair runs :func:`eig_symmetric` at most once.
+    An operator, and a function f(H), is a dense matrix.  Spectral work
+    happens in the eigenbasis H = Q diag(E) Q^T, computed on first use and
+    kept, so each pair runs :func:`eig_symmetric` at most once.
     """
 
     def __init__(self, h: np.ndarray, ctx: Context):
@@ -358,32 +347,40 @@ class _Banded:
         self.ctx = ctx
         self._eigen = None
 
+    gather = scatter = staticmethod(_unchanged)
+
+    def holding(self, mat: np.ndarray) -> _Banded:
+        return self
+
+    def liouville(self, v: np.ndarray) -> np.ndarray:
+        return liouville(self.h, v)
+
     def eigenbasis(self) -> tuple[_Spectrum, object, object]:
-        """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum`,
-        V -> Q^T V Q into the eigenbasis and V -> Q V Q^T back, each two
-        :meth:`~krylov_exact.numeric.Context.matmul` products, which round
-        every entry once."""
+        """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum` on
+        every entry, V -> Q^T V Q into it (row-major) and V -> Q V Q^T back,
+        each two :meth:`~krylov_exact.numeric.Context.matmul` products,
+        which round every entry once."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
-            ctx, qt = self.ctx, q.T
+            ctx, qt, n = self.ctx, q.T, len(energies)
             self._eigen = (
                 _Spectrum(energies, ctx),
-                lambda v: ctx.matmul(ctx.matmul(qt, v), q),
-                lambda v: ctx.matmul(ctx.matmul(q, v), qt),
+                lambda v: ctx.matmul(ctx.matmul(qt, v), q).ravel(),
+                lambda v: ctx.matmul(ctx.matmul(q, v.reshape(n, n)), qt),
             )
         return self._eigen
 
     def poly(self, coeffs) -> np.ndarray:
-        acc = zeros(self.h.shape[0], self.ctx)
+        acc, diag = zeros(len(self.h), self.ctx), np.diag_indices(len(self.h))
         for k, c in enumerate(reversed(coeffs)):  # Horner: acc = acc H + c
-            if k:
-                acc = acc @ self.h
-            for i in range(self.h.shape[0]):
-                acc[i, i] = acc[i, i] + c
+            acc = acc @ self.h if k else acc
+            acc[diag] = acc[diag] + c
         return acc
 
     def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return v @ f
+
+    mul = right_mul
 
     def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         return v + f
@@ -404,11 +401,8 @@ class _Banded:
 def build_eta_position(spec: SystemSpec) -> np.ndarray:
     if not spec.is_finite:
         raise NotFiniteSystem(f"{spec.kind.value} has no position lattice")
-    ctx = spec.ctx
-    n = spec.dim
-    m = zeros(n, ctx)
-    for x in range(n):
-        m[x, x] = spec.eta(x)
+    m = zeros(spec.dim, spec.ctx)
+    np.fill_diagonal(m, [spec.eta(x) for x in range(spec.dim)])
     return m
 
 
@@ -419,8 +413,7 @@ def position_pair(spec: SystemSpec, allow_metric: bool = True) -> OperatorPair:
     ctx = spec.ctx
     n = spec.dim
     h = zeros(n, ctx)
-    for x in range(n):
-        h[x, x] = spec.B(x) + spec.D(x)
+    np.fill_diagonal(h, [spec.B(x) + spec.D(x) for x in range(n)])
     metric = _off_diagonals(
         h, [spec.B(x) for x in range(n - 1)], [spec.D(x + 1) for x in range(n - 1)],
         -1, ctx, allow_metric, "B(x)*D(x+1)", "position_pair",
@@ -475,12 +468,9 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None, allow_metric: bool =
     if n_max < 2:
         raise TruncationTooSmall("need n_max >= 2")
     dim = n_max + 1
-    energies = np.empty(dim, dtype=object)
-    for k in range(dim):
-        energies[k] = spec.energy(k)
+    energies = np.array([spec.energy(k) for k in range(dim)], dtype=object)
     eta = zeros(dim, ctx)
-    for k in range(dim):
-        eta[k, k] = spec.eta_diag(k)
+    np.fill_diagonal(eta, [spec.eta_diag(k) for k in range(dim)])
     metric = _off_diagonals(
         eta, [spec.ac_product(k) for k in range(dim - 1)], [ctx.one] * (dim - 1),
         1, ctx, allow_metric, "A(n)*C(n+1)", "energy_pair",
@@ -575,7 +565,8 @@ class SupportBasis:
         ctx, eta = pair.ctx, pair.eta
         self.dim = pair.dim
         self.ctx = ctx
-        rows, cols = np.nonzero(eta)
+        nonzero = pair.rep.gather(eta) != 0  # the entry list less diagonal zeros
+        rows, cols = pair.rep.rows[nonzero], pair.rep.cols[nonzero]
         self.size = len(rows)
         keep = (rows <= cols) | (eta[cols, rows] == 0)
         r, c = self.rows, self.cols = rows[keep], cols[keep]
@@ -927,13 +918,14 @@ def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.nda
     In the eigenbasis this is the phase twist exp(i(E_a - E_b)t) V_ab.  A
     matrix H moves V there and back, Q^T V Q and Q (.) Q^T, with fused
     products (:meth:`_Banded.eigenbasis`) and the eigendecomposition the
-    pair computes once; a spectrum needs no move.
+    pair computes once; a spectrum twists V on V's own nonzero entries.
     """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("Heisenberg evolution needs bigreal mode")
-    eigen, to, back = pair.rep.eigenbasis()
-    return back(eigen.conjugate_exp(to(v), ctx.num(t)))
+    rep = pair.rep.holding(v)
+    eigen, to, back = rep.eigenbasis()
+    return rep.scatter(back(eigen.conjugate_exp(to(rep.gather(v)), ctx.num(t))))
 
 
 def eig_symmetric(h: np.ndarray, ctx: Context):
@@ -944,63 +936,9 @@ def eig_symmetric(h: np.ndarray, ctx: Context):
     """
     if ctx.is_exact:
         raise ModeError("eigendecomposition needs bigreal mode")
-    n = h.shape[0]
-    m = ctx.mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = h[i, j]
-    evals, q = ctx.mp.eigsy(m)
-    order = sorted(range(n), key=lambda i: evals[i])
-    energies = np.empty(n, dtype=object)
-    qm = np.empty((n, n), dtype=object)
-    for col, i in enumerate(order):
-        energies[col] = evals[i]
-        for r in range(n):
-            qm[r, col] = q[r, i]
-    return energies, qm
-
-
-# ---------------------------------------------------------------------------
-# Structure checks used by the property tests and the verify suite
-# ---------------------------------------------------------------------------
-
-
-def hermiticity_defect(v: np.ndarray, metric: np.ndarray | None = None, sign: int = 1):
-    """Largest violation of (metric-twisted) symmetry V_ab g_b = sign V_ba g_a.
-
-    sign=+1 tests hermiticity of the honest representation, sign=-1
-    anti-hermiticity.  For complex entries the left side is conjugated.
-    """
-    n = v.shape[0]
-    worst = 0
-    for a in range(n):
-        for b in range(a, n):
-            lhs = v[a, b]
-            rhs = v[b, a]
-            if hasattr(lhs, "_mpc_"):
-                lhs = lhs.conjugate()
-            if metric is not None:
-                lhs = lhs * metric[b]
-                rhs = rhs * metric[a]
-            d = abs(rhs - sign * lhs)
-            if d > worst:
-                worst = d
-    return worst
-
-
-def random_metric_hermitian(n: int, ctx: Context, rng, metric=None) -> np.ndarray:
-    """Random matrix that is hermitian in the honest representation."""
-    m = zeros(n, ctx)
-    for a in range(n):
-        m[a, a] = ctx.frac(rng.randint(-9, 9), rng.randint(1, 7))
-        for b in range(a + 1, n):
-            v = ctx.frac(rng.randint(-9, 9), rng.randint(1, 7))
-            m[a, b] = v
-            if metric is None:
-                m[b, a] = v
-            else:
-                m[b, a] = v * metric[b] / metric[a]
-    return m
+    evals, q = ctx.mp.eigsy(ctx.mp.matrix(h.tolist()))
+    order = sorted(range(len(h)), key=lambda i: evals[i])
+    return np.array([evals[i] for i in order], dtype=object), np.array(q.tolist(), dtype=object)[:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -1018,17 +956,12 @@ def determinant(m: np.ndarray, ctx: Context):
     n = a.shape[0]
     det = ctx.one
     for col in range(n):
-        piv = None
+        rows = range(col, n)
         if ctx.is_exact:
-            for r in range(col, n):
-                if a[r, col] != 0:
-                    piv = r
-                    break
+            piv = next((r for r in rows if a[r, col] != 0), col)
         else:
-            piv = max(range(col, n), key=lambda r: abs(a[r, col]))
-            if a[piv, col] == 0:
-                piv = None
-        if piv is None:
+            piv = max(rows, key=lambda r: abs(a[r, col]))
+        if a[piv, col] == 0:
             return ctx.zero
         if piv != col:
             a[[col, piv]] = a[[piv, col]]

@@ -1,14 +1,29 @@
-"""Shared test data: valid rational parameter samples for every system.
+"""Shared test data and reference forms.
 
-The finite-system samples depend on N because several parameter ranges
-do (Racah needs a > N + d, the q-Krawtchouk variants bound p by powers
-of q).  Everything is kept as exact strings so both numeric modes parse
-them without rounding.
+Valid rational parameter samples for every system: the finite-system
+samples depend on N because several parameter ranges do (Racah needs
+a > N + d, the q-Krawtchouk variants bound p by powers of q).  They are
+kept as exact strings so both numeric modes parse them without rounding.
+
+Operator helpers the library does not need: the identity matrix, a JSON
+round trip, random metric-hermitian matrices and the hermiticity defect.
+
+The dense spectrum reference: the closure residual, the closure
+combination, the closed form and the phase twist of a spectrum pair
+(H diagonal, given by its energies) evaluated on every entry of dim x dim
+matrices, with the same operations per entry as the library's evaluation
+on the eta support.
 """
 
+import json
 from fractions import Fraction
 
-from krylov_exact import SystemKind
+import numpy as np
+
+from krylov_exact import SystemKind, liouville
+from krylov_exact.catalog import _polyval
+from krylov_exact.dynamics import _exp_difference, _exp_second_difference
+from krylov_exact.operators import solve_consistent, zeros
 
 FINITE_KINDS = [k for k in SystemKind if k.is_finite]
 THERMAL_KINDS = [k for k in SystemKind if not k.is_finite]
@@ -65,3 +80,135 @@ def param_samples(kind: SystemKind, N: int) -> list[dict]:
             {"q": "2/5", "d": "1/2", "b": "1/2", "a": _frac(q(2, 5) ** N / 4)},
         ]
     raise ValueError(f"no samples for {kind}")
+
+
+# ---------------------------------------------------------------------------
+# Operator helpers
+# ---------------------------------------------------------------------------
+
+
+def identity(n: int, ctx) -> np.ndarray:
+    m = zeros(n, ctx)
+    np.fill_diagonal(m, [ctx.one] * n)
+    return m
+
+
+def operator_to_json(mat: np.ndarray, ctx) -> str:
+    """Serialize a dense operator as {dim, entries} with string entries
+    (row-major), so exact rationals survive the round trip."""
+    dim = mat.shape[0]
+    entries = [ctx.fmt(v) for v in mat.ravel()]
+    return json.dumps({"dim": dim, "entries": entries}, sort_keys=True)
+
+
+def operator_from_json(doc: str, ctx) -> np.ndarray:
+    data = json.loads(doc)
+    dim = data["dim"]
+    out = np.empty((dim, dim), dtype=object)
+    for i, s in enumerate(data["entries"]):
+        out[i // dim, i % dim] = ctx.num(s)
+    return out
+
+
+def hermiticity_defect(v: np.ndarray, metric: np.ndarray | None = None, sign: int = 1):
+    """Largest violation of (metric-twisted) symmetry V_ab g_b = sign V_ba g_a.
+
+    sign=+1 tests hermiticity of the honest representation, sign=-1
+    anti-hermiticity.  For complex entries the left side is conjugated.
+    """
+    n = v.shape[0]
+    worst = 0
+    for a in range(n):
+        for b in range(a, n):
+            lhs = v[a, b]
+            rhs = v[b, a]
+            if hasattr(lhs, "_mpc_"):
+                lhs = lhs.conjugate()
+            if metric is not None:
+                lhs = lhs * metric[b]
+                rhs = rhs * metric[a]
+            d = abs(rhs - sign * lhs)
+            if d > worst:
+                worst = d
+    return worst
+
+
+def random_metric_hermitian(n: int, ctx, rng, metric=None) -> np.ndarray:
+    """Random matrix that is hermitian in the honest representation."""
+    m = zeros(n, ctx)
+    for a in range(n):
+        m[a, a] = ctx.frac(rng.randint(-9, 9), rng.randint(1, 7))
+        for b in range(a + 1, n):
+            v = ctx.frac(rng.randint(-9, 9), rng.randint(1, 7))
+            m[a, b] = v
+            if metric is None:
+                m[b, a] = v
+            else:
+                m[b, a] = v * metric[b] / metric[a]
+    return m
+
+
+# ---------------------------------------------------------------------------
+# Dense spectrum reference
+# ---------------------------------------------------------------------------
+
+
+def dense_poly(pair, coeffs) -> np.ndarray:
+    return np.array([_polyval(coeffs, e) for e in pair.h], dtype=object)
+
+
+def dense_combination(eta, l1, a, b, c) -> np.ndarray:
+    """eta a(H) + (L eta) b(H) + c(H): V f(H) scales the columns, and
+    c(H) is added on the diagonal."""
+    out = eta * a + l1 * b
+    for i in range(out.shape[0]):
+        out[i, i] = out[i, i] + c[i]
+    return out
+
+
+def dense_conjugate_exp(pair, v, t) -> np.ndarray:
+    """The phase twist (p_a conj(p_b)) V_ab with p = exp(iEt)."""
+    phases = [pair.ctx.expj(e * t) for e in pair.h]
+    return np.multiply.outer(phases, [p.conjugate() for p in phases]) * v
+
+
+def dense_closure(pair, spec=None):
+    """(rm1, residual) of :func:`~krylov_exact.verify_closure`, fitted from
+    the dense residual M = L^2 eta - eta R_0(H) - (L eta) R_1(H)."""
+    spec = spec or pair.spec
+    ctx = pair.ctx
+    l1 = liouville(pair.h, pair.eta)
+    l2 = liouville(pair.h, l1)
+    m = l2 - pair.eta * dense_poly(pair, spec.r0_coeffs) - l1 * dense_poly(pair, spec.r1_coeffs)
+    residual = max(abs(v) for v in liouville(pair.h, m).ravel())
+    n = pair.dim
+    one, zero = ctx.one, ctx.zero
+    cols = [dense_poly(pair, c) for c in ((one,), (zero, one), (zero, zero, one))]
+    rm1 = solve_consistent(cols, np.array([m[i, i] for i in range(n)], dtype=object), ctx)
+    return tuple(rm1), residual
+
+
+def dense_liouville_power(pair, closure, m: int) -> np.ndarray:
+    """L^m eta from the closure recurrence, as functions on the spectrum."""
+    ctx = pair.ctx
+    r0, r1, rm1 = (dense_poly(pair, c) for c in (closure.r0, closure.r1, closure.rm1))
+    a_k, b_k, c_k = dense_poly(pair, (ctx.one,)), dense_poly(pair, (ctx.zero,)), dense_poly(pair, (ctx.zero,))
+    for _ in range(m):
+        a_k, b_k, c_k = r0 * b_k, a_k + r1 * b_k, rm1 * b_k
+    return dense_combination(pair.eta, liouville(pair.h, pair.eta), a_k, b_k, c_k)
+
+
+def dense_closed_form(pair, closure, t) -> np.ndarray:
+    """exp(iHt) eta exp(-iHt) = eta A(H) + (L eta) B(H) + C(H)."""
+    ctx = pair.ctx
+    avals, bvals, cvals = [], [], []
+    for e in pair.h:
+        r1 = closure.r1_at(e)
+        root = ctx.sqrt(r1 * r1 + 4 * closure.r0_at(e))
+        ap, am = (r1 + root) / 2, (r1 - root) / 2
+        b = _exp_difference(ctx, t, ap, am)
+        avals.append(ctx.expj(am * t) - am * b)
+        bvals.append(b)
+        cvals.append(closure.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
+    values = (np.array(v, dtype=object) for v in (avals, bvals, cvals))
+    return dense_combination(pair.eta, liouville(pair.h, pair.eta), *values)

@@ -244,3 +244,26 @@ def test_verify_all_reports_setup_rows(capsys):
     rows = out.splitlines()
     assert rows[-1] == "FAILURES present"
     assert len(rows[:-1]) == 16 and all(r.split()[1] == "setup" for r in rows[:-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--system", "gegenbauer"], ["--system", "krawtchouk", "-K", "2"], ["--all", "--param", "nosuch=1"]],
+)
+def test_verify_json_matches_the_table(capsys, argv):
+    code, text, _ = run(capsys, "verify", *argv)
+    json_code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    doc = json.loads(out)
+    assert json_code == code
+    assert doc["passed"] is (text.splitlines()[-1] == "all checks passed")
+    # one text row per check, or per system that could not be set up
+    table = [(line.split()[0], line.split()[2] == "pass") for line in text.splitlines()[:-1]]
+    rows = [
+        (s["system"], c["passed"])
+        for s in doc["systems"]
+        for c in (s["checks"] if "checks" in s else [{"passed": False}])
+    ]
+    assert rows == table
+    assert all(set(c) == {"name", "expected", "got", "passed"} for s in doc["systems"] for c in s.get("checks", []))
+    configured = [s for s in doc["systems"] if "config" in s]
+    assert all(s["config"]["system"] == s["system"] for s in configured)

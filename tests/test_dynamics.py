@@ -354,19 +354,20 @@ def test_run_system_checks_fits_closure_once(ctx, bctx, monkeypatch, mode):
 
 
 def test_heisenberg_check_forms_l_eta_once(bctx, monkeypatch):
-    import krylov_exact.dynamics as dynamics_mod
+    # the matrix representation's commutator is the banded kernel
+    import krylov_exact.operators as operators_mod
 
     spec = make_system("hahn", 6, {"a": "1", "b": "3/2"}, bctx)
     pair = position_pair(spec)
     cl = verify_closure(pair)
     calls = []
-    real = dynamics_mod.liouville
+    real = operators_mod.liouville
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(dynamics_mod, "liouville", counting)
+    monkeypatch.setattr(operators_mod, "liouville", counting)
     devs, ok = heisenberg_check(pair, cl, HEISENBERG_TIMES)
     assert ok and len(calls) == 1
     # the same deviations as the closed form evaluated time by time

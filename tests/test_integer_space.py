@@ -22,9 +22,9 @@ from krylov_exact import (
     trace_inner,
 )
 from krylov_exact import operators as operators_module
-from krylov_exact.operators import POSITION, random_metric_hermitian
+from krylov_exact.operators import POSITION
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, param_samples, random_metric_hermitian
 
 
 def _reference_dot(pair):

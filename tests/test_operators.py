@@ -30,16 +30,17 @@ from krylov_exact.errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from krylov_exact.operators import (
-    eig_symmetric,
+from krylov_exact.operators import eig_symmetric, max_abs, zeros
+
+from helpers import (
+    FINITE_KINDS,
     hermiticity_defect,
     identity,
-    max_abs,
+    operator_from_json,
+    operator_to_json,
+    param_samples,
     random_metric_hermitian,
-    zeros,
 )
-
-from helpers import FINITE_KINDS, param_samples
 
 
 def test_hamiltonian_krawtchouk_n1(ctx):
@@ -429,8 +430,6 @@ def test_energy_position_moment_equivalence(ctx, kind):
 
 
 def test_operator_json_roundtrip(ctx, bctx):
-    from krylov_exact.operators import operator_from_json, operator_to_json
-
     spec = make_system("q-hahn", 3, {"a": "1/2", "b": "1/3", "q": "1/2"}, ctx)
     pair = position_pair(spec)
     back = operator_from_json(operator_to_json(pair.h, ctx), ctx)

@@ -595,7 +595,7 @@ def _check_q(P, fail):
 
 #: Probe levels used to validate the positivity data of the thermal
 #: systems; a dense low range plus a sparse tail up to 10_000.
-_PROBE_TAIL = (1000, 2000, 5000, 10_000)
+_PROBE_LEVELS = (*range(257), 1000, 2000, 5000, 10_000)
 
 
 def make_system(
@@ -603,12 +603,11 @@ def make_system(
     N: int | None = None,
     params: dict | None = None,
     ctx: Context | None = None,
-    n_probe: int = 256,
 ) -> SystemSpec:
     """Build and validate a system specification.
 
     Finite systems are scanned exhaustively over x, n in 0..N; thermal
-    systems are probed on 0..n_probe plus a sparse tail to 10_000.
+    systems are probed on 0..256 plus a sparse tail to 10_000.
     Violations raise with the offending index in the message.
     """
     if isinstance(kind, str):
@@ -630,7 +629,12 @@ def make_system(
     elif N is not None:
         raise ParameterOutOfRange(f"{kind.value} is infinite; N does not apply")
 
-    typed = {name: ctx.num(v) for name, v in params.items()}
+    typed = {}
+    for name, v in params.items():
+        try:
+            typed[name] = ctx.num(v)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterOutOfRange(f"{kind.value}: {name}={v!r} is not a number") from None
     _range_checks(kind, N, typed, ctx)
 
     fns = _BUILDERS[kind](ctx, N, typed)
@@ -651,11 +655,11 @@ def make_system(
         fns["eta_diag"] = lambda n: -(fns["A"](n) + fns["C"](n))
 
     spec = SystemSpec(kind=kind, N=N, params=typed, ctx=ctx, _fns=fns)
-    _validate_positivity(spec, n_probe)
+    _validate_positivity(spec)
     return spec
 
 
-def _validate_positivity(spec: SystemSpec, n_probe: int):
+def _validate_positivity(spec: SystemSpec):
     kind = spec.kind.value
     try:
         if spec.is_finite:
@@ -683,13 +687,12 @@ def _validate_positivity(spec: SystemSpec, n_probe: int):
                 if n < N and not spec.energy(n + 1) > spec.energy(n):
                     raise PositivityViolation(f"{kind}: energy not increasing at n={n}")
         else:
-            levels = list(range(n_probe + 1)) + [m for m in _PROBE_TAIL if m > n_probe]
             if spec.energy(0) != 0:
                 raise PositivityViolation(f"{kind}: energy(0) must vanish")
-            for n in levels:
+            for n in _PROBE_LEVELS:
                 if not spec.ac_product(n) > 0:
                     raise PositivityViolation(f"{kind}: A({n})*C({n+1}) <= 0")
-            for n in levels[:64]:
+            for n in _PROBE_LEVELS[:64]:
                 if not spec.energy(n + 1) > spec.energy(n):
                     raise PositivityViolation(f"{kind}: energy not increasing at n={n}")
     except ZeroDivisionError as exc:
@@ -704,7 +707,7 @@ def alpha_pm(spec: SystemSpec, n: int):
     return spec.alpha_plus(n), spec.alpha_minus(n)
 
 
-def spectrum_shift_relations(spec: SystemSpec, n: int, tol=None) -> bool:
+def spectrum_shift_relations(spec: SystemSpec, n: int) -> bool:
     """Check the six shift identities linking the spectrum and frequencies.
 
     Valid for 1 <= n <= N-1 (finite) or any n >= 1 (thermal); the core
@@ -724,7 +727,7 @@ def spectrum_shift_relations(spec: SystemSpec, n: int, tol=None) -> bool:
         (ap(n - 1), -am(n)),
         (am(n + 1), -ap(n)),
     ]
-    return all(ctx.close(lhs, rhs, tol) for lhs, rhs in checks)
+    return all(ctx.close(lhs, rhs) for lhs, rhs in checks)
 
 
 # ---------------------------------------------------------------------------

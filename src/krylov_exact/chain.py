@@ -58,8 +58,9 @@ class LanczosCoefficients:
 def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) -> LanczosCoefficients:
     """Recover b_1^2 .. b_K^2 from mu_0 .. mu_2K.
 
-    A vanishing intermediate squared norm terminates the chain; a
-    negative one (beyond tolerance) raises
+    Each step forms b_k^2 = h_k / h_{k-1}, where h_{k-1} > 0.  A b_k^2
+    that :meth:`~krylov_exact.numeric.Context.is_zero` terminates the
+    chain; a negative one raises
     :class:`~krylov_exact.errors.NegativeBSquared` because the sequence
     is then not a moment sequence.
     """
@@ -73,7 +74,6 @@ def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) ->
     if not mus or mus[0] != 1:
         raise NonUnitMuZero("moment tables must start with mu_0 = 1")
     K = (len(mus) - 1) // 2
-    tol = ctx.default_tolerance()
 
     def dot(p, q):
         s = ctx.zero
@@ -93,20 +93,12 @@ def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) ->
     stop = None
     for k in range(1, K + 1):
         h_cur = dot(p_cur, p_cur)
-        if ctx.is_exact:
-            if h_cur == 0:
-                stop = k - 1
-                break
-            if h_cur < 0:
-                raise NegativeBSquared(f"h_{k} = {ctx.fmt(h_cur)} < 0")
-        else:
-            b2_probe = h_cur / h_prev
-            if abs(b2_probe) <= tol.zero_eps:
-                stop = k - 1
-                break
-            if b2_probe < 0:
-                raise NegativeBSquared(f"b_{k}^2 = {ctx.fmt(b2_probe)} < 0")
         b2 = h_cur / h_prev
+        if ctx.is_zero(b2):
+            stop = k - 1
+            break
+        if b2 < 0:
+            raise NegativeBSquared(f"b_{k}^2 = {ctx.fmt(b2)} < 0")
         b2s.append(b2)
         # p_{k+1} = x*p_k - b_k^2 * p_{k-1}
         nxt = [ctx.zero] + list(p_cur)
@@ -158,9 +150,7 @@ def b123_closed_forms(table: MomentTable):
     b1 = mu2
     b2 = mu4 / mu2 - mu2
     gap = mu4 - mu2 * mu2
-    tol = ctx.default_tolerance()
-    degenerate = gap == 0 if ctx.is_exact else abs(gap) <= tol.zero_eps
-    if degenerate:
+    if ctx.is_zero(gap):
         raise DegenerateChain("mu_4 = mu_2^2: chain stops at b_2, b_3 undefined")
     b3 = mu2 * (mu6 - 2 * mu2 * mu4 + mu2**3) / (mu2 * gap) - mu4 / mu2 + mu2
     return b1, b2, b3
@@ -195,25 +185,14 @@ def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
     return lhs, rhs, naive_fails
 
 
-STOPS_AT_O1 = "StopsAtO1"
-STOPS_AT_O2 = "StopsAtO2"
-
-
 @dataclass(frozen=True)
 class ChainClassification:
     stop_index: int | None
     label: str
 
-    def to_json_dict(self) -> dict:
-        return {"stop_index": self.stop_index, "classification": self.label}
-
 
 def classify_stop(coeffs: LanczosCoefficients, K: int) -> ChainClassification:
     stop = coeffs.stop_index
-    if stop == 1:
-        return ChainClassification(1, STOPS_AT_O1)
-    if stop == 2:
-        return ChainClassification(2, STOPS_AT_O2)
     if stop is None:
         return ChainClassification(None, f"NoEarlyStop({K})")
     return ChainClassification(stop, f"StopsAtO{stop}")
@@ -234,9 +213,11 @@ def detect_noncomplexity(
     return classify_stop(coeffs, K)
 
 
-def chain_report(
-    spec: SystemSpec, beta=None, K: int = 6, hankel_n: int = 2, tail_tol=None
-) -> dict:
+#: Order n of the Hankel determinant a chain report checks.
+HANKEL_N = 2
+
+
+def chain_report(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) -> dict:
     """JSON-ready chain report for one system."""
     ctx = spec.ctx
     table = moments_closed(spec, K=K, beta=beta, tail_tol=tail_tol)
@@ -244,10 +225,10 @@ def chain_report(
     cls = classify_stop(coeffs, K)
     doc = coeffs.to_json_dict()
     doc["classification"] = cls.label
-    if table.order >= 2 * hankel_n:
-        lhs, rhs, naive_fails = hankel_check(table, coeffs, hankel_n)
+    if table.order >= 2 * HANKEL_N:
+        lhs, rhs, naive_fails = hankel_check(table, coeffs, HANKEL_N)
         doc["hankel"] = {
-            "n": hankel_n,
+            "n": HANKEL_N,
             "lhs": ctx.fmt(lhs),
             "rhs": ctx.fmt(rhs),
             "naive_formula_fails": naive_fails,

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument(
         "--t-grid",
-        nargs="*",
+        nargs="+",
         default=HEISENBERG_TIMES,
         metavar="T",
         help="times to test",
@@ -150,7 +150,20 @@ def _resolve_context(args, kind: SystemKind | None) -> Context:
     precision = args.precision if args.precision is not None else _default_precision()
     if precision < 30 and mode == BIGREAL:
         raise ConfigError("--precision: bigreal precision must be at least 30")
-    return Context(mode, precision)
+    ctx = Context(mode, precision)
+    for flag, raw in (("--beta", args.beta), ("--tail-tol", args.tail_tol)):
+        if raw is not None and not _number(ctx, flag, raw) > 0:
+            raise ConfigError(f"{flag}: must be positive, got {raw!r}")
+    return ctx
+
+
+def _number(ctx: Context, flag: str, raw: str):
+    """``raw`` as a scalar of ``ctx``; a malformed value is a
+    configuration error naming ``flag``."""
+    try:
+        return ctx.num(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag}: not a number: {raw!r}") from None
 
 
 def _parse_kind(name) -> SystemKind:
@@ -266,11 +279,13 @@ def cmd_lanczos(args) -> int:
 
 def _time_grid(args, ctx):
     start, stop, count = args.t_grid
-    count = int(count)
+    try:
+        count = int(count)
+    except ValueError:
+        raise ConfigError(f"--t-grid: COUNT must be an integer, got {count!r}") from None
     if count < 1:
         raise ConfigError("--t-grid: COUNT must be positive")
-    t0 = ctx.num(start)
-    t1 = ctx.num(stop)
+    t0, t1 = _number(ctx, "--t-grid", start), _number(ctx, "--t-grid", stop)
     if count == 1:
         return [t0]
     step = (t1 - t0) / (count - 1)
@@ -316,8 +331,9 @@ def cmd_heisenberg_check(args) -> int:
         pair = position_pair(spec)
     else:
         pair = _thermal_pair(args, spec)
+    times = [_number(ctx, "--t-grid", t) for t in args.t_grid]
     closure = verify_closure(pair, spec)
-    devs, passed = heisenberg_check(pair, closure, args.t_grid)
+    devs, passed = heisenberg_check(pair, closure, times)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
     config = _resolved_config(args, spec, ctx)
     doc = {"config": config, "checks": rows, "passed": bool(passed)}
@@ -406,6 +422,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "K", 1) < 1:
             raise ConfigError(f"-K: must be at least 1, got {args.K}")
+        if getattr(args, "N", None) is not None and args.N < 1:
+            raise ConfigError(f"-N: must be at least 1, got {args.N}")
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import SystemSpec, _polyval
 from .errors import ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
-from .numeric import Context, Tolerance
+from .numeric import Context
 from .operators import (
     InnerProduct,
     OperatorChain,
@@ -54,39 +54,38 @@ class ClosureData:
         return _polyval(self.rm1, e)
 
 
-def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None, tol: Tolerance | None = None) -> ClosureData:
+def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None) -> ClosureData:
     """Reconstruct R_{-1} from the double-commutator residual.
 
     Computes M = L^2 eta - eta R_0(H) - (L eta) R_1(H), demands that it
     commute with H, fits it as a polynomial of H of degree at most 2,
-    and returns the fitted diagonal.  A residual that fails either test
-    raises :class:`~krylov_exact.errors.ClosureViolated`.  A spectrum
-    pair works on the eta support plus the diagonal only.
+    and returns the fitted diagonal.  A defect beyond 10 rel_eps max(|M|,
+    1), which is 0 in exact mode, raises
+    :class:`~krylov_exact.errors.ClosureViolated`.  A spectrum pair works
+    on the eta support plus the diagonal only.
     """
     spec = spec or pair.spec
     if spec is None:
         raise ClosureViolated("closure data needs the system's R_0, R_1")
     ctx = pair.ctx
-    tol = tol or ctx.default_tolerance()
     rep = pair.rep
     r0, r1 = tuple(spec.r0_coeffs), tuple(spec.r1_coeffs)
     eta = rep.gather(pair.eta)
     l1 = rep.liouville(eta)
     l2 = rep.liouville(l1)
     m = l2 - rep.right_mul(eta, rep.poly(r0)) - rep.right_mul(l1, rep.poly(r1))
-    scale = max(max_abs(m), ctx.one)
-    comm = rep.liouville(m)
-    worst = max_abs(comm)
-    if (ctx.is_exact and worst != 0) or (not ctx.is_exact and worst > tol.rel_eps * scale * 10):
+    bound = ctx.default_tolerance().rel_eps * max(max_abs(m), ctx.one) * 10
+    worst = max_abs(rep.liouville(m))
+    if worst > bound:
         raise ClosureViolated(f"residual does not commute with H (defect {ctx.fmt(worst)})")
     m_of_h, off = rep.as_function(m)
-    if (ctx.is_exact and off != 0) or (not ctx.is_exact and off > tol.rel_eps * scale * 10):
+    if off > bound:
         raise ClosureViolated(f"residual off-diagonal {ctx.fmt(off)}")
 
     # fit M = c0 + c1 H + c2 H^2
     one, zero = ctx.one, ctx.zero
     cols = [rep.poly(c) for c in ((one,), (zero, one), (zero, zero, one))]
-    coeffs = solve_consistent(cols, m_of_h, ctx, tol)
+    coeffs = solve_consistent(cols, m_of_h, ctx)
     if coeffs is None:
         raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
     rm1 = tuple(coeffs)

@@ -138,8 +138,7 @@ def moments_closed_thermal(
     beta = ctx.num(beta if beta is not None else 1)
     if not beta > 0:
         raise TailNotConvergent("beta must be positive")
-    tol = ctx.default_tolerance()
-    tail_tol = ctx.num(tail_tol) if tail_tol is not None else tol.rel_eps
+    tail_tol = ctx.num(tail_tol) if tail_tol is not None else ctx.default_tolerance().rel_eps
 
     numer = [ctx.zero] * K  # series for mu_2, mu_4, ..., mu_2K
     denom = ctx.zero  # Z * |eta|_beta^2

@@ -3,10 +3,15 @@
 Two numeric modes cover everything in the package:
 
 * ``exact``   -- rational arithmetic (gmpy2.mpq when available, otherwise
-  fractions.Fraction).  Closed under field operations with no rounding,
-  so equality tests are exact and zero detection is literal.
+  fractions.Fraction).  Closed under field operations with no rounding.
 * ``bigreal`` -- arbitrary-precision floating point via mpmath, correctly
   rounded at the configured number of decimal digits (at least 30).
+
+Both modes compare by one rule, with the thresholds of the context's
+:class:`Tolerance`: x is zero when |x| <= zero_eps, and x is close to y
+when |x - y| <= rel_eps * max(|x|, |y|, 1).  Both thresholds are 0 in
+exact mode, so there the rule is literal equality; in bigreal mode they
+are 10**(10 - digits).
 
 A :class:`Context` fixes the mode once; every public operation receives
 values created through its context.  Values of foreign modes raise
@@ -101,17 +106,20 @@ def _is_mp(x) -> bool:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Zero-declaration and relative comparison thresholds.
+    """The two thresholds of the comparison rule (:meth:`Context.is_zero`,
+    :meth:`Context.close`).
 
-    In exact mode both are exactly 0.  In bigreal mode the defaults scale
-    as ``10**(-precision + 10)``: the absolute ``zero_eps`` feeds chain
-    stop detection, the relative ``rel_eps`` feeds value comparisons.
+    Both are exactly 0 in exact mode, where the rule is equality.  In
+    bigreal mode both are ``10**(10 - precision)``: the absolute
+    ``zero_eps`` feeds zero tests such as chain stops, the relative
+    ``rel_eps`` feeds value comparisons.
     """
 
     zero_eps: object
     rel_eps: object
 
     @classmethod
+    @cache
     def for_mode(cls, mode: str, precision: int = DEFAULT_PRECISION) -> "Tolerance":
         if mode == EXACT:
             return cls(0, 0)
@@ -289,19 +297,11 @@ class Context:
     def default_tolerance(self) -> Tolerance:
         return Tolerance.for_mode(self.mode, self.precision)
 
-    def is_zero(self, x, tol: Tolerance | None = None) -> bool:
-        """Zero test: literal in exact mode, |x| <= zero_eps in bigreal."""
-        if self.is_exact:
-            return x == 0
-        tol = tol or self.default_tolerance()
-        return abs(x) <= tol.zero_eps
+    def is_zero(self, x) -> bool:
+        """|x| <= zero_eps: literal x == 0 in exact mode."""
+        return abs(x) <= self.default_tolerance().zero_eps
 
-    def close(self, x, y, tol: Tolerance | None = None) -> bool:
-        """Equality up to rel_eps (relative to the larger magnitude)."""
-        if self.is_exact:
-            return x == y
-        tol = tol or self.default_tolerance()
-        diff = abs(x - y)
+    def close(self, x, y) -> bool:
+        """|x - y| <= rel_eps * max(|x|, |y|, 1): literal x == y in exact mode."""
         scale = max(abs(x), abs(y), self.one)
-        return diff <= tol.rel_eps * scale
-
+        return abs(x - y) <= self.default_tolerance().rel_eps * scale

@@ -80,7 +80,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, Tolerance, exact_sqrt, rational
+from .numeric import Context, exact_sqrt, rational
 
 POSITION = "position"
 ENERGY = "energy"
@@ -611,18 +611,18 @@ class SupportBasis:
         """(U, V) for U and V of opposite parity."""
         return self.ctx.dot(self.wminus * u, v)
 
-    def lanczos_stride(self, tol: Tolerance) -> int:
+    def lanczos_stride(self) -> int:
         """Check that the chain may run here and return the stride of its
         reorthogonalisation.
 
         The chain takes a_n = (O_n, L O_n) = 0, a cross-parity dot, so
-        every w- must vanish: literally in exact mode, within rel_eps * w+
-        in bigreal.  Vectors of opposite parity are then orthogonal and
+        every w- must vanish: |w-| <= rel_eps * |w+|, which is w- = 0 in
+        exact mode.  Vectors of opposite parity are then orthogonal and
         only every second earlier vector is needed.
         """
-        exact = self.ctx.is_exact
+        rel_eps = self.ctx.default_tolerance().rel_eps
         for s, (wm, wp) in enumerate(zip(self.wminus, self.wplus)):
-            if (wm != 0) if exact else (abs(wm) > tol.rel_eps * abs(wp)):
+            if abs(wm) > rel_eps * abs(wp):
                 a, b = self.rows[s], self.cols[s]
                 raise MirrorAsymmetry(
                     f"eta entries ({a}, {b}) and ({b}, {a}) are not mirror images under the "
@@ -696,7 +696,7 @@ class _MatrixSpace:
 
     cross_dot = dot
 
-    def lanczos_stride(self, tol: Tolerance) -> int:
+    def lanczos_stride(self) -> int:
         return 1
 
     def overlaps(self, ops: list):
@@ -801,7 +801,7 @@ class _IntegerSpace:
 
     cross_dot = dot
 
-    def lanczos_stride(self, tol: Tolerance) -> int:
+    def lanczos_stride(self) -> int:
         return 1
 
 
@@ -809,28 +809,26 @@ def operator_lanczos(
     pair: OperatorPair,
     ip: InnerProduct | None = None,
     k_max: int | None = None,
-    tol: Tolerance | None = None,
 ) -> OperatorChain:
     """Orthonormalise the Krylov chain seeded by eta.
 
     Iterates W_k = L O_k - b_k O_{k-1}, b_{k+1} = |W_k|, stopping at
     k_max, at the dimension of the space the chain lives in (dim**2, or
-    the eta support for a diagonal H), or when b_{k+1} is declared zero
-    by the tolerance.
+    the eta support for a diagonal H), or when b_{k+1}
+    :meth:`~krylov_exact.numeric.Context.is_zero`.
     """
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    tol = tol or ctx.default_tolerance()
     space = pair.rep.space(pair, ip)
     k_max = space.size if k_max is None else min(k_max, space.size)
-    stride = space.lanczos_stride(tol)
+    stride = space.lanczos_stride()
 
     if ctx.is_exact:
         return _lanczos_exact(space, pair.eta, k_max, ctx)
 
     seed = space.gather(pair.eta)
     nrm2 = space.dot(seed, seed)
-    if ctx.is_zero(nrm2, tol):
+    if ctx.is_zero(nrm2):
         raise ZeroEta("eta has zero norm")
     o_prev = None
     o_cur = seed / ctx.sqrt(nrm2)
@@ -854,7 +852,7 @@ def operator_lanczos(
             w = w - o_j * ctx.dot(d_j, w)
         b2 = space.dot(w, w)
         b = ctx.sqrt(b2)
-        if ctx.is_zero(b, tol):
+        if ctx.is_zero(b):
             stopped = True
             break
         o_prev, o_cur = o_cur, w / b
@@ -947,20 +945,14 @@ def eig_symmetric(h: np.ndarray, ctx: Context):
 
 
 def determinant(m: np.ndarray, ctx: Context):
-    """Determinant by fraction-free-ish Gaussian elimination.
-
-    Exact mode pivots on any nonzero entry; bigreal uses partial
-    pivoting on magnitude.
+    """Determinant by Gaussian elimination with partial pivoting on
+    magnitude (in exact mode the pivot does not change the result).
     """
     a = np.array(m, dtype=object)
     n = a.shape[0]
     det = ctx.one
     for col in range(n):
-        rows = range(col, n)
-        if ctx.is_exact:
-            piv = next((r for r in rows if a[r, col] != 0), col)
-        else:
-            piv = max(rows, key=lambda r: abs(a[r, col]))
+        piv = max(range(col, n), key=lambda r: abs(a[r, col]))
         if a[piv, col] == 0:
             return ctx.zero
         if piv != col:
@@ -975,38 +967,25 @@ def determinant(m: np.ndarray, ctx: Context):
     return det
 
 
-def solve_consistent(columns: list, target: np.ndarray, ctx: Context, tol: Tolerance | None = None):
+def solve_consistent(columns: list, target: np.ndarray, ctx: Context):
     """Solve an overdetermined linear system sum_j c_j columns[j] = target.
 
-    All arrays are flattened.  Returns the coefficient list if the system
-    is consistent (exactly in exact mode, within tolerance otherwise),
-    else None.
+    All arrays are flattened.  Elimination pivots on the largest
+    magnitude and skips a column whose pivot ``ctx.is_zero``.  Returns the
+    coefficient list if the system is consistent, else None: every
+    residual within rel_eps * max(|target|, 1) and the reconstruction
+    within 4 times that, both exactly zero in exact mode.
     """
-    tol = tol or ctx.default_tolerance()
+    rel_eps = ctx.default_tolerance().rel_eps
     cols = [np.asarray(c, dtype=object).ravel() for c in columns]
     rhs = np.asarray(target, dtype=object).ravel()
-    mrows = len(rhs)
-    k = len(cols)
-    a = np.empty((mrows, k + 1), dtype=object)
-    for j, c in enumerate(cols):
-        a[:, j] = c
-    a[:, k] = rhs
+    mrows, k = len(rhs), len(cols)
+    a = np.column_stack(cols + [rhs])
     row = 0
     pivots = []
     for col in range(k):
-        piv = None
-        best = None
-        for r in range(row, mrows):
-            val = a[r, col]
-            if ctx.is_exact:
-                if val != 0:
-                    piv = r
-                    break
-            else:
-                if best is None or abs(val) > best:
-                    best = abs(val)
-                    piv = r
-        if piv is None or (not ctx.is_exact and ctx.is_zero(a[piv, col], tol)):
+        piv = max(range(row, mrows), key=lambda r: abs(a[r, col]))
+        if ctx.is_zero(a[piv, col]):
             continue
         a[[row, piv]] = a[[piv, row]]
         inv = 1 / a[row, col]
@@ -1020,13 +999,8 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context, tol: Toler
             break
     # consistency: remaining rows must have zero rhs
     scale = max([abs(v) for v in rhs] + [ctx.one])
-    for r in range(row, mrows):
-        resid = a[r, k]
-        if ctx.is_exact:
-            if resid != 0:
-                return None
-        elif abs(resid) > tol.rel_eps * scale:
-            return None
+    if any(abs(a[r, k]) > rel_eps * scale for r in range(row, mrows)):
+        return None
     coeffs = [ctx.zero] * k
     for r, col in enumerate(pivots):
         coeffs[col] = a[r, k]
@@ -1034,11 +1008,6 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context, tol: Toler
     recon = np.array([ctx.zero] * mrows, dtype=object)
     for j, c in enumerate(cols):
         recon = recon + c * coeffs[j]
-    for i in range(mrows):
-        diff = recon[i] - rhs[i]
-        if ctx.is_exact:
-            if diff != 0:
-                return None
-        elif abs(diff) > 4 * tol.rel_eps * scale:
-            return None
+    if any(abs(x - y) > 4 * rel_eps * scale for x, y in zip(recon, rhs)):
+        return None
     return coeffs

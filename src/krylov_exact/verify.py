@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .catalog import SystemKind, SystemSpec, spectrum_shift_relations
-from .chain import b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
+from .chain import HANKEL_N, b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
 from .dynamics import HEISENBERG_TIMES, closure_diagonal_identity, heisenberg_check, krylov_profile, verify_closure
 from .errors import DegenerateChain, KrylovExactError
 from .moments import moments_closed_finite, moments_closed_thermal, moments_oracle, scale_table
@@ -50,13 +50,6 @@ class CheckResult:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "FAIL"
-
-
-def _fmt_dev(ctx, dev) -> str:
-    try:
-        return ctx.fmt(dev)
-    except Exception:
-        return str(dev)
 
 
 def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) -> list[CheckResult]:
@@ -119,9 +112,9 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     oracle = moments_oracle(oracle_pair, oracle_ip, K=K)
     dev = max(abs(a - b) for a, b in zip(table.values, oracle.values))
     scale = max(abs(v) for v in table.values)
-    tol = ctx.default_tolerance()
-    ok = dev == 0 if ctx.is_exact else dev <= tol.rel_eps * scale * 1000
-    add("moments_closed_vs_oracle", "0" if ctx.is_exact else "within tolerance", _fmt_dev(ctx, dev), ok)
+    rel_eps = ctx.default_tolerance().rel_eps
+    ok = dev <= rel_eps * scale * 1000
+    add("moments_closed_vs_oracle", "0" if ctx.is_exact else "within tolerance", ctx.fmt(dev), ok)
 
     odd_ok = all(ctx.is_zero(oracle.values[m]) for m in range(1, len(oracle.values), 2))
     add("odd_moments_vanish", "0", "0" if odd_ok else "nonzero", odd_ok)
@@ -147,7 +140,7 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
         cok = cdev == 0 if ctx.is_exact else cdev <= ctx.num("1e-12")
     else:
         cdev, cok = 0, True
-    add("lanczos_recursion_vs_operator_chain", "agree", _fmt_dev(ctx, cdev), cok)
+    add("lanczos_recursion_vs_operator_chain", "agree", ctx.fmt(cdev), cok)
 
     if table.order < 6:
         add("b123_closed_forms", "-", "not applicable (needs K >= 3)", True)
@@ -182,11 +175,10 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
         add("chain_classification", "reported", cls.label, True)
 
     # Hankel determinant identity
-    n_h = 2
-    if (coeffs.stop_index is None or coeffs.stop_index >= 1) and table.order >= 2 * n_h:
-        lhs, rhs, _ = hankel_check(table, coeffs, n_h)
+    if (coeffs.stop_index is None or coeffs.stop_index >= 1) and table.order >= 2 * HANKEL_N:
+        lhs, rhs, _ = hankel_check(table, coeffs, HANKEL_N)
         hok = ctx.close(lhs, rhs)
-        add("hankel_identity_n2", "det == product", "ok" if hok else f"{ctx.fmt(lhs)} != {ctx.fmt(rhs)}", hok)
+        add(f"hankel_identity_n{HANKEL_N}", "det == product", "ok" if hok else f"{ctx.fmt(lhs)} != {ctx.fmt(rhs)}", hok)
 
     # scaling covariance (oracle level)
     lam = ctx.frac(2)
@@ -194,8 +186,8 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     o_scaled = moments_oracle(scaled_pair, oracle_ip, K=2)
     expect = scale_table(oracle, lam)
     sdev = max(abs(a - b) for a, b in zip(o_scaled.values[:5], expect.values[:5]))
-    sok = sdev == 0 if ctx.is_exact else sdev <= tol.rel_eps * max(abs(v) for v in expect.values[:5]) * 100
-    add("scaling_covariance", "mu_2m -> lam^2m mu_2m", _fmt_dev(ctx, sdev), sok)
+    sok = sdev <= rel_eps * max(abs(v) for v in expect.values[:5]) * 100
+    add("scaling_covariance", "mu_2m -> lam^2m mu_2m", ctx.fmt(sdev), sok)
 
     # closure relation and the diagonal identity; the Heisenberg check
     # below reuses the same closure data (or fails with the same error)
@@ -222,7 +214,7 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     if not ctx.is_exact:
         def _heisenberg():
             devs, ok = heisenberg_check(pair, closure_data(), HEISENBERG_TIMES)
-            return (_fmt_dev(ctx, max(devs)), ok)
+            return (ctx.fmt(max(devs)), ok)
 
         guarded("heisenberg_closed_form_vs_oracle", "within tolerance", _heisenberg)
 
@@ -230,7 +222,7 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
             times = [ctx.num(k) / 4 + ctx.frac(1, 10) for k in range(8)]
             prof = krylov_profile(chain, pair, ip, times)
             worst = max(prof.sum_rule_defect(i) for i in range(len(times)))
-            return (_fmt_dev(ctx, worst), worst <= ctx.num("1e-30"))
+            return (ctx.fmt(worst), worst <= ctx.num("1e-30"))
 
         guarded("profile_sum_rule", "sum phi^2 = 1", _profile)
 

@@ -70,7 +70,7 @@ def test_mu0_must_be_one(ctx):
 def test_negative_b_squared_detected(ctx):
     # mu = (1, 0, 1, 0, 2, 0, 1) has h_3 = mu_6 - 4 mu_4 + 4 mu_2 = -3
     t = _table(ctx, [1, 2, 1])
-    with pytest.raises(NegativeBSquared):
+    with pytest.raises(NegativeBSquared, match=r"b_3\^2 = -3 < 0"):
         moments_to_lanczos(t)
 
 

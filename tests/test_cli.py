@@ -65,6 +65,27 @@ def test_config_errors(capsys):
     assert code == 2 and "--param" in err
     code, _, err = run(capsys, "moments", "--system", "krawtchouk", "-N", "4", "--param", "p=7/2")
     assert code == 2 and "--param" in err
+    # malformed values exit 2 naming their flag, never with a traceback
+    for flag, argv in [
+        ("--param", ["moments", "--system", "krawtchouk", "-N", "6", "--param", "p=abc"]),
+        ("--param", ["moments", "--system", "krawtchouk", "-N", "6", "--param", "p=1/0"]),
+        ("-N", ["moments", "--system", "krawtchouk", "-N", "0", "--param", "p=1/2"]),
+        ("--beta", ["moments", "--system", "charlier", "--beta", "abc", "-K", "2"]),
+        ("--beta", ["moments", "--system", "charlier", "--beta", "-1", "-K", "2"]),
+        ("--beta", ["verify", "--system", "hermite", "--beta", "0"]),
+        ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "abc", "-K", "2"]),
+        ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "0", "-K", "2"]),
+        ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "5", "abc"]),
+        ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "x", "3"]),
+        ("--t-grid", ["heisenberg-check", "--system", "hermite", "--beta", "1", "--t-grid", "1/0"]),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"configuration error: {flag}: "), (argv, err)
+    # an empty time list would check nothing and pass; argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["heisenberg-check", "--system", "racah", "--t-grid"])
+    assert exc.value.code == 2 and "--t-grid" in capsys.readouterr().err
 
 
 def test_moments_json_embeds_config(capsys):

@@ -53,6 +53,22 @@ def test_is_zero_cases(ctx, bctx):
     assert not bctx.is_zero(bctx.num("1e-35"))
 
 
+def test_exact_comparisons_stay_literal(ctx):
+    tiny = ctx.num(Fraction(1, 10**100))
+    assert not ctx.is_zero(tiny) and not ctx.is_zero(-tiny)
+    x = ctx.frac(1, 3)
+    assert not ctx.close(x, x + tiny)
+    assert ctx.close(x, ctx.frac(2, 6))
+    # the relative scale max(|x|, |y|, 1) loosens nothing in exact mode
+    big = ctx.num(10**100)
+    assert not ctx.close(big, big + 1)
+
+
+def test_tolerance_computed_once_per_mode_and_precision(bctx):
+    assert bctx.default_tolerance() is Tolerance.for_mode("bigreal", 50)
+    assert Context("bigreal", 60).default_tolerance() is not bctx.default_tolerance()
+
+
 def test_default_tolerance_scaling():
     tol = Tolerance.for_mode("bigreal", 50)
     assert mpmath.mpf("0.9e-40") < tol.zero_eps < mpmath.mpf("1.1e-40")

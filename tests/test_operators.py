@@ -30,7 +30,8 @@ from krylov_exact.errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from krylov_exact.operators import eig_symmetric, max_abs, zeros
+from krylov_exact.numeric import rational
+from krylov_exact.operators import determinant, eig_symmetric, max_abs, solve_consistent, zeros
 
 from helpers import (
     FINITE_KINDS,
@@ -461,3 +462,39 @@ def test_thermal_chain_b2_against_100_digits(kind, n_max):
     assert len(got.b_squared) == len(ref.b_squared) > n_max
     worst = max(abs(ctx.num(x) - y) / y for x, y in zip(got.b_squared, ref.b_squared))
     assert worst <= ctx.num("1e-45")
+
+
+def _cofactor_det(rows):
+    """Laplace expansion along the first row: the pivot-free reference."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_exact_determinant_independent_of_pivot(ctx):
+    # the first nonzero entry of each column is not its largest
+    rows = [[ctx.frac(1, 3), ctx.num(2), ctx.num(0)],
+            [ctx.num(4), ctx.frac(1, 5), ctx.num(6)],
+            [ctx.num(-7), ctx.num(8), ctx.frac(10, 3)]]
+    got = determinant(np.array(rows, dtype=object), ctx)
+    want = _cofactor_det(rows)
+    assert got == want and type(got) is type(rational(1))
+    zero_first = [[ctx.zero, ctx.num(2)], [ctx.frac(1, 2), ctx.num(-9)]]
+    assert determinant(np.array(zero_first, dtype=object), ctx) == -1
+
+
+def test_exact_solve_consistent_independent_of_pivot(ctx):
+    c1 = np.array([ctx.frac(1, 7), ctx.num(5), ctx.num(-3), ctx.zero], dtype=object)
+    c2 = np.array([ctx.num(2), ctx.frac(1, 4), ctx.num(9), ctx.num(1)], dtype=object)
+    target = c1 * ctx.frac(2, 3) - c2 * 5
+    got = solve_consistent([c1, c2], target, ctx)
+    assert got == [ctx.frac(2, 3), ctx.num(-5)]
+    assert all(type(v) is type(rational(1)) for v in got)
+    # a dependent column is not a pivot and gets 0; the others are unique
+    assert solve_consistent([c1, c1 * 2, c2], target, ctx) == [ctx.frac(2, 3), 0, -5]
+    off = target.copy()
+    off[3] = off[3] + ctx.frac(1, 10**30)
+    assert solve_consistent([c1, c2], off, ctx) is None

@@ -99,7 +99,6 @@ def _ref_moments(pair, weight, K):
 def _ref_chain_bigreal(pair, weight):
     """(b, ops): full reorthogonalisation against every earlier vector."""
     ctx = pair.ctx
-    tol = ctx.default_tolerance()
     space = _FullSupport(pair, weight)
     seed = space.gather(pair.eta)
     o_prev, o_cur = None, seed / ctx.sqrt(space.dot(seed, seed))
@@ -111,7 +110,7 @@ def _ref_chain_bigreal(pair, weight):
         for o_j, d_j in zip(ops, duals):
             w = w - o_j * ctx.dot(d_j, w)
         b = ctx.sqrt(space.dot(w, w))
-        if ctx.is_zero(b, tol):
+        if ctx.is_zero(b):
             break
         o_prev, o_cur = o_cur, w / b
         ops.append(o_cur)

@@ -11,12 +11,9 @@ from .catalog import (
     DEFAULT_PARAMS,
     SystemKind,
     SystemSpec,
-    alpha_pm,
     default_system,
     make_system,
     spectrum_shift_relations,
-    system_from_json,
-    system_to_json,
 )
 from .chain import (
     ChainClassification,
@@ -78,7 +75,6 @@ __all__ = [
     "SystemKind",
     "SystemSpec",
     "Tolerance",
-    "alpha_pm",
     "apply_liouville_power",
     "b123_closed_forms",
     "build_eta_position",
@@ -103,8 +99,6 @@ __all__ = [
     "operator_lanczos",
     "position_pair",
     "spectrum_shift_relations",
-    "system_from_json",
-    "system_to_json",
     "trace_inner",
     "verify_closure",
     "wightman_inner",

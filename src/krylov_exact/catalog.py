@@ -18,7 +18,6 @@ Boltzmann weights elsewhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -29,7 +28,7 @@ from .errors import (
     ParameterOutOfRange,
     PositivityViolation,
 )
-from .numeric import BIGREAL, EXACT, Context
+from .numeric import Context
 
 
 class SystemKind(Enum):
@@ -185,11 +184,6 @@ class SystemSpec:
         for x in range(self.N + 1):
             total = total + self.eta(x) ** 2
         return total
-
-    def check_level(self, n: int, upper: int | None = None):
-        hi = upper if upper is not None else (self.N if self.is_finite else None)
-        if n < 0 or (hi is not None and n > hi):
-            raise IndexOutOfRange(f"level {n} outside 0..{hi}")
 
 
 def _polyval(coeffs, e):
@@ -701,12 +695,6 @@ def _validate_positivity(spec: SystemSpec):
         ) from exc
 
 
-def alpha_pm(spec: SystemSpec, n: int):
-    """The pair (alpha_plus, alpha_minus) evaluated at level n."""
-    spec.check_level(n)
-    return spec.alpha_plus(n), spec.alpha_minus(n)
-
-
 def spectrum_shift_relations(spec: SystemSpec, n: int) -> bool:
     """Check the six shift identities linking the spectrum and frequencies.
 
@@ -728,34 +716,6 @@ def spectrum_shift_relations(spec: SystemSpec, n: int) -> bool:
         (am(n + 1), -ap(n)),
     ]
     return all(ctx.close(lhs, rhs) for lhs, rhs in checks)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-
-def system_to_json(spec: SystemSpec) -> str:
-    """Serialize a system definition (not its derived data) to JSON."""
-    doc = {
-        "kind": spec.kind.value,
-        "N": spec.N,
-        "params": {k: spec.ctx.fmt(v) for k, v in sorted(spec.params.items())},
-        "mode": spec.ctx.mode,
-        "precision": spec.ctx.precision,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def system_from_json(doc: str | dict) -> SystemSpec:
-    """Rebuild a system from the JSON definition schema."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    mode = doc.get("mode", EXACT)
-    if mode not in (EXACT, BIGREAL):
-        raise ParameterOutOfRange(f"unknown mode {mode!r}")
-    ctx = Context(mode, int(doc.get("precision", 50)))
-    return make_system(doc["kind"], doc.get("N"), doc.get("params", {}), ctx)
 
 
 def default_system(kind: SystemKind | str, ctx: Context | None = None) -> SystemSpec:

@@ -55,7 +55,7 @@ class LanczosCoefficients:
         }
 
 
-def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) -> LanczosCoefficients:
+def moments_to_lanczos(table: MomentTable) -> LanczosCoefficients:
     """Recover b_1^2 .. b_K^2 from mu_0 .. mu_2K.
 
     Each step forms b_k^2 = h_k / h_{k-1}, where h_{k-1} > 0.  A b_k^2
@@ -64,13 +64,7 @@ def moments_to_lanczos(table: MomentTable | list, ctx: Context | None = None) ->
     :class:`~krylov_exact.errors.NegativeBSquared` because the sequence
     is then not a moment sequence.
     """
-    if isinstance(table, MomentTable):
-        mus = table.values
-        ctx = ctx or table.ctx
-    else:
-        mus = list(table)
-        if ctx is None:
-            raise ValueError("a context is required with a bare moment list")
+    mus, ctx = table.values, table.ctx
     if not mus or mus[0] != 1:
         raise NonUnitMuZero("moment tables must start with mu_0 = 1")
     K = (len(mus) - 1) // 2

@@ -6,6 +6,9 @@ chain reports (``lanczos``), complexity profiles (``complexity``), the
 closed-form/oracle comparison (``heisenberg-check``), and the invariant
 suites (``verify``).  Every report embeds its fully resolved
 configuration; identical configurations produce byte-identical output.
+``heisenberg-check`` and thermal ``complexity`` run on ``verify``'s pair
+(:func:`~krylov_exact.verify.check_pair`); ``verify --all`` runs each
+system's default sample and rejects ``-N`` and ``--param``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -32,14 +35,8 @@ from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile, verify
 from .errors import KrylovExactError
 from .moments import moments_closed
 from .numeric import BIGREAL, EXACT, RATIONAL_BACKEND, Context
-from .operators import (
-    energy_pair,
-    operator_lanczos,
-    position_pair,
-    trace_inner,
-    wightman_inner,
-)
-from .verify import run_system_checks
+from .operators import energy_pair, operator_lanczos, trace_inner, wightman_inner
+from .verify import check_pair, run_system_checks
 
 ENV_PRECISION = "KRYLOV_EXACT_PRECISION"
 
@@ -292,14 +289,6 @@ def _time_grid(args, ctx):
     return [t0 + step * i for i in range(count)]
 
 
-def _thermal_pair(args, spec, n_max=None):
-    """The energy pair of a thermal report: levels 0..n_max, by default
-    the certified truncation of the K=2 closed-form thermal sum, at least
-    8 levels."""
-    table = moments_closed(spec, K=2, beta=args.beta, tail_tol=args.tail_tol)
-    return energy_pair(spec, n_max=n_max or max(table.truncation.n_max, 8))
-
-
 def cmd_complexity(args) -> int:
     kind = _parse_kind(args.system)
     ctx = _resolve_context(args, kind)
@@ -307,9 +296,11 @@ def cmd_complexity(args) -> int:
     if spec.is_finite:
         pair = energy_pair(spec)
         ip = trace_inner(pair)
+    elif args.n_max:
+        pair = energy_pair(spec, n_max=args.n_max)
+        ip = wightman_inner(pair, args.beta)
     else:
-        pair = _thermal_pair(args, spec, args.n_max)
-        ip = wightman_inner(pair, ctx.num(args.beta))
+        _, pair, ip = check_pair(spec, args.beta, args.K, args.tail_tol)
     chain = operator_lanczos(pair, ip)
     times = _time_grid(args, ctx)
     config = _resolved_config(args, spec, ctx)
@@ -327,12 +318,9 @@ def cmd_heisenberg_check(args) -> int:
     kind = _parse_kind(args.system)
     ctx = _resolve_context(args, kind)
     spec = _resolve_system(args, ctx)
-    if spec.is_finite:
-        pair = position_pair(spec)
-    else:
-        pair = _thermal_pair(args, spec)
+    _, pair, _ = check_pair(spec, args.beta, args.K, args.tail_tol)
     times = [_number(ctx, "--t-grid", t) for t in args.t_grid]
-    closure = verify_closure(pair, spec)
+    closure = verify_closure(pair)
     devs, passed = heisenberg_check(pair, closure, times)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
     config = _resolved_config(args, spec, ctx)
@@ -348,10 +336,14 @@ def cmd_heisenberg_check(args) -> int:
 def _verify_one(kind: SystemKind, args) -> tuple[dict, list]:
     """(resolved config, check rows) of one system."""
     ctx = _resolve_context(args, kind)
+    if kind.is_finite and args.beta is not None and not args.all:
+        raise ConfigError("--beta: only applies to the six thermal systems")
+    if not kind.is_finite and args.N is not None:
+        raise ConfigError(f"-N: {kind.value} is infinite")
     n_def, p_def = DEFAULT_PARAMS[kind]
     params = _parse_params(args.param) or dict(p_def)
     n = args.N if args.N is not None else n_def
-    beta = args.beta if args.beta is not None else ("1" if not kind.is_finite else None)
+    beta = None if kind.is_finite else args.beta or "1"
     try:
         spec = make_system(kind, n, params, ctx)
     except KrylovExactError as exc:
@@ -370,6 +362,10 @@ def cmd_verify(args) -> int:
     its setup error), and the overall verdict."""
     if not args.all and not args.system:
         raise ConfigError("--system: required unless --all is given")
+    if args.all:
+        for flag, given in (("-N", args.N is not None), ("--param", args.param)):
+            if given:
+                raise ConfigError(f"{flag}: applies to one --system, not to --all")
     kinds = list(SystemKind) if args.all else [_parse_kind(args.system)]
     kinds.sort(key=lambda k: k.value)
     results = []  # (system, config, checks, setup error)

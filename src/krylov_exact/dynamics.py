@@ -54,17 +54,18 @@ class ClosureData:
         return _polyval(self.rm1, e)
 
 
-def verify_closure(pair: OperatorPair, spec: SystemSpec | None = None) -> ClosureData:
+def verify_closure(pair: OperatorPair) -> ClosureData:
     """Reconstruct R_{-1} from the double-commutator residual.
 
     Computes M = L^2 eta - eta R_0(H) - (L eta) R_1(H), demands that it
     commute with H, fits it as a polynomial of H of degree at most 2,
-    and returns the fitted diagonal.  A defect beyond 10 rel_eps max(|M|,
-    1), which is 0 in exact mode, raises
-    :class:`~krylov_exact.errors.ClosureViolated`.  A spectrum pair works
-    on the eta support plus the diagonal only.
+    and returns the fitted diagonal.  R_0 and R_1 are those of
+    ``pair.spec``.  A defect beyond 10 rel_eps max(|M|, 1), which is 0 in
+    exact mode, raises :class:`~krylov_exact.errors.ClosureViolated`, as
+    does a pair without a system.  A spectrum pair works on the eta
+    support plus the diagonal only.
     """
-    spec = spec or pair.spec
+    spec = pair.spec
     if spec is None:
         raise ClosureViolated("closure data needs the system's R_0, R_1")
     ctx = pair.ctx

@@ -222,20 +222,6 @@ class Context:
         # repr_dps digits guarantee a lossless decimal round trip
         return mp.nstr(mp.mpf(x), mpmath.libmp.repr_dps(mp.prec))
 
-    def ensure(self, x):
-        """Validate that ``x`` belongs to this context; return it unchanged."""
-        if isinstance(x, bool) or isinstance(x, float):
-            raise ModeError(f"foreign scalar {x!r}")
-        if self.is_exact:
-            if not isinstance(x, (int, numbers.Rational)):
-                raise ModeError(f"{type(x).__name__} value in exact context")
-        else:
-            if not (isinstance(x, (int, numbers.Rational)) or _is_mp(x)):
-                raise ModeError(f"{type(x).__name__} value in bigreal context")
-            if isinstance(x, numbers.Rational) and not isinstance(x, int):
-                raise ModeError("exact rational value in bigreal context")
-        return x
-
     # -- arithmetic ----------------------------------------------------
 
     def dot(self, u, v):

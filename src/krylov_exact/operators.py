@@ -106,7 +106,8 @@ class OperatorPair:
     """A Hamiltonian/eta pair in one basis, with optional rational metric.
 
     ``h`` is a 1-D array of eigenvalues (energy basis) or a 2-D matrix
-    (position basis); ``rep`` is the matching representation of H.
+    (position basis); ``rep`` is the matching representation of H, and
+    :attr:`basis` names the basis, read off the same shape.
     ``metric`` is None for an orthonormal basis, or the diagonal g of the
     similarity that maps the stored matrices back to the honest symmetric
     representation.
@@ -114,7 +115,6 @@ class OperatorPair:
 
     h: np.ndarray
     eta: np.ndarray
-    basis: str
     ctx: Context
     metric: np.ndarray | None = None
     spec: SystemSpec | None = None
@@ -127,6 +127,10 @@ class OperatorPair:
             to_ctx = np.vectorize(self.ctx.num, otypes=[object])
             self.h, self.eta = to_ctx(self.h), to_ctx(self.eta)
         self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx)
+
+    @property
+    def basis(self) -> str:
+        return ENERGY if self.h.ndim == 1 else POSITION
 
     @property
     def dim(self) -> int:
@@ -142,11 +146,11 @@ class InnerProduct:
     in the rescaled exact representation with metric g; the Wightman one
     has h_a * h_b / Z with the half Boltzmann factors h_a =
     exp(-beta*E_a/2) and Z = sum_a h_a^2, times g_b/g_a under a metric.
-    :meth:`entries` evaluates single entries from the factors; the dense
-    :attr:`weight` is built on first use.
+    The trace product is the one without ``half``.  :meth:`entries`
+    evaluates single entries from the factors; the dense :attr:`weight`
+    is built on first use.
     """
 
-    kind: str
     ctx: Context
     dim: int
     beta: object | None = None
@@ -175,7 +179,7 @@ class InnerProduct:
 
 
 def trace_inner(pair: OperatorPair) -> InnerProduct:
-    return InnerProduct("trace", pair.ctx, pair.dim, metric=pair.metric)
+    return InnerProduct(pair.ctx, pair.dim, metric=pair.metric)
 
 
 def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
@@ -187,9 +191,7 @@ def wightman_inner(pair: OperatorPair, beta) -> InnerProduct:
     if not beta > 0:
         raise BasisMismatch("beta must be positive")
     half = np.array([ctx.exp(-beta * e / 2) for e in pair.h], dtype=object)
-    return InnerProduct(
-        "wightman", ctx, pair.dim, beta, half=half, z=ctx.dot(half, half), metric=pair.metric
-    )
+    return InnerProduct(ctx, pair.dim, beta, half=half, z=ctx.dot(half, half), metric=pair.metric)
 
 
 def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
@@ -406,7 +408,7 @@ def build_eta_position(spec: SystemSpec) -> np.ndarray:
     return m
 
 
-def position_pair(spec: SystemSpec, allow_metric: bool = True) -> OperatorPair:
+def position_pair(spec: SystemSpec) -> OperatorPair:
     """Position-basis (H, eta) pair, exact-safe via the metric rescaling."""
     if not spec.is_finite:
         raise NotFiniteSystem(f"{spec.kind.value} has no position lattice")
@@ -414,21 +416,20 @@ def position_pair(spec: SystemSpec, allow_metric: bool = True) -> OperatorPair:
     n = spec.dim
     h = zeros(n, ctx)
     np.fill_diagonal(h, [spec.B(x) + spec.D(x) for x in range(n)])
-    metric = _off_diagonals(
-        h, [spec.B(x) for x in range(n - 1)], [spec.D(x + 1) for x in range(n - 1)],
-        -1, ctx, allow_metric, "B(x)*D(x+1)", "position_pair",
-    )
-    return OperatorPair(h, build_eta_position(spec), POSITION, ctx, metric, spec)
+    upper, lower = [spec.B(x) for x in range(n - 1)], [spec.D(x + 1) for x in range(n - 1)]
+    metric = _off_diagonals(h, upper, lower, -1, ctx, "B(x)*D(x+1)")
+    return OperatorPair(h, build_eta_position(spec), ctx, metric, spec)
 
 
-def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
+def _off_diagonals(m, upper, lower, sign, ctx, what):
     """Fill the first off-diagonals of the tridiagonal ``m``.
 
     Entry k couples levels k, k+1 with strength sqrt(upper[k] * lower[k]).
     Both entries get sign * sqrt(...), unless in exact mode a root is
-    irrational: then, if allowed, they get sign * upper[k] above and
-    sign * lower[k] below, similar to the symmetric form by diag(g), and
-    the metric g is returned.  Returns None for the symmetric form.
+    irrational: then they get sign * upper[k] above and sign * lower[k]
+    below, similar to the symmetric form by diag(g), and the metric g is
+    returned.  Returns None for the symmetric form.  ``what`` names the
+    product in the error for a negative one.
     """
     prods = [u * w for u, w in zip(upper, lower)]
     if any(v < 0 for v in prods):
@@ -438,8 +439,6 @@ def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
     else:
         roots = [exact_sqrt(v) for v in prods]
         if any(r is None for r in roots):
-            if not allow_metric:
-                raise ModeError(f"sqrt({what}) is irrational; use {builder}()")
             g = np.empty(len(prods) + 1, dtype=object)
             g[0] = ctx.one
             for k, (u, w) in enumerate(zip(upper, lower)):
@@ -452,7 +451,7 @@ def _off_diagonals(m, upper, lower, sign, ctx, allow_metric, what, builder):
     return None
 
 
-def energy_pair(spec: SystemSpec, n_max: int | None = None, allow_metric: bool = True) -> OperatorPair:
+def energy_pair(spec: SystemSpec, n_max: int | None = None) -> OperatorPair:
     """Energy-basis (H, eta) pair on levels 0..n_max.
 
     H is returned as the 1-D spectrum array.  For finite systems
@@ -471,11 +470,9 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None, allow_metric: bool =
     energies = np.array([spec.energy(k) for k in range(dim)], dtype=object)
     eta = zeros(dim, ctx)
     np.fill_diagonal(eta, [spec.eta_diag(k) for k in range(dim)])
-    metric = _off_diagonals(
-        eta, [spec.ac_product(k) for k in range(dim - 1)], [ctx.one] * (dim - 1),
-        1, ctx, allow_metric, "A(n)*C(n+1)", "energy_pair",
-    )
-    return OperatorPair(energies, eta, ENERGY, ctx, metric, spec)
+    upper = [spec.ac_product(k) for k in range(dim - 1)]
+    metric = _off_diagonals(eta, upper, [ctx.one] * (dim - 1), 1, ctx, "A(n)*C(n+1)")
+    return OperatorPair(energies, eta, ctx, metric, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -504,27 +501,6 @@ class OperatorChain:
     def stop_index(self) -> int | None:
         """k such that b_{k+1} vanished, i.e. the chain ends at O_k."""
         return len(self.b_squared) if self.stopped else None
-
-    def b_values(self, ctx: Context | None = None) -> list:
-        """Materialise b_n, taking square roots in bigreal if needed."""
-        if self.b is not None:
-            return list(self.b)
-        ctx = ctx or self.ctx
-        if ctx.is_exact:
-            roots = [exact_sqrt(v) for v in self.b_squared]
-            if all(r is not None for r in roots):
-                return roots
-            raise ModeError("b values are irrational; pass a bigreal context")
-        return [ctx.sqrt(ctx.num(v)) for v in self.b_squared]
-
-    def to_json_dict(self) -> dict:
-        ctx = self.ctx
-        return {
-            "b": [ctx.fmt(v) for v in self.b_values()] if not ctx.is_exact else None,
-            "b_squared": [ctx.fmt(v) for v in self.b_squared],
-            "stopped": self.stopped,
-            "stop_index": self.stop_index,
-        }
 
 
 def _check_dims(pair: OperatorPair, ip: InnerProduct) -> None:

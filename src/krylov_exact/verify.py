@@ -52,6 +52,24 @@ class CheckResult:
         return "pass" if self.passed else "FAIL"
 
 
+def check_pair(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None):
+    """(closed-form table, pair, inner product) that the checks of ``spec`` run on.
+
+    A finite system: its K-moment closed form and its position pair under
+    the trace.  A thermal system: its K-moment closed form at inverse
+    temperature ``beta`` (default 1), and its energy pair on levels
+    0..cut under the Wightman product at ``beta``, where cut is the
+    closed form's certified truncation, at least 8.
+    """
+    if spec.is_finite:
+        table = moments_closed_finite(spec, K)
+        pair = position_pair(spec)
+        return table, pair, trace_inner(pair)
+    table = moments_closed_thermal(spec, K, beta=beta, tail_tol=tail_tol)
+    pair = energy_pair(spec, n_max=max(table.truncation.n_max, 8))
+    return table, pair, wightman_inner(pair, 1 if beta is None else beta)
+
+
 def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) -> list[CheckResult]:
     """The full invariant suite for one system in its context's mode."""
     checks: list[CheckResult] = []
@@ -93,22 +111,15 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     guarded("frequency_discriminant_square", "complete square", _square_check)
 
     # moments: closed form vs oracle
-    if spec.is_finite:
-        table = moments_closed_finite(spec, K)
-        pair = oracle_pair = position_pair(spec)
-        ip = oracle_ip = trace_inner(pair)
-    else:
-        table = moments_closed_thermal(spec, K, beta=beta, tail_tol=tail_tol)
-        beta = ctx.num(beta if beta is not None else 1)
-        cut = max(table.truncation.n_max, 8)
-        pair = energy_pair(spec, n_max=cut)
-        ip = wightman_inner(pair, beta)
+    table, pair, ip = check_pair(spec, beta, K, tail_tol)
+    oracle_pair, oracle_ip = pair, ip
+    if not spec.is_finite:
         # The closed form's last term links levels cut and cut + 1, beyond a
         # pair on levels 0..cut, and weighs about the tolerance.  The oracle
         # rows run K levels further, where the oracle's own cut lies far below
         # the certified tail; the other rows stay at the cut, which is cheaper.
-        oracle_pair = energy_pair(spec, n_max=cut + K)
-        oracle_ip = wightman_inner(oracle_pair, beta)
+        oracle_pair = energy_pair(spec, n_max=pair.dim - 1 + K)
+        oracle_ip = wightman_inner(oracle_pair, ip.beta)
     oracle = moments_oracle(oracle_pair, oracle_ip, K=K)
     dev = max(abs(a - b) for a, b in zip(table.values, oracle.values))
     scale = max(abs(v) for v in table.values)
@@ -193,7 +204,7 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     # below reuses the same closure data (or fails with the same error)
     closure = closure_error = None
     try:
-        closure = verify_closure(pair, spec)
+        closure = verify_closure(pair)
     except KrylovExactError as exc:
         closure_error = exc
 

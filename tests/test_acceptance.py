@@ -169,7 +169,7 @@ def test_criterion_07_scaling_covariance():
         base_b = operator_lanczos(pair, k_max=6)
         for lam_s in ("2", "1/3"):
             lam = EXACT.num(lam_s)
-            scaled = OperatorPair(lam * pair.h, pair.eta, pair.basis, EXACT, pair.metric, spec)
+            scaled = OperatorPair(lam * pair.h, pair.eta, EXACT, pair.metric, spec)
             got_mu = moments_oracle(scaled, K=6)
             ok &= got_mu.values == scale_table(base_mu, lam).values
             got_b = operator_lanczos(scaled, k_max=6)

@@ -1,14 +1,9 @@
-import json
-
 import pytest
 
 from krylov_exact import (
-    alpha_pm,
     default_system,
     make_system,
     spectrum_shift_relations,
-    system_from_json,
-    system_to_json,
 )
 from krylov_exact.errors import (
     IndexOutOfRange,
@@ -55,25 +50,19 @@ def test_hermite_data_block(ctx):
 
 def test_alpha_pm_examples(ctx):
     k = make_system("krawtchouk", 4, {"p": "1/3"}, ctx)
-    assert alpha_pm(k, 2) == (1, -1)
+    assert (k.alpha_plus(2), k.alpha_minus(2)) == (1, -1)
 
     g = make_system("gegenbauer", None, {"g": "2"}, ctx)
-    assert alpha_pm(g, 3) == (11, -9)
+    assert (g.alpha_plus(3), g.alpha_minus(3)) == (11, -9)
 
     qh = make_system("q-hahn", 3, {"a": "1/2", "b": "1/2", "q": "1/2"}, ctx)
-    ap, am = alpha_pm(qh, 0)
+    ap, am = qh.alpha_plus(0), qh.alpha_minus(0)
     assert ap == ctx.frac(3, 4)
     assert am == 0
     # cross-check the root relations against R_0, R_1
     e0 = qh.energy(0)
     assert ap + am == qh.r1_at(e0)
     assert ap * am == -qh.r0_at(e0)
-
-
-def test_alpha_pm_index_check(ctx):
-    k = make_system("krawtchouk", 4, {"p": "1/3"}, ctx)
-    with pytest.raises(IndexOutOfRange):
-        alpha_pm(k, 7)
 
 
 def test_shift_relations_examples(ctx):
@@ -146,25 +135,6 @@ def test_positivity_violation_reports_index(ctx):
     # q-Racah with b at the boundary makes C_n vanish inside the range
     with pytest.raises((ParameterOutOfRange, Exception)):
         make_system("q-racah", 3, {"q": "1/2", "d": "1/2", "a": "1/64", "b": "1/4"}, ctx)
-
-
-def test_json_roundtrip(ctx):
-    spec = make_system("q-hahn", 4, {"a": "1/2", "b": "1/3", "q": "1/2"}, ctx)
-    doc = system_to_json(spec)
-    parsed = json.loads(doc)
-    assert parsed["kind"] == "q-hahn"
-    assert parsed["mode"] == "exact"
-    spec2 = system_from_json(doc)
-    assert spec2.kind == spec.kind and spec2.N == spec.N
-    assert [spec2.energy(n) for n in range(5)] == [spec.energy(n) for n in range(5)]
-
-
-def test_json_bigreal_roundtrip(bctx):
-    spec = make_system("gegenbauer", None, {"g": "2"}, bctx)
-    spec2 = system_from_json(system_to_json(spec))
-    assert spec2.ctx.mode == "bigreal"
-    assert spec2.ctx.precision == 50
-    assert spec2.alpha_plus(3) == spec.alpha_plus(3)
 
 
 def test_norm_eta_sq_closed_form_affine_qk(ctx):

@@ -3,8 +3,10 @@ import json
 import mpmath
 import pytest
 
+import krylov_exact.cli
 from krylov_exact import Context
 from krylov_exact.cli import main
+from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND
 
 
@@ -78,6 +80,12 @@ def test_config_errors(capsys):
         ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "5", "abc"]),
         ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "x", "3"]),
         ("--t-grid", ["heisenberg-check", "--system", "hermite", "--beta", "1", "--t-grid", "1/0"]),
+        # verify flags that would be misapplied: one N or parameter set for
+        # all 16 systems, a temperature for a finite one
+        ("-N", ["verify", "--all", "-N", "8"]),
+        ("--param", ["verify", "--all", "--param", "p=1/2"]),
+        ("--beta", ["verify", "--system", "krawtchouk", "--beta", "1"]),
+        ("-N", ["verify", "--system", "hermite", "-N", "8"]),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -259,8 +267,18 @@ def test_verify_defaults_valid_at_any_n(capsys):
     assert out.splitlines()[-1] == "all checks passed"
 
 
-def test_verify_all_reports_setup_rows(capsys):
-    code, out, err = run(capsys, "verify", "--all", "--param", "nosuch=1")
+def _unbuildable(monkeypatch):
+    """Make every system fail at set-up inside ``verify``."""
+
+    def fail(kind, *args, **kwargs):
+        raise ParameterOutOfRange(f"{kind.value}: unbuildable")
+
+    monkeypatch.setattr(krylov_exact.cli, "make_system", fail)
+
+
+def test_verify_all_reports_setup_rows(capsys, monkeypatch):
+    _unbuildable(monkeypatch)
+    code, out, err = run(capsys, "verify", "--all")
     assert code == 1 and err == ""
     rows = out.splitlines()
     assert rows[-1] == "FAILURES present"
@@ -269,9 +287,11 @@ def test_verify_all_reports_setup_rows(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--system", "gegenbauer"], ["--system", "krawtchouk", "-K", "2"], ["--all", "--param", "nosuch=1"]],
+    [["--system", "gegenbauer"], ["--system", "krawtchouk", "-K", "2"], ["--all"]],
 )
-def test_verify_json_matches_the_table(capsys, argv):
+def test_verify_json_matches_the_table(capsys, monkeypatch, argv):
+    if argv == ["--all"]:
+        _unbuildable(monkeypatch)  # setup rows in both formats
     code, text, _ = run(capsys, "verify", *argv)
     json_code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     doc = json.loads(out)
@@ -288,3 +308,26 @@ def test_verify_json_matches_the_table(capsys, argv):
     assert all(set(c) == {"name", "expected", "got", "passed"} for s in doc["systems"] for c in s.get("checks", []))
     configured = [s for s in doc["systems"] if "config" in s]
     assert all(s["config"]["system"] == s["system"] for s in configured)
+
+
+@pytest.mark.parametrize("system,beta", [("gegenbauer", "1/2"), ("laguerre", "1")])
+def test_heisenberg_check_runs_on_the_verify_pair(capsys, system, beta):
+    # Gegenbauer at beta=1/2 is certified at cut 12 by the K=6 closed form
+    # and at cut 11 by a K=2 one; both commands must check the same pair
+    code, out, _ = run(capsys, "heisenberg-check", "--system", system, "--beta", beta, "--format", "json")
+    assert code == 0
+    devs = [row["max_deviation"] for row in json.loads(out)["checks"]]
+    code, out, _ = run(capsys, "verify", "--system", system, "--beta", beta, "--format", "json")
+    assert code == 0
+    (checks,) = [s["checks"] for s in json.loads(out)["systems"]]
+    (got,) = [c["got"] for c in checks if c["name"] == "heisenberg_closed_form_vs_oracle"]
+    with mpmath.workdps(60):
+        assert mpmath.mpf(got) == max(mpmath.mpf(d) for d in devs)
+
+
+def test_k_sets_the_thermal_truncation(capsys):
+    argv = ["heisenberg-check", "--system", "gegenbauer", "--beta", "1/2"]
+    code2, out2, _ = run(capsys, *argv, "-K", "2")
+    code6, out6, _ = run(capsys, *argv, "-K", "6")
+    assert code2 == code6 == 0
+    assert out2.splitlines()[1:] != out6.splitlines()[1:]

@@ -22,7 +22,6 @@ from krylov_exact import (
     trace_inner,
 )
 from krylov_exact import operators as operators_module
-from krylov_exact.operators import POSITION
 
 from helpers import FINITE_KINDS, param_samples, random_metric_hermitian
 
@@ -100,7 +99,7 @@ def test_integer_space_dense_pairs(ctx, with_metric):
         metric = np.array([ctx.frac(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)], dtype=object)
     h = random_metric_hermitian(n, ctx, rng, metric)
     eta = random_metric_hermitian(n, ctx, rng, metric)
-    _check_pair(OperatorPair(h, eta, POSITION, ctx, metric), K=8)
+    _check_pair(OperatorPair(h, eta, ctx, metric), K=8)
 
 
 def test_exact_position_commutators_run_on_integers(ctx, monkeypatch):

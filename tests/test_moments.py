@@ -263,7 +263,7 @@ def test_scaling_covariance_exact(ctx):
         lam = ctx.num(lam_s)
         from krylov_exact.operators import OperatorPair
 
-        scaled = OperatorPair(lam * pair.h, pair.eta, pair.basis, ctx, pair.metric, spec)
+        scaled = OperatorPair(lam * pair.h, pair.eta, ctx, pair.metric, spec)
         got = moments_oracle(scaled, K=4)
         want = scale_table(base, lam)
         assert got.values == want.values

@@ -46,13 +46,10 @@ from helpers import (
 
 def test_hamiltonian_krawtchouk_n1(ctx):
     spec = make_system("krawtchouk", 1, {"p": "1/2"}, ctx)
-    h = position_pair(spec, allow_metric=False).h
+    h = position_pair(spec).h
     half = ctx.frac(1, 2)
     assert h[0, 0] == half and h[1, 1] == half
     assert h[0, 1] == -half and h[1, 0] == -half
-    # p = 1/3 puts B(0) D(1) = 2/9 under the root: no rational symmetric H
-    with pytest.raises(ModeError):
-        position_pair(make_system("krawtchouk", 1, {"p": "1/3"}, ctx), allow_metric=False)
 
 
 def test_hamiltonian_row0_boundary(ctx):
@@ -64,7 +61,7 @@ def test_hamiltonian_row0_boundary(ctx):
 
 def test_hamiltonian_spectrum_matches_energies(bctx):
     spec = make_system("krawtchouk", 2, {"p": "1/3"}, bctx)
-    h = position_pair(spec, allow_metric=False).h
+    h = position_pair(spec).h
     evals, _ = eig_symmetric(h, bctx)
     tol = bctx.num(10) ** (-(bctx.precision - 15))
     for n in range(3):
@@ -93,7 +90,7 @@ def test_eta_position(ctx):
 
 def test_energy_rep_hermite(bctx):
     spec = make_system("hermite", None, {}, bctx)
-    pair = energy_pair(spec, 2, allow_metric=False)
+    pair = energy_pair(spec, 2)
     h, eta = pair.h, pair.eta
     assert [h[k] for k in range(3)] == [0, 2, 4]
     assert abs(eta[0, 1] - bctx.sqrt(bctx.frac(1, 2))) < bctx.num("1e-45")
@@ -105,8 +102,6 @@ def test_energy_rep_krawtchouk_exact(ctx):
     spec = make_system("krawtchouk", 2, {"p": "1/2"}, ctx)
     # A_0 C_1 = 1/2 is not a perfect square, so the symmetric matrix is
     # not rational; the pair with metric carries the same inner products
-    with pytest.raises(ModeError):
-        energy_pair(spec, 2, allow_metric=False)
     pair = energy_pair(spec)
     ip = trace_inner(pair)
     assert inner(ip, pair.eta, pair.eta) == spec.norm_eta_sq()
@@ -206,7 +201,7 @@ def test_no_numpy_conversion_in_bigreal_chain(bctx, monkeypatch):
     spec = make_system("gegenbauer", None, {"g": "2"}, bctx)
     pair = energy_pair(spec, n_max=12)
     operator_lanczos(pair, wightman_inner(pair, 1))
-    verify_closure(pair, spec)
+    verify_closure(pair)
     pos = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
     operator_lanczos(pos, k_max=6)
     verify_closure(pos)
@@ -282,6 +277,21 @@ def test_wightman_requires_energy_basis(bctx):
     pair = position_pair(spec)
     with pytest.raises(BasisMismatch):
         wightman_inner(pair, bctx.num(1))
+
+
+def test_basis_follows_the_shape_of_h(ctx, bctx):
+    spec = make_system("krawtchouk", 3, {"p": "1/2"}, ctx)
+    pos, en = position_pair(spec), energy_pair(spec)
+    assert (pos.basis, en.basis) == ("position", "energy")
+    # a hand-made pair has no basis to contradict: it reads it off h
+    assert OperatorPair(en.h, en.eta, ctx, en.metric, spec).basis == "energy"
+    assert OperatorPair(pos.h, pos.eta, ctx, pos.metric, spec).basis == "position"
+    diag = zeros(4, bctx)
+    diag[np.arange(4), np.arange(4)] = [bctx.num(n) for n in range(4)]
+    hand = OperatorPair(diag, zeros(4, bctx), bctx)
+    assert hand.basis == "position"
+    with pytest.raises(BasisMismatch):
+        wightman_inner(hand, 1)
 
 
 def test_wightman_conjugate_symmetry(bctx):
@@ -387,7 +397,7 @@ def test_pair_takes_the_context_precision(bctx):
     to_global = np.vectorize(mpmath.mpf, otypes=[object])
     with bctx.work():
         h, eta = to_global(pair.h), to_global(pair.eta)
-    foreign = OperatorPair(h, eta, pair.basis, bctx, None, pair.spec)
+    foreign = OperatorPair(h, eta, bctx, None, pair.spec)
     assert all(type(v) is bctx.mp.mpf for v in np.concatenate([foreign.h.ravel(), foreign.eta.ravel()]))
     assert operator_lanczos(foreign).b_squared == operator_lanczos(pair).b_squared
 
@@ -439,16 +449,6 @@ def test_operator_json_roundtrip(ctx, bctx):
     bpair = position_pair(bspec)
     bback = operator_from_json(operator_to_json(bpair.h, bctx), bctx)
     assert max_abs(bback - bpair.h) == 0
-
-
-def test_chain_json_dump(bctx):
-    spec = make_system("krawtchouk", 3, {"p": "1/2"}, bctx)
-    pair = position_pair(spec)
-    chain = operator_lanczos(pair)
-    doc = chain.to_json_dict()
-    assert doc["stopped"] is True
-    assert doc["stop_index"] == 2
-    assert len(doc["b_squared"]) == 2
 
 
 @pytest.mark.parametrize("kind,n_max", [("gegenbauer", 30), ("jacobi", 20)])

@@ -25,7 +25,7 @@ from krylov_exact import (
     wightman_inner,
 )
 from krylov_exact.errors import MirrorAsymmetry
-from krylov_exact.operators import ENERGY, zeros
+from krylov_exact.operators import zeros
 
 from helpers import FINITE_KINDS, THERMAL_KINDS, param_samples
 
@@ -212,7 +212,7 @@ def test_weight_entries_equal_the_loops(ctx, bctx):
     geg = energy_pair(default_system("gegenbauer", bctx), n_max=12)
     # a bigreal pair with a metric reaches the metric branch of the Wightman weight
     g = np.array([bctx.frac(k + 2, k + 1) for k in range(geg.dim)], dtype=object)
-    with_metric = OperatorPair(geg.h, geg.eta, ENERGY, bctx, g)
+    with_metric = OperatorPair(geg.h, geg.eta, bctx, g)
     for beta in (BETA, bctx.frac(3, 7)):
         cases += [(p, wightman_inner(p, beta), beta) for p in (geg, with_metric)]
     for pair, ip, beta in cases:
@@ -228,7 +228,7 @@ def _asymmetric_pairs(c):
     doubled, one_sided = base.eta.copy(), base.eta.copy()
     doubled[2, 3] = 2 * doubled[2, 3]
     one_sided[3, 2] = c.zero
-    return [OperatorPair(base.h, eta, ENERGY, c, base.metric, base.spec) for eta in (doubled, one_sided)]
+    return [OperatorPair(base.h, eta, c, base.metric, base.spec) for eta in (doubled, one_sided)]
 
 
 def test_asymmetric_eta_odd_moments(ctx, bctx):

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("0", "5", "21"),
         help="time grid (decimal strings and a count)",
     )
-    sp.add_argument("--n-max", type=int, default=None, help="truncation for thermal systems")
+    sp.add_argument("--n-max", type=int, default=None, help="truncation for thermal systems (at least 2)")
 
     sp = sub.add_parser("heisenberg-check", help="closed form vs exponential oracle")
     common(sp)
@@ -293,10 +293,14 @@ def cmd_complexity(args) -> int:
     kind = _parse_kind(args.system)
     ctx = _resolve_context(args, kind)
     spec = _resolve_system(args, ctx)
+    if args.n_max is not None and spec.is_finite:
+        raise ConfigError("--n-max: only applies to the six thermal systems")
+    if args.n_max is not None and args.n_max < 2:
+        raise ConfigError(f"--n-max: must be at least 2, got {args.n_max}")
     if spec.is_finite:
         pair = energy_pair(spec)
         ip = trace_inner(pair)
-    elif args.n_max:
+    elif args.n_max is not None:
         pair = energy_pair(spec, n_max=args.n_max)
         ip = wightman_inner(pair, args.beta)
     else:
@@ -305,6 +309,7 @@ def cmd_complexity(args) -> int:
     times = _time_grid(args, ctx)
     config = _resolved_config(args, spec, ctx)
     config["t_grid"] = list(args.t_grid)
+    config["n_max"] = pair.dim - 1
     config["stop_index"] = chain.stop_index
     prof = krylov_profile(chain, pair, ip, times, meta=config)
     if args.format == "json":

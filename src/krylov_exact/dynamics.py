@@ -276,7 +276,7 @@ def krylov_profile(
     one, mpc = ctx.one, ctx.mp.mpc
     phases = [mpc(one, 0), mpc(0, -one), mpc(-one, 0), mpc(0, one)]
     times = [ctx.num(t) for t in times]
-    amplitudes = pair.rep.space(pair, ip).overlaps(chain.ops)
+    amplitudes = pair.rep.space(pair, ip, len(chain.ops) - 1).overlaps(chain.ops)
     phi_rows = []
     complexity = []
     for t in times:

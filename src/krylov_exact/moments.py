@@ -115,13 +115,12 @@ def moments_closed_finite(spec: SystemSpec, K: int = 6) -> MomentTable:
     return MomentTable(values=values, provenance=CLOSED_FORM, ctx=ctx, kind=spec.kind)
 
 
-def moments_closed_thermal(
-    spec: SystemSpec,
-    K: int = 6,
-    beta=None,
-    tail_tol=None,
-    n_cap: int = 100_000,
-) -> MomentTable:
+#: Number of series terms past which :func:`moments_closed_thermal` stops
+#: trying to certify the tail and raises ``TailNotConvergent``.
+N_CAP = 100_000
+
+
+def moments_closed_thermal(spec: SystemSpec, K: int = 6, beta=None, tail_tol=None) -> MomentTable:
     """Boltzmann-weighted closed-form moments for the six thermal systems.
 
     The numerator series for each even moment and the normalisation
@@ -144,7 +143,7 @@ def moments_closed_thermal(
     denom = ctx.zero  # Z * |eta|_beta^2
     prev_terms = None
     n = 0
-    while n <= n_cap:
+    while n <= N_CAP:
         e_n = spec.energy(n)
         e_n1 = spec.energy(n + 1)
         link = ctx.exp(-beta * (e_n + e_n1) / 2) * spec.ac_product(n)
@@ -189,7 +188,7 @@ def moments_closed_thermal(
         prev_terms = terms
         n += 1
     raise TailNotConvergent(
-        f"tail bound {ctx.fmt(tail_tol)} not certified within {n_cap} terms"
+        f"tail bound {ctx.fmt(tail_tol)} not certified within {N_CAP} terms"
     )
 
 
@@ -208,14 +207,14 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     the (metric) trace and the Wightman inner products.  The iterates
     live in the operator space of :func:`operator_lanczos`: the eta
     support folded to one entry per mirror pair for a diagonal H, where
-    [H, V]_ab = (E_a - E_b) V_ab, else banded matrices.  v_k and v_k+1
-    have opposite parity, so the odd moments take the space's
-    cross-parity dot; no symmetry of eta is assumed.  No closed form
-    enters.
+    [H, V]_ab = (E_a - E_b) V_ab, else the band that K commutators
+    reach.  v_k and v_k+1 have opposite parity, so the odd moments take
+    the space's cross-parity dot; no symmetry of eta is assumed.  No
+    closed form enters.
     """
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    space = pair.rep.space(pair, ip)
+    space = pair.rep.space(pair, ip, K)
     v = space.gather(pair.eta)
     norm = space.dot(v, v)
     values = [ctx.one]

@@ -20,20 +20,24 @@ one of two representations, picked once from the shape of ``h``:
 
 A matrix Hamiltonian is applied through its nonzero diagonals: with
 bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
-O(n * w_H * (w_H + w_V)) scalar products plus an O(n^2) scan for the
-bandwidths, instead of the O(n^3) of a dense product.  The position-basis
-H is tridiagonal (w_H = 1) and eta diagonal, so L^k eta has bandwidth k.
+O(n * w_H * (w_H + w_V)) scalar products instead of the O(n^3) of a
+dense product.  The position-basis H is tridiagonal (w_H = 1) and eta
+diagonal, so L^k eta has bandwidth k, and the moment oracle, the Lanczos
+chain and the profile of a matrix H work in :class:`_BandSpace`: a
+vector is its entries within W = w_eta + steps * w_H of the diagonal,
+for the number of commutators the caller applies, and a commutator
+reads the vector's bandwidth off its nonzero entries.
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
 with W.  In bigreal mode that dot forms the products exactly and rounds
-the sum once.  The Lanczos spaces hand out those covectors (``dual``),
-so the chain keeps one beside each of its vectors and the profile forms
-them once for all times.  In exact mode a matrix H works in
-:class:`_IntegerSpace`: each vector is integer numerators over one
-denominator, commutators run the same kernel on the integer numerators
-of H, and a dot is one integer sum that becomes a rational only at the
-end, so no rational is formed entry by entry.
+the sum once, so a dot over the band equals the dot over every entry.
+The Lanczos spaces hand out those covectors (``dual``), so the chain
+keeps one beside each of its vectors and the profile forms them once for
+all times.  In exact mode the band space holds each vector as integer
+numerators over one denominator: commutators run the same kernel on the
+integer numerators of H, and a dot is one integer sum that becomes a
+rational only at the end, so no rational is formed entry by entry.
 
 The energy-basis fold
 ---------------------
@@ -147,8 +151,9 @@ class InnerProduct:
     has h_a * h_b / Z with the half Boltzmann factors h_a =
     exp(-beta*E_a/2) and Z = sum_a h_a^2, times g_b/g_a under a metric.
     The trace product is the one without ``half``.  :meth:`entries`
-    evaluates single entries from the factors; the dense :attr:`weight`
-    is built on first use.
+    evaluates single entries from the factors, as the operator spaces
+    need them; the dense :attr:`weight` is built on first use, by
+    :func:`inner`.
     """
 
     ctx: Context
@@ -207,21 +212,60 @@ def _bandwidth(m: np.ndarray) -> int:
     return int(np.abs(rows - cols).max()) if rows.size else 0
 
 
-def _diagonal_rows(m: np.ndarray, f: int, lo: int, hi: int) -> np.ndarray:
-    """Entries M[a, a + f] for rows lo <= a < hi, as a view."""
-    off = max(0, -f)
-    return m.diagonal(f)[lo - off:hi - off]
+def _band(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries of an n x n matrix with |a - b| <= width,
+    in row-major order; width n - 1 gives every entry."""
+    index = np.arange(n)
+    return np.nonzero(np.abs(np.subtract.outer(index, index)) <= width)
+
+
+def _diagonals(h: np.ndarray, zero) -> np.ndarray:
+    """The nonzero diagonals of H, padded by n zeros on each side:
+    hd[w_H + d, n + a] = H[a, a + d] for |d| <= w_H."""
+    n, w_h = len(h), _bandwidth(h)
+    rows, cols = _band(n, w_h)
+    hd = np.full((2 * w_h + 1, 3 * n), zero, dtype=object)
+    hd[w_h + cols - rows, n + rows] = h[rows, cols]
+    return hd
+
+
+def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero) -> np.ndarray:
+    """[H, V] on the band (rows, cols) of :func:`_band`, which must hold
+    it, for V given on that band and H by its diagonals (:func:`_diagonals`).
+
+    With V padded to P[a, W + e] = V[a, a + e], each diagonal d of H adds
+    one block to HV and one to VH, limited to the bandwidth w_V of V read
+    off its nonzero entries.  Each entry is summed over ascending d
+    exactly as ``h @ v - v @ h`` sums it, less terms that are exact zeros,
+    so results equal the dense product bit for bit, also in bigreal mode.
+    """
+    w_h, n = len(hd) // 2, hd.shape[1] // 3
+    offsets = cols - rows
+    width = int(np.abs(offsets).max())
+    nonzero = np.flatnonzero(vec)
+    w_v = int(np.abs(offsets[nonzero]).max()) if nonzero.size else 0
+    at = rows * (2 * width + 1) + width + offsets
+    p = np.full(n * (2 * width + 1), zero, dtype=object)
+    p[at] = vec
+    p = p.reshape(n, 2 * width + 1)
+    hv, vh = np.full(p.shape, zero, dtype=object), np.full(p.shape, zero, dtype=object)
+    for d in range(-w_h, w_h + 1):
+        # (HV)[a, a+e] += H[a, a+d] V[a+d, a+e] for |e - d| <= w_V
+        lo, hi = max(0, -d), min(n, n - d)
+        e0, e1 = max(d - w_v, -width) + width, min(d + w_v, width) + width + 1
+        hv[lo:hi, e0:e1] += hd[w_h + d, n + lo:n + hi, None] * p[lo + d:hi + d, e0 - d:e1 - d]
+        # (VH)[a, a+e] += V[a, a+e+d] H[a+e+d, a+e] for |e + d| <= w_V: the
+        # H factors of row a are a window of diagonal -d
+        e0, e1 = max(-d - w_v, -width) + width, min(-d + w_v, width) + width + 1
+        windows = np.lib.stride_tricks.sliding_window_view(hd[w_h - d], e1 - e0)
+        vh[:, e0:e1] += p[:, e0 + d:e1 + d] * windows[n + e0 + d - width:2 * n + e0 + d - width]
+    return hv.ravel()[at] - vh.ravel()[at]
 
 
 def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Commutator [H, V]; elementwise when H is a diagonal spectrum array.
-
-    A matrix H is applied through its nonzero diagonals: only the entries
-    with |a - b| <= w_H + w_V can be nonzero, and each is summed over
-    ascending k exactly as ``h @ v - v @ h`` sums it, less the terms that
-    are exact zeros.  Results therefore equal the dense product bit for
-    bit, also in bigreal mode.
-    """
+    """Commutator [H, V]; elementwise when H is a diagonal spectrum array,
+    else the band kernel (:func:`_band_commutator`) on every entry, which
+    equals ``h @ v - v @ h`` bit for bit."""
     if h.ndim == 1:
         if v.shape != (h.shape[0], h.shape[0]):
             raise DimensionMismatch(f"spectrum dim {h.shape[0]} vs matrix {v.shape}")
@@ -229,29 +273,9 @@ def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     if h.shape != v.shape:
         raise DimensionMismatch(f"{h.shape} vs {v.shape}")
     n = h.shape[0]
-    w_h, w_v = _bandwidth(h), _bandwidth(v)
     zero = 0 * h[0, 0] * v[0, 0]
-    out = np.full((n, n), zero, dtype=object)
-    reach = min(w_h + w_v, n - 1)
-    for e in range(-reach, reach + 1):
-        # output diagonal e: entries (a, a + e) for rows a0 <= a < a1
-        a0, a1 = max(0, -e), min(n, n - e)
-        hv = np.full(a1 - a0, zero, dtype=object)
-        vh = hv.copy()
-        for d in range(-w_h, w_h + 1):
-            if abs(e - d) <= w_v:  # (HV)[a, a+e] += H[a, a+d] V[a+d, a+e]
-                lo, hi = max(a0, -d), min(a1, n - d)
-                hv[lo - a0:hi - a0] += (
-                    _diagonal_rows(h, d, lo, hi) * _diagonal_rows(v, e - d, lo + d, hi + d)
-                )
-            if abs(e + d) <= w_v:  # (VH)[a, a+e] += V[a, a+e+d] H[a+e+d, a+e]
-                lo, hi = max(a0, -e - d), min(a1, n - e - d)
-                vh[lo - a0:hi - a0] += (
-                    _diagonal_rows(v, e + d, lo, hi) * _diagonal_rows(h, -d, lo + e + d, hi + e + d)
-                )
-        rows = np.arange(a0, a1)
-        out[rows, rows + e] = hv - vh
-    return out
+    rows, cols = _band(n, n - 1)
+    return _band_commutator(_diagonals(h, zero), v.ravel(), rows, cols, zero).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +356,7 @@ class _Spectrum:
         identity both ways."""
         return self, _unchanged, _unchanged
 
-    def space(self, pair: OperatorPair, ip: InnerProduct) -> SupportBasis:
+    def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> SupportBasis:
         return SupportBasis(pair, ip)
 
 
@@ -391,8 +415,8 @@ class _Banded:
         """A matrix commuting with H already is the function of H."""
         return m, self.ctx.zero
 
-    def space(self, pair: OperatorPair, ip: InnerProduct) -> _MatrixSpace | _IntegerSpace:
-        return (_IntegerSpace if self.ctx.is_exact else _MatrixSpace)(pair, ip)
+    def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
+        return _BandSpace(pair, ip, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -639,60 +663,6 @@ class SupportBasis:
         return at
 
 
-class _MatrixSpace:
-    """The whole operator space of a matrix H in bigreal mode.  Chain
-    vectors are the matrices flattened row-major, so that their inner
-    products are plain fused dots against the flattened weight.  Nothing
-    is folded: every dot is :meth:`dot`, and the chain reorthogonalises
-    against every earlier vector.  The profile evolves O_0 alone, in the
-    eigenbasis of H (:meth:`overlaps`)."""
-
-    def __init__(self, pair: OperatorPair, ip: InnerProduct):
-        _check_dims(pair, ip)
-        self.pair = pair
-        self.ctx = pair.ctx
-        self.weight = ip.weight.ravel()
-        self.size = pair.dim * pair.dim
-
-    def gather(self, mat: np.ndarray) -> np.ndarray:
-        return mat.ravel()
-
-    def scatter(self, vec: np.ndarray, parity: int = 0) -> np.ndarray:
-        return vec.reshape(self.pair.dim, self.pair.dim)
-
-    def liouville(self, vec: np.ndarray) -> np.ndarray:
-        return liouville(self.pair.h, self.scatter(vec)).ravel()
-
-    def dual(self, u: np.ndarray) -> np.ndarray:
-        """The covector of U: the weight times the conjugate of U."""
-        return self.weight * conjugate(u)
-
-    def dot(self, u: np.ndarray, v: np.ndarray):
-        return self.ctx.dot(self.dual(u), v)
-
-    cross_dot = dot
-
-    def lanczos_stride(self) -> int:
-        return 1
-
-    def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle.
-        O_0 moves into the eigenbasis of H once, and the covectors of the
-        chain are formed once, for all times; each time then costs the
-        phase twist of O_0 there and one transform back.  The chain
-        vectors stay in the position basis: moving each of them instead
-        would cost two products per vector."""
-        duals = [self.dual(self.gather(o_n)) for o_n in ops]
-        eigen, to, back = self.pair.rep.eigenbasis()
-        o0 = to(ops[0])
-
-        def at(t):
-            ot = self.gather(back(eigen.conjugate_exp(o0, t)))
-            return [self.ctx.dot(d, ot) for d in duals]
-
-        return at
-
-
 def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     """(num, den): rationals as integer numerators over the least common
     denominator of the nonzero ones, num[i] / den == values[i]."""
@@ -704,18 +674,6 @@ def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     num = np.zeros(flat.size, dtype=object)
     num[nz] = np.array([int(v.numerator) * (den // d) for v, d in zip(picked, dens)], dtype=object)
     return num.reshape(values.shape), den
-
-
-def _weight_numerators(ip: InnerProduct) -> tuple[np.ndarray, int]:
-    """(w_num, d_w) of the flattened weight, cleared through its rank-one
-    factors w_ab = left_a * right_b (left = h/(z g), right = h g, with unit
-    h and g where absent): 2n rationals instead of n^2.  Exact values."""
-    one = np.full(ip.dim, ip.ctx.one, dtype=object)
-    left, right = (one, one) if ip.half is None else (ip.half / ip.z, ip.half)
-    if ip.metric is not None:
-        left, right = left / ip.metric, right * ip.metric
-    (l_num, d_l), (r_num, d_r) = _integer_numerators(left), _integer_numerators(right)
-    return np.multiply.outer(l_num, r_num).ravel(), d_l * d_r
 
 
 class _Scaled:
@@ -739,46 +697,83 @@ class _Scaled:
         return _Scaled(self.num * int(c.numerator), self.den * int(c.denominator))
 
 
-class _IntegerSpace:
-    """The whole operator space of a matrix H in exact mode, on integers.
+class _BandSpace:
+    """The operator space of a matrix H, in both modes: a vector is its
+    row-major entries within W = min(w_eta + steps * w_H, n - 1) of the
+    diagonal (every entry when ``steps`` is None), and a commutator is
+    :func:`_band_commutator`.  Nothing is folded: every dot is
+    :meth:`dot`, and the chain reorthogonalises against every earlier
+    vector.  The modes differ only in the scalars.  A bigreal vector holds
+    mpf entries, and a dot is one fused dot of the covector (:meth:`dual`)
+    with V.  An exact vector is a :class:`_Scaled`: H and the band weight
+    (metric factors g_b/g_a included) are cleared of denominators once,
+    h_num / d_H and w_num / d_w, a commutator runs the kernel on the
+    numerators over d_H * den, and a dot is one integer sum over
+    d_w * den_u * den_v.  Exact values equal those of rational arithmetic.
+    The profile evolves O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
+    """
 
-    A vector is a :class:`_Scaled` matrix flattened row-major.  H and the
-    flattened weight (metric factors g_b/g_a included) are cleared of
-    denominators once, h_num / d_H and w_num / d_w
-    (:func:`_weight_numerators`).  A commutator is
-    :func:`liouville` on the integer matrices, [h_num, num] over
-    d_H * den, and a dot is one integer sum over d_w * den_u * den_v, so
-    the only rationals formed are at :meth:`gather`/:meth:`scatter` and
-    the dot's result.  Values equal those of rational arithmetic."""
-
-    def __init__(self, pair: OperatorPair, ip: InnerProduct):
+    def __init__(self, pair: OperatorPair, ip: InnerProduct, steps: int | None):
         _check_dims(pair, ip)
-        self.ctx = pair.ctx
-        self.dim = pair.dim
-        self.size = pair.dim * pair.dim
-        self.h_num, self.d_h = _integer_numerators(pair.h)
-        self.w_num, self.d_w = _weight_numerators(ip)
+        n, ctx = pair.dim, pair.ctx
+        self.pair, self.ctx, self.exact, self.size = pair, ctx, ctx.is_exact, n * n
+        hd = _diagonals(pair.h, ctx.zero)
+        width = n - 1 if steps is None else min(_bandwidth(pair.eta) + steps * (len(hd) // 2), n - 1)
+        self.rows, self.cols = _band(n, width)
+        weight = ip.entries(self.rows, self.cols)
+        if self.exact:
+            (self.hd, self.d_h), (self.weight, self.d_w) = _integer_numerators(hd), _integer_numerators(weight)
+        else:
+            self.hd, self.weight = hd, weight
 
-    def gather(self, mat: np.ndarray) -> _Scaled:
-        return _Scaled(*_integer_numerators(mat.ravel()))
+    def gather(self, mat: np.ndarray):
+        vec = mat[self.rows, self.cols]
+        return _Scaled(*_integer_numerators(vec)) if self.exact else vec
 
-    def scatter(self, vec: _Scaled, parity: int = 0) -> np.ndarray:
-        out = np.full(self.size, self.ctx.zero, dtype=object)
-        for i in np.flatnonzero(vec.num):
-            out[i] = rational(vec.num[i], vec.den)
-        return out.reshape(self.dim, self.dim)
+    def scatter(self, vec, parity: int = 0) -> np.ndarray:
+        out = zeros(self.pair.dim, self.ctx)
+        if self.exact:
+            nz = np.flatnonzero(vec.num)
+            out[self.rows[nz], self.cols[nz]] = [rational(vec.num[i], vec.den) for i in nz]
+        else:
+            out[self.rows, self.cols] = vec
+        return out
 
-    def liouville(self, vec: _Scaled) -> _Scaled:
-        mat = vec.num.reshape(self.dim, self.dim)
-        return _Scaled(liouville(self.h_num, mat).ravel(), vec.den * self.d_h)
+    def liouville(self, vec):
+        if self.exact:
+            return _Scaled(_band_commutator(self.hd, vec.num, self.rows, self.cols, 0), vec.den * self.d_h)
+        return _band_commutator(self.hd, vec, self.rows, self.cols, self.ctx.zero)
 
-    def dot(self, u: _Scaled, v: _Scaled):
-        return rational(self.ctx.dot(self.w_num * u.num, v.num), self.d_w * u.den * v.den)
+    def dual(self, u: np.ndarray) -> np.ndarray:
+        """The covector of a bigreal U: the weight times the conjugate of U."""
+        return self.weight * conjugate(u)
+
+    def dot(self, u, v):
+        if self.exact:
+            return rational(self.ctx.dot(self.weight * u.num, v.num), self.d_w * u.den * v.den)
+        return self.ctx.dot(self.dual(u), v)
 
     cross_dot = dot
 
     def lanczos_stride(self) -> int:
         return 1
+
+    def overlaps(self, ops: list):
+        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle.
+        O_0 moves into the eigenbasis of H once, and the covectors of the
+        chain are formed once, for all times; each time then costs the
+        phase twist of O_0 there and one transform back, read on the band.
+        The chain vectors stay in the position basis: moving each of them
+        instead would cost two products per vector."""
+        duals = [self.dual(self.gather(o_n)) for o_n in ops]
+        eigen, to, back = self.pair.rep.eigenbasis()
+        o0 = to(ops[0])
+
+        def at(t):
+            ot = self.gather(back(eigen.conjugate_exp(o0, t)))
+            return [self.ctx.dot(d, ot) for d in duals]
+
+        return at
 
 
 def operator_lanczos(
@@ -795,7 +790,7 @@ def operator_lanczos(
     """
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    space = pair.rep.space(pair, ip)
+    space = pair.rep.space(pair, ip, k_max)
     k_max = space.size if k_max is None else min(k_max, space.size)
     stride = space.lanczos_stride()
 

@@ -323,3 +323,24 @@ def test_exact_position_n128(kind, params):
     ops = operator_lanczos(pair, k_max=6).b_squared
     m = min(len(hankel), len(ops))
     assert m >= 2 and hankel[:m] == ops[:m]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "kind, params", [("hahn", {"a": "1/2", "b": "2"}), ("krawtchouk", {"p": "1/3"})]
+)
+def test_exact_position_n256(kind, params):
+    """Opt-in (``pytest -m slow``): N=256, K=6 on the exact position pair,
+    whose band (width 6) is a small part of the 257 x 257 matrix.
+
+    Closed form == commutator oracle, and Hankel-route b^2 == operator
+    b^2 on their common prefix, all as exact rationals.
+    """
+    spec = make_system(kind, 256, params, EXACT)
+    pair = position_pair(spec)
+    closed = moments_closed_finite(spec, 6)
+    assert closed.values == moments_oracle(pair, K=6).values
+    hankel = moments_to_lanczos(closed).b_squared
+    ops = operator_lanczos(pair, k_max=6).b_squared
+    m = min(len(hankel), len(ops))
+    assert m >= 2 and hankel[:m] == ops[:m]

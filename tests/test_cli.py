@@ -4,10 +4,11 @@ import mpmath
 import pytest
 
 import krylov_exact.cli
-from krylov_exact import Context
+from krylov_exact import Context, make_system
 from krylov_exact.cli import main
 from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND
+from krylov_exact.verify import check_pair
 
 
 def run(capsys, *argv):
@@ -86,6 +87,11 @@ def test_config_errors(capsys):
         ("--param", ["verify", "--all", "--param", "p=1/2"]),
         ("--beta", ["verify", "--system", "krawtchouk", "--beta", "1"]),
         ("-N", ["verify", "--system", "hermite", "-N", "8"]),
+        # a cut for a finite system, or one below two levels
+        ("--n-max", ["complexity", "--system", "krawtchouk", "--n-max", "3"]),
+        ("--n-max", ["complexity", "--system", "hermite", "--beta", "1", "--n-max", "1"]),
+        ("--n-max", ["complexity", "--system", "hermite", "--beta", "1", "--n-max", "0"]),
+        ("--n-max", ["complexity", "--system", "hermite", "--beta", "1", "--n-max", "-4"]),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -145,6 +151,22 @@ def test_complexity_profile_csv(capsys):
     lines = out.splitlines()
     assert lines[1].startswith("t,K,phi_0")
     assert len(lines) == 7
+
+
+def test_complexity_records_its_cut(capsys):
+    grid = ["--t-grid", "0", "1", "2", "--format", "json"]
+    cuts = []
+    for argv in (
+        ["--system", "krawtchouk", "-N", "3", "--param", "p=1/2"],
+        ["--system", "hermite", "--beta", "1", "--n-max", "12"],
+        ["--system", "hermite", "--beta", "1"],
+    ):
+        code, out, _ = run(capsys, "complexity", *argv, *grid)
+        assert code == 0, argv
+        cuts.append(json.loads(out)["meta"]["n_max"])
+    spec = make_system("hermite", None, {}, Context("bigreal", 50))
+    _, pair, _ = check_pair(spec, "1", 6, None)
+    assert cuts == [3, 12, pair.dim - 1]
 
 
 def test_heisenberg_check_passes(capsys):

@@ -104,14 +104,15 @@ def test_integer_space_dense_pairs(ctx, with_metric):
 
 def test_exact_position_commutators_run_on_integers(ctx, monkeypatch):
     seen = []
-    kernel = operators_module.liouville
+    kernel = operators_module._band_commutator
 
-    def recording(h, v):
-        seen.extend(type(x) for x in h.ravel())
-        seen.extend(type(x) for x in v.ravel())
-        return kernel(h, v)
+    def recording(hd, vec, rows, cols, zero):
+        seen.extend(type(x) for x in hd.ravel())
+        seen.extend(type(x) for x in vec)
+        seen.append(type(zero))
+        return kernel(hd, vec, rows, cols, zero)
 
-    monkeypatch.setattr(operators_module, "liouville", recording)
+    monkeypatch.setattr(operators_module, "_band_commutator", recording)
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
     assert pair.metric is not None
     moments_oracle(pair, K=4)

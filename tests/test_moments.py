@@ -214,12 +214,13 @@ def test_thermal_truncation_stability(bctx):
     assert max(abs(a - b) for a, b in zip(o1.values, o2.values)) < bctx.num("1e-34") * scale
 
 
-def test_tail_not_convergent_for_tiny_beta(bctx):
+def test_tail_not_convergent_for_tiny_beta(bctx, monkeypatch):
     # at very high temperature the term ratio tends to about 0.99, and the
-    # majorant r/(1 - r) certifies the tail only far beyond n_cap
+    # majorant r/(1 - r) certifies the tail only far beyond the term cap
+    monkeypatch.setattr(moments_module, "N_CAP", 2000)
     spec = make_system("meixner", None, {"c": "99/100", "b": "1"}, bctx)
     with pytest.raises(TailNotConvergent):
-        moments_closed_thermal(spec, 2, beta="1/1000", n_cap=2000)
+        moments_closed_thermal(spec, 2, beta="1/1000")
 
 
 @pytest.mark.parametrize("kind", ["charlier", "meixner"])

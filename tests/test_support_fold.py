@@ -179,7 +179,7 @@ def _check_against_reference(pair, ip, beta, times):
         return
     bs, ops = _ref_chain_bigreal(pair, weight)
     assert _all_same(chain.b, bs) and _ops_same(chain.ops, ops)
-    at = pair.rep.space(pair, ip).overlaps(chain.ops)
+    at = pair.rep.space(pair, ip, len(chain.ops) - 1).overlaps(chain.ops)
     for t in times:
         assert _all_same(at(t), _ref_overlaps(pair, weight, ops, t))
 

@@ -8,7 +8,14 @@ Each system supplies, as plain functions of the level/lattice index:
 * ``A(n)``, ``C(n)``           three-term recurrence coefficients,
 * ``eta_diag(n)``              the level-diagonal matrix element of eta,
 * ``alpha_plus/minus(n)``      the two Heisenberg frequencies at level n,
-* ``r0/r1`` coefficient tuples the closure polynomials (degree <= 2 and 1).
+* ``r0/r1_coeffs``             the closure polynomials (degree <= 2 and 1).
+
+A system is one :class:`SystemKind` member, one builder and one row of
+``_SYSTEMS``: (builder, N, parameter sample).  The builder checks its
+own parameter ranges before it derives anything, then returns the data
+functions; the sample's N (None for a thermal system) and parameter
+names give :attr:`SystemKind.is_finite`, ``REQUIRED_PARAMS`` and
+``DEFAULT_PARAMS``.
 
 The ten finite families have dimension N+1 and admit purely rational
 evaluation; the six thermal families (Meixner, Charlier, Hermite,
@@ -51,73 +58,35 @@ class SystemKind(Enum):
 
     @property
     def is_finite(self) -> bool:
-        return self in _FINITE
-
-
-_FINITE = {
-    SystemKind.KRAWTCHOUK,
-    SystemKind.HAHN,
-    SystemKind.DUAL_HAHN,
-    SystemKind.RACAH,
-    SystemKind.QUANTUM_Q_KRAWTCHOUK,
-    SystemKind.Q_KRAWTCHOUK,
-    SystemKind.AFFINE_Q_KRAWTCHOUK,
-    SystemKind.Q_HAHN,
-    SystemKind.DUAL_Q_HAHN,
-    SystemKind.Q_RACAH,
-}
-
-#: Required parameter names per system.
-REQUIRED_PARAMS = {
-    SystemKind.KRAWTCHOUK: ("p",),
-    SystemKind.HAHN: ("a", "b"),
-    SystemKind.DUAL_HAHN: ("a", "b"),
-    SystemKind.RACAH: ("a", "b", "d"),
-    SystemKind.QUANTUM_Q_KRAWTCHOUK: ("p", "q"),
-    SystemKind.Q_KRAWTCHOUK: ("p", "q"),
-    SystemKind.AFFINE_Q_KRAWTCHOUK: ("p", "q"),
-    SystemKind.Q_HAHN: ("a", "b", "q"),
-    SystemKind.DUAL_Q_HAHN: ("a", "b", "q"),
-    SystemKind.Q_RACAH: ("a", "b", "d", "q"),
-    SystemKind.MEIXNER: ("b", "c"),
-    SystemKind.CHARLIER: ("a",),
-    SystemKind.HERMITE: (),
-    SystemKind.LAGUERRE: ("g",),
-    SystemKind.GEGENBAUER: ("g",),
-    SystemKind.JACOBI: ("g", "h"),
-}
-
-#: Built-in parameter samples used by `verify --all`, the demos, and the
-#: default chain classification.  All values are exact-friendly strings.
-DEFAULT_PARAMS = {
-    SystemKind.KRAWTCHOUK: (6, {"p": "1/3"}),
-    SystemKind.HAHN: (6, {"a": "1", "b": "3/2"}),
-    SystemKind.DUAL_HAHN: (6, {"a": "1", "b": "2"}),
-    SystemKind.RACAH: (6, {"d": "1", "a": "8", "b": "3/2"}),
-    SystemKind.QUANTUM_Q_KRAWTCHOUK: (6, {"q": "1/2", "p": "100"}),
-    SystemKind.Q_KRAWTCHOUK: (6, {"q": "1/2", "p": "2/3"}),
-    SystemKind.AFFINE_Q_KRAWTCHOUK: (6, {"q": "1/2", "p": "3/2"}),
-    SystemKind.Q_HAHN: (6, {"q": "1/2", "a": "1/2", "b": "1/3"}),
-    SystemKind.DUAL_Q_HAHN: (6, {"q": "1/2", "a": "1/2", "b": "1/2"}),
-    SystemKind.Q_RACAH: (6, {"q": "1/2", "d": "1/2", "a": "1/256", "b": "3/4"}),
-    SystemKind.MEIXNER: (None, {"c": "1/2", "b": "1"}),
-    SystemKind.CHARLIER: (None, {"a": "1"}),
-    SystemKind.HERMITE: (None, {}),
-    SystemKind.LAGUERRE: (None, {"g": "3/2"}),
-    SystemKind.GEGENBAUER: (None, {"g": "2"}),
-    SystemKind.JACOBI: (None, {"g": "2", "h": "3"}),
-}
+        return _SYSTEMS[self][1] is not None
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A validated system with all of its data functions bound."""
+    """A validated system with all of its data functions bound.
+
+    A system is one builder plus one ``_SYSTEMS`` row, and the builder
+    checks its own parameter ranges.  The fields after ``ctx`` are what
+    the builder returned, with the finite boundary values pinned to
+    zero and ``eta_diag`` defaulting to -(A + C); the thermal systems
+    without a position lattice have no ``B``, ``D`` or ``eta``.
+    """
 
     kind: SystemKind
     N: int | None
     params: dict
     ctx: Context
-    _fns: dict = field(repr=False)
+    energy: Callable = field(repr=False)
+    A: Callable = field(repr=False)
+    C: Callable = field(repr=False)
+    eta_diag: Callable = field(repr=False)  # level-diagonal matrix element <n|eta|n>
+    alpha_plus: Callable = field(repr=False)
+    alpha_minus: Callable = field(repr=False)
+    r0_coeffs: tuple = field(repr=False)  # ascending coefficients of R_0 as a polynomial of H
+    r1_coeffs: tuple = field(repr=False)
+    B: Callable | None = field(default=None, repr=False)
+    D: Callable | None = field(default=None, repr=False)
+    eta: Callable | None = field(default=None, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -129,46 +98,9 @@ class SystemSpec:
             raise IndexOutOfRange(f"{self.kind.value} has no finite dimension")
         return self.N + 1
 
-    def B(self, x):
-        return self._fns["B"](x)
-
-    def D(self, x):
-        return self._fns["D"](x)
-
-    def eta(self, x):
-        return self._fns["eta"](x)
-
-    def energy(self, n):
-        return self._fns["energy"](n)
-
-    def A(self, n):
-        return self._fns["A"](n)
-
-    def C(self, n):
-        return self._fns["C"](n)
-
-    def eta_diag(self, n):
-        """Level-diagonal matrix element <n|eta|n>."""
-        return self._fns["eta_diag"](n)
-
     def ac_product(self, n):
         """A(n) * C(n+1), the squared off-diagonal element of eta."""
         return self.A(n) * self.C(n + 1)
-
-    def alpha_plus(self, n):
-        return self._fns["alpha_plus"](n)
-
-    def alpha_minus(self, n):
-        return self._fns["alpha_minus"](n)
-
-    @property
-    def r0_coeffs(self) -> tuple:
-        """Ascending coefficients of R_0 as a polynomial of the Hamiltonian."""
-        return self._fns["r0"]
-
-    @property
-    def r1_coeffs(self) -> tuple:
-        return self._fns["r1"]
 
     def r0_at(self, e):
         return _polyval(self.r0_coeffs, e)
@@ -194,15 +126,22 @@ def _polyval(coeffs, e):
 
 
 # ---------------------------------------------------------------------------
-# Per-system data builders.  Each returns the function table given the
-# context, N, and the validated parameter dict.  `w2` below is the
-# ubiquitous q-shift constant (q**-1/2 - q**1/2)**2 = 1/q - 2 + q, which
-# is rational and keeps every formula square-root free.
+# Per-system data builders.  Each checks its parameter ranges, then
+# returns the data functions given the context, N, and the parameter dict
+# of numbers.  `w2` below is the ubiquitous q-shift constant
+# (q**-1/2 - q**1/2)**2 = 1/q - 2 + q, which is rational and keeps every
+# formula square-root free.
 # ---------------------------------------------------------------------------
+
+
+def _require(ok: bool, condition: str):
+    if not ok:
+        raise ParameterOutOfRange(f"requires {condition}")
 
 
 def _krawtchouk(ctx, N, P):
     p = P["p"]
+    _require(0 < p < 1, "0 < p < 1")
     one = ctx.one
     return {
         "B": lambda x: p * (N - x),
@@ -213,13 +152,14 @@ def _krawtchouk(ctx, N, P):
         "C": lambda n: -(1 - p) * n,
         "alpha_plus": lambda n: one,
         "alpha_minus": lambda n: -one,
-        "r0": (ctx.one,),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.one,),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
 def _hahn(ctx, N, P):
     a, b = P["a"], P["b"]
+    _require(a > 0 and b > 0, "a, b > 0")
     s = a + b
     return {
         "B": lambda x: (x + a) * (N - x),
@@ -230,13 +170,14 @@ def _hahn(ctx, N, P):
         "C": lambda n: -n * (n + b - 1) * (n + s + N - 1) / ((2 * n - 2 + s) * (2 * n - 1 + s)),
         "alpha_plus": lambda n: 2 * n + s,
         "alpha_minus": lambda n: -(2 * n + s - 2),
-        "r0": ((s - 2) * s, ctx.num(4)),
-        "r1": (ctx.num(2),),
+        "r0_coeffs": ((s - 2) * s, ctx.num(4)),
+        "r1_coeffs": (ctx.num(2),),
     }
 
 
 def _dual_hahn(ctx, N, P):
     a, b = P["a"], P["b"]
+    _require(a > 0 and b > 0, "a, b > 0")
     s = a + b
     one = ctx.one
     return {
@@ -248,13 +189,16 @@ def _dual_hahn(ctx, N, P):
         "C": lambda n: -n * (b + N - n),
         "alpha_plus": lambda n: one,
         "alpha_minus": lambda n: -one,
-        "r0": (ctx.one,),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.one,),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
 def _racah(ctx, N, P):
     a, b, d = P["a"], P["b"], P["d"]
+    _require(d > 0, "d > 0")
+    _require(a > N + d, "a > N + d")
+    _require(0 < b < 1 + d, "0 < b < 1 + d")
     dt = a + b - N - d - 1
     return {
         "B": lambda x: -(x + a) * (x + b) * (x - N) * (x + d) / ((2 * x + d) * (2 * x + d + 1)),
@@ -265,13 +209,15 @@ def _racah(ctx, N, P):
         "C": lambda n: (n + dt - a) * (n + dt - b) * (n + dt + N) * n / ((2 * n + dt - 1) * (2 * n + dt)),
         "alpha_plus": lambda n: 2 * n + dt + 1,
         "alpha_minus": lambda n: -(2 * n + dt - 1),
-        "r0": (dt * dt - 1, ctx.num(4)),
-        "r1": (ctx.num(2),),
+        "r0_coeffs": (dt * dt - 1, ctx.num(4)),
+        "r1_coeffs": (ctx.num(2),),
     }
 
 
 def _quantum_q_krawtchouk(ctx, N, P):
     p, q = P["p"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(p > q ** (-N), "p > q**-N")
     w2 = 1 / q - 2 + q
     return {
         "B": lambda x: q**x * (q ** (x - N) - 1) / p,
@@ -283,13 +229,15 @@ def _quantum_q_krawtchouk(ctx, N, P):
         "alpha_plus": lambda n: (1 - q) * q**n,
         "alpha_minus": lambda n: -(1 / q - 1) * q**n,
         # R_0 = w2*(H-1)^2, R_1 = w2*(H-1)
-        "r0": (w2, -2 * w2, w2),
-        "r1": (-w2, w2),
+        "r0_coeffs": (w2, -2 * w2, w2),
+        "r1_coeffs": (-w2, w2),
     }
 
 
 def _q_krawtchouk(ctx, N, P):
     p, q = P["p"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(p > 0, "p > 0")
     w2 = 1 / q - 2 + q
     u = 1 - p
     return {
@@ -304,13 +252,15 @@ def _q_krawtchouk(ctx, N, P):
         "alpha_plus": lambda n: (1 / q - 1) * (q**-n + p * q ** (n + 1)),
         "alpha_minus": lambda n: -(1 - q) * (q**-n + p * q ** (n - 1)),
         # R_0 = w2*((H+1-p)^2 + p*(1/q + 2 + q)), R_1 = w2*(H+1-p)
-        "r0": (w2 * (u * u + p * (1 / q + 2 + q)), 2 * w2 * u, w2),
-        "r1": (w2 * u, w2),
+        "r0_coeffs": (w2 * (u * u + p * (1 / q + 2 + q)), 2 * w2 * u, w2),
+        "r1_coeffs": (w2 * u, w2),
     }
 
 
 def _affine_q_krawtchouk(ctx, N, P):
     p, q = P["p"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(0 < p < 1 / q, "0 < p < 1/q")
     w2 = 1 / q - 2 + q
     return {
         "B": lambda x: (q ** (x - N) - 1) * (1 - p * q ** (x + 1)),
@@ -322,13 +272,15 @@ def _affine_q_krawtchouk(ctx, N, P):
         "alpha_plus": lambda n: (1 / q - 1) * q**-n,
         "alpha_minus": lambda n: (q - 1) * q**-n,
         # R_0 = w2*(H+1)^2, R_1 = w2*(H+1)
-        "r0": (w2, 2 * w2, w2),
-        "r1": (w2, w2),
+        "r0_coeffs": (w2, 2 * w2, w2),
+        "r1_coeffs": (w2, w2),
     }
 
 
 def _q_hahn(ctx, N, P):
     a, b, q = P["a"], P["b"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(0 < a < 1 and 0 < b < 1, "0 < a, b < 1")
     w2 = 1 / q - 2 + q
     ab = a * b
     s = 1 + ab / q
@@ -344,13 +296,15 @@ def _q_hahn(ctx, N, P):
         "alpha_plus": lambda n: (1 / q - 1) * (q**-n - ab * q**n),
         "alpha_minus": lambda n: -(1 - q) * (q**-n - ab * q ** (n - 2)),
         # R_0 = w2*((H+s)^2 - ab*(1 + 1/q)^2), R_1 = w2*(H+s)
-        "r0": (w2 * (s * s - ab * (1 + 1 / q) ** 2), 2 * w2 * s, w2),
-        "r1": (w2 * s, w2),
+        "r0_coeffs": (w2 * (s * s - ab * (1 + 1 / q) ** 2), 2 * w2 * s, w2),
+        "r1_coeffs": (w2 * s, w2),
     }
 
 
 def _dual_q_hahn(ctx, N, P):
     a, b, q = P["a"], P["b"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(0 < a < 1 and 0 < b < 1, "0 < a, b < 1")
     w2 = 1 / q - 2 + q
     ab = a * b
     return {
@@ -364,13 +318,17 @@ def _dual_q_hahn(ctx, N, P):
         "C": lambda n: -a / q * (1 - q**n) * (q ** (n - N) - b),
         "alpha_plus": lambda n: (1 / q - 1) * q**-n,
         "alpha_minus": lambda n: (q - 1) * q**-n,
-        "r0": (w2, 2 * w2, w2),
-        "r1": (w2, w2),
+        "r0_coeffs": (w2, 2 * w2, w2),
+        "r1_coeffs": (w2, w2),
     }
 
 
 def _q_racah(ctx, N, P):
     a, b, d, q = P["a"], P["b"], P["d"], P["q"]
+    _require(0 < q < 1, "0 < q < 1")
+    _require(0 < d < 1, "0 < d < 1")
+    _require(0 < a < q**N * d, "0 < a < d*q**N")
+    _require(q * d < b < 1, "d*q < b < 1")
     w2 = 1 / q - 2 + q
     dt = a * b / d * q ** (-N - 1)
     s = 1 + dt
@@ -388,13 +346,15 @@ def _q_racah(ctx, N, P):
         "alpha_plus": lambda n: (1 / q - 1) * (q**-n - dt * q ** (n + 1)),
         "alpha_minus": lambda n: -(1 - q) * (q**-n - dt * q ** (n - 1)),
         # R_0 = w2*((H+1+dt)^2 - (1/q + 2 + q)*dt), R_1 = w2*(H+1+dt)
-        "r0": (w2 * (s * s - (1 / q + 2 + q) * dt), 2 * w2 * s, w2),
-        "r1": (w2 * s, w2),
+        "r0_coeffs": (w2 * (s * s - (1 / q + 2 + q) * dt), 2 * w2 * s, w2),
+        "r1_coeffs": (w2 * s, w2),
     }
 
 
 def _meixner(ctx, N, P):
     b, c = P["b"], P["c"]
+    _require(0 < c < 1, "0 < c < 1")
+    _require(b > 0, "b > 0")
     one = ctx.one
     return {
         "B": lambda x: c / (1 - c) * (x + b),
@@ -405,13 +365,14 @@ def _meixner(ctx, N, P):
         "C": lambda n: -n / (1 - c),
         "alpha_plus": lambda n: one,
         "alpha_minus": lambda n: -one,
-        "r0": (ctx.one,),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.one,),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
 def _charlier(ctx, N, P):
     a = P["a"]
+    _require(a > 0, "a > 0")
     one = ctx.one
     return {
         "B": lambda x: a,
@@ -422,8 +383,8 @@ def _charlier(ctx, N, P):
         "C": lambda n: -ctx.num(n),
         "alpha_plus": lambda n: one,
         "alpha_minus": lambda n: -one,
-        "r0": (ctx.one,),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.one,),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
@@ -431,45 +392,38 @@ def _hermite(ctx, N, P):
     half = ctx.frac(1, 2)
     two = ctx.num(2)
     return {
-        "B": None,
-        "D": None,
-        "eta": None,
         "energy": lambda n: ctx.num(2 * n),
         "A": lambda n: half,
         "C": lambda n: ctx.num(n),
         "eta_diag": lambda n: ctx.zero,
         "alpha_plus": lambda n: two,
         "alpha_minus": lambda n: -two,
-        "r0": (ctx.num(4),),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.num(4),),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
 def _laguerre(ctx, N, P):
     g = P["g"]
+    _require(g > 1, "g > 1")
     half = ctx.frac(1, 2)
     four = ctx.num(4)
     return {
-        "B": None,
-        "D": None,
-        "eta": None,
         "energy": lambda n: ctx.num(4 * n),
         "A": lambda n: -(ctx.num(n) + 1),
         "C": lambda n: -(n + g - half),
         "eta_diag": lambda n: 2 * n + g + half,
         "alpha_plus": lambda n: four,
         "alpha_minus": lambda n: -four,
-        "r0": (ctx.num(16),),
-        "r1": (ctx.zero,),
+        "r0_coeffs": (ctx.num(16),),
+        "r1_coeffs": (ctx.zero,),
     }
 
 
 def _gegenbauer(ctx, N, P):
     g = P["g"]
+    _require(g > 1, "g > 1")
     return {
-        "B": None,
-        "D": None,
-        "eta": None,
         "energy": lambda n: n * (n + 2 * g),
         "A": lambda n: (n + 1) / (2 * (n + g)),
         "C": lambda n: (n + 2 * g - 1) / (2 * (n + g)),
@@ -477,19 +431,17 @@ def _gegenbauer(ctx, N, P):
         "alpha_plus": lambda n: 2 * (n + g) + 1,
         "alpha_minus": lambda n: -(2 * n + 2 * g - 1),
         # R_0 = 4*(H + g^2) - 1, R_1 = 2
-        "r0": (4 * g * g - 1, ctx.num(4)),
-        "r1": (ctx.num(2),),
+        "r0_coeffs": (4 * g * g - 1, ctx.num(4)),
+        "r1_coeffs": (ctx.num(2),),
     }
 
 
 def _jacobi(ctx, N, P):
     g, h = P["g"], P["h"]
+    _require(g > 1 and h > 1, "g > 1 and h > 1")
     s = g + h
     half = ctx.frac(1, 2)
     return {
-        "B": None,
-        "D": None,
-        "eta": None,
         "energy": lambda n: 4 * n * (n + s),
         "A": lambda n: 2 * (n + 1) * (n + s) / ((2 * n + s) * (2 * n + s + 1)),
         "C": lambda n: 2 * (n + g - half) * (n + h - half) / ((2 * n + s - 1) * (2 * n + s)),
@@ -497,95 +449,38 @@ def _jacobi(ctx, N, P):
         "alpha_plus": lambda n: 4 * (2 * n + s + 1),
         "alpha_minus": lambda n: -4 * (2 * n + s - 1),
         # R_0 = 16*(H + (g+h)^2 - 1), R_1 = 8
-        "r0": (16 * (s * s - 1), ctx.num(16)),
-        "r1": (ctx.num(8),),
+        "r0_coeffs": (16 * (s * s - 1), ctx.num(16)),
+        "r1_coeffs": (ctx.num(8),),
     }
 
 
-_BUILDERS: dict[SystemKind, Callable] = {
-    SystemKind.KRAWTCHOUK: _krawtchouk,
-    SystemKind.HAHN: _hahn,
-    SystemKind.DUAL_HAHN: _dual_hahn,
-    SystemKind.RACAH: _racah,
-    SystemKind.QUANTUM_Q_KRAWTCHOUK: _quantum_q_krawtchouk,
-    SystemKind.Q_KRAWTCHOUK: _q_krawtchouk,
-    SystemKind.AFFINE_Q_KRAWTCHOUK: _affine_q_krawtchouk,
-    SystemKind.Q_HAHN: _q_hahn,
-    SystemKind.DUAL_Q_HAHN: _dual_q_hahn,
-    SystemKind.Q_RACAH: _q_racah,
-    SystemKind.MEIXNER: _meixner,
-    SystemKind.CHARLIER: _charlier,
-    SystemKind.HERMITE: _hermite,
-    SystemKind.LAGUERRE: _laguerre,
-    SystemKind.GEGENBAUER: _gegenbauer,
-    SystemKind.JACOBI: _jacobi,
+#: The systems: kind -> (builder, N, parameter sample).  The sample is
+#: the one `verify --all`, the demos and `list-systems` use; its values
+#: are exact-friendly strings.
+_SYSTEMS: dict[SystemKind, tuple[Callable, int | None, dict]] = {
+    SystemKind.KRAWTCHOUK: (_krawtchouk, 6, {"p": "1/3"}),
+    SystemKind.HAHN: (_hahn, 6, {"a": "1", "b": "3/2"}),
+    SystemKind.DUAL_HAHN: (_dual_hahn, 6, {"a": "1", "b": "2"}),
+    SystemKind.RACAH: (_racah, 6, {"d": "1", "a": "8", "b": "3/2"}),
+    SystemKind.QUANTUM_Q_KRAWTCHOUK: (_quantum_q_krawtchouk, 6, {"q": "1/2", "p": "100"}),
+    SystemKind.Q_KRAWTCHOUK: (_q_krawtchouk, 6, {"q": "1/2", "p": "2/3"}),
+    SystemKind.AFFINE_Q_KRAWTCHOUK: (_affine_q_krawtchouk, 6, {"q": "1/2", "p": "3/2"}),
+    SystemKind.Q_HAHN: (_q_hahn, 6, {"q": "1/2", "a": "1/2", "b": "1/3"}),
+    SystemKind.DUAL_Q_HAHN: (_dual_q_hahn, 6, {"q": "1/2", "a": "1/2", "b": "1/2"}),
+    SystemKind.Q_RACAH: (_q_racah, 6, {"q": "1/2", "d": "1/2", "a": "1/256", "b": "3/4"}),
+    SystemKind.MEIXNER: (_meixner, None, {"c": "1/2", "b": "1"}),
+    SystemKind.CHARLIER: (_charlier, None, {"a": "1"}),
+    SystemKind.HERMITE: (_hermite, None, {}),
+    SystemKind.LAGUERRE: (_laguerre, None, {"g": "3/2"}),
+    SystemKind.GEGENBAUER: (_gegenbauer, None, {"g": "2"}),
+    SystemKind.JACOBI: (_jacobi, None, {"g": "2", "h": "3"}),
 }
 
-# Parameter range constraints: (name of inequality, predicate on params).
-# `N` and derived quantities are available through the closure arguments.
+#: Default sample (N, params) per system.
+DEFAULT_PARAMS = {kind: (N, sample) for kind, (_, N, sample) in _SYSTEMS.items()}
 
-
-def _range_checks(kind: SystemKind, N, P, ctx):
-    def fail(desc):
-        raise ParameterOutOfRange(f"{kind.value}: requires {desc}")
-
-    if kind is SystemKind.KRAWTCHOUK:
-        if not (0 < P["p"] < 1):
-            fail("0 < p < 1")
-    elif kind in (SystemKind.HAHN, SystemKind.DUAL_HAHN):
-        if not (P["a"] > 0 and P["b"] > 0):
-            fail("a, b > 0")
-    elif kind is SystemKind.RACAH:
-        if not P["d"] > 0:
-            fail("d > 0")
-        if not P["a"] > N + P["d"]:
-            fail("a > N + d")
-        if not (0 < P["b"] < 1 + P["d"]):
-            fail("0 < b < 1 + d")
-    elif kind is SystemKind.QUANTUM_Q_KRAWTCHOUK:
-        _check_q(P, fail)
-        if not P["p"] > P["q"] ** (-N):
-            fail("p > q**-N")
-    elif kind is SystemKind.Q_KRAWTCHOUK:
-        _check_q(P, fail)
-        if not P["p"] > 0:
-            fail("p > 0")
-    elif kind is SystemKind.AFFINE_Q_KRAWTCHOUK:
-        _check_q(P, fail)
-        if not (0 < P["p"] < 1 / P["q"]):
-            fail("0 < p < 1/q")
-    elif kind in (SystemKind.Q_HAHN, SystemKind.DUAL_Q_HAHN):
-        _check_q(P, fail)
-        if not (0 < P["a"] < 1 and 0 < P["b"] < 1):
-            fail("0 < a, b < 1")
-    elif kind is SystemKind.Q_RACAH:
-        _check_q(P, fail)
-        if not (0 < P["d"] < 1):
-            fail("0 < d < 1")
-        if not (0 < P["a"] < P["q"] ** N * P["d"]):
-            fail("0 < a < d*q**N")
-        if not (P["q"] * P["d"] < P["b"] < 1):
-            fail("d*q < b < 1")
-    elif kind is SystemKind.MEIXNER:
-        if not (0 < P["c"] < 1):
-            fail("0 < c < 1")
-        if not P["b"] > 0:
-            fail("b > 0")
-    elif kind is SystemKind.CHARLIER:
-        if not P["a"] > 0:
-            fail("a > 0")
-    elif kind in (SystemKind.LAGUERRE, SystemKind.GEGENBAUER):
-        if not P["g"] > 1:
-            fail("g > 1")
-    elif kind is SystemKind.JACOBI:
-        if not (P["g"] > 1 and P["h"] > 1):
-            fail("g > 1 and h > 1")
-
-
-def _check_q(P, fail):
-    if not (0 < P["q"] < 1):
-        fail("0 < q < 1")
-
+#: Required parameter names per system, sorted.
+REQUIRED_PARAMS = {kind: tuple(sorted(sample)) for kind, (_, _, sample) in _SYSTEMS.items()}
 
 #: Probe levels used to validate the positivity data of the thermal
 #: systems; a dense low range plus a sparse tail up to 10_000.
@@ -600,9 +495,11 @@ def make_system(
 ) -> SystemSpec:
     """Build and validate a system specification.
 
-    Finite systems are scanned exhaustively over x, n in 0..N; thermal
-    systems are probed on 0..256 plus a sparse tail to 10_000.
-    Violations raise with the offending index in the message.
+    The system's builder checks the parameter ranges; its message gets
+    the kind as prefix.  Finite systems are scanned exhaustively over
+    x, n in 0..N; thermal systems are probed on 0..256 plus a sparse
+    tail to 10_000.  Violations raise with the offending index in the
+    message.
     """
     if isinstance(kind, str):
         kind = SystemKind(kind)
@@ -629,9 +526,10 @@ def make_system(
             typed[name] = ctx.num(v)
         except (ValueError, ZeroDivisionError):
             raise ParameterOutOfRange(f"{kind.value}: {name}={v!r} is not a number") from None
-    _range_checks(kind, N, typed, ctx)
-
-    fns = _BUILDERS[kind](ctx, N, typed)
+    try:
+        fns = _SYSTEMS[kind][0](ctx, N, typed)
+    except ParameterOutOfRange as exc:
+        raise ParameterOutOfRange(f"{kind.value}: {exc}") from None
     if kind.is_finite:
         # The boundary values B(N), D(0), A(N), C(0) are zero by the
         # structure of the theory; for some parameter points the raw
@@ -643,12 +541,11 @@ def make_system(
         fns["D"] = lambda x, _f=d_raw: zero if x == 0 else _f(x)
         fns["A"] = lambda n, _f=a_raw: zero if n == N else _f(n)
         fns["C"] = lambda n, _f=c_raw: zero if n == 0 else _f(n)
-    if "eta_diag" not in fns:
-        # The ten finite families plus Meixner/Charlier keep the
-        # normalisation with diagonal element -(A_n + C_n).
-        fns["eta_diag"] = lambda n: -(fns["A"](n) + fns["C"](n))
+    # The ten finite families plus Meixner/Charlier keep the
+    # normalisation with diagonal element -(A_n + C_n).
+    fns.setdefault("eta_diag", lambda n: -(fns["A"](n) + fns["C"](n)))
 
-    spec = SystemSpec(kind=kind, N=N, params=typed, ctx=ctx, _fns=fns)
+    spec = SystemSpec(kind=kind, N=N, params=typed, ctx=ctx, **fns)
     _validate_positivity(spec)
     return spec
 

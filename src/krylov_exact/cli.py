@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -34,25 +33,13 @@ from .chain import chain_report
 from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile, verify_closure
 from .errors import KrylovExactError
 from .moments import moments_closed
-from .numeric import BIGREAL, EXACT, RATIONAL_BACKEND, Context
+from .numeric import BIGREAL, DEFAULT_PRECISION, EXACT, RATIONAL_BACKEND, Context
 from .operators import energy_pair, operator_lanczos, trace_inner, wightman_inner
 from .verify import check_pair, run_system_checks
-
-ENV_PRECISION = "KRYLOV_EXACT_PRECISION"
 
 
 class ConfigError(Exception):
     pass
-
-
-def _default_precision() -> int:
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return 50
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_PRECISION}: not an integer: {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +131,7 @@ def _resolve_context(args, kind: SystemKind | None) -> Context:
             raise ConfigError("--mode: mode=exact requires a finite discrete system")
         if needs_big:
             raise ConfigError(f"--mode: mode=exact cannot run {args.command} (needs exponentials)")
-    precision = args.precision if args.precision is not None else _default_precision()
+    precision = args.precision if args.precision is not None else DEFAULT_PRECISION
     if precision < 30 and mode == BIGREAL:
         raise ConfigError("--precision: bigreal precision must be at least 30")
     ctx = Context(mode, precision)

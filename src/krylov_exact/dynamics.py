@@ -36,12 +36,12 @@ HEISENBERG_TIMES = ("1/10", "7/10", "157/50", "10")
 
 @dataclass
 class ClosureData:
-    """Closure polynomials plus the reconstructed R_{-1} diagonal."""
+    """Closure polynomials: R_0 and R_1 of the system, and the
+    reconstructed R_{-1}."""
 
     r0: tuple
     r1: tuple
     rm1: tuple
-    rm1_diag: list
     residual: object
 
     def r0_at(self, e):
@@ -58,10 +58,9 @@ def verify_closure(pair: OperatorPair) -> ClosureData:
     """Reconstruct R_{-1} from the double-commutator residual.
 
     Computes M = L^2 eta - eta R_0(H) - (L eta) R_1(H), demands that it
-    commute with H, fits it as a polynomial of H of degree at most 2,
-    and returns the fitted diagonal.  R_0 and R_1 are those of
-    ``pair.spec``.  A defect beyond 10 rel_eps max(|M|, 1), which is 0 in
-    exact mode, raises :class:`~krylov_exact.errors.ClosureViolated`, as
+    commute with H, and fits it as a polynomial R_{-1} of H of degree at
+    most 2.  R_0 and R_1 are those of ``pair.spec``.  A defect beyond
+    10 rel_eps max(|M|, 1), which is 0 in exact mode, raises :class:`~krylov_exact.errors.ClosureViolated`, as
     does a pair without a system.  A spectrum pair works on the eta
     support plus the diagonal only.
     """
@@ -89,9 +88,7 @@ def verify_closure(pair: OperatorPair) -> ClosureData:
     coeffs = solve_consistent(cols, m_of_h, ctx)
     if coeffs is None:
         raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
-    rm1 = tuple(coeffs)
-    rm1_diag = [_polyval(rm1, spec.energy(n)) for n in range(pair.dim)]
-    return ClosureData(r0=r0, r1=r1, rm1=rm1, rm1_diag=rm1_diag, residual=worst)
+    return ClosureData(r0=r0, r1=r1, rm1=tuple(coeffs), residual=worst)
 
 
 def closure_diagonal_identity(closure: ClosureData, spec: SystemSpec, n: int, ctx: Context) -> bool:

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +131,7 @@ class OperatorPair:
             # class; otherwise arithmetic on them rounds at their own precision
             to_ctx = np.vectorize(self.ctx.num, otypes=[object])
             self.h, self.eta = to_ctx(self.h), to_ctx(self.eta)
-        self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx)
+        self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx, self.eta)
 
     @property
     def basis(self) -> str:
@@ -365,13 +366,23 @@ class _Banded:
 
     An operator, and a function f(H), is a dense matrix.  Spectral work
     happens in the eigenbasis H = Q diag(E) Q^T, computed on first use and
-    kept, so each pair runs :func:`eig_symmetric` at most once.
+    kept, so each pair runs :func:`eig_symmetric` at most once.  The
+    band data of the pair's operator spaces (:attr:`bands`) are kept the
+    same way.
     """
 
-    def __init__(self, h: np.ndarray, ctx: Context):
-        self.h = h
-        self.ctx = ctx
+    def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
+        self.h, self.ctx, self.eta = h, ctx, eta
         self._eigen = None
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, int, int]:
+        """(hd, d_H, w_eta): the padded diagonals of H (:func:`_diagonals`),
+        in exact mode as integer numerators over d_H (else d_H = 1), and
+        the bandwidth of eta."""
+        hd = _diagonals(self.h, self.ctx.zero)
+        hd, d_h = _integer_numerators(hd) if self.ctx.is_exact else (hd, 1)
+        return hd, d_h, _bandwidth(self.eta)
 
     gather = scatter = staticmethod(_unchanged)
 
@@ -705,9 +716,10 @@ class _BandSpace:
     :meth:`dot`, and the chain reorthogonalises against every earlier
     vector.  The modes differ only in the scalars.  A bigreal vector holds
     mpf entries, and a dot is one fused dot of the covector (:meth:`dual`)
-    with V.  An exact vector is a :class:`_Scaled`: H and the band weight
-    (metric factors g_b/g_a included) are cleared of denominators once,
-    h_num / d_H and w_num / d_w, a commutator runs the kernel on the
+    with V.  An exact vector is a :class:`_Scaled`: H is cleared of
+    denominators once per pair (:attr:`_Banded.bands`), h_num / d_H, and
+    the band weight (metric factors g_b/g_a included) once per space,
+    w_num / d_w; a commutator runs the kernel on the
     numerators over d_H * den, and a dot is one integer sum over
     d_w * den_u * den_v.  Exact values equal those of rational arithmetic.
     The profile evolves O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
@@ -717,14 +729,11 @@ class _BandSpace:
         _check_dims(pair, ip)
         n, ctx = pair.dim, pair.ctx
         self.pair, self.ctx, self.exact, self.size = pair, ctx, ctx.is_exact, n * n
-        hd = _diagonals(pair.h, ctx.zero)
-        width = n - 1 if steps is None else min(_bandwidth(pair.eta) + steps * (len(hd) // 2), n - 1)
+        self.hd, self.d_h, w_eta = pair.rep.bands
+        width = n - 1 if steps is None else min(w_eta + steps * (len(self.hd) // 2), n - 1)
         self.rows, self.cols = _band(n, width)
         weight = ip.entries(self.rows, self.cols)
-        if self.exact:
-            (self.hd, self.d_h), (self.weight, self.d_w) = _integer_numerators(hd), _integer_numerators(weight)
-        else:
-            self.hd, self.weight = hd, weight
+        self.weight, self.d_w = _integer_numerators(weight) if self.exact else (weight, 1)
 
     def gather(self, mat: np.ndarray):
         vec = mat[self.rows, self.cols]

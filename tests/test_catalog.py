@@ -1,10 +1,13 @@
 import pytest
 
 from krylov_exact import (
+    DEFAULT_PARAMS,
+    SystemKind,
     default_system,
     make_system,
     spectrum_shift_relations,
 )
+from krylov_exact.catalog import REQUIRED_PARAMS
 from krylov_exact.errors import (
     IndexOutOfRange,
     MissingParameter,
@@ -26,6 +29,43 @@ def test_krawtchouk_data_block(ctx):
 def test_krawtchouk_out_of_range(ctx):
     with pytest.raises(ParameterOutOfRange):
         make_system("krawtchouk", 5, {"p": "3/2"}, ctx)
+
+
+#: Per system that takes parameters: the first parameter its ranges check,
+#: a value out of that range, and the condition the message names.  The
+#: q-families get q = 0, where their derived constants divide by q;
+#: Meixner c = 1 and Gegenbauer g = 0 also make a data function divide
+#: by zero.
+FIRST_RANGE_BROKEN = [
+    ("krawtchouk", "p", "0", "0 < p < 1"),
+    ("hahn", "a", "0", "a, b > 0"),
+    ("dual-hahn", "a", "0", "a, b > 0"),
+    ("racah", "d", "0", "d > 0"),
+    ("quantum-q-krawtchouk", "q", "0", "0 < q < 1"),
+    ("q-krawtchouk", "q", "0", "0 < q < 1"),
+    ("affine-q-krawtchouk", "q", "0", "0 < q < 1"),
+    ("q-hahn", "q", "0", "0 < q < 1"),
+    ("dual-q-hahn", "q", "0", "0 < q < 1"),
+    ("q-racah", "q", "0", "0 < q < 1"),
+    ("meixner", "c", "1", "0 < c < 1"),
+    ("charlier", "a", "0", "a > 0"),
+    ("laguerre", "g", "1", "g > 1"),
+    ("gegenbauer", "g", "0", "g > 1"),
+    ("jacobi", "g", "1", "g > 1 and h > 1"),
+]
+
+
+def test_range_table_covers_every_system_with_parameters():
+    assert [row[0] for row in FIRST_RANGE_BROKEN] == [k.value for k in SystemKind if REQUIRED_PARAMS[k]]
+
+
+@pytest.mark.parametrize("system,name,value,condition", FIRST_RANGE_BROKEN)
+def test_range_check_names_the_condition(ctx, bctx, system, name, value, condition):
+    N, params = DEFAULT_PARAMS[SystemKind(system)]
+    for c in (ctx, bctx):
+        with pytest.raises(ParameterOutOfRange) as info:
+            make_system(system, N, {**params, name: value}, c)
+        assert str(info.value) == f"{system}: requires {condition}"
 
 
 def test_missing_and_unknown_parameters(ctx):

@@ -206,18 +206,6 @@ def test_verify_requires_target(capsys):
     assert code == 2 and "--system" in err
 
 
-def test_env_precision_override(capsys, monkeypatch):
-    monkeypatch.setenv("KRYLOV_EXACT_PRECISION", "40")
-    code, out, _ = run(
-        capsys, "moments", "--system", "charlier", "--beta", "1", "--format", "json", "-K", "2"
-    )
-    assert code == 0
-    assert json.loads(out)["config"]["precision"] == 40
-    monkeypatch.setenv("KRYLOV_EXACT_PRECISION", "junk")
-    code, _, err = run(capsys, "moments", "--system", "charlier", "--beta", "1")
-    assert code == 2 and "KRYLOV_EXACT_PRECISION" in err
-
-
 def test_verify_small_k_runs_every_check(capsys):
     # b_3 and the b_1..b_3 closed forms need mu_6, i.e. K >= 3
     code, out, _ = run(capsys, "verify", "--system", "krawtchouk", "-K", "2")

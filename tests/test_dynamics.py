@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ def test_closure_exact_all_finite(ctx, kind):
 
 def test_closure_violated_on_corrupted_data(ctx):
     spec = make_system("krawtchouk", 3, {"p": "1/4"}, ctx)
-    spec._fns["r0"] = (ctx.num(2),)  # wrong closure polynomial
+    spec = dataclasses.replace(spec, r0_coeffs=(ctx.num(2),))  # wrong closure polynomial
     pair = position_pair(spec)
     with pytest.raises(ClosureViolated):
         verify_closure(pair)
@@ -171,7 +173,7 @@ def test_closed_form_where_r0_vanishes_and_frequencies_meet(bctx):
     pair = energy_pair(spec)
     assert bctx.zero in list(pair.h)
     zero, one = bctx.zero, bctx.one
-    cl = ClosureData(r0=(zero, one), r1=(zero,), rm1=(one, 2 * one), rm1_diag=[], residual=0)
+    cl = ClosureData(r0=(zero, one), r1=(zero,), rm1=(one, 2 * one), residual=0)
     t = bctx.frac(1, 10)
     series = np.zeros(pair.eta.shape, dtype=object)
     term = one
@@ -181,7 +183,7 @@ def test_closed_form_where_r0_vanishes_and_frequencies_meet(bctx):
     dev = max_abs(heisenberg_closed_form(pair, cl, t) - series)
     assert dev <= bctx.default_tolerance().rel_eps * max(max_abs(pair.eta), one) * 1000
     # complex frequencies still have no closed form here
-    negative = ClosureData(r0=(-one,), r1=(zero,), rm1=(zero,), rm1_diag=[], residual=0)
+    negative = ClosureData(r0=(-one,), r1=(zero,), rm1=(zero,), residual=0)
     with pytest.raises(DegenerateFrequencies):
         heisenberg_closed_form(pair, negative, t)
 
@@ -215,8 +217,8 @@ def test_diagonal_identity_rejects_perturbed_eta(mode):
     cl = verify_closure(position_pair(spec))
     n = next(k for k in range(7) if cl.r0_at(spec.energy(k)) != 0)
     assert closure_diagonal_identity(cl, spec, n, ctx)
-    eta_diag = spec._fns["eta_diag"]
-    spec._fns["eta_diag"] = lambda k: eta_diag(k) * (1 + ctx.num("1e-30")) if k == n else eta_diag(k)
+    eta_diag = spec.eta_diag
+    spec = dataclasses.replace(spec, eta_diag=lambda k: eta_diag(k) * (1 + ctx.num("1e-30")) if k == n else eta_diag(k))
     assert not closure_diagonal_identity(cl, spec, n, ctx)
 
 

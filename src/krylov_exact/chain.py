@@ -1,11 +1,17 @@
 """Conversions between moment tables and Lanczos coefficients.
 
-The forward map uses the classic orthogonal-polynomial recursion: with a
-symmetric moment functional (odd moments zero) the monic polynomials
-obey p_{k+1} = x p_k - b_k^2 p_{k-1}, where b_k^2 = h_k / h_{k-1} and
-h_k is the squared norm of p_k under the functional.  This is equivalent
-to the standard moment-recursion tables and is anchored here to the
-explicit rational b_1..b_3 formulas and to the operator-space chain.
+The forward map is Chebyshev's algorithm (Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, 2004, §2.1.7; Wheeler,
+*Rocky Mountain J. Math.* 4 (1974) 287).  The monic orthogonal
+polynomials of the moment functional obey p_{k+1} = x p_k - b_k^2 p_{k-1}
+when the functional is symmetric (every odd moment zero, so every
+diagonal coefficient a_k vanishes).  The mixed moments
+sigma_{k,l} = L(p_k x^l) then satisfy sigma_{k,l} = sigma_{k-1,l+1} -
+b_{k-1}^2 sigma_{k-2,l} with sigma_{0,l} = mu_l, and b_k^2 =
+sigma_{k,k} / sigma_{k-1,k-1}.  Only l = k, k+2, ..., 2K-k is needed, so
+K coefficients cost O(K^2) operations.  An asymmetric table is refused
+before the recursion runs.  The map is anchored to the explicit rational
+b_1..b_3 formulas and to the operator-space chain.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 
 from .catalog import SystemSpec
 from .errors import (
+    AsymmetricMoments,
     DegenerateChain,
     IndexOutOfRange,
     NegativeBSquared,
@@ -56,50 +63,44 @@ class LanczosCoefficients:
 
 
 def moments_to_lanczos(table: MomentTable) -> LanczosCoefficients:
-    """Recover b_1^2 .. b_K^2 from mu_0 .. mu_2K.
+    """Recover b_1^2 .. b_K^2 from mu_0 .. mu_2K by Chebyshev's algorithm.
 
-    Each step forms b_k^2 = h_k / h_{k-1}, where h_{k-1} > 0.  A b_k^2
-    that :meth:`~krylov_exact.numeric.Context.is_zero` terminates the
-    chain; a negative one raises
-    :class:`~krylov_exact.errors.NegativeBSquared` because the sequence
-    is then not a moment sequence.
+    The odd moments are checked first: each must satisfy |mu_2j+1| <=
+    rel_eps * sqrt(mu_2j mu_2j+2), the Cauchy-Schwarz scale, which is
+    mu_2j+1 = 0 in exact mode; otherwise
+    :class:`~krylov_exact.errors.AsymmetricMoments` names the moment.
+    Row k of the sigma table keeps sigma_{k,l} for l = k, k+2, ..., 2K-k,
+    so the K rows take O(K^2) operations, one code path in both modes.
+    A b_k^2 = sigma_{k,k} / sigma_{k-1,k-1} that
+    :meth:`~krylov_exact.numeric.Context.is_zero` terminates the chain; a
+    negative one raises :class:`~krylov_exact.errors.NegativeBSquared`
+    because the sequence is then not a moment sequence.
     """
     mus, ctx = table.values, table.ctx
     if not mus or mus[0] != 1:
         raise NonUnitMuZero("moment tables must start with mu_0 = 1")
     K = (len(mus) - 1) // 2
-
-    def dot(p, q):
-        s = ctx.zero
-        for i, ci in enumerate(p):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(q):
-                if cj == 0:
-                    continue
-                s = s + ci * cj * mus[i + j]
-        return s
-
-    p_prev = [ctx.one]
-    h_prev = ctx.one  # = mu_0
-    p_cur = [ctx.zero, ctx.one]  # the monomial x
+    rel_eps = ctx.default_tolerance().rel_eps
+    for m in range(1, 2 * K, 2):
+        if mus[m] * mus[m] > rel_eps * rel_eps * abs(mus[m - 1] * mus[m + 1]):
+            raise AsymmetricMoments(
+                f"mu_{m} = {ctx.fmt(mus[m])} exceeds rel_eps * sqrt(mu_{m - 1} mu_{m + 1}): "
+                "the moment functional is not symmetric"
+            )
+    # sigma_{k-2, .} and sigma_{k-1, .}, starting from sigma_{-1} = 0 and sigma_0 = mu
+    before, row = [ctx.zero] * (K + 1), mus[0 : 2 * K + 1 : 2]
+    b2 = ctx.zero
     b2s = []
     stop = None
     for k in range(1, K + 1):
-        h_cur = dot(p_cur, p_cur)
-        b2 = h_cur / h_prev
+        before, row = row, [s - b2 * r for s, r in zip(row[1:], before[1:])]
+        b2 = row[0] / before[0]
         if ctx.is_zero(b2):
             stop = k - 1
             break
         if b2 < 0:
             raise NegativeBSquared(f"b_{k}^2 = {ctx.fmt(b2)} < 0")
         b2s.append(b2)
-        # p_{k+1} = x*p_k - b_k^2 * p_{k-1}
-        nxt = [ctx.zero] + list(p_cur)
-        for i, c in enumerate(p_prev):
-            nxt[i] = nxt[i] - b2 * c
-        p_prev, p_cur = p_cur, nxt
-        h_prev = h_cur
     return LanczosCoefficients(b_squared=b2s, stop_index=stop, ctx=ctx)
 
 

@@ -62,6 +62,10 @@ class NonUnitMuZero(KrylovExactError):
     """Moment table does not start with mu_0 = 1."""
 
 
+class AsymmetricMoments(KrylovExactError):
+    """An odd moment is nonzero, so the moment functional is not symmetric."""
+
+
 class NegativeBSquared(KrylovExactError):
     """Moment sequence is not positive definite beyond the stop point."""
 

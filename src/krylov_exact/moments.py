@@ -260,41 +260,6 @@ def diagonal_eta_identity(spec: SystemSpec, n_max: int | None = None) -> bool:
     return True  # thermal families with explicit diagonal data
 
 
-def dual_hahn_mu2_closed(N: int, a, b, ctx: Context):
-    """Independently derived rational closed form of the dual Hahn mu_2.
-
-    Equal to 2*sum A_n C_{n+1} / |eta|^2 for every (N, a, b); the
-    numerator and denominator below were obtained by summing that lattice
-    expression symbolically and are verified against it in the tests.
-    """
-    a = ctx.num(a)
-    b = ctx.num(b)
-    s = a + b
-    numer = (N + 2) * (2 * N * N + 5 * s * N - 6 * N + 10 * a * b - 5 * s + 4)
-    denom = (
-        6 * N**3
-        + 15 * s * N**2
-        - 6 * N**2
-        + 10 * s * s * N
-        - 5 * s * N
-        - 4 * N
-        + 5 * s * s
-        - 10 * s
-        + 4
-    )
-    return numer / denom
-
-
-def affine_qk_norm_closed(N: int, q, ctx: Context):
-    """Closed form of sum_x (q^-x - 1)^2 for x = 0..N.
-
-    Derived independently as N + q^{-2N} (1-q^N)(1-q^N(1+2q)) / (1-q^2)
-    and verified against the direct sum in the tests.
-    """
-    q = ctx.num(q)
-    return N + q ** (-2 * N) * (1 - q**N) * (1 - q**N * (1 + 2 * q)) / (1 - q * q)
-
-
 def scale_table(table: MomentTable, lam) -> MomentTable:
     """Moments of the system with Hamiltonian scaled by lambda."""
     ctx = table.ctx

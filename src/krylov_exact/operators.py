@@ -519,18 +519,27 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None) -> OperatorPair:
 class OperatorChain:
     """Orthonormal chain O_0, O_1, ... with its Lanczos coefficients.
 
-    In bigreal mode ``ops`` are normalised and ``b`` holds b_1..; in
-    exact mode ``ops`` are the unnormalised rational chain vectors and
-    only ``b_squared`` (with the squared norms ``norms_sq``) is stored,
-    so that the stop test b_{k+1} = 0 stays literal.
+    In bigreal mode the chain vectors are normalised and ``b`` holds
+    b_1..; in exact mode they are the unnormalised rational chain vectors
+    and only ``b_squared`` (with the squared norms ``norms_sq``) is
+    stored, so that the stop test b_{k+1} = 0 stays literal.  The vectors
+    stay in the form the chain's operator ``space`` holds them (folded on
+    the eta support, or on the band, as integer numerators in exact mode);
+    :attr:`ops`, their dense matrices, is built on first read.
     """
 
-    ops: list
+    vectors: list = field(repr=False)
+    space: SupportBasis | _BandSpace = field(repr=False)
     b_squared: list
     stopped: bool
     ctx: Context
     b: list | None = None
     norms_sq: list | None = field(default=None, repr=False)
+
+    @cached_property
+    def ops(self) -> list:
+        """The chain vectors as dense matrices, scattered once."""
+        return [self.space.scatter(v, k % 2) for k, v in enumerate(self.vectors)]
 
     @property
     def stop_index(self) -> int | None:
@@ -840,7 +849,8 @@ def operator_lanczos(
         duals.append(space.dual(o_cur))
         bs.append(b)
     return OperatorChain(
-        ops=[space.scatter(v, k % 2) for k, v in enumerate(ops)],
+        vectors=ops,
+        space=space,
         b_squared=[v * v for v in bs],
         stopped=stopped,
         ctx=ctx,
@@ -877,7 +887,8 @@ def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> Operator
         nu_cur = nu_next
         ops.append(v_cur)
     return OperatorChain(
-        ops=[space.scatter(v, k % 2) for k, v in enumerate(ops)],
+        vectors=ops,
+        space=space,
         b_squared=b2s,
         stopped=stopped,
         ctx=ctx,

@@ -13,6 +13,10 @@ combination, the closed form and the phase twist of a spectrum pair
 (H diagonal, given by its energies) evaluated on every entry of dim x dim
 matrices, with the same operations per entry as the library's evaluation
 on the eta support.
+
+Closed forms only the tests use (the dual Hahn mu_2 and the affine
+q-Krawtchouk |eta|^2), and the O(K^3) moments -> b^2 route that
+Chebyshev's algorithm replaced, kept as its reference.
 """
 
 import json
@@ -212,3 +216,82 @@ def dense_closed_form(pair, closure, t) -> np.ndarray:
         cvals.append(closure.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
     values = (np.array(v, dtype=object) for v in (avals, bvals, cvals))
     return dense_combination(pair.eta, liouville(pair.h, pair.eta), *values)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and the moments -> b^2 reference
+# ---------------------------------------------------------------------------
+
+
+def dual_hahn_mu2_closed(N: int, a, b, ctx):
+    """Independently derived rational closed form of the dual Hahn mu_2.
+
+    Equal to 2*sum A_n C_{n+1} / |eta|^2 for every (N, a, b); the
+    numerator and denominator below were obtained by summing that lattice
+    expression symbolically and are verified against it in the tests.
+    """
+    a = ctx.num(a)
+    b = ctx.num(b)
+    s = a + b
+    numer = (N + 2) * (2 * N * N + 5 * s * N - 6 * N + 10 * a * b - 5 * s + 4)
+    denom = (
+        6 * N**3
+        + 15 * s * N**2
+        - 6 * N**2
+        + 10 * s * s * N
+        - 5 * s * N
+        - 4 * N
+        + 5 * s * s
+        - 10 * s
+        + 4
+    )
+    return numer / denom
+
+
+def affine_qk_norm_closed(N: int, q, ctx):
+    """Closed form of sum_x (q^-x - 1)^2 for x = 0..N.
+
+    Derived independently as N + q^{-2N} (1-q^N)(1-q^N(1+2q)) / (1-q^2)
+    and verified against the direct sum in the tests.
+    """
+    q = ctx.num(q)
+    return N + q ** (-2 * N) * (1 - q**N) * (1 - q**N * (1 + 2 * q)) / (1 - q * q)
+
+
+def hankel_b2_reference(table):
+    """(b_squared, stop_index) of a symmetric moment table, O(K^3).
+
+    The monic polynomials p_{k+1} = x p_k - b_k^2 p_{k-1} are kept as
+    coefficient lists, and each h_k = L(p_k^2) is a double sum of their
+    coefficients against the moments; b_k^2 = h_k / h_{k-1}, and a b_k^2
+    that ``ctx.is_zero`` stops the chain at O_{k-1}.
+    """
+    mus, ctx = table.values, table.ctx
+    K = (len(mus) - 1) // 2
+
+    def dot(p, q):
+        s = ctx.zero
+        for i, ci in enumerate(p):
+            if ci == 0:
+                continue
+            for j, cj in enumerate(q):
+                if cj == 0:
+                    continue
+                s = s + ci * cj * mus[i + j]
+        return s
+
+    p_prev, p_cur = [ctx.one], [ctx.zero, ctx.one]
+    h_prev = ctx.one
+    b2s = []
+    for k in range(1, K + 1):
+        h_cur = dot(p_cur, p_cur)
+        b2 = h_cur / h_prev
+        if ctx.is_zero(b2):
+            return b2s, k - 1
+        b2s.append(b2)
+        nxt = [ctx.zero] + list(p_cur)
+        for i, c in enumerate(p_prev):
+            nxt[i] = nxt[i] - b2 * c
+        p_prev, p_cur = p_cur, nxt
+        h_prev = h_cur
+    return b2s, None

@@ -33,10 +33,10 @@ from krylov_exact import (
     wightman_inner,
 )
 from krylov_exact.dynamics import closure_diagonal_identity
-from krylov_exact.moments import dual_hahn_mu2_closed, scale_table
+from krylov_exact.moments import scale_table
 from krylov_exact.operators import OperatorPair, max_abs
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, dual_hahn_mu2_closed, param_samples
 
 EXACT = Context("exact")
 BIG = Context("bigreal", 50)

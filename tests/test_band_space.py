@@ -103,6 +103,9 @@ def test_narrow_band_equals_dense_exact(ctx, kind, N, params):
     assert chain.stopped == stopped
     _assert_same(chain.b_squared, b2s)
     _assert_same(chain.norms_sq, nus)
+    # the dense chain is scattered on first read, and only then
+    assert "ops" not in vars(chain)
+    assert chain.ops is chain.ops
     for got, want in zip(chain.ops, ops, strict=True):
         _assert_same(got.ravel(), want.ravel())
 

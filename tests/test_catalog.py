@@ -15,7 +15,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.numeric import exact_sqrt
 
-from helpers import FINITE_KINDS, THERMAL_KINDS, param_samples
+from helpers import FINITE_KINDS, THERMAL_KINDS, affine_qk_norm_closed, param_samples
 
 
 def test_krawtchouk_data_block(ctx):
@@ -178,8 +178,6 @@ def test_positivity_violation_reports_index(ctx):
 
 
 def test_norm_eta_sq_closed_form_affine_qk(ctx):
-    from krylov_exact.moments import affine_qk_norm_closed
-
     for N, q in [(3, "1/2"), (5, "1/3"), (8, "2/5")]:
         spec = make_system("affine-q-krawtchouk", N, {"q": q, "p": "1"}, ctx)
         assert spec.norm_eta_sq() == affine_qk_norm_closed(N, ctx.num(q), ctx)

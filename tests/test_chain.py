@@ -12,21 +12,25 @@ from krylov_exact import (
     hankel_check,
     lanczos_to_moments,
     make_system,
+    moments_closed,
     moments_closed_finite,
+    moments_oracle,
     moments_to_lanczos,
     operator_lanczos,
     position_pair,
 )
 from krylov_exact.chain import classify_stop
 from krylov_exact.errors import (
+    AsymmetricMoments,
     DegenerateChain,
     IndexOutOfRange,
     NegativeBSquared,
     NonUnitMuZero,
 )
 from krylov_exact.moments import MomentTable
+from krylov_exact.operators import OperatorPair, eig_symmetric
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, THERMAL_KINDS, hankel_b2_reference, param_samples
 
 
 def _table(ctx, even):
@@ -72,6 +76,81 @@ def test_negative_b_squared_detected(ctx):
     t = _table(ctx, [1, 2, 1])
     with pytest.raises(NegativeBSquared, match=r"b_3\^2 = -3 < 0"):
         moments_to_lanczos(t)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _assert_matches_reference(table):
+    got = moments_to_lanczos(table)
+    b2s, stop = hankel_b2_reference(table)
+    assert _typed(got.b_squared) == _typed(b2s)
+    assert got.stop_index == stop
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+def test_chebyshev_equals_reference_on_samples(ctx, kind):
+    for N in (6, 8):
+        for params in param_samples(kind, N):
+            spec = make_system(kind, N, params, ctx)
+            for K in (6, 12):
+                _assert_matches_reference(moments_closed_finite(spec, K))
+
+
+def test_chebyshev_equals_reference_on_defaults(ctx, bctx):
+    # the finite defaults in exact mode, in type and value; the thermal
+    # ones need bigreal, where the two routes round differently: Jacobi's
+    # Hankel route keeps about 28 of the 50 digits
+    for kind in FINITE_KINDS:
+        _assert_matches_reference(moments_closed_finite(default_system(kind, ctx), 12))
+    for kind in THERMAL_KINDS:
+        table = moments_closed(default_system(kind, bctx), K=6)
+        got = moments_to_lanczos(table)
+        b2s, stop = hankel_b2_reference(table)
+        assert got.stop_index == stop and len(got.b_squared) == len(b2s)
+        assert all(type(x) is bctx.mp.mpf for x in got.b_squared)
+        assert all(abs(x - y) <= bctx.num("1e-25") * y for x, y in zip(got.b_squared, b2s))
+
+
+@pytest.mark.slow
+def test_chebyshev_hahn_n32_k64_equals_reference_and_chain(ctx):
+    spec = make_system("hahn", 32, {"a": "1/2", "b": "2"}, ctx)
+    table = moments_closed_finite(spec, 64)
+    _assert_matches_reference(table)
+    chain = operator_lanczos(position_pair(spec))
+    assert _typed(moments_to_lanczos(table).b_squared) == _typed(chain.b_squared)
+
+
+def test_asymmetric_exact_table_raises(ctx):
+    t = _table(ctx, [2, 5, 13])
+    t.values[3] = ctx.frac(1, 7)
+    with pytest.raises(AsymmetricMoments, match=r"mu_3 = 1/7"):
+        moments_to_lanczos(t)
+
+
+def test_asymmetric_bigreal_table_raises(bctx):
+    t = moments_closed_finite(default_system("hahn", bctx), 6)
+    # 1e-30 of the Cauchy-Schwarz scale, far above the 1e-40 tolerance
+    t.values[5] = bctx.num("1e-30") * bctx.sqrt(t.mu(4) * t.mu(6))
+    with pytest.raises(AsymmetricMoments, match=r"mu_5"):
+        moments_to_lanczos(t)
+
+
+def test_oracle_rounding_noise_in_odd_moments_converts(bctx):
+    # the position pair moved to the eigenbasis by plain object products:
+    # entry (a, b) and (b, a) round differently, so the oracle's odd
+    # moments are rounding noise instead of exact zeros
+    spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx)
+    pair = position_pair(spec)
+    _, q = eig_symmetric(pair.h, bctx)
+    rotated = OperatorPair(q.T @ pair.h @ q, q.T @ pair.eta @ q, bctx)
+    oracle = moments_oracle(rotated, K=8)
+    assert any(v != 0 for v in oracle.values[1::2])
+    got = moments_to_lanczos(oracle)
+    want = moments_to_lanczos(moments_closed_finite(spec, 8))
+    assert got.stop_index == want.stop_index and len(got.b_squared) == 8
+    assert all(abs(x - y) <= bctx.num("1e-40") * y for x, y in zip(got.b_squared, want.b_squared))
 
 
 def test_single_coefficient_chain_moments(ctx):

@@ -75,6 +75,7 @@ def _check_pair(pair, K):
     ops, b2s, nus, stopped = _reference_chain(pair, K)
     _assert_same(chain.b_squared, b2s, rational)
     _assert_same(chain.norms_sq, nus, rational)
+    assert "ops" not in vars(chain)  # scattered on first read
     assert chain.stopped == stopped and len(chain.ops) == len(ops)
     for got, want in zip(chain.ops, ops):
         assert got.shape == want.shape

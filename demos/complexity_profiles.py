@@ -61,7 +61,7 @@ prof = krylov_profile(chain, pair, ip, times)
 print(f"chain stops at O_{chain.stop_index}")
 for t, k in list(zip(times, prof.complexity))[::4]:
     print(f"  t = {mpmath.nstr(t, 4):>6s}  K(t) = {mpmath.nstr(k, 8)}")
-print(f"bound K <= {len(chain.ops) - 1} holds: {all(k <= len(chain.ops) - 1 for k in prof.complexity)}")
+print(f"bound K <= {len(chain.vectors) - 1} holds: {all(k <= len(chain.vectors) - 1 for k in prof.complexity)}")
 
 print()
 print("=" * 72)
@@ -73,7 +73,7 @@ ip = wightman_inner(pair, ctx.num(1))
 chain = operator_lanczos(pair, ip)
 prof = krylov_profile(chain, pair, ip, times)
 worst = max(prof.sum_rule_defect(i) for i in range(len(times)))
-print(f"chain length {len(chain.ops)}; worst |sum phi^2 - 1| = {mpmath.nstr(worst, 3)}")
+print(f"chain length {len(chain.vectors)}; worst |sum phi^2 - 1| = {mpmath.nstr(worst, 3)}")
 for t, k in list(zip(times, prof.complexity))[::4]:
     print(f"  t = {mpmath.nstr(t, 4):>6s}  K(t) = {mpmath.nstr(k, 8)}")
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SystemSpec, _polyval
-from .errors import ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
+from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
 from .numeric import Context
 from .operators import (
     InnerProduct,
     OperatorChain,
     OperatorPair,
+    _check_dims,
     max_abs,
     solve_consistent,
 )
@@ -256,24 +257,29 @@ def krylov_profile(
 ) -> KrylovProfile:
     """Amplitudes phi_n(t) = (i^n O_n, O(t)) and K(t) = sum n phi_n^2.
 
-    O(t) is the exponential-conjugation oracle applied to O_0: a phase
-    twist on the folded eta support of a spectrum, and for a matrix H a
-    twist of O_0 moved into the eigenbasis once, brought back at each
-    time (``overlaps`` of the pair's operator space).  The chain's
-    covectors are formed once for all times.  Each
-    amplitude must be real up to tolerance; a larger imaginary residue
-    signals a chain/inner-product mismatch and raises
+    O(t) is the exponential-conjugation oracle applied to O_0, read
+    against the chain's own vectors on the chain's space (``overlaps``).
+    The chain must come from ``pair`` under ``ip``, else
+    :class:`~krylov_exact.errors.BasisMismatch`.  Each amplitude must be
+    real up to tolerance; a larger imaginary residue signals a
+    chain/inner-product mismatch and raises
     :class:`~krylov_exact.errors.ComplexAmplitude`.
     """
     ctx = pair.ctx
     if ctx.is_exact:
         raise ModeError("profiles need bigreal mode")
+    _check_dims(pair, ip)
+    space = chain.space
+    if space.pair is not pair:
+        raise BasisMismatch("the chain was built on another operator pair")
+    if np.any(ip.entries(space.rows, space.cols) != space.weight):
+        raise BasisMismatch("the chain was built under another inner product")
     tol = ctx.default_tolerance()
     # (-i)**n cycles with period four and is exact
     one, mpc = ctx.one, ctx.mp.mpc
     phases = [mpc(one, 0), mpc(0, -one), mpc(-one, 0), mpc(0, one)]
     times = [ctx.num(t) for t in times]
-    amplitudes = pair.rep.space(pair, ip, len(chain.ops) - 1).overlaps(chain.ops)
+    amplitudes = space.overlaps(chain.vectors)
     phi_rows = []
     complexity = []
     for t in times:

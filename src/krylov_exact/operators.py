@@ -128,9 +128,12 @@ class OperatorPair:
     def __post_init__(self):
         if not self.ctx.is_exact:
             # entries made elsewhere (ints, global mpmath) take the context's
-            # class; otherwise arithmetic on them rounds at their own precision
-            to_ctx = np.vectorize(self.ctx.num, otypes=[object])
-            self.h, self.eta = to_ctx(self.h), to_ctx(self.eta)
+            # class; otherwise arithmetic on them rounds at their own precision.
+            # ctx.num returns the context's own values unchanged: skip them
+            self.h, self.eta = np.array(self.h, dtype=object), np.array(self.eta, dtype=object)
+            for m in (self.h, self.eta):
+                foreign = np.frompyfunc(type, 1, 1)(m) != self.ctx.mp.mpf
+                m[foreign] = np.array([self.ctx.num(v) for v in m[foreign]], dtype=object)
         self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx, self.eta)
 
     @property
@@ -301,7 +304,8 @@ class _Spectrum:
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray | None = None):
         self.h, self.ctx = h, ctx
-        entries = np.ones((len(h), len(h)), dtype=bool) if eta is None else eta != 0
+        # truth is the zero test, without an mpmath comparison per entry
+        entries = np.ones((len(h), len(h)), dtype=bool) if eta is None else eta.astype(bool)
         np.fill_diagonal(entries, True)
         self.rows, self.cols = np.nonzero(entries)
         self.diag = np.flatnonzero(self.rows == self.cols)
@@ -524,8 +528,9 @@ class OperatorChain:
     and only ``b_squared`` (with the squared norms ``norms_sq``) is
     stored, so that the stop test b_{k+1} = 0 stays literal.  The vectors
     stay in the form the chain's operator ``space`` holds them (folded on
-    the eta support, or on the band, as integer numerators in exact mode);
-    :attr:`ops`, their dense matrices, is built on first read.
+    the eta support, or on the band, as integer numerators in exact mode),
+    where the profile reads them; :attr:`ops`, their dense matrices, is
+    built on first read.
     """
 
     vectors: list = field(repr=False)
@@ -583,8 +588,7 @@ class SupportBasis:
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
         ctx, eta = pair.ctx, pair.eta
-        self.dim = pair.dim
-        self.ctx = ctx
+        self.pair, self.dim, self.ctx = pair, pair.dim, ctx
         nonzero = pair.rep.gather(eta) != 0  # the entry list less diagonal zeros
         rows, cols = pair.rep.rows[nonzero], pair.rep.cols[nonzero]
         self.size = len(rows)
@@ -593,11 +597,10 @@ class SupportBasis:
         diag = r == c
         self.freq = pair.h[r] - pair.h[c]
         self.ratio = eta[c, r] / eta[r, c]
-        # the weights an overlap takes from a representative entry and from
-        # its mirror; the diagonal is its own mirror and counts once
+        # the weights of a representative entry and of its mirror; the
+        # diagonal is its own mirror and counts once
         self.weight = ip.entries(r, c)
-        self.mirror_weight = np.where(diag, ctx.zero, ip.entries(c, r))
-        mirror_sq = self.mirror_weight * self.ratio * self.ratio
+        mirror_sq = np.where(diag, ctx.zero, ip.entries(c, r)) * self.ratio * self.ratio
         self.wplus = self.weight + mirror_sq
         self.wminus = np.where(diag, ctx.zero, self.weight - mirror_sq)
         self.mirrors = np.flatnonzero(~diag & (self.ratio != 0))
@@ -650,35 +653,39 @@ class SupportBasis:
                 )
         return 2
 
-    def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))].  O_0(t) is a phase twist on the support:
-        with c_s and c_m the weighted products of O_n and O_0 at the
-        representative entry s and at its mirror, each overlap is
-        sum_s (c_s + c_m) cos(omega_s t) + i (c_s - c_m) sin(omega_s t),
-        two real dots.  The phase of each distinct frequency omega_s is
-        computed once per time; no parity is assumed."""
-        here, there = (self.rows, self.cols), (self.cols, self.rows)
-        o0, o0_mirror = ops[0][here], ops[0][there]
-        even, odd = [], []
-        for o_n in ops:
-            c = self.weight * o_n[here] * o0
-            c_mirror = self.mirror_weight * o_n[there] * o0_mirror
-            even.append(c + c_mirror)
-            odd.append(c - c_mirror)
-        # mpf keys compare by exact value; entry s takes phase slot[s]
-        position = {}
-        slot = [position.setdefault(f, len(position)) for f in self.freq]
-        distinct = list(position)
-        ctx = self.ctx
+    def overlaps(self, vectors: list):
+        """t -> [(O_n, O_0(t))] for chain vectors O_n of parity n mod 2 (a
+        dense matrix is gathered first).  An entry of frequency omega and its
+        mirror add v_n v_0 (w+ cos(omega t) + i w- sin(omega t)) for even n,
+        w+ and w- swapped for odd n.  Both coefficients are formed once, less
+        their exact zeros, and the w- dot only where some w- is nonzero: for
+        the bigreal pairs of :func:`energy_pair` an amplitude is one real dot
+        per time.  Each distinct frequency's phase is computed once per time."""
+        vectors = [self.gather(v) if v.ndim == 2 else v for v in vectors]
+        position = {}  # mpf keys compare by exact value; entry s takes phase slot[s]
+        slot = np.array([position.setdefault(f, len(position)) for f in self.freq], dtype=int)
+        distinct, v0, cross = list(position), vectors[0], any(self.wminus)
+
+        def coefficients(c):
+            nz = np.flatnonzero(c)
+            return c[nz], slot[nz]
+
+        terms = []  # (real part against cos, imaginary part against sin)
+        for n, v in enumerate(vectors):
+            main = coefficients(self.dual(v) * v0)
+            other = coefficients(self.wminus * v * v0) if cross else None
+            terms.append((main, other) if n % 2 == 0 else (other, main))
+        ctx, zero = self.ctx, self.ctx.zero._mpf_
 
         def at(t):
             phases = [ctx.expj(f * t) for f in distinct]
-            cos = [phases[k].real for k in slot]
-            sin = [phases[k].imag for k in slot]
-            return [
-                ctx.mp.make_mpc((ctx.dot(e, cos)._mpf_, ctx.dot(o, sin)._mpf_))
-                for e, o in zip(even, odd)
-            ]
+            cos = np.array([p.real for p in phases], dtype=object)
+            sin = np.array([p.imag for p in phases], dtype=object)
+
+            def part(term, wave):
+                return zero if term is None else ctx.dot(term[0], wave[term[1]])._mpf_
+
+            return [ctx.mp.make_mpc((part(re, cos), part(im, sin))) for re, im in terms]
 
         return at
 
@@ -776,16 +783,16 @@ class _BandSpace:
     def lanczos_stride(self) -> int:
         return 1
 
-    def overlaps(self, ops: list):
-        """t -> [(O_n, O_0(t))] through the exponential-conjugation oracle.
-        O_0 moves into the eigenbasis of H once, and the covectors of the
-        chain are formed once, for all times; each time then costs the
-        phase twist of O_0 there and one transform back, read on the band.
-        The chain vectors stay in the position basis: moving each of them
-        instead would cost two products per vector."""
-        duals = [self.dual(self.gather(o_n)) for o_n in ops]
+    def overlaps(self, vectors: list):
+        """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
+        through the exponential-conjugation oracle.  O_0 moves into the
+        eigenbasis of H once, and the chain's covectors are formed once, for
+        all times; each time then costs the phase twist of O_0 there and one
+        transform back, read on the band.  The chain vectors stay in the
+        position basis: moving each would cost two products per vector."""
+        duals = [self.dual(v) for v in vectors]
         eigen, to, back = self.pair.rep.eigenbasis()
-        o0 = to(ops[0])
+        o0 = to(self.scatter(vectors[0]))
 
         def at(t):
             ot = self.gather(back(eigen.conjugate_exp(o0, t)))

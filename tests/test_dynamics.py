@@ -314,10 +314,11 @@ def test_complex_amplitude_guard(bctx):
     pair = position_pair(spec)
     ip = trace_inner(pair)
     chain = operator_lanczos(pair, ip)
-    # corrupt the chain with an operator of no definite parity
-    bad = np.array(chain.ops[1], dtype=object)
-    bad[0, 1] = bad[0, 1] + bctx.num("1/3")
-    chain.ops[1] = bad
+    # corrupt the chain with an operator of no definite parity: entry (0, 1)
+    # of O_1 moves, its mirror (1, 0) does not
+    space = chain.space
+    (at,) = np.flatnonzero((space.rows == 0) & (space.cols == 1))
+    chain.vectors[1][at] = chain.vectors[1][at] + bctx.num("1/3")
     with pytest.raises(ComplexAmplitude):
         krylov_profile(chain, pair, ip, [bctx.num("1/2")])
 

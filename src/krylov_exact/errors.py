@@ -93,3 +93,7 @@ class ComplexAmplitude(KrylovExactError):
 class MirrorAsymmetry(KrylovExactError):
     """A mirror pair of the eta support does not cancel in cross-parity inner
     products, so the Lanczos chain would need diagonal coefficients a_n."""
+
+
+class NonFiniteValue(KrylovExactError):
+    """An infinite or NaN bigreal value where a finite one is required."""

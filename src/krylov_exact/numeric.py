@@ -23,6 +23,13 @@ context creates its values in a private ``mpmath.MPContext`` (one per
 precision), so arithmetic on them rounds at that precision whatever the
 global one is, and no result depends on contexts created earlier.
 :meth:`Context.num` converts foreign mpmath numbers into those classes.
+
+Sums of products round once.  :meth:`Context.dot` is mpmath's ``fdot``.
+:meth:`Context.matmul` holds its operands as exact integer mantissas
+(:class:`Mantissas`), multiplies them with numpy's object ``@`` and
+rounds each entry once, which gives ``fdot`` of each row and column, bit
+for bit, from integer arithmetic; an operand used in many products is
+converted once (:meth:`Context.mantissas`).
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ from functools import cache
 
 import mpmath
 import numpy as np
+from mpmath.libmp import from_man_exp, fzero
 
-from .errors import DimensionMismatch, ModeError
+from .errors import DimensionMismatch, ModeError, NonFiniteValue
 
 try:
     from gmpy2 import mpq as _rational
@@ -229,9 +237,9 @@ class Context:
 
         Exact mode sums the products literally, rational or integer
         (the exact operator space dots integer numerators).  Bigreal mode
-        forms every product exactly and rounds the sum once, at this
-        context's precision, instead of once per product and per partial
-        sum; real and complex entries mix freely.
+        is mpmath's ``fdot``: it forms every product exactly and rounds
+        the sum once, at this context's precision, instead of once per
+        product and per partial sum; real and complex entries mix freely.
         """
         if len(u) != len(v):
             raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
@@ -239,20 +247,33 @@ class Context:
             return (u * v).sum()
         return self.mp.fdot(u, v)
 
-    def matmul(self, a, b):
-        """The matrix product a @ b of two 2-D object arrays, each entry
-        one :meth:`dot` of a row of ``a`` and a column of ``b``.
+    def mantissas(self, a) -> Mantissas:
+        """A 2-D bigreal object array as a :class:`Mantissas` operand of
+        :meth:`matmul` (returned unchanged if it is one already).  An
+        operand used in many products is converted once this way."""
+        if self.is_exact:
+            raise ModeError("integer mantissas hold bigreal matrices only")
+        return a if isinstance(a, Mantissas) else Mantissas.of(a, self.mp)
 
-        Exact mode gives ``a @ b`` in type and value.  Bigreal mode rounds
-        each entry once, real and complex entries mixed.
+    def matmul(self, a, b):
+        """The matrix product a @ b of two 2-D object arrays (in bigreal
+        mode either may be a :class:`Mantissas`).
+
+        Exact mode gives ``a @ b`` in type and value.  Bigreal mode forms
+        every entry as :meth:`dot` of a row of ``a`` and a column of ``b``
+        would: the products exactly, their sum rounded once, complex where
+        the row or the column holds a complex entry.  It gets there on
+        integer mantissas (:meth:`Mantissas.times`), so the result equals
+        ``fdot`` entry by entry in type and value.  The one exception is
+        an entry whose terms lie more than 2 * prec bits apart in
+        exponent, where ``fdot``'s accumulator may drop a term; the
+        product still rounds the exact sum.
         """
         if a.shape[1] != b.shape[0]:
             raise DimensionMismatch(f"matmul of shapes {a.shape} and {b.shape}")
-        out = np.empty((a.shape[0], b.shape[1]), dtype=object)
-        cols = list(b.T)
-        for i, row in enumerate(a):
-            out[i] = [self.dot(row, col) for col in cols]
-        return out
+        if self.is_exact:
+            return a @ b
+        return self.mantissas(a).times(self.mantissas(b))
 
     # -- elementary functions -----------------------------------------
 
@@ -291,3 +312,128 @@ class Context:
         """|x - y| <= rel_eps * max(|x|, |y|, 1): literal x == y in exact mode."""
         scale = max(abs(x), abs(y), self.one)
         return abs(x - y) <= self.default_tolerance().rel_eps * scale
+
+
+class Mantissas:
+    """A bigreal matrix held exactly as Python-int mantissas in exponent
+    slabs.
+
+    Every mpf is sign * man * 2**e, so shifting a mantissa onto a lower
+    exponent loses nothing.  A slab (part, base, cols, ints) holds the
+    real (part 0) or imaginary (part 1) parts whose exponent lies in
+    [base, base + width), width = 8 * prec bits, on the columns ``cols``
+    where it has any: its share of entry (i, cols[j]) is
+    ints[i, j] * 2**base, and every nonzero part lies in one slab
+    (:meth:`of`).  A product (:meth:`times`)
+    multiplies each slab of the left operand with the rows ``cols`` of
+    the right one, held at one exponent, with numpy's object ``@``, sums
+    the slabs' exact partial products and rounds each entry once with
+    ``from_man_exp`` at the context's precision and rounding: the
+    long-accumulator dot product of Kulisch & Miranker (*SIAM Rev.* 28
+    (1986) 1).  The slabs keep the integers short where the entries span
+    thousands of bits, as the Boltzmann weights of a long thermal chain
+    do: one exponent for all would make every product that wide.
+    ``complex_rows`` and ``complex_cols`` flag the rows and columns that
+    hold an mpc (one with a zero imaginary part included), which makes an
+    entry of a product complex exactly where ``fdot`` would.
+    """
+
+    __slots__ = ("slabs", "shape", "complex_rows", "complex_cols", "mp", "_merged")
+
+    def __init__(self, slabs, shape, complex_rows, complex_cols, mp):
+        self.slabs, self.shape, self.mp, self._merged = slabs, shape, mp, None
+        self.complex_rows, self.complex_cols = complex_rows, complex_cols
+
+    @classmethod
+    def of(cls, a: np.ndarray, mp: mpmath.MPContext) -> Mantissas:
+        """The exact mantissas of a 2-D array of mpmath numbers (other
+        scalars are converted as ``fdot`` converts them).  An infinite or
+        NaN entry raises :class:`~krylov_exact.errors.NonFiniteValue`."""
+        flat = [x if _is_mp(x) else mp.convert(x) for x in a.ravel()]
+        is_complex = np.array([hasattr(x, "_mpc_") for x in flat], dtype=bool).reshape(a.shape)
+        flags = is_complex.any(axis=1), is_complex.any(axis=0)
+        shape = (2 if is_complex.any() else 1, *a.shape)
+        # the real parts, then the imaginary parts if any entry is complex
+        parts = [x._mpc_[0] if hasattr(x, "_mpc_") else x._mpf_ for x in flat]
+        if shape[0] == 2:
+            parts += [x._mpc_[1] if hasattr(x, "_mpc_") else fzero for x in flat]
+        for k, (_, m, e, _) in enumerate(parts):
+            if not m and e:
+                row, col = divmod(k % a.size, a.shape[1])
+                raise NonFiniteValue(f"matrix entry ({row}, {col}) is {flat[k % a.size]}")
+        exps = [e for _, m, e, _ in parts if m]
+        low, width = min(exps, default=0), 8 * mp.prec
+        if max(exps, default=low) - low < width:  # one slab per part, on every column
+            ints = [(-m if s else m) << (e - low) if m else 0 for s, m, e, _ in parts]
+            ints = np.array(ints, dtype=object).reshape(shape)
+            every = np.arange(a.shape[1])
+            whole = cls([(part, low, every, ints[part]) for part in range(shape[0])], a.shape, *flags, mp)
+            whole._merged = ints[0], (ints[1] if shape[0] == 2 else None), low
+            return whole
+        man = np.array([-m if s else m for s, m, _, _ in parts], dtype=object).reshape(shape)
+        exp = np.array([e for _, _, e, _ in parts], dtype=np.int64).reshape(shape)
+        band = np.where(man != 0, (exp - low) // width, -1)
+        slabs = []
+        for part in range(shape[0]):
+            for k in sorted(set(band[part][band[part] >= 0].tolist())):
+                here = band[part] == k
+                cols = np.flatnonzero(here.any(axis=0))
+                base = low + k * width
+                shift = np.where(here[:, cols], exp[part][:, cols] - base, 0).astype(object)
+                slabs.append((part, base, cols, np.where(here[:, cols], man[part][:, cols] << shift, 0)))
+        return cls(slabs, a.shape, *flags, mp)
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """(re, im, exp): the whole matrix at one exponent, entry (i, j)
+        (re[i, j] + i im[i, j]) * 2**exp; im is None when no entry is
+        complex.  Formed once, for use as a right operand."""
+        if self._merged is None:
+            low = min((base for _, base, _, _ in self.slabs), default=0)
+            re, im = (np.zeros(self.shape, dtype=object) for _ in range(2))
+            for part, base, cols, ints in self.slabs:
+                (re, im)[part][:, cols] += ints << (base - low)
+            self._merged = re, (im if self.complex_cols.any() else None), low
+        return self._merged
+
+    def summed_columns(self, groups: np.ndarray, count: int) -> Mantissas:
+        """The matrix whose column g is the exact sum of the columns j with
+        groups[j] == g, for groups that each hold a column: a product with
+        it equals, bit for bit, the product of self with the rows of the
+        other operand expanded by ``groups``."""
+        slabs = []
+        for part, base, cols, ints in self.slabs:
+            summed, where = np.unique(groups[cols], return_inverse=True)
+            out = np.zeros((self.shape[0], len(summed)), dtype=object)
+            np.add.at(out, (slice(None), where), ints)
+            slabs.append((part, base, summed, out))
+        cols = np.zeros(count, dtype=bool)
+        np.logical_or.at(cols, groups, self.complex_cols)
+        return Mantissas(slabs, (self.shape[0], count), self.complex_rows, cols, self.mp)
+
+    def times(self, other: Mantissas) -> np.ndarray:
+        """self @ other as an object array of the context's mpf/mpc, each
+        entry the exact sum of its products rounded once."""
+        re_o, im_o, exp_o = other.merged()
+        terms = ([], [])  # (base, exact partial product) of the real and the imaginary part
+        for part, base, cols, ints in self.slabs:
+            terms[part].append((base, ints @ re_o[cols]))
+            if im_o is not None:
+                # re(a) im(b) adds to the imaginary part, im(a) im(b) subtracts from the real
+                cross = ints @ im_o[cols]
+                terms[1 - part].append((base, -cross if part else cross))
+        mp, (prec, rnd) = self.mp, self.mp._prec_rounding
+        shape = (self.shape[0], other.shape[1])
+
+        def rounded(partials):
+            if not partials:
+                return [fzero] * (shape[0] * shape[1])
+            low = min(base for base, _ in partials)
+            total = sum(p << (base - low) for base, p in partials)
+            return [from_man_exp(m, low + exp_o, prec, rnd) for m in total.flat]
+
+        out = np.array([mp.make_mpf(x) for x in rounded(terms[0])], dtype=object)
+        if self.complex_rows.any() or other.complex_cols.any():
+            where = np.flatnonzero(np.logical_or.outer(self.complex_rows, other.complex_cols))
+            im = rounded(terms[1])
+            out[where] = [mp.make_mpc((out[k]._mpf_, im[k])) for k in where]
+        return out.reshape(shape)

@@ -14,9 +14,11 @@ one of two representations, picked once from the shape of ``h``:
   Functions of H are dense matrices.  Spectral work happens in the
   eigenbasis: the eigendecomposition (E, Q) is computed at most once per
   pair, and operators move there, Q^T V Q, and back, Q V Q^T, through
-  :meth:`~krylov_exact.numeric.Context.matmul`, which rounds each entry
-  once.  The Heisenberg check and the profile move their
-  time-independent operators once and bring one result per time back.
+  :meth:`~krylov_exact.numeric.Context.matmul`, which multiplies integer
+  mantissas exactly and rounds each entry once; Q and Q^T are converted
+  to mantissas once per pair.  The Heisenberg check and the profile move
+  their time-independent operators once and bring one result per time
+  back.
 
 A matrix Hamiltonian is applied through its nonzero diagonals: with
 bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
@@ -33,11 +35,14 @@ Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 with W.  In bigreal mode that dot forms the products exactly and rounds
 the sum once, so a dot over the band equals the dot over every entry.
 The Lanczos spaces hand out those covectors (``dual``), so the chain
-keeps one beside each of its vectors and the profile forms them once for
-all times.  In exact mode the band space holds each vector as integer
-numerators over one denominator: commutators run the same kernel on the
-integer numerators of H, and a dot is one integer sum that becomes a
-rational only at the end, so no rational is formed entry by entry.
+keeps one beside each of its vectors.  The profile stacks them once for
+all times, as integer mantissas, and meets each time's O_0(t) with one
+batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
+those dots bit for bit.  In exact mode the band space holds each vector
+as integer numerators over one denominator: commutators run the same
+kernel on the integer numerators of H, and a dot is one integer sum that
+becomes a rational only at the end, so no rational is formed entry by
+entry.
 
 The energy-basis fold
 ---------------------
@@ -400,10 +405,12 @@ class _Banded:
         """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum` on
         every entry, V -> Q^T V Q into it (row-major) and V -> Q V Q^T back,
         each two :meth:`~krylov_exact.numeric.Context.matmul` products,
-        which round every entry once."""
+        which round every entry once.  Q and Q^T are converted to integer
+        mantissas once per pair."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
-            ctx, qt, n = self.ctx, q.T, len(energies)
+            ctx, n = self.ctx, len(energies)
+            q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
             self._eigen = (
                 _Spectrum(energies, ctx),
                 lambda v: ctx.matmul(ctx.matmul(qt, v), q).ravel(),
@@ -654,38 +661,46 @@ class SupportBasis:
         return 2
 
     def overlaps(self, vectors: list):
-        """t -> [(O_n, O_0(t))] for chain vectors O_n of parity n mod 2 (a
-        dense matrix is gathered first).  An entry of frequency omega and its
-        mirror add v_n v_0 (w+ cos(omega t) + i w- sin(omega t)) for even n,
-        w+ and w- swapped for odd n.  Both coefficients are formed once, less
-        their exact zeros, and the w- dot only where some w- is nonzero: for
-        the bigreal pairs of :func:`energy_pair` an amplitude is one real dot
-        per time.  Each distinct frequency's phase is computed once per time."""
-        vectors = [self.gather(v) if v.ndim == 2 else v for v in vectors]
+        """t -> [(O_n, O_0(t))] for folded chain vectors O_n of parity n mod
+        2.  An entry of frequency omega and its mirror add
+        v_n v_0 (w+ cos(omega t) + i w- sin(omega t)) for even n, w+ and w-
+        swapped for odd n.  The coefficients w+ v_n v_0 and w- v_n v_0 are
+        formed once, for all times, and stacked as integer mantissas into
+        one matrix against cos (w+ rows of even n, w- rows of odd n) and one
+        against sin (the others); w- rows are left out where every w-
+        vanishes, as for the bigreal pairs of :func:`energy_pair`.  Columns
+        of equal frequency are summed there, exactly.  Each time is then one
+        :meth:`~krylov_exact.numeric.Context.matmul` per matrix against the
+        cos or sin of the distinct frequencies, each phase computed once.
+        An amplitude part is still the fused dot over the folded entries,
+        bit for bit: exact sums and exact zeros change nothing before its
+        one rounding."""
+        ctx, v0, count = self.ctx, vectors[0], len(vectors)
         position = {}  # mpf keys compare by exact value; entry s takes phase slot[s]
         slot = np.array([position.setdefault(f, len(position)) for f in self.freq], dtype=int)
-        distinct, v0, cross = list(position), vectors[0], any(self.wminus)
-
-        def coefficients(c):
-            nz = np.flatnonzero(c)
-            return c[nz], slot[nz]
-
-        terms = []  # (real part against cos, imaginary part against sin)
+        distinct, cross = list(position), any(self.wminus)
+        stacks = ([], [])  # (n, coefficients) against cos, against sin
         for n, v in enumerate(vectors):
-            main = coefficients(self.dual(v) * v0)
-            other = coefficients(self.wminus * v * v0) if cross else None
-            terms.append((main, other) if n % 2 == 0 else (other, main))
-        ctx, zero = self.ctx, self.ctx.zero._mpf_
+            stacks[n % 2].append((n, self.dual(v) * v0))
+            if cross:
+                stacks[1 - n % 2].append((n, self.wminus * v * v0))
+        products = []  # (wave: 0 cos, 1 sin; amplitudes; coefficient matrix)
+        for wave, stack in enumerate(stacks):
+            if stack:
+                ns, rows = zip(*stack)
+                coeffs = ctx.mantissas(np.array(rows, dtype=object))
+                products.append((wave, ns, coeffs.summed_columns(slot, len(distinct))))
+        zero = ctx.zero._mpf_
 
         def at(t):
             phases = [ctx.expj(f * t) for f in distinct]
-            cos = np.array([p.real for p in phases], dtype=object)
-            sin = np.array([p.imag for p in phases], dtype=object)
-
-            def part(term, wave):
-                return zero if term is None else ctx.dot(term[0], wave[term[1]])._mpf_
-
-            return [ctx.mp.make_mpc((part(re, cos), part(im, sin))) for re, im in terms]
+            waves = ([p.real for p in phases], [p.imag for p in phases])
+            parts = ([zero] * count, [zero] * count)  # real parts, imaginary parts
+            for wave, ns, coeffs in products:
+                column = np.array(waves[wave], dtype=object).reshape(-1, 1)
+                for n, x in zip(ns, ctx.matmul(coeffs, column).ravel()):
+                    parts[wave][n] = x._mpf_
+            return [ctx.mp.make_mpc(p) for p in zip(*parts)]
 
         return at
 
@@ -786,17 +801,19 @@ class _BandSpace:
     def overlaps(self, vectors: list):
         """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
         through the exponential-conjugation oracle.  O_0 moves into the
-        eigenbasis of H once, and the chain's covectors are formed once, for
-        all times; each time then costs the phase twist of O_0 there and one
-        transform back, read on the band.  The chain vectors stay in the
-        position basis: moving each would cost two products per vector."""
-        duals = [self.dual(v) for v in vectors]
+        eigenbasis of H once, and the chain's covectors are stacked once, for
+        all times, as integer mantissas.  Each time then costs the phase
+        twist of O_0 there, one transform back, read on the band, and one
+        :meth:`~krylov_exact.numeric.Context.matmul` of the covectors with
+        it.  The chain vectors stay in the position basis: moving each would
+        cost two products per vector."""
+        duals = self.ctx.mantissas(np.array([self.dual(v) for v in vectors], dtype=object))
         eigen, to, back = self.pair.rep.eigenbasis()
         o0 = to(self.scatter(vectors[0]))
 
         def at(t):
             ot = self.gather(back(eigen.conjugate_exp(o0, t)))
-            return [self.ctx.dot(d, ot) for d in duals]
+            return list(self.ctx.matmul(duals, ot.reshape(-1, 1)).ravel())
 
         return at
 

@@ -1,13 +1,14 @@
 import json
 
 import mpmath
+import numpy as np
 import pytest
 
 import krylov_exact.cli
 from krylov_exact import Context, make_system
 from krylov_exact.cli import main
 from krylov_exact.errors import ParameterOutOfRange
-from krylov_exact.numeric import RATIONAL_BACKEND
+from krylov_exact.numeric import RATIONAL_BACKEND, Mantissas
 from krylov_exact.verify import check_pair
 
 
@@ -341,3 +342,48 @@ def test_k_sets_the_thermal_truncation(capsys):
     code6, out6, _ = run(capsys, *argv, "-K", "6")
     assert code2 == code6 == 0
     assert out2.splitlines()[1:] != out6.splitlines()[1:]
+
+
+@pytest.mark.slow
+def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
+    """Opt-in (``pytest -m slow``): every Context.matmul that
+    ``verify --all --mode bigreal`` and thermal ``complexity`` make is
+    recomputed entry by entry with Context.dot and must agree in type and
+    value.  A left operand with summed columns is recomputed from its
+    source against the right operand's rows expanded by the same groups."""
+    sources, products = {}, []  # id(Mantissas) -> (it, source array, groups)
+    mantissas, summed_columns = Context.mantissas, Mantissas.summed_columns
+    matmul = Context.matmul
+
+    def remembering(self, a):
+        m = mantissas(self, a)
+        if id(m) not in sources:
+            sources[id(m)] = (m, a, None)
+        return m
+
+    def remembering_sums(self, groups, count):
+        m = summed_columns(self, groups, count)
+        sources[id(m)] = (m, sources[id(self)][1], groups)
+        return m
+
+    def checked(self, a, b):
+        out = matmul(self, a, b)
+        (_, a, groups), (_, b, _) = (sources.get(id(x), (x, x, None)) for x in (a, b))
+        b = b if groups is None else b[groups]
+        for (i, j), x in np.ndenumerate(out):
+            ref = self.dot(a[i], b[:, j])
+            assert type(x) is type(ref) and x == ref
+        products.append(1)
+        return out
+
+    monkeypatch.setattr(Context, "mantissas", remembering)
+    monkeypatch.setattr(Mantissas, "summed_columns", remembering_sums)
+    monkeypatch.setattr(Context, "matmul", checked)
+    assert run(capsys, "verify", "--all", "--mode", "bigreal")[0] == 0
+    # ten position pairs: at least a Heisenberg check and a profile each
+    assert len(products) > 10 * 20
+    before = len(products)
+    for system in ("meixner", "charlier", "hermite", "laguerre", "gegenbauer", "jacobi"):
+        assert run(capsys, "complexity", "--system", system, "--beta", "1")[0] == 0
+    # at least one product per time of the default 21-point grid
+    assert len(products) - before >= 6 * 21

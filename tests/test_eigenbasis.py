@@ -143,8 +143,9 @@ def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
         calls.clear()
         krylov_profile(chain, pair, ip, times)
         counts.append(len(calls))
-    # O_0 moves in once, each time's O_0(t) moves back once
-    assert counts[0] == counts[1] == 2 + 2 * len(times)
+    # O_0 moves in once; each time's O_0(t) moves back once and meets
+    # every covector in one batched product
+    assert counts[0] == counts[1] == 2 + 3 * len(times)
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):

@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, from_rational
 
 from krylov_exact import Context, Tolerance
-from krylov_exact.errors import DimensionMismatch, ModeError
+from krylov_exact.errors import DimensionMismatch, ModeError, NonFiniteValue
 from krylov_exact.numeric import exact_sqrt, rational
 
 rationals = st.fractions(
@@ -286,3 +287,143 @@ def test_matmul_bigreal_is_one_fused_dot_per_entry(bctx):
             assert type(got[i, j]) is type(ref) and got[i, j] == ref
     with pytest.raises(DimensionMismatch):
         bctx.matmul(a, a)
+
+
+_BIGREAL = Context("bigreal", 50)
+
+
+@st.composite
+def _entries(draw, shape, spread=None):
+    """An object matrix of zeros, mpf and mpc (some with an exactly zero
+    imaginary part), of either sign, exponents within ``spread`` bits of
+    each other (default prec), and possibly an all-zero row and column."""
+    mp = _BIGREAL.mp
+    prec = mp.prec
+    base = draw(st.integers(-300, 300))
+
+    def real():
+        man = draw(st.integers(-(2**prec - 1), 2**prec - 1))
+        return mp.make_mpf(from_man_exp(man, base + draw(st.integers(0, spread or prec))))
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "real", "real", "complex", "complex-zero-imag"]))
+        if kind == "zero":
+            return _BIGREAL.zero
+        if kind == "real":
+            return real()
+        return mp.mpc(real(), 0 if kind == "complex-zero-imag" else real())
+
+    m = np.array([[entry() for _ in range(shape[1])] for _ in range(shape[0])], dtype=object)
+    if draw(st.booleans()):
+        m[draw(st.integers(0, shape[0] - 1)), :] = _BIGREAL.zero
+    if draw(st.booleans()):
+        m[:, draw(st.integers(0, shape[1] - 1))] = _BIGREAL.zero
+    return m
+
+
+@st.composite
+def _operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    a, b = draw(_entries((rows, inner))), draw(_entries((inner, cols)))
+    convert = draw(st.tuples(st.booleans(), st.booleans()))
+    return a, b, convert
+
+
+@given(_operands())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_matmul_bigreal_equals_fdot_per_entry(operands):
+    """Each entry of the integer-mantissa product is fdot of its row and
+    column, in type (mpf or mpc) and value, converted operand or not."""
+    a, b, (convert_a, convert_b) = operands
+    ctx, mp = _BIGREAL, _BIGREAL.mp
+    got = ctx.matmul(ctx.mantissas(a) if convert_a else a, ctx.mantissas(b) if convert_b else b)
+    assert got.shape == (a.shape[0], b.shape[1])
+    for (i, j), x in np.ndenumerate(got):
+        ref = mp.fdot(a[i], b[:, j])
+        assert type(x) is type(ref) and x == ref
+
+
+@st.composite
+def _grouped(draw):
+    """(a, groups, distinct): every group of a's columns has a member."""
+    rows, count, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    extra = draw(st.lists(st.integers(0, count - 1), max_size=3))
+    groups = np.array(draw(st.permutations(list(range(count)) + extra)), dtype=int)
+    return draw(_entries((rows, len(groups)))), groups, draw(_entries((count, cols)))
+
+
+@given(_grouped())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_summed_columns_equal_the_expanded_product(case):
+    """Columns summed by group, against the distinct rows, give the
+    product against the rows expanded by group, in type and value."""
+    a, groups, distinct = case
+    ctx = _BIGREAL
+    got = ctx.matmul(ctx.mantissas(a).summed_columns(groups, len(distinct)), distinct)
+    ref = ctx.matmul(a, distinct[groups])
+    assert all(type(x) is type(y) and x == y for x, y in zip(got.ravel(), ref.ravel()))
+
+
+@st.composite
+def _wide_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    spread = 40 * _BIGREAL.mp.prec
+    return draw(_entries((rows, inner), spread)), draw(_entries((inner, cols), spread))
+
+
+def _rounded(mp, x: Fraction):
+    """x rounded once at the context's precision and rounding."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rnd))
+
+
+@given(_wide_operands())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_matmul_rounds_the_exact_sum_over_wide_spreads(operands):
+    """Entries whose exponents span many exponent slabs: each entry of the
+    product is the exact sum of its products, rounded once, complex where
+    its row or column holds an mpc."""
+    a, b = operands
+    mp = _BIGREAL.mp
+    got = _BIGREAL.matmul(a, b)
+
+    def parts(x):
+        return (x.real, x.imag) if hasattr(x, "_mpc_") else (x, _BIGREAL.zero)
+
+    for (i, j), x in np.ndenumerate(got):
+        pa, pb = [parts(y) for y in a[i]], [parts(y) for y in b[:, j]]
+        re = sum((_exact(p[0]) * _exact(q[0]) - _exact(p[1]) * _exact(q[1]) for p, q in zip(pa, pb)), Fraction(0))
+        im = sum((_exact(p[0]) * _exact(q[1]) + _exact(p[1]) * _exact(q[0]) for p, q in zip(pa, pb)), Fraction(0))
+        is_complex = any(hasattr(y, "_mpc_") for y in (*a[i], *b[:, j]))
+        assert type(x) is (mp.mpc if is_complex else mp.mpf)
+        assert parts(x) == (_rounded(mp, re), _rounded(mp, im))
+
+
+def test_matmul_rounds_the_exact_sum_across_wide_gaps(bctx):
+    """Terms more than 2 * prec bits apart: fdot's accumulator drops the
+    small term and returns 0; the product rounds the exact sum."""
+    mp = bctx.mp
+    big, tiny = mp.mpf(2) ** (3 * mp.prec), bctx.frac(1, 3)
+    a = np.array([[tiny, big, -big]], dtype=object)
+    b = np.array([[bctx.one], [bctx.one], [bctx.one]], dtype=object)
+    exact = sum((_exact(x) * _exact(y) for x, y in zip(a[0], b[:, 0])), Fraction(0))
+    got = bctx.matmul(a, b)[0, 0]
+    assert type(got) is mp.mpf and _exact(got) == exact == _exact(tiny)
+    assert mp.fdot(a[0], b[:, 0]) == 0
+
+
+def test_matmul_refuses_non_finite_entries(bctx):
+    mp = bctx.mp
+    for bad, name in ((mp.inf, r"\+inf"), (-mp.inf, r"-inf"), (mp.nan, "nan"), (mp.mpc(1, mp.inf), r"\+inf")):
+        a = np.array([[bctx.one, bctx.one], [bctx.one, bad]], dtype=object)
+        with pytest.raises(NonFiniteValue, match=rf"entry \(1, 1\) is .*{name}"):
+            bctx.matmul(a, a)
+        with pytest.raises(NonFiniteValue, match=r"entry \(1, 1\)"):
+            bctx.mantissas(a)
+
+
+def test_mantissas_are_bigreal_only(ctx):
+    a = np.array([[ctx.frac(1, 3)]], dtype=object)
+    with pytest.raises(ModeError):
+        ctx.mantissas(a)
+    assert ctx.matmul(a, a)[0, 0] == Fraction(1, 9)

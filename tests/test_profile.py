@@ -1,7 +1,7 @@
 """The Krylov profile reads the chain's own vectors on the chain's space.
 
-On the folded energy-basis support each amplitude is one real dot per
-time; the references of ``test_support_fold`` (one complex phase per
+Each time is a fixed number of batched products, whatever the chain's
+length; the references of ``test_support_fold`` (one complex phase per
 unfolded entry) must still agree bit for bit at the thermal-chain
 benchmark sizes.  Where some w- is nonzero the cross dots are still
 formed.  A chain from another pair or inner product is refused.
@@ -50,43 +50,41 @@ def test_profile_rows_equal_full_support_reference(bctx, kind, n_max, params):
         assert _all_same(row, [(v * phases[n % 4]).real for n, v in enumerate(ref)])
 
 
-def _amplitude_dots(monkeypatch, run):
-    """Context.dot calls made by RUN outside Context.matmul."""
-    calls, inside = [], []
-    real_dot, real_matmul = Context.dot, Context.matmul
+def _calls(monkeypatch, run):
+    """(Context.dot calls, Context.matmul calls) made by RUN."""
+    calls = {"dot": 0, "matmul": 0}
+    for name in calls:
+        real = getattr(Context, name)
 
-    def dot(self, u, v):
-        if not inside:
-            calls.append(1)
-        return real_dot(self, u, v)
+        def counting(self, a, b, real=real, name=name):
+            calls[name] += 1
+            return real(self, a, b)
 
-    def matmul(self, a, b):
-        inside.append(1)
-        try:
-            return real_matmul(self, a, b)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(Context, "dot", dot)
-    monkeypatch.setattr(Context, "matmul", matmul)
+        monkeypatch.setattr(Context, name, counting)
     run()
     monkeypatch.undo()
-    return len(calls)
+    return calls["dot"], calls["matmul"]
 
 
 @pytest.mark.parametrize("basis", ["energy", "position"])
-def test_profile_one_dot_per_amplitude(bctx, monkeypatch, basis):
+def test_profile_batches_the_amplitudes_per_time(bctx, monkeypatch, basis):
     if basis == "energy":
         pair = energy_pair(make_system("gegenbauer", None, {"g": "2"}, bctx), n_max=30)
         ip = wightman_inner(pair, bctx.num(BETA))
+        # the cos and sin products
+        per_time, once = 2, 0
     else:
         pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
         ip = trace_inner(pair)
+        # O_0 moves in once; per time two products move O_0(t) back, one
+        # meets the covectors
+        per_time, once = 3, 2
     chain = operator_lanczos(pair, ip)
     times = _grid(bctx, 20)
-    dots = _amplitude_dots(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))
+    dots, products = _calls(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))
     assert len(chain.vectors) > 10
-    assert dots == len(chain.vectors) * len(times)
+    assert dots == 0
+    assert products == once + per_time * len(times)
     # the dense chain matrices are never built
     assert "ops" not in vars(chain)
 

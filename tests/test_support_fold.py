@@ -179,7 +179,8 @@ def _check_against_reference(pair, ip, beta, times):
         return
     bs, ops = _ref_chain_bigreal(pair, weight)
     assert _all_same(chain.b, bs) and _ops_same(chain.ops, ops)
-    at = pair.rep.space(pair, ip, len(chain.ops) - 1).overlaps(chain.ops)
+    space = pair.rep.space(pair, ip, len(chain.ops) - 1)
+    at = space.overlaps([space.gather(o) for o in chain.ops])
     for t in times:
         assert _all_same(at(t), _ref_overlaps(pair, weight, ops, t))
 

@@ -35,7 +35,6 @@ from .dynamics import (
 )
 from .moments import (
     MomentTable,
-    diagonal_eta_identity,
     moments_closed,
     moments_closed_finite,
     moments_closed_thermal,
@@ -80,7 +79,6 @@ __all__ = [
     "build_eta_position",
     "chain_report",
     "default_system",
-    "diagonal_eta_identity",
     "detect_noncomplexity",
     "energy_pair",
     "hankel_check",

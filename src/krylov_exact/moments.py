@@ -29,10 +29,9 @@ from .errors import (
     NotFiniteSystem,
     NotInfiniteSystem,
     TailNotConvergent,
-    TruncationTooSmall,
 )
 from .numeric import Context
-from .operators import InnerProduct, OperatorPair, eig_symmetric, position_pair, trace_inner
+from .operators import InnerProduct, OperatorPair, trace_inner
 
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
@@ -218,8 +217,8 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     v = space.gather(pair.eta)
     norm = space.dot(v, v)
     values = [ctx.one]
-    for _ in range(K):
-        v_next = space.liouville(v)
+    for k in range(K):
+        v_next = space.liouville(v, k % 2)
         values.append(space.cross_dot(v, v_next) / norm)
         values.append(space.dot(v_next, v_next) / norm)
         v = v_next
@@ -230,34 +229,6 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
         kind=pair.spec.kind if pair.spec else None,
         beta=ip.beta,
     )
-
-
-def diagonal_eta_identity(spec: SystemSpec, n_max: int | None = None) -> bool:
-    """Check <n|eta|n> against the recurrence data at every level.
-
-    Finite systems are checked on levels 0..N, thermal ones on 0..n_max.
-    For finite systems in bigreal mode the left side is computed from
-    the position-basis eigenvectors of one eigendecomposition, making
-    this a genuine cross-basis verification; otherwise it reduces to the
-    catalog's own consistency (finite families use -(A_n + C_n), the
-    thermal ones their diagonal recurrence coefficient).
-    """
-    hi = spec.N if spec.is_finite else n_max
-    if hi is None:
-        raise TruncationTooSmall("infinite system needs an explicit n_max")
-    ctx = spec.ctx
-    if spec.is_finite and not ctx.is_exact:
-        _, q = eig_symmetric(position_pair(spec).h, ctx)
-        for n in range(hi + 1):
-            got = ctx.zero
-            for x in range(spec.dim):
-                got = got + q[x, n] * q[x, n] * spec.eta(x)
-            if not ctx.close(got, spec.eta_diag(n)):
-                return False
-        return True
-    if spec.is_finite or spec.kind in (SystemKind.MEIXNER, SystemKind.CHARLIER):
-        return all(ctx.close(spec.eta_diag(n), -(spec.A(n) + spec.C(n))) for n in range(hi + 1))
-    return True  # thermal families with explicit diagonal data
 
 
 def scale_table(table: MomentTable, lam) -> MomentTable:

@@ -44,8 +44,8 @@ kernel on the integer numerators of H, and a dot is one integer sum that
 becomes a rational only at the end, so no rational is formed entry by
 entry.
 
-The energy-basis fold
----------------------
+The parity fold
+---------------
 L multiplies entry (a, b) by E_a - E_b and its mirror (b, a) by the
 negative, so L^k eta has the parity V_ba = (-1)^k r_ab V_ab with the
 mirror ratio r_ab = eta_ba / eta_ab; this is why odd moments vanish.
@@ -57,6 +57,8 @@ chain needs every w- to vanish, which makes vectors of opposite parity
 orthogonal, so it reorthogonalises against only those of its own
 parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
 w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
+A bigreal band folds the same way where H, eta and the weights are exact
+mirror images, as for every bigreal :func:`position_pair`.
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -238,7 +240,7 @@ def _diagonals(h: np.ndarray, zero) -> np.ndarray:
     return hd
 
 
-def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero) -> np.ndarray:
+def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero, fold=None) -> np.ndarray:
     """[H, V] on the band (rows, cols) of :func:`_band`, which must hold
     it, for V given on that band and H by its diagonals (:func:`_diagonals`).
 
@@ -247,6 +249,11 @@ def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np
     off its nonzero entries.  Each entry is summed over ascending d
     exactly as ``h @ v - v @ h`` sums it, less terms that are exact zeros,
     so results equal the dense product bit for bit, also in bigreal mode.
+
+    ``fold`` = (reps, mirrors, parity) is for a symmetric H and a V with
+    V_ba = (-1)^parity V_ab.  Then (VH)_ab is +-(HV)_ba term for term, in
+    the same order, so only HV is formed, and [H, V] is returned on the
+    band entries ``reps`` alone: (HV)_ab -+ (HV)_ba, with (b, a) at ``mirrors``.
     """
     w_h, n = len(hd) // 2, hd.shape[1] // 3
     offsets = cols - rows
@@ -257,18 +264,24 @@ def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np
     p = np.full(n * (2 * width + 1), zero, dtype=object)
     p[at] = vec
     p = p.reshape(n, 2 * width + 1)
-    hv, vh = np.full(p.shape, zero, dtype=object), np.full(p.shape, zero, dtype=object)
+    hv, vh = np.full(p.shape, zero, dtype=object), None if fold else np.full(p.shape, zero, dtype=object)
     for d in range(-w_h, w_h + 1):
         # (HV)[a, a+e] += H[a, a+d] V[a+d, a+e] for |e - d| <= w_V
         lo, hi = max(0, -d), min(n, n - d)
         e0, e1 = max(d - w_v, -width) + width, min(d + w_v, width) + width + 1
         hv[lo:hi, e0:e1] += hd[w_h + d, n + lo:n + hi, None] * p[lo + d:hi + d, e0 - d:e1 - d]
+        if fold:
+            continue
         # (VH)[a, a+e] += V[a, a+e+d] H[a+e+d, a+e] for |e + d| <= w_V: the
         # H factors of row a are a window of diagonal -d
         e0, e1 = max(-d - w_v, -width) + width, min(-d + w_v, width) + width + 1
         windows = np.lib.stride_tricks.sliding_window_view(hd[w_h - d], e1 - e0)
         vh[:, e0:e1] += p[:, e0 + d:e1 + d] * windows[n + e0 + d - width:2 * n + e0 + d - width]
-    return hv.ravel()[at] - vh.ravel()[at]
+    if not fold:
+        return hv.ravel()[at] - vh.ravel()[at]
+    reps, mirrors, parity = fold
+    hv_ab, hv_ba = hv.ravel()[at[reps]], hv.ravel()[at[mirrors]]
+    return hv_ab + hv_ba if parity else hv_ab - hv_ba
 
 
 def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -624,7 +637,7 @@ class SupportBasis:
         out[self.cols[m], self.rows[m]] = -mirror if parity else mirror
         return out
 
-    def liouville(self, vec: np.ndarray) -> np.ndarray:
+    def liouville(self, vec: np.ndarray, parity: int) -> np.ndarray:
         return self.freq * vec
 
     def dual(self, u: np.ndarray) -> np.ndarray:
@@ -743,17 +756,20 @@ class _BandSpace:
     """The operator space of a matrix H, in both modes: a vector is its
     row-major entries within W = min(w_eta + steps * w_H, n - 1) of the
     diagonal (every entry when ``steps`` is None), and a commutator is
-    :func:`_band_commutator`.  Nothing is folded: every dot is
-    :meth:`dot`, and the chain reorthogonalises against every earlier
-    vector.  The modes differ only in the scalars.  A bigreal vector holds
-    mpf entries, and a dot is one fused dot of the covector (:meth:`dual`)
-    with V.  An exact vector is a :class:`_Scaled`: H is cleared of
-    denominators once per pair (:attr:`_Banded.bands`), h_num / d_H, and
-    the band weight (metric factors g_b/g_a included) once per space,
-    w_num / d_w; a commutator runs the kernel on the
-    numerators over d_H * den, and a dot is one integer sum over
-    d_w * den_u * den_v.  Exact values equal those of rational arithmetic.
-    The profile evolves O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
+    :func:`_band_commutator`.  A bigreal vector holds mpf entries, and a
+    dot is one fused dot of the covector (:meth:`dual`) with V.  Where H,
+    eta and the band weights are exact mirror images, the band is
+    ``folded`` as :class:`SupportBasis` folds with r = 1: it keeps the
+    entries a <= b, w+ = w_ab + w_ba (2 w exactly) and w- = 0, so the chain
+    reorthogonalises with stride 2 and a commutator forms HV alone.  Every
+    skipped term is an exact zero, so results are the whole band's bit for
+    bit.  An exact vector is a :class:`_Scaled` on the whole band: H is
+    cleared of denominators once per pair (:attr:`_Banded.bands`), h_num /
+    d_H, and the band weight (metric factors g_b/g_a included) once per
+    space, w_num / d_w; a commutator runs the kernel on the numerators over
+    d_H * den, and a dot is one integer sum over d_w * den_u * den_v.
+    Exact values equal those of rational arithmetic.  The profile evolves
+    O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
     """
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct, steps: int | None):
@@ -762,9 +778,33 @@ class _BandSpace:
         self.pair, self.ctx, self.exact, self.size = pair, ctx, ctx.is_exact, n * n
         self.hd, self.d_h, w_eta = pair.rep.bands
         width = n - 1 if steps is None else min(w_eta + steps * (len(self.hd) // 2), n - 1)
-        self.rows, self.cols = _band(n, width)
-        weight = ip.entries(self.rows, self.cols)
-        self.weight, self.d_w = _integer_numerators(weight) if self.exact else (weight, 1)
+        rows, cols = self.band = _band(n, width)
+        weight = ip.entries(rows, cols)
+        mirror = np.searchsorted(rows * n + cols, cols * n + rows)  # where (b, a) sits
+        self.folded = not self.exact and (weight == weight[mirror]).all() and all(
+            (m[rows, cols] == m[cols, rows]).all() for m in (pair.h, pair.eta)
+        )
+        if not self.folded:
+            self.rows, self.cols = rows, cols
+            self.weight, self.d_w = _integer_numerators(weight) if self.exact else (weight, 1)
+            self.wplus = self.weight
+            return
+        reps = np.flatnonzero(rows <= cols)
+        self.rows, self.cols, self.weight = rows[reps], cols[reps], weight[reps]
+        self.wplus = self.weight + np.where(self.rows == self.cols, ctx.zero, self.weight)  # w_ab + w_ba
+        self.reps = reps, mirror[reps]
+        # each band entry's representative, and the entries below the diagonal
+        self.spread = (np.cumsum(rows <= cols) - 1)[np.minimum(np.arange(len(rows)), mirror)]
+        self.lower = np.flatnonzero(rows > cols)
+
+    def unfold(self, vec: np.ndarray, parity: int) -> np.ndarray:
+        """A bigreal VEC of the given parity on the whole band."""
+        if not self.folded:
+            return vec
+        full = vec[self.spread]
+        if parity:
+            full[self.lower] = -full[self.lower]
+        return full
 
     def gather(self, mat: np.ndarray):
         vec = mat[self.rows, self.cols]
@@ -776,43 +816,50 @@ class _BandSpace:
             nz = np.flatnonzero(vec.num)
             out[self.rows[nz], self.cols[nz]] = [rational(vec.num[i], vec.den) for i in nz]
         else:
-            out[self.rows, self.cols] = vec
+            out[self.band] = self.unfold(vec, parity)
         return out
 
-    def liouville(self, vec):
+    def liouville(self, vec, parity: int):
         if self.exact:
             return _Scaled(_band_commutator(self.hd, vec.num, self.rows, self.cols, 0), vec.den * self.d_h)
-        return _band_commutator(self.hd, vec, self.rows, self.cols, self.ctx.zero)
+        fold = (*self.reps, parity) if self.folded else None
+        return _band_commutator(self.hd, self.unfold(vec, parity), *self.band, self.ctx.zero, fold)
 
     def dual(self, u: np.ndarray) -> np.ndarray:
-        """The covector of a bigreal U: the weight times the conjugate of U."""
-        return self.weight * conjugate(u)
+        """The covector of a bigreal U against vectors of its parity: w+
+        times the conjugate of U."""
+        return self.wplus * conjugate(u)
 
     def dot(self, u, v):
         if self.exact:
             return rational(self.ctx.dot(self.weight * u.num, v.num), self.d_w * u.den * v.den)
         return self.ctx.dot(self.dual(u), v)
 
-    cross_dot = dot
+    def cross_dot(self, u, v):
+        """(U, V) for U and V of opposite parity: an exact 0 when folded."""
+        return self.ctx.zero if self.folded else self.dot(u, v)
 
     def lanczos_stride(self) -> int:
-        return 1
+        return 2 if self.folded else 1
 
     def overlaps(self, vectors: list):
         """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
         through the exponential-conjugation oracle.  O_0 moves into the
-        eigenbasis of H once, and the chain's covectors are stacked once, for
-        all times, as integer mantissas.  Each time then costs the phase
-        twist of O_0 there, one transform back, read on the band, and one
-        :meth:`~krylov_exact.numeric.Context.matmul` of the covectors with
-        it.  The chain vectors stay in the position basis: moving each would
-        cost two products per vector."""
-        duals = self.ctx.mantissas(np.array([self.dual(v) for v in vectors], dtype=object))
+        eigenbasis of H once, and the chain's covectors on the whole band
+        (each unfolded once: O(t) is Hermitian only up to rounding) are
+        stacked once, for all times, as integer mantissas.  Each time then
+        costs the phase twist of O_0 there, one transform back, read on the
+        band, and one :meth:`~krylov_exact.numeric.Context.matmul` of the
+        covectors with it.  The chain vectors stay in the position basis:
+        moving each would cost two products per vector."""
+        weight = self.unfold(self.weight, 0)
+        duals = [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)]
+        duals = self.ctx.mantissas(np.array(duals, dtype=object))
         eigen, to, back = self.pair.rep.eigenbasis()
         o0 = to(self.scatter(vectors[0]))
 
         def at(t):
-            ot = self.gather(back(eigen.conjugate_exp(o0, t)))
+            ot = back(eigen.conjugate_exp(o0, t))[self.band]
             return list(self.ctx.matmul(duals, ot.reshape(-1, 1)).ravel())
 
         return at
@@ -852,7 +899,7 @@ def operator_lanczos(
     bs = []
     stopped = False
     while len(bs) < k_max:
-        w = space.liouville(o_cur)
+        w = space.liouville(o_cur, (len(ops) - 1) % 2)
         if o_prev is not None:
             w = w - o_prev * bs[-1]
         # full reorthogonalisation: thermal weights make the inner
@@ -898,7 +945,7 @@ def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> Operator
     b2s = []
     stopped = False
     while len(b2s) < k_max:
-        w = space.liouville(v_cur)
+        w = space.liouville(v_cur, (len(ops) - 1) % 2)
         if v_prev is not None:
             w = w - v_prev * b2s[-1]
         nu_next = space.dot(w, w)

@@ -16,7 +16,12 @@ on the eta support.
 
 Closed forms only the tests use (the dual Hahn mu_2 and the affine
 q-Krawtchouk |eta|^2), and the O(K^3) moments -> b^2 route that
-Chebyshev's algorithm replaced, kept as its reference.
+Chebyshev's algorithm replaced, kept as its reference.  The cross-basis
+check of <n|eta|n>, which no ``verify`` row runs.
+
+The full-band reference for the position basis: the moment oracle, the
+fully reorthogonalised bigreal chain and the profile rows from dense
+commutators ``h @ v - v @ h`` and dots over every entry, with no fold.
 """
 
 import json
@@ -24,10 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from krylov_exact import SystemKind, liouville
+from krylov_exact import OperatorPair, SystemKind, inner, liouville, matrix_exponential_conjugate, position_pair
 from krylov_exact.catalog import _polyval
 from krylov_exact.dynamics import _exp_difference, _exp_second_difference
-from krylov_exact.operators import solve_consistent, zeros
+from krylov_exact.errors import TruncationTooSmall
+from krylov_exact.operators import eig_symmetric, solve_consistent, zeros
 
 FINITE_KINDS = [k for k in SystemKind if k.is_finite]
 THERMAL_KINDS = [k for k in SystemKind if not k.is_finite]
@@ -295,3 +301,92 @@ def hankel_b2_reference(table):
         p_prev, p_cur = p_cur, nxt
         h_prev = h_cur
     return b2s, None
+
+
+def diagonal_eta_identity(spec, n_max: int | None = None) -> bool:
+    """Check <n|eta|n> against the recurrence data at every level.
+
+    Finite systems are checked on levels 0..N, thermal ones on 0..n_max.
+    For finite systems in bigreal mode the left side is computed from
+    the position-basis eigenvectors of one eigendecomposition, making
+    this a genuine cross-basis verification; otherwise it reduces to the
+    catalog's own consistency (finite families use -(A_n + C_n), the
+    thermal ones their diagonal recurrence coefficient).
+    """
+    hi = spec.N if spec.is_finite else n_max
+    if hi is None:
+        raise TruncationTooSmall("infinite system needs an explicit n_max")
+    ctx = spec.ctx
+    if spec.is_finite and not ctx.is_exact:
+        _, q = eig_symmetric(position_pair(spec).h, ctx)
+        for n in range(hi + 1):
+            got = ctx.zero
+            for x in range(spec.dim):
+                got = got + q[x, n] * q[x, n] * spec.eta(x)
+            if not ctx.close(got, spec.eta_diag(n)):
+                return False
+        return True
+    if spec.is_finite or spec.kind in (SystemKind.MEIXNER, SystemKind.CHARLIER):
+        return all(ctx.close(spec.eta_diag(n), -(spec.A(n) + spec.C(n))) for n in range(hi + 1))
+    return True  # thermal families with explicit diagonal data
+
+
+# ---------------------------------------------------------------------------
+# Full-band reference for the position basis
+# ---------------------------------------------------------------------------
+
+
+def rotated_pair(pair):
+    """The bigreal position pair moved to the eigenbasis by plain object
+    products: entries (a, b) and (b, a) round differently, so H and eta
+    are symmetric only up to rounding and the band is not folded."""
+    _, q = eig_symmetric(pair.h, pair.ctx)
+    return OperatorPair(q.T @ pair.h @ q, q.T @ pair.eta @ q, pair.ctx)
+
+
+def dense_commutator(pair, v):
+    return pair.h @ v - v @ pair.h
+
+
+def reference_oracle(pair, dot, K: int) -> list:
+    """mu_0 .. mu_2K from K dense commutators and the given dot."""
+    v = pair.eta
+    norm = dot(v, v)
+    values = [pair.ctx.one]
+    for _ in range(K):
+        v_next = dense_commutator(pair, v)
+        values += [dot(v, v_next) / norm, dot(v_next, v_next) / norm]
+        v = v_next
+    return values
+
+
+def reference_chain(pair, dot, k_max: int | None = None):
+    """(ops, b, stopped) of the normalised bigreal chain, reorthogonalised
+    against every earlier vector, to k_max steps (all of them by default)."""
+    ctx = pair.ctx
+    k_max = pair.dim**2 if k_max is None else k_max
+    o_prev, o_cur = None, pair.eta / ctx.sqrt(dot(pair.eta, pair.eta))
+    ops, bs = [o_cur], []
+    while len(bs) < k_max:
+        w = dense_commutator(pair, o_cur)
+        if o_prev is not None:
+            w = w - o_prev * bs[-1]
+        for o_j in ops:
+            w = w - o_j * dot(o_j, w)
+        b = ctx.sqrt(dot(w, w))
+        if ctx.is_zero(b):
+            return ops, bs, True
+        bs.append(b)
+        o_prev, o_cur = o_cur, w / b
+        ops.append(o_cur)
+    return ops, bs, False
+
+
+def reference_profile(pair, ip, ops, times) -> list:
+    """phi_n(t) = Re((-i)^n (O_n, O_0(t))) with the dot over every entry."""
+    turn = [pair.ctx.mp.mpc(1, 0), pair.ctx.mp.mpc(0, -1), pair.ctx.mp.mpc(-1, 0), pair.ctx.mp.mpc(0, 1)]
+    rows = []
+    for t in times:
+        o_t = matrix_exponential_conjugate(pair, ops[0], t)
+        rows.append([(inner(ip, o_n, o_t) * turn[n % 4]).real for n, o_n in enumerate(ops)])
+    return rows

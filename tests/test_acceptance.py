@@ -35,6 +35,7 @@ from krylov_exact import (
 from krylov_exact.dynamics import closure_diagonal_identity
 from krylov_exact.moments import scale_table
 from krylov_exact.operators import OperatorPair, max_abs
+from krylov_exact.verify import run_system_checks
 
 from helpers import FINITE_KINDS, dual_hahn_mu2_closed, param_samples
 
@@ -273,6 +274,14 @@ def test_criterion_11_profile_sum_rules():
         f"{mp.nstr(worst_g, 3)}; Hermite K(t) vs sin^2(2t): {mp.nstr(worst_h, 3)}",
         ok,
     )
+
+
+def test_bigreal_hahn_a_b_1_passes_verify_at_n8():
+    # R_0(E(0)) = 0 for this sample; every row passes, the profile's sum
+    # rule included
+    rows = run_system_checks(make_system("hahn", 8, {"a": "1", "b": "1"}, BIG))
+    assert "profile_sum_rule" in [r.name for r in rows]
+    assert [r.name for r in rows if not r.passed] == []
 
 
 def test_criterion_12_conversion_round_trips():

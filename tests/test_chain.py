@@ -28,9 +28,8 @@ from krylov_exact.errors import (
     NonUnitMuZero,
 )
 from krylov_exact.moments import MomentTable
-from krylov_exact.operators import OperatorPair, eig_symmetric
 
-from helpers import FINITE_KINDS, THERMAL_KINDS, hankel_b2_reference, param_samples
+from helpers import FINITE_KINDS, THERMAL_KINDS, hankel_b2_reference, param_samples, rotated_pair
 
 
 def _table(ctx, even):
@@ -143,8 +142,7 @@ def test_oracle_rounding_noise_in_odd_moments_converts(bctx):
     # moments are rounding noise instead of exact zeros
     spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx)
     pair = position_pair(spec)
-    _, q = eig_symmetric(pair.h, bctx)
-    rotated = OperatorPair(q.T @ pair.h @ q, q.T @ pair.eta @ q, bctx)
+    rotated = rotated_pair(pair)
     oracle = moments_oracle(rotated, K=8)
     assert any(v != 0 for v in oracle.values[1::2])
     got = moments_to_lanczos(oracle)

@@ -32,7 +32,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.operators import conjugate, max_abs
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, param_samples, rotated_pair
 
 
 def test_closure_hermite_pure_frequency(bctx):
@@ -310,17 +310,21 @@ def test_profile_rejects_exact(ctx):
 
 
 def test_complex_amplitude_guard(bctx):
-    spec = make_system("krawtchouk", 3, {"p": "1/3"}, bctx)
-    pair = position_pair(spec)
-    ip = trace_inner(pair)
-    chain = operator_lanczos(pair, ip)
-    # corrupt the chain with an operator of no definite parity: entry (0, 1)
-    # of O_1 moves, its mirror (1, 0) does not
-    space = chain.space
-    (at,) = np.flatnonzero((space.rows == 0) & (space.cols == 1))
-    chain.vectors[1][at] = chain.vectors[1][at] + bctx.num("1/3")
-    with pytest.raises(ComplexAmplitude):
-        krylov_profile(chain, pair, ip, [bctx.num("1/2")])
+    # corrupt O_1 so that it has no definite parity.  On a folded band the
+    # mirror (1, 0) follows entry (0, 1), so the corruption goes on the
+    # diagonal, its own mirror, where an odd vector vanishes.  The rotated
+    # pair is symmetric only up to rounding, keeps the whole band, and there
+    # entry (0, 1) moves alone
+    folded = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
+    for pair, (a, b), stride in ((folded, (0, 0), 2), (rotated_pair(folded), (0, 1), 1)):
+        ip = trace_inner(pair)
+        chain = operator_lanczos(pair, ip)
+        space = chain.space
+        assert space.lanczos_stride() == stride
+        (at,) = np.flatnonzero((space.rows == a) & (space.cols == b))
+        chain.vectors[1][at] = chain.vectors[1][at] + bctx.num("1/3")
+        with pytest.raises(ComplexAmplitude):
+            krylov_profile(chain, pair, ip, [bctx.num("1/2")])
 
 
 def test_profile_csv_format(bctx):

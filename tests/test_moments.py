@@ -18,12 +18,12 @@ from krylov_exact.errors import (
     NotInfiniteSystem,
     TailNotConvergent,
 )
-from krylov_exact.moments import diagonal_eta_identity, scale_table
+from krylov_exact.moments import scale_table
 from krylov_exact import moments as moments_module
 from krylov_exact import operators as operators_module
 from krylov_exact.operators import inner, liouville
 
-from helpers import FINITE_KINDS, THERMAL_KINDS, dual_hahn_mu2_closed, param_samples
+from helpers import FINITE_KINDS, THERMAL_KINDS, diagonal_eta_identity, dual_hahn_mu2_closed, param_samples
 
 
 def test_krawtchouk_constant_moments(ctx):

@@ -7,8 +7,10 @@ closed-form/oracle comparison (``heisenberg-check``), and the invariant
 suites (``verify``).  Every report embeds its fully resolved
 configuration; identical configurations produce byte-identical output.
 ``heisenberg-check`` and thermal ``complexity`` run on ``verify``'s pair
-(:func:`~krylov_exact.verify.check_pair`); ``verify --all`` runs each
-system's default sample and rejects ``-N`` and ``--param``.
+(:func:`~krylov_exact.verify.check_pair`).  Every command resolves ``-N``
+and ``--param`` alike (:func:`_resolve_system`): without ``--param`` the
+default sample's parameters, at ``-N`` if given; ``verify --all`` runs
+each system's default sample and rejects ``-N`` and ``--param``.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -54,17 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_system=True):
-        if needs_system:
-            sp.add_argument("--system", required=True, help="system name, e.g. krawtchouk")
-            sp.add_argument("-N", type=int, default=None, help="lattice size (finite systems)")
-            sp.add_argument(
-                "--param",
-                action="append",
-                default=[],
-                metavar="NAME=VALUE",
-                help="system parameter as p/q or decimal; repeatable",
-            )
+    def common(sp, required=True):
+        sp.add_argument("--system", required=required, help="system name, e.g. krawtchouk")
+        sp.add_argument("-N", type=int, default=None, help="lattice size (finite systems)")
+        sp.add_argument(
+            "--param",
+            action="append",
+            default=[],
+            metavar="NAME=VALUE",
+            help="system parameter as p/q or decimal; repeatable",
+        )
         sp.add_argument("--mode", choices=[EXACT, BIGREAL], default=None)
         sp.add_argument("--precision", type=int, default=None, help="bigreal decimal digits")
         sp.add_argument("--beta", default=None, help="inverse temperature (thermal systems)")
@@ -102,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp, needs_system=False)
-    sp.add_argument("--system", default=None)
-    sp.add_argument("-N", type=int, default=None)
-    sp.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
+    common(sp, required=False)
     sp.add_argument("--all", action="store_true", help="verify all 16 systems with default samples")
     return p
 
@@ -120,14 +118,13 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-def _resolve_context(args, kind: SystemKind | None) -> Context:
+def _resolve_context(args, kind: SystemKind) -> Context:
     needs_big = args.command in ("complexity", "heisenberg-check")
     mode = args.mode
     if mode is None:
-        finite = kind is not None and kind.is_finite
-        mode = EXACT if (finite and not needs_big) else BIGREAL
+        mode = EXACT if (kind.is_finite and not needs_big) else BIGREAL
     if mode == EXACT:
-        if kind is not None and not kind.is_finite:
+        if not kind.is_finite:
             raise ConfigError("--mode: mode=exact requires a finite discrete system")
         if needs_big:
             raise ConfigError(f"--mode: mode=exact cannot run {args.command} (needs exponentials)")
@@ -157,36 +154,36 @@ def _parse_kind(name) -> SystemKind:
         raise ConfigError(f"--system: unknown system {name!r}") from None
 
 
-def _resolve_system(args, ctx: Context):
-    kind = _parse_kind(args.system)
-    params = _parse_params(args.param)
-    if not params and not args.N and DEFAULT_PARAMS[kind][1]:
-        # fall back to the documented default sample
-        n_def, p_def = DEFAULT_PARAMS[kind]
-        params = dict(p_def)
-        args.N = n_def
-    if kind.is_finite:
-        if args.N is None:
-            raise ConfigError("-N: required for finite systems")
-        if args.beta is not None:
-            raise ConfigError("--beta: only applies to the six thermal systems")
-    else:
-        if args.N is not None:
-            raise ConfigError(f"-N: {kind.value} is infinite")
-        if args.beta is None:
-            raise ConfigError("--beta: required for thermal systems")
+def _resolve_system(args, kind: SystemKind):
+    """The system the flags name: ``-N`` and ``--param`` where given, else
+    the default sample's N and parameters, so ``-N`` alone runs the
+    default parameters at that N.  ``verify`` defaults ``--beta`` to 1,
+    and ``verify --all`` lets a setup error through as that system's row.
+    The spec carries the context the flags resolve to."""
+    ctx = _resolve_context(args, kind)
+    if kind.is_finite and args.beta is not None and not getattr(args, "all", False):
+        raise ConfigError("--beta: only applies to the six thermal systems")
+    if not kind.is_finite and args.N is not None:
+        raise ConfigError(f"-N: {kind.value} is infinite")
+    if not kind.is_finite and args.beta is None and args.command != "verify":
+        raise ConfigError("--beta: required for thermal systems")
+    n_def, p_def = DEFAULT_PARAMS[kind]
+    params = _parse_params(args.param) or dict(p_def)
     try:
-        return make_system(kind, args.N, params, ctx)
+        return make_system(kind, n_def if args.N is None else args.N, params, ctx)
     except KrylovExactError as exc:
+        if getattr(args, "all", False):
+            raise
         raise ConfigError(f"--param: {exc}") from exc
 
 
-def _resolved_config(args, spec, ctx) -> dict:
+def _resolved_config(args, spec) -> dict:
+    ctx = spec.ctx
     return {
         "command": args.command,
-        "system": spec.kind.value if spec else None,
-        "N": spec.N if spec else None,
-        "params": {k: ctx.fmt(v) for k, v in sorted(spec.params.items())} if spec else {},
+        "system": spec.kind.value,
+        "N": spec.N,
+        "params": {k: ctx.fmt(v) for k, v in sorted(spec.params.items())},
         "mode": ctx.mode,
         "precision": ctx.precision,
         "beta": args.beta,
@@ -234,10 +231,9 @@ def cmd_list_systems(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ctx = _resolve_context(args, _parse_kind(args.system))
-    spec = _resolve_system(args, ctx)
+    spec = _resolve_system(args, _parse_kind(args.system))
     table = moments_closed(spec, K=args.K, beta=args.beta, tail_tol=args.tail_tol)
-    config = _resolved_config(args, spec, ctx)
+    config = _resolved_config(args, spec)
     if args.format == "json":
         doc = table.to_json_dict()
         doc["config"] = config
@@ -248,10 +244,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_lanczos(args) -> int:
-    ctx = _resolve_context(args, _parse_kind(args.system))
-    spec = _resolve_system(args, ctx)
+    spec = _resolve_system(args, _parse_kind(args.system))
     doc = chain_report(spec, beta=args.beta, K=args.K, tail_tol=args.tail_tol)
-    doc["config"] = _resolved_config(args, spec, ctx)
+    doc["config"] = _resolved_config(args, spec)
     if args.format == "csv":
         rows = ["k,b_squared"]
         rows += [f"{k+1},{v}" for k, v in enumerate(doc["b_squared"])]
@@ -277,9 +272,8 @@ def _time_grid(args, ctx):
 
 
 def cmd_complexity(args) -> int:
-    kind = _parse_kind(args.system)
-    ctx = _resolve_context(args, kind)
-    spec = _resolve_system(args, ctx)
+    spec = _resolve_system(args, _parse_kind(args.system))
+    ctx = spec.ctx
     if args.n_max is not None and spec.is_finite:
         raise ConfigError("--n-max: only applies to the six thermal systems")
     if args.n_max is not None and args.n_max < 2:
@@ -294,7 +288,7 @@ def cmd_complexity(args) -> int:
         _, pair, ip = check_pair(spec, args.beta, args.K, args.tail_tol)
     chain = operator_lanczos(pair, ip)
     times = _time_grid(args, ctx)
-    config = _resolved_config(args, spec, ctx)
+    config = _resolved_config(args, spec)
     config["t_grid"] = list(args.t_grid)
     config["n_max"] = pair.dim - 1
     config["stop_index"] = chain.stop_index
@@ -307,15 +301,14 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_heisenberg_check(args) -> int:
-    kind = _parse_kind(args.system)
-    ctx = _resolve_context(args, kind)
-    spec = _resolve_system(args, ctx)
+    spec = _resolve_system(args, _parse_kind(args.system))
+    ctx = spec.ctx
     _, pair, _ = check_pair(spec, args.beta, args.K, args.tail_tol)
     times = [_number(ctx, "--t-grid", t) for t in args.t_grid]
     closure = verify_closure(pair)
     devs, passed = heisenberg_check(pair, closure, times)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
-    config = _resolved_config(args, spec, ctx)
+    config = _resolved_config(args, spec)
     doc = {"config": config, "checks": rows, "passed": bool(passed)}
     if args.format == "json":
         _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -327,25 +320,10 @@ def cmd_heisenberg_check(args) -> int:
 
 def _verify_one(kind: SystemKind, args) -> tuple[dict, list]:
     """(resolved config, check rows) of one system."""
-    ctx = _resolve_context(args, kind)
-    if kind.is_finite and args.beta is not None and not args.all:
-        raise ConfigError("--beta: only applies to the six thermal systems")
-    if not kind.is_finite and args.N is not None:
-        raise ConfigError(f"-N: {kind.value} is infinite")
-    n_def, p_def = DEFAULT_PARAMS[kind]
-    params = _parse_params(args.param) or dict(p_def)
-    n = args.N if args.N is not None else n_def
+    spec = _resolve_system(args, kind)
     beta = None if kind.is_finite else args.beta or "1"
-    try:
-        spec = make_system(kind, n, params, ctx)
-    except KrylovExactError as exc:
-        if args.all:
-            raise  # reported as the system's setup row
-        raise ConfigError(f"--param: {exc}") from exc
     checks = run_system_checks(spec, beta=beta, K=args.K, tail_tol=args.tail_tol)
-    config = _resolved_config(args, spec, ctx)
-    config["beta"] = beta
-    return config, checks
+    return {**_resolved_config(args, spec), "beta": beta}, checks
 
 
 def cmd_verify(args) -> int:

@@ -11,14 +11,16 @@ one of two representations, picked once from the shape of ``h``:
   moment oracle, the Lanczos chain and the profile fold that support to
   one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
-  Functions of H are dense matrices.  Spectral work happens in the
-  eigenbasis: the eigendecomposition (E, Q) is computed at most once per
-  pair, and operators move there, Q^T V Q, and back, Q V Q^T, through
-  :meth:`~krylov_exact.numeric.Context.matmul`, which multiplies integer
-  mantissas exactly and rounds each entry once; Q and Q^T are converted
-  to mantissas once per pair.  The Heisenberg check and the profile move
-  their time-independent operators once and bring one result per time
-  back.
+  Operators are dense matrices; the closure relation and L^m eta run on
+  bands, where functions of H are banded too
+  (:class:`~krylov_exact.dynamics._BandFunctions`).  Spectral work
+  happens in the eigenbasis: the eigendecomposition (E, Q) is computed
+  at most once per pair, and operators move there, Q^T V Q, and back,
+  Q V Q^T, through :meth:`~krylov_exact.numeric.Context.matmul`, which
+  multiplies integer mantissas exactly and rounds each entry once; Q and
+  Q^T are converted to mantissas once per pair.  The Heisenberg check and
+  the profile move their time-independent operators once and bring one
+  result per time back.
 
 A matrix Hamiltonian is applied through its nonzero diagonals: with
 bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
@@ -240,6 +242,20 @@ def _diagonals(h: np.ndarray, zero) -> np.ndarray:
     return hd
 
 
+def _padded(vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero):
+    """(P, at, W, w_V): V on the band (rows, cols) of width W as the
+    n x (2W + 1) array P[a, W + e] = V[a, a + e], P.ravel()[at] = V, and
+    the bandwidth w_V read off V's nonzero entries."""
+    offsets = cols - rows
+    width = int(np.abs(offsets).max())
+    nonzero = np.flatnonzero(vec)
+    w_v = int(np.abs(offsets[nonzero]).max()) if nonzero.size else 0
+    at = rows * (2 * width + 1) + width + offsets
+    p = np.full((rows[-1] + 1) * (2 * width + 1), zero, dtype=object)
+    p[at] = vec
+    return p.reshape(-1, 2 * width + 1), at, width, w_v
+
+
 def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero, fold=None) -> np.ndarray:
     """[H, V] on the band (rows, cols) of :func:`_band`, which must hold
     it, for V given on that band and H by its diagonals (:func:`_diagonals`).
@@ -256,14 +272,7 @@ def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np
     band entries ``reps`` alone: (HV)_ab -+ (HV)_ba, with (b, a) at ``mirrors``.
     """
     w_h, n = len(hd) // 2, hd.shape[1] // 3
-    offsets = cols - rows
-    width = int(np.abs(offsets).max())
-    nonzero = np.flatnonzero(vec)
-    w_v = int(np.abs(offsets[nonzero]).max()) if nonzero.size else 0
-    at = rows * (2 * width + 1) + width + offsets
-    p = np.full(n * (2 * width + 1), zero, dtype=object)
-    p[at] = vec
-    p = p.reshape(n, 2 * width + 1)
+    p, at, width, w_v = _padded(vec, rows, cols, zero)
     hv, vh = np.full(p.shape, zero, dtype=object), None if fold else np.full(p.shape, zero, dtype=object)
     for d in range(-w_h, w_h + 1):
         # (HV)[a, a+e] += H[a, a+d] V[a+d, a+e] for |e - d| <= w_V
@@ -386,11 +395,11 @@ class _Spectrum:
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
-    An operator, and a function f(H), is a dense matrix.  Spectral work
-    happens in the eigenbasis H = Q diag(E) Q^T, computed on first use and
-    kept, so each pair runs :func:`eig_symmetric` at most once.  The
-    band data of the pair's operator spaces (:attr:`bands`) are kept the
-    same way.
+    An operator is a dense matrix; the closure relation runs on bands
+    (:class:`~krylov_exact.dynamics._BandFunctions`).  The eigenbasis
+    H = Q diag(E) Q^T and the band data of the operator spaces
+    (:attr:`bands`) are computed on first use and kept, so each pair runs
+    :func:`eig_symmetric` at most once.
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
@@ -430,25 +439,6 @@ class _Banded:
                 lambda v: ctx.matmul(ctx.matmul(q, v.reshape(n, n)), qt),
             )
         return self._eigen
-
-    def poly(self, coeffs) -> np.ndarray:
-        acc, diag = zeros(len(self.h), self.ctx), np.diag_indices(len(self.h))
-        for k, c in enumerate(reversed(coeffs)):  # Horner: acc = acc H + c
-            acc = acc @ self.h if k else acc
-            acc[diag] = acc[diag] + c
-        return acc
-
-    def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return v @ f
-
-    mul = right_mul
-
-    def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return v + f
-
-    def as_function(self, m: np.ndarray):
-        """A matrix commuting with H already is the function of H."""
-        return m, self.ctx.zero
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
         return _BandSpace(pair, ip, steps)
@@ -992,10 +982,14 @@ def eig_symmetric(h: np.ndarray, ctx: Context):
     """Eigendecomposition of a real symmetric matrix, sorted ascending.
 
     Returns (eigenvalues 1-D object array, orthogonal matrix Q) with
-    h = Q diag(E) Q^T.
+    h = Q diag(E) Q^T.  :class:`~krylov_exact.errors.BasisMismatch` names
+    the first entry (a, b) not ``ctx.close`` to (b, a), as in a rescaled pair.
     """
     if ctx.is_exact:
         raise ModeError("eigendecomposition needs bigreal mode")
+    for a, b in zip(*np.nonzero(h != h.T)):  # one comparison for a symmetric H
+        if not ctx.close(h[a, b], h[b, a]):
+            raise BasisMismatch(f"H is not symmetric: entries ({a}, {b}) and ({b}, {a}) differ")
     evals, q = ctx.mp.eigsy(ctx.mp.matrix(h.tolist()))
     order = sorted(range(len(h)), key=lambda i: evals[i])
     return np.array([evals[i] for i in order], dtype=object), np.array(q.tolist(), dtype=object)[:, order]

@@ -22,6 +22,9 @@ check of <n|eta|n>, which no ``verify`` row runs.
 The full-band reference for the position basis: the moment oracle, the
 fully reorthogonalised bigreal chain and the profile rows from dense
 commutators ``h @ v - v @ h`` and dots over every entry, with no fold.
+The dense position-basis closure: R_i(H) by Horner's rule with dense
+products ``acc @ h``, V f(H) as ``v @ f``, and R_{-1} fitted over all n^2
+entries, with L^m eta from the same dense functions of H.
 """
 
 import json
@@ -390,3 +393,42 @@ def reference_profile(pair, ip, ops, times) -> list:
         o_t = matrix_exponential_conjugate(pair, ops[0], t)
         rows.append([(inner(ip, o_n, o_t) * turn[n % 4]).real for n, o_n in enumerate(ops)])
     return rows
+
+
+def dense_position_poly(pair, coeffs) -> np.ndarray:
+    """f(H) by Horner's rule, acc = acc @ h + c, on dense matrices."""
+    acc, diag = zeros(pair.dim, pair.ctx), np.diag_indices(pair.dim)
+    for k, c in enumerate(reversed(coeffs)):
+        acc = acc @ pair.h if k else acc
+        acc[diag] = acc[diag] + c
+    return acc
+
+
+def dense_position_closure(pair):
+    """(rm1, residual) of :func:`~krylov_exact.verify_closure` on a position
+    pair from dense n x n products: M = L^2 eta - eta @ R_0(H) - (L eta) @
+    R_1(H), the largest |[H, M]_ab|, and R_{-1} fitted over all n^2 rows."""
+    ctx, spec = pair.ctx, pair.spec
+    l1 = dense_commutator(pair, pair.eta)
+    l2 = dense_commutator(pair, l1)
+    m = l2 - pair.eta @ dense_position_poly(pair, spec.r0_coeffs) - l1 @ dense_position_poly(pair, spec.r1_coeffs)
+    residual = max(abs(v) for v in dense_commutator(pair, m).ravel())
+    one, zero = ctx.one, ctx.zero
+    cols = [dense_position_poly(pair, c) for c in ((one,), (zero, one), (zero, zero, one))]
+    return tuple(solve_consistent(cols, m, ctx)), residual
+
+
+def dense_position_liouville_power(pair, closure, m: int) -> np.ndarray:
+    """L^m eta = eta A_m(H) + (L eta) B_m(H) + C_m(H) from the closure
+    recurrence, with dense functions of H and dense products."""
+    ctx = pair.ctx
+    r0, r1, rm1 = (dense_position_poly(pair, c) for c in (closure.r0, closure.r1, closure.rm1))
+    a_k, b_k, c_k = (dense_position_poly(pair, (c,)) for c in (ctx.one, ctx.zero, ctx.zero))
+    for _ in range(m):
+        a_k, b_k, c_k = r0 @ b_k, a_k + r1 @ b_k, rm1 @ b_k
+    return pair.eta @ a_k + dense_commutator(pair, pair.eta) @ b_k + c_k
+
+
+def same_scalar(x, y) -> bool:
+    """Equal in type and value, and bigreal values bit for bit."""
+    return type(x) is type(y) and (x._mpf_ == y._mpf_ if hasattr(x, "_mpf_") else x == y)

@@ -353,3 +353,16 @@ def test_exact_position_n256(kind, params):
     ops = operator_lanczos(pair, k_max=6).b_squared
     m = min(len(hankel), len(ops))
     assert m >= 2 and hankel[:m] == ops[:m]
+
+
+@pytest.mark.slow
+def test_exact_verify_hahn_n256(capsys):
+    """Opt-in (``pytest -m slow``): the exact ``verify`` suite on Hahn
+    (a=1/2, b=2) at N=256, closure check included, passes every row."""
+    from krylov_exact.cli import main
+
+    code = main(["verify", "--system", "hahn", "-N", "256", "--param", "a=1/2", "--param", "b=2"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 0 and rows[-1] == "all checks passed"
+    assert any(r.split()[1:3] == ["closure_and_diagonal_identity", "pass"] for r in rows[:-1])
+    assert all(r.split()[2] == "pass" for r in rows[:-1])

@@ -278,6 +278,26 @@ def test_verify_defaults_valid_at_any_n(capsys):
     assert out.splitlines()[-1] == "all checks passed"
 
 
+def test_n_and_params_resolve_alike_in_every_command(capsys):
+    # without --param, the default sample's parameters at the given N
+    code, out, err = run(capsys, "heisenberg-check", "--system", "hahn", "-N", "2", "--format", "json")
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    verify_code, verify_out, _ = run(
+        capsys, "verify", "--system", "hahn", "-N", "2", "--mode", "bigreal", "--format", "json"
+    )
+    assert verify_code == 0
+    verified = json.loads(verify_out)["systems"][0]["config"]
+    assert (config["N"], config["params"]) == (verified["N"], verified["params"]) == (2, {"a": "1.0", "b": "1.5"})
+    # without -N, the default sample's N for the given parameters
+    for command in ("moments", "verify"):
+        code, out, _ = run(capsys, command, "--system", "hahn", "--param", "a=1", "--param", "b=3", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        resolved = doc["config"] if command == "moments" else doc["systems"][0]["config"]
+        assert (resolved["N"], resolved["params"]) == (6, {"a": "1", "b": "3"})
+
+
 def _unbuildable(monkeypatch):
     """Make every system fail at set-up inside ``verify``."""
 

@@ -8,36 +8,30 @@ with polynomial R_i of degree at most 2, 1, 2.  The catalog supplies
 R_0 and R_1; R_{-1} is never tabulated and is reconstructed from the
 matrix residual, then cross-checked against the diagonal identity
 R_0(E(n)) <n|eta|n> + R_{-1}(E(n)) = 0.  A matrix H evaluates the
-relation on bands (:class:`_BandFunctions`).  Nothing here divides by
-R_0 or by alpha_+ - alpha_-.
+relation on a band (:class:`~krylov_exact.band._BandOperators`).
+Nothing here divides by R_0 or by alpha_+ - alpha_-.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
-from .numeric import Context, rational
+from .band import _BandOperators, max_abs
+from .numeric import Context
 from .operators import (
     ENERGY,
     InnerProduct,
     OperatorChain,
     OperatorPair,
-    _band,
-    _band_commutator,
-    _Banded,
+    _check_count,
     _check_dims,
-    _integer_numerators,
-    _padded,
-    max_abs,
     solve_consistent,
-    zeros,
 )
 
 #: Times at which the closed-form Heisenberg operator is checked by default.
@@ -64,105 +58,10 @@ class ClosureData:
         return _polyval(self.rm1, e)
 
 
-def _band_product(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero) -> np.ndarray:
-    """XY on the band (rows, cols) of :func:`~krylov_exact.operators._band`,
-    which must hold it, for X and Y on that band.  Each entry sums
-    X[a, k] Y[k, b] over ascending k as ``x @ y`` does, less exact-zero
-    terms, so it equals the dense product bit for bit, also in bigreal mode."""
-    px, at, width, w_x = _padded(x, rows, cols, zero)
-    py, _, _, w_y = _padded(y, rows, cols, zero)
-    n, out = len(px), np.full(px.shape, zero, dtype=object)
-    for j in range(-w_x, w_x + 1):
-        # (XY)[a, a+e] += X[a, a+j] Y[a+j, a+e] for |e - j| <= w_Y
-        lo, hi = max(0, -j), min(n, n - j)
-        e0, e1 = max(j - w_y, -width) + width, min(j + w_y, width) + width + 1
-        out[lo:hi, e0:e1] += px[lo:hi, width + j, None] * py[lo + j:hi + j, e0 - j:e1 - j]
-    return out.ravel()[at]
-
-
-class _BandFunctions:
-    """The closure relation of a matrix H on bands, in both modes.
-
-    A function of H of degree at most ``degree`` is the vector of its
-    row-major entries within W = w_eta + degree * w_H of the diagonal (at
-    least 2, at most n - 1), and an operator the vector of its entries
-    within W + w_H.  At degree 2, L eta, L^2 eta, R_0(H), R_1(H), the
-    residual M and the fit columns I, H, H^2 lie within W, and [H, M]
-    within W + w_H.  Commutators are :func:`_band_commutator` on the
-    pair's cached diagonals (:attr:`~krylov_exact.operators._Banded.bands`);
-    V f(H), f(H) g(H) and each Horner step acc H + c are
-    :func:`_band_product`.  Both sum every entry as the dense product
-    does, so bigreal entries equal the dense ones bit for bit.  In exact
-    mode both run on integer numerators, one denominator per vector, and
-    each result becomes rationals once.
-    """
-
-    def __init__(self, rep: _Banded, degree: int):
-        self.hd, self.d_h, w_eta = rep.bands
-        self.ctx, self.n, w_h = rep.ctx, len(rep.h), len(self.hd) // 2
-        width = min(max(w_eta + degree * w_h, 2), self.n - 1)
-        self.band, self.fn_band = _band(self.n, min(width + w_h, self.n - 1)), _band(self.n, width)
-        self.fn = np.flatnonzero(np.abs(self.band[1] - self.band[0]) <= width)
-        self.diag = np.flatnonzero(self.fn_band[0] == self.fn_band[1])
-        self.h = rep.h[self.fn_band]
-
-    def _run(self, kernel, vecs: list, band, d: int = 1) -> np.ndarray:
-        """KERNEL(*VECS, *BAND, zero), in exact mode on integer numerators:
-        each vector over its own denominator, the result over their product
-        times D, made rationals once."""
-        zero = self.ctx.zero
-        if not self.ctx.is_exact:
-            return kernel(*vecs, *band, zero)
-        nums, dens = zip(*map(_integer_numerators, vecs))
-        den = math.prod(dens) * d
-        return np.array([rational(x, den) if x else zero for x in kernel(*nums, *band, 0)], dtype=object)
-
-    def gather(self, mat: np.ndarray) -> np.ndarray:
-        return mat[self.band]
-
-    def scatter(self, vec: np.ndarray) -> np.ndarray:
-        out = zeros(self.n, self.ctx)
-        out[self.band] = vec
-        return out
-
-    def liouville(self, v: np.ndarray) -> np.ndarray:
-        return self._run(lambda *args: _band_commutator(self.hd, *args), [v], self.band, self.d_h)
-
-    def poly(self, coeffs) -> np.ndarray:
-        acc = np.full(len(self.h), self.ctx.zero, dtype=object)
-        for k, c in enumerate(reversed(coeffs)):  # Horner: acc = acc H + c
-            acc = self.mul(acc, self.h) if k else acc
-            acc[self.diag] = acc[self.diag] + c
-        return acc
-
-    def _widened(self, f: np.ndarray) -> np.ndarray:
-        out = np.full(len(self.band[0]), self.ctx.zero, dtype=object)
-        out[self.fn] = f
-        return out
-
-    def right_mul(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return self._run(_band_product, [v, self._widened(f)], self.band)
-
-    def mul(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return self._run(_band_product, [f, g], self.fn_band)
-
-    def add(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return v + self._widened(f)
-
-    def as_function(self, m: np.ndarray):
-        """(M within W, 0): the fit's rows, in row-major order.  Each row
-        left out is zero in M, I, H and H^2, so in :func:`solve_consistent`
-        it stays zero and wins no pivot.  Pivots swap into the first three
-        rows, at first (0, 0), (0, 1) and (0, 2), which W >= 2 keeps (or W is
-        every entry), so kept rows keep their order and ties break alike:
-        pivots, eliminations and R_{-1} are those of the fit on all n^2 rows."""
-        return m[self.fn], self.ctx.zero
-
-
 def _closure_space(pair: OperatorPair, degree: int):
     """Where the closure relation runs, with room for functions of H of
     degree at most DEGREE: a spectrum's own entries, or bands of a matrix H."""
-    return pair.rep if pair.basis == ENERGY else _BandFunctions(pair.rep, degree)
+    return pair.rep if pair.basis == ENERGY else _BandOperators(pair.rep, degree + 1, floor=2)
 
 
 def verify_closure(pair: OperatorPair) -> ClosureData:
@@ -174,7 +73,7 @@ def verify_closure(pair: OperatorPair) -> ClosureData:
     10 rel_eps max(|M|, 1), which is 0 in exact mode, raises
     :class:`~krylov_exact.errors.ClosureViolated`, as does a pair without
     a system.  A spectrum pair works on the eta support plus the diagonal,
-    a matrix H on bands (:class:`_BandFunctions`).
+    a matrix H on a band (:class:`~krylov_exact.band._BandOperators`).
     """
     spec = pair.spec
     if spec is None:
@@ -197,7 +96,7 @@ def verify_closure(pair: OperatorPair) -> ClosureData:
 
     # fit M = c0 + c1 H + c2 H^2
     one, zero = ctx.one, ctx.zero
-    cols = [rep.poly(c) for c in ((one,), (zero, one), (zero, zero, one))]
+    cols = [rep.fit(rep.poly(c)) for c in ((one,), (zero, one), (zero, zero, one))]
     coeffs = solve_consistent(cols, m_of_h, ctx)
     if coeffs is None:
         raise ClosureViolated("residual is not a degree-<=2 polynomial of H")
@@ -227,6 +126,7 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     functions of H in the pair's representation (on bands for a matrix H)
     and scattered to a dense matrix once.
     """
+    _check_count("m", m)
     ctx = pair.ctx
     polys = (closure.r0, closure.r1, closure.rm1)
     # A_k, B_k and C_k have degree at most k times the largest R_i's

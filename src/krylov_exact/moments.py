@@ -31,7 +31,7 @@ from .errors import (
     TailNotConvergent,
 )
 from .numeric import Context
-from .operators import InnerProduct, OperatorPair, trace_inner
+from .operators import InnerProduct, OperatorPair, _check_count, trace_inner
 
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
@@ -211,6 +211,7 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     the space's cross-parity dot; no symmetry of eta is assumed.  No
     closed form enters.
     """
+    _check_count("K", K)
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
     space = pair.rep.space(pair, ip, K)

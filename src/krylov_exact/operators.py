@@ -11,26 +11,16 @@ one of two representations, picked once from the shape of ``h``:
   moment oracle, the Lanczos chain and the profile fold that support to
   one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
-  Operators are dense matrices; the closure relation and L^m eta run on
-  bands, where functions of H are banded too
-  (:class:`~krylov_exact.dynamics._BandFunctions`).  Spectral work
-  happens in the eigenbasis: the eigendecomposition (E, Q) is computed
-  at most once per pair, and operators move there, Q^T V Q, and back,
-  Q V Q^T, through :meth:`~krylov_exact.numeric.Context.matmul`, which
-  multiplies integer mantissas exactly and rounds each entry once; Q and
-  Q^T are converted to mantissas once per pair.  The Heisenberg check and
-  the profile move their time-independent operators once and bring one
-  result per time back.
-
-A matrix Hamiltonian is applied through its nonzero diagonals: with
-bandwidths w_H and w_V, :func:`liouville` forms [H, V] from
-O(n * w_H * (w_H + w_V)) scalar products instead of the O(n^3) of a
-dense product.  The position-basis H is tridiagonal (w_H = 1) and eta
-diagonal, so L^k eta has bandwidth k, and the moment oracle, the Lanczos
-chain and the profile of a matrix H work in :class:`_BandSpace`: a
-vector is its entries within W = w_eta + steps * w_H of the diagonal,
-for the number of commutators the caller applies, and a commutator
-reads the vector's bandwidth off its nonzero entries.
+  Operators are dense matrices; the moment oracle, the Lanczos chain, the
+  profile, the closure relation and L^m eta run on bands of H
+  (:mod:`~krylov_exact.band`), where functions of H are banded too.
+  Spectral work happens in the eigenbasis: the eigendecomposition (E, Q)
+  is computed at most once per pair, and operators move there, Q^T V Q,
+  and back, Q V Q^T, through :meth:`~krylov_exact.numeric.Context.matmul`,
+  which multiplies integer mantissas exactly and rounds each entry once;
+  Q and Q^T are converted to mantissas once per pair.  The Heisenberg
+  check and the profile move their time-independent operators once and
+  bring one result per time back.
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
@@ -40,11 +30,7 @@ The Lanczos spaces hand out those covectors (``dual``), so the chain
 keeps one beside each of its vectors.  The profile stacks them once for
 all times, as integer mantissas, and meets each time's O_0(t) with one
 batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
-those dots bit for bit.  In exact mode the band space holds each vector
-as integer numerators over one denominator: commutators run the same
-kernel on the integer numerators of H, and a dot is one integer sum that
-becomes a rational only at the end, so no rational is formed entry by
-entry.
+those dots bit for bit.
 
 The parity fold
 ---------------
@@ -59,8 +45,7 @@ chain needs every w- to vanish, which makes vectors of opposite parity
 orthogonal, so it reorthogonalises against only those of its own
 parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
 w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
-A bigreal band folds the same way where H, eta and the weights are exact
-mirror images, as for every bigreal :func:`position_pair`.
+A bigreal band folds the same way (:class:`~krylov_exact.band._BandSpace`).
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -77,16 +62,17 @@ Lanczos data, and closure residuals come out exactly right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .band import _Band, _bandwidth, _BandSpace, conjugate, lay_out_matrix, max_abs, zeros  # noqa: F401
 from .catalog import SystemSpec, _polyval
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
+    IndexOutOfRange,
     MirrorAsymmetry,
     ModeError,
     NegativeUnderSquareRoot,
@@ -94,25 +80,10 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, exact_sqrt, rational
+from .numeric import Context, exact_sqrt
 
 POSITION = "position"
 ENERGY = "energy"
-
-
-def zeros(n: int, ctx: Context) -> np.ndarray:
-    m = np.empty((n, n), dtype=object)
-    m[:] = ctx.zero
-    return m
-
-
-def conjugate(mat: np.ndarray) -> np.ndarray:
-    flat = [v.conjugate() if hasattr(v, "_mpc_") else v for v in mat.ravel()]
-    return np.array(flat, dtype=object).reshape(mat.shape)
-
-
-def max_abs(mat: np.ndarray):
-    return max(abs(v) for v in np.asarray(mat, dtype=object).ravel())
 
 
 @dataclass
@@ -219,94 +190,18 @@ def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
     return ip.ctx.dot((ip.weight * conjugate(v)).ravel(), w.ravel())
 
 
-def _bandwidth(m: np.ndarray) -> int:
-    """Largest |a - b| over the nonzero entries of a square matrix (0 if none)."""
-    rows, cols = np.nonzero(m)
-    return int(np.abs(rows - cols).max()) if rows.size else 0
-
-
-def _band(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the entries of an n x n matrix with |a - b| <= width,
-    in row-major order; width n - 1 gives every entry."""
-    index = np.arange(n)
-    return np.nonzero(np.abs(np.subtract.outer(index, index)) <= width)
-
-
-def _diagonals(h: np.ndarray, zero) -> np.ndarray:
-    """The nonzero diagonals of H, padded by n zeros on each side:
-    hd[w_H + d, n + a] = H[a, a + d] for |d| <= w_H."""
-    n, w_h = len(h), _bandwidth(h)
-    rows, cols = _band(n, w_h)
-    hd = np.full((2 * w_h + 1, 3 * n), zero, dtype=object)
-    hd[w_h + cols - rows, n + rows] = h[rows, cols]
-    return hd
-
-
-def _padded(vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero):
-    """(P, at, W, w_V): V on the band (rows, cols) of width W as the
-    n x (2W + 1) array P[a, W + e] = V[a, a + e], P.ravel()[at] = V, and
-    the bandwidth w_V read off V's nonzero entries."""
-    offsets = cols - rows
-    width = int(np.abs(offsets).max())
-    nonzero = np.flatnonzero(vec)
-    w_v = int(np.abs(offsets[nonzero]).max()) if nonzero.size else 0
-    at = rows * (2 * width + 1) + width + offsets
-    p = np.full((rows[-1] + 1) * (2 * width + 1), zero, dtype=object)
-    p[at] = vec
-    return p.reshape(-1, 2 * width + 1), at, width, w_v
-
-
-def _band_commutator(hd: np.ndarray, vec: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero, fold=None) -> np.ndarray:
-    """[H, V] on the band (rows, cols) of :func:`_band`, which must hold
-    it, for V given on that band and H by its diagonals (:func:`_diagonals`).
-
-    With V padded to P[a, W + e] = V[a, a + e], each diagonal d of H adds
-    one block to HV and one to VH, limited to the bandwidth w_V of V read
-    off its nonzero entries.  Each entry is summed over ascending d
-    exactly as ``h @ v - v @ h`` sums it, less terms that are exact zeros,
-    so results equal the dense product bit for bit, also in bigreal mode.
-
-    ``fold`` = (reps, mirrors, parity) is for a symmetric H and a V with
-    V_ba = (-1)^parity V_ab.  Then (VH)_ab is +-(HV)_ba term for term, in
-    the same order, so only HV is formed, and [H, V] is returned on the
-    band entries ``reps`` alone: (HV)_ab -+ (HV)_ba, with (b, a) at ``mirrors``.
-    """
-    w_h, n = len(hd) // 2, hd.shape[1] // 3
-    p, at, width, w_v = _padded(vec, rows, cols, zero)
-    hv, vh = np.full(p.shape, zero, dtype=object), None if fold else np.full(p.shape, zero, dtype=object)
-    for d in range(-w_h, w_h + 1):
-        # (HV)[a, a+e] += H[a, a+d] V[a+d, a+e] for |e - d| <= w_V
-        lo, hi = max(0, -d), min(n, n - d)
-        e0, e1 = max(d - w_v, -width) + width, min(d + w_v, width) + width + 1
-        hv[lo:hi, e0:e1] += hd[w_h + d, n + lo:n + hi, None] * p[lo + d:hi + d, e0 - d:e1 - d]
-        if fold:
-            continue
-        # (VH)[a, a+e] += V[a, a+e+d] H[a+e+d, a+e] for |e + d| <= w_V: the
-        # H factors of row a are a window of diagonal -d
-        e0, e1 = max(-d - w_v, -width) + width, min(-d + w_v, width) + width + 1
-        windows = np.lib.stride_tricks.sliding_window_view(hd[w_h - d], e1 - e0)
-        vh[:, e0:e1] += p[:, e0 + d:e1 + d] * windows[n + e0 + d - width:2 * n + e0 + d - width]
-    if not fold:
-        return hv.ravel()[at] - vh.ravel()[at]
-    reps, mirrors, parity = fold
-    hv_ab, hv_ba = hv.ravel()[at[reps]], hv.ravel()[at[mirrors]]
-    return hv_ab + hv_ba if parity else hv_ab - hv_ba
-
-
 def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Commutator [H, V]; elementwise when H is a diagonal spectrum array,
-    else the band kernel (:func:`_band_commutator`) on every entry, which
-    equals ``h @ v - v @ h`` bit for bit."""
+    else the band kernel (:meth:`~krylov_exact.band._Band.commutator`) on every
+    entry, which equals ``h @ v - v @ h`` bit for bit."""
     if h.ndim == 1:
         if v.shape != (h.shape[0], h.shape[0]):
             raise DimensionMismatch(f"spectrum dim {h.shape[0]} vs matrix {v.shape}")
         return np.subtract.outer(h, h) * v
     if h.shape != v.shape:
         raise DimensionMismatch(f"{h.shape} vs {v.shape}")
-    n = h.shape[0]
-    zero = 0 * h[0, 0] * v[0, 0]
-    rows, cols = _band(n, n - 1)
-    return _band_commutator(_diagonals(h, zero), v.ravel(), rows, cols, zero).reshape(n, n)
+    n, zero = len(h), 0 * h[0, 0] * v[0, 0]
+    return _Band(n, n - 1).commutator(lay_out_matrix(h, zero)[0], v.ravel(), zero).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +265,8 @@ class _Spectrum:
         out[self.diag] = v[self.diag] + f
         return out
 
+    fit = staticmethod(_unchanged)
+
     def as_function(self, m: np.ndarray):
         """(f, off): the function of H on the diagonal of M, and the
         largest |M_ab| off it, which a function of H must not have."""
@@ -395,10 +292,10 @@ class _Spectrum:
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
-    An operator is a dense matrix; the closure relation runs on bands
-    (:class:`~krylov_exact.dynamics._BandFunctions`).  The eigenbasis
-    H = Q diag(E) Q^T and the band data of the operator spaces
-    (:attr:`bands`) are computed on first use and kept, so each pair runs
+    An operator is a dense matrix; the chain, the oracle and the closure
+    relation run on bands (:mod:`~krylov_exact.band`).  The eigenbasis
+    H = Q diag(E) Q^T and H laid out for the band kernel (:attr:`bands`)
+    are computed on first use and kept, so each pair runs
     :func:`eig_symmetric` at most once.
     """
 
@@ -407,13 +304,9 @@ class _Banded:
         self._eigen = None
 
     @cached_property
-    def bands(self) -> tuple[np.ndarray, int, int]:
-        """(hd, d_H, w_eta): the padded diagonals of H (:func:`_diagonals`),
-        in exact mode as integer numerators over d_H (else d_H = 1), and
-        the bandwidth of eta."""
-        hd = _diagonals(self.h, self.ctx.zero)
-        hd, d_h = _integer_numerators(hd) if self.ctx.is_exact else (hd, 1)
-        return hd, d_h, _bandwidth(self.eta)
+    def bands(self) -> tuple:
+        """(h, d_H, w_eta): H by :func:`~krylov_exact.band.lay_out_matrix`, and eta's bandwidth."""
+        return (*lay_out_matrix(self.h, self.ctx.zero, self.ctx.is_exact), _bandwidth(self.eta))
 
     gather = scatter = staticmethod(_unchanged)
 
@@ -441,6 +334,7 @@ class _Banded:
         return self._eigen
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
+        _check_dims(pair, ip)
         return _BandSpace(pair, ip, steps)
 
 
@@ -538,9 +432,9 @@ class OperatorChain:
     and only ``b_squared`` (with the squared norms ``norms_sq``) is
     stored, so that the stop test b_{k+1} = 0 stays literal.  The vectors
     stay in the form the chain's operator ``space`` holds them (folded on
-    the eta support, or on the band, as integer numerators in exact mode),
-    where the profile reads them; :attr:`ops`, their dense matrices, is
-    built on first read.
+    the eta support, or on a band, :class:`~krylov_exact.band._Scaled` in
+    exact mode), where the profile reads them; :attr:`ops`, their dense
+    matrices, is built on first read.
     """
 
     vectors: list = field(repr=False)
@@ -565,6 +459,11 @@ class OperatorChain:
 def _check_dims(pair: OperatorPair, ip: InnerProduct) -> None:
     if ip.dim != pair.dim:
         raise DimensionMismatch(f"inner product dim {ip.dim} vs pair dim {pair.dim}")
+
+
+def _check_count(name: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise IndexOutOfRange(f"{name} = {value} is negative")
 
 
 class SupportBasis:
@@ -708,153 +607,6 @@ class SupportBasis:
         return at
 
 
-def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(num, den): rationals as integer numerators over the least common
-    denominator of the nonzero ones, num[i] / den == values[i]."""
-    flat = values.ravel()
-    nz = np.flatnonzero(flat)
-    picked = flat[nz]
-    dens = [int(v.denominator) for v in picked]
-    den = math.lcm(*dens)
-    num = np.zeros(flat.size, dtype=object)
-    num[nz] = np.array([int(v.numerator) * (den // d) for v, d in zip(picked, dens)], dtype=object)
-    return num.reshape(values.shape), den
-
-
-class _Scaled:
-    """An exact vector num / den: Python int numerators over one positive
-    denominator, in lowest terms (den and the numerators share no
-    factor).  Supports the two operations of the exact chain, ``u - v``
-    and ``u * c`` for a rational c."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: np.ndarray, den: int):
-        g = math.gcd(den, *num.tolist())
-        self.num = num // g if g > 1 else num
-        self.den = den // g
-
-    def __sub__(self, other: _Scaled) -> _Scaled:
-        den = math.lcm(self.den, other.den)
-        return _Scaled(self.num * (den // self.den) - other.num * (den // other.den), den)
-
-    def __mul__(self, c) -> _Scaled:
-        return _Scaled(self.num * int(c.numerator), self.den * int(c.denominator))
-
-
-class _BandSpace:
-    """The operator space of a matrix H, in both modes: a vector is its
-    row-major entries within W = min(w_eta + steps * w_H, n - 1) of the
-    diagonal (every entry when ``steps`` is None), and a commutator is
-    :func:`_band_commutator`.  A bigreal vector holds mpf entries, and a
-    dot is one fused dot of the covector (:meth:`dual`) with V.  Where H,
-    eta and the band weights are exact mirror images, the band is
-    ``folded`` as :class:`SupportBasis` folds with r = 1: it keeps the
-    entries a <= b, w+ = w_ab + w_ba (2 w exactly) and w- = 0, so the chain
-    reorthogonalises with stride 2 and a commutator forms HV alone.  Every
-    skipped term is an exact zero, so results are the whole band's bit for
-    bit.  An exact vector is a :class:`_Scaled` on the whole band: H is
-    cleared of denominators once per pair (:attr:`_Banded.bands`), h_num /
-    d_H, and the band weight (metric factors g_b/g_a included) once per
-    space, w_num / d_w; a commutator runs the kernel on the numerators over
-    d_H * den, and a dot is one integer sum over d_w * den_u * den_v.
-    Exact values equal those of rational arithmetic.  The profile evolves
-    O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
-    """
-
-    def __init__(self, pair: OperatorPair, ip: InnerProduct, steps: int | None):
-        _check_dims(pair, ip)
-        n, ctx = pair.dim, pair.ctx
-        self.pair, self.ctx, self.exact, self.size = pair, ctx, ctx.is_exact, n * n
-        self.hd, self.d_h, w_eta = pair.rep.bands
-        width = n - 1 if steps is None else min(w_eta + steps * (len(self.hd) // 2), n - 1)
-        rows, cols = self.band = _band(n, width)
-        weight = ip.entries(rows, cols)
-        mirror = np.searchsorted(rows * n + cols, cols * n + rows)  # where (b, a) sits
-        self.folded = not self.exact and (weight == weight[mirror]).all() and all(
-            (m[rows, cols] == m[cols, rows]).all() for m in (pair.h, pair.eta)
-        )
-        if not self.folded:
-            self.rows, self.cols = rows, cols
-            self.weight, self.d_w = _integer_numerators(weight) if self.exact else (weight, 1)
-            self.wplus = self.weight
-            return
-        reps = np.flatnonzero(rows <= cols)
-        self.rows, self.cols, self.weight = rows[reps], cols[reps], weight[reps]
-        self.wplus = self.weight + np.where(self.rows == self.cols, ctx.zero, self.weight)  # w_ab + w_ba
-        self.reps = reps, mirror[reps]
-        # each band entry's representative, and the entries below the diagonal
-        self.spread = (np.cumsum(rows <= cols) - 1)[np.minimum(np.arange(len(rows)), mirror)]
-        self.lower = np.flatnonzero(rows > cols)
-
-    def unfold(self, vec: np.ndarray, parity: int) -> np.ndarray:
-        """A bigreal VEC of the given parity on the whole band."""
-        if not self.folded:
-            return vec
-        full = vec[self.spread]
-        if parity:
-            full[self.lower] = -full[self.lower]
-        return full
-
-    def gather(self, mat: np.ndarray):
-        vec = mat[self.rows, self.cols]
-        return _Scaled(*_integer_numerators(vec)) if self.exact else vec
-
-    def scatter(self, vec, parity: int = 0) -> np.ndarray:
-        out = zeros(self.pair.dim, self.ctx)
-        if self.exact:
-            nz = np.flatnonzero(vec.num)
-            out[self.rows[nz], self.cols[nz]] = [rational(vec.num[i], vec.den) for i in nz]
-        else:
-            out[self.band] = self.unfold(vec, parity)
-        return out
-
-    def liouville(self, vec, parity: int):
-        if self.exact:
-            return _Scaled(_band_commutator(self.hd, vec.num, self.rows, self.cols, 0), vec.den * self.d_h)
-        fold = (*self.reps, parity) if self.folded else None
-        return _band_commutator(self.hd, self.unfold(vec, parity), *self.band, self.ctx.zero, fold)
-
-    def dual(self, u: np.ndarray) -> np.ndarray:
-        """The covector of a bigreal U against vectors of its parity: w+
-        times the conjugate of U."""
-        return self.wplus * conjugate(u)
-
-    def dot(self, u, v):
-        if self.exact:
-            return rational(self.ctx.dot(self.weight * u.num, v.num), self.d_w * u.den * v.den)
-        return self.ctx.dot(self.dual(u), v)
-
-    def cross_dot(self, u, v):
-        """(U, V) for U and V of opposite parity: an exact 0 when folded."""
-        return self.ctx.zero if self.folded else self.dot(u, v)
-
-    def lanczos_stride(self) -> int:
-        return 2 if self.folded else 1
-
-    def overlaps(self, vectors: list):
-        """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
-        through the exponential-conjugation oracle.  O_0 moves into the
-        eigenbasis of H once, and the chain's covectors on the whole band
-        (each unfolded once: O(t) is Hermitian only up to rounding) are
-        stacked once, for all times, as integer mantissas.  Each time then
-        costs the phase twist of O_0 there, one transform back, read on the
-        band, and one :meth:`~krylov_exact.numeric.Context.matmul` of the
-        covectors with it.  The chain vectors stay in the position basis:
-        moving each would cost two products per vector."""
-        weight = self.unfold(self.weight, 0)
-        duals = [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)]
-        duals = self.ctx.mantissas(np.array(duals, dtype=object))
-        eigen, to, back = self.pair.rep.eigenbasis()
-        o0 = to(self.scatter(vectors[0]))
-
-        def at(t):
-            ot = back(eigen.conjugate_exp(o0, t))[self.band]
-            return list(self.ctx.matmul(duals, ot.reshape(-1, 1)).ravel())
-
-        return at
-
-
 def operator_lanczos(
     pair: OperatorPair,
     ip: InnerProduct | None = None,
@@ -867,6 +619,7 @@ def operator_lanczos(
     the eta support for a diagonal H), or when b_{k+1}
     :meth:`~krylov_exact.numeric.Context.is_zero`.
     """
+    _check_count("k_max", k_max)
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
     space = pair.rep.space(pair, ip, k_max)
@@ -1037,8 +790,7 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context):
     rhs = np.asarray(target, dtype=object).ravel()
     mrows, k = len(rhs), len(cols)
     a = np.column_stack(cols + [rhs])
-    row = 0
-    pivots = []
+    row, pivots = 0, []
     for col in range(k):
         piv = max(range(row, mrows), key=lambda r: abs(a[r, col]))
         if ctx.is_zero(a[piv, col]):
@@ -1055,7 +807,8 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context):
             break
     # consistency: remaining rows must have zero rhs
     scale = max([abs(v) for v in rhs] + [ctx.one])
-    if any(abs(a[r, k]) > rel_eps * scale for r in range(row, mrows)):
+    tol, recon_tol = rel_eps * scale, 4 * rel_eps * scale  # each formed once, not per row
+    if any(abs(a[r, k]) > tol for r in range(row, mrows)):
         return None
     coeffs = [ctx.zero] * k
     for r, col in enumerate(pivots):
@@ -1064,6 +817,6 @@ def solve_consistent(columns: list, target: np.ndarray, ctx: Context):
     recon = np.array([ctx.zero] * mrows, dtype=object)
     for j, c in enumerate(cols):
         recon = recon + c * coeffs[j]
-    if any(abs(x - y) > 4 * rel_eps * scale for x, y in zip(recon, rhs)):
+    if any(abs(x - y) > recon_tol for x, y in zip(recon, rhs)):
         return None
     return coeffs

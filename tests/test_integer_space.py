@@ -14,14 +14,16 @@ import pytest
 
 from krylov_exact import (
     OperatorPair,
+    apply_liouville_power,
     liouville,
     make_system,
     moments_oracle,
     operator_lanczos,
     position_pair,
     trace_inner,
+    verify_closure,
 )
-from krylov_exact import operators as operators_module
+from krylov_exact import band as band_module
 
 from helpers import FINITE_KINDS, param_samples, random_metric_hermitian
 
@@ -104,18 +106,27 @@ def test_integer_space_dense_pairs(ctx, with_metric):
 
 
 def test_exact_position_commutators_run_on_integers(ctx, monkeypatch):
+    # every product of the band kernel, in the chain, the oracle, the
+    # closure and L^m eta alike, multiplies integer numerators
     seen = []
-    kernel = operators_module._band_commutator
+    kernel = band_module._product
 
-    def recording(hd, vec, rows, cols, zero):
-        seen.extend(type(x) for x in hd.ravel())
-        seen.extend(type(x) for x in vec)
+    def recording(x, y, band, zero):
+        for _, _, padded in (x, y):
+            seen.extend(type(v) for v in padded.ravel())
         seen.append(type(zero))
-        return kernel(hd, vec, rows, cols, zero)
+        return kernel(x, y, band, zero)
 
-    monkeypatch.setattr(operators_module, "_band_commutator", recording)
+    monkeypatch.setattr(band_module, "_product", recording)
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
     assert pair.metric is not None
-    moments_oracle(pair, K=4)
-    operator_lanczos(pair, k_max=4)
-    assert seen and set(seen) == {int}
+    closure = verify_closure(pair)
+    for run in (
+        lambda: moments_oracle(pair, K=4),
+        lambda: operator_lanczos(pair, k_max=4),
+        lambda: verify_closure(pair),
+        lambda: apply_liouville_power(pair, closure, 4),
+    ):
+        seen.clear()
+        run()
+        assert seen and set(seen) == {int}

@@ -7,6 +7,7 @@ import pytest
 from krylov_exact import (
     Context,
     OperatorPair,
+    apply_liouville_power,
     build_eta_position,
     default_system,
     energy_pair,
@@ -22,9 +23,11 @@ from krylov_exact import (
     verify_closure,
     wightman_inner,
 )
+from krylov_exact import band
 from krylov_exact.errors import (
     BasisMismatch,
     DimensionMismatch,
+    IndexOutOfRange,
     ModeError,
     NotFiniteSystem,
     TruncationTooSmall,
@@ -162,8 +165,17 @@ def _identical(x, y):
     )
 
 
+def _band_product(x, y):
+    """XY of two dense matrices through the band kernel, on every entry."""
+    n, zero = len(x), 0 * x[0, 0] * y[0, 0]
+    full = band._Band(n, n - 1)
+    return band._product(full.lay_out(x.ravel(), zero), full.lay_out(y.ravel(), zero), full, zero).reshape(n, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_liouville_equals_dense_commutator(ctx, bctx, n):
+    # the random bands have w_h < w_v, w_h > w_v and w_h = w_v, so the
+    # kernel loops over the diagonals of X and, through (Y^T X^T)^T, of Y
     rng = random.Random(n)
     for c in (ctx, bctx):
         for w_h in sorted({0, 1, 2, n - 1}):
@@ -171,6 +183,8 @@ def test_liouville_equals_dense_commutator(ctx, bctx, n):
             for w_v in sorted({0, 1, n - 1}):
                 v = _random_band(n, w_v, c, rng)
                 assert _identical(liouville(h, v), h @ v - v @ h), (c.mode, w_h, w_v)
+                assert _identical(_band_product(h, v), h @ v), (c.mode, w_h, w_v)
+                assert _identical(_band_product(v, h), v @ h), (c.mode, w_h, w_v)
 
 
 def test_liouville_metric_pairs_equal_dense(ctx):
@@ -364,6 +378,25 @@ def test_lanczos_chain_bound(ctx):
     pair = position_pair(spec)
     chain = operator_lanczos(pair)
     assert len(chain.ops) <= pair.dim**2
+
+
+@pytest.mark.parametrize("mode", ["exact", "bigreal"])
+@pytest.mark.parametrize("basis", ["position", "energy"])
+def test_negative_step_counts_rejected(basis, mode):
+    ctx = Context(mode, 50)
+    spec = default_system("hahn", ctx)
+    pair = position_pair(spec) if basis == "position" else energy_pair(spec)
+    closure = verify_closure(pair)
+    with pytest.raises(IndexOutOfRange, match="k_max = -1"):
+        operator_lanczos(pair, k_max=-1)
+    with pytest.raises(IndexOutOfRange, match="K = -1"):
+        moments_oracle(pair, K=-1)
+    with pytest.raises(IndexOutOfRange, match="m = -2"):
+        apply_liouville_power(pair, closure, -2)
+    # no step at all stays valid: the seed alone, and eta itself
+    assert operator_lanczos(pair, k_max=0).b_squared == []
+    assert moments_oracle(pair, K=0).values == [ctx.one]
+    assert (apply_liouville_power(pair, closure, 0) == pair.eta).all()
 
 
 def test_zero_eta_rejected(ctx):

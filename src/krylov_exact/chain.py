@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import SystemSpec
 from .errors import (
     AsymmetricMoments,
@@ -26,8 +28,9 @@ from .errors import (
     NegativeBSquared,
     NonUnitMuZero,
 )
+from .moments import CLOSED_FORM, MomentTable, closed_form_stop, moments_closed
 from .numeric import Context
-from .moments import MomentTable, moments_closed
+from .operators import determinant
 
 
 @dataclass
@@ -118,8 +121,6 @@ def lanczos_to_moments(coeffs: LanczosCoefficients | list, K: int, ctx: Context 
         if ctx is None:
             raise ValueError("a context is required with a bare coefficient list")
         b2 = [ctx.num(v) for v in coeffs]
-    from .moments import CLOSED_FORM
-
     size = len(b2) + 1
     v = [ctx.one] + [ctx.zero] * (size - 1)
     values = [ctx.one]
@@ -160,9 +161,6 @@ def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
     naive product prod_k b_k^2 disagrees with the determinant.
     """
     ctx = table.ctx
-    from .operators import determinant
-    import numpy as np
-
     if table.order < 2 * n:
         raise IndexOutOfRange(f"need moments through mu_{2*n}")
     m = np.empty((n + 1, n + 1), dtype=object)
@@ -186,9 +184,10 @@ class ChainClassification:
     label: str
 
 
-def classify_stop(coeffs: LanczosCoefficients, K: int) -> ChainClassification:
-    stop = coeffs.stop_index
-    if stop is None:
+def classify_stop(coeffs: LanczosCoefficients | int | None, K: int) -> ChainClassification:
+    """``StopsAtO{k}`` for a stop index k < K, read off ``coeffs`` or given, else ``NoEarlyStop(K)``."""
+    stop = coeffs.stop_index if isinstance(coeffs, LanczosCoefficients) else coeffs
+    if stop is None or stop >= K:
         return ChainClassification(None, f"NoEarlyStop({K})")
     return ChainClassification(stop, f"StopsAtO{stop}")
 
@@ -196,16 +195,13 @@ def classify_stop(coeffs: LanczosCoefficients, K: int) -> ChainClassification:
 def detect_noncomplexity(
     spec: SystemSpec, beta=None, K: int = 6, tail_tol=None
 ) -> ChainClassification:
-    """Compute closed-form moments, convert, and classify the stop.
+    """Classify the stop of the closed form's measure (:func:`closed_form_stop`).
 
     The six linear-spectrum families terminate early (the Hermite chain
-    already at O_1 since its moments are the pure geometric sequence
-    with ratio equal to mu_2); the measured index is reported without
-    forcing any expected count.
+    already at O_1: its measure has the two points +-2 and no point at 0).
     """
     table = moments_closed(spec, K=K, beta=beta, tail_tol=tail_tol)
-    coeffs = moments_to_lanczos(table)
-    return classify_stop(coeffs, K)
+    return classify_stop(closed_form_stop(spec, table), K)
 
 
 #: Order n of the Hankel determinant a chain report checks.

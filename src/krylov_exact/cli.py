@@ -6,8 +6,8 @@ chain reports (``lanczos``), complexity profiles (``complexity``), the
 closed-form/oracle comparison (``heisenberg-check``), and the invariant
 suites (``verify``).  Every report embeds its fully resolved
 configuration; identical configurations produce byte-identical output.
-``heisenberg-check`` and thermal ``complexity`` run on ``verify``'s pair
-(:func:`~krylov_exact.verify.check_pair`).  Every command resolves ``-N``
+``heisenberg-check`` and ``complexity`` take their pair and closure from
+``verify``'s :class:`~krylov_exact.verify.SystemChecks`.  Every command resolves ``-N``
 and ``--param`` alike (:func:`_resolve_system`): without ``--param`` the
 default sample's parameters, at ``-N`` if given; ``verify --all`` runs
 each system's default sample and rejects ``-N`` and ``--param``.
@@ -32,12 +32,12 @@ from .catalog import (
     make_system,
 )
 from .chain import chain_report
-from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile, verify_closure
+from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile
 from .errors import KrylovExactError
 from .moments import moments_closed
 from .numeric import BIGREAL, DEFAULT_PRECISION, EXACT, RATIONAL_BACKEND, Context
-from .operators import energy_pair, operator_lanczos, trace_inner, wightman_inner
-from .verify import check_pair, run_system_checks
+from .operators import operator_lanczos
+from .verify import SystemChecks, run_system_checks
 
 
 class ConfigError(Exception):
@@ -278,14 +278,8 @@ def cmd_complexity(args) -> int:
         raise ConfigError("--n-max: only applies to the six thermal systems")
     if args.n_max is not None and args.n_max < 2:
         raise ConfigError(f"--n-max: must be at least 2, got {args.n_max}")
-    if spec.is_finite:
-        pair = energy_pair(spec)
-        ip = trace_inner(pair)
-    elif args.n_max is not None:
-        pair = energy_pair(spec, n_max=args.n_max)
-        ip = wightman_inner(pair, args.beta)
-    else:
-        _, pair, ip = check_pair(spec, args.beta, args.K, args.tail_tol)
+    checks = SystemChecks(spec, args.beta, args.K, args.tail_tol)
+    pair, ip = checks.levels(args.n_max) if spec.is_finite or args.n_max is not None else checks.pair
     chain = operator_lanczos(pair, ip)
     times = _time_grid(args, ctx)
     config = _resolved_config(args, spec)
@@ -303,10 +297,9 @@ def cmd_complexity(args) -> int:
 def cmd_heisenberg_check(args) -> int:
     spec = _resolve_system(args, _parse_kind(args.system))
     ctx = spec.ctx
-    _, pair, _ = check_pair(spec, args.beta, args.K, args.tail_tol)
+    checks = SystemChecks(spec, args.beta, args.K, args.tail_tol)
     times = [_number(ctx, "--t-grid", t) for t in args.t_grid]
-    closure = verify_closure(pair)
-    devs, passed = heisenberg_check(pair, closure, times)
+    devs, passed = heisenberg_check(checks.pair[0], checks.closure, times)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
     config = _resolved_config(args, spec)
     doc = {"config": config, "checks": rows, "passed": bool(passed)}

@@ -198,6 +198,21 @@ def moments_closed(spec: SystemSpec, K: int = 6, beta=None, tail_tol=None) -> Mo
     return moments_closed_thermal(spec, K, beta=beta, tail_tol=tail_tol)
 
 
+def closed_form_stop(spec: SystemSpec, table: MomentTable) -> int | None:
+    """Index k of the closed form's last chain element O_k, or None.
+
+    Its measure has points at +-alpha_plus(E(n)) over the sum's levels and
+    at 0 if some <n|eta|n> != 0; S points end the chain at O_{S-1}.  A
+    thermal sum whose last level still adds a point never ends: None."""
+    levels = range(spec.N if spec.is_finite else table.truncation.n_max + 1)
+    squares = [spec.alpha_plus(n) ** 2 for n in levels]
+    if not spec.is_finite and squares[-1] not in squares[:-1]:
+        return None
+    diagonal = range(spec.N + 1) if spec.is_finite else levels
+    centre = any(not spec.ctx.is_zero(spec.eta_diag(n)) for n in diagonal)
+    return 2 * len(set(squares)) + centre - 1
+
+
 def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 6) -> MomentTable:
     """Brute-force moments from K literal commutators and inner products.
 

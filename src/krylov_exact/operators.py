@@ -397,8 +397,8 @@ def _off_diagonals(m, upper, lower, sign, ctx, what):
 def energy_pair(spec: SystemSpec, n_max: int | None = None) -> OperatorPair:
     """Energy-basis (H, eta) pair on levels 0..n_max.
 
-    H is returned as the 1-D spectrum array.  For finite systems
-    n_max defaults to N and may not exceed it.
+    H is returned as the 1-D spectrum array.  For finite systems n_max
+    defaults to N and may not exceed it; only N = 1 has fewer than 3 levels.
     """
     ctx = spec.ctx
     if spec.is_finite:
@@ -407,7 +407,7 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None) -> OperatorPair:
             raise TruncationTooSmall(f"n_max {n_max} exceeds N={spec.N}")
     elif n_max is None:
         raise TruncationTooSmall("infinite system needs an explicit n_max")
-    if n_max < 2:
+    if n_max < 2 and n_max != spec.N:
         raise TruncationTooSmall("need n_max >= 2")
     dim = n_max + 1
     energies = np.array([spec.energy(k) for k in range(dim)], dtype=object)

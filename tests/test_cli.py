@@ -9,7 +9,9 @@ from krylov_exact import Context, make_system
 from krylov_exact.cli import main
 from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND, Mantissas
-from krylov_exact.verify import check_pair
+from krylov_exact.verify import SystemChecks
+
+from helpers import FINITE_KINDS
 
 
 def run(capsys, *argv):
@@ -166,7 +168,7 @@ def test_complexity_records_its_cut(capsys):
         assert code == 0, argv
         cuts.append(json.loads(out)["meta"]["n_max"])
     spec = make_system("hermite", None, {}, Context("bigreal", 50))
-    _, pair, _ = check_pair(spec, "1", 6, None)
+    pair, _ = SystemChecks(spec, "1", 6, None).pair
     assert cuts == [3, 12, pair.dim - 1]
 
 
@@ -407,3 +409,44 @@ def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
         assert run(capsys, "complexity", "--system", system, "--beta", "1")[0] == 0
     # at least one product per time of the default 21-point grid
     assert len(products) - before >= 6 * 21
+
+
+def test_complexity_runs_the_untruncated_two_level_pair(capsys):
+    code, out, _ = run(capsys, "complexity", "--system", "krawtchouk", "-N", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["stop_index"] == 2 and doc["meta"]["n_max"] == 1
+    with mpmath.workdps(60):
+        worst = max(abs(sum(mpmath.mpf(v) ** 2 for v in row) - 1) for row in doc["phi"])
+        assert worst <= mpmath.mpf("1e-30")
+
+
+def test_verify_expects_the_stop_at_o2_for_every_two_level_system(capsys):
+    for kind in FINITE_KINDS:
+        code, out, _ = run(capsys, "verify", "--system", kind.value, "-N", "1")
+        assert code == 0, kind
+        rows = {line.split()[1]: line.split()[2] for line in out.splitlines()[:-1]}
+        assert rows["b3_is_zero"] == "pass" and "chain_classification" not in rows, kind
+
+
+def test_a_failing_value_marks_only_the_rows_that_read_it(capsys):
+    # at 50 digits the Jacobi moments through mu_20 give b_9^2 < 0, which
+    # only the rows reading the moment-route b^2 see
+    code, out, _ = run(capsys, "verify", "--system", "jacobi", "-K", "10")
+    assert code == 1
+    rows = [line.split(None, 3) for line in out.splitlines()[:-1]]
+    _, full, _ = run(capsys, "verify", "--system", "jacobi")
+    assert [r[1] for r in rows] == [line.split()[1] for line in full.splitlines()[:-1]]
+    failed = {name: got for _, name, status, got in rows if status == "FAIL"}
+    assert list(failed) == [
+        "lanczos_recursion_vs_operator_chain",
+        "b123_closed_forms",
+        "chain_roundtrip",
+        "chain_classification",
+        "hankel_identity_n2",
+    ]
+    assert all(got.split("got: ")[1].startswith("error: b_9^2 = ") and got.endswith("< 0") for got in failed.values())
+    code, out, _ = run(capsys, "verify", "--system", "jacobi", "-K", "10", "--format", "json")
+    (system,) = json.loads(out)["systems"]
+    assert code == 1 and "error" not in system
+    assert [c["name"] for c in system["checks"] if not c["passed"]] == list(failed)

@@ -351,6 +351,19 @@ def test_run_system_checks_fits_closure_once(ctx, bctx, monkeypatch, mode):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "verify_closure", counting)
+    built = {}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("operator_lanczos", "moments_to_lanczos"):
+        monkeypatch.setattr(verify, name, counted(name))
     c = ctx if mode == "exact" else bctx
     rows = verify.run_system_checks(default_system("krawtchouk", c))
     assert all(r.passed for r in rows)
@@ -358,6 +371,7 @@ def test_run_system_checks_fits_closure_once(ctx, bctx, monkeypatch, mode):
     assert "closure_and_diagonal_identity" in names
     assert ("heisenberg_closed_form_vs_oracle" in names) == (mode == "bigreal")
     assert len(calls) == 1
+    assert built == {"operator_lanczos": 1, "moments_to_lanczos": 1}
 
 
 def test_heisenberg_check_forms_l_eta_once(bctx, monkeypatch):

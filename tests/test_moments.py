@@ -18,10 +18,10 @@ from krylov_exact.errors import (
     NotInfiniteSystem,
     TailNotConvergent,
 )
-from krylov_exact.moments import scale_table
+from krylov_exact.moments import closed_form_stop, moments_closed, scale_table
 from krylov_exact import moments as moments_module
 from krylov_exact import operators as operators_module
-from krylov_exact.operators import inner, liouville
+from krylov_exact.operators import inner, liouville, operator_lanczos
 
 from helpers import FINITE_KINDS, THERMAL_KINDS, diagonal_eta_identity, dual_hahn_mu2_closed, param_samples
 
@@ -294,3 +294,25 @@ def test_moment_csv_format(ctx):
     assert lines[0] == "m,mu_m,provenance,tail_bound"
     assert lines[1].startswith("0,1,closed-form")
     assert len(lines) == 6
+
+
+def test_closed_form_stop_singles_out_the_six_noncomplex_systems(ctx, bctx):
+    # the paper's six: b_m = 0 for m >= 3, Hermite already at b_2
+    stops = {}
+    for kind in FINITE_KINDS + THERMAL_KINDS:
+        spec = default_system(kind, ctx if kind.is_finite else bctx)
+        stops[kind.value] = closed_form_stop(spec, moments_closed(spec, 2, beta="1"))
+    early = {name: s for name, s in stops.items() if s is not None and s <= 2}
+    assert early == {"krawtchouk": 2, "dual-hahn": 2, "meixner": 2, "charlier": 2, "laguerre": 2, "hermite": 1}
+    assert stops["gegenbauer"] is None and stops["jacobi"] is None
+    assert all(stops[k.value] == 12 for k in FINITE_KINDS if k.value not in early)
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
+def test_closed_form_stop_equals_the_operator_chain(ctx, kind):
+    for N in range(1, 5):
+        for params in param_samples(kind, N):
+            spec = make_system(kind, N, params, ctx)
+            pair = position_pair(spec)
+            chain = operator_lanczos(pair, trace_inner(pair))
+            assert closed_form_stop(spec, moments_closed(spec, 1)) == chain.stop_index, (N, params)

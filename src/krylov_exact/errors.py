@@ -97,3 +97,7 @@ class MirrorAsymmetry(KrylovExactError):
 
 class NonFiniteValue(KrylovExactError):
     """An infinite or NaN bigreal value where a finite one is required."""
+
+
+class EigenNotConverged(KrylovExactError):
+    """The implicit QL iteration did not isolate an eigenvalue within its sweep budget."""

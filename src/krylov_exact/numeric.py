@@ -40,13 +40,16 @@ import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import (
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_sub, to_fixed,
+)
+from mpmath.matrices.eigen_symmetric import r_sy_tridiag
 
-from .errors import DimensionMismatch, ModeError, NonFiniteValue
+from .errors import DimensionMismatch, EigenNotConverged, ModeError, NonFiniteValue
 
 try:
     from gmpy2 import mpq as _rational
@@ -437,3 +440,67 @@ class Mantissas:
             im = rounded(terms[1])
             out[where] = [mp.make_mpc((out[k]._mpf_, im[k])) for k in where]
         return out.reshape(shape)
+
+
+def symmetric_eigen(h: np.ndarray, mp: mpmath.MPContext) -> tuple[np.ndarray, np.ndarray]:
+    """(E, Q): the eigenvalues of a real symmetric matrix in ascending
+    order and the orthogonal Q with h = Q diag(E) Q^T, both at the
+    precision and rounding of ``mp``.
+
+    A tridiagonal h (no nonzero entry above the first superdiagonal) is
+    read as its diagonal d and superdiagonal e; a wider one is first
+    reduced to that form by mpmath's Householder ``r_sy_tridiag`` (tred2),
+    whose Q the rotations then start from.  The eigenvalues come from
+    implicit QL with Wilkinson's shift: EISPACK's ``imtql2`` (Martin &
+    Wilkinson, *Numer. Math.* 12 (1968) 377; Dubrulle, *Numer. Math.* 15
+    (1970) 450), the routine mpmath's ``eigsy`` runs after its reduction,
+    here on d and e as raw mpf values rounded at ``mp``'s precision and
+    rounding.  An mpf cannot overflow, so each rotation takes
+    r = hypot(f, g) directly.  Each Givens rotation (c, s) acts on two
+    columns of Q held as Python-int fixed point with 32 guard bits, at
+    2**-(prec + 32), far below the 2**-prec rounding of c and s, and each
+    entry of Q is rounded once at the end (``mp.ldexp`` of its integer,
+    which is ``from_man_exp`` at ``mp``'s precision and rounding).  An
+    eigenvalue still coupled after 2 * dps sweeps raises
+    :class:`~krylov_exact.errors.EigenNotConverged`.
+    """
+    n, (prec, rnd), bits = len(h), mp._prec_rounding, mp.prec + 32
+    add, sub, mul, div, hypot = (
+        partial(f, prec=prec, rnd=rnd) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_hypot))
+    q, d, e = np.eye(n, dtype=object), h.diagonal(), [*h.diagonal(1), 0]
+    if np.triu(h, 2).any():
+        q, d, e = mp.matrix(h.tolist()), mp.zeros(n, 1), mp.zeros(n, 1)
+        r_sy_tridiag(mp, q, d, e)
+    d, e = ([mp.convert(x)._mpf_ for x in v] for v in (d, e))
+    cols = [[to_fixed(mp.convert(x)._mpf_, bits) for x in col] for col in zip(*q.tolist())]
+    eps, sweeps = mp.eps._mpf_, 2 * mp.dps
+    for l in range(n):
+        for sweep in range(sweeps + 1):
+            m = l
+            # the splitting test, exact: e[m] is negligible next to d[m] and d[m + 1]
+            while m + 1 < n and not mpf_le(mpf_abs(e[m]), mpf_mul(eps, mpf_add(mpf_abs(d[m]), mpf_abs(d[m + 1])))):
+                m += 1
+            if m == l:
+                break
+            if sweep == sweeps:
+                raise EigenNotConverged(f"implicit QL: eigenvalue {l} still coupled after {sweeps} sweeps")
+            g = div(sub(d[l + 1], d[l]), add(e[l], e[l]))
+            g = add(sub(d[m], d[l]), div(e[l], (sub if g[0] else add)(g, hypot(g, fone))))
+            s = c = fone
+            p = fzero
+            for i in range(m - 1, l - 1, -1):
+                f, b = mul(s, e[i]), mul(c, e[i])
+                e[i + 1] = r = hypot(f, g)
+                s, c = div(f, r), div(g, r)
+                g = sub(d[i + 1], p)
+                r = add(mul(sub(d[i], g), s), mul(add(c, c), b))
+                p = mul(s, r)
+                d[i + 1], g = add(g, p), sub(mul(c, r), b)
+                ci, si = to_fixed(c, bits), to_fixed(s, bits)
+                cols[i : i + 2] = zip(
+                    *[((ci * u - si * v) >> bits, (si * u + ci * v) >> bits) for u, v in zip(*cols[i : i + 2])])
+            d[l] = sub(d[l], p)
+            e[l], e[m] = g, fzero
+    d = np.array([mp.make_mpf(x) for x in d], dtype=object)
+    order = np.argsort(d)
+    return d[order], np.array([[mp.ldexp(x, -bits) for x in cols[k]] for k in order], dtype=object).T

@@ -80,7 +80,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, exact_sqrt
+from .numeric import Context, exact_sqrt, symmetric_eigen
 
 POSITION = "position"
 ENERGY = "energy"
@@ -296,7 +296,10 @@ class _Banded:
     relation run on bands (:mod:`~krylov_exact.band`).  The eigenbasis
     H = Q diag(E) Q^T and H laid out for the band kernel (:attr:`bands`)
     are computed on first use and kept, so each pair runs
-    :func:`eig_symmetric` at most once.
+    :func:`eig_symmetric` at most once.  A position H is tridiagonal, so
+    that is implicit QL on its diagonal and off-diagonal alone, with Q
+    rotated on integer mantissas at 32 guard bits
+    (:func:`~krylov_exact.numeric.symmetric_eigen`).
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
@@ -735,17 +738,22 @@ def eig_symmetric(h: np.ndarray, ctx: Context):
     """Eigendecomposition of a real symmetric matrix, sorted ascending.
 
     Returns (eigenvalues 1-D object array, orthogonal matrix Q) with
-    h = Q diag(E) Q^T.  :class:`~krylov_exact.errors.BasisMismatch` names
-    the first entry (a, b) not ``ctx.close`` to (b, a), as in a rescaled pair.
+    h = Q diag(E) Q^T, at the context's precision.  The algorithm is
+    implicit QL (EISPACK's ``imtql2``) on the tridiagonal form of h,
+    reached by Householder reduction where h is wider, with Q's Givens
+    rotations applied as Python-int fixed point at 32 guard bits and each
+    entry rounded once (:func:`~krylov_exact.numeric.symmetric_eigen`);
+    mpmath's dense ``eigsy`` is its reference in the tests.  It never
+    reads a closed-form energy.  :class:`~krylov_exact.errors.BasisMismatch`
+    names the first entry (a, b) not ``ctx.close`` to (b, a), as in a
+    rescaled pair.
     """
     if ctx.is_exact:
         raise ModeError("eigendecomposition needs bigreal mode")
     for a, b in zip(*np.nonzero(h != h.T)):  # one comparison for a symmetric H
         if not ctx.close(h[a, b], h[b, a]):
             raise BasisMismatch(f"H is not symmetric: entries ({a}, {b}) and ({b}, {a}) differ")
-    evals, q = ctx.mp.eigsy(ctx.mp.matrix(h.tolist()))
-    order = sorted(range(len(h)), key=lambda i: evals[i])
-    return np.array([evals[i] for i in order], dtype=object), np.array(q.tolist(), dtype=object)[:, order]
+    return symmetric_eigen(h, ctx.mp)
 
 
 # ---------------------------------------------------------------------------

@@ -196,12 +196,14 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     """The full invariant suite for one system in its context's mode.
 
     An error in the closed form or the pair is the whole system's.  The
-    stop row expects the closed form's stop where it is at most 2: the
-    paper's non-complex systems, b_m = 0 for m >= 3."""
+    stop row expects the closed form's stop s where s is at most 2 (the
+    paper's non-complex systems, b_m = 0 for m >= 3) or the K moments
+    reach b_{s+1}, as a small finite system's chain does; otherwise it
+    reports the classification."""
     c = SystemChecks(spec, beta, K, tail_tol)
     table, _ = c.table, c.pair
     stop = closed_form_stop(spec, table)
-    if stop is not None and stop <= 2:
+    if stop is not None and (stop <= 2 or stop < K):
         stop_row = (f"b{stop + 1}_is_zero", f"stop at O_{stop}", lambda: c.stops_at(stop))
     else:
         stop_row = ("chain_classification", "reported", lambda: (classify_stop(c.coeffs, K).label, True))

@@ -14,6 +14,9 @@ combination, the closed form and the phase twist of a spectrum pair
 matrices, with the same operations per entry as the library's evaluation
 on the eta support.
 
+mpmath's dense ``eigsy``, the reference of the package's implicit QL
+eigendecomposition.
+
 Closed forms only the tests use (the dual Hahn mu_2 and the affine
 q-Krawtchouk |eta|^2), and the O(K^3) moments -> b^2 route that
 Chebyshev's algorithm replaced, kept as its reference.  The cross-basis
@@ -337,6 +340,17 @@ def diagonal_eta_identity(spec, n_max: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # Full-band reference for the position basis
 # ---------------------------------------------------------------------------
+
+
+def eigsy_reference(h, ctx):
+    """(E ascending, Q) of a symmetric bigreal H from mpmath's dense
+    ``eigsy`` at the context's precision: Householder tridiagonalisation
+    and implicit QL with every rotation of Q in mpf arithmetic, O(n^3)
+    even for a tridiagonal H.  The reference of
+    :func:`~krylov_exact.operators.eig_symmetric`."""
+    evals, q = ctx.mp.eigsy(ctx.mp.matrix(h.tolist()))
+    order = sorted(range(len(h)), key=lambda i: evals[i])
+    return np.array([evals[i] for i in order], dtype=object), np.array(q.tolist(), dtype=object)[:, order]
 
 
 def rotated_pair(pair):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import krylov_exact.cli
-from krylov_exact import Context, make_system
+from krylov_exact import Context, make_system, operators
 from krylov_exact.cli import main
 from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND, Mantissas
@@ -233,14 +233,13 @@ def test_k_below_one_rejected(capsys):
 
 def test_verify_bigreal_decomposes_h_once(capsys, monkeypatch):
     calls = []
-    mp = Context("bigreal", 50).mp
-    eigsy = mp.eigsy
+    real = operators.eig_symmetric
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return eigsy(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(mp, "eigsy", counting)
+    monkeypatch.setattr(operators, "eig_symmetric", counting)
     code, out, _ = run(capsys, "verify", "--system", "hahn", "--mode", "bigreal")
     assert code == 0
     assert "heisenberg_closed_form_vs_oracle" in out and "profile_sum_rule" in out
@@ -427,6 +426,17 @@ def test_verify_expects_the_stop_at_o2_for_every_two_level_system(capsys):
         assert code == 0, kind
         rows = {line.split()[1]: line.split()[2] for line in out.splitlines()[:-1]}
         assert rows["b3_is_zero"] == "pass" and "chain_classification" not in rows, kind
+
+
+@pytest.mark.parametrize("system", ["hahn", "q-racah"])
+@pytest.mark.parametrize("mode", ["exact", "bigreal"])
+def test_verify_checks_a_known_stop_below_k(capsys, system, mode):
+    # N = 2: the closed-form stop is 4 < K = 6, so b_5 = 0 is checked
+    code, out, _ = run(capsys, "verify", "--system", system, "-N", "2", "--mode", mode)
+    assert code == 0
+    rows = {line.split()[1]: line.split(None, 3)[2:] for line in out.splitlines()[:-1]}
+    assert "chain_classification" not in rows
+    assert rows["b5_is_zero"] == ["pass", "expected: stop at O_4; got: StopsAtO4"]
 
 
 def test_a_failing_value_marks_only_the_rows_that_read_it(capsys):

@@ -3,6 +3,8 @@ form, exponential conjugation and K(t) on position pairs, against the
 dense numpy-``@`` forms, against the energy-basis route, and by count of
 the work per check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,15 @@ def test_eigendecomposition_once_per_pair(bctx, monkeypatch):
     ip = trace_inner(pair)
     krylov_profile(operator_lanczos(pair, ip, k_max=4), pair, ip, [bctx.one])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("basis", ["position", "energy"])
+def test_heisenberg_check_rejects_a_perturbed_closure(bctx, basis):
+    # both sides read the same eigenbasis, so only a wrong closed form can
+    # separate them: R_-1 off by 1e-30 relative must fail the row
+    spec = default_system("hahn", bctx)
+    pair = position_pair(spec) if basis == "position" else energy_pair(spec)
+    closure = verify_closure(pair)
+    assert heisenberg_check(pair, closure, HEISENBERG_TIMES)[1]
+    off = replace(closure, rm1=tuple(c * (1 + bctx.num("1e-30")) for c in closure.rm1))
+    assert not heisenberg_check(pair, off, HEISENBERG_TIMES)[1]

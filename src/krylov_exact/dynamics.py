@@ -19,6 +19,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath.libmp import fzero, mpf_add, mpf_lt, mpf_mul, mpf_neg
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
@@ -139,18 +140,37 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     return rep.scatter(_closure_combination(rep, eta, rep.liouville(eta), a_k, b_k, c_k))
 
 
-def _exp_difference(ctx: Context, t, x, y):
-    """e[x, y] for e(x) = exp(i x t), also where y = x (then e'(x))."""
-    return ctx.mp.mpc(0, t) * ctx.expj((x + y) * t / 2) * ctx.mp.sinc((x - y) * t / 2)
+def _exp_differences(ctx: Context, t, ap, am) -> tuple:
+    """(e(a-), e[a+, a-], e[a+, a-, 0]) for e(x) = exp(ixt), from the two
+    half-angle phases h+- = exp(i a+- t / 2).  e(a-) = h-^2 and
+    e[x, y] = i t h_x h_y sinc((x - y) t / 2), also where y = x (then
+    e'(x)).  A gap to 0 reads its sine off the phase,
+    e[x, 0] = 2i h_x Im(h_x) / x, which has no cancellation: Im(h_x) is
+    sin(xt/2) to full relative precision (e[0, 0] = it).  The gap
+    a+ - a- keeps ``sinc``, since Im(h+ conj(h-)) would lose digits where
+    a+ and a- nearly meet.  e[a+, a-, 0] divides across the widest pair of
+    the three points; if all three meet, it is e''(0) / 2."""
+    mp = ctx.mp
+    plus, minus, zero = (ap, mp.expj(ap * t / 2)), (am, mp.expj(am * t / 2)), (ctx.zero, None)
 
+    def times_i(z):
+        re, im = z._mpc_
+        return mp.make_mpc((mpf_neg(im), re))
 
-def _exp_second_difference(ctx: Context, t, x, y):
-    """e[x, y, 0], dividing across the widest pair of the three points;
-    if all three meet, e''(0) / 2."""
-    lo, mid, hi = sorted((x, y, ctx.zero))
-    if hi == lo:
-        return -t * t / 2
-    return (_exp_difference(ctx, t, hi, mid) - _exp_difference(ctx, t, mid, lo)) / (hi - lo)
+    b = times_i(plus[1] * minus[1] * (t * mp.sinc((ap - am) * t / 2)))
+
+    def difference(p, q):
+        if p is not zero and q is not zero:
+            return b
+        x, h = q if p is zero else p
+        return times_i(h * (2 * h.imag / x)) if x else mp.mpc(0, t)
+
+    lo, mid, hi = sorted((plus, minus, zero), key=lambda p: p[0])
+    if hi[0] == lo[0]:
+        second = -t * t / 2
+    else:
+        second = (difference(hi, mid) - difference(mid, lo)) / (hi[0] - lo[0])
+    return minus[1] * minus[1], b, second
 
 
 def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.ndarray:
@@ -203,28 +223,43 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
     def closed_form(t):
         avals, bvals, cvals = [], [], []
         for ap, am, rm1 in points:
-            b = _exp_difference(ctx, t, ap, am)
-            avals.append(ctx.expj(am * t) - am * b)
+            e_am, b, second = _exp_differences(ctx, t, ap, am)
+            avals.append(e_am - am * b)
             bvals.append(b)
-            cvals.append(rm1 * _exp_second_difference(ctx, t, ap, am))
+            cvals.append(rm1 * second)
         return _closure_combination(eigen, eta, l1, *(np.array(v, dtype=object) for v in (avals, bvals, cvals)))
 
     return closed_form, lambda t: eigen.conjugate_exp(eta, t), back
+
+
+def _largest_modulus(values: np.ndarray):
+    """The largest |z| over VALUES: the modulus of the entry whose exact
+    square Re(z)^2 + Im(z)^2 is largest, so one square root in all."""
+    best, top = None, None
+    for z in values.ravel():
+        re, im = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+        square = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
+        if top is None or mpf_lt(top, square):
+            best, top = z, square
+    return abs(best)
 
 
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
     """Closed form against :func:`matrix_exponential_conjugate` at each time.
 
     Both sides are formed in the eigenbasis of H from operators moved
-    there once (:func:`_heisenberg_evaluator`), then each is moved back on
-    its own and compared in the pair's basis, as the two public functions
-    would be.  A spectrum pair compares them on the eta support plus the
-    diagonal; off it both are exact zeros.  Returns the max-abs deviation
-    per time and whether every one is within 1000 rel_eps max(|eta|, 1).
+    there once (:func:`_heisenberg_evaluator`), where each entry of either
+    is rounded once.  Their difference C' - O' is rounded there, entry by
+    entry, and moved back once, Q (C' - O') Q^T, an exact product rounded
+    once per entry, so the deviation is read in the pair's basis at the
+    cost of one move per time.  A spectrum pair compares them on the eta
+    support plus the diagonal; off it both are exact zeros.  Returns the
+    max-abs deviation per time and whether every one is within
+    1000 rel_eps max(|eta|, 1).
     """
     ctx = pair.ctx
     closed_form, oracle, back = _heisenberg_evaluator(pair, closure)
-    devs = [max_abs(back(closed_form(t)) - back(oracle(t))) for t in map(ctx.num, times)]
+    devs = [_largest_modulus(back(closed_form(t) - oracle(t))) for t in map(ctx.num, times)]
     bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.rep.gather(pair.eta)), ctx.one) * 1000
     return devs, max(devs, default=ctx.zero) <= bound
 
@@ -276,9 +311,10 @@ def krylov_profile(
     against the chain's own vectors on the chain's space (``overlaps``).
     The chain must come from ``pair`` under ``ip``, else
     :class:`~krylov_exact.errors.BasisMismatch`.  Each amplitude must be
-    real up to tolerance; a larger imaginary residue signals a
-    chain/inner-product mismatch and raises
-    :class:`~krylov_exact.errors.ComplexAmplitude`.
+    real up to tolerance: an imaginary part above
+    100 rel_eps max(1, |Re|, |Im|), no looser than 100 rel_eps max(1, |phi|)
+    and with no square root, signals a chain/inner-product mismatch and
+    raises :class:`~krylov_exact.errors.ComplexAmplitude`.
     """
     ctx = pair.ctx
     if ctx.is_exact:
@@ -289,10 +325,7 @@ def krylov_profile(
         raise BasisMismatch("the chain was built on another operator pair")
     if np.any(ip.entries(space.rows, space.cols) != space.weight):
         raise BasisMismatch("the chain was built under another inner product")
-    tol = ctx.default_tolerance()
-    # (-i)**n cycles with period four and is exact
-    one, mpc = ctx.one, ctx.mp.mpc
-    phases = [mpc(one, 0), mpc(0, -one), mpc(-one, 0), mpc(0, one)]
+    bound = 100 * ctx.default_tolerance().rel_eps
     times = [ctx.num(t) for t in times]
     amplitudes = space.overlaps(chain.vectors)
     phi_rows = []
@@ -302,12 +335,12 @@ def krylov_profile(
         row = []
         k_t = ctx.zero
         for n, val in enumerate(raw):
-            val = val * phases[n % 4]
-            if abs(val.imag) > tol.rel_eps * max(1, abs(val)) * 100:
-                raise ComplexAmplitude(
-                    f"phi_{n} imaginary part {ctx.fmt(val.imag)}"
-                )
-            phi = val.real
+            # times (-i)**n, exactly: swap the parts for odd n, negate both for n = 2, 3 mod 4
+            phi, im = (val.imag, -val.real) if n % 2 else (val.real, val.imag)
+            if n % 4 >= 2:
+                phi, im = -phi, -im
+            if abs(im) > bound * max(1, abs(phi), abs(im)):
+                raise ComplexAmplitude(f"phi_{n} imaginary part {ctx.fmt(im)}")
             row.append(phi)
             if n >= 1:
                 k_t = k_t + n * phi * phi

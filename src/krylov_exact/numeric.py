@@ -27,9 +27,11 @@ global one is, and no result depends on contexts created earlier.
 Sums of products round once.  :meth:`Context.dot` is mpmath's ``fdot``.
 :meth:`Context.matmul` holds its operands as exact integer mantissas
 (:class:`Mantissas`), multiplies them with numpy's object ``@`` and
-rounds each entry once, which gives ``fdot`` of each row and column, bit
-for bit, from integer arithmetic; an operand used in many products is
-converted once (:meth:`Context.mantissas`).
+rounds each entry once: for two factors that is ``fdot`` of each row and
+column, bit for bit, from integer arithmetic, and a chain of more
+factors is multiplied exactly from left to right before its one
+rounding.  An operand used in many products is converted once
+(:meth:`Context.mantissas`).
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from __future__ import annotations
 import copyreg
 import math
 import numbers
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 
 import mpmath
 import numpy as np
@@ -251,32 +254,40 @@ class Context:
         return self.mp.fdot(u, v)
 
     def mantissas(self, a) -> Mantissas:
-        """A 2-D bigreal object array as a :class:`Mantissas` operand of
-        :meth:`matmul` (returned unchanged if it is one already).  An
-        operand used in many products is converted once this way."""
+        """A bigreal object array of at least two dimensions as a
+        :class:`Mantissas` operand of :meth:`matmul` (returned unchanged if
+        it is one already).  An operand used in many products is converted
+        once this way."""
         if self.is_exact:
             raise ModeError("integer mantissas hold bigreal matrices only")
         return a if isinstance(a, Mantissas) else Mantissas.of(a, self.mp)
 
-    def matmul(self, a, b):
-        """The matrix product a @ b of two 2-D object arrays (in bigreal
-        mode either may be a :class:`Mantissas`).
+    def matmul(self, *factors):
+        """The product f_1 @ f_2 @ ... of two or more object arrays of at
+        least two dimensions, taken from left to right as numpy's ``@``
+        takes it, stacks included (in bigreal mode any factor may be a
+        :class:`Mantissas`).
 
-        Exact mode gives ``a @ b`` in type and value.  Bigreal mode forms
-        every entry as :meth:`dot` of a row of ``a`` and a column of ``b``
-        would: the products exactly, their sum rounded once, complex where
-        the row or the column holds a complex entry.  It gets there on
-        integer mantissas (:meth:`Mantissas.times`), so the result equals
-        ``fdot`` entry by entry in type and value.  The one exception is
-        an entry whose terms lie more than 2 * prec bits apart in
-        exponent, where ``fdot``'s accumulator may drop a term; the
-        product still rounds the exact sum.
+        Exact mode gives that product in type and value.  Bigreal mode
+        multiplies the factors' integer mantissas exactly and rounds each
+        entry of the result once (:meth:`Mantissas.product`), complex where
+        the row of the first factor, any middle factor, or the column of
+        the last holds a complex entry.  With two factors every entry is
+        :meth:`dot` of a row of ``a`` and a column of ``b``, ``fdot`` in
+        type and value.  The one exception is an entry whose terms lie
+        more than 2 * prec bits apart in exponent, where ``fdot``'s
+        accumulator may drop a term; the product still rounds the exact
+        sum.
         """
-        if a.shape[1] != b.shape[0]:
-            raise DimensionMismatch(f"matmul of shapes {a.shape} and {b.shape}")
+        if len(factors) < 2:
+            raise DimensionMismatch("matmul needs at least two factors")
+        for a, b in zip(factors, factors[1:]):
+            if a.shape[-1] != b.shape[-2]:
+                raise DimensionMismatch(f"matmul of shapes {a.shape} and {b.shape}")
         if self.is_exact:
-            return a @ b
-        return self.mantissas(a).times(self.mantissas(b))
+            return reduce(operator.matmul, factors)
+        first, *rest = (self.mantissas(f) for f in factors)
+        return first.product(*rest).rounded()
 
     # -- elementary functions -----------------------------------------
 
@@ -318,61 +329,63 @@ class Context:
 
 
 class Mantissas:
-    """A bigreal matrix held exactly as Python-int mantissas in exponent
-    slabs.
+    """A bigreal matrix, or a stack of them, held exactly as Python-int
+    mantissas in exponent slabs.
 
     Every mpf is sign * man * 2**e, so shifting a mantissa onto a lower
     exponent loses nothing.  A slab (part, base, cols, ints) holds the
     real (part 0) or imaginary (part 1) parts whose exponent lies in
     [base, base + width), width = 8 * prec bits, on the columns ``cols``
-    where it has any: its share of entry (i, cols[j]) is
-    ints[i, j] * 2**base, and every nonzero part lies in one slab
-    (:meth:`of`).  A product (:meth:`times`)
-    multiplies each slab of the left operand with the rows ``cols`` of
-    the right one, held at one exponent, with numpy's object ``@``, sums
-    the slabs' exact partial products and rounds each entry once with
-    ``from_man_exp`` at the context's precision and rounding: the
-    long-accumulator dot product of Kulisch & Miranker (*SIAM Rev.* 28
-    (1986) 1).  The slabs keep the integers short where the entries span
-    thousands of bits, as the Boltzmann weights of a long thermal chain
-    do: one exponent for all would make every product that wide.
-    ``complex_rows`` and ``complex_cols`` flag the rows and columns that
-    hold an mpc (one with a zero imaginary part included), which makes an
-    entry of a product complex exactly where ``fdot`` would.
+    where it has any: its share of entry (..., i, cols[j]) is
+    ints[..., i, j] * 2**base, and every nonzero part lies in one slab
+    (:meth:`of`).  A product (:meth:`product`) multiplies each slab of the
+    left operand with the rows ``cols`` of the next factor, held at one
+    exponent (:meth:`merged`), with numpy's object ``@``, sums the slabs'
+    exact partial products at one exponent, and multiplies that exactly
+    with each further factor.  Nothing is rounded until :meth:`rounded`
+    rounds each entry once with ``from_man_exp`` at the context's
+    precision and rounding: the long-accumulator dot product of Kulisch &
+    Miranker (*SIAM Rev.* 28 (1986) 1), over a whole product chain.  The
+    slabs keep the integers short where the entries span thousands of
+    bits, as the Boltzmann weights of a long thermal chain do: one
+    exponent for all would make every product that wide.  ``complex``
+    flags the entries that are mpc (one with a zero imaginary part
+    included); an entry of a product is complex where the row of the left
+    factor or the column of the right one holds a complex entry, as in
+    ``fdot``.
     """
 
-    __slots__ = ("slabs", "shape", "complex_rows", "complex_cols", "mp", "_merged")
+    __slots__ = ("slabs", "shape", "complex", "mp", "_merged")
 
-    def __init__(self, slabs, shape, complex_rows, complex_cols, mp):
-        self.slabs, self.shape, self.mp, self._merged = slabs, shape, mp, None
-        self.complex_rows, self.complex_cols = complex_rows, complex_cols
+    def __init__(self, slabs, shape, complex, mp, merged=None):
+        self.slabs, self.shape, self.complex, self.mp, self._merged = slabs, shape, complex, mp, merged
 
     @classmethod
     def of(cls, a: np.ndarray, mp: mpmath.MPContext) -> Mantissas:
-        """The exact mantissas of a 2-D array of mpmath numbers (other
-        scalars are converted as ``fdot`` converts them).  An infinite or
-        NaN entry raises :class:`~krylov_exact.errors.NonFiniteValue`."""
-        flat = [x if _is_mp(x) else mp.convert(x) for x in a.ravel()]
-        is_complex = np.array([hasattr(x, "_mpc_") for x in flat], dtype=bool).reshape(a.shape)
-        flags = is_complex.any(axis=1), is_complex.any(axis=0)
-        shape = (2 if is_complex.any() else 1, *a.shape)
+        """The exact mantissas of an array of mpmath numbers of at least two
+        dimensions (other scalars are converted as ``fdot`` converts them).
+        An infinite or NaN entry raises
+        :class:`~krylov_exact.errors.NonFiniteValue`."""
+        flat = a.ravel().tolist()
         # the real parts, then the imaginary parts if any entry is complex
-        parts = [x._mpc_[0] if hasattr(x, "_mpc_") else x._mpf_ for x in flat]
-        if shape[0] == 2:
-            parts += [x._mpc_[1] if hasattr(x, "_mpc_") else fzero for x in flat]
+        parts, is_complex = [getattr(x, "_mpf_", None) for x in flat], np.zeros(a.shape, dtype=bool)
+        if None in parts:  # an mpc, or a scalar to convert
+            flat = [x if _is_mp(x) else mp.convert(x) for x in flat]
+            is_complex = np.array([hasattr(x, "_mpc_") for x in flat], dtype=bool).reshape(a.shape)
+            parts = [x._mpc_[0] if hasattr(x, "_mpc_") else x._mpf_ for x in flat]
+            if is_complex.any():
+                parts += [x._mpc_[1] if hasattr(x, "_mpc_") else fzero for x in flat]
+        shape = (len(parts) // a.size, *a.shape)
         for k, (_, m, e, _) in enumerate(parts):
             if not m and e:
-                row, col = divmod(k % a.size, a.shape[1])
-                raise NonFiniteValue(f"matrix entry ({row}, {col}) is {flat[k % a.size]}")
+                where = ", ".join(map(str, np.unravel_index(k % a.size, a.shape)))
+                raise NonFiniteValue(f"matrix entry ({where}) is {flat[k % a.size]}")
         exps = [e for _, m, e, _ in parts if m]
         low, width = min(exps, default=0), 8 * mp.prec
         if max(exps, default=low) - low < width:  # one slab per part, on every column
             ints = [(-m if s else m) << (e - low) if m else 0 for s, m, e, _ in parts]
             ints = np.array(ints, dtype=object).reshape(shape)
-            every = np.arange(a.shape[1])
-            whole = cls([(part, low, every, ints[part]) for part in range(shape[0])], a.shape, *flags, mp)
-            whole._merged = ints[0], (ints[1] if shape[0] == 2 else None), low
-            return whole
+            return cls._exact(ints[0], ints[1] if shape[0] == 2 else None, low, is_complex, mp)
         man = np.array([-m if s else m for s, m, _, _ in parts], dtype=object).reshape(shape)
         exp = np.array([e for _, _, e, _ in parts], dtype=np.int64).reshape(shape)
         band = np.where(man != 0, (exp - low) // width, -1)
@@ -380,23 +393,44 @@ class Mantissas:
         for part in range(shape[0]):
             for k in sorted(set(band[part][band[part] >= 0].tolist())):
                 here = band[part] == k
-                cols = np.flatnonzero(here.any(axis=0))
+                cols = np.flatnonzero(here.reshape(-1, a.shape[-1]).any(axis=0))
                 base = low + k * width
-                shift = np.where(here[:, cols], exp[part][:, cols] - base, 0).astype(object)
-                slabs.append((part, base, cols, np.where(here[:, cols], man[part][:, cols] << shift, 0)))
-        return cls(slabs, a.shape, *flags, mp)
+                shift = np.where(here[..., cols], exp[part][..., cols] - base, 0).astype(object)
+                slabs.append((part, base, cols, np.where(here[..., cols], man[part][..., cols] << shift, 0)))
+        return cls(slabs, a.shape, is_complex, mp)
+
+    @classmethod
+    def _exact(cls, re, im, exp, is_complex, mp) -> Mantissas:
+        """(re + i im) * 2**exp in one slab per part; im None is zero."""
+        every = np.arange(re.shape[-1])
+        slabs = [(part, exp, every, x) for part, x in enumerate((re, im)) if x is not None]
+        return cls(slabs, re.shape, is_complex, mp, (re, im, exp))
 
     def merged(self) -> tuple[np.ndarray, np.ndarray | None, int]:
-        """(re, im, exp): the whole matrix at one exponent, entry (i, j)
+        """(re, im, exp): the whole array at one exponent, entry (i, j)
         (re[i, j] + i im[i, j]) * 2**exp; im is None when no entry is
         complex.  Formed once, for use as a right operand."""
         if self._merged is None:
             low = min((base for _, base, _, _ in self.slabs), default=0)
             re, im = (np.zeros(self.shape, dtype=object) for _ in range(2))
             for part, base, cols, ints in self.slabs:
-                (re, im)[part][:, cols] += ints << (base - low)
-            self._merged = re, (im if self.complex_cols.any() else None), low
+                (re, im)[part][..., cols] += ints << (base - low)
+            self._merged = re, (im if self.complex.any() else None), low
         return self._merged
+
+    def __imul__(self, other: Mantissas) -> Mantissas:
+        """self *= other: the exact entry-by-entry product, in place, with
+        other broadcast to self's shape as numpy's ``*=`` broadcasts it;
+        real entries reuse self's integers, so the product needs no second
+        array."""
+        (re_a, im_a, exp_a), (re_b, im_b, exp_b) = self.merged(), other.merged()
+        if im_a is None and im_b is None:
+            re, im = np.multiply(re_a, re_b, out=re_a), None
+        else:
+            re, im = _product((re_a, im_a), (re_b, im_b), operator.mul)
+        out = Mantissas._exact(re, im, exp_a + exp_b, self.complex | other.complex, self.mp)
+        self.slabs, self.shape, self.complex, self._merged = out.slabs, out.shape, out.complex, out._merged
+        return self
 
     def summed_columns(self, groups: np.ndarray, count: int) -> Mantissas:
         """The matrix whose column g is the exact sum of the columns j with
@@ -409,37 +443,58 @@ class Mantissas:
             out = np.zeros((self.shape[0], len(summed)), dtype=object)
             np.add.at(out, (slice(None), where), ints)
             slabs.append((part, base, summed, out))
-        cols = np.zeros(count, dtype=bool)
-        np.logical_or.at(cols, groups, self.complex_cols)
-        return Mantissas(slabs, (self.shape[0], count), self.complex_rows, cols, self.mp)
+        is_complex = np.zeros((self.shape[0], count), dtype=bool)
+        np.logical_or.at(is_complex, (slice(None), groups), self.complex)
+        return Mantissas(slabs, (self.shape[0], count), is_complex, self.mp)
 
-    def times(self, other: Mantissas) -> np.ndarray:
-        """self @ other as an object array of the context's mpf/mpc, each
-        entry the exact sum of its products rounded once."""
-        re_o, im_o, exp_o = other.merged()
-        terms = ([], [])  # (base, exact partial product) of the real and the imaginary part
+    def product(self, *others: Mantissas) -> Mantissas:
+        """self @ others[0] @ ..., numpy's ``@`` from left to right (stacks
+        broadcast), exactly: nothing is rounded."""
+        re_o, im_o, exp = others[0].merged()
+        low = min((base for _, base, _, _ in self.slabs), default=0)
+        acc = None, None  # the exact product so far, (re, im) at 2**exp; None is zero
         for part, base, cols, ints in self.slabs:
-            terms[part].append((base, ints @ re_o[cols]))
-            if im_o is not None:
-                # re(a) im(b) adds to the imaginary part, im(a) im(b) subtracts from the real
-                cross = ints @ im_o[cols]
-                terms[1 - part].append((base, -cross if part else cross))
+            right = re_o[..., cols, :], None if im_o is None else im_o[..., cols, :]
+            partial = _product((None, ints) if part else (ints, None), right)
+            acc = tuple(_sum(a, p if p is None or base == low else p << (base - low)) for a, p in zip(acc, partial))
+        exp += low
+        for other in others[1:]:
+            re_o, im_o, step = other.merged()
+            acc, exp = _product(acc, (re_o, im_o)), exp + step
+        is_complex = self.complex
+        for other in others:
+            is_complex = is_complex.any(axis=-1)[..., :, None] | other.complex.any(axis=-2)[..., None, :]
+        re, im = acc  # re is None only where every nonzero entry of self is imaginary and others real
+        return Mantissas._exact(np.zeros(im.shape, dtype=object) if re is None else re, im, exp, is_complex, self.mp)
+
+    def rounded(self) -> np.ndarray:
+        """Each entry rounded once with ``from_man_exp`` at the context's
+        precision and rounding: an mpf, or an mpc where it is complex."""
+        re, im, exp = self.merged()
         mp, (prec, rnd) = self.mp, self.mp._prec_rounding
-        shape = (self.shape[0], other.shape[1])
+        out = np.array([mp.make_mpf(from_man_exp(m, exp, prec, rnd)) for m in re.flat], dtype=object)
+        where = np.flatnonzero(self.complex)
+        ims = [fzero] * where.size if im is None else [from_man_exp(im.flat[k], exp, prec, rnd) for k in where]
+        out[where] = [mp.make_mpc((out[k]._mpf_, x)) for k, x in zip(where, ims)]
+        return out.reshape(self.shape)
 
-        def rounded(partials):
-            if not partials:
-                return [fzero] * (shape[0] * shape[1])
-            low = min(base for base, _ in partials)
-            total = sum(p << (base - low) for base, p in partials)
-            return [from_man_exp(m, low + exp_o, prec, rnd) for m in total.flat]
 
-        out = np.array([mp.make_mpf(x) for x in rounded(terms[0])], dtype=object)
-        if self.complex_rows.any() or other.complex_cols.any():
-            where = np.flatnonzero(np.logical_or.outer(self.complex_rows, other.complex_cols))
-            im = rounded(terms[1])
-            out[where] = [mp.make_mpc((out[k]._mpf_, im[k])) for k in where]
-        return out.reshape(shape)
+def _sum(*terms):
+    """The sum of the integer arrays among TERMS, None (zero) if there is none."""
+    terms = [t for t in terms if t is not None]
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def _product(x: tuple, y: tuple, op=operator.matmul) -> tuple:
+    """The exact product op(x, y) (x @ y by default) of complex integer
+    arrays held as (re, im), None for a part that is zero."""
+    (xr, xi), (yr, yi) = x, y
+
+    def mul(u, v):
+        return None if u is None or v is None else op(u, v)
+
+    ii = mul(xi, yi)
+    return _sum(mul(xr, yr), None if ii is None else -ii), _sum(mul(xr, yi), mul(xi, yr))
 
 
 def symmetric_eigen(h: np.ndarray, mp: mpmath.MPContext) -> tuple[np.ndarray, np.ndarray]:

@@ -16,20 +16,25 @@ one of two representations, picked once from the shape of ``h``:
   (:mod:`~krylov_exact.band`), where functions of H are banded too.
   Spectral work happens in the eigenbasis: the eigendecomposition (E, Q)
   is computed at most once per pair, and operators move there, Q^T V Q,
-  and back, Q V Q^T, through :meth:`~krylov_exact.numeric.Context.matmul`,
-  which multiplies integer mantissas exactly and rounds each entry once;
-  Q and Q^T are converted to mantissas once per pair.  The Heisenberg
-  check and the profile move their time-independent operators once and
-  bring one result per time back.
+  and back, Q V Q^T, each one three-factor
+  :meth:`~krylov_exact.numeric.Context.matmul`, which multiplies integer
+  mantissas exactly and rounds each entry of the result once; Q and Q^T
+  are converted to mantissas once per pair.  The Heisenberg check moves
+  eta and L eta there once and, per time, moves back only the
+  difference of the closed form and the oracle.  The profile moves O_0
+  and the stack of the chain's covectors there once and, per time, needs
+  only the phases exp(iEt) and one product chain
+  (:meth:`~krylov_exact.band._BandSpace.overlaps`).
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
 with W.  In bigreal mode that dot forms the products exactly and rounds
 the sum once, so a dot over the band equals the dot over every entry.
 The Lanczos spaces hand out those covectors (``dual``), so the chain
-keeps one beside each of its vectors.  The profile stacks them once for
-all times, as integer mantissas, and meets each time's O_0(t) with one
-batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
+keeps one beside each of its vectors.  An energy-basis profile stacks
+its coefficients once for all times, as integer mantissas, and meets
+each time's phases with batched
+:meth:`~krylov_exact.numeric.Context.matmul` products, whose entries are
 those dots bit for bit.
 
 The parity fold
@@ -322,17 +327,18 @@ class _Banded:
     def eigenbasis(self) -> tuple[_Spectrum, object, object]:
         """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum` on
         every entry, V -> Q^T V Q into it (row-major) and V -> Q V Q^T back,
-        each two :meth:`~krylov_exact.numeric.Context.matmul` products,
-        which round every entry once.  Q and Q^T are converted to integer
-        mantissas once per pair."""
+        each one three-factor :meth:`~krylov_exact.numeric.Context.matmul`:
+        the product is exact and each entry is rounded once.  Q and Q^T are
+        converted to integer mantissas once per pair and kept as
+        :attr:`rotation` (Q, Q^T) for exact products."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
             ctx, n = self.ctx, len(energies)
-            q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
+            self.rotation = q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
             self._eigen = (
                 _Spectrum(energies, ctx),
-                lambda v: ctx.matmul(ctx.matmul(qt, v), q).ravel(),
-                lambda v: ctx.matmul(ctx.matmul(q, v.reshape(n, n)), qt),
+                lambda v: ctx.matmul(qt, v, q).ravel(),
+                lambda v: ctx.matmul(q, v.reshape(n, n), qt),
             )
         return self._eigen
 

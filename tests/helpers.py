@@ -22,9 +22,14 @@ q-Krawtchouk |eta|^2), and the O(K^3) moments -> b^2 route that
 Chebyshev's algorithm replaced, kept as its reference.  The cross-basis
 check of <n|eta|n>, which no ``verify`` row runs.
 
-The full-band reference for the position basis: the moment oracle, the
-fully reorthogonalised bigreal chain and the profile rows from dense
-commutators ``h @ v - v @ h`` and dots over every entry, with no fold.
+Exact rational values of mpmath numbers and of their product chains, and
+rounding once at a context's precision.
+
+The full-band reference for the position basis: the moment oracle and
+the fully reorthogonalised bigreal chain from dense commutators
+``h @ v - v @ h`` and dots over every entry, with no fold, and the
+profile rows from dense matrices in rational arithmetic, rounded only
+where the package's eigenbasis route rounds.
 The dense position-basis closure: R_i(H) by Horner's rule with dense
 products ``acc @ h``, V f(H) as ``v @ f``, and R_{-1} fitted over all n^2
 entries, with L^m eta from the same dense functions of H.
@@ -34,10 +39,11 @@ import json
 from fractions import Fraction
 
 import numpy as np
+from mpmath.libmp import from_rational
 
-from krylov_exact import OperatorPair, SystemKind, inner, liouville, matrix_exponential_conjugate, position_pair
+from krylov_exact import OperatorPair, SystemKind, liouville, position_pair
 from krylov_exact.catalog import _polyval
-from krylov_exact.dynamics import _exp_difference, _exp_second_difference
+from krylov_exact.dynamics import _exp_differences
 from krylov_exact.errors import TruncationTooSmall
 from krylov_exact.operators import eig_symmetric, solve_consistent, zeros
 
@@ -222,10 +228,10 @@ def dense_closed_form(pair, closure, t) -> np.ndarray:
         r1 = closure.r1_at(e)
         root = ctx.sqrt(r1 * r1 + 4 * closure.r0_at(e))
         ap, am = (r1 + root) / 2, (r1 - root) / 2
-        b = _exp_difference(ctx, t, ap, am)
-        avals.append(ctx.expj(am * t) - am * b)
+        e_am, b, second = _exp_differences(ctx, t, ap, am)
+        avals.append(e_am - am * b)
         bvals.append(b)
-        cvals.append(closure.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
+        cvals.append(closure.rm1_at(e) * second)
     values = (np.array(v, dtype=object) for v in (avals, bvals, cvals))
     return dense_combination(pair.eta, liouville(pair.h, pair.eta), *values)
 
@@ -399,13 +405,63 @@ def reference_chain(pair, dot, k_max: int | None = None):
     return ops, bs, False
 
 
+def exact_value(x) -> Fraction:
+    """The rational value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def exact_chain(factors) -> tuple:
+    """The exact product of object arrays of mpf and mpc, or of exact
+    ``Mantissas`` (read as their integers times 2**exp), numpy's @ from
+    left to right, as (re, im) arrays of Fractions."""
+
+    def parts(m):
+        if hasattr(m, "merged"):
+            re, im, exp = m.merged()
+            return tuple(np.vectorize(lambda v: Fraction(v) * Fraction(2) ** exp, otypes=[object])(x)
+                         for x in (re, np.zeros(m.shape, dtype=object) if im is None else im))
+        split = [(x.real, x.imag) if hasattr(x, "_mpc_") else (x, None) for x in m.ravel()]
+        return tuple(
+            np.array([Fraction(0) if p[k] is None else exact_value(p[k]) for p in split], dtype=object).reshape(m.shape)
+            for k in (0, 1)
+        )
+
+    re, im = parts(factors[0])
+    for factor in factors[1:]:
+        fr, fi = parts(factor)
+        re, im = re @ fr - im @ fi, re @ fi + im @ fr
+    return re, im
+
+
+def rounded_value(mp, x: Fraction):
+    """X rounded once at the precision and rounding of ``mp``."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rnd))
+
+
 def reference_profile(pair, ip, ops, times) -> list:
-    """phi_n(t) = Re((-i)^n (O_n, O_0(t))) with the dot over every entry."""
-    turn = [pair.ctx.mp.mpc(1, 0), pair.ctx.mp.mpc(0, -1), pair.ctx.mp.mpc(-1, 0), pair.ctx.mp.mpc(0, 1)]
+    """phi_n(t) = Re((-i)^n (O_n, O_0(t))) for real chain matrices O_n,
+    with dense matrices over every entry and rational arithmetic between
+    the roundings of the package's eigenbasis route: O_0 moves to the
+    eigenbasis, Q^T O_0 Q, each entry rounded once, the covector
+    D_n = weight * O_n moves there exactly, and p^T (D_n' * O_0') conj(p)
+    with p = exp(iEt) is rounded once per part of each amplitude."""
+    ctx, mp = pair.ctx, pair.ctx.mp
+    exact = np.vectorize(exact_value, otypes=[object])
+    energies, q = eig_symmetric(pair.h, ctx)
+    q = exact(q)
+
+    o0 = exact(np.vectorize(lambda x: rounded_value(mp, x), otypes=[object])(q.T @ exact(ops[0]) @ q))
+    coeffs = [(q.T @ (exact(ip.weight) * exact(o_n)) @ q) * o0 for o_n in ops]
+    turn = [mp.mpc(1, 0), mp.mpc(0, -1), mp.mpc(-1, 0), mp.mpc(0, 1)]
     rows = []
     for t in times:
-        o_t = matrix_exponential_conjugate(pair, ops[0], t)
-        rows.append([(inner(ip, o_n, o_t) * turn[n % 4]).real for n, o_n in enumerate(ops)])
+        phases = [ctx.expj(e * t) for e in energies]
+        c, s = (exact(np.array([getattr(p, part) for p in phases], dtype=object)) for part in ("real", "imag"))
+        parts = [(c @ m @ c + s @ m @ s, s @ m @ c - c @ m @ s) for m in coeffs]
+        rows.append([(mp.mpc(*(rounded_value(mp, x) for x in part)) * turn[n % 4]).real for n, part in enumerate(parts)])
     return rows
 
 

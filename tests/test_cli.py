@@ -11,7 +11,7 @@ from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND, Mantissas
 from krylov_exact.verify import SystemChecks
 
-from helpers import FINITE_KINDS
+from helpers import FINITE_KINDS, exact_chain, rounded_value
 
 
 def run(capsys, *argv):
@@ -369,9 +369,11 @@ def test_k_sets_the_thermal_truncation(capsys):
 def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
     """Opt-in (``pytest -m slow``): every Context.matmul that
     ``verify --all --mode bigreal`` and thermal ``complexity`` make is
-    recomputed entry by entry with Context.dot and must agree in type and
-    value.  A left operand with summed columns is recomputed from its
-    source against the right operand's rows expanded by the same groups."""
+    recomputed.  A product of two factors is recomputed entry by entry
+    with Context.dot and must agree in type and value; a longer chain is
+    the exact product of its factors, each part rounded once.  A left
+    operand with summed columns is recomputed from its source against the
+    right operand's rows expanded by the same groups."""
     sources, products = {}, []  # id(Mantissas) -> (it, source array, groups)
     mantissas, summed_columns = Context.mantissas, Mantissas.summed_columns
     matmul = Context.matmul
@@ -387,13 +389,20 @@ def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
         sources[id(m)] = (m, sources[id(self)][1], groups)
         return m
 
-    def checked(self, a, b):
-        out = matmul(self, a, b)
-        (_, a, groups), (_, b, _) = (sources.get(id(x), (x, x, None)) for x in (a, b))
-        b = b if groups is None else b[groups]
-        for (i, j), x in np.ndenumerate(out):
-            ref = self.dot(a[i], b[:, j])
-            assert type(x) is type(ref) and x == ref
+    def checked(self, *factors):
+        out = matmul(self, *factors)
+        (_, a, groups), *rest = (sources.get(id(x), (x, x, None)) for x in factors)
+        rest = [r for _, r, _ in rest]
+        rest[0] = rest[0] if groups is None else rest[0][groups]
+        if len(rest) == 1:
+            for (i, j), x in np.ndenumerate(out):
+                ref = self.dot(a[i], rest[0][:, j])
+                assert type(x) is type(ref) and x == ref
+        else:
+            re, im = exact_chain([a, *rest])
+            for index, x in np.ndenumerate(out):
+                parts = (x.real, x.imag) if hasattr(x, "_mpc_") else (x, self.zero)
+                assert parts == (rounded_value(self.mp, re[index]), rounded_value(self.mp, im[index]))
         products.append(1)
         return out
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from krylov_exact import (
-    Context,
     SystemKind,
     default_system,
     energy_pair,
@@ -26,10 +25,11 @@ from krylov_exact import (
 from krylov_exact import operators
 from krylov_exact.dynamics import (
     HEISENBERG_TIMES,
-    _exp_difference,
-    _exp_second_difference,
+    _exp_differences,
+    _largest_modulus,
     heisenberg_check,
 )
+from krylov_exact.numeric import Mantissas
 from krylov_exact.operators import conjugate, eig_symmetric, max_abs
 
 from helpers import FINITE_KINDS, param_samples
@@ -56,10 +56,10 @@ def _dense_reference(pair):
             r1 = cl.r1_at(e)
             root = ctx.sqrt(r1 * r1 + 4 * cl.r0_at(e))
             ap, am = (r1 + root) / 2, (r1 - root) / 2
-            b = _exp_difference(ctx, t, ap, am)
-            avals.append(ctx.expj(am * t) - am * b)
+            e_am, b, second = _exp_differences(ctx, t, ap, am)
+            avals.append(e_am - am * b)
             bvals.append(b)
-            cvals.append(cl.rm1_at(e) * _exp_second_difference(ctx, t, ap, am))
+            cvals.append(cl.rm1_at(e) * second)
         l1 = liouville(pair.h, pair.eta)
         return pair.eta @ of_spectrum(avals) + l1 @ of_spectrum(bvals) + of_spectrum(cvals)
 
@@ -107,6 +107,39 @@ def test_matrix_path_matches_dense_reference(bctx, kind, params):
         assert max_abs(oracle - ref_conjugate(pair.eta, t)) <= heisenberg_bound
 
 
+@pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
+def test_default_position_rows_match_dense_reference(bctx, kind):
+    """verify's Heisenberg and profile rows on each default bigreal position
+    pair, against the dense per-time route: every amplitude at verify's
+    eight times within 10 rel_eps, and each Heisenberg deviation within the
+    row's bound of max |closed - oracle| formed densely."""
+    pair = position_pair(default_system(kind, bctx))
+    cl = verify_closure(pair)
+    ref_conjugate, ref_closed_form = _dense_reference(pair)
+    rel_eps = bctx.default_tolerance().rel_eps
+    ip = trace_inner(pair)
+    chain = operator_lanczos(pair, ip)
+    times = [bctx.num(k) / 4 + bctx.frac(1, 10) for k in range(8)]
+    for t, row in zip(times, krylov_profile(chain, pair, ip, times).phi, strict=True):
+        ref = _reference_profile(chain, ip, ref_conjugate(chain.ops[0], t))
+        assert max(abs(a - b) for a, b in zip(row, ref, strict=True)) <= 10 * rel_eps
+    devs, ok = heisenberg_check(pair, cl, HEISENBERG_TIMES)
+    bound = 1000 * rel_eps * max(max_abs(pair.eta), bctx.one)
+    assert ok
+    for t, dev in zip(map(bctx.num, HEISENBERG_TIMES), devs, strict=True):
+        assert abs(dev - max_abs(ref_closed_form(cl, t) - ref_conjugate(pair.eta, t))) <= bound
+
+
+def test_largest_modulus_is_the_max_abs(bctx):
+    rng = np.random.default_rng(3)
+    mp = bctx.mp
+    for _ in range(20):
+        values = np.array([mp.mpc(*(bctx.num(int(x)) / 7 for x in rng.integers(-50, 50, 2))) for _ in range(12)], dtype=object)
+        values[0] = bctx.num(int(rng.integers(-60, 60))) / 7  # a real entry among the complex ones
+        got = _largest_modulus(values.reshape(3, 4))
+        assert type(got) is mp.mpf and got == max_abs(values)
+
+
 @pytest.mark.parametrize("kind", FINITE_KINDS)
 def test_position_and_energy_routes_agree(bctx, kind):
     """Numerical Q on the position lattice against the catalog energies
@@ -133,21 +166,22 @@ def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
     assert len(full.ops) > 3 * len(short.ops)
     times = [bctx.frac(k, 3) for k in range(5)]
     calls = []
-    real = Context.matmul
+    real = Mantissas.product
 
-    def counting(self, a, b):
-        calls.append(1)
-        return real(self, a, b)
+    def counting(self, *others):
+        calls.append(1 + len(others))
+        return real(self, *others)
 
-    monkeypatch.setattr(Context, "matmul", counting)
+    monkeypatch.setattr(Mantissas, "product", counting)
     counts = []
     for chain in (short, full):
         calls.clear()
         krylov_profile(chain, pair, ip, times)
-        counts.append(len(calls))
-    # O_0 moves in once; each time's O_0(t) moves back once and meets
-    # every covector in one batched product
-    assert counts[0] == counts[1] == 2 + 3 * len(times)
+        counts.append(list(calls))
+    # the factors of every exact product chain, rounded or not: O_0 moves in
+    # as Q^T O_0 Q, the stack of every covector as Q^T D, then (Q^T D) Q;
+    # each time is one chain p^T C_n conj(p) over the whole stack
+    assert counts[0] == counts[1] == [3, 2, 2] + [3] * len(times)
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):

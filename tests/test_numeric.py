@@ -12,6 +12,8 @@ from krylov_exact import Context, Tolerance
 from krylov_exact.errors import DimensionMismatch, ModeError, NonFiniteValue
 from krylov_exact.numeric import exact_sqrt, rational
 
+from helpers import exact_chain
+
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
 )
@@ -410,6 +412,117 @@ def test_matmul_rounds_the_exact_sum_across_wide_gaps(bctx):
     got = bctx.matmul(a, b)[0, 0]
     assert type(got) is mp.mpf and _exact(got) == exact == _exact(tiny)
     assert mp.fdot(a[0], b[:, 0]) == 0
+
+
+def _dyadic_rounded(mp, x: Fraction):
+    """x, a dyadic rational, rounded once by from_man_exp at the context's
+    precision and rounding."""
+    prec, rnd = mp._prec_rounding
+    return from_man_exp(x.numerator, 1 - x.denominator.bit_length(), prec, rnd)
+
+
+def _holds_complex(m) -> bool:
+    return any(hasattr(x, "_mpc_") for x in np.ravel(m))
+
+
+def _assert_chain_rounded_once(factors, got):
+    """Each entry is the exact product rounded once, an mpc exactly where
+    the row of the first factor, any middle factor (of that stack) or the
+    column of the last holds an mpc."""
+    mp = _BIGREAL.mp
+    re, im = exact_chain(factors)
+    assert got.shape == re.shape
+    first, *middle, last = factors
+    for index, x in np.ndenumerate(got):
+        *stack, i, j = index
+        mids = [m[tuple(stack)] if m.ndim > 2 else m for m in middle]
+        is_complex = _holds_complex(first[i]) or any(map(_holds_complex, mids)) or _holds_complex(last[:, j])
+        want = _dyadic_rounded(mp, re[index]), _dyadic_rounded(mp, im[index])
+        if is_complex:
+            assert type(x) is mp.mpc and x._mpc_ == want
+        else:
+            assert type(x) is mp.mpf and (x._mpf_, im[index]) == (want[0], 0)
+
+
+@st.composite
+def _chains(draw):
+    """Two to four factors of compatible shapes, of zeros, mpf and mpc;
+    a middle factor is sometimes a stack of two matrices."""
+    count = draw(st.integers(2, 4))
+    dims = [draw(st.integers(1, 3)) for _ in range(count + 1)]
+    factors = [draw(_entries((dims[k], dims[k + 1]))) for k in range(count)]
+    if count > 2 and draw(st.booleans()):
+        factors[1] = np.array([factors[1], draw(_entries(factors[1].shape))], dtype=object)
+    return factors
+
+
+@given(_chains())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_matmul_chain_rounds_the_exact_product_once(factors):
+    """A chain of factors is multiplied exactly and each entry of the
+    result rounded once; two factors still give fdot entry by entry."""
+    got = _BIGREAL.matmul(*factors)
+    _assert_chain_rounded_once(factors, got)
+    if len(factors) == 2:
+        a, b = factors
+        for (i, j), x in np.ndenumerate(got):
+            ref = _BIGREAL.mp.fdot(a[i], b[:, j])
+            assert type(x) is type(ref) and x == ref
+
+
+def test_matmul_chain_rounds_once_across_slabs():
+    """A factor whose entries lie about 2**3000 and 2**-3000 apart spans
+    several exponent slabs; first in a chain, converted or not, and in the
+    middle and last place, every entry of the product is still its exact
+    value rounded once."""
+    ctx, mp, rng = _BIGREAL, _BIGREAL.mp, random.Random(23)
+
+    def value(scale):
+        return mp.mpf(rng.randint(1, 2**200)) * mp.mpf(2) ** (scale - 200) / 3
+
+    wide = np.array(
+        [[mp.mpc(value(3000), value(-3000)), value(0), value(-3000)], [value(-3000), mp.mpc(value(3000), 0), value(3000)]],
+        dtype=object,
+    )
+    assert len(ctx.mantissas(wide).slabs) > 2
+    square = np.array([[value(0) for _ in range(3)] for _ in range(3)], dtype=object)
+    right = np.array([[mp.mpc(value(0), value(-40)), value(0)] for _ in range(3)], dtype=object)
+    _assert_chain_rounded_once([wide, square, right], ctx.matmul(wide, square, right))
+    _assert_chain_rounded_once([wide, square, right], ctx.matmul(ctx.mantissas(wide), square, right))
+    _assert_chain_rounded_once([right.T, wide.T, wide], ctx.matmul(right.T, wide.T, wide))
+
+
+@pytest.mark.parametrize("complex_parts", [False, True])
+def test_mantissas_multiply_entry_by_entry_in_place(complex_parts):
+    """m *= other is the exact entry-by-entry product, other broadcast over
+    a stack; rounded, each entry is that exact value rounded once."""
+    ctx, mp, rng = _BIGREAL, _BIGREAL.mp, random.Random(31)
+
+    def value():
+        x = mp.mpf(rng.randint(-(2**150), 2**150)) * mp.mpf(2) ** rng.randint(-300, 300) / 7
+        return mp.mpc(x, x / 3) if complex_parts and rng.random() < 0.5 else x
+
+    stack = np.array([[[value() for _ in range(3)] for _ in range(2)] for _ in range(2)], dtype=object)
+    other = np.array([[value() for _ in range(3)] for _ in range(2)], dtype=object)
+    m = ctx.mantissas(stack)
+    m *= ctx.mantissas(other)
+    got = m.rounded()
+    assert got.shape == stack.shape
+    for index, x in np.ndenumerate(got):
+        (ar, ai), (br, bi) = ((y.real, y.imag) if hasattr(y, "_mpc_") else (y, ctx.zero) for y in (stack[index], other[index[1:]]))
+        re = _exact(ar) * _exact(br) - _exact(ai) * _exact(bi)
+        im = _exact(ar) * _exact(bi) + _exact(ai) * _exact(br)
+        assert (hasattr(x, "_mpc_")) == (hasattr(stack[index], "_mpc_") or hasattr(other[index[1:]], "_mpc_"))
+        parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, _dyadic_rounded(mp, im))
+        assert parts == (_dyadic_rounded(mp, re), _dyadic_rounded(mp, im))
+
+
+def test_matmul_needs_two_factors(bctx):
+    a = np.array([[bctx.one]], dtype=object)
+    with pytest.raises(DimensionMismatch):
+        bctx.matmul(a)
+    with pytest.raises(DimensionMismatch):
+        bctx.matmul(a, a, np.array([[bctx.one, bctx.one]], dtype=object).T)
 
 
 def test_matmul_refuses_non_finite_entries(bctx):

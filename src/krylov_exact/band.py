@@ -242,8 +242,8 @@ class _BandSpace(_BandOperators):
     band's bit for bit.  An exact dot clears the band weight (metric
     factors g_b/g_a included) of denominators once per space, w_num / d_w,
     and is one integer sum over d_w * den_u * den_v.  Exact values equal
-    those of rational arithmetic.  The profile reads every amplitude in the
-    eigenbasis of H, with no time evolution of an operator (:meth:`overlaps`).
+    those of rational arithmetic.  The profile evolves O_0 alone, in the
+    eigenbasis of H (:meth:`overlaps`).
     """
 
     def __init__(self, pair, ip, steps: int | None):
@@ -285,33 +285,25 @@ class _BandSpace(_BandOperators):
 
     def overlaps(self, vectors: list):
         """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
-        through the exponential-conjugation oracle, in the eigenbasis of H.
-        With D_n = weight * conj(O_n) the covector of O_n on the whole band
-        and p = exp(iEt), (O_n, O_0(t)) = p^T (D_n' * O_0') conj(p), where
-        ' is the move V -> Q^T V Q.  The stack of every D_n (each O_n
-        unfolded once) moves there exactly, two stacked products whatever
-        the chain's length, and O_0' is rounded once per entry; their
-        entry-by-entry products C_n = D_n' * O_0' are kept exact, as integer
-        mantissas.  Each time is then the N phases p and one
-        :meth:`~krylov_exact.numeric.Context.matmul` chain p^T C_n conj(p)
-        over the whole stack, rounded once per amplitude: no phase twist,
-        no move back and no N x N product per time."""
-        ctx, n, rep = self.ctx, self.n, self.pair.rep
-        stack, weight = np.full((len(vectors), n, n), ctx.zero, dtype=object), zeros(n, ctx)
-        for k, v in enumerate(vectors):
-            stack[k][self.band] = self.unfold(v, k % 2)
-        weight[self.band] = self.unfold(self.weight, 0)
-        eigen, to, _ = rep.eigenbasis()
-        (q, qt), o0 = rep.rotation, ctx.mantissas(to(stack[0]).reshape(n, n))
-        # D_n, Q^T D_n, (Q^T D_n) Q, then C_n: each step frees the one before
-        coeffs = ctx.mantissas(conjugate(stack))
-        coeffs *= ctx.mantissas(weight)
-        coeffs = qt.product(coeffs)
-        coeffs = coeffs.product(q)
-        coeffs *= o0
+        through the exponential-conjugation oracle.  O_0 moves into the
+        eigenbasis of H once, and the chain's covectors on the whole band
+        (each unfolded once: O(t) is Hermitian only up to rounding) are
+        stacked once, for all times, as integer mantissas.  Each time then
+        costs the phase twist of O_0 there, one move back, Q X Q^T, a
+        three-factor :meth:`~krylov_exact.numeric.Context.matmul` rounded
+        once per entry and read on the band, and one ``matmul`` of the
+        covectors with it, rounded once per amplitude.  The chain vectors
+        stay in the position basis: moving each would cost two products
+        per vector, where a time costs one move back whatever the chain's
+        length."""
+        weight = self.unfold(self.weight, 0)
+        duals = [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)]
+        duals = self.ctx.mantissas(np.array(duals, dtype=object))
+        eigen, to, back = self.pair.rep.eigenbasis()
+        o0 = to(self.scatter(vectors[0]))
 
         def at(t):
-            phases = np.array([ctx.expj(e * t) for e in eigen.h], dtype=object)
-            return list(ctx.matmul(phases.reshape(1, n), coeffs, conjugate(phases).reshape(n, 1)).ravel())
+            ot = back(eigen.conjugate_exp(o0, t))[self.band]
+            return list(self.ctx.matmul(duals, ot.reshape(-1, 1)).ravel())
 
         return at

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath.libmp import fzero, mpf_add, mpf_lt, mpf_mul, mpf_neg
+from mpmath.libmp import mpf_neg
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
@@ -232,18 +232,6 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
     return closed_form, lambda t: eigen.conjugate_exp(eta, t), back
 
 
-def _largest_modulus(values: np.ndarray):
-    """The largest |z| over VALUES: the modulus of the entry whose exact
-    square Re(z)^2 + Im(z)^2 is largest, so one square root in all."""
-    best, top = None, None
-    for z in values.ravel():
-        re, im = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
-        square = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
-        if top is None or mpf_lt(top, square):
-            best, top = z, square
-    return abs(best)
-
-
 def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[list, bool]:
     """Closed form against :func:`matrix_exponential_conjugate` at each time.
 
@@ -259,7 +247,7 @@ def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[l
     """
     ctx = pair.ctx
     closed_form, oracle, back = _heisenberg_evaluator(pair, closure)
-    devs = [_largest_modulus(back(closed_form(t) - oracle(t))) for t in map(ctx.num, times)]
+    devs = [max_abs(back(closed_form(t) - oracle(t))) for t in map(ctx.num, times)]
     bound = ctx.default_tolerance().rel_eps * max(max_abs(pair.rep.gather(pair.eta)), ctx.one) * 1000
     return devs, max(devs, default=ctx.zero) <= bound
 

@@ -254,18 +254,16 @@ class Context:
         return self.mp.fdot(u, v)
 
     def mantissas(self, a) -> Mantissas:
-        """A bigreal object array of at least two dimensions as a
-        :class:`Mantissas` operand of :meth:`matmul` (returned unchanged if
-        it is one already).  An operand used in many products is converted
-        once this way."""
+        """A 2-D bigreal object array as a :class:`Mantissas` operand of
+        :meth:`matmul` (returned unchanged if it is one already).  An
+        operand used in many products is converted once this way."""
         if self.is_exact:
             raise ModeError("integer mantissas hold bigreal matrices only")
         return a if isinstance(a, Mantissas) else Mantissas.of(a, self.mp)
 
     def matmul(self, *factors):
-        """The product f_1 @ f_2 @ ... of two or more object arrays of at
-        least two dimensions, taken from left to right as numpy's ``@``
-        takes it, stacks included (in bigreal mode any factor may be a
+        """The product f_1 @ f_2 @ ... of two or more 2-D object arrays,
+        taken from left to right (in bigreal mode any factor may be a
         :class:`Mantissas`).
 
         Exact mode gives that product in type and value.  Bigreal mode
@@ -282,7 +280,7 @@ class Context:
         if len(factors) < 2:
             raise DimensionMismatch("matmul needs at least two factors")
         for a, b in zip(factors, factors[1:]):
-            if a.shape[-1] != b.shape[-2]:
+            if a.shape[1] != b.shape[0]:
                 raise DimensionMismatch(f"matmul of shapes {a.shape} and {b.shape}")
         if self.is_exact:
             return reduce(operator.matmul, factors)
@@ -329,15 +327,15 @@ class Context:
 
 
 class Mantissas:
-    """A bigreal matrix, or a stack of them, held exactly as Python-int
-    mantissas in exponent slabs.
+    """A bigreal matrix held exactly as Python-int mantissas in exponent
+    slabs.
 
     Every mpf is sign * man * 2**e, so shifting a mantissa onto a lower
     exponent loses nothing.  A slab (part, base, cols, ints) holds the
     real (part 0) or imaginary (part 1) parts whose exponent lies in
     [base, base + width), width = 8 * prec bits, on the columns ``cols``
-    where it has any: its share of entry (..., i, cols[j]) is
-    ints[..., i, j] * 2**base, and every nonzero part lies in one slab
+    where it has any: its share of entry (i, cols[j]) is
+    ints[i, j] * 2**base, and every nonzero part lies in one slab
     (:meth:`of`).  A product (:meth:`product`) multiplies each slab of the
     left operand with the rows ``cols`` of the next factor, held at one
     exponent (:meth:`merged`), with numpy's object ``@``, sums the slabs'
@@ -362,10 +360,9 @@ class Mantissas:
 
     @classmethod
     def of(cls, a: np.ndarray, mp: mpmath.MPContext) -> Mantissas:
-        """The exact mantissas of an array of mpmath numbers of at least two
-        dimensions (other scalars are converted as ``fdot`` converts them).
-        An infinite or NaN entry raises
-        :class:`~krylov_exact.errors.NonFiniteValue`."""
+        """The exact mantissas of a 2-D array of mpmath numbers (other
+        scalars are converted as ``fdot`` converts them).  An infinite or
+        NaN entry raises :class:`~krylov_exact.errors.NonFiniteValue`."""
         flat = a.ravel().tolist()
         # the real parts, then the imaginary parts if any entry is complex
         parts, is_complex = [getattr(x, "_mpf_", None) for x in flat], np.zeros(a.shape, dtype=bool)
@@ -378,8 +375,8 @@ class Mantissas:
         shape = (len(parts) // a.size, *a.shape)
         for k, (_, m, e, _) in enumerate(parts):
             if not m and e:
-                where = ", ".join(map(str, np.unravel_index(k % a.size, a.shape)))
-                raise NonFiniteValue(f"matrix entry ({where}) is {flat[k % a.size]}")
+                row, col = divmod(k % a.size, a.shape[1])
+                raise NonFiniteValue(f"matrix entry ({row}, {col}) is {flat[k % a.size]}")
         exps = [e for _, m, e, _ in parts if m]
         low, width = min(exps, default=0), 8 * mp.prec
         if max(exps, default=low) - low < width:  # one slab per part, on every column
@@ -393,44 +390,30 @@ class Mantissas:
         for part in range(shape[0]):
             for k in sorted(set(band[part][band[part] >= 0].tolist())):
                 here = band[part] == k
-                cols = np.flatnonzero(here.reshape(-1, a.shape[-1]).any(axis=0))
+                cols = np.flatnonzero(here.any(axis=0))
                 base = low + k * width
-                shift = np.where(here[..., cols], exp[part][..., cols] - base, 0).astype(object)
-                slabs.append((part, base, cols, np.where(here[..., cols], man[part][..., cols] << shift, 0)))
+                shift = np.where(here[:, cols], exp[part][:, cols] - base, 0).astype(object)
+                slabs.append((part, base, cols, np.where(here[:, cols], man[part][:, cols] << shift, 0)))
         return cls(slabs, a.shape, is_complex, mp)
 
     @classmethod
     def _exact(cls, re, im, exp, is_complex, mp) -> Mantissas:
         """(re + i im) * 2**exp in one slab per part; im None is zero."""
-        every = np.arange(re.shape[-1])
+        every = np.arange(re.shape[1])
         slabs = [(part, exp, every, x) for part, x in enumerate((re, im)) if x is not None]
         return cls(slabs, re.shape, is_complex, mp, (re, im, exp))
 
     def merged(self) -> tuple[np.ndarray, np.ndarray | None, int]:
-        """(re, im, exp): the whole array at one exponent, entry (i, j)
+        """(re, im, exp): the whole matrix at one exponent, entry (i, j)
         (re[i, j] + i im[i, j]) * 2**exp; im is None when no entry is
         complex.  Formed once, for use as a right operand."""
         if self._merged is None:
             low = min((base for _, base, _, _ in self.slabs), default=0)
             re, im = (np.zeros(self.shape, dtype=object) for _ in range(2))
             for part, base, cols, ints in self.slabs:
-                (re, im)[part][..., cols] += ints << (base - low)
+                (re, im)[part][:, cols] += ints << (base - low)
             self._merged = re, (im if self.complex.any() else None), low
         return self._merged
-
-    def __imul__(self, other: Mantissas) -> Mantissas:
-        """self *= other: the exact entry-by-entry product, in place, with
-        other broadcast to self's shape as numpy's ``*=`` broadcasts it;
-        real entries reuse self's integers, so the product needs no second
-        array."""
-        (re_a, im_a, exp_a), (re_b, im_b, exp_b) = self.merged(), other.merged()
-        if im_a is None and im_b is None:
-            re, im = np.multiply(re_a, re_b, out=re_a), None
-        else:
-            re, im = _product((re_a, im_a), (re_b, im_b), operator.mul)
-        out = Mantissas._exact(re, im, exp_a + exp_b, self.complex | other.complex, self.mp)
-        self.slabs, self.shape, self.complex, self._merged = out.slabs, out.shape, out.complex, out._merged
-        return self
 
     def summed_columns(self, groups: np.ndarray, count: int) -> Mantissas:
         """The matrix whose column g is the exact sum of the columns j with
@@ -448,13 +431,13 @@ class Mantissas:
         return Mantissas(slabs, (self.shape[0], count), is_complex, self.mp)
 
     def product(self, *others: Mantissas) -> Mantissas:
-        """self @ others[0] @ ..., numpy's ``@`` from left to right (stacks
-        broadcast), exactly: nothing is rounded."""
+        """self @ others[0] @ ..., from left to right, exactly: nothing is
+        rounded."""
         re_o, im_o, exp = others[0].merged()
         low = min((base for _, base, _, _ in self.slabs), default=0)
         acc = None, None  # the exact product so far, (re, im) at 2**exp; None is zero
         for part, base, cols, ints in self.slabs:
-            right = re_o[..., cols, :], None if im_o is None else im_o[..., cols, :]
+            right = re_o[cols], None if im_o is None else im_o[cols]
             partial = _product((None, ints) if part else (ints, None), right)
             acc = tuple(_sum(a, p if p is None or base == low else p << (base - low)) for a, p in zip(acc, partial))
         exp += low
@@ -463,7 +446,7 @@ class Mantissas:
             acc, exp = _product(acc, (re_o, im_o)), exp + step
         is_complex = self.complex
         for other in others:
-            is_complex = is_complex.any(axis=-1)[..., :, None] | other.complex.any(axis=-2)[..., None, :]
+            is_complex = is_complex.any(axis=1)[:, None] | other.complex.any(axis=0)[None, :]
         re, im = acc  # re is None only where every nonzero entry of self is imaginary and others real
         return Mantissas._exact(np.zeros(im.shape, dtype=object) if re is None else re, im, exp, is_complex, self.mp)
 
@@ -485,13 +468,13 @@ def _sum(*terms):
     return sum(terms[1:], terms[0]) if terms else None
 
 
-def _product(x: tuple, y: tuple, op=operator.matmul) -> tuple:
-    """The exact product op(x, y) (x @ y by default) of complex integer
-    arrays held as (re, im), None for a part that is zero."""
+def _product(x: tuple, y: tuple) -> tuple:
+    """The exact product x @ y of complex integer arrays held as (re, im),
+    None for a part that is zero."""
     (xr, xi), (yr, yi) = x, y
 
     def mul(u, v):
-        return None if u is None or v is None else op(u, v)
+        return None if u is None or v is None else u @ v
 
     ii = mul(xi, yi)
     return _sum(mul(xr, yr), None if ii is None else -ii), _sum(mul(xr, yi), mul(xi, yr))

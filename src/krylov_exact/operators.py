@@ -22,8 +22,7 @@ one of two representations, picked once from the shape of ``h``:
   are converted to mantissas once per pair.  The Heisenberg check moves
   eta and L eta there once and, per time, moves back only the
   difference of the closed form and the oracle.  The profile moves O_0
-  and the stack of the chain's covectors there once and, per time, needs
-  only the phases exp(iEt) and one product chain
+  there once and, per time, its phase twist back
   (:meth:`~krylov_exact.band._BandSpace.overlaps`).
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
@@ -31,10 +30,9 @@ Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 with W.  In bigreal mode that dot forms the products exactly and rounds
 the sum once, so a dot over the band equals the dot over every entry.
 The Lanczos spaces hand out those covectors (``dual``), so the chain
-keeps one beside each of its vectors.  An energy-basis profile stacks
-its coefficients once for all times, as integer mantissas, and meets
-each time's phases with batched
-:meth:`~krylov_exact.numeric.Context.matmul` products, whose entries are
+keeps one beside each of its vectors.  The profile stacks them once for
+all times, as integer mantissas, and meets each time's O_0(t) with one
+batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
 those dots bit for bit.
 
 The parity fold
@@ -329,12 +327,11 @@ class _Banded:
         every entry, V -> Q^T V Q into it (row-major) and V -> Q V Q^T back,
         each one three-factor :meth:`~krylov_exact.numeric.Context.matmul`:
         the product is exact and each entry is rounded once.  Q and Q^T are
-        converted to integer mantissas once per pair and kept as
-        :attr:`rotation` (Q, Q^T) for exact products."""
+        converted to integer mantissas once per pair."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
             ctx, n = self.ctx, len(energies)
-            self.rotation = q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
+            q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
             self._eigen = (
                 _Spectrum(energies, ctx),
                 lambda v: ctx.matmul(qt, v, q).ravel(),

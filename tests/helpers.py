@@ -29,7 +29,9 @@ The full-band reference for the position basis: the moment oracle and
 the fully reorthogonalised bigreal chain from dense commutators
 ``h @ v - v @ h`` and dots over every entry, with no fold, and the
 profile rows from dense matrices in rational arithmetic, rounded only
-where the package's eigenbasis route rounds.
+where the package's eigenbasis route rounds.  The bound between the
+Heisenberg check's deviation and the one read off the public closed
+form and oracle.
 The dense position-basis closure: R_i(H) by Horner's rule with dense
 products ``acc @ h``, V f(H) as ``v @ f``, and R_{-1} fitted over all n^2
 entries, with L^m eta from the same dense functions of H.
@@ -413,15 +415,10 @@ def exact_value(x) -> Fraction:
 
 
 def exact_chain(factors) -> tuple:
-    """The exact product of object arrays of mpf and mpc, or of exact
-    ``Mantissas`` (read as their integers times 2**exp), numpy's @ from
+    """The exact product of object arrays of mpf and mpc, numpy's @ from
     left to right, as (re, im) arrays of Fractions."""
 
     def parts(m):
-        if hasattr(m, "merged"):
-            re, im, exp = m.merged()
-            return tuple(np.vectorize(lambda v: Fraction(v) * Fraction(2) ** exp, otypes=[object])(x)
-                         for x in (re, np.zeros(m.shape, dtype=object) if im is None else im))
         split = [(x.real, x.imag) if hasattr(x, "_mpc_") else (x, None) for x in m.ravel()]
         return tuple(
             np.array([Fraction(0) if p[k] is None else exact_value(p[k]) for p in split], dtype=object).reshape(m.shape)
@@ -443,25 +440,28 @@ def rounded_value(mp, x: Fraction):
 
 def reference_profile(pair, ip, ops, times) -> list:
     """phi_n(t) = Re((-i)^n (O_n, O_0(t))) for real chain matrices O_n,
-    with dense matrices over every entry and rational arithmetic between
-    the roundings of the package's eigenbasis route: O_0 moves to the
-    eigenbasis, Q^T O_0 Q, each entry rounded once, the covector
-    D_n = weight * O_n moves there exactly, and p^T (D_n' * O_0') conj(p)
-    with p = exp(iEt) is rounded once per part of each amplitude."""
+    with dense matrices over every entry, rounded where the package's
+    eigenbasis route rounds and exact in between: O_0' = Q^T O_0 Q rounded
+    once per entry, its phase twist (p_a conj(p_b)) O_0'_ab with
+    p = exp(iEt) in mpmath, the move back Q X Q^T rounded once per entry,
+    the covector weight * O_n, and its sum with O_0(t) over every entry
+    rounded once per part of each amplitude."""
     ctx, mp = pair.ctx, pair.ctx.mp
     exact = np.vectorize(exact_value, otypes=[object])
+    rounded = np.vectorize(lambda x: rounded_value(mp, x), otypes=[object])
     energies, q = eig_symmetric(pair.h, ctx)
     q = exact(q)
-
-    o0 = exact(np.vectorize(lambda x: rounded_value(mp, x), otypes=[object])(q.T @ exact(ops[0]) @ q))
-    coeffs = [(q.T @ (exact(ip.weight) * exact(o_n)) @ q) * o0 for o_n in ops]
+    o0 = rounded(q.T @ exact(ops[0]) @ q)
+    covectors = [exact(ip.weight * o_n) for o_n in ops]
     turn = [mp.mpc(1, 0), mp.mpc(0, -1), mp.mpc(-1, 0), mp.mpc(0, 1)]
     rows = []
     for t in times:
         phases = [ctx.expj(e * t) for e in energies]
-        c, s = (exact(np.array([getattr(p, part) for p in phases], dtype=object)) for part in ("real", "imag"))
-        parts = [(c @ m @ c + s @ m @ s, s @ m @ c - c @ m @ s) for m in coeffs]
-        rows.append([(mp.mpc(*(rounded_value(mp, x) for x in part)) * turn[n % 4]).real for n, part in enumerate(parts)])
+        twist = [[p * r.conjugate() * v for r, v in zip(phases, row)] for p, row in zip(phases, o0)]
+        parts = [exact(np.array([[getattr(z, part) for z in row] for row in twist], dtype=object)) for part in ("real", "imag")]
+        moved = [exact(rounded(q @ part @ q.T)) for part in parts]
+        parts = [[rounded_value(mp, (d * m).sum()) for m in moved] for d in covectors]
+        rows.append([(mp.mpc(*part) * turn[n % 4]).real for n, part in enumerate(parts)])
     return rows
 
 
@@ -502,3 +502,19 @@ def dense_position_liouville_power(pair, closure, m: int) -> np.ndarray:
 def same_scalar(x, y) -> bool:
     """Equal in type and value, and bigreal values bit for bit."""
     return type(x) is type(y) and (x._mpf_ == y._mpf_ if hasattr(x, "_mpf_") else x == y)
+
+
+def heisenberg_route_bound(pair):
+    """How far a deviation of ``heisenberg_check`` may lie from
+    max |heisenberg_closed_form - matrix_exponential_conjugate| at the same
+    time, for a diagonal eta.  Both routes start from the same eigenbasis
+    values C' and O'.  The public functions move each back on its own and
+    round every entry once: each part of an entry of Q C' Q^T is at most
+    |eta|_2 = max |eta|, so each side is off by at most sqrt(2) 2^-prec
+    max |eta| per entry.  The check rounds C' - O' and its move back,
+    and the public difference and both moduli round too; those errors are
+    2^-prec times the deviation itself.  So 2 sqrt(2) < 3 units of
+    2^-prec max(|eta|, 1)."""
+    assert not np.any(pair.eta - np.diag(np.diag(pair.eta)))
+    ctx = pair.ctx
+    return 3 * ctx.mp.ldexp(1, -ctx.mp.prec) * max(max(abs(v) for v in pair.eta.ravel()), ctx.one)

@@ -32,7 +32,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.operators import conjugate, max_abs
 
-from helpers import FINITE_KINDS, param_samples, rotated_pair
+from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples, rotated_pair
 
 
 def test_closure_hermite_pure_frequency(bctx):
@@ -414,11 +414,18 @@ def test_heisenberg_check_forms_l_eta_once(bctx, monkeypatch):
     assert ok and len(calls) == 1
     # the deviations of the closed form and the oracle evaluated time by
     # time, each moved back on its own: the check moves their difference
-    # back once, so the two agree up to the row's bound, not bit for bit
-    bound = 1000 * bctx.default_tolerance().rel_eps * max(max_abs(pair.eta), bctx.one)
-    for t, dev in zip(HEISENBERG_TIMES, devs):
-        per_time = heisenberg_closed_form(pair, cl, t) - matrix_exponential_conjugate(pair, pair.eta, t)
-        assert abs(max_abs(per_time) - dev) <= bound
+    # back once, so the two differ by the roundings of the two moves
+    bound = heisenberg_route_bound(pair)
+    refs = [
+        max_abs(heisenberg_closed_form(pair, cl, t) - matrix_exponential_conjugate(pair, pair.eta, t))
+        for t in HEISENBERG_TIMES
+    ]
+    assert all(abs(ref - dev) <= bound for ref, dev in zip(refs, devs, strict=True))
+    # and the bound sees R_-1 off by 1e-50 relative, which the row's own
+    # bound lets pass
+    off = dataclasses.replace(cl, rm1=tuple(c * (1 + bctx.num("1e-50")) for c in cl.rm1))
+    off_devs, off_ok = heisenberg_check(pair, off, HEISENBERG_TIMES)
+    assert off_ok and any(abs(ref - dev) > bound for ref, dev in zip(refs, off_devs, strict=True))
 
 
 def test_profile_phase_per_distinct_frequency(bctx, monkeypatch):

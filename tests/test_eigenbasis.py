@@ -26,13 +26,12 @@ from krylov_exact import operators
 from krylov_exact.dynamics import (
     HEISENBERG_TIMES,
     _exp_differences,
-    _largest_modulus,
     heisenberg_check,
 )
 from krylov_exact.numeric import Mantissas
 from krylov_exact.operators import conjugate, eig_symmetric, max_abs
 
-from helpers import FINITE_KINDS, param_samples
+from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples
 
 
 def _dense_reference(pair):
@@ -110,12 +109,14 @@ def test_matrix_path_matches_dense_reference(bctx, kind, params):
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_default_position_rows_match_dense_reference(bctx, kind):
     """verify's Heisenberg and profile rows on each default bigreal position
-    pair, against the dense per-time route: every amplitude at verify's
-    eight times within 10 rel_eps, and each Heisenberg deviation within the
-    row's bound of max |closed - oracle| formed densely."""
+    pair: every amplitude at verify's eight times within 10 rel_eps of the
+    dense per-time route, and each Heisenberg deviation within the
+    roundings of the two moves back (``heisenberg_route_bound``) of
+    max |closed - oracle| read off the public functions, each moved back
+    on its own."""
     pair = position_pair(default_system(kind, bctx))
     cl = verify_closure(pair)
-    ref_conjugate, ref_closed_form = _dense_reference(pair)
+    ref_conjugate, _ = _dense_reference(pair)
     rel_eps = bctx.default_tolerance().rel_eps
     ip = trace_inner(pair)
     chain = operator_lanczos(pair, ip)
@@ -124,20 +125,11 @@ def test_default_position_rows_match_dense_reference(bctx, kind):
         ref = _reference_profile(chain, ip, ref_conjugate(chain.ops[0], t))
         assert max(abs(a - b) for a, b in zip(row, ref, strict=True)) <= 10 * rel_eps
     devs, ok = heisenberg_check(pair, cl, HEISENBERG_TIMES)
-    bound = 1000 * rel_eps * max(max_abs(pair.eta), bctx.one)
+    bound = heisenberg_route_bound(pair)
     assert ok
     for t, dev in zip(map(bctx.num, HEISENBERG_TIMES), devs, strict=True):
-        assert abs(dev - max_abs(ref_closed_form(cl, t) - ref_conjugate(pair.eta, t))) <= bound
-
-
-def test_largest_modulus_is_the_max_abs(bctx):
-    rng = np.random.default_rng(3)
-    mp = bctx.mp
-    for _ in range(20):
-        values = np.array([mp.mpc(*(bctx.num(int(x)) / 7 for x in rng.integers(-50, 50, 2))) for _ in range(12)], dtype=object)
-        values[0] = bctx.num(int(rng.integers(-60, 60))) / 7  # a real entry among the complex ones
-        got = _largest_modulus(values.reshape(3, 4))
-        assert type(got) is mp.mpf and got == max_abs(values)
+        ref = heisenberg_closed_form(pair, cl, t) - matrix_exponential_conjugate(pair, pair.eta, t)
+        assert abs(dev - max_abs(ref)) <= bound
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS)
@@ -178,10 +170,10 @@ def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
         calls.clear()
         krylov_profile(chain, pair, ip, times)
         counts.append(list(calls))
-    # the factors of every exact product chain, rounded or not: O_0 moves in
-    # as Q^T O_0 Q, the stack of every covector as Q^T D, then (Q^T D) Q;
-    # each time is one chain p^T C_n conj(p) over the whole stack
-    assert counts[0] == counts[1] == [3, 2, 2] + [3] * len(times)
+    # the factors of every product chain: O_0 moves in once as Q^T O_0 Q;
+    # each time moves O_0(t) back as one chain Q X Q^T and meets every
+    # covector in one batched product
+    assert counts[0] == counts[1] == [3] + [3, 2] * len(times)
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):

@@ -427,16 +427,15 @@ def _holds_complex(m) -> bool:
 
 def _assert_chain_rounded_once(factors, got):
     """Each entry is the exact product rounded once, an mpc exactly where
-    the row of the first factor, any middle factor (of that stack) or the
-    column of the last holds an mpc."""
+    the row of the first factor, any middle factor or the column of the
+    last holds an mpc."""
     mp = _BIGREAL.mp
     re, im = exact_chain(factors)
     assert got.shape == re.shape
     first, *middle, last = factors
     for index, x in np.ndenumerate(got):
-        *stack, i, j = index
-        mids = [m[tuple(stack)] if m.ndim > 2 else m for m in middle]
-        is_complex = _holds_complex(first[i]) or any(map(_holds_complex, mids)) or _holds_complex(last[:, j])
+        i, j = index
+        is_complex = _holds_complex(first[i]) or any(map(_holds_complex, middle)) or _holds_complex(last[:, j])
         want = _dyadic_rounded(mp, re[index]), _dyadic_rounded(mp, im[index])
         if is_complex:
             assert type(x) is mp.mpc and x._mpc_ == want
@@ -446,14 +445,10 @@ def _assert_chain_rounded_once(factors, got):
 
 @st.composite
 def _chains(draw):
-    """Two to four factors of compatible shapes, of zeros, mpf and mpc;
-    a middle factor is sometimes a stack of two matrices."""
+    """Two to four factors of compatible shapes, of zeros, mpf and mpc."""
     count = draw(st.integers(2, 4))
     dims = [draw(st.integers(1, 3)) for _ in range(count + 1)]
-    factors = [draw(_entries((dims[k], dims[k + 1]))) for k in range(count)]
-    if count > 2 and draw(st.booleans()):
-        factors[1] = np.array([factors[1], draw(_entries(factors[1].shape))], dtype=object)
-    return factors
+    return [draw(_entries((dims[k], dims[k + 1]))) for k in range(count)]
 
 
 @given(_chains())
@@ -490,31 +485,6 @@ def test_matmul_chain_rounds_once_across_slabs():
     _assert_chain_rounded_once([wide, square, right], ctx.matmul(wide, square, right))
     _assert_chain_rounded_once([wide, square, right], ctx.matmul(ctx.mantissas(wide), square, right))
     _assert_chain_rounded_once([right.T, wide.T, wide], ctx.matmul(right.T, wide.T, wide))
-
-
-@pytest.mark.parametrize("complex_parts", [False, True])
-def test_mantissas_multiply_entry_by_entry_in_place(complex_parts):
-    """m *= other is the exact entry-by-entry product, other broadcast over
-    a stack; rounded, each entry is that exact value rounded once."""
-    ctx, mp, rng = _BIGREAL, _BIGREAL.mp, random.Random(31)
-
-    def value():
-        x = mp.mpf(rng.randint(-(2**150), 2**150)) * mp.mpf(2) ** rng.randint(-300, 300) / 7
-        return mp.mpc(x, x / 3) if complex_parts and rng.random() < 0.5 else x
-
-    stack = np.array([[[value() for _ in range(3)] for _ in range(2)] for _ in range(2)], dtype=object)
-    other = np.array([[value() for _ in range(3)] for _ in range(2)], dtype=object)
-    m = ctx.mantissas(stack)
-    m *= ctx.mantissas(other)
-    got = m.rounded()
-    assert got.shape == stack.shape
-    for index, x in np.ndenumerate(got):
-        (ar, ai), (br, bi) = ((y.real, y.imag) if hasattr(y, "_mpc_") else (y, ctx.zero) for y in (stack[index], other[index[1:]]))
-        re = _exact(ar) * _exact(br) - _exact(ai) * _exact(bi)
-        im = _exact(ar) * _exact(bi) + _exact(ai) * _exact(br)
-        assert (hasattr(x, "_mpc_")) == (hasattr(stack[index], "_mpc_") or hasattr(other[index[1:]], "_mpc_"))
-        parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, _dyadic_rounded(mp, im))
-        assert parts == (_dyadic_rounded(mp, re), _dyadic_rounded(mp, im))
 
 
 def test_matmul_needs_two_factors(bctx):

@@ -23,7 +23,6 @@ from krylov_exact import (
     wightman_inner,
 )
 from krylov_exact.errors import BasisMismatch
-from krylov_exact.numeric import Mantissas
 
 from test_support_fold import BETA, _all_same, _loop_weight, _ref_overlaps
 
@@ -51,22 +50,20 @@ def test_profile_rows_equal_full_support_reference(bctx, kind, n_max, params):
         assert _all_same(row, [(v * phases[n % 4]).real for n, v in enumerate(ref)])
 
 
-def _calls(monkeypatch, run) -> dict:
-    """Calls RUN makes of Context.dot, of Context.matmul and of
-    Mantissas.product, every exact product chain, rounded by matmul or
-    kept exact."""
-    calls = {"dot": 0, "matmul": 0, "product": 0}
-    for owner, name in ((Context, "dot"), (Context, "matmul"), (Mantissas, "product")):
-        real = getattr(owner, name)
+def _calls(monkeypatch, run):
+    """(Context.dot calls, Context.matmul calls) made by RUN."""
+    calls = {"dot": 0, "matmul": 0}
+    for name in calls:
+        real = getattr(Context, name)
 
         def counting(self, *args, real=real, name=name):
             calls[name] += 1
             return real(self, *args)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(Context, name, counting)
     run()
     monkeypatch.undo()
-    return calls
+    return calls["dot"], calls["matmul"]
 
 
 @pytest.mark.parametrize("basis", ["energy", "position"])
@@ -75,19 +72,19 @@ def test_profile_batches_the_amplitudes_per_time(bctx, monkeypatch, basis):
         pair = energy_pair(make_system("gegenbauer", None, {"g": "2"}, bctx), n_max=30)
         ip = wightman_inner(pair, bctx.num(BETA))
         # the cos and sin products
-        per_time, once, counted = 2, 0, "matmul"
+        per_time, once = 2, 0
     else:
         pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
         ip = trace_inner(pair)
-        # O_0 moves in once, the stacked covectors in two exact products;
-        # per time one chain p^T C_n conj(p) gives every amplitude
-        per_time, once, counted = 1, 3, "product"
+        # O_0 moves in once, as one three-factor product; per time one
+        # moves O_0(t) back, one meets the covectors
+        per_time, once = 2, 1
     chain = operator_lanczos(pair, ip)
     times = _grid(bctx, 20)
-    calls = _calls(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))
+    dots, products = _calls(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))
     assert len(chain.vectors) > 10
-    assert calls["dot"] == 0
-    assert calls[counted] == once + per_time * len(times)
+    assert dots == 0
+    assert products == once + per_time * len(times)
     # the dense chain matrices are never built
     assert "ops" not in vars(chain)
 

@@ -31,7 +31,8 @@ rounds each entry once: for two factors that is ``fdot`` of each row and
 column, bit for bit, from integer arithmetic, and a chain of more
 factors is multiplied exactly from left to right before its one
 rounding.  An operand used in many products is converted once
-(:meth:`Context.mantissas`).
+(:meth:`Context.mantissas`).  :meth:`Context.gram_schmidt` reorthogonalises
+on the same integers, rounding each coefficient and each entry once.
 """
 
 from __future__ import annotations
@@ -287,6 +288,39 @@ class Context:
         first, *rest = (self.mantissas(f) for f in factors)
         return first.product(*rest).rounded()
 
+    def gram_schmidt(self, w, basis: list) -> tuple:
+        """(W', basis'): the 1-D array W less its components along the pairs
+        (O_j, D_j) of a vector and its covector in BASIS, by modified
+        Gram-Schmidt on integer mantissas, one exponent per entry.  In turn
+        c_j = sum_k D_j[k] W[k] is summed exactly and rounded once, and
+        W - O_j c_j is formed exactly where c_j != 0.  Each entry of W is
+        then rounded once, complex where W or a term O_j c_j has an
+        imaginary part; where every c_j is 0, W comes back as given.  basis'
+        holds the pairs exactly, for later calls: each operand converts
+        once, on first use."""
+        if self.is_exact:
+            raise ModeError("the exact accumulator holds bigreal vectors only")
+        mp, (prec, rnd) = self.mp, self.mp._prec_rounding
+
+        def exact(v):  # (re, im), each (mantissas, exponents), im None where no entry is complex
+            if isinstance(v, tuple):
+                return v
+            parts = _entries(v, mp)[0]
+            man = np.array([-m if s else m for s, m, _, _ in parts], dtype=object).reshape(-1, len(v))
+            return (*zip(man, np.array([e if m else _FAR for _, m, e, _ in parts]).reshape(man.shape)), None)[:2]
+
+        basis = [tuple(map(exact, pair)) for pair in basis]
+        acc, moved = exact(w) if basis else None, False
+        for o, d in basis:
+            c = [_dot(products, prec, rnd) for products in _products(d, acc)]
+            if any(c):
+                acc, moved = tuple(_less(p, products) for p, products in zip(acc, _products(o, c))), True
+        if not moved:
+            return w, basis
+        re, im = ([from_man_exp(m, e, prec, rnd) for m, e in zip(p[0].tolist(), p[1].tolist())] if p else None for p in acc)
+        out = [mp.make_mpf(x) for x in re] if im is None else [mp.make_mpc(z) for z in zip(re, im)]
+        return np.array(out, dtype=object), basis
+
     # -- elementary functions -----------------------------------------
 
     def exp(self, x):
@@ -360,23 +394,10 @@ class Mantissas:
 
     @classmethod
     def of(cls, a: np.ndarray, mp: mpmath.MPContext) -> Mantissas:
-        """The exact mantissas of a 2-D array of mpmath numbers (other
-        scalars are converted as ``fdot`` converts them).  An infinite or
-        NaN entry raises :class:`~krylov_exact.errors.NonFiniteValue`."""
-        flat = a.ravel().tolist()
-        # the real parts, then the imaginary parts if any entry is complex
-        parts, is_complex = [getattr(x, "_mpf_", None) for x in flat], np.zeros(a.shape, dtype=bool)
-        if None in parts:  # an mpc, or a scalar to convert
-            flat = [x if _is_mp(x) else mp.convert(x) for x in flat]
-            is_complex = np.array([hasattr(x, "_mpc_") for x in flat], dtype=bool).reshape(a.shape)
-            parts = [x._mpc_[0] if hasattr(x, "_mpc_") else x._mpf_ for x in flat]
-            if is_complex.any():
-                parts += [x._mpc_[1] if hasattr(x, "_mpc_") else fzero for x in flat]
+        """The exact mantissas of a 2-D array of mpmath numbers
+        (:func:`_entries`)."""
+        parts, is_complex = _entries(a, mp)
         shape = (len(parts) // a.size, *a.shape)
-        for k, (_, m, e, _) in enumerate(parts):
-            if not m and e:
-                row, col = divmod(k % a.size, a.shape[1])
-                raise NonFiniteValue(f"matrix entry ({row}, {col}) is {flat[k % a.size]}")
         exps = [e for _, m, e, _ in parts if m]
         low, width = min(exps, default=0), 8 * mp.prec
         if max(exps, default=low) - low < width:  # one slab per part, on every column
@@ -460,6 +481,54 @@ class Mantissas:
         ims = [fzero] * where.size if im is None else [from_man_exp(im.flat[k], exp, prec, rnd) for k in where]
         out[where] = [mp.make_mpc((out[k]._mpf_, x)) for k, x in zip(where, ims)]
         return out.reshape(self.shape)
+
+
+#: The exponent of a zero in :meth:`Context.gram_schmidt`: it lowers no minimum.
+_FAR = 1 << 40
+
+
+def _entries(a: np.ndarray, mp: mpmath.MPContext) -> tuple:
+    """(parts, complex) of an array of mpmath numbers (other scalars are
+    converted as ``fdot`` converts them): the raw mpf values of the real
+    parts of its entries, then of the imaginary parts if any entry is
+    complex, and the flags of the complex entries.  An infinite or NaN entry
+    raises :class:`~krylov_exact.errors.NonFiniteValue`."""
+    flat = a.ravel().tolist()
+    parts, is_complex = [getattr(x, "_mpf_", None) for x in flat], np.zeros(a.shape, dtype=bool)
+    if None in parts:  # an mpc, or a scalar to convert
+        flat = [x if _is_mp(x) else mp.convert(x) for x in flat]
+        is_complex = np.array([hasattr(x, "_mpc_") for x in flat], dtype=bool).reshape(a.shape)
+        parts = [x._mpc_[0] if hasattr(x, "_mpc_") else x._mpf_ for x in flat]
+        if is_complex.any():
+            parts += [x._mpc_[1] if hasattr(x, "_mpc_") else fzero for x in flat]
+    for k, (_, m, e, _) in enumerate(parts):
+        if not m and e:
+            raise NonFiniteValue(f"entry {tuple(map(int, np.unravel_index(k % a.size, a.shape)))} is {flat[k % a.size]}")
+    return parts, is_complex
+
+
+def _products(x: tuple, y: tuple) -> tuple:
+    """The nonzero products (mantissas, exponents) in the real and in the
+    imaginary part of x y, for x and y held as (re, im)."""
+    (xr, xi), (yr, yi) = x, y
+    return tuple([(a[0] * b[0] if sign > 0 else -(a[0] * b[0]), a[1] + b[1]) for sign, a, b in terms if a and b]
+                 for terms in (((1, xr, yr), (-1, xi, yi)), ((1, xr, yi), (1, xi, yr))))
+
+
+def _dot(products: list, prec: int, rnd) -> tuple | None:
+    """The exact sum of PRODUCTS rounded once, (mantissa, exponent); None is 0."""
+    low = min((int(e.min()) for _, e in products), default=0)
+    s, m, e, _ = from_man_exp(sum(int((m << (e - low)).sum()) for m, e in products), low, prec, rnd)
+    return (-m if s else m, e) if m else None
+
+
+def _less(part: tuple | None, products: list) -> tuple | None:
+    """PART (None is zero) less PRODUCTS, entry by entry, exactly."""
+    if part is None and not products:
+        return None
+    man, exp = part or (np.zeros(1, dtype=object), _FAR)
+    low = reduce(np.minimum, [exp, *(e for _, e in products)])
+    return reduce(operator.sub, (m << (e - low) for m, e in products), man << (exp - low)), low
 
 
 def _sum(*terms):

@@ -29,8 +29,10 @@ Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
 with W.  In bigreal mode that dot forms the products exactly and rounds
 the sum once, so a dot over the band equals the dot over every entry.
-The Lanczos spaces hand out those covectors (``dual``), so the chain
-keeps one beside each of its vectors.  The profile stacks them once for
+The Lanczos spaces hand out those covectors (``dual``); the chain keeps
+one beside each of its vectors for its exact-accumulator
+reorthogonalisation (:meth:`~krylov_exact.numeric.Context.gram_schmidt`),
+each coefficient an exact sum rounded once.  The profile stacks them once for
 all times, as integer mantissas, and meets each time's O_0(t) with one
 batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
 those dots bit for bit.
@@ -623,7 +625,10 @@ def operator_lanczos(
     Iterates W_k = L O_k - b_k O_{k-1}, b_{k+1} = |W_k|, stopping at
     k_max, at the dimension of the space the chain lives in (dim**2, or
     the eta support for a diagonal H), or when b_{k+1}
-    :meth:`~krylov_exact.numeric.Context.is_zero`.
+    :meth:`~krylov_exact.numeric.Context.is_zero`.  A bigreal W_k is
+    reorthogonalised against the earlier vectors of its parity (all of them
+    on a space that does not fold) by one
+    :meth:`~krylov_exact.numeric.Context.gram_schmidt`.
     """
     _check_count("k_max", k_max)
     ctx = pair.ctx
@@ -642,9 +647,8 @@ def operator_lanczos(
     o_prev = None
     o_cur = seed / ctx.sqrt(nrm2)
     ops = [o_cur]
-    # each chain vector's covector, kept beside it: a reorthogonalisation
-    # coefficient is then one fused dot
-    duals = [space.dual(o_cur)]
+    # each chain vector beside its covector, held exactly from first use
+    basis = [(o_cur, space.dual(o_cur))]
     bs = []
     stopped = False
     while len(bs) < k_max:
@@ -657,8 +661,7 @@ def operator_lanczos(
         # of the chain.  W has the parity of O_{k+1}; on a folded
         # support the vectors of the other parity are orthogonal to it.
         first = len(ops) % stride
-        for o_j, d_j in zip(ops[first::stride], duals[first::stride]):
-            w = w - o_j * ctx.dot(d_j, w)
+        w, basis[first::stride] = ctx.gram_schmidt(w, basis[first::stride])
         b2 = space.dot(w, w)
         b = ctx.sqrt(b2)
         if ctx.is_zero(b):
@@ -666,7 +669,7 @@ def operator_lanczos(
             break
         o_prev, o_cur = o_cur, w / b
         ops.append(o_cur)
-        duals.append(space.dual(o_cur))
+        basis.append((o_cur, space.dual(o_cur)))
         bs.append(b)
     return OperatorChain(
         vectors=ops,

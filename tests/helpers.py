@@ -27,7 +27,9 @@ rounding once at a context's precision.
 
 The full-band reference for the position basis: the moment oracle and
 the fully reorthogonalised bigreal chain from dense commutators
-``h @ v - v @ h`` and dots over every entry, with no fold, and the
+``h @ v - v @ h`` and dots over every entry, with no fold (the chain
+reorthogonalises with the package's exact-accumulator kernel, on dense
+vectors against every earlier one), and the
 profile rows from dense matrices in rational arithmetic, rounded only
 where the package's eigenbasis route rounds.  The bound between the
 Heisenberg check's deviation and the one read off the public closed
@@ -43,11 +45,11 @@ from fractions import Fraction
 import numpy as np
 from mpmath.libmp import from_rational
 
-from krylov_exact import OperatorPair, SystemKind, liouville, position_pair
+from krylov_exact import OperatorPair, SystemKind, inner, liouville, position_pair
 from krylov_exact.catalog import _polyval
 from krylov_exact.dynamics import _exp_differences
 from krylov_exact.errors import TruncationTooSmall
-from krylov_exact.operators import eig_symmetric, solve_consistent, zeros
+from krylov_exact.operators import conjugate, eig_symmetric, solve_consistent, zeros
 
 FINITE_KINDS = [k for k in SystemKind if k.is_finite]
 THERMAL_KINDS = [k for k in SystemKind if not k.is_finite]
@@ -385,25 +387,31 @@ def reference_oracle(pair, dot, K: int) -> list:
     return values
 
 
-def reference_chain(pair, dot, k_max: int | None = None):
-    """(ops, b, stopped) of the normalised bigreal chain, reorthogonalised
-    against every earlier vector, to k_max steps (all of them by default)."""
+def reference_chain(pair, ip, k_max: int | None = None):
+    """(ops, b, stopped) of the normalised bigreal chain under the inner
+    product IP, on dense matrices, reorthogonalised against every earlier
+    vector with the package's kernel (``Context.gram_schmidt``) and the
+    dense covectors weight * conj(O_j), to k_max steps (all of them by
+    default)."""
     ctx = pair.ctx
     k_max = pair.dim**2 if k_max is None else k_max
+    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
     o_prev, o_cur = None, pair.eta / ctx.sqrt(dot(pair.eta, pair.eta))
     ops, bs = [o_cur], []
+    basis = [(o_cur.ravel(), (ip.weight * conjugate(o_cur)).ravel())]
     while len(bs) < k_max:
         w = dense_commutator(pair, o_cur)
         if o_prev is not None:
             w = w - o_prev * bs[-1]
-        for o_j in ops:
-            w = w - o_j * dot(o_j, w)
+        w, basis = ctx.gram_schmidt(w.ravel(), basis)
+        w = w.reshape(o_cur.shape)
         b = ctx.sqrt(dot(w, w))
         if ctx.is_zero(b):
             return ops, bs, True
         bs.append(b)
         o_prev, o_cur = o_cur, w / b
         ops.append(o_cur)
+        basis.append((o_cur.ravel(), (ip.weight * conjugate(o_cur)).ravel()))
     return ops, bs, False
 
 

@@ -11,6 +11,7 @@ to rounding, or only under a metric, keep the whole band and stride 1.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,15 @@ from krylov_exact import (
     trace_inner,
 )
 
-from helpers import FINITE_KINDS, param_samples, reference_chain, reference_oracle, reference_profile, rotated_pair
+from helpers import (
+    FINITE_KINDS,
+    exact_value,
+    param_samples,
+    reference_chain,
+    reference_oracle,
+    reference_profile,
+    rotated_pair,
+)
 
 K = 6
 TIMES = ["1/10", "7/5", "3"]
@@ -45,7 +54,7 @@ def _check(pair, stride: int, profile: bool = True) -> None:
     assert _keys(moments_oracle(pair, ip, K).values) == _keys(reference_oracle(pair, dot, K))
     chain = operator_lanczos(pair, ip)
     assert chain.space.lanczos_stride() == stride
-    ops, bs, stopped = reference_chain(pair, dot)
+    ops, bs, stopped = reference_chain(pair, ip)
     assert chain.stopped == stopped
     assert _keys(chain.b) == _keys(bs)
     for got, want in zip(chain.ops, ops, strict=True):
@@ -76,23 +85,31 @@ def test_folded_samples_equal_full_band(bctx, kind, N):
 
 
 def test_folded_chain_halves_the_reorthogonalisation(bctx, monkeypatch):
-    # the step from O_{m-1} dots W with the m earlier vectors on the whole
-    # band, or with the m // 2 of W's parity on the fold; each step adds one
-    # dot for |W|^2, and the seed one for |eta|^2
-    lengths = []
-    real = Context.dot
-    monkeypatch.setattr(Context, "dot", lambda self, u, v: lengths.append(len(u)) or real(self, u, v))
+    # the step from O_{m-1} reorthogonalises W against the m earlier vectors
+    # on the whole band, or the m // 2 of W's parity on the fold: one
+    # coefficient of Context.gram_schmidt each, in one call per step
+    coefficients, lengths = [], set()
+    real = Context.gram_schmidt
+
+    def counting(self, w, basis):
+        coefficients.append(len(basis))
+        lengths.add(len(w))
+        return real(self, w, basis)
+
+    monkeypatch.setattr(Context, "gram_schmidt", counting)
     folded = position_pair(default_system("hahn", bctx))
     n = folded.dim
     reorth = {}
-    # the folded dots run on the entries a <= b of the band
+    # the folded vectors hold the entries a <= b of the band
     for pair, stride, entries in ((folded, 2, n * (n + 1) // 2), (rotated_pair(folded), 1, n * n)):
+        coefficients.clear()
         lengths.clear()
         chain = operator_lanczos(pair)
         steps = range(1, len(chain.b) + chain.stopped + 1)
-        reorth[stride] = len(lengths) - 1 - len(steps)
+        assert len(coefficients) == len(steps)
+        reorth[stride] = sum(coefficients)
         assert reorth[stride] == sum(m // stride for m in steps)
-        assert set(lengths) == {entries}
+        assert lengths == {entries}
     assert len(steps) > 8 and 2 * reorth[2] <= reorth[1]
 
 
@@ -104,3 +121,34 @@ def test_unfolded_pairs_keep_stride_one(ctx, bctx):
     exact = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
     metric = np.array([bctx.num(g) for g in exact.metric], dtype=object)
     _check(OperatorPair(exact.h, exact.eta, bctx, metric), stride=1, profile=False)
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
+def test_imaginary_seed_follows_the_real_chain(bctx, kind):
+    # i eta makes every vector complex with an exactly zero real part, so
+    # the covectors conjugate (dual) and every coefficient is complex with
+    # an exactly zero imaginary part; each imaginary part then takes the
+    # real chain's operations
+    pair = position_pair(default_system(kind, bctx))
+    seeded = OperatorPair(pair.h, pair.eta * bctx.mp.mpc(0, 1), bctx)
+    real, imaginary = operator_lanczos(pair), operator_lanczos(seeded)
+    assert imaginary.stopped == real.stopped
+    assert all(hasattr(b, "_mpc_") for b in imaginary.b)
+    assert _keys(b.real for b in imaginary.b) == _keys(real.b)
+    assert all(b.imag == 0 for b in imaginary.b)
+
+
+@pytest.mark.slow
+def test_long_chain_keeps_its_length_and_prefix(ctx, bctx):
+    """Opt-in (``pytest -m slow``): the full bigreal Hahn (1/2, 2) chain at
+    N=16 runs 272 steps to its stop, and its first 32 b^2 stay within
+    1e-31 relative of the exact ones.  They
+    read 31.37 digits: the rest is lost to the conditioning of the rounded
+    H, not to the reorthogonalisation."""
+    params = {"a": "1/2", "b": "2"}
+    chain = operator_lanczos(position_pair(make_system("hahn", 16, params, bctx)))
+    assert (len(chain.b), chain.stopped) == (272, True)
+    exact = operator_lanczos(position_pair(make_system("hahn", 16, params, ctx)), k_max=32).b_squared
+    for got, want in zip(chain.b_squared[:32], exact, strict=True):
+        want = Fraction(int(want.numerator), int(want.denominator))
+        assert abs(exact_value(got) - want) <= want / 10**31

@@ -4,7 +4,8 @@ K commutators of the tridiagonal H on the diagonal eta reach bandwidth K,
 so at N=16 with K=6 the space keeps 13 of the 33 diagonals.  The
 references below are dense: ``h @ v - v @ h`` and every dot over all n^2
 entries (in bigreal one fused ``Context.dot``, as :func:`inner` forms
-it).  Exact results must match in type and value, bigreal ones bit for
+it), and the chain reorthogonalises the dense vectors with the package's
+kernel (``Context.gram_schmidt``).  Exact results must match in type and value, bigreal ones bit for
 bit (``_mpf_``), which checks that a fused dot over the band equals the
 fused dot over every entry.  The profile reads the dense O_0(t) on the
 band of a 3-step chain at N=10.
@@ -83,7 +84,7 @@ def test_narrow_band_equals_dense_bigreal(bctx, kind, N, params):
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
     _assert_same(moments_oracle(pair, K=K).values, reference_oracle(pair, dot, K))
     chain = operator_lanczos(pair, k_max=K)
-    ops, bs, stopped = reference_chain(pair, dot, K)
+    ops, bs, stopped = reference_chain(pair, ip, K)
     assert chain.stopped == stopped
     _assert_same(chain.b, bs)
     _assert_same(chain.b_squared, [b * b for b in bs])

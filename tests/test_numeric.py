@@ -12,7 +12,7 @@ from krylov_exact import Context, Tolerance
 from krylov_exact.errors import DimensionMismatch, ModeError, NonFiniteValue
 from krylov_exact.numeric import exact_sqrt, rational
 
-from helpers import exact_chain
+from helpers import exact_chain, exact_value, rounded_value
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -510,3 +510,101 @@ def test_mantissas_are_bigreal_only(ctx):
     with pytest.raises(ModeError):
         ctx.mantissas(a)
     assert ctx.matmul(a, a)[0, 0] == Fraction(1, 9)
+
+
+# -- the exact-accumulator Gram-Schmidt step ------------------------------
+
+
+def _vector(mp, rng, n, spread=0, complex_=False, zeros=()):
+    """N random mpf (or mpc) entries of 133-bit mantissas whose exponents
+    lie within +-SPREAD bits of each other, exact zeros at ZEROS."""
+
+    def one():
+        return mp.ldexp(mp.mpf(rng.randrange(-(10**40), 10**40)), rng.randint(-spread, spread) - 130)
+
+    v = [mp.mpc(one(), one()) if complex_ else one() for _ in range(n)]
+    for k in zeros:
+        v[k] = mp.mpc(0) if complex_ else mp.mpf(0)
+    return np.array(v, dtype=object)
+
+
+def _rational_step(mp, w, basis):
+    """The step in rationals: each c_j the exact sum over the exact W,
+    rounded once; W - O_j c_j exact, skipped where c_j rounds to 0; each
+    part of each entry of W rounded once, complex where W, or O_j or the
+    imaginary part of a nonzero c_j, is."""
+
+    def parts(x):
+        return (exact_value(x.real), exact_value(x.imag)) if hasattr(x, "_mpc_") else (exact_value(x), Fraction(0))
+
+    def has_complex(v):
+        return any(hasattr(x, "_mpc_") for x in v)
+
+    acc, is_complex, moved = [parts(x) for x in w], has_complex(w), False
+    for o, d in basis:
+        exact = [sum(terms, Fraction(0)) for terms in zip(*[
+            (dr * wr - di * wi, dr * wi + di * wr) for (dr, di), (wr, wi) in zip(map(parts, d), acc)])]
+        c = [exact_value(rounded_value(mp, x)) for x in exact]
+        if not any(c):
+            continue
+        acc = [(wr - (orr * c[0] - oi * c[1]), wi - (orr * c[1] + oi * c[0])) for (wr, wi), (orr, oi) in zip(acc, map(parts, o))]
+        is_complex, moved = is_complex or has_complex(o) or c[1] != 0, True
+    if not moved:
+        return w
+    rounded = [(rounded_value(mp, re), rounded_value(mp, im)) for re, im in acc]
+    return np.array([mp.mpc(re, im) if is_complex else re for re, im in rounded], dtype=object)
+
+
+def _same_entries(got, want):
+    return len(got) == len(want) and all(
+        type(x) is type(y) and getattr(x, "_mpc_", None) == getattr(y, "_mpc_", None)
+        and getattr(x, "_mpf_", None) == getattr(y, "_mpf_", None) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("spread", [0, 3000])
+@pytest.mark.parametrize("kinds", ["real", "complex", "complex covectors", "complex vectors"])
+def test_gram_schmidt_is_the_rational_step_rounded(bctx, spread, kinds):
+    """Real and complex entries, exact zeros, and exponents about 2^+-3000
+    apart, as in the vectors of a long Jacobi chain."""
+    mp, rng = bctx.mp, random.Random(f"{spread}{kinds}")
+    w_c, o_c, d_c = {"real": (0, 0, 0), "complex": (1, 1, 1), "complex covectors": (0, 0, 1),
+                     "complex vectors": (0, 1, 0)}[kinds]
+    n = 9
+    w = _vector(mp, rng, n, spread, w_c, zeros=(2, 5))
+    basis = [(_vector(mp, rng, n, spread, o_c, zeros=(2, k)), _vector(mp, rng, n, spread, d_c, zeros=(k, 7)))
+             for k in (0, 3, 5)]
+    got, exact_forms = bctx.gram_schmidt(w, basis)
+    assert _same_entries(got, _rational_step(mp, w, basis))
+    # the exact forms handed back give the same step again, unconverted
+    assert all(isinstance(x, tuple) for pair in exact_forms for x in pair)
+    assert _same_entries(bctx.gram_schmidt(w, exact_forms)[0], got)
+
+
+def test_gram_schmidt_skips_a_coefficient_that_rounds_to_zero(bctx):
+    """A covector orthogonal to W in exact arithmetic gives c_j = 0: that
+    term changes nothing, and with no other W comes back as given."""
+    mp, rng = bctx.mp, random.Random(7)
+    half = _vector(mp, rng, 4, 3000)
+    w = np.concatenate([half, half])
+    # d . W sums y_k x_k - y_k x_k: exactly 0, though no product is
+    orthogonal = (_vector(mp, rng, 8, 3000), np.concatenate([half, -half]))
+    got, _ = bctx.gram_schmidt(w, [orthogonal])
+    assert got is w
+    # a vector of W's symmetry keeps W - O c orthogonal to that covector
+    u = _vector(mp, rng, 4, 3000)
+    other = (np.concatenate([u, u]), _vector(mp, rng, 8, 3000))
+    alone = bctx.gram_schmidt(w, [other])[0]
+    for basis in ([orthogonal, other], [other, orthogonal]):
+        got, _ = bctx.gram_schmidt(w, basis)
+        assert _same_entries(got, _rational_step(mp, w, basis))
+        assert _same_entries(got, alone)
+
+
+def test_gram_schmidt_without_basis_converts_nothing(bctx, ctx):
+    w = np.array([bctx.one, bctx.mp.inf], dtype=object)  # a conversion would refuse inf
+    got, basis = bctx.gram_schmidt(w, [])
+    assert got is w and basis == []
+    with pytest.raises(NonFiniteValue, match=r"entry \(1,\) is"):
+        bctx.gram_schmidt(w, [(w, w)])
+    with pytest.raises(ModeError):
+        ctx.gram_schmidt(np.array([ctx.one], dtype=object), [])

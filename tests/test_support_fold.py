@@ -4,7 +4,9 @@
 eta support plus the diagonal.  The references below work on the whole
 support, as the package did before the fold: the weight from the dense
 double loops, the moment oracle over every entry, the bigreal chain with
-modified Gram-Schmidt against every earlier vector, the exact three-term
+modified Gram-Schmidt against every earlier vector (on the package's
+exact-accumulator kernel, where an opposite-parity coefficient is an
+exact 0), the exact three-term
 recurrence, and overlaps from one complex phase per entry.  For the
 pairs that ``energy_pair`` builds the fold changes no bit of any result.
 """
@@ -97,24 +99,24 @@ def _ref_moments(pair, weight, K):
 
 
 def _ref_chain_bigreal(pair, weight):
-    """(b, ops): full reorthogonalisation against every earlier vector."""
+    """(b, ops): full reorthogonalisation against every earlier vector,
+    with the package's kernel (``Context.gram_schmidt``)."""
     ctx = pair.ctx
     space = _FullSupport(pair, weight)
     seed = space.gather(pair.eta)
     o_prev, o_cur = None, seed / ctx.sqrt(space.dot(seed, seed))
-    ops, duals, bs = [o_cur], [space.weight * o_cur], []
+    ops, basis, bs = [o_cur], [(o_cur, space.weight * o_cur)], []
     while len(bs) < len(space.index):
         w = space.freq * o_cur
         if o_prev is not None:
             w = w - o_prev * bs[-1]
-        for o_j, d_j in zip(ops, duals):
-            w = w - o_j * ctx.dot(d_j, w)
+        w, basis = ctx.gram_schmidt(w, basis)
         b = ctx.sqrt(space.dot(w, w))
         if ctx.is_zero(b):
             break
         o_prev, o_cur = o_cur, w / b
         ops.append(o_cur)
-        duals.append(space.weight * o_cur)
+        basis.append((o_cur, space.weight * o_cur))
         bs.append(b)
     return bs, [space.scatter(v) for v in ops]
 
@@ -253,24 +255,24 @@ def test_asymmetric_eta_chain_raises(ctx, bctx):
 
 
 def test_folded_chain_halves_the_dots(bctx, monkeypatch):
+    # the step from O_{m-1} takes one coefficient of Context.gram_schmidt
+    # per earlier vector of W's parity, m // 2 of them, and the reference
+    # one per earlier vector
     pair = energy_pair(default_system("gegenbauer", bctx), n_max=30)
     ip = wightman_inner(pair, BETA)
     weight = _loop_weight(pair, BETA)
-    calls = []
-    real = Context.dot
-
-    def counting(self, u, v):
-        calls.append(1)
-        return real(self, u, v)
-
-    monkeypatch.setattr(Context, "dot", counting)
+    coefficients = []
+    real = Context.gram_schmidt
+    monkeypatch.setattr(
+        Context, "gram_schmidt", lambda self, w, basis: coefficients.append(len(basis)) or real(self, w, basis))
     chain = operator_lanczos(pair, ip)
-    folded = len(calls)
-    calls.clear()
+    folded = sum(coefficients)
+    coefficients.clear()
     bs, _ = _ref_chain_bigreal(pair, weight)
-    full = len(calls)
+    full = sum(coefficients)
+    steps = range(1, len(chain.b) + chain.stopped + 1)
     assert _all_same(chain.b, bs) and len(bs) > 50
-    assert 0.45 * full < folded < 0.55 * full
+    assert folded == sum(m // 2 for m in steps) and full == sum(steps)
 
 
 @pytest.mark.slow

@@ -152,21 +152,21 @@ def lay_out_matrix(h: np.ndarray, zero, exact: bool = False) -> tuple:
 
 
 class _BandOperators(_Band):
-    """Operators of a matrix H on the band W = min(max(w_eta + steps w_H,
-    floor), n - 1): mpf vectors, or :class:`_Scaled` ones in exact mode,
-    and H (:attr:`h`) laid out once per pair (:func:`lay_out_matrix`).  Functions of H of degree
-    steps - 1 share the band, so the closure's R_0(H), R_1(H), M and fit
-    columns I, H, H^2 fit on it, as does [H, M]."""
+    """Operators of a matrix H on the band W = min(w_eta + steps w_H, n - 1):
+    mpf vectors, or :class:`_Scaled` ones in exact mode, and H (:attr:`h`)
+    laid out once per pair (:func:`lay_out_matrix`).  Functions of H of
+    degree steps - 1 share the band, so the closure's R_0(H), R_1(H), M and
+    fit columns I, H, H^2 fit on it, as does [H, M]."""
 
-    def __init__(self, rep, steps: int | None, floor: int = 0):
-        self.ctx, self.exact, self.steps, self.floor = rep.ctx, rep.ctx.is_exact, steps, floor
+    def __init__(self, rep, steps: int | None):
+        self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
         self.h, self.d_h, self.w_eta = rep.bands
         self.zero, self.n = 0 if self.exact else self.ctx.zero, len(rep.h)
         super().__init__(self.n, self.reach(steps))
 
     def reach(self, steps: int | None) -> int:
         """The width STEPS commutators reach from eta: every entry for None."""
-        return self.n - 1 if steps is None else min(max(self.w_eta + steps * self.h[0], self.floor), self.n - 1)
+        return self.n - 1 if steps is None else min(self.w_eta + steps * self.h[0], self.n - 1)
 
     def gather(self, mat: np.ndarray):
         vec = mat[self.rows, self.cols]
@@ -218,9 +218,11 @@ class _BandOperators(_Band):
         left out is zero in M, I, H and H^2, so in
         :func:`~krylov_exact.operators.solve_consistent` it stays zero and
         wins no pivot.  Pivots swap into the first three rows, at first
-        (0, 0), (0, 1) and (0, 2), which a floor of 2 keeps (or the rows are
-        every entry), so kept rows keep their order and ties break alike:
-        pivots, eliminations and R_{-1} are those of the fit on all n^2 rows."""
+        (0, 0), (0, 1) and (0, 2), which the closure keeps (it asks for
+        steps >= 3, a reach of at least 2 on a matrix H with an off-diagonal,
+        or the rows are every entry), so kept rows keep their order and ties
+        break alike: pivots, eliminations and R_{-1} are those of the fit on
+        all n^2 rows."""
         rows = np.flatnonzero(np.abs(self.offsets) <= self.reach(self.steps - 1))
         return f.rationals(self.ctx.zero, rows) if self.exact else f[rows]
 

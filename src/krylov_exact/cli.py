@@ -192,16 +192,19 @@ def _resolved_config(args, spec) -> dict:
     }
 
 
-def _emit(args, text: str):
-    if getattr(args, "output", None):
+def _report(args, doc, body: str, config: dict | None = None):
+    """Write the report to ``--output`` or stdout: DOC as indented JSON
+    with sorted keys for ``--format json``, else BODY, under a
+    ``# config:`` line when CONFIG is given."""
+    if args.format == "json":
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        text = body if config is None else f"# config: {json.dumps(config, sort_keys=True)}\n{body}"
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_with_config(config: dict, body: str) -> str:
-    return f"# config: {json.dumps(config, sort_keys=True)}\n{body}"
 
 
 def cmd_list_systems(args) -> int:
@@ -217,16 +220,13 @@ def cmd_list_systems(args) -> int:
                 "default_params": p_def,
             }
         )
-    if args.format == "json":
-        _emit(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
-        return 0
     lines = [f"{'system':24s} {'class':8s} {'parameters':12s} default sample"]
     for r in rows:
         sample = ", ".join(f"{k}={v}" for k, v in r["default_params"].items()) or "-"
         if r["default_N"]:
             sample = f"N={r['default_N']}, {sample}"
         lines.append(f"{r['system']:24s} {r['class']:8s} {','.join(r['parameters']) or '-':12s} {sample}")
-    _emit(args, "\n".join(lines) + "\n")
+    _report(args, rows, "\n".join(lines) + "\n")
     return 0
 
 
@@ -234,12 +234,7 @@ def cmd_moments(args) -> int:
     spec = _resolve_system(args, _parse_kind(args.system))
     table = moments_closed(spec, K=args.K, beta=args.beta, tail_tol=args.tail_tol)
     config = _resolved_config(args, spec)
-    if args.format == "json":
-        doc = table.to_json_dict()
-        doc["config"] = config
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        _emit(args, _csv_with_config(config, table.to_csv()))
+    _report(args, {**table.to_json_dict(), "config": config}, table.to_csv(), config)
     return 0
 
 
@@ -247,12 +242,8 @@ def cmd_lanczos(args) -> int:
     spec = _resolve_system(args, _parse_kind(args.system))
     doc = chain_report(spec, beta=args.beta, K=args.K, tail_tol=args.tail_tol)
     doc["config"] = _resolved_config(args, spec)
-    if args.format == "csv":
-        rows = ["k,b_squared"]
-        rows += [f"{k+1},{v}" for k, v in enumerate(doc["b_squared"])]
-        _emit(args, _csv_with_config(doc["config"], "\n".join(rows) + "\n"))
-    else:
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    body = "k,b_squared\n" + "".join(f"{k + 1},{v}\n" for k, v in enumerate(doc["b_squared"]))
+    _report(args, doc, body, doc["config"])
     return 0
 
 
@@ -287,10 +278,7 @@ def cmd_complexity(args) -> int:
     config["n_max"] = pair.dim - 1
     config["stop_index"] = chain.stop_index
     prof = krylov_profile(chain, pair, ip, times, meta=config)
-    if args.format == "json":
-        _emit(args, json.dumps(prof.to_json_dict(), sort_keys=True, indent=2) + "\n")
-    else:
-        _emit(args, _csv_with_config(config, prof.to_csv()))
+    _report(args, prof.to_json_dict(), prof.to_csv(), config)
     return 0
 
 
@@ -302,12 +290,8 @@ def cmd_heisenberg_check(args) -> int:
     devs, passed = heisenberg_check(checks.pair[0], checks.closure, times)
     rows = [{"t": tv, "max_deviation": ctx.fmt(dev)} for tv, dev in zip(args.t_grid, devs)]
     config = _resolved_config(args, spec)
-    doc = {"config": config, "checks": rows, "passed": bool(passed)}
-    if args.format == "json":
-        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        body = "t,max_deviation\n" + "\n".join(f"{r['t']},{r['max_deviation']}" for r in rows) + "\n"
-        _emit(args, _csv_with_config(config, body))
+    body = "t,max_deviation\n" + "".join(f"{r['t']},{r['max_deviation']}\n" for r in rows)
+    _report(args, {"config": config, "checks": rows, "passed": bool(passed)}, body, config)
     return 0 if passed else 1
 
 
@@ -338,22 +322,18 @@ def cmd_verify(args) -> int:
         except KrylovExactError as exc:
             results.append((kind.value, None, [], exc))
     all_ok = all(err is None and all(c.passed for c in checks) for _, _, checks, err in results)
-    if args.format == "json":
-        systems = [
-            {"system": name, "error": str(err), "passed": False}
-            if err is not None
-            else {
-                "system": name,
-                "config": config,
-                "checks": [asdict(c) for c in checks],
-                "passed": all(c.passed for c in checks),
-            }
-            for name, config, checks, err in results
-        ]
-        options = {k: v for k, v in vars(args).items() if k != "output"}
-        text = json.dumps({"config": options, "systems": systems, "passed": all_ok}, sort_keys=True, indent=2)
-        _emit(args, text + "\n")
-        return 0 if all_ok else 1
+    systems = [
+        {"system": name, "error": str(err), "passed": False}
+        if err is not None
+        else {
+            "system": name,
+            "config": config,
+            "checks": [asdict(c) for c in checks],
+            "passed": all(c.passed for c in checks),
+        }
+        for name, config, checks, err in results
+    ]
+    options = {k: v for k, v in vars(args).items() if k != "output"}
     lines = []
     for name, _, checks, err in results:
         if err is not None:
@@ -361,7 +341,7 @@ def cmd_verify(args) -> int:
         for c in checks:
             lines.append(f"{name:24s} {c.name:40s} {c.status:>6s}  expected: {c.expected}; got: {c.got}")
     summary = "all checks passed" if all_ok else "FAILURES present"
-    _emit(args, "\n".join(lines) + f"\n{summary}\n")
+    _report(args, {"config": options, "systems": systems, "passed": all_ok}, "\n".join(lines) + f"\n{summary}\n")
     return 0 if all_ok else 1
 
 

@@ -62,7 +62,7 @@ class ClosureData:
 def _closure_space(pair: OperatorPair, degree: int):
     """Where the closure relation runs, with room for functions of H of
     degree at most DEGREE: a spectrum's own entries, or bands of a matrix H."""
-    return pair.rep if pair.basis == ENERGY else _BandOperators(pair.rep, degree + 1, floor=2)
+    return pair.rep if pair.basis == ENERGY else _BandOperators(pair.rep, degree + 1)
 
 
 def verify_closure(pair: OperatorPair) -> ClosureData:

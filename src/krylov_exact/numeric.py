@@ -51,7 +51,6 @@ import numpy as np
 from mpmath.libmp import (
     fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_sub, to_fixed,
 )
-from mpmath.matrices.eigen_symmetric import r_sy_tridiag
 
 from .errors import DimensionMismatch, EigenNotConverged, ModeError, NonFiniteValue
 
@@ -550,36 +549,31 @@ def _product(x: tuple, y: tuple) -> tuple:
 
 
 def symmetric_eigen(h: np.ndarray, mp: mpmath.MPContext) -> tuple[np.ndarray, np.ndarray]:
-    """(E, Q): the eigenvalues of a real symmetric matrix in ascending
-    order and the orthogonal Q with h = Q diag(E) Q^T, both at the
-    precision and rounding of ``mp``.
+    """(E, Q): the eigenvalues of a real symmetric tridiagonal matrix in
+    ascending order and the orthogonal Q with h = Q diag(E) Q^T, both at
+    the precision and rounding of ``mp``.
 
-    A tridiagonal h (no nonzero entry above the first superdiagonal) is
-    read as its diagonal d and superdiagonal e; a wider one is first
-    reduced to that form by mpmath's Householder ``r_sy_tridiag`` (tred2),
-    whose Q the rotations then start from.  The eigenvalues come from
-    implicit QL with Wilkinson's shift: EISPACK's ``imtql2`` (Martin &
-    Wilkinson, *Numer. Math.* 12 (1968) 377; Dubrulle, *Numer. Math.* 15
-    (1970) 450), the routine mpmath's ``eigsy`` runs after its reduction,
-    here on d and e as raw mpf values rounded at ``mp``'s precision and
-    rounding.  An mpf cannot overflow, so each rotation takes
-    r = hypot(f, g) directly.  Each Givens rotation (c, s) acts on two
-    columns of Q held as Python-int fixed point with 32 guard bits, at
-    2**-(prec + 32), far below the 2**-prec rounding of c and s, and each
-    entry of Q is rounded once at the end (``mp.ldexp`` of its integer,
-    which is ``from_man_exp`` at ``mp``'s precision and rounding).  An
-    eigenvalue still coupled after 2 * dps sweeps raises
+    Only h's diagonal d and superdiagonal e are read: every other entry
+    counts as zero (:func:`~krylov_exact.operators.eig_symmetric` checks
+    that it is).  The eigenvalues come from implicit QL with Wilkinson's
+    shift: EISPACK's ``imtql2`` (Martin & Wilkinson, *Numer. Math.* 12
+    (1968) 377; Dubrulle, *Numer. Math.* 15 (1970) 450), the routine
+    mpmath's ``eigsy`` runs after its Householder reduction, here on d and
+    e as raw mpf values rounded at ``mp``'s precision and rounding.  An
+    mpf cannot overflow, so each rotation takes r = hypot(f, g) directly.
+    Q starts as the identity, its columns held as Python-int fixed point
+    with 32 guard bits, at 2**-(prec + 32), far below the 2**-prec
+    rounding of c and s; each Givens rotation (c, s) acts on two of them,
+    and each entry of Q is rounded once at the end (``mp.ldexp`` of its
+    integer, which is ``from_man_exp`` at ``mp``'s precision and
+    rounding).  An eigenvalue still coupled after 2 * dps sweeps raises
     :class:`~krylov_exact.errors.EigenNotConverged`.
     """
     n, (prec, rnd), bits = len(h), mp._prec_rounding, mp.prec + 32
     add, sub, mul, div, hypot = (
         partial(f, prec=prec, rnd=rnd) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_hypot))
-    q, d, e = np.eye(n, dtype=object), h.diagonal(), [*h.diagonal(1), 0]
-    if np.triu(h, 2).any():
-        q, d, e = mp.matrix(h.tolist()), mp.zeros(n, 1), mp.zeros(n, 1)
-        r_sy_tridiag(mp, q, d, e)
-    d, e = ([mp.convert(x)._mpf_ for x in v] for v in (d, e))
-    cols = [[to_fixed(mp.convert(x)._mpf_, bits) for x in col] for col in zip(*q.tolist())]
+    d, e = ([mp.convert(x)._mpf_ for x in v] for v in (h.diagonal(), [*h.diagonal(1), 0]))
+    cols = [[1 << bits if i == k else 0 for i in range(n)] for k in range(n)]
     eps, sweeps = mp.eps._mpf_, 2 * mp.dps
     for l in range(n):
         for sweep in range(sweeps + 1):

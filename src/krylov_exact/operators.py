@@ -298,13 +298,14 @@ class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
     An operator is a dense matrix; the chain, the oracle and the closure
-    relation run on bands (:mod:`~krylov_exact.band`).  The eigenbasis
-    H = Q diag(E) Q^T and H laid out for the band kernel (:attr:`bands`)
-    are computed on first use and kept, so each pair runs
-    :func:`eig_symmetric` at most once.  A position H is tridiagonal, so
-    that is implicit QL on its diagonal and off-diagonal alone, with Q
-    rotated on integer mantissas at 32 guard bits
-    (:func:`~krylov_exact.numeric.symmetric_eigen`).
+    relation run on bands (:mod:`~krylov_exact.band`) of any width.  The
+    eigenbasis H = Q diag(E) Q^T and H laid out for the band kernel
+    (:attr:`bands`) are computed on first use and kept, so each pair runs
+    :func:`eig_symmetric` at most once: implicit QL on H's diagonal and
+    off-diagonal, with Q rotated on integer mantissas at 32 guard bits
+    (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
+    tridiagonal, as every position H is; a wider H raises
+    :class:`~krylov_exact.errors.BasisMismatch` there.
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
@@ -741,24 +742,28 @@ def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.nda
 
 
 def eig_symmetric(h: np.ndarray, ctx: Context):
-    """Eigendecomposition of a real symmetric matrix, sorted ascending.
+    """Eigendecomposition of a real symmetric tridiagonal matrix, sorted
+    ascending.
 
     Returns (eigenvalues 1-D object array, orthogonal matrix Q) with
     h = Q diag(E) Q^T, at the context's precision.  The algorithm is
-    implicit QL (EISPACK's ``imtql2``) on the tridiagonal form of h,
-    reached by Householder reduction where h is wider, with Q's Givens
-    rotations applied as Python-int fixed point at 32 guard bits and each
-    entry rounded once (:func:`~krylov_exact.numeric.symmetric_eigen`);
-    mpmath's dense ``eigsy`` is its reference in the tests.  It never
-    reads a closed-form energy.  :class:`~krylov_exact.errors.BasisMismatch`
-    names the first entry (a, b) not ``ctx.close`` to (b, a), as in a
+    implicit QL (EISPACK's ``imtql2``) on h's diagonal and off-diagonal,
+    with Q's Givens rotations applied as Python-int fixed point at 32
+    guard bits and each entry rounded once
+    (:func:`~krylov_exact.numeric.symmetric_eigen`); mpmath's dense
+    ``eigsy`` is its reference in the tests.  It never reads a closed-form
+    energy.  :class:`~krylov_exact.errors.BasisMismatch` names the first
+    entry (a, b) with |a - b| >= 2 that is nonzero, and the first
+    off-diagonal entry (a, b) not ``ctx.close`` to (b, a), as in a
     rescaled pair.
     """
     if ctx.is_exact:
         raise ModeError("eigendecomposition needs bigreal mode")
-    for a, b in zip(*np.nonzero(h != h.T)):  # one comparison for a symmetric H
-        if not ctx.close(h[a, b], h[b, a]):
-            raise BasisMismatch(f"H is not symmetric: entries ({a}, {b}) and ({b}, {a}) differ")
+    for a, b in np.argwhere((np.triu(h, 2) != 0) | (np.tril(h, -2) != 0))[:1]:
+        raise BasisMismatch(f"H is not tridiagonal: entry ({a}, {b}) is {h[a, b]}")
+    for a, (x, y) in enumerate(zip(h.diagonal(1), h.diagonal(-1))):
+        if x != y and not ctx.close(x, y):  # ctx.close only where they differ
+            raise BasisMismatch(f"H is not symmetric: entries ({a}, {a + 1}) and ({a + 1}, {a}) differ")
     return symmetric_eigen(h, ctx.mp)
 
 

@@ -15,7 +15,8 @@ matrices, with the same operations per entry as the library's evaluation
 on the eta support.
 
 mpmath's dense ``eigsy``, the reference of the package's implicit QL
-eigendecomposition.
+eigendecomposition.  Two bigreal position pairs whose band does not fold:
+one rotated to a dense H, one with a tridiagonal H nudged by one ulp.
 
 Closed forms only the tests use (the dual Hahn mu_2 and the affine
 q-Krawtchouk |eta|^2), and the O(K^3) moments -> b^2 route that
@@ -37,15 +38,34 @@ form and oracle.
 The dense position-basis closure: R_i(H) by Horner's rule with dense
 products ``acc @ h``, V f(H) as ``v @ f``, and R_{-1} fitted over all n^2
 entries, with L^m eta from the same dense functions of H.
+
+The golden file of exact values, ``data/exact_golden.json``, and the one
+function that rewrites it (:func:`write_exact_golden`).
 """
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from mpmath.libmp import from_rational
 
-from krylov_exact import OperatorPair, SystemKind, inner, liouville, position_pair
+from krylov_exact import (
+    Context,
+    OperatorPair,
+    SystemKind,
+    default_system,
+    energy_pair,
+    inner,
+    liouville,
+    make_system,
+    moments_closed,
+    moments_oracle,
+    moments_to_lanczos,
+    operator_lanczos,
+    position_pair,
+    verify_closure,
+)
 from krylov_exact.catalog import _polyval
 from krylov_exact.dynamics import _exp_differences
 from krylov_exact.errors import TruncationTooSmall
@@ -366,9 +386,19 @@ def eigsy_reference(h, ctx):
 def rotated_pair(pair):
     """The bigreal position pair moved to the eigenbasis by plain object
     products: entries (a, b) and (b, a) round differently, so H and eta
-    are symmetric only up to rounding and the band is not folded."""
+    are symmetric only up to rounding and the band is not folded.  H is
+    dense, so :func:`~krylov_exact.operators.eig_symmetric` rejects it."""
     _, q = eig_symmetric(pair.h, pair.ctx)
     return OperatorPair(q.T @ pair.h @ q, q.T @ pair.eta @ q, pair.ctx)
+
+
+def nudged_pair(pair):
+    """The bigreal position pair with H[1, 0] moved up by one unit in the
+    last place: H stays tridiagonal and is symmetric only up to rounding,
+    so the band is not folded and ``eig_symmetric`` still accepts it."""
+    h, mp = pair.h.copy(), pair.ctx.mp
+    h[1, 0] = h[1, 0] + mp.ldexp(1, mp.mag(h[1, 0]) - mp.prec)
+    return OperatorPair(h, pair.eta, pair.ctx)
 
 
 def dense_commutator(pair, v):
@@ -526,3 +556,52 @@ def heisenberg_route_bound(pair):
     assert not np.any(pair.eta - np.diag(np.diag(pair.eta)))
     ctx = pair.ctx
     return 3 * ctx.mp.ldexp(1, -ctx.mp.prec) * max(max(abs(v) for v in pair.eta.ravel()), ctx.one)
+
+
+# ---------------------------------------------------------------------------
+# Golden exact values
+# ---------------------------------------------------------------------------
+
+EXACT_GOLDEN = Path(__file__).parent / "data" / "exact_golden.json"
+
+
+def exact_golden_cases() -> dict:
+    """{label: spec}: every finite system at its default sample, and Hahn
+    (a = 1/2, b = 2) at N = 16, in exact mode."""
+    ctx = Context("exact")
+    cases = {kind.value: default_system(kind, ctx) for kind in FINITE_KINDS}
+    cases["hahn N=16 a=1/2 b=2"] = make_system(SystemKind.HAHN, 16, {"a": "1/2", "b": "2"}, ctx)
+    return cases
+
+
+def exact_golden_values(spec) -> dict:
+    """The exact values of SPEC the golden file keeps, as ``ctx.fmt``
+    strings: the closed-form mu_0 .. mu_12, the oracle's on the position
+    pair, b^2 and the stop of the Hankel route (Chebyshev's algorithm on the
+    closed-form moments), the operator chain's b^2 to k_max = 6, and the
+    closure's R_{-1} on the position and the energy pair."""
+    fmt = lambda values: [spec.ctx.fmt(v) for v in values]  # noqa: E731
+    closed = moments_closed(spec, K=6)
+    hankel = moments_to_lanczos(closed)
+    position = position_pair(spec)
+    return {
+        "mu_closed": fmt(closed.values),
+        "mu_oracle": fmt(moments_oracle(position, K=6).values),
+        "hankel_b2": fmt(hankel.b_squared),
+        "hankel_stop": hankel.stop_index,
+        "chain_b2": fmt(operator_lanczos(position, k_max=6).b_squared),
+        "rm1_position": fmt(verify_closure(position).rm1),
+        "rm1_energy": fmt(verify_closure(energy_pair(spec)).rm1),
+    }
+
+
+def write_exact_golden() -> None:
+    """Rewrite ``data/exact_golden.json`` from the code as it stands.  Run it
+    only for a change that is meant to move exact values, and record the
+    rewrite in CHANGES.md:
+
+        PYTHONPATH=src:tests python -c "import helpers; helpers.write_exact_golden()"
+    """
+    doc = {label: exact_golden_values(spec) for label, spec in exact_golden_cases().items()}
+    EXACT_GOLDEN.parent.mkdir(exist_ok=True)
+    EXACT_GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")

@@ -28,8 +28,8 @@ from helpers import (
     FINITE_KINDS,
     dense_position_closure,
     dense_position_liouville_power,
+    nudged_pair,
     param_samples,
-    rotated_pair,
     same_scalar,
 )
 
@@ -126,7 +126,7 @@ def test_eig_symmetric_rejects_an_asymmetric_h():
 
 def test_eig_symmetric_accepts_h_symmetric_up_to_rounding():
     big = Context("bigreal", 50)
-    pair = rotated_pair(position_pair(default_system("krawtchouk", big)))
+    pair = nudged_pair(position_pair(default_system("krawtchouk", big)))
     assert not (pair.h == pair.h.T).all()
     energies, q = eig_symmetric(pair.h, big)
     assert len(energies) == pair.dim

@@ -32,6 +32,7 @@ from krylov_exact import (
 from helpers import (
     FINITE_KINDS,
     exact_value,
+    nudged_pair,
     param_samples,
     reference_chain,
     reference_oracle,
@@ -115,7 +116,7 @@ def test_folded_chain_halves_the_reorthogonalisation(bctx, monkeypatch):
 
 def test_unfolded_pairs_keep_stride_one(ctx, bctx):
     spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx)
-    _check(rotated_pair(position_pair(spec)), stride=1)
+    _check(nudged_pair(position_pair(spec)), stride=1)
     # the exact rescaled pair in bigreal: H is not symmetric (metric g), so
     # eig_symmetric does not apply and there is no profile
     exact = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))

@@ -32,7 +32,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.operators import conjugate, max_abs
 
-from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples, rotated_pair
+from helpers import FINITE_KINDS, heisenberg_route_bound, nudged_pair, param_samples
 
 
 def test_closure_hermite_pure_frequency(bctx):
@@ -312,11 +312,11 @@ def test_profile_rejects_exact(ctx):
 def test_complex_amplitude_guard(bctx):
     # corrupt O_1 so that it has no definite parity.  On a folded band the
     # mirror (1, 0) follows entry (0, 1), so the corruption goes on the
-    # diagonal, its own mirror, where an odd vector vanishes.  The rotated
+    # diagonal, its own mirror, where an odd vector vanishes.  The nudged
     # pair is symmetric only up to rounding, keeps the whole band, and there
     # entry (0, 1) moves alone
     folded = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
-    for pair, (a, b), stride in ((folded, (0, 0), 2), (rotated_pair(folded), (0, 1), 1)):
+    for pair, (a, b), stride in ((folded, (0, 0), 2), (nudged_pair(folded), (0, 1), 1)):
         ip = trace_inner(pair)
         chain = operator_lanczos(pair, ip)
         space = chain.space

@@ -1,14 +1,14 @@
 """The implicit QL kernel behind ``eig_symmetric`` against mpmath's dense
 ``eigsy``: eigenvalues, the residual |HQ - QE| and the orthogonality
-|Q^T Q - I| on the position H of every finite system, the dense path
-through the Householder reduction, and the typed error of an eigenvalue
-that does not converge."""
+|Q^T Q - I| on the position H of every finite system, and the typed
+errors of an H wider than tridiagonal and of an eigenvalue that does not
+converge."""
 
 import numpy as np
 import pytest
 
 from krylov_exact import Context, SystemKind, make_system, numeric, position_pair
-from krylov_exact.errors import EigenNotConverged, KrylovExactError
+from krylov_exact.errors import BasisMismatch, EigenNotConverged, KrylovExactError
 from krylov_exact.operators import eig_symmetric, max_abs
 
 from helpers import FINITE_KINDS, eigsy_reference, param_samples, rotated_pair
@@ -53,13 +53,18 @@ def test_kernel_matches_eigsy_at_n32(kind):
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
-def test_dense_h_goes_through_the_householder_reduction(kind):
-    # the rotated H is dense and symmetric only up to rounding
+def test_wider_h_raises_naming_its_first_entry(kind):
+    # a symmetric H with one pair of entries two places off the diagonal,
+    # and the rotated H, dense and symmetric only up to rounding
     pair = position_pair(make_system(kind, 6, param_samples(kind, 6)[0], BIG))
-    h = rotated_pair(pair).h
-    assert np.count_nonzero(np.triu(h, 2))
-    energies = _check_against_eigsy(h)
-    assert max_abs(energies - eig_symmetric(pair.h, BIG)[0]) <= 10 * REL_EPS * max_abs(pair.h)
+    h = pair.h.copy()
+    h[1, 3] = h[3, 1] = BIG.one
+    dense = rotated_pair(pair).h
+    first = next((a, b) for a, b in np.ndindex(dense.shape) if abs(a - b) > 1 and dense[a, b])
+    for wide, (a, b) in ((h, (1, 3)), (dense, first)):
+        with pytest.raises(BasisMismatch, match=rf"not tridiagonal: entry \({a}, {b}\) is ") as info:
+            eig_symmetric(wide, BIG)
+        assert isinstance(info.value, KrylovExactError)
 
 
 def test_unconverged_eigenvalue_raises_a_typed_error(monkeypatch):

@@ -6,15 +6,17 @@ eta has bandwidth k and a function of H of degree d has bandwidth d w_H.
 An operator is its row-major entries within W = min(w_eta + k w_H, n - 1)
 of the diagonal, for the k commutators the caller applies
 (:class:`_BandOperators`); the chain, the oracle and the profile add an
-inner product (:class:`_BandSpace`).  One kernel forms every product
-(:func:`_product`): each entry of XY sums X[a, k] Y[k, b] over ascending
-k, as ``x @ y`` does, less exact-zero terms, so bigreal entries equal the
-dense product bit for bit, and [H, V] = HV - VH costs
+inner product (:class:`_BandSpace`), folded to the entries a <= b where
+H and eta are mirror images under the metric.  One kernel forms every
+product (:func:`_product`): each entry of XY sums X[a, k] Y[k, b] over
+ascending k, as ``x @ y`` does, less exact-zero terms, so bigreal entries
+equal the dense product bit for bit, and [H, V] = HV - VH costs
 O(n w_H (w_H + w_V)) scalar products instead of O(n^3).  An exact vector
-is a :class:`_Scaled`, integer numerators over one denominator, and H is
-cleared of denominators once per pair: the kernel runs on integers, and
-exact numbers become rationals only in :meth:`_BandOperators.scatter`, on
-the closure fit's rows, in :func:`max_abs` and in dots.
+is a :class:`_Scaled`, integer numerators over one denominator, reduced
+once per step, and H is cleared of denominators once per pair: the
+kernel runs on integers, and exact numbers become rationals only in
+:meth:`_BandOperators.scatter`, on the closure fit's rows, in
+:func:`max_abs` and in dots.
 """
 
 from __future__ import annotations
@@ -70,25 +72,36 @@ def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 class _Scaled:
     """An exact vector num / den: Python int numerators over one positive
-    denominator, in lowest terms (den and the numerators share no
-    factor).  Supports ``u + v``, ``u - v`` and ``u * c`` for a rational c."""
+    denominator.  ``u + v``, ``u - v`` and ``u * c`` for a rational c
+    combine the vectors as formed (``raw``); the first read of ``num`` or
+    ``den`` reduces the vector to lowest terms (den and the numerators
+    share no factor) in place, with one gcd over it.  So a chain step
+    W = L V_k - b_k^2 V_{k-1} and an oracle step L V_k reduce once each."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("raw", "num", "den")
 
     def __init__(self, num: np.ndarray, den: int):
+        self.raw = num, den
+
+    def __getattr__(self, name: str):
+        if name not in ("num", "den"):
+            raise AttributeError(name)
+        num, den = self.raw
         g = math.gcd(den, *num.tolist())
-        self.num = num // g if g > 1 else num
-        self.den = den // g
+        self.raw = self.num, self.den = (num // g, den // g) if g > 1 else self.raw
+        return getattr(self, name)
 
     def __add__(self, other: _Scaled, sign: int = 1) -> _Scaled:
-        den = math.lcm(self.den, other.den)
-        return _Scaled(self.num * (den // self.den) + other.num * (sign * (den // other.den)), den)
+        (u, du), (v, dv) = self.raw, other.raw
+        den = math.lcm(du, dv)
+        return _Scaled(u * (den // du) + v * (sign * (den // dv)), den)
 
     def __sub__(self, other: _Scaled) -> _Scaled:
         return self.__add__(other, -1)
 
     def __mul__(self, c) -> _Scaled:
-        return _Scaled(self.num * int(c.numerator), self.den * int(c.denominator))
+        num, den = self.raw
+        return _Scaled(num * int(c.numerator), den * int(c.denominator))
 
     def rationals(self, zero, at=slice(None)) -> np.ndarray:
         return np.array([rational(x, self.den) if x else zero for x in self.num[at]], dtype=object)
@@ -115,13 +128,15 @@ class _Band:
         return w, self.width, p.reshape(2, self.n, -1)
 
     def commutator(self, h: tuple, vec: np.ndarray, zero, parity: int = 0) -> np.ndarray:
-        """[H, V] = HV - VH for V on this band.  Folded, V_ba = (-1)^parity
-        V_ab for a symmetric H, so (VH)_ab = +-(HV)_ba term for term, and
-        [H, V] is (HV)_ab -+ (HV)_ba on the entries ``reps`` alone."""
+        """[H, V] = HV - VH for V on this band.  Folded, VEC is W = G^-1 V
+        with W_ba = (-1)^parity W_ab, for H_ba g_a = H_ab g_b, so G^-1 [H, V]
+        = H^T W - WH with (WH)_ab = +-(H^T W)_ba term for term: it is
+        (H^T W)_ab -+ (H^T W)_ba on the entries ``reps`` alone."""
         v = self.lay_out(vec, zero)
-        hv = _product(h, v, self, zero)
         if not self.folded:
-            return hv - _product(v, h, self, zero)
+            return _product(h, v, self, zero) - _product(v, h, self, zero)
+        w_h, width, p = h
+        hv = _product((w_h, width, p[::-1]), v, self, zero)  # H^T laid out: its rows are H's columns
         reps, mirrors = self.reps
         return hv[reps] + hv[mirrors] if parity else hv[reps] - hv[mirrors]
 
@@ -158,22 +173,23 @@ class _BandOperators(_Band):
     degree steps - 1 share the band, so the closure's R_0(H), R_1(H), M and
     fit columns I, H, H^2 fit on it, as does [H, M]."""
 
+    g = None  # on a folded exact space, which holds W = G^-1 V: the metric, integer numerators over d_g
+
     def __init__(self, rep, steps: int | None):
         self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
         self.h, self.d_h, self.w_eta = rep.bands
-        self.zero, self.n = 0 if self.exact else self.ctx.zero, len(rep.h)
+        self.zero, self.n, self.reach = 0 if self.exact else self.ctx.zero, len(rep.h), rep.reach
         super().__init__(self.n, self.reach(steps))
-
-    def reach(self, steps: int | None) -> int:
-        """The width STEPS commutators reach from eta: every entry for None."""
-        return self.n - 1 if steps is None else min(self.w_eta + steps * self.h[0], self.n - 1)
 
     def gather(self, mat: np.ndarray):
         vec = mat[self.rows, self.cols]
+        if self.g is not None:
+            nz = np.flatnonzero(vec)
+            vec[nz] = vec[nz] * self.d_g / self.g[self.rows[nz]]
         return _Scaled(*_integer_numerators(vec)) if self.exact else vec
 
     def unfold(self, vec, parity: int):
-        """A bigreal VEC of the given parity on the whole band."""
+        """VEC (bigreal, or exact numerators) of the given parity on the whole band."""
         if not self.folded:
             return vec
         full = vec[self.spread]
@@ -183,7 +199,10 @@ class _BandOperators(_Band):
 
     def scatter(self, vec, parity: int = 0) -> np.ndarray:
         out = zeros(self.n, self.ctx)
-        out[self.band] = vec.rationals(self.ctx.zero) if self.exact else self.unfold(vec, parity)
+        if self.exact:  # V = G W
+            g, d_g = (1, 1) if self.g is None else (self.g[self.band[0]], self.d_g)
+            vec = _Scaled(self.unfold(vec.num, parity) * g, vec.den * d_g).rationals(self.ctx.zero)
+        out[self.band] = vec if self.exact else self.unfold(vec, parity)
         return out
 
     def liouville(self, vec, parity: int = 0):
@@ -230,38 +249,51 @@ class _BandOperators(_Band):
         return self.fit(m), self.ctx.zero
 
 
+def _mirrored(m: np.ndarray, width: int, g: np.ndarray) -> bool:
+    """Whether M_ab g_b == M_ba g_a for 0 < |a - b| <= WIDTH, M's bandwidth."""
+    return all((m.diagonal(e) * g[e:] == m.diagonal(-e) * g[:-e]).all() for e in range(1, width + 1))
+
+
 class _BandSpace(_BandOperators):
     """The operator space of a matrix H for the chain, the oracle and the
     profile, in both modes: the band of ``steps`` commutators
     (:class:`_BandOperators`) with an inner product.  A bigreal dot is one
     fused dot of the covector (:meth:`dual`) with V.  Where H, eta and the
-    band weights are exact mirror images, as for every bigreal
-    :func:`~krylov_exact.operators.position_pair`, the band is ``folded``
-    as :class:`~krylov_exact.operators.SupportBasis` folds with r = 1: it
-    keeps the entries a <= b, w+ = w_ab + w_ba (2 w exactly) and w- = 0,
-    so the chain reorthogonalises with stride 2 and a commutator forms HV
-    alone.  Every skipped term is an exact zero, so results are the whole
-    band's bit for bit.  An exact dot clears the band weight (metric
-    factors g_b/g_a included) of denominators once per space, w_num / d_w,
-    and is one integer sum over d_w * den_u * den_v.  Exact values equal
-    those of rational arithmetic.  The profile evolves O_0 alone, in the
-    eigenbasis of H (:meth:`overlaps`).
+    band weights are mirror images under the metric g (H_ba g_a = H_ab g_b,
+    the same for eta, w_ab g_a^2 symmetric; g = 1 without a metric), as for
+    every :func:`~krylov_exact.operators.position_pair`, the band is
+    ``folded`` as :class:`~krylov_exact.operators.SupportBasis` folds with
+    r = 1.  It holds W = G^-1 V (:meth:`gather` divides by g_a,
+    :meth:`scatter` multiplies again), of exact parity W_ba = (-1)^k W_ab,
+    on the entries a <= b, with w+ = 2 w_ab g_a^2 off the diagonal and
+    w- = 0: odd oracle moments are exact zeros, the chain reorthogonalises
+    with stride 2, and a commutator forms H^T W alone.  A bigreal band
+    folds only without a metric, as dividing by g would round; every
+    skipped term is then an exact zero, so results are the whole band's
+    bit for bit.  An exact dot clears the weights of denominators once per
+    space, w_num / d_w, and is one integer sum over d_w * den_u * den_v.
+    Exact values equal those of rational arithmetic.  The profile evolves
+    O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
     """
 
     def __init__(self, pair, ip, steps: int | None):
         super().__init__(pair.rep, steps)
         self.pair, self.size = pair, self.n * self.n
         rows, cols = self.band
-        weight = ip.entries(rows, cols)
-        self.folded = not self.exact and (weight == weight[self.mirror]).all() and all(
-            (m[rows, cols] == m[cols, rows]).all() for m in (pair.h, pair.eta)
+        weight, self.d_w = _integer_numerators(ip.entries(rows, cols)) if self.exact else (ip.entries(rows, cols), 1)
+        g, d_g, weight_w = np.ones(self.n, dtype=object), 1, weight  # weight_w: the weights of W = G^-1 V
+        if pair.metric is not None and self.exact:
+            g, d_g = _integer_numerators(pair.metric)
+            weight_w = weight * g[rows] ** 2
+        self.folded = (pair.metric is None or self.exact) and (weight_w == weight_w[self.mirror]).all() and all(
+            _mirrored(m, width, g) for m, width in ((pair.h, self.h[0]), (pair.eta, self.w_eta))
         )
         if not self.folded:
-            self.weight, self.d_w = _integer_numerators(weight) if self.exact else (weight, 1)
-            self.wplus = self.weight
+            self.weight = self.wplus = weight
             return
+        self.g, self.d_g, self.d_w = None if pair.metric is None else g, d_g, self.d_w * d_g**2
         reps = np.flatnonzero(rows <= cols)
-        self.rows, self.cols, self.weight = rows[reps], cols[reps], weight[reps]
+        self.rows, self.cols, self.weight = rows[reps], cols[reps], weight_w[reps]
         self.wplus = self.weight + np.where(self.rows == self.cols, self.zero, self.weight)  # w_ab + w_ba
         self.reps = reps, self.mirror[reps]
         # each band entry's representative, and the entries below the diagonal
@@ -275,7 +307,7 @@ class _BandSpace(_BandOperators):
 
     def dot(self, u, v):
         if self.exact:
-            return rational(self.ctx.dot(self.weight * u.num, v.num), self.d_w * u.den * v.den)
+            return rational(self.ctx.dot(self.wplus * u.num, v.num), self.d_w * u.den * v.den)
         return self.ctx.dot(self.dual(u), v)
 
     def cross_dot(self, u, v):

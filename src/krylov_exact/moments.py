@@ -223,8 +223,9 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     support folded to one entry per mirror pair for a diagonal H, where
     [H, V]_ab = (E_a - E_b) V_ab, else the band that K commutators
     reach.  v_k and v_k+1 have opposite parity, so the odd moments take
-    the space's cross-parity dot; no symmetry of eta is assumed.  No
-    closed form enters.
+    the space's cross-parity dot; no symmetry of eta is assumed, and on a
+    folded band, whose mirror symmetry is checked exactly, they are exact
+    zeros.  The chain shares the space.  No closed form enters.
     """
     _check_count("K", K)
     ctx = pair.ctx

@@ -50,7 +50,9 @@ chain needs every w- to vanish, which makes vectors of opposite parity
 orthogonal, so it reorthogonalises against only those of its own
 parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
 w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
-A bigreal band folds the same way (:class:`~krylov_exact.band._BandSpace`).
+A band folds the same way (:class:`~krylov_exact.band._BandSpace`), in
+exact mode under the metric g below: H_ba g_a = H_ab g_b, so W = G^-1 L^k
+eta has the parity W_ba = (-1)^k W_ab, checked exactly once per space.
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -230,7 +232,7 @@ class _Spectrum:
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray | None = None):
-        self.h, self.ctx = h, ctx
+        self.h, self.ctx, self.spaces = h, ctx, {}
         # truth is the zero test, without an mpmath comparison per entry
         entries = np.ones((len(h), len(h)), dtype=bool) if eta is None else eta.astype(bool)
         np.fill_diagonal(entries, True)
@@ -291,7 +293,7 @@ class _Spectrum:
         return self, _unchanged, _unchanged
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> SupportBasis:
-        return SupportBasis(pair, ip)
+        return _kept_space(self, pair, ip, lambda: SupportBasis(pair, ip))
 
 
 class _Banded:
@@ -299,18 +301,18 @@ class _Banded:
 
     An operator is a dense matrix; the chain, the oracle and the closure
     relation run on bands (:mod:`~krylov_exact.band`) of any width.  The
-    eigenbasis H = Q diag(E) Q^T and H laid out for the band kernel
-    (:attr:`bands`) are computed on first use and kept, so each pair runs
-    :func:`eig_symmetric` at most once: implicit QL on H's diagonal and
-    off-diagonal, with Q rotated on integer mantissas at 32 guard bits
-    (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
+    eigenbasis H = Q diag(E) Q^T, H laid out for the band kernel
+    (:attr:`bands`) and the operator spaces are built on first use and kept,
+    so each pair runs :func:`eig_symmetric` at most once: implicit QL on H's
+    diagonal and off-diagonal, with Q rotated on integer mantissas at 32
+    guard bits (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
     tridiagonal, as every position H is; a wider H raises
     :class:`~krylov_exact.errors.BasisMismatch` there.
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
         self.h, self.ctx, self.eta = h, ctx, eta
-        self._eigen = None
+        self._eigen, self.spaces = None, {}
 
     @cached_property
     def bands(self) -> tuple:
@@ -342,9 +344,23 @@ class _Banded:
             )
         return self._eigen
 
+    def reach(self, steps: int | None) -> int:
+        """The width STEPS commutators reach from eta: every entry for None."""
+        (w_h, _, _), _, w_eta = self.bands
+        return len(self.h) - 1 if steps is None else min(w_eta + steps * w_h, len(self.h) - 1)
+
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
         _check_dims(pair, ip)
-        return _BandSpace(pair, ip, steps)
+        return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
+
+
+def _kept_space(rep, pair: OperatorPair, ip: InnerProduct, build, *key):
+    """BUILD() once per (PAIR, IP, *KEY), kept on REP with PAIR and IP so that
+    their ids stay theirs.  A space never changes once built: sharing it changes no result."""
+    key = (id(pair), id(ip), *key)
+    if key not in rep.spaces:
+        rep.spaces[key] = pair, ip, build()
+    return rep.spaces[key][2]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +702,8 @@ def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> Operator
     """Unnormalised three-term recurrence V_{k+1} = L V_k - b_k^2 V_{k-1}.
 
     With V_k = (b_1 ... b_k |eta|) O_k the squared norms nu_k satisfy
-    b_k^2 = nu_k / nu_{k-1}, all rational, and the stop test is V = 0.
+    b_k^2 = nu_k / nu_{k-1}, all rational, and the stop test is V = 0.  On
+    a band, V_{k+1} is formed over one denominator and reduced once.
     """
     v_cur = space.gather(eta)
     v_prev = None

@@ -26,10 +26,11 @@ check of <n|eta|n>, which no ``verify`` row runs.
 Exact rational values of mpmath numbers and of their product chains, and
 rounding once at a context's precision.
 
-The full-band reference for the position basis: the moment oracle and
-the fully reorthogonalised bigreal chain from dense commutators
-``h @ v - v @ h`` and dots over every entry, with no fold (the chain
-reorthogonalises with the package's exact-accumulator kernel, on dense
+The full-band reference for the position basis: the moment oracle, the
+unnormalised exact chain and the fully reorthogonalised bigreal chain
+from dense commutators
+``h @ v - v @ h`` and dots over every entry, with no fold (the bigreal
+chain reorthogonalises with the package's exact-accumulator kernel, on dense
 vectors against every earlier one), and the
 profile rows from dense matrices in rational arithmetic, rounded only
 where the package's eigenbasis route rounds.  The bound between the
@@ -445,6 +446,27 @@ def reference_chain(pair, ip, k_max: int | None = None):
     return ops, bs, False
 
 
+def reference_exact_chain(pair, dot, k_max: int | None = None):
+    """(ops, b^2, squared norms, stopped) of the unnormalised exact
+    recurrence V_{k+1} = [H, V_k] - b_k^2 V_{k-1} on dense matrices, with
+    the given dot, to k_max steps (all of them by default)."""
+    k_max = pair.dim**2 if k_max is None else k_max
+    v_prev, v_cur = None, pair.eta
+    ops, nus, b2s = [v_cur], [dot(v_cur, v_cur)], []
+    while len(b2s) < k_max:
+        w = dense_commutator(pair, v_cur)
+        if v_prev is not None:
+            w = w - v_prev * b2s[-1]
+        nu = dot(w, w)
+        if nu == 0:
+            return ops, b2s, nus, True
+        nus.append(nu)
+        b2s.append(nus[-1] / nus[-2])
+        v_prev, v_cur = v_cur, w
+        ops.append(v_cur)
+    return ops, b2s, nus, False
+
+
 def exact_value(x) -> Fraction:
     """The rational value of an mpf."""
     sign, man, exp, _ = x._mpf_
@@ -565,12 +587,18 @@ def heisenberg_route_bound(pair):
 EXACT_GOLDEN = Path(__file__).parent / "data" / "exact_golden.json"
 
 
+#: The golden case too slow for tier-1 (``pytest -m slow`` runs it).
+SLOW_GOLDEN = "hahn N=32 a=1/2 b=2"
+
+
 def exact_golden_cases() -> dict:
     """{label: spec}: every finite system at its default sample, and Hahn
-    (a = 1/2, b = 2) at N = 16, in exact mode."""
+    (a = 1/2, b = 2) at N = 16 and N = 32 (:data:`SLOW_GOLDEN`), in exact
+    mode."""
     ctx = Context("exact")
     cases = {kind.value: default_system(kind, ctx) for kind in FINITE_KINDS}
-    cases["hahn N=16 a=1/2 b=2"] = make_system(SystemKind.HAHN, 16, {"a": "1/2", "b": "2"}, ctx)
+    for n in (16, 32):
+        cases[f"hahn N={n} a=1/2 b=2"] = make_system(SystemKind.HAHN, n, {"a": "1/2", "b": "2"}, ctx)
     return cases
 
 
@@ -578,18 +606,22 @@ def exact_golden_values(spec) -> dict:
     """The exact values of SPEC the golden file keeps, as ``ctx.fmt``
     strings: the closed-form mu_0 .. mu_12, the oracle's on the position
     pair, b^2 and the stop of the Hankel route (Chebyshev's algorithm on the
-    closed-form moments), the operator chain's b^2 to k_max = 6, and the
-    closure's R_{-1} on the position and the energy pair."""
+    closed-form moments), the operator chain's b^2 to k_max = 6 and over
+    the whole chain with its stop, and the closure's R_{-1} on the
+    position and the energy pair."""
     fmt = lambda values: [spec.ctx.fmt(v) for v in values]  # noqa: E731
     closed = moments_closed(spec, K=6)
     hankel = moments_to_lanczos(closed)
     position = position_pair(spec)
+    full = operator_lanczos(position)
     return {
         "mu_closed": fmt(closed.values),
         "mu_oracle": fmt(moments_oracle(position, K=6).values),
         "hankel_b2": fmt(hankel.b_squared),
         "hankel_stop": hankel.stop_index,
         "chain_b2": fmt(operator_lanczos(position, k_max=6).b_squared),
+        "chain_b2_full": fmt(full.b_squared),
+        "chain_stop": full.stop_index,
         "rm1_position": fmt(verify_closure(position).rm1),
         "rm1_energy": fmt(verify_closure(energy_pair(spec)).rm1),
     }

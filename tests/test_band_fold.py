@@ -1,13 +1,18 @@
-"""The parity fold of the position-basis band, in bigreal mode.
+"""The parity fold of the position-basis band, in both modes.
 
-When H, eta and the band weights are exact mirror images, L^k eta has
-the exact parity V_ba = (-1)^k V_ab, the band keeps one entry per mirror
-pair, and the chain reorthogonalises against every second earlier vector.
-Every term the fold skips is an exact zero, so b, the dense chain
-vectors, the oracle moments and the profile rows equal the full-band
-reference of ``helpers`` (dense commutators, dots over every entry, full
-reorthogonalisation) bit for bit.  Pairs that are mirror images only up
-to rounding, or only under a metric, keep the whole band and stride 1.
+When H, eta and the band weights are mirror images -- exactly, or in
+exact mode under the metric g (H_ba g_a = H_ab g_b) -- L^k eta has the
+exact parity W_ba = (-1)^k W_ab for W = G^-1 L^k eta, the band keeps one
+entry per mirror pair, and the chain reorthogonalises against every
+second earlier vector.  In bigreal mode every term the fold skips is an
+exact zero, so b, the dense chain vectors, the oracle moments and the
+profile rows equal the full-band reference of ``helpers`` (dense
+commutators, dots over every entry, full reorthogonalisation) bit for
+bit; in exact mode the oracle moments, b^2, squared norms and chain
+operators equal the dense exact reference in value and type.  Pairs
+that are mirror images only up to rounding, bigreal pairs under a
+metric, and exact pairs whose eta breaks the mirror keep the whole band
+and stride 1.
 """
 
 from dataclasses import replace
@@ -18,6 +23,7 @@ import pytest
 
 from krylov_exact import (
     Context,
+    InnerProduct,
     OperatorPair,
     default_system,
     inner,
@@ -35,6 +41,7 @@ from helpers import (
     nudged_pair,
     param_samples,
     reference_chain,
+    reference_exact_chain,
     reference_oracle,
     reference_profile,
     rotated_pair,
@@ -64,6 +71,51 @@ def _check(pair, stride: int, profile: bool = True) -> None:
         rows = krylov_profile(chain, pair, ip, TIMES).phi
         for got, want in zip(rows, reference_profile(pair, ip, ops, map(pair.ctx.num, TIMES)), strict=True):
             assert _keys(got) == _keys(want)
+
+
+def _check_exact(pair, stride: int, k_max: int | None = None, ip=None) -> None:
+    """Exact oracle and chain of PAIR under IP (the trace by default; the
+    whole chain by default) against the dense exact reference."""
+    ip = ip or trace_inner(pair)
+    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
+    same = lambda got, want: [(type(v), v) for v in got] == [(type(v), v) for v in want]  # noqa: E731
+    assert same(moments_oracle(pair, ip, K).values, reference_oracle(pair, dot, K))
+    chain = operator_lanczos(pair, ip, k_max)
+    assert chain.space.lanczos_stride() == stride and chain.space.folded == (stride == 2)
+    ops, b2s, nus, stopped = reference_exact_chain(pair, dot, k_max)
+    assert chain.stopped == stopped
+    assert same(chain.b_squared, b2s) and same(chain.norms_sq, nus)
+    for got, want in zip(chain.ops, ops, strict=True):
+        assert same(got.ravel(), want.ravel())
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
+def test_exact_defaults_fold_under_their_metric(ctx, kind):
+    _check_exact(position_pair(default_system(kind, ctx)), stride=2)
+
+
+@pytest.mark.parametrize("N", [6, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
+def test_exact_samples_fold_under_their_metric(ctx, kind, N):
+    for params in param_samples(kind, N):
+        _check_exact(position_pair(make_system(kind, N, params, ctx)), stride=2)
+
+
+def test_exact_pairs_off_the_mirror_keep_the_whole_band(ctx):
+    # eta gains the entries (0, 1) and (1, 0): mirror images under g when
+    # eta_10 g_0 = eta_01 g_1, which folds; one unit more in eta_10 or in
+    # H_10, or a trace product under another metric, breaks the mirror,
+    # and the pair keeps the whole band (where L need not be self-adjoint:
+    # the first steps of the recurrence only)
+    pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
+    g = pair.metric
+    assert g is not None and g[0] != g[1]
+    other = InnerProduct(ctx, pair.dim, metric=g * np.array([2] + [1] * (pair.dim - 1)))
+    for eta_off, h_off, ip, stride in ((0, 0, None, 2), (1, 0, None, 1), (0, 1, None, 1), (0, 0, other, 1)):
+        h, eta = pair.h.copy(), pair.eta.copy()
+        eta[0, 1], eta[1, 0] = ctx.one, g[1] / g[0] + eta_off
+        h[1, 0] += h_off
+        _check_exact(OperatorPair(h, eta, ctx, g, pair.spec), stride, k_max=8, ip=ip)
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)

@@ -23,30 +23,12 @@ from krylov_exact import (
     trace_inner,
 )
 
-from helpers import dense_commutator, reference_chain, reference_oracle, reference_profile
+from helpers import reference_chain, reference_exact_chain, reference_oracle, reference_profile
 
 K = 6
 # L^k eta has bandwidth k for q-Krawtchouk, so its band is full at its
 # edge; Hahn's is ceil(k/2), with a metric in exact mode
 PAIRS = [("hahn", 16, {"a": "1/2", "b": "2"}), ("q-krawtchouk", 16, {"q": "1/2", "p": "2/3"})]
-
-
-def _reference_exact_chain(pair, dot):
-    """(ops, b^2, squared norms, stopped) of the unnormalised recurrence."""
-    v_prev, v_cur = None, pair.eta
-    ops, nus, b2s = [v_cur], [dot(v_cur, v_cur)], []
-    while len(b2s) < K:
-        w = dense_commutator(pair, v_cur)
-        if v_prev is not None:
-            w = w - v_prev * b2s[-1]
-        nu = dot(w, w)
-        if nu == 0:
-            return ops, b2s, nus, True
-        nus.append(nu)
-        b2s.append(nus[-1] / nus[-2])
-        v_prev, v_cur = v_cur, w
-        ops.append(v_cur)
-    return ops, b2s, nus, False
 
 
 def _key(x):
@@ -66,7 +48,7 @@ def test_narrow_band_equals_dense_exact(ctx, kind, N, params):
     dot = lambda u, v: (weight * u * v).sum()  # noqa: E731
     _assert_same(moments_oracle(pair, K=K).values, reference_oracle(pair, dot, K))
     chain = operator_lanczos(pair, k_max=K)
-    ops, b2s, nus, stopped = _reference_exact_chain(pair, dot)
+    ops, b2s, nus, stopped = reference_exact_chain(pair, dot, K)
     assert chain.stopped == stopped
     _assert_same(chain.b_squared, b2s)
     _assert_same(chain.norms_sq, nus)

@@ -7,6 +7,7 @@ import pytest
 from krylov_exact import (
     Context,
     OperatorPair,
+    SystemKind,
     apply_liouville_power,
     build_eta_position,
     default_system,
@@ -23,7 +24,7 @@ from krylov_exact import (
     verify_closure,
     wightman_inner,
 )
-from krylov_exact import band
+from krylov_exact import band, operators
 from krylov_exact.errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -531,3 +532,48 @@ def test_exact_solve_consistent_independent_of_pivot(ctx):
     off = target.copy()
     off[3] = off[3] + ctx.frac(1, 10**30)
     assert solve_consistent([c1, c2], off, ctx) is None
+
+
+def test_one_space_per_pair_and_inner_product(ctx, bctx, monkeypatch):
+    # the oracle and the chain on one (pair, inner product) build one space;
+    # another inner product object, or a band of another reach, builds its own
+    built = []
+    for name in ("_BandSpace", "SupportBasis"):
+        cls = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda *args, cls=cls: built.append(cls) or cls(*args))
+    finite = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
+    thermal = energy_pair(make_system("charlier", None, {"a": "1"}, bctx), n_max=12)
+    for pair, make_ip in ((finite, trace_inner), (thermal, lambda p: wightman_inner(p, 1))):
+        ip = make_ip(pair)
+        built.clear()
+        moments_oracle(pair, ip, K=20)
+        operator_lanczos(pair, ip)
+        assert len(built) == 1
+        moments_oracle(pair, make_ip(pair), K=20)
+        assert len(built) == 2
+    moments_oracle(finite, ip=trace_inner(finite), K=1)  # reach 1, not the whole band
+    assert len(built) == 3 and built[-1].__name__ == "_BandSpace"
+
+
+@pytest.mark.parametrize("basis", ["position", "energy"])
+def test_shared_spaces_keep_results_history_independent(ctx, bctx, basis):
+    # a pair's moments and b^2 are the same whether or not earlier calls on
+    # it used another inner product or another K
+    def results(pair, ip):
+        return moments_oracle(pair, ip, K=4).values, operator_lanczos(pair, ip).b_squared
+
+    if basis == "position":
+        spec = make_system("q-racah", 6, param_samples(SystemKind.Q_RACAH, 6)[0], ctx)
+        make_pair, make_ip = position_pair, trace_inner
+    else:
+        spec = make_system("meixner", None, {"b": "1", "c": "1/2"}, bctx)
+        make_pair, make_ip = (lambda s: energy_pair(s, n_max=10)), (lambda p: wightman_inner(p, 1))
+    fresh = make_pair(spec)
+    want = results(fresh, make_ip(fresh))
+    used = make_pair(spec)
+    ip = make_ip(used)
+    moments_oracle(used, make_ip(used), K=4)
+    for K in (1, 2, 9):
+        moments_oracle(used, ip, K=K)
+    operator_lanczos(used, ip, k_max=3)
+    assert results(used, ip) == want

@@ -8,15 +8,19 @@ of the diagonal, for the k commutators the caller applies
 (:class:`_BandOperators`); the chain, the oracle and the profile add an
 inner product (:class:`_BandSpace`), folded to the entries a <= b where
 H and eta are mirror images under the metric.  One kernel forms every
-product (:func:`_product`): each entry of XY sums X[a, k] Y[k, b] over
-ascending k, as ``x @ y`` does, less exact-zero terms, so bigreal entries
-equal the dense product bit for bit, and [H, V] = HV - VH costs
-O(n w_H (w_H + w_V)) scalar products instead of O(n^3).  An exact vector
-is a :class:`_Scaled`, integer numerators over one denominator, reduced
-once per step, and H is cleared of denominators once per pair: the
-kernel runs on integers, and exact numbers become rationals only in
-:meth:`_BandOperators.scatter`, on the closure fit's rows, in
-:func:`max_abs` and in dots.
+product on Python ints (:func:`_product`): each entry of XY sums
+X[a, k] Y[k, b] over the k where neither is an exact zero, and [H, V] =
+HV - VH costs O(n w_H (w_H + w_V)) integer products instead of O(n^3).
+H is laid out once per pair as integers over one scale
+(:func:`lay_out_matrix`).  An exact vector is a :class:`_Scaled`,
+integer numerators over one denominator, reduced once per step, and
+exact numbers become rationals only in :meth:`_BandOperators.scatter`,
+on the closure fit's rows, in :func:`max_abs` and in dots.  A bigreal
+vector enters the kernel as the integer mantissas of its real and
+imaginary parts at one exponent
+(:class:`~krylov_exact.numeric.Mantissas`): a commutator, a product
+V f(H) and a function f(H) are the exact product rounded once per
+entry, at the context's precision and rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from mpmath.libmp import fzero, mpf_neg
 
-from .numeric import Context, rational
+from .numeric import Context, Mantissas, _product as _complex, _sum, rational
 
 
 def zeros(n: int, ctx: Context) -> np.ndarray:
@@ -38,9 +43,12 @@ def conjugate(mat: np.ndarray) -> np.ndarray:
 
 
 def max_abs(vec):
-    """The largest |entry| of an array, or of a :class:`_Scaled` as a rational."""
+    """The largest |entry| of an array, of a :class:`_Scaled` as a rational,
+    or of exact :class:`~krylov_exact.numeric.Mantissas` rounded once."""
     if isinstance(vec, _Scaled):
         return rational(max(map(abs, vec.num.tolist())), vec.den)
+    if isinstance(vec, Mantissas):
+        return vec.largest_abs()
     return max(abs(v) for v in np.asarray(vec, dtype=object).ravel())
 
 
@@ -68,6 +76,26 @@ def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     num = np.zeros(flat.size, dtype=object)
     num[nz] = np.array([int(v.numerator) * (den // d) for v, d in zip(picked, dens)], dtype=object)
     return num.reshape(values.shape), den
+
+
+def _exact_parts(values: np.ndarray, mp=None) -> tuple:
+    """(parts, scale): the 1-D VALUES exactly as integer parts (re, im).
+    Rationals (MP None) are numerators over the denominator ``scale``,
+    with im None; mpmath numbers are mantissas at 2**scale
+    (:class:`~krylov_exact.numeric.Mantissas`), im None where no entry is
+    complex."""
+    if mp is None:
+        num, den = _integer_numerators(values)
+        return (num, None), den
+    re, im, exp = Mantissas.of(np.asarray(values, dtype=object).reshape(1, -1), mp).merged()
+    return (re[0], None if im is None else im[0]), exp
+
+
+def _rounded(parts: tuple, exp: int, mp) -> np.ndarray:
+    """(re + i im) 2**exp with each entry rounded once: an mpf, or an mpc
+    throughout where im is given."""
+    re, im = parts
+    return Mantissas._exact(re[None], None if im is None else im[None], exp, None, mp).rounded()[0]
 
 
 class _Scaled:
@@ -119,38 +147,37 @@ class _Band:
         self.at = rows * (2 * width + 1) + width + self.offsets
         self.at_t = self.at[self.mirror]
 
-    def lay_out(self, vec: np.ndarray, zero) -> tuple:
-        """(w, width, P): VEC's bandwidth read off its nonzero entries, and
-        P[0][a, width + e] = V[a, a + e], P[1] the same for V^T."""
-        p = np.full((2, self.n * (2 * self.width + 1)), zero, dtype=object)
+    def lay_out(self, vec: np.ndarray) -> tuple:
+        """(w, width, P): the integer VEC's bandwidth read off its nonzero
+        entries, and P[0][a, width + e] = V[a, a + e], P[1] the same for V^T."""
+        p = np.zeros((2, self.n * (2 * self.width + 1)), dtype=object)
         p[0, self.at], p[1, self.at_t] = vec, vec
         w = int(np.abs(self.offsets[np.flatnonzero(vec)]).max(initial=0))
         return w, self.width, p.reshape(2, self.n, -1)
 
-    def commutator(self, h: tuple, vec: np.ndarray, zero, parity: int = 0) -> np.ndarray:
+    def commutator(self, h: tuple, vec: np.ndarray, parity: int = 0) -> np.ndarray:
         """[H, V] = HV - VH for V on this band.  Folded, VEC is W = G^-1 V
         with W_ba = (-1)^parity W_ab, for H_ba g_a = H_ab g_b, so G^-1 [H, V]
         = H^T W - WH with (WH)_ab = +-(H^T W)_ba term for term: it is
         (H^T W)_ab -+ (H^T W)_ba on the entries ``reps`` alone."""
-        v = self.lay_out(vec, zero)
+        v = self.lay_out(vec)
         if not self.folded:
-            return _product(h, v, self, zero) - _product(v, h, self, zero)
+            return _product(h, v, self) - _product(v, h, self)
         w_h, width, p = h
-        hv = _product((w_h, width, p[::-1]), v, self, zero)  # H^T laid out: its rows are H's columns
+        hv = _product((w_h, width, p[::-1]), v, self)  # H^T laid out: its rows are H's columns
         reps, mirrors = self.reps
         return hv[reps] + hv[mirrors] if parity else hv[reps] - hv[mirrors]
 
 
-def _product(x: tuple, y: tuple, band: _Band, zero) -> np.ndarray:
-    """XY on BAND, which must hold it, for X and Y laid out by
-    :meth:`_Band.lay_out`.  The loop runs over the diagonals j of X, or of
-    Y^T through XY = (Y^T X^T)^T when Y is the narrower factor: row a gains
-    X[a, a + j] Y[a + j, a + e] for |e - j| <= w_Y, so each entry sums over
-    ascending k = a + j, less exact-zero terms, as ``x @ y`` does."""
+def _product(x: tuple, y: tuple, band: _Band) -> np.ndarray:
+    """XY on BAND, which must hold it, for integer X and Y laid out by
+    :meth:`_Band.lay_out`, exactly.  The loop runs over the diagonals j of
+    X, or of Y^T through XY = (Y^T X^T)^T when Y is the narrower factor:
+    row a gains X[a, a + j] Y[a + j, a + e] for |e - j| <= w_Y."""
     t = int(x[0] > y[0])
     (w_x, wx, px), (w_y, wy, py) = (y, x) if t else (x, y)
     px, py, n, width = px[t], py[t], px.shape[1], band.width
-    out = np.full((n, 2 * width + 1), zero, dtype=object)
+    out = np.zeros((n, 2 * width + 1), dtype=object)
     for j in range(-w_x, w_x + 1):
         lo, hi = max(0, -j), min(n, n - j)
         e0, e1 = max(j - w_y, -width), min(j + w_y, width) + 1
@@ -158,26 +185,30 @@ def _product(x: tuple, y: tuple, band: _Band, zero) -> np.ndarray:
     return out.ravel()[band.at_t if t else band.at]
 
 
-def lay_out_matrix(h: np.ndarray, zero, exact: bool = False) -> tuple:
-    """(H laid out on its own band, d_H): if EXACT, as integer numerators
-    over d_H (ZERO then is 0), else as it is, with d_H = 1."""
+def lay_out_matrix(h: np.ndarray, mp=None) -> tuple:
+    """(H, d_H, w_H): H's parts (re, im) by :func:`_exact_parts`, each laid
+    out on H's own band (im None where H is real), their scale d_H (an
+    exact H's denominator, a bigreal H's exponent), and H's bandwidth."""
     band = _Band(len(h), _bandwidth(h))
-    vec, d_h = _integer_numerators(h[band.band]) if exact else (h[band.band], 1)
-    return band.lay_out(vec, 0 if exact else zero), d_h
+    parts, d_h = _exact_parts(h[band.band], mp)
+    return tuple(None if p is None else band.lay_out(p) for p in parts), d_h, band.width
 
 
 class _BandOperators(_Band):
     """Operators of a matrix H on the band W = min(w_eta + steps w_H, n - 1):
     mpf vectors, or :class:`_Scaled` ones in exact mode, and H (:attr:`h`)
-    laid out once per pair (:func:`lay_out_matrix`).  Functions of H of
-    degree steps - 1 share the band, so the closure's R_0(H), R_1(H), M and
-    fit columns I, H, H^2 fit on it, as does [H, M]."""
+    laid out once per pair (:func:`lay_out_matrix`).  Every product runs
+    on integer parts over one scale (:meth:`_parts`): exact results stay
+    exact, bigreal ones are the exact product rounded once per entry
+    (:meth:`_value`).  Functions of H of degree steps - 1 share the band,
+    so the closure's R_0(H), R_1(H), M and fit columns I, H, H^2 fit on
+    it, as does [H, M]."""
 
     g = None  # on a folded exact space, which holds W = G^-1 V: the metric, integer numerators over d_g
 
     def __init__(self, rep, steps: int | None):
         self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
-        self.h, self.d_h, self.w_eta = rep.bands
+        self.h, self.d_h, self.w_h, self.w_eta = rep.bands
         self.zero, self.n, self.reach = 0 if self.exact else self.ctx.zero, len(rep.h), rep.reach
         super().__init__(self.n, self.reach(steps))
 
@@ -189,7 +220,7 @@ class _BandOperators(_Band):
         return _Scaled(*_integer_numerators(vec)) if self.exact else vec
 
     def unfold(self, vec, parity: int):
-        """VEC (bigreal, or exact numerators) of the given parity on the whole band."""
+        """VEC (bigreal, or integers) of the given parity on the whole band."""
         if not self.folded:
             return vec
         full = vec[self.spread]
@@ -205,31 +236,64 @@ class _BandOperators(_Band):
         out[self.band] = vec if self.exact else self.unfold(vec, parity)
         return out
 
+    def _parts(self, vec) -> tuple:
+        """(parts, scale) of a vector on this band (:func:`_exact_parts`):
+        an exact one's numerators over its denominator, a bigreal one's
+        mantissas at 2**scale."""
+        return ((vec.num, None), vec.den) if self.exact else _exact_parts(vec, self.ctx.mp)
+
+    def _value(self, parts: tuple, scale):
+        """The vector of PARTS over SCALE: a :class:`_Scaled`, or bigreal
+        entries each rounded once."""
+        return _Scaled(parts[0], scale) if self.exact else _rounded(parts, scale, self.ctx.mp)
+
+    def _joint(self, x, y):
+        """The scale of a product of operands over the scales X and Y."""
+        return x * y if self.exact else x + y
+
     def liouville(self, vec, parity: int = 0):
-        lv = self.commutator(self.h, self.unfold(vec.num if self.exact else vec, parity), self.zero, parity)
-        return _Scaled(lv, vec.den * self.d_h) if self.exact else lv
+        parts, scale = self._parts(vec)
+        lv = _complex(self.h, parts, lambda h, v: self.commutator(h, self.unfold(v, parity), parity))
+        return self._value(lv, self._joint(self.d_h, scale))
+
+    def _times(self, x, y) -> tuple:
+        """(parts, scale) of XY, exactly, for X and Y vectors on this band
+        or (parts, scale) pairs, either of them H (:attr:`h`)."""
+
+        def laid(m):
+            if m is self.h:
+                return self.h, self.d_h
+            parts, scale = m if isinstance(m, tuple) else self._parts(m)
+            return tuple(None if p is None else self.lay_out(p) for p in parts), scale
+
+        (px, sx), (py, sy) = map(laid, (x, y))
+        return _complex(px, py, lambda a, b: _product(a, b, self)), self._joint(sx, sy)
+
+    def _plus(self, x: tuple, y: tuple) -> tuple:
+        """X + Y for (parts, scale) pairs, exactly."""
+        (px, sx), (py, sy) = x, y
+        scale = math.lcm(sx, sy) if self.exact else min(sx, sy)
+        fx, fy = (scale // s if self.exact else 1 << (s - scale) for s in (sx, sy))
+        scaled = ([None if p is None else p * f for p in parts] for parts, f in ((px, fx), (py, fy)))
+        return tuple(_sum(a, b) for a, b in zip(*scaled)), scale
 
     def mul(self, x, y):
         """XY for X and Y on this band, either of them H (:attr:`h`)."""
-        dx, dy = (self.d_h if m is self.h else m.den if self.exact else 1 for m in (x, y))
-        x, y = (m if m is self.h else self.lay_out(m.num if self.exact else m, self.zero) for m in (x, y))
-        xy = _product(x, y, self, self.zero)
-        return _Scaled(xy, dx * dy) if self.exact else xy
+        return self._value(*self._times(x, y))
 
     right_mul = mul
     add = staticmethod(lambda v, f: v + f)
 
     def poly(self, coeffs):
-        """f(H) by Horner's rule, acc = acc H + c."""
-        unit, diag = _Scaled((self.offsets == 0).astype(object) * 1, 1), self.offsets == 0
-        acc = unit * self.ctx.zero if self.exact else unit.num * self.ctx.zero
+        """f(H) by Horner's rule, acc = acc H + c, formed exactly: a
+        bigreal f(H) is rounded once per entry."""
+        diag = (self.offsets == 0).astype(object)
+        acc = (diag * 0, None), (1 if self.exact else 0)
         for k, c in enumerate(reversed(coeffs)):
-            acc = self.mul(acc, self.h) if k else acc
-            if self.exact:
-                acc = acc + unit * c
-            else:
-                acc[diag] = acc[diag] + c
-        return acc
+            (re, im), scale = _exact_parts(np.array([c], dtype=object), None if self.exact else self.ctx.mp)
+            term = (diag * re[0], None if im is None else diag * im[0]), scale
+            acc = self._plus(self._times(acc, self.h), term) if k else term
+        return self._value(*acc)
 
     def fit(self, f):
         """F on the rows of the closure fit, rationals in exact mode: the
@@ -286,7 +350,7 @@ class _BandSpace(_BandOperators):
             g, d_g = _integer_numerators(pair.metric)
             weight_w = weight * g[rows] ** 2
         self.folded = (pair.metric is None or self.exact) and (weight_w == weight_w[self.mirror]).all() and all(
-            _mirrored(m, width, g) for m, width in ((pair.h, self.h[0]), (pair.eta, self.w_eta))
+            _mirrored(m, width, g) for m, width in ((pair.h, self.w_h), (pair.eta, self.w_eta))
         )
         if not self.folded:
             self.weight = self.wplus = weight
@@ -320,24 +384,40 @@ class _BandSpace(_BandOperators):
     def overlaps(self, vectors: list):
         """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
         through the exponential-conjugation oracle.  O_0 moves into the
-        eigenbasis of H once, and the chain's covectors on the whole band
-        (each unfolded once: O(t) is Hermitian only up to rounding) are
-        stacked once, for all times, as integer mantissas.  Each time then
-        costs the phase twist of O_0 there, one move back, Q X Q^T, a
-        three-factor :meth:`~krylov_exact.numeric.Context.matmul` rounded
-        once per entry and read on the band, and one ``matmul`` of the
-        covectors with it, rounded once per amplitude.  The chain vectors
-        stay in the position basis: moving each would cost two products
-        per vector, where a time costs one move back whatever the chain's
-        length."""
-        weight = self.unfold(self.weight, 0)
-        duals = [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)]
-        duals = self.ctx.mantissas(np.array(duals, dtype=object))
+        eigenbasis of H once, rounded once per entry; each time then twists
+        it exactly and moves it back, Q X Q^T, in one exact product
+        (:meth:`~krylov_exact.operators._Banded.eigenbasis`), and meets the
+        chain's covectors, stacked once for all times as integer mantissas,
+        in one more, each amplitude part rounded once.  On a folded band,
+        for a real O_0 and odd vectors that vanish on the diagonal, as the
+        chain's do, the read is folded too: the moved real part is exactly
+        symmetric and the imaginary part exactly antisymmetric, so an even
+        O_n meets the real part and an odd one i times the imaginary part,
+        on the entries a <= b with w+, and the other part of each
+        amplitude is an exact 0, as it is on the whole band.  Elsewhere the
+        covectors are those of the whole band."""
+        ctx, count = self.ctx, len(vectors)
         eigen, to, back = self.pair.rep.eigenbasis()
         o0 = to(self.scatter(vectors[0]))
+        diagonal = np.flatnonzero(self.rows == self.cols)
+        if self.folded and o0.merged()[1] is None and not any(v[diagonal].any() for v in vectors[1::2]):
+            (rows, cols), parity = (self.rows, self.cols), (0, 1)
+            stacks = [(ns, [self.dual(vectors[n]) for n in ns]) for ns in (range(0, count, 2), range(1, count, 2))]
+        else:
+            (rows, cols), parity, weight = self.band, (None,), self.unfold(self.weight, 0)
+            stacks = [(range(count), [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)])]
+        stacks = [(ns, ctx.mantissas(np.array(duals, dtype=object)), part)
+                  for (ns, duals), part in zip(stacks, parity) if ns]
 
         def at(t):
-            ot = back(eigen.conjugate_exp(o0, t))[self.band]
-            return list(self.ctx.matmul(duals, ot.reshape(-1, 1)).ravel())
+            re, im, exp = back(eigen.conjugate_exp(o0, t)).merged()
+            read = [None if p is None else p[rows, cols].reshape(-1, 1) for p in (re, im)]
+            out = [None] * count
+            for ns, duals, part in stacks:
+                column = Mantissas._exact(*((read[part], None) if part is not None else read), exp, None, ctx.mp)
+                for n, z in zip(ns, duals.product(column).rounded().ravel()):
+                    z = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
+                    out[n] = ctx.mp.make_mpc((mpf_neg(z[1]), z[0]) if part == 1 else z)  # i z for odd n
+            return out
 
         return at

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
@@ -186,7 +186,9 @@ def heisenberg_closed_form(pair: OperatorPair, closure: ClosureData, t) -> np.nd
     a^2 = R_1 a + R_0, and [.] are divided differences.  These stay
     finite where R_0 = 0 or a+ = a-; a negative discriminant raises
     :class:`~krylov_exact.errors.DegenerateFrequencies`.  The sum is
-    formed in the eigenbasis of H and moved back.  Bigreal only.
+    formed in the eigenbasis of H and moved back: for a matrix H exactly,
+    from A, B and C rounded once per eigenvalue, each entry of the result
+    rounded once.  Bigreal only.
     """
     closed_form, _, back = _heisenberg_evaluator(pair, closure)
     return pair.rep.scatter(back(closed_form(pair.ctx.num(t))))
@@ -201,8 +203,10 @@ def _heisenberg_evaluator(pair: OperatorPair, closure: ClosureData):
     oracle uses only the energies, never alpha_+-.  What does not depend
     on t is computed once, here: L eta (one commutator, in the pair's
     basis), the eigenbasis images of eta and L eta, and (a+, a-, R_{-1})
-    at each eigenvalue.  A spectrum is its own eigenbasis, both moves are
-    the identity, and everything stays on the eta support.
+    at each eigenvalue.  For a matrix H both sides are exact integer
+    operators (:class:`~krylov_exact.operators._Eigenbasis`) and ``back``
+    the exact product Q X Q^T.  A spectrum is its own eigenbasis, both
+    moves are the identity, and everything stays on the eta support.
     """
     ctx = pair.ctx
     if ctx.is_exact:
@@ -236,12 +240,13 @@ def heisenberg_check(pair: OperatorPair, closure: ClosureData, times) -> tuple[l
     """Closed form against :func:`matrix_exponential_conjugate` at each time.
 
     Both sides are formed in the eigenbasis of H from operators moved
-    there once (:func:`_heisenberg_evaluator`), where each entry of either
-    is rounded once.  Their difference C' - O' is rounded there, entry by
-    entry, and moved back once, Q (C' - O') Q^T, an exact product rounded
-    once per entry, so the deviation is read in the pair's basis at the
-    cost of one move per time.  A spectrum pair compares them on the eta
-    support plus the diagonal; off it both are exact zeros.  Returns the
+    there once (:func:`_heisenberg_evaluator`).  For a matrix H they are
+    formed exactly from the scalars of each eigenvalue, and their
+    difference moves back exactly, Q (C' - O') Q^T, in one product per
+    time; the deviation is the largest |entry| of that product, the
+    square root of the largest exact re^2 + im^2 rounded once, read in
+    the pair's basis.  A spectrum pair compares them on the eta support
+    plus the diagonal; off it both are exact zeros.  Returns the
     max-abs deviation per time and whether every one is within
     1000 rel_eps max(|eta|, 1).
     """
@@ -263,8 +268,8 @@ class KrylovProfile:
     meta: dict | None = None
 
     def sum_rule_defect(self, i: int):
-        """|sum_n phi_n(t_i)^2 - 1|."""
-        return abs(sum((v * v for v in self.phi[i]), self.ctx.zero) - 1)
+        """|sum_n phi_n(t_i)^2 - 1|, the sum one fused dot rounded once."""
+        return abs(self.ctx.dot(self.phi[i], self.phi[i]) - 1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -302,7 +307,10 @@ def krylov_profile(
     real up to tolerance: an imaginary part above
     100 rel_eps max(1, |Re|, |Im|), no looser than 100 rel_eps max(1, |phi|)
     and with no square root, signals a chain/inner-product mismatch and
-    raises :class:`~krylov_exact.errors.ComplexAmplitude`.
+    raises :class:`~krylov_exact.errors.ComplexAmplitude`.  The loop runs
+    on the raw mpf parts of the amplitudes and rounds where mpf arithmetic
+    would: the bound once, and n phi, its product with phi and each
+    partial sum of K(t).
     """
     ctx = pair.ctx
     if ctx.is_exact:
@@ -313,25 +321,29 @@ def krylov_profile(
         raise BasisMismatch("the chain was built on another operator pair")
     if np.any(ip.entries(space.rows, space.cols) != space.weight):
         raise BasisMismatch("the chain was built under another inner product")
-    bound = 100 * ctx.default_tolerance().rel_eps
+    mp, (prec, rnd) = ctx.mp, ctx.mp._prec_rounding
+    bound = (100 * ctx.default_tolerance().rel_eps)._mpf_
     times = [ctx.num(t) for t in times]
     amplitudes = space.overlaps(chain.vectors)
     phi_rows = []
     complexity = []
     for t in times:
-        raw = amplitudes(t)
         row = []
-        k_t = ctx.zero
-        for n, val in enumerate(raw):
+        k_t = fzero
+        for n, val in enumerate(amplitudes(t)):
             # times (-i)**n, exactly: swap the parts for odd n, negate both for n = 2, 3 mod 4
-            phi, im = (val.imag, -val.real) if n % 2 else (val.real, val.imag)
+            re, im = val._mpc_
+            phi, im = (im, mpf_neg(re)) if n % 2 else (re, im)
             if n % 4 >= 2:
-                phi, im = -phi, -im
-            if abs(im) > bound * max(1, abs(phi), abs(im)):
-                raise ComplexAmplitude(f"phi_{n} imaginary part {ctx.fmt(im)}")
-            row.append(phi)
-            if n >= 1:
-                k_t = k_t + n * phi * phi
+                phi, im = mpf_neg(phi), mpf_neg(im)
+            size, top = mpf_abs(im), fone  # top = max(1, |phi|, |im|)
+            for x in (mpf_abs(phi), size):
+                top = x if mpf_gt(x, top) else top
+            if mpf_gt(size, mpf_mul(bound, top, prec, rnd)):
+                raise ComplexAmplitude(f"phi_{n} imaginary part {ctx.fmt(mp.make_mpf(im))}")
+            row.append(mp.make_mpf(phi))
+            if n >= 1:  # k_t + (n phi) phi, three roundings
+                k_t = mpf_add(k_t, mpf_mul(mpf_mul(from_int(n), phi, prec, rnd), phi, prec, rnd), prec, rnd)
         phi_rows.append(row)
-        complexity.append(k_t)
+        complexity.append(mp.make_mpf(k_t))
     return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)

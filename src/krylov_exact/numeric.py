@@ -33,6 +33,9 @@ factors is multiplied exactly from left to right before its one
 rounding.  An operand used in many products is converted once
 (:meth:`Context.mantissas`).  :meth:`Context.gram_schmidt` reorthogonalises
 on the same integers, rounding each coefficient and each entry once.
+Mantissas also add, subtract and multiply entry by entry, exactly, and
+give their largest |entry| with one rounding: the eigenbasis operators
+of a matrix H are formed that way before one exact move back.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from functools import cache, partial, reduce
 import mpmath
 import numpy as np
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_sub, to_fixed,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_sqrt, mpf_sub, to_fixed,
 )
 
 from .errors import DimensionMismatch, EigenNotConverged, ModeError, NonFiniteValue
@@ -418,7 +421,9 @@ class Mantissas:
 
     @classmethod
     def _exact(cls, re, im, exp, is_complex, mp) -> Mantissas:
-        """(re + i im) * 2**exp in one slab per part; im None is zero."""
+        """(re + i im) * 2**exp in one slab per part; im None is zero.
+        IS_COMPLEX None flags every entry complex where im is given."""
+        is_complex = np.full(re.shape, im is not None) if is_complex is None else is_complex
         every = np.arange(re.shape[1])
         slabs = [(part, exp, every, x) for part, x in enumerate((re, im)) if x is not None]
         return cls(slabs, re.shape, is_complex, mp, (re, im, exp))
@@ -469,6 +474,42 @@ class Mantissas:
             is_complex = is_complex.any(axis=1)[:, None] | other.complex.any(axis=0)[None, :]
         re, im = acc  # re is None only where every nonzero entry of self is imaginary and others real
         return Mantissas._exact(np.zeros(im.shape, dtype=object) if re is None else re, im, exp, is_complex, self.mp)
+
+    def __add__(self, other: Mantissas, sign: int = 1) -> Mantissas:
+        """The entrywise sum (numpy broadcasting), exactly: both held at
+        the lower of their exponents."""
+        (r1, i1, e1), (r2, i2, e2) = self.merged(), other.merged()
+        low = min(e1, e2)
+        x, y = ([None if p is None else p << (e - low) if e > low else p for p in parts]
+                for parts, e in (((r1, i1), e1), ((r2, i2), e2)))
+        y = [None if p is None else -p for p in y] if sign < 0 else y
+        return Mantissas._exact(*(_sum(a, b) for a, b in zip(x, y)), low, self.complex | other.complex, self.mp)
+
+    def __sub__(self, other: Mantissas) -> Mantissas:
+        return self.__add__(other, -1)
+
+    def __mul__(self, other: Mantissas) -> Mantissas:
+        """The entrywise product (numpy broadcasting), exactly."""
+        (r1, i1, e1), (r2, i2, e2) = self.merged(), other.merged()
+        re, im = _product((r1, i1), (r2, i2), operator.mul)
+        return Mantissas._exact(re, im, e1 + e2, self.complex | other.complex, self.mp)
+
+    def conjugate(self) -> Mantissas:
+        re, im, exp = self.merged()
+        return Mantissas._exact(re, None if im is None else -im, exp, self.complex, self.mp)
+
+    @property
+    def T(self) -> Mantissas:
+        re, im, exp = self.merged()
+        return Mantissas._exact(re.T, None if im is None else im.T, exp, self.complex.T, self.mp)
+
+    def largest_abs(self):
+        """max |entry| as an mpf: the largest exact square re^2 + im^2,
+        its square root rounded once."""
+        re, im, exp = self.merged()
+        squares = re * re if im is None else re * re + im * im
+        prec, rnd = self.mp._prec_rounding
+        return self.mp.make_mpf(mpf_sqrt(from_man_exp(max(squares.flat, default=0), 2 * exp), prec, rnd))
 
     def rounded(self) -> np.ndarray:
         """Each entry rounded once with ``from_man_exp`` at the context's
@@ -536,13 +577,14 @@ def _sum(*terms):
     return sum(terms[1:], terms[0]) if terms else None
 
 
-def _product(x: tuple, y: tuple) -> tuple:
-    """The exact product x @ y of complex integer arrays held as (re, im),
-    None for a part that is zero."""
+def _product(x: tuple, y: tuple, op=operator.matmul) -> tuple:
+    """The exact product op(x, y), x @ y by default, of complex integer
+    arrays held as (re, im), None for a part that is zero, for any OP
+    bilinear over the integers."""
     (xr, xi), (yr, yi) = x, y
 
     def mul(u, v):
-        return None if u is None or v is None else u @ v
+        return None if u is None or v is None else op(u, v)
 
     ii = mul(xi, yi)
     return _sum(mul(xr, yr), None if ii is None else -ii), _sum(mul(xr, yi), mul(xi, yr))

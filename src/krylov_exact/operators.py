@@ -16,13 +16,14 @@ one of two representations, picked once from the shape of ``h``:
   (:mod:`~krylov_exact.band`), where functions of H are banded too.
   Spectral work happens in the eigenbasis: the eigendecomposition (E, Q)
   is computed at most once per pair, and operators move there, Q^T V Q,
-  and back, Q V Q^T, each one three-factor
-  :meth:`~krylov_exact.numeric.Context.matmul`, which multiplies integer
-  mantissas exactly and rounds each entry of the result once; Q and Q^T
-  are converted to mantissas once per pair.  The Heisenberg check moves
-  eta and L eta there once and, per time, moves back only the
-  difference of the closed form and the oracle.  The profile moves O_0
-  there once and, per time, its phase twist back
+  a three-factor :meth:`~krylov_exact.numeric.Context.matmul` rounded
+  once per entry, and are held there as exact integer mantissas
+  (:class:`_Eigenbasis`).  Per time, the closed form, the phase twist
+  and their difference are formed exactly and move back, Q X Q^T, in one
+  exact product with Q's mantissas, converted once per pair; the
+  Heisenberg check reads its largest entry from that exact product, the
+  public closed form and oracle round it once per entry, and the profile
+  reads its amplitudes off it
   (:meth:`~krylov_exact.band._BandSpace.overlaps`).
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
@@ -33,9 +34,9 @@ The Lanczos spaces hand out those covectors (``dual``); the chain keeps
 one beside each of its vectors for its exact-accumulator
 reorthogonalisation (:meth:`~krylov_exact.numeric.Context.gram_schmidt`),
 each coefficient an exact sum rounded once.  The profile stacks them once for
-all times, as integer mantissas, and meets each time's O_0(t) with one
-batched :meth:`~krylov_exact.numeric.Context.matmul`, whose entries are
-those dots bit for bit.
+all times, as integer mantissas, and meets each time's O_0(t) in batched
+exact products, each amplitude part rounded once: those dots bit for bit
+where O_0(t) is rounded, and the exact sums where it is held exactly.
 
 The parity fold
 ---------------
@@ -71,10 +72,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .band import _Band, _bandwidth, _BandSpace, conjugate, lay_out_matrix, max_abs, zeros  # noqa: F401
+from .band import (  # noqa: F401
+    _Band, _bandwidth, _BandSpace, _exact_parts, _rounded, _Scaled, conjugate, lay_out_matrix, max_abs, zeros,
+)
 from .catalog import SystemSpec, _polyval
 from .errors import (
     BasisMismatch,
@@ -87,7 +91,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, exact_sqrt, symmetric_eigen
+from .numeric import Context, Mantissas, _is_mp, _product as _complex, exact_sqrt, symmetric_eigen
 
 POSITION = "position"
 ENERGY = "energy"
@@ -102,7 +106,9 @@ class OperatorPair:
     :attr:`basis` names the basis, read off the same shape.
     ``metric`` is None for an orthonormal basis, or the diagonal g of the
     similarity that maps the stored matrices back to the honest symmetric
-    representation.
+    representation.  Assigning ``h``, ``eta`` or ``metric`` after
+    construction builds ``rep`` afresh, so no kept space or layout outlives
+    the arrays it was built from.
     """
 
     h: np.ndarray
@@ -122,6 +128,12 @@ class OperatorPair:
                 foreign = np.frompyfunc(type, 1, 1)(m) != self.ctx.mp.mpf
                 m[foreign] = np.array([self.ctx.num(v) for v in m[foreign]], dtype=object)
         self.rep = _Spectrum(self.h, self.ctx, self.eta) if self.h.ndim == 1 else _Banded(self.h, self.ctx, self.eta)
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in ("h", "eta", "metric") and "rep" in vars(self):
+            del self.rep  # __post_init__ assigns h and eta again
+            self.__post_init__()
 
     @property
     def basis(self) -> str:
@@ -199,16 +211,22 @@ def inner(ip: InnerProduct, v: np.ndarray, w: np.ndarray):
 
 def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Commutator [H, V]; elementwise when H is a diagonal spectrum array,
-    else the band kernel (:meth:`~krylov_exact.band._Band.commutator`) on every
-    entry, which equals ``h @ v - v @ h`` bit for bit."""
+    else the band kernel (:meth:`~krylov_exact.band._Band.commutator`) on
+    every entry, on integers: rationals give ``h @ v - v @ h``, and where
+    an entry is an mpmath number, each entry is the exact commutator
+    rounded once, at the precision of the first such entry's context."""
     if h.ndim == 1:
         if v.shape != (h.shape[0], h.shape[0]):
             raise DimensionMismatch(f"spectrum dim {h.shape[0]} vs matrix {v.shape}")
         return np.subtract.outer(h, h) * v
     if h.shape != v.shape:
         raise DimensionMismatch(f"{h.shape} vs {v.shape}")
-    n, zero = len(h), 0 * h[0, 0] * v[0, 0]
-    return _Band(n, n - 1).commutator(lay_out_matrix(h, zero)[0], v.ravel(), zero).reshape(n, n)
+    n, mp = len(h), next((x.context for x in chain(h.flat, v.flat) if _is_mp(x)), None)
+    (h_parts, d_h, _), (parts, scale) = lay_out_matrix(h, mp), _exact_parts(v.ravel(), mp)
+    lv = _complex(h_parts, parts, _Band(n, n - 1).commutator)
+    if mp is None:
+        return _Scaled(lv[0], d_h * scale).rationals(0 * h[0, 0] * v[0, 0]).reshape(n, n)
+    return _rounded(lv, d_h + scale, mp).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +242,16 @@ class _Spectrum:
     """H diagonal, stored as the 1-D array of its energies.
 
     An operator is the 1-D vector of its entries on the row-major entries
-    of (eta != 0) plus the diagonal, found once; without eta, on every
-    entry (the eigenbasis of a matrix H).  L V, V f(H), V + f(H) and the
-    phase twist act entry by entry and keep exact zeros zero, so the
+    of (eta != 0) plus the diagonal, found once.  L V, V f(H), V + f(H) and
+    the phase twist act entry by entry and keep exact zeros zero, so the
     closure relation and exp(iHt) eta exp(-iHt) live on those entries.  A
     function f(H) is the 1-D array of its values on the spectrum.
     """
 
-    def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray | None = None):
+    def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
         self.h, self.ctx, self.spaces = h, ctx, {}
         # truth is the zero test, without an mpmath comparison per entry
-        entries = np.ones((len(h), len(h)), dtype=bool) if eta is None else eta.astype(bool)
+        entries = eta.astype(bool)
         np.fill_diagonal(entries, True)
         self.rows, self.cols = np.nonzero(entries)
         self.diag = np.flatnonzero(self.rows == self.cols)
@@ -301,8 +318,9 @@ class _Banded:
 
     An operator is a dense matrix; the chain, the oracle and the closure
     relation run on bands (:mod:`~krylov_exact.band`) of any width.  The
-    eigenbasis H = Q diag(E) Q^T, H laid out for the band kernel
-    (:attr:`bands`) and the operator spaces are built on first use and kept,
+    eigenbasis H = Q diag(E) Q^T (:meth:`eigenbasis`), H laid out for the
+    band kernel as integers (:attr:`bands`) and the operator spaces are
+    built on first use and kept,
     so each pair runs :func:`eig_symmetric` at most once: implicit QL on H's
     diagonal and off-diagonal, with Q rotated on integer mantissas at 32
     guard bits (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
@@ -316,10 +334,15 @@ class _Banded:
 
     @cached_property
     def bands(self) -> tuple:
-        """(h, d_H, w_eta): H by :func:`~krylov_exact.band.lay_out_matrix`, and eta's bandwidth."""
-        return (*lay_out_matrix(self.h, self.ctx.zero, self.ctx.is_exact), _bandwidth(self.eta))
+        """(h, d_H, w_H, w_eta): H by :func:`~krylov_exact.band.lay_out_matrix`, and eta's bandwidth."""
+        return (*lay_out_matrix(self.h, None if self.ctx.is_exact else self.ctx.mp), _bandwidth(self.eta))
 
-    gather = scatter = staticmethod(_unchanged)
+    gather = staticmethod(_unchanged)
+
+    @staticmethod
+    def scatter(x: Mantissas) -> np.ndarray:
+        """The matrix of an exact product moved back from the eigenbasis, each entry rounded once."""
+        return x.rounded()
 
     def holding(self, mat: np.ndarray) -> _Banded:
         return self
@@ -327,31 +350,57 @@ class _Banded:
     def liouville(self, v: np.ndarray) -> np.ndarray:
         return liouville(self.h, v)
 
-    def eigenbasis(self) -> tuple[_Spectrum, object, object]:
-        """(spectrum, to, back): the eigenvalues E as a :class:`_Spectrum` on
-        every entry, V -> Q^T V Q into it (row-major) and V -> Q V Q^T back,
-        each one three-factor :meth:`~krylov_exact.numeric.Context.matmul`:
-        the product is exact and each entry is rounded once.  Q and Q^T are
-        converted to integer mantissas once per pair."""
+    def eigenbasis(self) -> tuple[_Eigenbasis, object, object]:
+        """(eigenbasis, to, back): the eigenvalues E (:class:`_Eigenbasis`),
+        V -> Q^T V Q into it, a three-factor
+        :meth:`~krylov_exact.numeric.Context.matmul` rounded once per entry
+        and held as exact :class:`~krylov_exact.numeric.Mantissas`, and
+        X -> Q X Q^T back, the exact product (:meth:`Mantissas.product`),
+        rounded by the caller.  Q and Q^T are converted to integer
+        mantissas once per pair."""
         if self._eigen is None:
             energies, q = eig_symmetric(self.h, self.ctx)
-            ctx, n = self.ctx, len(energies)
+            ctx = self.ctx
             q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
-            self._eigen = (
-                _Spectrum(energies, ctx),
-                lambda v: ctx.matmul(qt, v, q).ravel(),
-                lambda v: ctx.matmul(q, v.reshape(n, n), qt),
-            )
+            to, back = lambda v: ctx.mantissas(ctx.matmul(qt, v, q)), lambda x: q.product(x, qt)
+            self._eigen = _Eigenbasis(energies, ctx), to, back
         return self._eigen
 
     def reach(self, steps: int | None) -> int:
         """The width STEPS commutators reach from eta: every entry for None."""
-        (w_h, _, _), _, w_eta = self.bands
+        _, _, w_h, w_eta = self.bands
         return len(self.h) - 1 if steps is None else min(w_eta + steps * w_h, len(self.h) - 1)
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
         _check_dims(pair, ip)
         return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
+
+
+class _Eigenbasis:
+    """The eigenbasis of a matrix H, the energies E (:attr:`h`), where an
+    operator is an n x n :class:`~krylov_exact.numeric.Mantissas`, held
+    exactly.  V f(H), V + f(H) and the phase twist are formed exactly from
+    f(E) and the phases exp(iEt), each rounded once per eigenvalue."""
+
+    def __init__(self, energies: np.ndarray, ctx: Context):
+        self.h, self.ctx = energies, ctx
+
+    def _row(self, values) -> Mantissas:
+        return self.ctx.mantissas(np.asarray(values, dtype=object).reshape(1, -1))
+
+    def right_mul(self, v: Mantissas, f) -> Mantissas:
+        """V f(H): column b times f(E_b)."""
+        return v * self._row(f)
+
+    def add(self, v: Mantissas, f) -> Mantissas:
+        """V + f(H): f(E) added on the diagonal."""
+        re, im, exp = self._row(f).merged()
+        return v + Mantissas._exact(np.diag(re[0]), None if im is None else np.diag(im[0]), exp, None, self.ctx.mp)
+
+    def conjugate_exp(self, v: Mantissas, t) -> Mantissas:
+        """exp(iHt) V exp(-iHt): (p_a conj(p_b)) V_ab with p = exp(iEt)."""
+        phases = self._row([self.ctx.expj(e * t) for e in self.h])
+        return phases.T * phases.conjugate() * v
 
 
 def _kept_space(rep, pair: OperatorPair, ip: InnerProduct, build, *key):
@@ -383,9 +432,9 @@ def position_pair(spec: SystemSpec) -> OperatorPair:
     ctx = spec.ctx
     n = spec.dim
     h = zeros(n, ctx)
-    np.fill_diagonal(h, [spec.B(x) + spec.D(x) for x in range(n)])
-    upper, lower = [spec.B(x) for x in range(n - 1)], [spec.D(x + 1) for x in range(n - 1)]
-    metric = _off_diagonals(h, upper, lower, -1, ctx, "B(x)*D(x+1)")
+    b, d = [spec.B(x) for x in range(n)], [spec.D(x) for x in range(n)]
+    np.fill_diagonal(h, [u + w for u, w in zip(b, d)])
+    metric = _off_diagonals(h, b[:-1], d[1:], -1, ctx, "B(x)*D(x+1)")
     return OperatorPair(h, build_eta_position(spec), ctx, metric, spec)
 
 
@@ -746,9 +795,11 @@ def matrix_exponential_conjugate(pair: OperatorPair, v: np.ndarray, t) -> np.nda
     """exp(iHt) V exp(-iHt) via the eigenbasis phases (bigreal only).
 
     In the eigenbasis this is the phase twist exp(i(E_a - E_b)t) V_ab.  A
-    matrix H moves V there and back, Q^T V Q and Q (.) Q^T, with fused
-    products (:meth:`_Banded.eigenbasis`) and the eigendecomposition the
-    pair computes once; a spectrum twists V on V's own nonzero entries.
+    matrix H moves V there, Q^T V Q rounded once per entry, twists it
+    exactly from the rounded phases and moves it back exactly, Q (.) Q^T,
+    each entry of the result rounded once (:meth:`_Banded.eigenbasis`),
+    with the eigendecomposition the pair computes once; a spectrum twists
+    V on V's own nonzero entries.
     """
     ctx = pair.ctx
     if ctx.is_exact:

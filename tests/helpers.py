@@ -28,16 +28,18 @@ rounding once at a context's precision.
 
 The full-band reference for the position basis: the moment oracle, the
 unnormalised exact chain and the fully reorthogonalised bigreal chain
-from dense commutators
-``h @ v - v @ h`` and dots over every entry, with no fold (the bigreal
-chain reorthogonalises with the package's exact-accumulator kernel, on dense
-vectors against every earlier one), and the
-profile rows from dense matrices in rational arithmetic, rounded only
-where the package's eigenbasis route rounds.  The bound between the
-Heisenberg check's deviation and the one read off the public closed
-form and oracle.
+from dense commutators and dots over every entry, with no fold (the
+bigreal chain reorthogonalises with the package's exact-accumulator
+kernel, on dense vectors against every earlier one), and the profile
+rows from dense matrices in rational arithmetic, rounded only where the
+package's eigenbasis route rounds.  A dense commutator or product is
+``h @ v - v @ h`` or ``x @ y`` in exact mode and, in bigreal mode, that
+product formed in rationals and rounded once per entry, as the band
+kernel forms it.  The bound between the Heisenberg check's deviation and
+the one read off the public closed form and oracle.
 The dense position-basis closure: R_i(H) by Horner's rule with dense
-products ``acc @ h``, V f(H) as ``v @ f``, and R_{-1} fitted over all n^2
+products ``acc @ h`` (in rationals, rounded once at the end in bigreal
+mode), V f(H) as a dense product, and R_{-1} fitted over all n^2
 entries, with L^m eta from the same dense functions of H.
 
 The golden file of exact values, ``data/exact_golden.json``, and the one
@@ -49,7 +51,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational, fzero
 
 from krylov_exact import (
     Context,
@@ -402,8 +404,53 @@ def nudged_pair(pair):
     return OperatorPair(h, pair.eta, pair.ctx)
 
 
+def exact_ints(m) -> tuple:
+    """(re, im, exp): the exact values of an array of mpf and mpc entries
+    as Python-int arrays at one exponent, re * 2**exp and im * 2**exp; im
+    is None where every entry is real."""
+    flat = m.ravel()
+    count = 2 if any(hasattr(x, "_mpc_") for x in flat) else 1
+    parts = [[x._mpc_[k] if hasattr(x, "_mpc_") else (x._mpf_, fzero)[k] for x in flat] for k in range(count)]
+    low = min((e for part in parts for _, man, e, _ in part if man), default=0)
+    ints = [[(-man if s else man) << (e - low) if man else 0 for s, man, e, _ in part] for part in parts]
+    ints = [np.array(part, dtype=object).reshape(m.shape) for part in ints]
+    return ints[0], ints[1] if count == 2 else None, low
+
+
+def rounded_ints(mp, re, im, exp) -> np.ndarray:
+    """(re + i im) 2**exp with each entry rounded once at the precision and
+    rounding of ``mp``: mpf, or mpc where IM is given."""
+    prec, rnd = mp._prec_rounding
+    out = [mp.make_mpf(from_man_exp(int(v), exp, prec, rnd)) for v in re.ravel()]
+    if im is not None:
+        out = [mp.make_mpc((r._mpf_, from_man_exp(int(v), exp, prec, rnd))) for r, v in zip(out, im.ravel())]
+    return np.array(out, dtype=object).reshape(re.shape)
+
+
+def _exact_product(x, y) -> tuple:
+    """(re, im, exp) of X @ Y, exactly, for arrays of mpf and mpc."""
+    (xr, xi, ex), (yr, yi, ey) = exact_ints(x), exact_ints(y)
+    if xi is None and yi is None:
+        return xr @ yr, None, ex + ey
+    xi, yi = (np.zeros(m.shape, dtype=object) if m is None else m for m, r in ((xi, xr), (yi, yr)))
+    return xr @ yr - xi @ yi, xr @ yi + xi @ yr, ex + ey
+
+
+def dense_product(pair, x, y):
+    """X @ Y: exact in exact mode, else the exact product rounded once per
+    entry, as the band kernel forms it."""
+    if pair.ctx.is_exact:
+        return x @ y
+    return rounded_ints(pair.ctx.mp, *_exact_product(x, y))
+
+
 def dense_commutator(pair, v):
-    return pair.h @ v - v @ pair.h
+    """[H, V] = HV - VH: exact in exact mode, else the exact commutator
+    rounded once per entry."""
+    if pair.ctx.is_exact:
+        return pair.h @ v - v @ pair.h
+    (ar, ai, e), (br, bi, _) = _exact_product(pair.h, v), _exact_product(v, pair.h)
+    return rounded_ints(pair.ctx.mp, ar - br, None if ai is None else ai - bi, e)
 
 
 def reference_oracle(pair, dot, K: int) -> list:
@@ -502,36 +549,42 @@ def reference_profile(pair, ip, ops, times) -> list:
     """phi_n(t) = Re((-i)^n (O_n, O_0(t))) for real chain matrices O_n,
     with dense matrices over every entry, rounded where the package's
     eigenbasis route rounds and exact in between: O_0' = Q^T O_0 Q rounded
-    once per entry, its phase twist (p_a conj(p_b)) O_0'_ab with
-    p = exp(iEt) in mpmath, the move back Q X Q^T rounded once per entry,
-    the covector weight * O_n, and its sum with O_0(t) over every entry
-    rounded once per part of each amplitude."""
+    once per entry; then, from the phases p = exp(iEt) rounded once each,
+    the phase twist (p_a conj(p_b)) O_0'_ab, the move back Q X Q^T and its
+    sum with the covector weight * O_n over every entry, all in
+    rationals, each part of an amplitude rounded once."""
     ctx, mp = pair.ctx, pair.ctx.mp
     exact = np.vectorize(exact_value, otypes=[object])
     rounded = np.vectorize(lambda x: rounded_value(mp, x), otypes=[object])
     energies, q = eig_symmetric(pair.h, ctx)
     q = exact(q)
-    o0 = rounded(q.T @ exact(ops[0]) @ q)
+    o0 = exact(rounded(q.T @ exact(ops[0]) @ q))
     covectors = [exact(ip.weight * o_n) for o_n in ops]
     turn = [mp.mpc(1, 0), mp.mpc(0, -1), mp.mpc(-1, 0), mp.mpc(0, 1)]
     rows = []
     for t in times:
         phases = [ctx.expj(e * t) for e in energies]
-        twist = [[p * r.conjugate() * v for r, v in zip(phases, row)] for p, row in zip(phases, o0)]
-        parts = [exact(np.array([[getattr(z, part) for z in row] for row in twist], dtype=object)) for part in ("real", "imag")]
-        moved = [exact(rounded(q @ part @ q.T)) for part in parts]
+        re, im = (exact(np.array([getattr(p, part) for p in phases], dtype=object)) for part in ("real", "imag"))
+        # p_a conj(p_b) = re_a re_b + im_a im_b + i (im_a re_b - re_a im_b)
+        outer = np.multiply.outer
+        twist = (outer(re, re) + outer(im, im), outer(im, re) - outer(re, im))
+        moved = [q @ (part * o0) @ q.T for part in twist]
         parts = [[rounded_value(mp, (d * m).sum()) for m in moved] for d in covectors]
         rows.append([(mp.mpc(*part) * turn[n % 4]).real for n, part in enumerate(parts)])
     return rows
 
 
 def dense_position_poly(pair, coeffs) -> np.ndarray:
-    """f(H) by Horner's rule, acc = acc @ h + c, on dense matrices."""
-    acc, diag = zeros(pair.dim, pair.ctx), np.diag_indices(pair.dim)
+    """f(H) by Horner's rule, acc = acc @ h + c, on dense matrices: in
+    bigreal mode in rationals, each entry rounded once at the end."""
+    bigreal = not pair.ctx.is_exact
+    value = exact_value if bigreal else (lambda c: c)
+    h, diag = np.vectorize(value, otypes=[object])(pair.h), np.diag_indices(pair.dim)
+    acc = np.full((pair.dim, pair.dim), Fraction(0) if bigreal else pair.ctx.zero, dtype=object)
     for k, c in enumerate(reversed(coeffs)):
-        acc = acc @ pair.h if k else acc
-        acc[diag] = acc[diag] + c
-    return acc
+        acc = acc @ h if k else acc
+        acc[diag] = acc[diag] + value(c)
+    return np.vectorize(lambda x: rounded_value(pair.ctx.mp, x), otypes=[object])(acc) if bigreal else acc
 
 
 def dense_position_closure(pair):
@@ -541,7 +594,8 @@ def dense_position_closure(pair):
     ctx, spec = pair.ctx, pair.spec
     l1 = dense_commutator(pair, pair.eta)
     l2 = dense_commutator(pair, l1)
-    m = l2 - pair.eta @ dense_position_poly(pair, spec.r0_coeffs) - l1 @ dense_position_poly(pair, spec.r1_coeffs)
+    r0, r1 = (dense_position_poly(pair, c) for c in (spec.r0_coeffs, spec.r1_coeffs))
+    m = l2 - dense_product(pair, pair.eta, r0) - dense_product(pair, l1, r1)
     residual = max(abs(v) for v in dense_commutator(pair, m).ravel())
     one, zero = ctx.one, ctx.zero
     cols = [dense_position_poly(pair, c) for c in ((one,), (zero, one), (zero, zero, one))]
@@ -555,8 +609,8 @@ def dense_position_liouville_power(pair, closure, m: int) -> np.ndarray:
     r0, r1, rm1 = (dense_position_poly(pair, c) for c in (closure.r0, closure.r1, closure.rm1))
     a_k, b_k, c_k = (dense_position_poly(pair, (c,)) for c in (ctx.one, ctx.zero, ctx.zero))
     for _ in range(m):
-        a_k, b_k, c_k = r0 @ b_k, a_k + r1 @ b_k, rm1 @ b_k
-    return pair.eta @ a_k + dense_commutator(pair, pair.eta) @ b_k + c_k
+        a_k, b_k, c_k = dense_product(pair, r0, b_k), a_k + dense_product(pair, r1, b_k), dense_product(pair, rm1, b_k)
+    return dense_product(pair, pair.eta, a_k) + dense_product(pair, dense_commutator(pair, pair.eta), b_k) + c_k
 
 
 def same_scalar(x, y) -> bool:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -365,6 +366,13 @@ def test_k_sets_the_thermal_truncation(capsys):
     assert out2.splitlines()[1:] != out6.splitlines()[1:]
 
 
+def _fractions(m: Mantissas) -> tuple:
+    """The exact (re, im) of a Mantissas as Fraction arrays."""
+    re, im, exp = m.merged()
+    scale = Fraction(2) ** exp
+    return tuple(np.zeros(re.shape, dtype=object) if p is None else p * scale for p in (re, im))
+
+
 @pytest.mark.slow
 def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
     """Opt-in (``pytest -m slow``): every Context.matmul that
@@ -373,10 +381,12 @@ def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
     with Context.dot and must agree in type and value; a longer chain is
     the exact product of its factors, each part rounded once.  A left
     operand with summed columns is recomputed from its source against the
-    right operand's rows expanded by the same groups."""
+    right operand's rows expanded by the same groups.  Every exact
+    Mantissas.product, those of the eigenbasis moves included, is
+    recomputed in ``Fraction`` arithmetic from its factors' values."""
     sources, products = {}, []  # id(Mantissas) -> (it, source array, groups)
     mantissas, summed_columns = Context.mantissas, Mantissas.summed_columns
-    matmul = Context.matmul
+    matmul, product = Context.matmul, Mantissas.product
 
     def remembering(self, a):
         m = mantissas(self, a)
@@ -403,12 +413,23 @@ def test_every_product_equals_per_entry_dots(capsys, monkeypatch):
             for index, x in np.ndenumerate(out):
                 parts = (x.real, x.imag) if hasattr(x, "_mpc_") else (x, self.zero)
                 assert parts == (rounded_value(self.mp, re[index]), rounded_value(self.mp, im[index]))
+        return out
+
+    def checked_product(self, *others):
+        out = product(self, *others)
+        re, im = _fractions(self)
+        for other in others:
+            o_re, o_im = _fractions(other)
+            re, im = re @ o_re - im @ o_im, re @ o_im + im @ o_re
+        got_re, got_im = _fractions(out)
+        assert got_re.tolist() == re.tolist() and got_im.tolist() == im.tolist()
         products.append(1)
         return out
 
     monkeypatch.setattr(Context, "mantissas", remembering)
     monkeypatch.setattr(Mantissas, "summed_columns", remembering_sums)
     monkeypatch.setattr(Context, "matmul", checked)
+    monkeypatch.setattr(Mantissas, "product", checked_product)
     assert run(capsys, "verify", "--all", "--mode", "bigreal")[0] == 0
     # ten position pairs: at least a Heisenberg check and a profile each
     assert len(products) > 10 * 20

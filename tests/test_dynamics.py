@@ -477,3 +477,27 @@ def test_profile_matches_per_time_reference(bctx, basis):
         ref = _reference_profile(chain, pair, ip, t)
         assert len(row) == len(ref) > 2
         assert max(abs(a - b) for a, b in zip(row, ref)) <= bound
+
+
+def test_profile_loop_rounds_as_mpf_arithmetic(bctx, monkeypatch):
+    # the amplitude loop runs on raw mpf parts; phi and K(t) must be those
+    # of mpf arithmetic: (-i)^n exactly, then K = sum n phi^2 with the
+    # product n phi, its product with phi and each partial sum rounded
+    pair = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
+    ip = trace_inner(pair)
+    chain = operator_lanczos(pair, ip)
+    mp, rng = bctx.mp, np.random.default_rng(5)
+    turn = [mp.mpc(1, 0), mp.mpc(0, -1), mp.mpc(-1, 0), mp.mpc(0, 1)]  # (-i)^n
+    # i^n (phi_n + i eps_n), phi_n = a / 7 and eps_n tiny, exactly
+    raw = [mp.mpc(mp.mpf(int(a)) / 7, mp.mpf(int(b)) * mp.ldexp(1, -200)) * turn[-n % 4]
+           for n, (a, b) in enumerate(rng.integers(-90, 90, (9, 2)))]
+    monkeypatch.setattr(chain.space, "overlaps", lambda vectors: lambda t: raw)
+    profile = krylov_profile(chain, pair, ip, [bctx.one])
+    phi = [(z * turn[n % 4]).real for n, z in enumerate(raw)]
+    k_t = bctx.zero
+    for n in range(1, len(phi)):
+        k_t = k_t + n * phi[n] * phi[n]
+    assert [x._mpf_ for x in profile.phi[0]] == [x._mpf_ for x in phi]
+    assert profile.complexity[0]._mpf_ == k_t._mpf_
+    # the sum rule is one fused dot, rounded once
+    assert profile.sum_rule_defect(0) == abs(mp.fdot(phi, phi) - 1)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -39,6 +41,8 @@ from krylov_exact.operators import determinant, eig_symmetric, max_abs, solve_co
 
 from helpers import (
     FINITE_KINDS,
+    dense_commutator,
+    dense_product,
     hermiticity_defect,
     identity,
     operator_from_json,
@@ -167,25 +171,34 @@ def _identical(x, y):
 
 
 def _band_product(x, y):
-    """XY of two dense matrices through the band kernel, on every entry."""
-    n, zero = len(x), 0 * x[0, 0] * y[0, 0]
+    """XY of two real dense matrices through the band kernel on every
+    entry, on integer parts: rationals, or the exact product of bigreal
+    entries rounded once per entry."""
+    n, mp = len(x), getattr(x[0, 0], "context", None)
     full = band._Band(n, n - 1)
-    return band._product(full.lay_out(x.ravel(), zero), full.lay_out(y.ravel(), zero), full, zero).reshape(n, n)
+    ((px, _), sx), ((py, _), sy) = (band._exact_parts(m.ravel(), mp) for m in (x, y))
+    xy = band._product(full.lay_out(px), full.lay_out(py), full)
+    if mp is None:
+        return band._Scaled(xy, sx * sy).rationals(0 * x[0, 0] * y[0, 0]).reshape(n, n)
+    return band._rounded((xy, None), sx + sy, mp).reshape(n, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_liouville_equals_dense_commutator(ctx, bctx, n):
     # the random bands have w_h < w_v, w_h > w_v and w_h = w_v, so the
-    # kernel loops over the diagonals of X and, through (Y^T X^T)^T, of Y
+    # kernel loops over the diagonals of X and, through (Y^T X^T)^T, of Y.
+    # Exact results equal the dense products of rationals; bigreal ones
+    # the exact products rounded once per entry
     rng = random.Random(n)
     for c in (ctx, bctx):
         for w_h in sorted({0, 1, 2, n - 1}):
             h = _random_band(n, w_h, c, rng)
+            pair = SimpleNamespace(h=h, ctx=c)
             for w_v in sorted({0, 1, n - 1}):
                 v = _random_band(n, w_v, c, rng)
-                assert _identical(liouville(h, v), h @ v - v @ h), (c.mode, w_h, w_v)
-                assert _identical(_band_product(h, v), h @ v), (c.mode, w_h, w_v)
-                assert _identical(_band_product(v, h), v @ h), (c.mode, w_h, w_v)
+                assert _identical(liouville(h, v), dense_commutator(pair, v)), (c.mode, w_h, w_v)
+                assert _identical(_band_product(h, v), dense_product(pair, h, v)), (c.mode, w_h, w_v)
+                assert _identical(_band_product(v, h), dense_product(pair, v, h)), (c.mode, w_h, w_v)
 
 
 def test_liouville_metric_pairs_equal_dense(ctx):
@@ -577,3 +590,40 @@ def test_shared_spaces_keep_results_history_independent(ctx, bctx, basis):
         moments_oracle(used, ip, K=K)
     operator_lanczos(used, ip, k_max=3)
     assert results(used, ip) == want
+
+
+def test_reassigned_arrays_rebuild_the_representation(ctx, bctx):
+    # eta mirrored under the metric g except in (0, 1), assigned after a
+    # first oracle: the kept space and eta's bandwidth must not outlive the
+    # old eta, so the moments are a fresh pair's
+    spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx)
+    pair = position_pair(spec)
+    moments_oracle(pair)
+    eta = pair.eta.copy()
+    eta[0, 1], eta[1, 0] = ctx.one, pair.metric[1] / pair.metric[0] + 1
+    pair.eta = eta
+    fresh = OperatorPair(pair.h, eta, ctx, pair.metric, spec)
+    assert moments_oracle(pair).values == moments_oracle(fresh).values
+    assert moments_oracle(pair).values[1] == ctx.frac(285, 824)
+    for name in ("h", "eta", "metric"):
+        rep = pair.rep
+        setattr(pair, name, getattr(pair, name))
+        assert pair.rep is not rep and pair.rep.spaces == {}
+    # a bigreal pair converts what is assigned, as at construction
+    big = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
+    big.eta = big.eta * 2
+    assert all(type(x) is bctx.mp.mpf for x in big.eta.ravel())
+    assert big.rep.eta is big.eta
+
+
+def test_position_pair_evaluates_b_and_d_once(ctx):
+    spec = make_system("racah", 6, param_samples(SystemKind.RACAH, 6)[0], ctx)
+    calls = []
+
+    def counted(name):
+        real = getattr(spec, name)
+        return lambda x: calls.append((name, x)) or real(x)
+
+    counting = dataclasses.replace(spec, B=counted("B"), D=counted("D"))
+    assert _identical(position_pair(counting).h, position_pair(spec).h)
+    assert sorted(calls) == sorted((name, x) for name in ("B", "D") for x in range(spec.dim))

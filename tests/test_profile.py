@@ -23,6 +23,7 @@ from krylov_exact import (
     wightman_inner,
 )
 from krylov_exact.errors import BasisMismatch
+from krylov_exact.numeric import Mantissas
 
 from test_support_fold import BETA, _all_same, _loop_weight, _ref_overlaps
 
@@ -51,19 +52,19 @@ def test_profile_rows_equal_full_support_reference(bctx, kind, n_max, params):
 
 
 def _calls(monkeypatch, run):
-    """(Context.dot calls, Context.matmul calls) made by RUN."""
-    calls = {"dot": 0, "matmul": 0}
-    for name in calls:
-        real = getattr(Context, name)
+    """(Context.dot calls, Mantissas.product calls) made by RUN."""
+    calls = {"dot": 0, "product": 0}
+    for cls, name in ((Context, "dot"), (Mantissas, "product")):
+        real = getattr(cls, name)
 
         def counting(self, *args, real=real, name=name):
             calls[name] += 1
             return real(self, *args)
 
-        monkeypatch.setattr(Context, name, counting)
+        monkeypatch.setattr(cls, name, counting)
     run()
     monkeypatch.undo()
-    return calls["dot"], calls["matmul"]
+    return calls["dot"], calls["product"]
 
 
 @pytest.mark.parametrize("basis", ["energy", "position"])
@@ -77,8 +78,9 @@ def test_profile_batches_the_amplitudes_per_time(bctx, monkeypatch, basis):
         pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
         ip = trace_inner(pair)
         # O_0 moves in once, as one three-factor product; per time one
-        # moves O_0(t) back, one meets the covectors
-        per_time, once = 2, 1
+        # moves O_0(t) back, and on the folded band one meets the even
+        # covectors and one the odd
+        per_time, once = 3, 1
     chain = operator_lanczos(pair, ip)
     times = _grid(bctx, 20)
     dots, products = _calls(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))

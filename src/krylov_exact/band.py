@@ -30,7 +30,7 @@ import math
 import numpy as np
 from mpmath.libmp import fzero, mpf_neg
 
-from .numeric import Context, Mantissas, _product as _complex, _sum, rational
+from .numeric import Context, Mantissas, _product as _complex, rational
 
 
 def zeros(n: int, ctx: Context) -> np.ndarray:
@@ -78,24 +78,32 @@ def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     return num.reshape(values.shape), den
 
 
-def _exact_parts(values: np.ndarray, mp=None) -> tuple:
-    """(parts, scale): the 1-D VALUES exactly as integer parts (re, im).
-    Rationals (MP None) are numerators over the denominator ``scale``,
-    with im None; mpmath numbers are mantissas at 2**scale
-    (:class:`~krylov_exact.numeric.Mantissas`), im None where no entry is
-    complex."""
+def _held(values: np.ndarray, mp=None):
+    """The 1-D VALUES exactly: rationals (MP None) as a :class:`_Scaled`,
+    mpmath numbers as a 1-row :class:`~krylov_exact.numeric.Mantissas`."""
     if mp is None:
-        num, den = _integer_numerators(values)
-        return (num, None), den
-    re, im, exp = Mantissas.of(np.asarray(values, dtype=object).reshape(1, -1), mp).merged()
-    return (re[0], None if im is None else im[0]), exp
+        return _Scaled(*_integer_numerators(values))
+    return Mantissas.of(np.asarray(values, dtype=object).reshape(1, -1), mp)
 
 
-def _rounded(parts: tuple, exp: int, mp) -> np.ndarray:
-    """(re + i im) 2**exp with each entry rounded once: an mpf, or an mpc
-    throughout where im is given."""
-    re, im = parts
-    return Mantissas._exact(re[None], None if im is None else im[None], exp, None, mp).rounded()[0]
+def _parts(x) -> tuple:
+    """(re, im, scale) of an exact vector X, 1-D integer parts (im None
+    where X is real): a :class:`_Scaled`'s numerators over the denominator
+    ``scale``, a Mantissas' mantissas at 2**scale."""
+    re, im, scale = x.merged()
+    return re.reshape(-1), None if im is None else im.reshape(-1), scale
+
+
+def _bilinear(op, x: tuple, y: tuple, mp=None):
+    """OP(X, Y), exactly, for X and Y given by :func:`_parts` and OP
+    bilinear over the integers: a :class:`_Scaled` over the product of the
+    denominators (MP None), or a 1-row Mantissas at the sum of the
+    exponents."""
+    (xr, xi, sx), (yr, yi, sy) = x, y
+    re, im = _complex((xr, xi), (yr, yi), op)
+    if mp is None:
+        return _Scaled(re, sx * sy)
+    return Mantissas._exact(re[None], None if im is None else im[None], sx + sy, None, mp)
 
 
 class _Scaled:
@@ -130,6 +138,11 @@ class _Scaled:
     def __mul__(self, c) -> _Scaled:
         num, den = self.raw
         return _Scaled(num * int(c.numerator), den * int(c.denominator))
+
+    def merged(self) -> tuple:
+        """(num, None, den) as formed, the layout of :meth:`Mantissas.merged`."""
+        num, den = self.raw
+        return num, None, den
 
     def rationals(self, zero, at=slice(None)) -> np.ndarray:
         return np.array([rational(x, self.den) if x else zero for x in self.num[at]], dtype=object)
@@ -186,21 +199,25 @@ def _product(x: tuple, y: tuple, band: _Band) -> np.ndarray:
 
 
 def lay_out_matrix(h: np.ndarray, mp=None) -> tuple:
-    """(H, d_H, w_H): H's parts (re, im) by :func:`_exact_parts`, each laid
-    out on H's own band (im None where H is real), their scale d_H (an
-    exact H's denominator, a bigreal H's exponent), and H's bandwidth."""
+    """(H, w_H): H's parts (re, im, scale) by :func:`_parts`, re and im each
+    laid out on H's own band (im None where H is real), with H's
+    bandwidth; the scale is an exact H's denominator, a bigreal H's
+    exponent."""
     band = _Band(len(h), _bandwidth(h))
-    parts, d_h = _exact_parts(h[band.band], mp)
-    return tuple(None if p is None else band.lay_out(p) for p in parts), d_h, band.width
+    re, im, scale = _parts(_held(h[band.band], mp))
+    return (band.lay_out(re), None if im is None else band.lay_out(im), scale), band.width
 
 
 class _BandOperators(_Band):
     """Operators of a matrix H on the band W = min(w_eta + steps w_H, n - 1):
     mpf vectors, or :class:`_Scaled` ones in exact mode, and H (:attr:`h`)
     laid out once per pair (:func:`lay_out_matrix`).  Every product runs
-    on integer parts over one scale (:meth:`_parts`): exact results stay
-    exact, bigreal ones are the exact product rounded once per entry
-    (:meth:`_value`).  Functions of H of degree steps - 1 share the band,
+    on the integer parts of exact operands (:func:`_bilinear`): a
+    :class:`_Scaled`, or a bigreal vector held as a 1-row
+    :class:`~krylov_exact.numeric.Mantissas`, and the sums of Horner's rule
+    are those types' own.  Exact results stay exact, bigreal ones are the
+    exact result rounded once per entry (:meth:`_value`).  Functions of H
+    of degree steps - 1 share the band,
     so the closure's R_0(H), R_1(H), M and fit columns I, H, H^2 fit on
     it, as does [H, M]."""
 
@@ -208,7 +225,8 @@ class _BandOperators(_Band):
 
     def __init__(self, rep, steps: int | None):
         self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
-        self.h, self.d_h, self.w_h, self.w_eta = rep.bands
+        self.h, self.w_h, self.w_eta = rep.bands
+        self.mp = None if self.exact else self.ctx.mp
         self.zero, self.n, self.reach = 0 if self.exact else self.ctx.zero, len(rep.h), rep.reach
         super().__init__(self.n, self.reach(steps))
 
@@ -217,7 +235,7 @@ class _BandOperators(_Band):
         if self.g is not None:
             nz = np.flatnonzero(vec)
             vec[nz] = vec[nz] * self.d_g / self.g[self.rows[nz]]
-        return _Scaled(*_integer_numerators(vec)) if self.exact else vec
+        return _held(vec) if self.exact else vec
 
     def unfold(self, vec, parity: int):
         """VEC (bigreal, or integers) of the given parity on the whole band."""
@@ -236,50 +254,34 @@ class _BandOperators(_Band):
         out[self.band] = vec if self.exact else self.unfold(vec, parity)
         return out
 
-    def _parts(self, vec) -> tuple:
-        """(parts, scale) of a vector on this band (:func:`_exact_parts`):
-        an exact one's numerators over its denominator, a bigreal one's
-        mantissas at 2**scale."""
-        return ((vec.num, None), vec.den) if self.exact else _exact_parts(vec, self.ctx.mp)
+    def _times(self, x, y, op):
+        """OP(X, Y), exactly (:func:`_bilinear`), for X and Y each H
+        (:attr:`h`), an exact vector, or a bigreal vector on this band."""
 
-    def _value(self, parts: tuple, scale):
-        """The vector of PARTS over SCALE: a :class:`_Scaled`, or bigreal
+        def parts(m):
+            if m is self.h:
+                return m
+            return _parts(_held(m, self.mp) if isinstance(m, np.ndarray) else m)
+
+        return _bilinear(op, parts(x), parts(y), self.mp)
+
+    def _value(self, x):
+        """An exact result as a vector: a :class:`_Scaled` as it is, bigreal
         entries each rounded once."""
-        return _Scaled(parts[0], scale) if self.exact else _rounded(parts, scale, self.ctx.mp)
-
-    def _joint(self, x, y):
-        """The scale of a product of operands over the scales X and Y."""
-        return x * y if self.exact else x + y
+        return x if self.exact else x.rounded()[0]
 
     def liouville(self, vec, parity: int = 0):
-        parts, scale = self._parts(vec)
-        lv = _complex(self.h, parts, lambda h, v: self.commutator(h, self.unfold(v, parity), parity))
-        return self._value(lv, self._joint(self.d_h, scale))
+        return self._value(self._times(self.h, vec, lambda h, v: self.commutator(h, self.unfold(v, parity), parity)))
 
-    def _times(self, x, y) -> tuple:
-        """(parts, scale) of XY, exactly, for X and Y vectors on this band
-        or (parts, scale) pairs, either of them H (:attr:`h`)."""
+    def _product(self, x, y):
+        def laid(p):  # H's parts are laid out once, a vector's here
+            return p if isinstance(p, tuple) else self.lay_out(p)
 
-        def laid(m):
-            if m is self.h:
-                return self.h, self.d_h
-            parts, scale = m if isinstance(m, tuple) else self._parts(m)
-            return tuple(None if p is None else self.lay_out(p) for p in parts), scale
-
-        (px, sx), (py, sy) = map(laid, (x, y))
-        return _complex(px, py, lambda a, b: _product(a, b, self)), self._joint(sx, sy)
-
-    def _plus(self, x: tuple, y: tuple) -> tuple:
-        """X + Y for (parts, scale) pairs, exactly."""
-        (px, sx), (py, sy) = x, y
-        scale = math.lcm(sx, sy) if self.exact else min(sx, sy)
-        fx, fy = (scale // s if self.exact else 1 << (s - scale) for s in (sx, sy))
-        scaled = ([None if p is None else p * f for p in parts] for parts, f in ((px, fx), (py, fy)))
-        return tuple(_sum(a, b) for a, b in zip(*scaled)), scale
+        return self._times(x, y, lambda a, b: _product(laid(a), laid(b), self))
 
     def mul(self, x, y):
         """XY for X and Y on this band, either of them H (:attr:`h`)."""
-        return self._value(*self._times(x, y))
+        return self._value(self._product(x, y))
 
     right_mul = mul
     add = staticmethod(lambda v, f: v + f)
@@ -287,13 +289,11 @@ class _BandOperators(_Band):
     def poly(self, coeffs):
         """f(H) by Horner's rule, acc = acc H + c, formed exactly: a
         bigreal f(H) is rounded once per entry."""
-        diag = (self.offsets == 0).astype(object)
-        acc = (diag * 0, None), (1 if self.exact else 0)
-        for k, c in enumerate(reversed(coeffs)):
-            (re, im), scale = _exact_parts(np.array([c], dtype=object), None if self.exact else self.ctx.mp)
-            term = (diag * re[0], None if im is None else diag * im[0]), scale
-            acc = self._plus(self._times(acc, self.h), term) if k else term
-        return self._value(*acc)
+        diag, acc = self.offsets == 0, None
+        for c in reversed(coeffs or (self.zero,)):
+            term = _held(np.where(diag, c, self.zero).astype(object), self.mp)
+            acc = term if acc is None else self._product(acc, self.h) + term
+        return self._value(acc)
 
     def fit(self, f):
         """F on the rows of the closure fit, rationals in exact mode: the

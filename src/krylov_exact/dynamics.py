@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg
+from mpmath.libmp import mpf_neg
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
@@ -307,10 +307,7 @@ def krylov_profile(
     real up to tolerance: an imaginary part above
     100 rel_eps max(1, |Re|, |Im|), no looser than 100 rel_eps max(1, |phi|)
     and with no square root, signals a chain/inner-product mismatch and
-    raises :class:`~krylov_exact.errors.ComplexAmplitude`.  The loop runs
-    on the raw mpf parts of the amplitudes and rounds where mpf arithmetic
-    would: the bound once, and n phi, its product with phi and each
-    partial sum of K(t).
+    raises :class:`~krylov_exact.errors.ComplexAmplitude`.
     """
     ctx = pair.ctx
     if ctx.is_exact:
@@ -321,29 +318,25 @@ def krylov_profile(
         raise BasisMismatch("the chain was built on another operator pair")
     if np.any(ip.entries(space.rows, space.cols) != space.weight):
         raise BasisMismatch("the chain was built under another inner product")
-    mp, (prec, rnd) = ctx.mp, ctx.mp._prec_rounding
-    bound = (100 * ctx.default_tolerance().rel_eps)._mpf_
+    bound = 100 * ctx.default_tolerance().rel_eps
     times = [ctx.num(t) for t in times]
     amplitudes = space.overlaps(chain.vectors)
     phi_rows = []
     complexity = []
     for t in times:
+        raw = amplitudes(t)
         row = []
-        k_t = fzero
-        for n, val in enumerate(amplitudes(t)):
+        k_t = ctx.zero
+        for n, val in enumerate(raw):
             # times (-i)**n, exactly: swap the parts for odd n, negate both for n = 2, 3 mod 4
-            re, im = val._mpc_
-            phi, im = (im, mpf_neg(re)) if n % 2 else (re, im)
+            phi, im = (val.imag, -val.real) if n % 2 else (val.real, val.imag)
             if n % 4 >= 2:
-                phi, im = mpf_neg(phi), mpf_neg(im)
-            size, top = mpf_abs(im), fone  # top = max(1, |phi|, |im|)
-            for x in (mpf_abs(phi), size):
-                top = x if mpf_gt(x, top) else top
-            if mpf_gt(size, mpf_mul(bound, top, prec, rnd)):
-                raise ComplexAmplitude(f"phi_{n} imaginary part {ctx.fmt(mp.make_mpf(im))}")
-            row.append(mp.make_mpf(phi))
-            if n >= 1:  # k_t + (n phi) phi, three roundings
-                k_t = mpf_add(k_t, mpf_mul(mpf_mul(from_int(n), phi, prec, rnd), phi, prec, rnd), prec, rnd)
+                phi, im = -phi, -im
+            if abs(im) > bound * max(1, abs(phi), abs(im)):
+                raise ComplexAmplitude(f"phi_{n} imaginary part {ctx.fmt(im)}")
+            row.append(phi)
+            if n >= 1:
+                k_t = k_t + n * phi * phi
         phi_rows.append(row)
-        complexity.append(mp.make_mpf(k_t))
+        complexity.append(k_t)
     return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)

@@ -77,7 +77,7 @@ from itertools import chain
 import numpy as np
 
 from .band import (  # noqa: F401
-    _Band, _bandwidth, _BandSpace, _exact_parts, _rounded, _Scaled, conjugate, lay_out_matrix, max_abs, zeros,
+    _Band, _bandwidth, _BandSpace, _bilinear, _held, _parts, conjugate, lay_out_matrix, max_abs, zeros,
 )
 from .catalog import SystemSpec, _polyval
 from .errors import (
@@ -91,7 +91,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, Mantissas, _is_mp, _product as _complex, exact_sqrt, symmetric_eigen
+from .numeric import Context, Mantissas, _is_mp, exact_sqrt, symmetric_eigen
 
 POSITION = "position"
 ENERGY = "energy"
@@ -214,7 +214,10 @@ def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     else the band kernel (:meth:`~krylov_exact.band._Band.commutator`) on
     every entry, on integers: rationals give ``h @ v - v @ h``, and where
     an entry is an mpmath number, each entry is the exact commutator
-    rounded once, at the precision of the first such entry's context."""
+    rounded once, at the precision of the first such entry's context.
+    Other entries, floats among them, raise
+    :class:`~krylov_exact.errors.ModeError` unless an mpmath entry sets
+    the context they convert in."""
     if h.ndim == 1:
         if v.shape != (h.shape[0], h.shape[0]):
             raise DimensionMismatch(f"spectrum dim {h.shape[0]} vs matrix {v.shape}")
@@ -222,11 +225,11 @@ def liouville(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     if h.shape != v.shape:
         raise DimensionMismatch(f"{h.shape} vs {v.shape}")
     n, mp = len(h), next((x.context for x in chain(h.flat, v.flat) if _is_mp(x)), None)
-    (h_parts, d_h, _), (parts, scale) = lay_out_matrix(h, mp), _exact_parts(v.ravel(), mp)
-    lv = _complex(h_parts, parts, _Band(n, n - 1).commutator)
-    if mp is None:
-        return _Scaled(lv[0], d_h * scale).rationals(0 * h[0, 0] * v[0, 0]).reshape(n, n)
-    return _rounded(lv, d_h + scale, mp).reshape(n, n)
+    if mp is None and not all(hasattr(x, "denominator") for x in chain(h.flat, v.flat)):
+        raise ModeError("liouville takes rationals or mpmath numbers")
+    h_parts, _ = lay_out_matrix(h, mp)
+    lv = _bilinear(_Band(n, n - 1).commutator, h_parts, _parts(_held(v.ravel(), mp)), mp)
+    return (lv.rationals(0 * h[0, 0] * v[0, 0]) if mp is None else lv.rounded()).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +337,7 @@ class _Banded:
 
     @cached_property
     def bands(self) -> tuple:
-        """(h, d_H, w_H, w_eta): H by :func:`~krylov_exact.band.lay_out_matrix`, and eta's bandwidth."""
+        """(h, w_H, w_eta): H by :func:`~krylov_exact.band.lay_out_matrix`, and eta's bandwidth."""
         return (*lay_out_matrix(self.h, None if self.ctx.is_exact else self.ctx.mp), _bandwidth(self.eta))
 
     gather = staticmethod(_unchanged)
@@ -368,7 +371,7 @@ class _Banded:
 
     def reach(self, steps: int | None) -> int:
         """The width STEPS commutators reach from eta: every entry for None."""
-        _, _, w_h, w_eta = self.bands
+        _, w_h, w_eta = self.bands
         return len(self.h) - 1 if steps is None else min(w_eta + steps * w_h, len(self.h) - 1)
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:

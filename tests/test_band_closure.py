@@ -75,7 +75,7 @@ def test_closure_forms_no_dense_matrix(monkeypatch, mode):
 
     ctx = Context(mode, 50)
     pair = position_pair(make_system("hahn", 24, {"a": "1/2", "b": "2"}, ctx))
-    w_eta = pair.rep.bands[3]
+    w_eta = pair.rep.bands[2]
     assert w_eta == 0
     calls, rows = [], []
 

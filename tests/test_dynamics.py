@@ -480,9 +480,9 @@ def test_profile_matches_per_time_reference(bctx, basis):
 
 
 def test_profile_loop_rounds_as_mpf_arithmetic(bctx, monkeypatch):
-    # the amplitude loop runs on raw mpf parts; phi and K(t) must be those
-    # of mpf arithmetic: (-i)^n exactly, then K = sum n phi^2 with the
-    # product n phi, its product with phi and each partial sum rounded
+    # phi and K(t) are those of mpf arithmetic: (-i)^n exactly, then
+    # K = sum n phi^2 with the product n phi, its product with phi and
+    # each partial sum rounded
     pair = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
     ip = trace_inner(pair)
     chain = operator_lanczos(pair, ip)

@@ -153,6 +153,16 @@ def test_liouville_basics(ctx):
         liouville(h.diagonal().copy(), identity(3, ctx))
 
 
+def test_liouville_refuses_machine_floats():
+    # the kernel lays entries out exactly, as rationals or mpmath mantissas;
+    # machine floats are refused, as Context.num refuses them
+    h = np.array([[1.5, -0.5], [-0.5, 2.0]], dtype=object)
+    v = np.array([[0.0, 1.0], [0.25, 0.0]], dtype=object)
+    for x, y in ((h, v), (h.astype(float), v.astype(float)), (h, v.astype(int))):
+        with pytest.raises(ModeError):
+            liouville(x, y)
+
+
 def _random_band(n, w, ctx, rng):
     """Random non-symmetric matrix with every entry |a - b| <= w drawn."""
     m = zeros(n, ctx)
@@ -176,11 +186,9 @@ def _band_product(x, y):
     entries rounded once per entry."""
     n, mp = len(x), getattr(x[0, 0], "context", None)
     full = band._Band(n, n - 1)
-    ((px, _), sx), ((py, _), sy) = (band._exact_parts(m.ravel(), mp) for m in (x, y))
-    xy = band._product(full.lay_out(px), full.lay_out(py), full)
-    if mp is None:
-        return band._Scaled(xy, sx * sy).rationals(0 * x[0, 0] * y[0, 0]).reshape(n, n)
-    return band._rounded((xy, None), sx + sy, mp).reshape(n, n)
+    parts = [band._parts(band._held(m.ravel(), mp)) for m in (x, y)]
+    xy = band._bilinear(lambda a, b: band._product(full.lay_out(a), full.lay_out(b), full), *parts, mp)
+    return (xy.rationals(0 * x[0, 0] * y[0, 0]) if mp is None else xy.rounded()).reshape(n, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])

@@ -30,6 +30,7 @@ import math
 import numpy as np
 from mpmath.libmp import fzero, mpf_neg
 
+from .errors import MirrorAsymmetry
 from .numeric import Context, Mantissas, _product as _complex, rational
 
 
@@ -379,7 +380,23 @@ class _BandSpace(_BandOperators):
         return self.ctx.zero if self.folded else self.dot(u, v)
 
     def lanczos_stride(self) -> int:
-        return 2 if self.folded else 1
+        """2 on a folded band, else 1.  The chain takes a_n = 0 and L
+        self-adjoint, so on a band that does not fold H, eta and the band
+        weights must still be mirror images under the metric g, each pair
+        :meth:`~krylov_exact.numeric.Context.close` (equal in exact mode):
+        :class:`~krylov_exact.errors.MirrorAsymmetry` names the first
+        entry that is not."""
+        if self.folded:
+            return 2
+        pair, (rows, cols), mirror = self.pair, self.band, self.mirror
+        g = np.full(self.n, self.ctx.one, dtype=object) if pair.metric is None else pair.metric
+        for name, m in (("H", pair.h[rows, cols] * g[cols]), ("eta", pair.eta[rows, cols] * g[cols]),
+                        ("weight", self.weight * g[rows] ** 2)):  # M_ab g_b = M_ba g_a, w_ab g_a^2 = w_ba g_b^2
+            for s in np.flatnonzero(m != m[mirror]):
+                if not self.ctx.close(m[s], m[mirror[s]]):
+                    raise MirrorAsymmetry(f"{name} entries ({rows[s]}, {cols[s]}) and ({cols[s]}, {rows[s]}) are "
+                                          "not mirror images under the metric, so the chain would need a_n != 0")
+        return 1
 
     def overlaps(self, vectors: list):
         """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,

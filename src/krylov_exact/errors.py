@@ -92,7 +92,9 @@ class ComplexAmplitude(KrylovExactError):
 
 class MirrorAsymmetry(KrylovExactError):
     """A mirror pair of the eta support does not cancel in cross-parity inner
-    products, so the Lanczos chain would need diagonal coefficients a_n."""
+    products, or H, eta or the weights of a band are not mirror images
+    under the metric, so the Lanczos chain would need diagonal
+    coefficients a_n."""
 
 
 class NonFiniteValue(KrylovExactError):

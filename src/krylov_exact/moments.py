@@ -31,7 +31,7 @@ from .errors import (
     TailNotConvergent,
 )
 from .numeric import Context
-from .operators import InnerProduct, OperatorPair, _check_count, trace_inner
+from .operators import InnerProduct, OperatorPair, _check_count, _seed, trace_inner
 
 CLOSED_FORM = "closed-form"
 ORACLE = "oracle"
@@ -225,14 +225,14 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     reach.  v_k and v_k+1 have opposite parity, so the odd moments take
     the space's cross-parity dot; no symmetry of eta is assumed, and on a
     folded band, whose mirror symmetry is checked exactly, they are exact
-    zeros.  The chain shares the space.  No closed form enters.
+    zeros.  The chain shares the space and the seed: a zero eta raises
+    :class:`~krylov_exact.errors.ZeroEta`.  No closed form enters.
     """
     _check_count("K", K)
     ctx = pair.ctx
     ip = ip or trace_inner(pair)
     space = pair.rep.space(pair, ip, K)
-    v = space.gather(pair.eta)
-    norm = space.dot(v, v)
+    v, norm = _seed(pair, space)
     values = [ctx.one]
     for k in range(K):
         v_next = space.liouville(v, k % 2)

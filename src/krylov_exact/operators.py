@@ -504,10 +504,11 @@ def energy_pair(spec: SystemSpec, n_max: int | None = None) -> OperatorPair:
 class OperatorChain:
     """Orthonormal chain O_0, O_1, ... with its Lanczos coefficients.
 
-    In bigreal mode the chain vectors are normalised and ``b`` holds
-    b_1..; in exact mode they are the unnormalised rational chain vectors
-    and only ``b_squared`` (with the squared norms ``norms_sq``) is
-    stored, so that the stop test b_{k+1} = 0 stays literal.  The vectors
+    In bigreal mode the chain vectors are normalised, ``b`` holds b_1..
+    and ``norms_sq`` is None; in exact mode they are the unnormalised
+    rational chain vectors and only ``b_squared`` (with the squared norms
+    ``norms_sq``, one more) is stored, so that the stop test b_{k+1} = 0
+    stays literal (:func:`operator_lanczos`).  The vectors
     stay in the form the chain's operator ``space`` holds them (folded on
     the eta support, or on a band, :class:`~krylov_exact.band._Scaled` in
     exact mode), where the profile reads them; :attr:`ops`, their dense
@@ -684,108 +685,77 @@ class SupportBasis:
         return at
 
 
+def _seed(pair: OperatorPair, space):
+    """(V_0, nu_0) of the chain and the oracle: eta in SPACE and its squared norm, refused if it is zero."""
+    v = space.gather(pair.eta)
+    nu = space.dot(v, v)
+    if pair.ctx.is_zero(nu):
+        raise ZeroEta("eta has zero norm")
+    return v, nu
+
+
 def operator_lanczos(
     pair: OperatorPair,
     ip: InnerProduct | None = None,
     k_max: int | None = None,
 ) -> OperatorChain:
-    """Orthonormalise the Krylov chain seeded by eta.
+    """The Krylov chain seeded by eta, by one three-term recurrence
+    W = L V_k - c_k V_{k-1} in both modes.
 
-    Iterates W_k = L O_k - b_k O_{k-1}, b_{k+1} = |W_k|, stopping at
-    k_max, at the dimension of the space the chain lives in (dim**2, or
-    the eta support for a diagonal H), or when b_{k+1}
-    :meth:`~krylov_exact.numeric.Context.is_zero`.  A bigreal W_k is
-    reorthogonalised against the earlier vectors of its parity (all of them
-    on a space that does not fold) by one
-    :meth:`~krylov_exact.numeric.Context.gram_schmidt`.
+    In bigreal mode V_k = O_k is normalised, c_k = b_k, b_{k+1} = |W|, and
+    W is reorthogonalised against the earlier vectors of its parity (all of
+    them on a space that does not fold) by one
+    :meth:`~krylov_exact.numeric.Context.gram_schmidt`.  In exact mode
+    V_k = (b_1 ... b_k |eta|) O_k stays unnormalised: its squared norms
+    nu_k (``norms_sq``) give c_k = b_k^2 = nu_k / nu_{k-1}, all rational,
+    and on a band W is formed over one denominator and reduced once.  The
+    chain stops at k_max, at the dimension of the space it lives in
+    (dim**2, or the eta support for a diagonal H), or when c_{k+1}
+    :meth:`~krylov_exact.numeric.Context.is_zero`, which is c_{k+1} = 0 in
+    exact mode.
     """
     _check_count("k_max", k_max)
-    ctx = pair.ctx
+    ctx, exact = pair.ctx, pair.ctx.is_exact
     ip = ip or trace_inner(pair)
     space = pair.rep.space(pair, ip, k_max)
     k_max = space.size if k_max is None else min(k_max, space.size)
     stride = space.lanczos_stride()
-
-    if ctx.is_exact:
-        return _lanczos_exact(space, pair.eta, k_max, ctx)
-
-    seed = space.gather(pair.eta)
-    nrm2 = space.dot(seed, seed)
-    if ctx.is_zero(nrm2):
-        raise ZeroEta("eta has zero norm")
-    o_prev = None
-    o_cur = seed / ctx.sqrt(nrm2)
-    ops = [o_cur]
-    # each chain vector beside its covector, held exactly from first use
-    basis = [(o_cur, space.dual(o_cur))]
-    bs = []
-    stopped = False
-    while len(bs) < k_max:
-        w = space.liouville(o_cur, (len(ops) - 1) % 2)
-        if o_prev is not None:
-            w = w - o_prev * bs[-1]
-        # full reorthogonalisation: thermal weights make the inner
-        # product extremely ill-conditioned, and the bare three-term
-        # recurrence would drift into ghost directions near the end
-        # of the chain.  W has the parity of O_{k+1}; on a folded
-        # support the vectors of the other parity are orthogonal to it.
-        first = len(ops) % stride
-        w, basis[first::stride] = ctx.gram_schmidt(w, basis[first::stride])
-        b2 = space.dot(w, w)
-        b = ctx.sqrt(b2)
-        if ctx.is_zero(b):
-            stopped = True
+    v, nu = _seed(pair, space)
+    if not exact:
+        v = v / ctx.sqrt(nu)
+    vectors, nus, cs = [v], [nu], []
+    # each bigreal chain vector beside its covector, held exactly from first use
+    basis = None if exact else [(v, space.dual(v))]
+    while len(cs) < k_max:
+        w = space.liouville(vectors[-1], (len(vectors) - 1) % 2)
+        if cs:
+            w = w - vectors[-2] * cs[-1]
+        if not exact:
+            # full reorthogonalisation: thermal weights make the inner
+            # product extremely ill-conditioned, and the bare three-term
+            # recurrence would drift into ghost directions near the end
+            # of the chain.  W has the parity of O_{k+1}; on a folded
+            # support the vectors of the other parity are orthogonal to it.
+            first = len(vectors) % stride
+            w, basis[first::stride] = ctx.gram_schmidt(w, basis[first::stride])
+        nu = space.dot(w, w)
+        c = nu / nus[-1] if exact else ctx.sqrt(nu)
+        if ctx.is_zero(c):
             break
-        o_prev, o_cur = o_cur, w / b
-        ops.append(o_cur)
-        basis.append((o_cur, space.dual(o_cur)))
-        bs.append(b)
+        if not exact:
+            w = w / c
+            basis.append((w, space.dual(w)))
+        vectors.append(w)
+        nus.append(nu)
+        cs.append(c)
     return OperatorChain(
-        vectors=ops,
+        vectors=vectors,
         space=space,
-        b_squared=[v * v for v in bs],
-        stopped=stopped,
+        b_squared=cs if exact else [b * b for b in cs],
+        stopped=len(cs) < k_max,  # only the zero test breaks off early
         ctx=ctx,
-        b=bs,
-    )
-
-
-def _lanczos_exact(space, eta: np.ndarray, k_max: int, ctx: Context) -> OperatorChain:
-    """Unnormalised three-term recurrence V_{k+1} = L V_k - b_k^2 V_{k-1}.
-
-    With V_k = (b_1 ... b_k |eta|) O_k the squared norms nu_k satisfy
-    b_k^2 = nu_k / nu_{k-1}, all rational, and the stop test is V = 0.  On
-    a band, V_{k+1} is formed over one denominator and reduced once.
-    """
-    v_cur = space.gather(eta)
-    v_prev = None
-    nu_cur = space.dot(v_cur, v_cur)
-    if nu_cur == 0:
-        raise ZeroEta("eta has zero norm")
-    ops = [v_cur]
-    nus = [nu_cur]
-    b2s = []
-    stopped = False
-    while len(b2s) < k_max:
-        w = space.liouville(v_cur, (len(ops) - 1) % 2)
-        if v_prev is not None:
-            w = w - v_prev * b2s[-1]
-        nu_next = space.dot(w, w)
-        if nu_next == 0:
-            stopped = True
-            break
-        b2s.append(nu_next / nu_cur)
-        nus.append(nu_next)
-        v_prev, v_cur = v_cur, w
-        nu_cur = nu_next
-        ops.append(v_cur)
-    return OperatorChain(
-        vectors=ops,
-        space=space,
-        b_squared=b2s,
-        stopped=stopped,
-        ctx=ctx,
-        norms_sq=nus,
+        b=None if exact else cs,
+        norms_sq=nus if exact else None,
     )
 
 

@@ -10,9 +10,10 @@ profile rows equal the full-band reference of ``helpers`` (dense
 commutators, dots over every entry, full reorthogonalisation) bit for
 bit; in exact mode the oracle moments, b^2, squared norms and chain
 operators equal the dense exact reference in value and type.  Pairs
-that are mirror images only up to rounding, bigreal pairs under a
-metric, and exact pairs whose eta breaks the mirror keep the whole band
-and stride 1.
+that are mirror images only up to rounding, and bigreal pairs under a
+metric, keep the whole band and stride 1.  Exact pairs whose H, eta or
+weights break the mirror keep the whole band in the oracle, and the
+chain refuses them with ``MirrorAsymmetry``.
 """
 
 from dataclasses import replace
@@ -34,6 +35,8 @@ from krylov_exact import (
     position_pair,
     trace_inner,
 )
+
+from krylov_exact.errors import MirrorAsymmetry
 
 from helpers import (
     FINITE_KINDS,
@@ -73,15 +76,15 @@ def _check(pair, stride: int, profile: bool = True) -> None:
             assert _keys(got) == _keys(want)
 
 
-def _check_exact(pair, stride: int, k_max: int | None = None, ip=None) -> None:
-    """Exact oracle and chain of PAIR under IP (the trace by default; the
+def _check_exact(pair, k_max: int | None = None) -> None:
+    """Exact oracle and chain of PAIR, which folds, under the trace (the
     whole chain by default) against the dense exact reference."""
-    ip = ip or trace_inner(pair)
+    ip = trace_inner(pair)
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
     same = lambda got, want: [(type(v), v) for v in got] == [(type(v), v) for v in want]  # noqa: E731
     assert same(moments_oracle(pair, ip, K).values, reference_oracle(pair, dot, K))
     chain = operator_lanczos(pair, ip, k_max)
-    assert chain.space.lanczos_stride() == stride and chain.space.folded == (stride == 2)
+    assert chain.space.folded and chain.space.lanczos_stride() == 2
     ops, b2s, nus, stopped = reference_exact_chain(pair, dot, k_max)
     assert chain.stopped == stopped
     assert same(chain.b_squared, b2s) and same(chain.norms_sq, nus)
@@ -91,31 +94,43 @@ def _check_exact(pair, stride: int, k_max: int | None = None, ip=None) -> None:
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_exact_defaults_fold_under_their_metric(ctx, kind):
-    _check_exact(position_pair(default_system(kind, ctx)), stride=2)
+    _check_exact(position_pair(default_system(kind, ctx)))
 
 
 @pytest.mark.parametrize("N", [6, pytest.param(8, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_exact_samples_fold_under_their_metric(ctx, kind, N):
     for params in param_samples(kind, N):
-        _check_exact(position_pair(make_system(kind, N, params, ctx)), stride=2)
+        _check_exact(position_pair(make_system(kind, N, params, ctx)))
 
 
 def test_exact_pairs_off_the_mirror_keep_the_whole_band(ctx):
     # eta gains the entries (0, 1) and (1, 0): mirror images under g when
     # eta_10 g_0 = eta_01 g_1, which folds; one unit more in eta_10 or in
-    # H_10, or a trace product under another metric, breaks the mirror,
-    # and the pair keeps the whole band (where L need not be self-adjoint:
-    # the first steps of the recurrence only)
+    # H_10, or a trace product under another metric, breaks the mirror.
+    # The oracle then keeps the whole band, with its odd moments (mu_1 =
+    # 285/824 for eta_10), and the chain, which takes a_n = 0 and L
+    # self-adjoint, refuses the pair and names the entry
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
     g = pair.metric
     assert g is not None and g[0] != g[1]
     other = InnerProduct(ctx, pair.dim, metric=g * np.array([2] + [1] * (pair.dim - 1)))
-    for eta_off, h_off, ip, stride in ((0, 0, None, 2), (1, 0, None, 1), (0, 1, None, 1), (0, 0, other, 1)):
+    for eta_off, h_off, ip, broken in ((0, 0, None, None), (1, 0, None, "eta"), (0, 1, None, "H"),
+                                       (0, 0, other, "weight")):
         h, eta = pair.h.copy(), pair.eta.copy()
         eta[0, 1], eta[1, 0] = ctx.one, g[1] / g[0] + eta_off
         h[1, 0] += h_off
-        _check_exact(OperatorPair(h, eta, ctx, g, pair.spec), stride, k_max=8, ip=ip)
+        off = OperatorPair(h, eta, ctx, g, pair.spec)
+        if broken is None:
+            _check_exact(off, k_max=8)
+            continue
+        ip = ip or trace_inner(off)
+        got, want = moments_oracle(off, ip, K).values, reference_oracle(off, lambda u, v: inner(ip, u, v), K)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        assert not off.rep.space(off, ip, K).folded
+        assert broken != "eta" or got[1] == Fraction(285, 824)
+        with pytest.raises(MirrorAsymmetry, match=rf"{broken} entries \(0, 1\) and \(1, 0\)"):
+            operator_lanczos(off, ip, 8)
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)

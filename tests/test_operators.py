@@ -395,11 +395,18 @@ def test_lanczos_hermite_b2_zero(bctx):
     assert abs(chain.b[0] - 2) < bctx.num("1e-45")
 
 
-def test_lanczos_chain_bound(ctx):
-    spec = make_system("krawtchouk", 2, {"p": "1/2"}, ctx)
-    pair = position_pair(spec)
-    chain = operator_lanczos(pair)
-    assert len(chain.ops) <= pair.dim**2
+def test_lanczos_chain_bound(ctx, bctx):
+    # and each mode's fields: exact keeps b^2 with the squared norms
+    # nu_0 .. nu_k of its unnormalised vectors, bigreal keeps b
+    for c in (ctx, bctx):
+        spec = make_system("krawtchouk", 2, {"p": "1/2"}, c)
+        for pair in (position_pair(spec), energy_pair(spec)):
+            chain = operator_lanczos(pair)
+            assert len(chain.ops) <= pair.dim**2
+            if c.is_exact:
+                assert chain.b is None and len(chain.norms_sq) == len(chain.b_squared) + 1
+            else:
+                assert chain.norms_sq is None and chain.b_squared == [b * b for b in chain.b]
 
 
 @pytest.mark.parametrize("mode", ["exact", "bigreal"])
@@ -421,12 +428,17 @@ def test_negative_step_counts_rejected(basis, mode):
     assert (apply_liouville_power(pair, closure, 0) == pair.eta).all()
 
 
-def test_zero_eta_rejected(ctx):
+@pytest.mark.parametrize("run", [operator_lanczos, moments_oracle], ids=["chain", "oracle"])
+@pytest.mark.parametrize("mode", ["exact", "bigreal"])
+@pytest.mark.parametrize("basis", ["position", "energy"])
+def test_zero_eta_rejected(basis, mode, run):
+    # the chain and the oracle share the seed, which refuses a zero norm
+    ctx = Context(mode, 50)
     spec = make_system("krawtchouk", 2, {"p": "1/2"}, ctx)
-    pair = position_pair(spec)
+    pair = position_pair(spec) if basis == "position" else energy_pair(spec)
     pair.eta = pair.eta * ctx.zero
-    with pytest.raises(ZeroEta):
-        operator_lanczos(pair)
+    with pytest.raises(ZeroEta, match="eta has zero norm"):
+        run(pair)
 
 
 def test_exponential_conjugate_t0(bctx):

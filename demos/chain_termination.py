@@ -29,10 +29,10 @@ print("chain termination across the catalog (K = 6)")
 print("=" * 72)
 for kind in SystemKind:
     if kind.is_finite:
-        cls = detect_noncomplexity(default_system(kind, exact))
+        label = detect_noncomplexity(default_system(kind, exact))
     else:
-        cls = detect_noncomplexity(default_system(kind, big), beta="1")
-    print(f"{kind.value:24s} {cls.label}")
+        label = detect_noncomplexity(default_system(kind, big), beta="1")
+    print(f"{kind.value:24s} {label}")
 
 print()
 print("Constant moments stop the chain at O_2; the pure geometric sequence")

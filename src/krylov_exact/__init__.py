@@ -16,11 +16,8 @@ from .catalog import (
     spectrum_shift_relations,
 )
 from .chain import (
-    ChainClassification,
     LanczosCoefficients,
     b123_closed_forms,
-    chain_report,
-    detect_noncomplexity,
     hankel_check,
     lanczos_to_moments,
     moments_to_lanczos,
@@ -55,13 +52,13 @@ from .operators import (
     trace_inner,
     wightman_inner,
 )
+from .verify import detect_noncomplexity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BIGREAL",
     "Context",
-    "ChainClassification",
     "ClosureData",
     "DEFAULT_PARAMS",
     "EXACT",
@@ -77,7 +74,6 @@ __all__ = [
     "apply_liouville_power",
     "b123_closed_forms",
     "build_eta_position",
-    "chain_report",
     "default_system",
     "detect_noncomplexity",
     "energy_pair",

@@ -32,6 +32,7 @@ from typing import Callable
 from .errors import (
     IndexOutOfRange,
     MissingParameter,
+    NonFiniteValue,
     ParameterOutOfRange,
     PositivityViolation,
 )
@@ -55,6 +56,10 @@ class SystemKind(Enum):
     LAGUERRE = "laguerre"
     GEGENBAUER = "gegenbauer"
     JACOBI = "jacobi"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterOutOfRange(f"unknown system {value!r}")
 
     @property
     def is_finite(self) -> bool:
@@ -524,8 +529,8 @@ def make_system(
     for name, v in params.items():
         try:
             typed[name] = ctx.num(v)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterOutOfRange(f"{kind.value}: {name}={v!r} is not a number") from None
+        except (ValueError, ZeroDivisionError, NonFiniteValue):
+            raise ParameterOutOfRange(f"{kind.value}: {name}={v!r} is not a finite number") from None
     try:
         fns = _SYSTEMS[kind][0](ctx, N, typed)
     except ParameterOutOfRange as exc:

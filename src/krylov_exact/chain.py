@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import SystemSpec
 from .errors import (
     AsymmetricMoments,
     DegenerateChain,
     IndexOutOfRange,
+    ModeError,
     NegativeBSquared,
     NonUnitMuZero,
 )
-from .moments import CLOSED_FORM, MomentTable, closed_form_stop, moments_closed
+from .moments import CLOSED_FORM, MomentTable
 from .numeric import Context
-from .operators import determinant
+from .operators import _check_count, determinant
 
 
 @dataclass
@@ -114,12 +114,13 @@ def lanczos_to_moments(coeffs: LanczosCoefficients | list, K: int, ctx: Context 
     J[i, i+1] = b_{i+1}^2, J[i+1, i] = 1 has identical (0,0) matrix
     powers, so no square root ever enters.
     """
+    _check_count("K", K)
     if isinstance(coeffs, LanczosCoefficients):
         b2 = list(coeffs.b_squared)
         ctx = ctx or coeffs.ctx
     else:
         if ctx is None:
-            raise ValueError("a context is required with a bare coefficient list")
+            raise ModeError("a context is required with a bare coefficient list")
         b2 = [ctx.num(v) for v in coeffs]
     size = len(b2) + 1
     v = [ctx.one] + [ctx.zero] * (size - 1)
@@ -160,6 +161,7 @@ def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
     product prod_k b_k^{2(n+1-k)}, and the flag reports whether the
     naive product prod_k b_k^2 disagrees with the determinant.
     """
+    _check_count("n", n)
     ctx = table.ctx
     if table.order < 2 * n:
         raise IndexOutOfRange(f"need moments through mu_{2*n}")
@@ -178,50 +180,6 @@ def hankel_check(table: MomentTable, coeffs: LanczosCoefficients, n: int):
     return lhs, rhs, naive_fails
 
 
-@dataclass(frozen=True)
-class ChainClassification:
-    stop_index: int | None
-    label: str
-
-
-def classify_stop(coeffs: LanczosCoefficients | int | None, K: int) -> ChainClassification:
-    """``StopsAtO{k}`` for a stop index k < K, read off ``coeffs`` or given, else ``NoEarlyStop(K)``."""
-    stop = coeffs.stop_index if isinstance(coeffs, LanczosCoefficients) else coeffs
-    if stop is None or stop >= K:
-        return ChainClassification(None, f"NoEarlyStop({K})")
-    return ChainClassification(stop, f"StopsAtO{stop}")
-
-
-def detect_noncomplexity(
-    spec: SystemSpec, beta=None, K: int = 6, tail_tol=None
-) -> ChainClassification:
-    """Classify the stop of the closed form's measure (:func:`closed_form_stop`).
-
-    The six linear-spectrum families terminate early (the Hermite chain
-    already at O_1: its measure has the two points +-2 and no point at 0).
-    """
-    table = moments_closed(spec, K=K, beta=beta, tail_tol=tail_tol)
-    return classify_stop(closed_form_stop(spec, table), K)
-
-
-#: Order n of the Hankel determinant a chain report checks.
-HANKEL_N = 2
-
-
-def chain_report(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) -> dict:
-    """JSON-ready chain report for one system."""
-    ctx = spec.ctx
-    table = moments_closed(spec, K=K, beta=beta, tail_tol=tail_tol)
-    coeffs = moments_to_lanczos(table)
-    cls = classify_stop(coeffs, K)
-    doc = coeffs.to_json_dict()
-    doc["classification"] = cls.label
-    if table.order >= 2 * HANKEL_N:
-        lhs, rhs, naive_fails = hankel_check(table, coeffs, HANKEL_N)
-        doc["hankel"] = {
-            "n": HANKEL_N,
-            "lhs": ctx.fmt(lhs),
-            "rhs": ctx.fmt(rhs),
-            "naive_formula_fails": naive_fails,
-        }
-    return doc
+def classify_stop(stop: int | None, K: int) -> str:
+    """``StopsAtO{k}`` for a stop index k < K, else ``NoEarlyStop(K)``."""
+    return f"NoEarlyStop({K})" if stop is None or stop >= K else f"StopsAtO{stop}"

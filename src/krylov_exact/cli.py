@@ -6,8 +6,9 @@ chain reports (``lanczos``), complexity profiles (``complexity``), the
 closed-form/oracle comparison (``heisenberg-check``), and the invariant
 suites (``verify``).  Every report embeds its fully resolved
 configuration; identical configurations produce byte-identical output.
-``heisenberg-check`` and ``complexity`` take their pair and closure from
-``verify``'s :class:`~krylov_exact.verify.SystemChecks`.  Every command resolves ``-N``
+``moments`` and ``lanczos`` take their values, and ``heisenberg-check`` and
+``complexity`` their pair and closure, from ``verify``'s
+:class:`~krylov_exact.verify.SystemChecks`.  Every command resolves ``-N``
 and ``--param`` alike (:func:`_resolve_system`): without ``--param`` the
 default sample's parameters, at ``-N`` if given; ``verify --all`` runs
 each system's default sample and rejects ``-N`` and ``--param``.
@@ -31,10 +32,8 @@ from .catalog import (
     SystemKind,
     make_system,
 )
-from .chain import chain_report
 from .dynamics import HEISENBERG_TIMES, heisenberg_check, krylov_profile
-from .errors import KrylovExactError
-from .moments import moments_closed
+from .errors import KrylovExactError, NonFiniteValue, ParameterOutOfRange
 from .numeric import BIGREAL, DEFAULT_PRECISION, EXACT, RATIONAL_BACKEND, Context
 from .operators import operator_lanczos
 from .verify import SystemChecks, run_system_checks
@@ -132,37 +131,40 @@ def _resolve_context(args, kind: SystemKind) -> Context:
     if precision < 30 and mode == BIGREAL:
         raise ConfigError("--precision: bigreal precision must be at least 30")
     ctx = Context(mode, precision)
-    for flag, raw in (("--beta", args.beta), ("--tail-tol", args.tail_tol)):
-        if raw is not None and not _number(ctx, flag, raw) > 0:
-            raise ConfigError(f"{flag}: must be positive, got {raw!r}")
+    if args.beta is not None and not _number(ctx, "--beta", args.beta) > 0:
+        raise ConfigError(f"--beta: must be positive, got {args.beta!r}")
+    if args.tail_tol is not None and not 0 < _number(ctx, "--tail-tol", args.tail_tol) < 1:
+        raise ConfigError(f"--tail-tol: must lie in (0, 1), got {args.tail_tol!r}")
     return ctx
 
 
 def _number(ctx: Context, flag: str, raw: str):
-    """``raw`` as a scalar of ``ctx``; a malformed value is a
-    configuration error naming ``flag``."""
+    """``raw`` as a scalar of ``ctx``; a malformed or non-finite value is
+    a configuration error naming ``flag``."""
     try:
         return ctx.num(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{flag}: not a number: {raw!r}") from None
+    except (ValueError, ZeroDivisionError, NonFiniteValue):
+        raise ConfigError(f"{flag}: not a finite number: {raw!r}") from None
 
 
 def _parse_kind(name) -> SystemKind:
     try:
         return SystemKind(name)
-    except ValueError:
-        raise ConfigError(f"--system: unknown system {name!r}") from None
+    except ParameterOutOfRange as exc:
+        raise ConfigError(f"--system: {exc}") from None
 
 
 def _resolve_system(args, kind: SystemKind):
     """The system the flags name: ``-N`` and ``--param`` where given, else
     the default sample's N and parameters, so ``-N`` alone runs the
     default parameters at that N.  ``verify`` defaults ``--beta`` to 1,
-    and ``verify --all`` lets a setup error through as that system's row.
+    and ``verify --all`` lets a setup error through as that system's row
+    and passes ``--beta`` and ``--tail-tol`` on to the thermal systems.
     The spec carries the context the flags resolve to."""
     ctx = _resolve_context(args, kind)
-    if kind.is_finite and args.beta is not None and not getattr(args, "all", False):
-        raise ConfigError("--beta: only applies to the six thermal systems")
+    given = [flag for flag, raw in (("--beta", args.beta), ("--tail-tol", args.tail_tol)) if raw is not None]
+    if kind.is_finite and given and not getattr(args, "all", False):
+        raise ConfigError(f"{given[0]}: only applies to the six thermal systems")
     if not kind.is_finite and args.N is not None:
         raise ConfigError(f"-N: {kind.value} is infinite")
     if not kind.is_finite and args.beta is None and args.command != "verify":
@@ -232,7 +234,7 @@ def cmd_list_systems(args) -> int:
 
 def cmd_moments(args) -> int:
     spec = _resolve_system(args, _parse_kind(args.system))
-    table = moments_closed(spec, K=args.K, beta=args.beta, tail_tol=args.tail_tol)
+    table = SystemChecks(spec, args.beta, args.K, args.tail_tol).table
     config = _resolved_config(args, spec)
     _report(args, {**table.to_json_dict(), "config": config}, table.to_csv(), config)
     return 0
@@ -240,7 +242,7 @@ def cmd_moments(args) -> int:
 
 def cmd_lanczos(args) -> int:
     spec = _resolve_system(args, _parse_kind(args.system))
-    doc = chain_report(spec, beta=args.beta, K=args.K, tail_tol=args.tail_tol)
+    doc = SystemChecks(spec, args.beta, args.K, args.tail_tol).lanczos_report()
     doc["config"] = _resolved_config(args, spec)
     body = "k,b_squared\n" + "".join(f"{k + 1},{v}\n" for k, v in enumerate(doc["b_squared"]))
     _report(args, doc, body, doc["config"])
@@ -277,8 +279,8 @@ def cmd_complexity(args) -> int:
     config["t_grid"] = list(args.t_grid)
     config["n_max"] = pair.dim - 1
     config["stop_index"] = chain.stop_index
-    prof = krylov_profile(chain, pair, ip, times, meta=config)
-    _report(args, prof.to_json_dict(), prof.to_csv(), config)
+    prof = krylov_profile(chain, pair, ip, times)
+    _report(args, {**prof.to_json_dict(), "meta": config}, prof.to_csv(), config)
     return 0
 
 

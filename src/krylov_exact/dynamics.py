@@ -265,7 +265,6 @@ class KrylovProfile:
     phi: list  # phi[i][n] at times[i]
     complexity: list
     ctx: Context
-    meta: dict | None = None
 
     def sum_rule_defect(self, i: int):
         """|sum_n phi_n(t_i)^2 - 1|, the sum one fused dot rounded once."""
@@ -284,20 +283,13 @@ class KrylovProfile:
 
     def to_json_dict(self) -> dict:
         return {
-            "meta": self.meta or {},
             "times": [self.ctx.fmt(t) for t in self.times],
             "complexity": [self.ctx.fmt(c) for c in self.complexity],
             "phi": [[self.ctx.fmt(v) for v in row] for row in self.phi],
         }
 
 
-def krylov_profile(
-    chain: OperatorChain,
-    pair: OperatorPair,
-    ip: InnerProduct,
-    times,
-    meta: dict | None = None,
-) -> KrylovProfile:
+def krylov_profile(chain: OperatorChain, pair: OperatorPair, ip: InnerProduct, times) -> KrylovProfile:
     """Amplitudes phi_n(t) = (i^n O_n, O(t)) and K(t) = sum n phi_n^2.
 
     O(t) is the exponential-conjugation oracle applied to O_0, read
@@ -339,4 +331,4 @@ def krylov_profile(
                 k_t = k_t + n * phi * phi
         phi_rows.append(row)
         complexity.append(k_t)
-    return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx, meta=meta)
+    return KrylovProfile(times=times, phi=phi_rows, complexity=complexity, ctx=ctx)

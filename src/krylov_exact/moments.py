@@ -98,6 +98,7 @@ def moments_closed_finite(spec: SystemSpec, K: int = 6) -> MomentTable:
     """Closed-form moments for the ten finite systems (exact-friendly)."""
     if not spec.is_finite:
         raise NotFiniteSystem(f"{spec.kind.value} needs the thermal closed form")
+    _check_count("K", K)
     ctx = spec.ctx
     norm = spec.norm_eta_sq()
     ac = [spec.ac_product(n) for n in range(spec.N)]
@@ -126,10 +127,12 @@ def moments_closed_thermal(spec: SystemSpec, K: int = 6, beta=None, tail_tol=Non
     series are summed together until the largest term ratio r is below 1
     and the geometric majorant, the current term times r/(1 - r), bounds
     every relative tail by ``tail_tol``.  The majorant takes the later
-    ratios to stay at most r.
+    ratios to stay at most r.  A ``tail_tol`` outside (0, 1) certifies
+    nothing and raises ``TailNotConvergent`` before any term is summed.
     """
     if spec.is_finite:
         raise NotInfiniteSystem(f"{spec.kind.value} has the finite closed form")
+    _check_count("K", K)
     ctx = spec.ctx
     if ctx.is_exact:
         raise ModeError("thermal sums need Boltzmann factors; use bigreal mode")
@@ -137,6 +140,8 @@ def moments_closed_thermal(spec: SystemSpec, K: int = 6, beta=None, tail_tol=Non
     if not beta > 0:
         raise TailNotConvergent("beta must be positive")
     tail_tol = ctx.num(tail_tol) if tail_tol is not None else ctx.default_tolerance().rel_eps
+    if not 0 < tail_tol < 1:
+        raise TailNotConvergent(f"tail_tol = {ctx.fmt(tail_tol)} lies outside (0, 1)")
 
     numer = [ctx.zero] * K  # series for mu_2, mu_4, ..., mu_2K
     denom = ctx.zero  # Z * |eta|_beta^2

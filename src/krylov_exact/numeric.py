@@ -181,7 +181,8 @@ class Context:
         return mpmath.mp.workdps(self.precision + 5)
 
     def num(self, v):
-        """Coerce an int, rational, string or mpmath number to this context's scalar type."""
+        """Coerce an int, rational, string or mpmath number to this context's
+        scalar type; a string that reads as +-inf or nan raises NonFiniteValue."""
         if isinstance(v, bool):
             raise ModeError("booleans are not scalars")
         if isinstance(v, float):
@@ -205,7 +206,10 @@ class Context:
             return mp.convert(v)
         if isinstance(v, str):
             p, slash, q = v.strip().partition("/")
-            return mp.mpf(int(p)) / mp.mpf(int(q)) if slash else mp.mpf(p)
+            x = mp.mpf(int(p)) / mp.mpf(int(q)) if slash else mp.mpf(p)
+            if not mp.isfinite(x):
+                raise NonFiniteValue(f"{v!r} is not finite")
+            return x
         if isinstance(v, int):
             return mp.mpf(v)
         if isinstance(v, numbers.Rational):

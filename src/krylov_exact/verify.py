@@ -14,12 +14,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .catalog import SystemSpec, spectrum_shift_relations
-from .chain import HANKEL_N, b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
+from .chain import b123_closed_forms, classify_stop, hankel_check, lanczos_to_moments, moments_to_lanczos
 from .dynamics import HEISENBERG_TIMES, closure_diagonal_identity, heisenberg_check, krylov_profile, verify_closure
 from .errors import DegenerateChain, KrylovExactError
 from .moments import closed_form_stop, moments_closed, moments_oracle, scale_table
 from .numeric import exact_sqrt
 from .operators import energy_pair, operator_lanczos, position_pair, trace_inner, wightman_inner
+
+#: Order n of the Hankel identity that ``lanczos`` reports and ``verify`` checks.
+HANKEL_N = 2
 
 
 @dataclass
@@ -47,8 +50,8 @@ def _row(name: str, expected: str, check) -> CheckResult:
 
 
 class SystemChecks:
-    """The values one system's checks read, each built on first read (again
-    after a raise), and the checks, which return (got, passed).  A finite
+    """The values one system's checks and reports read, each built on first
+    read (again after a raise), and the checks, which return (got, passed).  A finite
     system's checks run on its K-moment closed form and its position pair
     under the trace; a thermal system's on its K-moment closed form at
     ``beta`` (default 1) and its energy pair on levels 0..cut under the
@@ -62,6 +65,11 @@ class SystemChecks:
     @cached_property
     def table(self):
         return moments_closed(self.spec, self.K, beta=self.beta, tail_tol=self.tail_tol)
+
+    @cached_property
+    def stop(self):
+        """The closed form's stop (:func:`~krylov_exact.moments.closed_form_stop`)."""
+        return closed_form_stop(self.spec, self.table)
 
     @cached_property
     def pair(self):
@@ -91,6 +99,24 @@ class SystemChecks:
     @cached_property
     def coeffs(self):
         return moments_to_lanczos(self.table)
+
+    @cached_property
+    def hankel_values(self):
+        """(det, product, naive product fails) of :func:`~krylov_exact.chain.hankel_check` at HANKEL_N."""
+        return hankel_check(self.table, self.coeffs, HANKEL_N)
+
+    def classification(self) -> str:
+        """The label (:func:`~krylov_exact.chain.classify_stop`) of the recursion's stop."""
+        return classify_stop(self.coeffs.stop_index, self.K)
+
+    def lanczos_report(self) -> dict:
+        """The ``lanczos`` document: b^2, stop index and classification, and
+        the Hankel identity where the moments reach mu_2n."""
+        doc = {**self.coeffs.to_json_dict(), "classification": self.classification()}
+        if self.table.order >= 2 * HANKEL_N:
+            lhs, rhs, naive = self.hankel_values
+            doc["hankel"] = {"n": HANKEL_N, "lhs": self.ctx.fmt(lhs), "rhs": self.ctx.fmt(rhs), "naive_formula_fails": naive}
+        return doc
 
     @cached_property
     def chain(self):
@@ -156,14 +182,14 @@ class SystemChecks:
         ok = all(self.ctx.close(x, y) for x, y in zip(back.values, self.table.values))
         return ("ok" if ok else "broken"), ok
 
-    def stops_at(self, stop):
-        if stop >= self.K:
+    def stops_at(self):
+        if self.stop >= self.K:
             # b_{k+1} = 0 is visible only when the moments reach b_{k+1}
-            return f"not applicable (needs K >= {stop + 1})", None
-        return classify_stop(self.coeffs, self.K).label, self.coeffs.stop_index == stop
+            return f"not applicable (needs K >= {self.stop + 1})", None
+        return self.classification(), self.coeffs.stop_index == self.stop
 
     def hankel(self):
-        lhs, rhs, _ = hankel_check(self.table, self.coeffs, HANKEL_N)
+        lhs, rhs, _ = self.hankel_values
         ok = self.ctx.close(lhs, rhs)
         return ("ok" if ok else f"{self.ctx.fmt(lhs)} != {self.ctx.fmt(rhs)}"), ok
 
@@ -201,12 +227,11 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
     reach b_{s+1}, as a small finite system's chain does; otherwise it
     reports the classification."""
     c = SystemChecks(spec, beta, K, tail_tol)
-    table, _ = c.table, c.pair
-    stop = closed_form_stop(spec, table)
+    table, _, stop = c.table, c.pair, c.stop
     if stop is not None and (stop <= 2 or stop < K):
-        stop_row = (f"b{stop + 1}_is_zero", f"stop at O_{stop}", lambda: c.stops_at(stop))
+        stop_row = (f"b{stop + 1}_is_zero", f"stop at O_{stop}", c.stops_at)
     else:
-        stop_row = ("chain_classification", "reported", lambda: (classify_stop(c.coeffs, K).label, True))
+        stop_row = ("chain_classification", "reported", lambda: (c.classification(), True))
     rows = [
         ("spectrum_shift_relations", "all hold", c.shift_relations),
         ("frequency_discriminant_square", "complete square", c.discriminant_square),
@@ -225,3 +250,11 @@ def run_system_checks(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) ->
         rows.append(("heisenberg_closed_form_vs_oracle", "within tolerance", c.heisenberg))
         rows.append(("profile_sum_rule", "sum phi^2 = 1", c.sum_rule))
     return [_row(*row) for row in rows]
+
+
+def detect_noncomplexity(spec: SystemSpec, beta=None, K: int = 6, tail_tol=None) -> str:
+    """The label, ``StopsAtO{k}`` or ``NoEarlyStop(K)``, of the stop of the
+    closed form's measure (:attr:`SystemChecks.stop`, :func:`classify_stop`).
+    The six linear-spectrum families terminate early (the Hermite chain
+    already at O_1: its measure has the two points +-2 and no point at 0)."""
+    return classify_stop(SystemChecks(spec, beta, K, tail_tol).stop, K)

@@ -77,6 +77,9 @@ def test_missing_and_unknown_parameters(ctx):
         make_system("krawtchouk", None, {"p": "1/2"}, ctx)
     with pytest.raises(ParameterOutOfRange):
         make_system("meixner", 5, {"c": "1/2", "b": "1"}, ctx)
+    for build in (make_system, default_system):
+        with pytest.raises(ParameterOutOfRange, match="unknown system 'nope'"):
+            build("nope")
 
 
 def test_hermite_data_block(ctx):

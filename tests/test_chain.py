@@ -24,6 +24,7 @@ from krylov_exact.errors import (
     AsymmetricMoments,
     DegenerateChain,
     IndexOutOfRange,
+    ModeError,
     NegativeBSquared,
     NonUnitMuZero,
 )
@@ -163,6 +164,8 @@ def test_bare_coefficients_take_the_context_precision(bctx):
     got = lanczos_to_moments(b2, K=3, ctx=bctx).values
     assert got == lanczos_to_moments([bctx.num(v) for v in b2], K=3, ctx=bctx).values
     assert all(type(v) is bctx.mp.mpf for v in got)
+    with pytest.raises(ModeError, match="context"):
+        lanczos_to_moments(b2, K=3)
 
 
 def test_two_coefficient_constant_chain(ctx):
@@ -285,35 +288,33 @@ def test_b3_nonnegative_on_catalog(ctx):
 
 
 def test_detect_noncomplexity_finite(ctx):
-    assert detect_noncomplexity(default_system("krawtchouk", ctx)).label == "StopsAtO2"
-    assert detect_noncomplexity(default_system("dual-hahn", ctx)).label == "StopsAtO2"
-    cls = detect_noncomplexity(default_system("q-racah", ctx), K=6)
-    assert cls.label == "NoEarlyStop(6)"
-    assert cls.stop_index is None
+    assert detect_noncomplexity(default_system("krawtchouk", ctx)) == "StopsAtO2"
+    assert detect_noncomplexity(default_system("dual-hahn", ctx)) == "StopsAtO2"
+    assert detect_noncomplexity(default_system("q-racah", ctx), K=6) == "NoEarlyStop(6)"
 
 
 def test_detect_noncomplexity_thermal(bctx):
     m = make_system("meixner", None, {"c": "1/2", "b": "1"}, bctx)
-    assert detect_noncomplexity(m, beta="1").label == "StopsAtO2"
+    assert detect_noncomplexity(m, beta="1") == "StopsAtO2"
     h = make_system("hermite", None, {}, bctx)
-    assert detect_noncomplexity(h, beta="1").label == "StopsAtO1"
+    assert detect_noncomplexity(h, beta="1") == "StopsAtO1"
     lag = make_system("laguerre", None, {"g": "3/2"}, bctx)
-    assert detect_noncomplexity(lag, beta="1").label == "StopsAtO2"
+    assert detect_noncomplexity(lag, beta="1") == "StopsAtO2"
     geg = make_system("gegenbauer", None, {"g": "2"}, bctx)
-    assert detect_noncomplexity(geg, beta="1", K=6).label == "NoEarlyStop(6)"
+    assert detect_noncomplexity(geg, beta="1", K=6) == "NoEarlyStop(6)"
 
 
 def test_classify_labels(ctx):
     from krylov_exact.chain import LanczosCoefficients
 
     c = LanczosCoefficients(b_squared=[ctx.one] * 4, stop_index=4, ctx=ctx)
-    assert classify_stop(c, 6).label == "StopsAtO4"
+    assert classify_stop(c.stop_index, 6) == "StopsAtO4"
 
 
 def test_chain_report_json(ctx):
-    from krylov_exact.chain import chain_report
+    from krylov_exact.verify import SystemChecks
 
-    doc = chain_report(default_system("krawtchouk", ctx))
+    doc = SystemChecks(default_system("krawtchouk", ctx)).lanczos_report()
     assert doc["classification"] == "StopsAtO2"
     assert doc["stop_index"] == 2
     assert doc["hankel"]["n"] == 2

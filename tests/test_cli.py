@@ -82,6 +82,15 @@ def test_config_errors(capsys):
         ("--beta", ["verify", "--system", "hermite", "--beta", "0"]),
         ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "abc", "-K", "2"]),
         ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "0", "-K", "2"]),
+        # non-finite values, and tolerances that certify nothing or do not apply
+        ("--beta", ["moments", "--system", "hermite", "--beta", "inf"]),
+        ("--t-grid", ["heisenberg-check", "--system", "hermite", "--beta", "1", "--t-grid", "nan"]),
+        ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "inf", "3"]),
+        ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "2"]),
+        ("--tail-tol", ["moments", "--system", "charlier", "--beta", "1", "--tail-tol", "1"]),
+        ("--tail-tol", ["verify", "--all", "--tail-tol", "1"]),
+        ("--tail-tol", ["moments", "--system", "hahn", "--tail-tol", "1e-3"]),
+        ("--tail-tol", ["verify", "--system", "hahn", "--tail-tol", "1e-3"]),
         ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "5", "abc"]),
         ("--t-grid", ["complexity", "--system", "hermite", "--beta", "1", "--t-grid", "0", "x", "3"]),
         ("--t-grid", ["heisenberg-check", "--system", "hermite", "--beta", "1", "--t-grid", "1/0"]),
@@ -143,6 +152,21 @@ def test_lanczos_report(capsys):
     assert doc["stop_index"] == 2
     assert len(doc["b_squared"]) == 2
     assert doc["hankel"]["lhs"] == doc["hankel"]["rhs"]
+
+
+def test_lanczos_classification_is_the_verify_stop_row(capsys):
+    # both commands read the label off one SystemChecks per system
+    code, out, _ = run(capsys, "verify", "--all", "--format", "json")
+    assert code == 0
+    systems = json.loads(out)["systems"]
+    assert len(systems) == 16
+    for system in systems:
+        thermal = system["config"]["beta"] is not None
+        argv = ["lanczos", "--system", system["system"], "--format", "json"] + ["--beta", "1"] * thermal
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        (got,) = [c["got"] for c in system["checks"] if c["name"].endswith("_is_zero") or c["name"] == "chain_classification"]
+        assert json.loads(out)["classification"] == got, argv
 
 
 def test_complexity_profile_csv(capsys):

@@ -219,6 +219,16 @@ def test_tail_not_convergent_for_tiny_beta(bctx, monkeypatch):
         moments_closed_thermal(spec, 2, beta="1/1000")
 
 
+def test_tail_tol_outside_the_unit_interval_refused_at_once(bctx, monkeypatch):
+    # a tolerance of 0 is never met and one of 1 or more certifies nothing:
+    # both raise before the first term, so a one-term cap changes nothing
+    monkeypatch.setattr(moments_module, "N_CAP", 1)
+    spec = default_system("charlier", bctx)
+    for tol in ("0", "-1/2", "1", "2"):
+        with pytest.raises(TailNotConvergent, match="tail_tol = .* outside"):
+            moments_closed_thermal(spec, 2, beta="1", tail_tol=tol)
+
+
 @pytest.mark.parametrize("kind", ["charlier", "meixner"])
 def test_thermal_tail_certified_with_ratio_above_half(bctx, kind):
     # at beta = 1/2 the term ratio of a linear spectrum tends to

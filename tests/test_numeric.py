@@ -160,6 +160,13 @@ def test_num_converts_foreign_mpmath_values(bctx):
         Context("exact").num(v)
 
 
+def test_bigreal_num_refuses_non_finite_strings(bctx):
+    for raw in ("inf", "-inf", "nan", " +inf "):
+        with pytest.raises(NonFiniteValue, match="is not finite"):
+            bctx.num(raw)
+    assert bctx.num("1e300") == bctx.mp.mpf(10) ** 300
+
+
 def test_bigreal_values_pickle(bctx):
     for v in (bctx.num("1/3"), bctx.expj(bctx.num(2))):
         back = pickle.loads(pickle.dumps(v))

@@ -14,12 +14,16 @@ from krylov_exact import (
     build_eta_position,
     default_system,
     energy_pair,
+    hankel_check,
     inner,
     krylov_profile,
+    lanczos_to_moments,
     liouville,
     make_system,
     matrix_exponential_conjugate,
+    moments_closed,
     moments_oracle,
+    moments_to_lanczos,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -422,9 +426,22 @@ def test_negative_step_counts_rejected(basis, mode):
         moments_oracle(pair, K=-1)
     with pytest.raises(IndexOutOfRange, match="m = -2"):
         apply_liouville_power(pair, closure, -2)
+    # the closed forms and the moment/Lanczos maps refuse a negative order too
+    with pytest.raises(IndexOutOfRange, match="K = -1"):
+        moments_closed(spec, K=-1)
+    if mode == "bigreal":
+        with pytest.raises(IndexOutOfRange, match="K = -1"):
+            moments_closed(default_system("charlier", ctx), K=-1, beta="1")
+    table = moments_closed(spec, K=2)
+    with pytest.raises(IndexOutOfRange, match="K = -1"):
+        lanczos_to_moments(moments_to_lanczos(table), -1)
+    with pytest.raises(IndexOutOfRange, match="n = -1"):
+        hankel_check(table, moments_to_lanczos(table), -1)
     # no step at all stays valid: the seed alone, and eta itself
     assert operator_lanczos(pair, k_max=0).b_squared == []
     assert moments_oracle(pair, K=0).values == [ctx.one]
+    assert moments_closed(spec, K=0).values == [ctx.one]
+    assert lanczos_to_moments(moments_to_lanczos(table), 0).values == [ctx.one]
     assert (apply_liouville_power(pair, closure, 0) == pair.eta).all()
 
 

@@ -7,10 +7,14 @@ An operator is its row-major entries within W = min(w_eta + k w_H, n - 1)
 of the diagonal, for the k commutators the caller applies
 (:class:`_BandOperators`); the chain, the oracle and the profile add an
 inner product (:class:`_BandSpace`), folded to the entries a <= b where
-H and eta are mirror images under the metric.  One kernel forms every
-product on Python ints (:func:`_product`): each entry of XY sums
-X[a, k] Y[k, b] over the k where neither is an exact zero, and [H, V] =
-HV - VH costs O(n w_H (w_H + w_V)) integer products instead of O(n^3).
+H and eta are mirror images under the metric.  Exact position pairs run
+their chain and oracle here; a bigreal position pair runs them in the
+eigenbasis of H (:class:`~krylov_exact.operators.EigenSupport`), and the
+bigreal band serves pairs off that route and the tests as a reference.
+One kernel forms every product on Python ints (:func:`_product`): each
+entry of XY sums X[a, k] Y[k, b] over the k where neither is an exact
+zero, and [H, V] = HV - VH costs O(n w_H (w_H + w_V)) integer products
+instead of O(n^3).
 H is laid out once per pair as integers over one scale
 (:func:`lay_out_matrix`).  An exact vector is a :class:`_Scaled`,
 integer numerators over one denominator, reduced once per step, and
@@ -321,9 +325,13 @@ def _mirrored(m: np.ndarray, width: int, g: np.ndarray) -> bool:
 
 class _BandSpace(_BandOperators):
     """The operator space of a matrix H for the chain, the oracle and the
-    profile, in both modes: the band of ``steps`` commutators
-    (:class:`_BandOperators`) with an inner product.  A bigreal dot is one
-    fused dot of the covector (:meth:`dual`) with V.  Where H, eta and the
+    profile: every exact pair's, and a bigreal pair's that is off the
+    eigenbasis route of :meth:`~krylov_exact.operators._Banded.space` (a
+    complex or asymmetric eta, a metric, an inner product other than the
+    trace); a bigreal position pair runs in the eigenbasis.  It is the
+    band of ``steps`` commutators (:class:`_BandOperators`) with an inner
+    product.  A bigreal dot is one fused dot of the covector
+    (:meth:`dual`) with V.  Where H, eta and the
     band weights are mirror images under the metric g (H_ba g_a = H_ab g_b,
     the same for eta, w_ab g_a^2 symmetric; g = 1 without a metric), as for
     every :func:`~krylov_exact.operators.position_pair`, the band is
@@ -336,27 +344,40 @@ class _BandSpace(_BandOperators):
     folds only without a metric, as dividing by g would round; every
     skipped term is then an exact zero, so results are the whole band's
     bit for bit.  An exact dot clears the weights of denominators once per
-    space, w_num / d_w, and is one integer sum over d_w * den_u * den_v.
-    Exact values equal those of rational arithmetic.  The profile evolves
-    O_0 alone, in the eigenbasis of H (:meth:`overlaps`).
+    space, w_num / d_w, and is one integer sum over d_w * den_u * den_v;
+    under the trace with the pair's own metric the folded weights
+    w_ab g_a^2 are g_a g_b, formed directly as the integer products of
+    the metric's numerators over d_g^2.  Exact values equal those of
+    rational arithmetic.  The profile evolves O_0 alone, in the
+    eigenbasis of H (:meth:`overlaps`).
     """
 
     def __init__(self, pair, ip, steps: int | None):
         super().__init__(pair.rep, steps)
-        self.pair, self.size = pair, self.n * self.n
+        self.pair, self.eta, self.size, self.dropped_mass = pair, pair.eta, self.n * self.n, self.ctx.zero
         rows, cols = self.band
-        weight, self.d_w = _integer_numerators(ip.entries(rows, cols)) if self.exact else (ip.entries(rows, cols), 1)
-        g, d_g, weight_w = np.ones(self.n, dtype=object), 1, weight  # weight_w: the weights of W = G^-1 V
+
+        def weights():  # the band's weights w_ab, integers over d_w in exact mode
+            return _integer_numerators(ip.entries(rows, cols)) if self.exact else (ip.entries(rows, cols), 1)
+
+        g, d_g = np.ones(self.n, dtype=object), 1
         if pair.metric is not None and self.exact:
             g, d_g = _integer_numerators(pair.metric)
-            weight_w = weight * g[rows] ** 2
+        # the weights w_ab g_a^2 of W = G^-1 V; under the trace with the
+        # pair's own metric w_ab = g_b / g_a, so they are the integers g_a g_b
+        if self.exact and ip.half is None and ip.metric is pair.metric:
+            weight_w, d_w = g[rows] * g[cols], d_g**2
+        else:
+            weight, d_w = weights()
+            weight_w, d_w = weight * g[rows] ** 2, d_w * d_g**2
         self.folded = (pair.metric is None or self.exact) and (weight_w == weight_w[self.mirror]).all() and all(
             _mirrored(m, width, g) for m, width in ((pair.h, self.w_h), (pair.eta, self.w_eta))
         )
-        if not self.folded:
-            self.weight = self.wplus = weight
+        if not self.folded:  # V itself, with the band's own weights
+            self.weight, self.d_w = weights()
+            self.wplus = self.weight
             return
-        self.g, self.d_g, self.d_w = None if pair.metric is None else g, d_g, self.d_w * d_g**2
+        self.g, self.d_g, self.d_w = None if pair.metric is None else g, d_g, d_w
         reps = np.flatnonzero(rows <= cols)
         self.rows, self.cols, self.weight = rows[reps], cols[reps], weight_w[reps]
         self.wplus = self.weight + np.where(self.rows == self.cols, self.zero, self.weight)  # w_ab + w_ba

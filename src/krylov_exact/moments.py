@@ -9,8 +9,9 @@ Three independent routes produce the moments mu_m = (O_0, L^m O_0):
   for the six unbounded systems with a certified geometric tail bound;
 * :func:`moments_oracle` applies the Liouville commutator literally
   (K times for mu_0 .. mu_2K) in the pair's operator space -- the eta
-  support for a diagonal H, banded matrices for the position basis --
-  and takes inner products, with no closed forms anywhere.
+  support for a diagonal H, the same in the eigenbasis of a bigreal
+  position H, banded matrices for an exact one -- and takes inner
+  products, with no closed forms anywhere.
 
 Cross-checking the closed forms against the oracle is the package's
 central acceptance gate.
@@ -226,31 +227,32 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     the (metric) trace and the Wightman inner products.  The iterates
     live in the operator space of :func:`operator_lanczos`: the eta
     support folded to one entry per mirror pair for a diagonal H, where
-    [H, V]_ab = (E_a - E_b) V_ab, else the band that K commutators
-    reach.  v_k and v_k+1 have opposite parity, so the odd moments take
-    the space's cross-parity dot; no symmetry of eta is assumed, and on a
-    folded band, whose mirror symmetry is checked exactly, they are exact
-    zeros.  The chain shares the space and the seed: a zero eta raises
-    :class:`~krylov_exact.errors.ZeroEta`.  No closed form enters.
+    [H, V]_ab = (E_a - E_b) V_ab, the same on the spectrum pair of a
+    bigreal position pair (the eigenbasis of H,
+    :class:`~krylov_exact.operators.EigenSupport`), else the band that K
+    commutators reach.  v_k and v_k+1 have opposite parity, so the odd
+    moments take the space's cross-parity dot; no symmetry of eta is
+    assumed, and on a folded band, whose mirror symmetry is checked
+    exactly, they are exact zeros.  The chain shares the space and the
+    seed: a zero eta raises :class:`~krylov_exact.errors.ZeroEta`.  No
+    closed form enters: the eigenbasis is H's own.
     """
     _check_count("K", K)
-    ctx = pair.ctx
     ip = ip or trace_inner(pair)
-    space = pair.rep.space(pair, ip, K)
-    v, norm = _seed(pair, space)
+    return _oracle(pair.rep.space(pair, ip, K), K, ip.beta)
+
+
+def _oracle(space, K: int, beta=None) -> MomentTable:
+    """:func:`moments_oracle` on a given operator space."""
+    ctx, spec = space.ctx, space.pair.spec
+    v, norm = _seed(space)
     values = [ctx.one]
     for k in range(K):
         v_next = space.liouville(v, k % 2)
         values.append(space.cross_dot(v, v_next) / norm)
         values.append(space.dot(v_next, v_next) / norm)
         v = v_next
-    return MomentTable(
-        values=values,
-        provenance=ORACLE,
-        ctx=ctx,
-        kind=pair.spec.kind if pair.spec else None,
-        beta=ip.beta,
-    )
+    return MomentTable(values=values, provenance=ORACLE, ctx=ctx, kind=spec.kind if spec else None, beta=beta)
 
 
 def scale_table(table: MomentTable, lam) -> MomentTable:

@@ -47,13 +47,15 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 
 import mpmath
 import numpy as np
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_sqrt, mpf_sub, to_fixed,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_hypot, mpf_le, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub,
+    to_fixed,
 )
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import DimensionMismatch, EigenNotConverged, ModeError, NonFiniteValue
 
@@ -614,12 +616,28 @@ def symmetric_eigen(h: np.ndarray, mp: mpmath.MPContext) -> tuple[np.ndarray, np
     integer, which is ``from_man_exp`` at ``mp``'s precision and
     rounding).  An eigenvalue still coupled after 2 * dps sweeps raises
     :class:`~krylov_exact.errors.EigenNotConverged`.
+
+    Every step is homogeneous in H, and a power of two scales an mpf
+    exactly, so 2**k H has the eigenvalues 2**k E and the same Q, bit for
+    bit.  The iteration runs on H scaled so that its largest entry lies in
+    [1/2, 1), and the last two results are kept: H and 2H, as in
+    ``verify``'s scaling check, decompose once.
     """
-    n, (prec, rnd), bits = len(h), mp._prec_rounding, mp.prec + 32
+    d, e = ([mp.convert(x)._mpf_ for x in v] for v in (h.diagonal(), [*h.diagonal(1), 0]))
+    top = max((x[2] + x[3] for x in d + e if x[1]), default=0)  # 2**top > max |entry| >= 2**(top - 1)
+    energies, q = _implicit_ql(*(tuple(mpf_shift(x, -top) for x in v) for v in (d, e)), mp)
+    return np.array([mp.make_mpf(mpf_shift(x, top)) for x in energies], dtype=object), q.copy()
+
+
+@lru_cache(maxsize=2)
+def _implicit_ql(d: tuple, e: tuple, mp: mpmath.MPContext) -> tuple[list, np.ndarray]:
+    """(E as raw mpf values, Q) of :func:`symmetric_eigen` for the diagonal D
+    and the off-diagonal E (last entry 0), both raw mpf values."""
+    n, (prec, rnd), bits = len(d), mp._prec_rounding, mp.prec + 32
     add, sub, mul, div, hypot = (
         partial(f, prec=prec, rnd=rnd) for f in (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_hypot))
-    d, e = ([mp.convert(x)._mpf_ for x in v] for v in (h.diagonal(), [*h.diagonal(1), 0]))
-    cols = [[1 << bits if i == k else 0 for i in range(n)] for k in range(n)]
+    d, e = list(d), list(e)
+    cols = np.diag([1 << bits] * n).astype(object)  # row k holds column k of Q
     eps, sweeps = mp.eps._mpf_, 2 * mp.dps
     for l in range(n):
         for sweep in range(sweeps + 1):
@@ -644,10 +662,86 @@ def symmetric_eigen(h: np.ndarray, mp: mpmath.MPContext) -> tuple[np.ndarray, np
                 p = mul(s, r)
                 d[i + 1], g = add(g, p), sub(mul(c, r), b)
                 ci, si = to_fixed(c, bits), to_fixed(s, bits)
-                cols[i : i + 2] = zip(
-                    *[((ci * u - si * v) >> bits, (si * u + ci * v) >> bits) for u, v in zip(*cols[i : i + 2])])
+                u, v = cols[i], cols[i + 1]
+                cols[i], cols[i + 1] = (ci * u - si * v) >> bits, (si * u + ci * v) >> bits
             d[l] = sub(d[l], p)
             e[l], e[m] = g, fzero
-    d = np.array([mp.make_mpf(x) for x in d], dtype=object)
-    order = np.argsort(d)
-    return d[order], np.array([[mp.ldexp(x, -bits) for x in cols[k]] for k in order], dtype=object).T
+    order = np.argsort(np.array([mp.make_mpf(x) for x in d], dtype=object))
+    return [d[k] for k in order], np.array([[mp.ldexp(x, -bits) for x in cols[k]] for k in order], dtype=object).T
+
+
+@cache
+def _intervals():
+    """A private mpmath interval context at 64 bits: every result encloses the exact one."""
+    context = MPIntervalContext()
+    context.prec = 64
+    return context
+
+
+def eigenbasis_zero_bounds(h: np.ndarray, eta: np.ndarray, energies: np.ndarray, q: Mantissas,
+                           mp: mpmath.MPContext) -> np.ndarray:
+    """kappa_j, one per eigenvalue, such that an entry (a, b) of Q^T eta Q,
+    rounded once, of modulus at most kappa_a + kappa_b (that sum rounded
+    to nearest) lies within its error of 0, for (E, Q) of
+    :func:`symmetric_eigen` on a real symmetric tridiagonal H, Q held as
+    integer mantissas, and a real symmetric eta.
+
+    The error is taken against the exact eigenvectors v_j of the exact
+    pair, which the data give to the context's precision, u = 2**-prec:
+    |H_t - H| <= u |H| and |eta_t - eta| <= u |eta| entry by entry.  The
+    residuals r_j = H q_j - E_j q_j and the column norms |q_j|^2 are
+    formed exactly on integer mantissas, and everything after that in
+    interval arithmetic, so each quantity below is the upper end of an
+    enclosure:
+
+    * nu_j = ||q_j|^2 - 1| >= ||q_j| - 1|, Q's loss of orthogonality in
+      its columns' lengths;
+    * rho_j = |r_j| / (1 - nu_j) + u |H|_inf, the residual of q_j / |q_j|
+      against H_t, so an eigenvalue of H_t lies within rho_j of E_j;
+    * these intervals are disjoint when every gap between neighbouring E
+      exceeds 2 max rho, so each of the n holds exactly one of the n
+      eigenvalues, and every other eigenvalue lies at least delta_j =
+      (the nearer gap at j) - max rho from E_j;
+    * Davis and Kahan's sin-theta bound, s_j = rho_j / delta_j >= sin of
+      the angle between q_j and v_j (the sign of v_j chosen so that the
+      angle is acute), so |q_j / |q_j| - v_j| <= s_j (1 + s_j^2) for
+      s_j <= 1/2, and eps_j = nu_j + s_j (1 + s_j^2) >= |q_j - v_j|.
+
+    With w = 1 + max nu >= |q_j| and N = |eta|_inf >= |eta|_2,
+    |q_a^T eta q_b - v_a^T eta_t v_b| <= N (1 + u) w (eps_a + eps_b)
+    + N u w^2, and rounding the move adds at most u |eta'_ab|.  So
+    kappa_j = (N (1 + u) w eps_j + N u w^2 / 2) / (1 - u), times 1 + 2u
+    so that the nearest sum kappa_a + kappa_b is not below the bound.
+    Where s_j > 1/2, nothing bounds q_j's error, and kappa_j = -inf keeps
+    every entry of row and column j.  Where some nu_j > 1/2 or two
+    intervals meet, every kappa is -inf and no entry is set to 0
+    (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4 and 11;
+    Davis & Kahan, *SIAM J. Numer. Anal.* 7 (1970) 1).
+    """
+    iv, n = _intervals(), len(h)
+    u, half, two = iv.mpf(2) ** -mp.prec, iv.mpf(1) / 2, iv.mpf(2)
+    row, _, x1 = Mantissas.of(np.array([*h.diagonal(), *h.diagonal(1), *energies], dtype=object)[None], mp).merged()
+    d, e, lam = row[0, :n], row[0, n:2 * n - 1], row[0, 2 * n - 1:]
+    qi, _, x2 = q.merged()
+    r = (d[:, None] - lam[None, :]) * qi  # R = HQ - Q diag(E) at 2**(x1 + x2), exactly
+    r[:-1] += e[:, None] * qi[1:]
+    r[1:] += e[:, None] * qi[:-1]
+    # |q_j|^2 - 1 at 2**(2 x2), exactly (Q's entries are at most 1, so x2 <= 0)
+    nu = [(iv.mpf(abs(int(s) - (1 << -2 * x2))) * two ** (2 * x2)).b for s in (qi * qi).sum(axis=0)]
+    width = np.abs(d) + np.concatenate([np.abs(e), [0]]) + np.concatenate([[0], np.abs(e)])
+    data, scale = u * iv.mpf(int(max(width))) * two**x1, two ** (x1 + x2)
+    rho = [(iv.mpf(math.isqrt(int(s)) + 1) * scale / (1 - v) + data).b if v <= half else None
+           for s, v in zip((r * r).sum(axis=0), nu)]
+    gaps = [(iv.mpf(int(b - a)) * two**x1).a for a, b in zip(lam, lam[1:])]
+    if None in rho or any(g <= 2 * max(rho) for g in gaps):
+        return np.full(n, mp.ninf, dtype=object)
+    worst, eps = max(rho), []
+    for j in range(n):
+        near = min(gaps[max(j - 1, 0):j + 1], default=None)
+        s = iv.mpf(0) if near is None else (rho[j] / (near - worst)).b
+        eps.append(None if s > half else nu[j] + s * (1 + s * s))
+    ei, _, x3 = Mantissas.of(eta, mp).merged()
+    norm, w = iv.mpf(int(max(np.abs(ei).sum(axis=1)))) * two**x3, 1 + max(nu)
+    grow = (1 + 2 * u) / (1 - u)
+    factor, floor = norm * (1 + u) * w * grow, norm * u * w * w / 2 * grow
+    return np.array([mp.ninf if x is None else mp.make_mpf((factor * x + floor)._mpi_[1]) for x in eps], dtype=object)

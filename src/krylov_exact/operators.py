@@ -11,20 +11,23 @@ one of two representations, picked once from the shape of ``h``:
   moment oracle, the Lanczos chain and the profile fold that support to
   one entry per mirror pair (:class:`SupportBasis`).
 * a banded symmetric matrix -- the tridiagonal position-basis H.
-  Operators are dense matrices; the moment oracle, the Lanczos chain, the
-  profile, the closure relation and L^m eta run on bands of H
-  (:mod:`~krylov_exact.band`), where functions of H are banded too.
-  Spectral work happens in the eigenbasis: the eigendecomposition (E, Q)
-  is computed at most once per pair, and operators move there, Q^T V Q,
-  a three-factor :meth:`~krylov_exact.numeric.Context.matmul` rounded
-  once per entry, and are held there as exact integer mantissas
-  (:class:`_Eigenbasis`).  Per time, the closed form, the phase twist
-  and their difference are formed exactly and move back, Q X Q^T, in one
-  exact product with Q's mantissas, converted once per pair; the
-  Heisenberg check reads its largest entry from that exact product, the
-  public closed form and oracle round it once per entry, and the profile
-  reads its amplitudes off it
-  (:meth:`~krylov_exact.band._BandSpace.overlaps`).
+  Operators are dense matrices; the closure relation and L^m eta run on
+  bands of H (:mod:`~krylov_exact.band`), where functions of H are
+  banded too, and so do the exact moment oracle, Lanczos chain and the
+  chains of pairs off the eigenbasis route.  Spectral work happens in
+  the eigenbasis: the eigendecomposition (E, Q) is computed at most once
+  per pair, and operators move there, Q^T V Q, a three-factor
+  :meth:`~krylov_exact.numeric.Context.matmul` rounded once per entry,
+  and are held there as exact integer mantissas (:class:`_Eigenbasis`).
+  Per time, the closed form, the phase twist and their difference are
+  formed exactly and move back, Q X Q^T, in one exact product with Q's
+  mantissas, converted once per pair; the Heisenberg check reads its
+  largest entry from that exact product, and the public closed form and
+  oracle round it once per entry.  A bigreal position pair runs its
+  oracle, chain and profile there too, on the spectrum pair (E, eta')
+  (:class:`EigenSupport`): eta' = Q^T eta Q rounded once per entry, less
+  the entries within their derived error of 0, whose share of |eta|^2 is
+  the chain's ``dropped_mass``.
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
@@ -91,7 +94,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroEta,
 )
-from .numeric import Context, Mantissas, _is_mp, exact_sqrt, symmetric_eigen
+from .numeric import Context, Mantissas, _is_mp, eigenbasis_zero_bounds, exact_sqrt, symmetric_eigen
 
 POSITION = "position"
 ENERGY = "energy"
@@ -319,11 +322,16 @@ class _Spectrum:
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
-    An operator is a dense matrix; the chain, the oracle and the closure
-    relation run on bands (:mod:`~krylov_exact.band`) of any width.  The
-    eigenbasis H = Q diag(E) Q^T (:meth:`eigenbasis`), H laid out for the
-    band kernel as integers (:attr:`bands`) and the operator spaces are
-    built on first use and kept,
+    An operator is a dense matrix.  The closure relation runs on bands
+    (:mod:`~krylov_exact.band`) of any width, and so do the exact chain
+    and oracle.  A bigreal pair whose H and eta are real and
+    symmetric, with no metric, runs its chain, oracle and profile under
+    the trace in the eigenbasis of H, on the spectrum pair (E, eta')
+    (:attr:`spectrum`, :class:`EigenSupport`); other bigreal pairs, and
+    every pair under another inner product, stay on the band.  The
+    eigendecomposition H = Q diag(E) Q^T (:meth:`eigenbasis`), H laid out
+    for the band kernel as integers (:attr:`bands`), the spectrum pair and
+    the operator spaces are built on first use and kept,
     so each pair runs :func:`eig_symmetric` at most once: implicit QL on H's
     diagonal and off-diagonal, with Q rotated on integer mantissas at 32
     guard bits (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
@@ -332,8 +340,7 @@ class _Banded:
     """
 
     def __init__(self, h: np.ndarray, ctx: Context, eta: np.ndarray):
-        self.h, self.ctx, self.eta = h, ctx, eta
-        self._eigen, self.spaces = None, {}
+        self.h, self.ctx, self.eta, self.spaces = h, ctx, eta, {}
 
     @cached_property
     def bands(self) -> tuple:
@@ -353,6 +360,12 @@ class _Banded:
     def liouville(self, v: np.ndarray) -> np.ndarray:
         return liouville(self.h, v)
 
+    @cached_property
+    def _decomposition(self) -> tuple:
+        """(E, Q, Q and Q^T as integer mantissas), by :func:`eig_symmetric`."""
+        energies, q = eig_symmetric(self.h, self.ctx)
+        return energies, q, self.ctx.mantissas(q), self.ctx.mantissas(q.T)
+
     def eigenbasis(self) -> tuple[_Eigenbasis, object, object]:
         """(eigenbasis, to, back): the eigenvalues E (:class:`_Eigenbasis`),
         V -> Q^T V Q into it, a three-factor
@@ -361,21 +374,53 @@ class _Banded:
         X -> Q X Q^T back, the exact product (:meth:`Mantissas.product`),
         rounded by the caller.  Q and Q^T are converted to integer
         mantissas once per pair."""
-        if self._eigen is None:
-            energies, q = eig_symmetric(self.h, self.ctx)
-            ctx = self.ctx
-            q, qt = ctx.mantissas(q), ctx.mantissas(q.T)
-            to, back = lambda v: ctx.mantissas(ctx.matmul(qt, v, q)), lambda x: q.product(x, qt)
-            self._eigen = _Eigenbasis(energies, ctx), to, back
-        return self._eigen
+        energies, _, q, qt = self._decomposition
+        ctx = self.ctx
+        return _Eigenbasis(energies, ctx), lambda v: ctx.mantissas(ctx.matmul(qt, v, q)), lambda x: q.product(x, qt)
+
+    @cached_property
+    def orthogonal(self) -> bool:
+        """Whether the chain, oracle and profile under the trace may run in
+        the eigenbasis: bigreal, H tridiagonal, H and eta real and exactly
+        symmetric.  An orthogonal Q then keeps the trace product, and
+        Q^T eta Q is exactly symmetric before its one rounding."""
+        h, eta = self.h, self.eta
+        real = not any(hasattr(x, "_mpc_") for x in chain(h.flat, eta.flat))
+        return not self.ctx.is_exact and _bandwidth(h) <= 1 and real and (h == h.T).all() and (eta == eta.T).all()
+
+    @cached_property
+    def spectrum(self) -> tuple[OperatorPair, object]:
+        """(spectrum pair, dropped mass): the pair (E, eta') with eta' =
+        Q^T eta Q rounded once per entry, less the entries that lie within
+        their error of 0, and the share sum |eta'_ab|^2 / |eta|^2 of those.
+
+        An entry is set to 0 only where |eta'_ab| <= kappa_a + kappa_b
+        (:func:`~krylov_exact.numeric.eigenbasis_zero_bounds`): a bound on
+        its distance from the exact pair's entry, from Q's residuals
+        |H q_j - E_j q_j|, the gaps of E (Davis-Kahan), the lengths of Q's
+        columns, the rounding of the move and the precision of H and eta.
+        The exact system's eta is tridiagonal in its energy basis, and the
+        rest of eta' is rounding, which without the rule would hand the
+        chain a Krylov space the exact H does not have."""
+        energies, _, qm, qtm = self._decomposition
+        ctx = self.ctx
+        kappa = eigenbasis_zero_bounds(self.h, self.eta, energies, qm, ctx.mp)
+        moved = ctx.matmul(qtm, self.eta, qm)
+        drop = (np.abs(moved) <= np.add.outer(kappa, kappa)).astype(bool)
+        total = ctx.dot(moved.ravel(), moved.ravel())
+        dropped = ctx.dot(moved[drop], moved[drop]) / total if total else ctx.zero
+        moved[drop] = ctx.zero
+        return OperatorPair(energies, moved, ctx), dropped
 
     def reach(self, steps: int | None) -> int:
         """The width STEPS commutators reach from eta: every entry for None."""
         _, w_h, w_eta = self.bands
         return len(self.h) - 1 if steps is None else min(w_eta + steps * w_h, len(self.h) - 1)
 
-    def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace:
+    def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace | EigenSupport:
         _check_dims(pair, ip)
+        if self.orthogonal and pair.metric is None and ip.half is None and ip.metric is None:
+            return _kept_space(self, pair, ip, lambda: EigenSupport(pair, *self.spectrum))
         return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
 
 
@@ -510,9 +555,12 @@ class OperatorChain:
     ``norms_sq``, one more) is stored, so that the stop test b_{k+1} = 0
     stays literal (:func:`operator_lanczos`).  The vectors
     stay in the form the chain's operator ``space`` holds them (folded on
-    the eta support, or on a band, :class:`~krylov_exact.band._Scaled` in
-    exact mode), where the profile reads them; :attr:`ops`, their dense
-    matrices, is built on first read.
+    the eta support, in the eigenbasis of a bigreal position H, or on a
+    band, :class:`~krylov_exact.band._Scaled` in exact mode), where the
+    profile reads them; :attr:`ops`, their dense matrices in the pair's
+    own basis, is built on first read.  ``dropped_mass`` is the share of
+    |eta|^2 that the eigenbasis route set to 0 (:attr:`_Banded.spectrum`),
+    0 on every other space.
     """
 
     vectors: list = field(repr=False)
@@ -522,6 +570,7 @@ class OperatorChain:
     ctx: Context
     b: list | None = None
     norms_sq: list | None = field(default=None, repr=False)
+    dropped_mass: object = 0
 
     @cached_property
     def ops(self) -> list:
@@ -575,7 +624,7 @@ class SupportBasis:
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
         _check_dims(pair, ip)
         ctx, eta = pair.ctx, pair.eta
-        self.pair, self.dim, self.ctx = pair, pair.dim, ctx
+        self.pair, self.dim, self.ctx, self.eta, self.dropped_mass = pair, pair.dim, ctx, eta, ctx.zero
         nonzero = pair.rep.gather(eta) != 0  # the entry list less diagonal zeros
         rows, cols = pair.rep.rows[nonzero], pair.rep.cols[nonzero]
         self.size = len(rows)
@@ -685,11 +734,30 @@ class SupportBasis:
         return at
 
 
-def _seed(pair: OperatorPair, space):
-    """(V_0, nu_0) of the chain and the oracle: eta in SPACE and its squared norm, refused if it is zero."""
-    v = space.gather(pair.eta)
+class EigenSupport(SupportBasis):
+    """The Lanczos space of a bigreal matrix H in its eigenbasis: the
+    :class:`SupportBasis` of the spectrum pair (E, eta') under the trace
+    (:attr:`_Banded.spectrum`), as an :func:`energy_pair` chain runs, with
+    ``pair`` the pair it came from.  Q is orthogonal, so the trace product,
+    the moments, the chain's b and the amplitudes are those of the pair's
+    own basis; :meth:`scatter` moves a vector back, Q V Q^T, each entry
+    rounded once.  ``dropped_mass`` is the share of |eta|^2 that the zero
+    rule set to 0.  Nothing here reads the system's closed forms."""
+
+    def __init__(self, pair: OperatorPair, spectrum: OperatorPair, dropped):
+        super().__init__(spectrum, trace_inner(spectrum))
+        self.pair, self.dropped_mass = pair, dropped
+
+    def scatter(self, vec: np.ndarray, parity: int = 0) -> np.ndarray:
+        back = self.pair.rep.eigenbasis()[2]
+        return back(self.ctx.mantissas(super().scatter(vec, parity))).rounded()
+
+
+def _seed(space):
+    """(V_0, nu_0) of the chain and the oracle: the space's eta and its squared norm, refused if it is zero."""
+    v = space.gather(space.eta)
     nu = space.dot(v, v)
-    if pair.ctx.is_zero(nu):
+    if space.ctx.is_zero(nu):
         raise ZeroEta("eta has zero norm")
     return v, nu
 
@@ -700,7 +768,9 @@ def operator_lanczos(
     k_max: int | None = None,
 ) -> OperatorChain:
     """The Krylov chain seeded by eta, by one three-term recurrence
-    W = L V_k - c_k V_{k-1} in both modes.
+    W = L V_k - c_k V_{k-1} in both modes, in the pair's operator space
+    (:meth:`_Banded.space`; a bigreal position pair's is the eigenbasis
+    of H, :class:`EigenSupport`).
 
     In bigreal mode V_k = O_k is normalised, c_k = b_k, b_{k+1} = |W|, and
     W is reorthogonalised against the earlier vectors of its parity (all of
@@ -715,12 +785,15 @@ def operator_lanczos(
     exact mode.
     """
     _check_count("k_max", k_max)
-    ctx, exact = pair.ctx, pair.ctx.is_exact
-    ip = ip or trace_inner(pair)
-    space = pair.rep.space(pair, ip, k_max)
+    return _lanczos(pair.rep.space(pair, ip or trace_inner(pair), k_max), k_max)
+
+
+def _lanczos(space, k_max: int | None) -> OperatorChain:
+    """:func:`operator_lanczos` on a given operator space."""
+    ctx, exact = space.ctx, space.ctx.is_exact
     k_max = space.size if k_max is None else min(k_max, space.size)
     stride = space.lanczos_stride()
-    v, nu = _seed(pair, space)
+    v, nu = _seed(space)
     if not exact:
         v = v / ctx.sqrt(nu)
     vectors, nus, cs = [v], [nu], []
@@ -756,6 +829,7 @@ def operator_lanczos(
         ctx=ctx,
         b=None if exact else cs,
         norms_sq=nus if exact else None,
+        dropped_mass=space.dropped_mass,
     )
 
 

@@ -26,6 +26,11 @@ check of <n|eta|n>, which no ``verify`` row runs.
 Exact rational values of mpmath numbers and of their product chains, and
 rounding once at a context's precision.
 
+The band route of a matrix H, which bigreal position pairs left for the
+eigenbasis of H: its space, chain and oracle, the reference of the band
+tests.  The exact reference b^2 of a finite pair, from the oracle's
+moments through Chebyshev's algorithm.
+
 The full-band reference for the position basis: the moment oracle, the
 unnormalised exact chain and the fully reorthogonalised bigreal chain
 from dense commutators and dots over every entry, with no fold (the
@@ -72,7 +77,9 @@ from krylov_exact import (
 from krylov_exact.catalog import _polyval
 from krylov_exact.dynamics import _exp_differences
 from krylov_exact.errors import TruncationTooSmall
-from krylov_exact.operators import conjugate, eig_symmetric, solve_consistent, zeros
+from krylov_exact.band import _BandSpace
+from krylov_exact.moments import _oracle
+from krylov_exact.operators import _lanczos, conjugate, eig_symmetric, solve_consistent, trace_inner, zeros
 
 FINITE_KINDS = [k for k in SystemKind if k.is_finite]
 THERMAL_KINDS = [k for k in SystemKind if not k.is_finite]
@@ -368,6 +375,39 @@ def diagonal_eta_identity(spec, n_max: int | None = None) -> bool:
     if spec.is_finite or spec.kind in (SystemKind.MEIXNER, SystemKind.CHARLIER):
         return all(ctx.close(spec.eta_diag(n), -(spec.A(n) + spec.C(n))) for n in range(hi + 1))
     return True  # thermal families with explicit diagonal data
+
+
+# ---------------------------------------------------------------------------
+# The band route and the exact reference b^2
+# ---------------------------------------------------------------------------
+
+
+def band_space(pair, ip=None, steps=None):
+    """The band operator space of PAIR's matrix H under IP (the trace by
+    default), reaching STEPS commutators (every entry for None)."""
+    return _BandSpace(pair, ip or trace_inner(pair), steps)
+
+
+def band_chain(pair, ip=None, k_max=None):
+    """:func:`~krylov_exact.operator_lanczos` on the band."""
+    return _lanczos(band_space(pair, ip, k_max), k_max)
+
+
+def band_oracle(pair, ip=None, K=6):
+    """:func:`~krylov_exact.moments_oracle` on the band."""
+    ip = ip or trace_inner(pair)
+    return _oracle(band_space(pair, ip, K), K, ip.beta)
+
+
+def exact_b2_reference(pair) -> list:
+    """The b^2 of the whole exact chain of the finite position PAIR, from
+    ``moments_oracle(K=2N+1)`` and ``moments_to_lanczos``, with no chain
+    and no closed form.  The measure of N + 1 levels has at most 2N + 1
+    points, so the chain stops by O_2N, and the 2N + 1 moments reach it."""
+    assert pair.ctx.is_exact
+    coeffs = moments_to_lanczos(moments_oracle(pair, K=2 * pair.dim - 1))
+    assert coeffs.stop_index is not None
+    return coeffs.b_squared
 
 
 # ---------------------------------------------------------------------------

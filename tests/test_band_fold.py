@@ -1,5 +1,10 @@
 """The parity fold of the position-basis band, in both modes.
 
+Exact position pairs run their chain and oracle here.  Bigreal position
+pairs run theirs in the eigenbasis of H (``test_eigen_route``); the
+bigreal band stays the reference of these tests, reached through
+``helpers.band_chain`` and ``helpers.band_oracle``, until it goes.
+
 When H, eta and the band weights are mirror images -- exactly, or in
 exact mode under the metric g (H_ba g_a = H_ab g_b) -- L^k eta has the
 exact parity W_ba = (-1)^k W_ab for W = G^-1 L^k eta, the band keeps one
@@ -40,6 +45,10 @@ from krylov_exact.errors import MirrorAsymmetry
 
 from helpers import (
     FINITE_KINDS,
+    band_chain,
+    band_oracle,
+    band_space,
+    exact_b2_reference,
     exact_value,
     nudged_pair,
     param_samples,
@@ -59,11 +68,11 @@ def _keys(values) -> list:
 
 
 def _check(pair, stride: int, profile: bool = True) -> None:
-    """Oracle, chain and profile of PAIR against the full-band reference."""
+    """Band oracle, chain and profile of PAIR against the full-band reference."""
     ip = trace_inner(pair)
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    assert _keys(moments_oracle(pair, ip, K).values) == _keys(reference_oracle(pair, dot, K))
-    chain = operator_lanczos(pair, ip)
+    assert _keys(band_oracle(pair, ip, K).values) == _keys(reference_oracle(pair, dot, K))
+    chain = band_chain(pair, ip)
     assert chain.space.lanczos_stride() == stride
     ops, bs, stopped = reference_chain(pair, ip)
     assert chain.stopped == stopped
@@ -140,9 +149,9 @@ def test_folded_defaults_equal_full_band(bctx, kind):
     # the doubled pair of the scaling check folds too
     doubled = replace(pair, h=pair.h * bctx.frac(2))
     ip = trace_inner(doubled)
-    assert doubled.rep.space(doubled, ip, 2).folded
+    assert band_space(doubled, ip, 2).folded
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    assert _keys(moments_oracle(doubled, ip, 2).values) == _keys(reference_oracle(doubled, dot, 2))
+    assert _keys(band_oracle(doubled, ip, 2).values) == _keys(reference_oracle(doubled, dot, 2))
 
 
 @pytest.mark.parametrize("N", [6, pytest.param(8, marks=pytest.mark.slow)])
@@ -172,7 +181,7 @@ def test_folded_chain_halves_the_reorthogonalisation(bctx, monkeypatch):
     for pair, stride, entries in ((folded, 2, n * (n + 1) // 2), (rotated_pair(folded), 1, n * n)):
         coefficients.clear()
         lengths.clear()
-        chain = operator_lanczos(pair)
+        chain = band_chain(pair)
         steps = range(1, len(chain.b) + chain.stopped + 1)
         assert len(coefficients) == len(steps)
         reorth[stride] = sum(coefficients)
@@ -199,7 +208,7 @@ def test_imaginary_seed_follows_the_real_chain(bctx, kind):
     # real chain's operations
     pair = position_pair(default_system(kind, bctx))
     seeded = OperatorPair(pair.h, pair.eta * bctx.mp.mpc(0, 1), bctx)
-    real, imaginary = operator_lanczos(pair), operator_lanczos(seeded)
+    real, imaginary = band_chain(pair), band_chain(seeded)
     assert imaginary.stopped == real.stopped
     assert all(hasattr(b, "_mpc_") for b in imaginary.b)
     assert _keys(b.real for b in imaginary.b) == _keys(real.b)
@@ -209,14 +218,13 @@ def test_imaginary_seed_follows_the_real_chain(bctx, kind):
 @pytest.mark.slow
 def test_long_chain_keeps_its_length_and_prefix(ctx, bctx):
     """Opt-in (``pytest -m slow``): the full bigreal Hahn (1/2, 2) chain at
-    N=16 runs 272 steps to its stop, and its first 32 b^2 stay within
-    1e-31 relative of the exact ones.  They
-    read 31.37 digits: the rest is lost to the conditioning of the rounded
-    H, not to the reorthogonalisation."""
+    N=16 stops at the exact 2N = 32, and every b^2 agrees with the exact
+    one to 47 digits.  On the band it ran 272 steps: the rounded H has a
+    Krylov space the exact H does not have."""
     params = {"a": "1/2", "b": "2"}
     chain = operator_lanczos(position_pair(make_system("hahn", 16, params, bctx)))
-    assert (len(chain.b), chain.stopped) == (272, True)
-    exact = operator_lanczos(position_pair(make_system("hahn", 16, params, ctx)), k_max=32).b_squared
-    for got, want in zip(chain.b_squared[:32], exact, strict=True):
+    assert (len(chain.b), chain.stopped) == (32, True)
+    exact = exact_b2_reference(position_pair(make_system("hahn", 16, params, ctx)))
+    for got, want in zip(chain.b_squared, exact, strict=True):
         want = Fraction(int(want.numerator), int(want.denominator))
-        assert abs(exact_value(got) - want) <= want / 10**31
+        assert abs(exact_value(got) - want) <= want / 10**47

@@ -8,7 +8,9 @@ it), and the chain reorthogonalises the dense vectors with the package's
 kernel (``Context.gram_schmidt``).  Exact results must match in type and value, bigreal ones bit for
 bit (``_mpf_``), which checks that a fused dot over the band equals the
 fused dot over every entry.  The profile reads the dense O_0(t) on the
-band of a 3-step chain at N=10.
+band of a 3-step chain at N=10.  Bigreal position pairs run in the
+eigenbasis of H; their band (``helpers.band_chain``, ``helpers.band_oracle``)
+is checked here as the reference it stays.
 """
 
 import pytest
@@ -23,7 +25,14 @@ from krylov_exact import (
     trace_inner,
 )
 
-from helpers import reference_chain, reference_exact_chain, reference_oracle, reference_profile
+from helpers import (
+    band_chain,
+    band_oracle,
+    reference_chain,
+    reference_exact_chain,
+    reference_oracle,
+    reference_profile,
+)
 
 K = 6
 # L^k eta has bandwidth k for q-Krawtchouk, so its band is full at its
@@ -64,8 +73,8 @@ def test_narrow_band_equals_dense_bigreal(bctx, kind, N, params):
     pair = position_pair(make_system(kind, N, params, bctx))
     ip = trace_inner(pair)
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    _assert_same(moments_oracle(pair, K=K).values, reference_oracle(pair, dot, K))
-    chain = operator_lanczos(pair, k_max=K)
+    _assert_same(band_oracle(pair, K=K).values, reference_oracle(pair, dot, K))
+    chain = band_chain(pair, k_max=K)
     ops, bs, stopped = reference_chain(pair, ip, K)
     assert chain.stopped == stopped
     _assert_same(chain.b, bs)
@@ -77,7 +86,7 @@ def test_narrow_band_equals_dense_bigreal(bctx, kind, N, params):
 def test_narrow_band_profile_equals_dense(bctx):
     pair = position_pair(make_system("q-krawtchouk", 10, {"q": "1/2", "p": "2/3"}, bctx))
     ip = trace_inner(pair)
-    chain = operator_lanczos(pair, k_max=3)
+    chain = band_chain(pair, k_max=3)
     profile = krylov_profile(chain, pair, ip, ["1/2", "3/2"])
     for row, want in zip(profile.phi, reference_profile(pair, ip, chain.ops, profile.times), strict=True):
         _assert_same(row, want)

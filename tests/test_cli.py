@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import krylov_exact.cli
-from krylov_exact import Context, make_system, operators
+from krylov_exact import Context, make_system, numeric, operators
 from krylov_exact.cli import main
 from krylov_exact.errors import ParameterOutOfRange
 from krylov_exact.numeric import RATIONAL_BACKEND, Mantissas
@@ -257,6 +257,9 @@ def test_k_below_one_rejected(capsys):
 
 
 def test_verify_bigreal_decomposes_h_once(capsys, monkeypatch):
+    # the position pair and the doubled pair of the scaling check each ask
+    # for their eigenbasis once; implicit QL runs once for both, since 2H
+    # has the eigenvalues 2E and the same Q
     calls = []
     real = operators.eig_symmetric
 
@@ -265,10 +268,12 @@ def test_verify_bigreal_decomposes_h_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(operators, "eig_symmetric", counting)
+    numeric._implicit_ql.cache_clear()
     code, out, _ = run(capsys, "verify", "--system", "hahn", "--mode", "bigreal")
     assert code == 0
     assert "heisenberg_closed_form_vs_oracle" in out and "profile_sum_rule" in out
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert numeric._implicit_ql.cache_info().misses == 1
 
 
 def test_verify_report_independent_of_earlier_contexts(capsys, monkeypatch):

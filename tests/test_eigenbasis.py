@@ -31,7 +31,7 @@ from krylov_exact.dynamics import (
 from krylov_exact.numeric import Mantissas
 from krylov_exact.operators import conjugate, eig_symmetric, max_abs
 
-from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples
+from helpers import FINITE_KINDS, band_chain, heisenberg_route_bound, param_samples
 
 
 def _dense_reference(pair):
@@ -151,11 +151,13 @@ def test_position_and_energy_routes_agree(bctx, kind):
     assert all(abs(x - y) <= bound * max(abs(y), 1) for x, y in zip(k_pos, k_en))
 
 
-def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
+@pytest.mark.parametrize("route", ["eigenbasis", "band"])
+def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch, route):
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
     ip = trace_inner(pair)
-    short, full = operator_lanczos(pair, ip, k_max=3), operator_lanczos(pair, ip)
-    assert len(full.ops) > 3 * len(short.ops)
+    lanczos = operator_lanczos if route == "eigenbasis" else band_chain
+    short, full = lanczos(pair, ip, k_max=3), lanczos(pair, ip)
+    assert len(full.vectors) > 3 * len(short.vectors)
     times = [bctx.frac(k, 3) for k in range(5)]
     calls = []
     real = Mantissas.product
@@ -170,11 +172,14 @@ def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
         calls.clear()
         krylov_profile(chain, pair, ip, times)
         counts.append(list(calls))
-    # the factors of every product chain: O_0 moves in once as Q^T O_0 Q;
-    # each time moves O_0(t) back as one chain Q X Q^T and, the band being
-    # folded, meets the even covectors in one batched product and the odd
-    # ones in another
-    assert counts[0] == counts[1] == [3] + [3, 2, 2] * len(times)
+    # the factors of every product chain.  In the eigenbasis each time is
+    # one product of the even coefficients with the cos of the frequencies
+    # and one of the odd with the sin.  On the band O_0 moves in once as
+    # Q^T O_0 Q; each time moves O_0(t) back as one chain Q X Q^T and, the
+    # band being folded, meets the even covectors in one batched product
+    # and the odd ones in another
+    per_time = [2, 2] * len(times) if route == "eigenbasis" else [3] + [3, 2, 2] * len(times)
+    assert counts[0] == counts[1] == per_time
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):

@@ -5,7 +5,8 @@ function f(H) -- is the exact rational product rounded once per entry;
 the references here form it with ``Fraction`` arithmetic and round it
 with ``from_rational``.  A folded band gives the whole band's commutators
 bit for bit, the folded profile read gives the whole band's amplitudes
-bit for bit, and the Heisenberg check's deviations stay within the
+bit for bit (the band stays the reference of the bigreal position chain,
+which runs in the eigenbasis of H), and the Heisenberg check's deviations stay within the
 rounding bound of the same check at three times the precision, a bound
 that R_-1 off by 1e-50 relative breaks.
 """
@@ -21,7 +22,6 @@ from krylov_exact import (
     Context,
     default_system,
     make_system,
-    operator_lanczos,
     position_pair,
     trace_inner,
     verify_closure,
@@ -30,7 +30,7 @@ from krylov_exact import band
 from krylov_exact.dynamics import HEISENBERG_TIMES, heisenberg_check
 from krylov_exact.operators import max_abs
 
-from helpers import FINITE_KINDS, exact_chain, exact_value, rounded_value
+from helpers import FINITE_KINDS, band_chain, band_space, exact_chain, exact_value, rounded_value
 
 
 def _same(got, want) -> bool:
@@ -85,7 +85,7 @@ def test_band_products_are_the_exact_product_rounded_once(bctx, system, N, kind)
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_folded_band_commutators_equal_the_whole_band(bctx, kind):
     pair = position_pair(default_system(kind, bctx))
-    folded, whole = pair.rep.space(pair, trace_inner(pair), None), band._BandOperators(pair.rep, None)
+    folded, whole = band_space(pair), band._BandOperators(pair.rep, None)
     assert folded.folded and not whole.folded
     f, w = folded.gather(pair.eta), whole.gather(pair.eta)
     for k in range(2 * pair.dim):
@@ -97,7 +97,7 @@ def test_folded_band_commutators_equal_the_whole_band(bctx, kind):
 def test_folded_profile_read_equals_the_whole_band(bctx, monkeypatch, system):
     pair = position_pair(default_system(system, bctx))
     ip = trace_inner(pair)
-    chain = operator_lanczos(pair, ip)
+    chain = band_chain(pair, ip)
     folded = chain.space
     assert folded.folded
     monkeypatch.setattr(band, "_mirrored", lambda *args: False)

@@ -77,10 +77,9 @@ def test_profile_batches_the_amplitudes_per_time(bctx, monkeypatch, basis):
     else:
         pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
         ip = trace_inner(pair)
-        # O_0 moves in once, as one three-factor product; per time one
-        # moves O_0(t) back, and on the folded band one meets the even
-        # covectors and one the odd
-        per_time, once = 3, 1
+        # the chain runs on the spectrum pair in the eigenbasis of H, whose
+        # support is folded like the energy pair's: the cos and sin products
+        per_time, once = 2, 0
     chain = operator_lanczos(pair, ip)
     times = _grid(bctx, 20)
     dots, products = _calls(monkeypatch, lambda: krylov_profile(chain, pair, ip, times))

@@ -2,7 +2,8 @@
 ``eigsy``: eigenvalues, the residual |HQ - QE| and the orthogonality
 |Q^T Q - I| on the position H of every finite system, and the typed
 errors of an H wider than tridiagonal and of an eigenvalue that does not
-converge."""
+converge.  Implicit QL is homogeneous in H, so the kept decomposition of
+H serves 2**k H bit for bit."""
 
 import numpy as np
 import pytest
@@ -71,10 +72,29 @@ def test_unconverged_eigenvalue_raises_a_typed_error(monkeypatch):
     # no off-diagonal entry ever passes the splitting test; on this H the
     # sweeps keep every e nonzero (an exactly zero e would always pass it)
     monkeypatch.setattr(numeric, "mpf_le", lambda a, b: False)
+    numeric._implicit_ql.cache_clear()  # a kept decomposition would not iterate
     h = _position_h(SystemKind.HAHN, 6, {"a": "1", "b": "1"})
     with pytest.raises(EigenNotConverged, match=r"eigenvalue 0 still coupled after 110 sweeps") as info:
         eig_symmetric(h, BIG)
     assert isinstance(info.value, KrylovExactError)
+
+
+def test_power_of_two_multiples_share_one_decomposition():
+    h = _position_h(SystemKind.Q_RACAH, 6, param_samples(SystemKind.Q_RACAH, 6)[0])
+    d, e = ([BIG.mp.convert(x)._mpf_ for x in v] for v in (h.diagonal(), [*h.diagonal(1), 0]))
+    run = numeric._implicit_ql.__wrapped__  # one QL run, nothing kept
+    energies, q = run(tuple(d), tuple(e), BIG.mp)
+    for k in (-3, 1, 5):
+        # QL on 2**k H itself gives 2**k E and the same Q, bit for bit
+        scaled, q_k = run(*(tuple(numeric.mpf_shift(x, k) for x in v) for v in (d, e)), BIG.mp)
+        assert scaled == [numeric.mpf_shift(x, k) for x in energies]
+        assert [x._mpf_ for x in q_k.ravel()] == [x._mpf_ for x in q.ravel()]
+    numeric._implicit_ql.cache_clear()
+    (e1, q1), (e2, q2) = eig_symmetric(h, BIG), eig_symmetric(h * 2, BIG)
+    info = numeric._implicit_ql.cache_info()
+    assert (info.misses, info.hits) == (1, 1) and q2 is not q1
+    assert [x._mpf_ for x in e2] == [(2 * x)._mpf_ for x in e1]
+    assert [x._mpf_ for x in q2.ravel()] == [x._mpf_ for x in q1.ravel()]
 
 
 @pytest.mark.slow

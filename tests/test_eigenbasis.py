@@ -151,11 +151,11 @@ def test_position_and_energy_routes_agree(bctx, kind):
     assert all(abs(x - y) <= bound * max(abs(y), 1) for x, y in zip(k_pos, k_en))
 
 
-@pytest.mark.parametrize("route", ["eigenbasis", "band"])
-def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch, route):
+def _profile_product_counts(bctx, monkeypatch, lanczos):
+    """Factors of every ``Mantissas.product`` the profile makes, for a short
+    and a full chain of the same pair."""
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
     ip = trace_inner(pair)
-    lanczos = operator_lanczos if route == "eigenbasis" else band_chain
     short, full = lanczos(pair, ip, k_max=3), lanczos(pair, ip)
     assert len(full.vectors) > 3 * len(short.vectors)
     times = [bctx.frac(k, 3) for k in range(5)]
@@ -172,14 +172,22 @@ def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch, route)
         calls.clear()
         krylov_profile(chain, pair, ip, times)
         counts.append(list(calls))
-    # the factors of every product chain.  In the eigenbasis each time is
-    # one product of the even coefficients with the cos of the frequencies
-    # and one of the odd with the sin.  On the band O_0 moves in once as
-    # Q^T O_0 Q; each time moves O_0(t) back as one chain Q X Q^T and, the
-    # band being folded, meets the even covectors in one batched product
-    # and the odd ones in another
-    per_time = [2, 2] * len(times) if route == "eigenbasis" else [3] + [3, 2, 2] * len(times)
-    assert counts[0] == counts[1] == per_time
+    return counts, len(times)
+
+
+def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
+    # in the eigenbasis each time is one product of the even coefficients
+    # with the cos of the frequencies and one of the odd with the sin
+    counts, n_times = _profile_product_counts(bctx, monkeypatch, operator_lanczos)
+    assert counts[0] == counts[1] == [2, 2] * n_times
+
+
+def test_band_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
+    # on the band O_0 moves in once as Q^T O_0 Q; each time moves O_0(t)
+    # back as one chain Q X Q^T and, the band being folded, meets the even
+    # covectors in one batched product and the odd ones in another
+    counts, n_times = _profile_product_counts(bctx, monkeypatch, band_chain)
+    assert counts[0] == counts[1] == [3] + [3, 2, 2] * n_times
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):

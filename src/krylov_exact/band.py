@@ -1,16 +1,16 @@
 """Operators of a matrix H on bands: one layout, one product kernel and
-one exact vector type, for the chain, the oracle and the closure.
+one exact vector type, for the exact chain and oracle and the closure.
 
 The position-basis H is tridiagonal (w_H = 1) and eta diagonal, so L^k
 eta has bandwidth k and a function of H of degree d has bandwidth d w_H.
 An operator is its row-major entries within W = min(w_eta + k w_H, n - 1)
 of the diagonal, for the k commutators the caller applies
-(:class:`_BandOperators`); the chain, the oracle and the profile add an
-inner product (:class:`_BandSpace`), folded to the entries a <= b where
-H and eta are mirror images under the metric.  Exact position pairs run
-their chain and oracle here; a bigreal position pair runs them in the
-eigenbasis of H (:class:`~krylov_exact.operators.EigenSupport`), and the
-bigreal band serves pairs off that route and the tests as a reference.
+(:class:`_BandOperators`), in both modes.  The exact chain and oracle add
+an inner product (:class:`_BandSpace`), folded to the entries a <= b where
+H and eta are mirror images under the metric.  A bigreal pair runs its
+chain, oracle and profile in the eigenbasis of H
+(:class:`~krylov_exact.operators.EigenSupport`) instead, so no bigreal
+vector here has an inner product.
 One kernel forms every product on Python ints (:func:`_product`): each
 entry of XY sums X[a, k] Y[k, b] over the k where neither is an exact
 zero, and [H, V] = HV - VH costs O(n w_H (w_H + w_V)) integer products
@@ -24,7 +24,10 @@ vector enters the kernel as the integer mantissas of its real and
 imaginary parts at one exponent
 (:class:`~krylov_exact.numeric.Mantissas`): a commutator, a product
 V f(H) and a function f(H) are the exact product rounded once per
-entry, at the context's precision and rounding.
+entry, at the context's precision and rounding.  The closure check,
+:func:`~krylov_exact.dynamics.apply_liouville_power` and the public
+:func:`~krylov_exact.operators.liouville` stay on the band in bigreal
+mode too: their bands hold O(n) entries and need no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from mpmath.libmp import fzero, mpf_neg
 
 from .errors import MirrorAsymmetry
 from .numeric import Context, Mantissas, _product as _complex, rational
@@ -226,7 +228,7 @@ class _BandOperators(_Band):
     so the closure's R_0(H), R_1(H), M and fit columns I, H, H^2 fit on
     it, as does [H, M]."""
 
-    g = None  # on a folded exact space, which holds W = G^-1 V: the metric, integer numerators over d_g
+    g = None  # on a folded space, which holds W = G^-1 V: the metric, integer numerators over d_g
 
     def __init__(self, rep, steps: int | None):
         self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
@@ -243,7 +245,7 @@ class _BandOperators(_Band):
         return _held(vec) if self.exact else vec
 
     def unfold(self, vec, parity: int):
-        """VEC (bigreal, or integers) of the given parity on the whole band."""
+        """The integers VEC of the given parity on the whole band."""
         if not self.folded:
             return vec
         full = vec[self.spread]
@@ -256,7 +258,7 @@ class _BandOperators(_Band):
         if self.exact:  # V = G W
             g, d_g = (1, 1) if self.g is None else (self.g[self.band[0]], self.d_g)
             vec = _Scaled(self.unfold(vec.num, parity) * g, vec.den * d_g).rationals(self.ctx.zero)
-        out[self.band] = vec if self.exact else self.unfold(vec, parity)
+        out[self.band] = vec
         return out
 
     def _times(self, x, y, op):
@@ -324,138 +326,76 @@ def _mirrored(m: np.ndarray, width: int, g: np.ndarray) -> bool:
 
 
 class _BandSpace(_BandOperators):
-    """The operator space of a matrix H for the chain, the oracle and the
-    profile: every exact pair's, and a bigreal pair's that is off the
-    eigenbasis route of :meth:`~krylov_exact.operators._Banded.space` (a
-    complex or asymmetric eta, a metric, an inner product other than the
-    trace); a bigreal position pair runs in the eigenbasis.  It is the
-    band of ``steps`` commutators (:class:`_BandOperators`) with an inner
-    product.  A bigreal dot is one fused dot of the covector
-    (:meth:`dual`) with V.  Where H, eta and the
-    band weights are mirror images under the metric g (H_ba g_a = H_ab g_b,
-    the same for eta, w_ab g_a^2 symmetric; g = 1 without a metric), as for
-    every :func:`~krylov_exact.operators.position_pair`, the band is
-    ``folded`` as :class:`~krylov_exact.operators.SupportBasis` folds with
-    r = 1.  It holds W = G^-1 V (:meth:`gather` divides by g_a,
-    :meth:`scatter` multiplies again), of exact parity W_ba = (-1)^k W_ab,
-    on the entries a <= b, with w+ = 2 w_ab g_a^2 off the diagonal and
-    w- = 0: odd oracle moments are exact zeros, the chain reorthogonalises
-    with stride 2, and a commutator forms H^T W alone.  A bigreal band
-    folds only without a metric, as dividing by g would round; every
-    skipped term is then an exact zero, so results are the whole band's
-    bit for bit.  An exact dot clears the weights of denominators once per
-    space, w_num / d_w, and is one integer sum over d_w * den_u * den_v;
-    under the trace with the pair's own metric the folded weights
-    w_ab g_a^2 are g_a g_b, formed directly as the integer products of
-    the metric's numerators over d_g^2.  Exact values equal those of
-    rational arithmetic.  The profile evolves O_0 alone, in the
-    eigenbasis of H (:meth:`overlaps`).
+    """The exact operator space of a matrix H for the chain and the oracle:
+    the band of ``steps`` commutators (:class:`_BandOperators`) with an
+    inner product.  (A bigreal pair runs them in the eigenbasis of H,
+    :class:`~krylov_exact.operators.EigenSupport`, and no profile reads an
+    exact chain.)  Where H, eta and the band weights are mirror images
+    under the metric g (H_ba g_a = H_ab g_b, the same for eta, w_ab g_a^2
+    symmetric; g = 1 without a metric), as for every exact
+    :func:`~krylov_exact.operators.position_pair`, the band is ``folded``
+    as :class:`~krylov_exact.operators.SupportBasis` folds with r = 1.  It
+    holds W = G^-1 V (:meth:`gather` divides by g_a, :meth:`scatter`
+    multiplies again), of exact parity W_ba = (-1)^k W_ab, on the entries
+    a <= b, with w+ = 2 w_ab g_a^2 off the diagonal and w- = 0: odd oracle
+    moments are exact zeros, the chain reorthogonalises with stride 2, and
+    a commutator forms H^T W alone.  A band that does not fold holds V
+    itself under the band's own weights, for the oracle; the chain refuses
+    it.  A dot clears the weights of denominators once per space,
+    w_num / d_w, and is one integer sum over d_w * den_u * den_v; under the
+    trace with the pair's own metric the folded weights w_ab g_a^2 are
+    g_a g_b, formed directly as the integer products of the metric's
+    numerators over d_g^2.  Values equal those of rational arithmetic.
     """
 
     def __init__(self, pair, ip, steps: int | None):
         super().__init__(pair.rep, steps)
         self.pair, self.eta, self.size, self.dropped_mass = pair, pair.eta, self.n * self.n, self.ctx.zero
         rows, cols = self.band
-
-        def weights():  # the band's weights w_ab, integers over d_w in exact mode
-            return _integer_numerators(ip.entries(rows, cols)) if self.exact else (ip.entries(rows, cols), 1)
-
-        g, d_g = np.ones(self.n, dtype=object), 1
-        if pair.metric is not None and self.exact:
-            g, d_g = _integer_numerators(pair.metric)
+        g, d_g = (np.ones(self.n, dtype=object), 1) if pair.metric is None else _integer_numerators(pair.metric)
         # the weights w_ab g_a^2 of W = G^-1 V; under the trace with the
         # pair's own metric w_ab = g_b / g_a, so they are the integers g_a g_b
-        if self.exact and ip.half is None and ip.metric is pair.metric:
-            weight_w, d_w = g[rows] * g[cols], d_g**2
+        if ip.half is None and ip.metric is pair.metric:
+            weight, d_w = g[rows] * g[cols], d_g**2
         else:
-            weight, d_w = weights()
-            weight_w, d_w = weight * g[rows] ** 2, d_w * d_g**2
-        self.folded = (pair.metric is None or self.exact) and (weight_w == weight_w[self.mirror]).all() and all(
+            weight, d_w = _integer_numerators(ip.entries(rows, cols))
+            weight, d_w = weight * g[rows] ** 2, d_w * d_g**2
+        self.folded = (weight == weight[self.mirror]).all() and all(
             _mirrored(m, width, g) for m, width in ((pair.h, self.w_h), (pair.eta, self.w_eta))
         )
         if not self.folded:  # V itself, with the band's own weights
-            self.weight, self.d_w = weights()
-            self.wplus = self.weight
+            self.wplus, self.d_w = _integer_numerators(ip.entries(rows, cols))
             return
         self.g, self.d_g, self.d_w = None if pair.metric is None else g, d_g, d_w
         reps = np.flatnonzero(rows <= cols)
-        self.rows, self.cols, self.weight = rows[reps], cols[reps], weight_w[reps]
-        self.wplus = self.weight + np.where(self.rows == self.cols, self.zero, self.weight)  # w_ab + w_ba
+        self.rows, self.cols = rows[reps], cols[reps]
+        self.wplus = weight[reps] * np.where(self.rows == self.cols, 1, 2)  # w_ab + w_ba
         self.reps = reps, self.mirror[reps]
         # each band entry's representative, and the entries below the diagonal
         self.spread = (np.cumsum(rows <= cols) - 1)[np.minimum(np.arange(len(rows)), self.mirror)]
         self.lower = np.flatnonzero(rows > cols)
 
-    def dual(self, u: np.ndarray) -> np.ndarray:
-        """The covector of a bigreal U against vectors of its parity: w+
-        times the conjugate of U."""
-        return self.wplus * conjugate(u)
+    def dot(self, u: _Scaled, v: _Scaled):
+        return rational(self.ctx.dot(self.wplus * u.num, v.num), self.d_w * u.den * v.den)
 
-    def dot(self, u, v):
-        if self.exact:
-            return rational(self.ctx.dot(self.wplus * u.num, v.num), self.d_w * u.den * v.den)
-        return self.ctx.dot(self.dual(u), v)
-
-    def cross_dot(self, u, v):
+    def cross_dot(self, u: _Scaled, v: _Scaled):
         """(U, V) for U and V of opposite parity: an exact 0 when folded."""
         return self.ctx.zero if self.folded else self.dot(u, v)
 
     def lanczos_stride(self) -> int:
-        """2 on a folded band, else 1.  The chain takes a_n = 0 and L
-        self-adjoint, so on a band that does not fold H, eta and the band
-        weights must still be mirror images under the metric g, each pair
-        :meth:`~krylov_exact.numeric.Context.close` (equal in exact mode):
-        :class:`~krylov_exact.errors.MirrorAsymmetry` names the first
-        entry that is not."""
+        """2: the chain runs on a folded band alone.  It takes a_n = 0 and
+        L self-adjoint, so H, eta and the band weights must be mirror
+        images under the metric g, which is the fold's own test: on a band
+        that does not fold :class:`~krylov_exact.errors.MirrorAsymmetry`
+        names the first entry that is not."""
         if self.folded:
             return 2
-        pair, (rows, cols), mirror = self.pair, self.band, self.mirror
-        g = np.full(self.n, self.ctx.one, dtype=object) if pair.metric is None else pair.metric
-        for name, m in (("H", pair.h[rows, cols] * g[cols]), ("eta", pair.eta[rows, cols] * g[cols]),
-                        ("weight", self.weight * g[rows] ** 2)):  # M_ab g_b = M_ba g_a, w_ab g_a^2 = w_ba g_b^2
-            for s in np.flatnonzero(m != m[mirror]):
-                if not self.ctx.close(m[s], m[mirror[s]]):
-                    raise MirrorAsymmetry(f"{name} entries ({rows[s]}, {cols[s]}) and ({cols[s]}, {rows[s]}) are "
-                                          "not mirror images under the metric, so the chain would need a_n != 0")
-        return 1
-
-    def overlaps(self, vectors: list):
-        """t -> [(O_n, O_0(t))] for bigreal chain vectors on this band,
-        through the exponential-conjugation oracle.  O_0 moves into the
-        eigenbasis of H once, rounded once per entry; each time then twists
-        it exactly and moves it back, Q X Q^T, in one exact product
-        (:meth:`~krylov_exact.operators._Banded.eigenbasis`), and meets the
-        chain's covectors, stacked once for all times as integer mantissas,
-        in one more, each amplitude part rounded once.  On a folded band,
-        for a real O_0 and odd vectors that vanish on the diagonal, as the
-        chain's do, the read is folded too: the moved real part is exactly
-        symmetric and the imaginary part exactly antisymmetric, so an even
-        O_n meets the real part and an odd one i times the imaginary part,
-        on the entries a <= b with w+, and the other part of each
-        amplitude is an exact 0, as it is on the whole band.  Elsewhere the
-        covectors are those of the whole band."""
-        ctx, count = self.ctx, len(vectors)
-        eigen, to, back = self.pair.rep.eigenbasis()
-        o0 = to(self.scatter(vectors[0]))
-        diagonal = np.flatnonzero(self.rows == self.cols)
-        if self.folded and o0.merged()[1] is None and not any(v[diagonal].any() for v in vectors[1::2]):
-            (rows, cols), parity = (self.rows, self.cols), (0, 1)
-            stacks = [(ns, [self.dual(vectors[n]) for n in ns]) for ns in (range(0, count, 2), range(1, count, 2))]
-        else:
-            (rows, cols), parity, weight = self.band, (None,), self.unfold(self.weight, 0)
-            stacks = [(range(count), [weight * conjugate(self.unfold(v, n % 2)) for n, v in enumerate(vectors)])]
-        stacks = [(ns, ctx.mantissas(np.array(duals, dtype=object)), part)
-                  for (ns, duals), part in zip(stacks, parity) if ns]
-
-        def at(t):
-            re, im, exp = back(eigen.conjugate_exp(o0, t)).merged()
-            read = [None if p is None else p[rows, cols].reshape(-1, 1) for p in (re, im)]
-            out = [None] * count
-            for ns, duals, part in stacks:
-                column = Mantissas._exact(*((read[part], None) if part is not None else read), exp, None, ctx.mp)
-                for n, z in zip(ns, duals.product(column).rounded().ravel()):
-                    z = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero)
-                    out[n] = ctx.mp.make_mpc((mpf_neg(z[1]), z[0]) if part == 1 else z)  # i z for odd n
-            return out
-
-        return at
+        g = np.ones(self.n, dtype=object) if self.pair.metric is None else self.pair.metric
+        weight = zeros(self.n, self.ctx)
+        weight[self.band] = self.wplus * g[self.rows] ** 2
+        # M_ab g_b = M_ba g_a, w_ab g_a^2 = w_ba g_b^2
+        name, m = next((name, m) for name, m in (("H", self.pair.h * g), ("eta", self.eta * g), ("weight", weight))
+                       if (m != m.T).any())
+        a, b = np.argwhere(m != m.T)[0]
+        raise MirrorAsymmetry(f"{name} entries ({a}, {b}) and ({b}, {a}) are not mirror images under the metric, "
+                              "so the chain would need a_n != 0")

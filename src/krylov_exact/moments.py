@@ -228,9 +228,9 @@ def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 
     live in the operator space of :func:`operator_lanczos`: the eta
     support folded to one entry per mirror pair for a diagonal H, where
     [H, V]_ab = (E_a - E_b) V_ab, the same on the spectrum pair of a
-    bigreal position pair (the eigenbasis of H,
-    :class:`~krylov_exact.operators.EigenSupport`), else the band that K
-    commutators reach.  v_k and v_k+1 have opposite parity, so the odd
+    bigreal matrix H (its eigenbasis,
+    :class:`~krylov_exact.operators.EigenSupport`), else the exact band
+    that K commutators reach.  v_k and v_k+1 have opposite parity, so the odd
     moments take the space's cross-parity dot; no symmetry of eta is
     assumed, and on a folded band, whose mirror symmetry is checked
     exactly, they are exact zeros.  The chain shares the space and the

@@ -13,33 +13,29 @@ one of two representations, picked once from the shape of ``h``:
 * a banded symmetric matrix -- the tridiagonal position-basis H.
   Operators are dense matrices; the closure relation and L^m eta run on
   bands of H (:mod:`~krylov_exact.band`), where functions of H are
-  banded too, and so do the exact moment oracle, Lanczos chain and the
-  chains of pairs off the eigenbasis route.  Spectral work happens in
-  the eigenbasis: the eigendecomposition (E, Q) is computed at most once
-  per pair, and operators move there, Q^T V Q, a three-factor
+  banded too, and so do the exact moment oracle and Lanczos chain.
+  Spectral work happens in the eigenbasis: (E, Q) is computed at most
+  once per pair, and operators move there, Q^T V Q, a three-factor
   :meth:`~krylov_exact.numeric.Context.matmul` rounded once per entry,
   and are held there as exact integer mantissas (:class:`_Eigenbasis`).
   Per time, the closed form, the phase twist and their difference are
   formed exactly and move back, Q X Q^T, in one exact product with Q's
   mantissas, converted once per pair; the Heisenberg check reads its
   largest entry from that exact product, and the public closed form and
-  oracle round it once per entry.  A bigreal position pair runs its
-  oracle, chain and profile there too, on the spectrum pair (E, eta')
-  (:class:`EigenSupport`): eta' = Q^T eta Q rounded once per entry, less
-  the entries within their derived error of 0, whose share of |eta|^2 is
-  the chain's ``dropped_mass``.
+  oracle round it once per entry.  A bigreal pair runs its oracle, chain
+  and profile there too, on the spectrum pair (E, eta')
+  (:class:`EigenSupport`, which refuses a pair it cannot hold): eta' =
+  Q^T eta Q rounded once per entry, less the entries within their
+  derived error of 0, whose share of |eta|^2 is ``dropped_mass``.
 
 Every inner product (V, W) = sum_ab weight_ab conj(V_ab) W_ab is one
 :meth:`~krylov_exact.numeric.Context.dot` of the covector weight*conj(V)
-with W.  In bigreal mode that dot forms the products exactly and rounds
-the sum once, so a dot over the band equals the dot over every entry.
-The Lanczos spaces hand out those covectors (``dual``); the chain keeps
-one beside each of its vectors for its exact-accumulator
-reorthogonalisation (:meth:`~krylov_exact.numeric.Context.gram_schmidt`),
-each coefficient an exact sum rounded once.  The profile stacks them once for
-all times, as integer mantissas, and meets each time's O_0(t) in batched
-exact products, each amplitude part rounded once: those dots bit for bit
-where O_0(t) is rounded, and the exact sums where it is held exactly.
+with W, in bigreal mode formed exactly and rounded once.  The bigreal
+Lanczos spaces hand out those covectors (``dual``); the chain keeps one
+beside each of its vectors for its exact-accumulator reorthogonalisation
+(:meth:`~krylov_exact.numeric.Context.gram_schmidt`), each coefficient an
+exact sum rounded once, and the profile reads the same dots bit for bit
+(:meth:`SupportBasis.overlaps`).
 
 The parity fold
 ---------------
@@ -54,9 +50,9 @@ chain needs every w- to vanish, which makes vectors of opposite parity
 orthogonal, so it reorthogonalises against only those of its own
 parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
 w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
-A band folds the same way (:class:`~krylov_exact.band._BandSpace`), in
-exact mode under the metric g below: H_ba g_a = H_ab g_b, so W = G^-1 L^k
-eta has the parity W_ba = (-1)^k W_ab, checked exactly once per space.
+An exact band folds the same way (:class:`~krylov_exact.band._BandSpace`),
+under the metric g below: H_ba g_a = H_ab g_b, so W = G^-1 L^k eta has
+the parity W_ba = (-1)^k W_ab, checked exactly once per space.
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -323,16 +319,13 @@ class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
 
     An operator is a dense matrix.  The closure relation runs on bands
-    (:mod:`~krylov_exact.band`) of any width, and so do the exact chain
-    and oracle.  A bigreal pair whose H and eta are real and
-    symmetric, with no metric, runs its chain, oracle and profile under
-    the trace in the eigenbasis of H, on the spectrum pair (E, eta')
-    (:attr:`spectrum`, :class:`EigenSupport`); other bigreal pairs, and
-    every pair under another inner product, stay on the band.  The
-    eigendecomposition H = Q diag(E) Q^T (:meth:`eigenbasis`), H laid out
-    for the band kernel as integers (:attr:`bands`), the spectrum pair and
-    the operator spaces are built on first use and kept,
-    so each pair runs :func:`eig_symmetric` at most once: implicit QL on H's
+    (:mod:`~krylov_exact.band`) in both modes, the chain, oracle and profile
+    on one space per mode (:meth:`space`): the band in exact mode, else the
+    spectrum pair (E, eta') in the eigenbasis of H (:attr:`spectrum`,
+    :class:`EigenSupport`).  H = Q diag(E) Q^T (:meth:`eigenbasis`), H laid
+    out as integers (:attr:`bands`), eta moved to the eigenbasis, the
+    spectrum pair and the spaces are built on first use and kept, so each
+    pair runs :func:`eig_symmetric` at most once: implicit QL on H's
     diagonal and off-diagonal, with Q rotated on integer mantissas at 32
     guard bits (:func:`~krylov_exact.numeric.symmetric_eigen`).  It needs H
     tridiagonal, as every position H is; a wider H raises
@@ -366,27 +359,22 @@ class _Banded:
         energies, q = eig_symmetric(self.h, self.ctx)
         return energies, q, self.ctx.mantissas(q), self.ctx.mantissas(q.T)
 
+    @cached_property
+    def _moved_eta(self) -> np.ndarray:
+        """Q^T eta Q rounded once per entry, one product for :attr:`spectrum` and the Heisenberg check."""
+        _, _, q, qt = self._decomposition
+        return self.ctx.matmul(qt, self.eta, q)
+
     def eigenbasis(self) -> tuple[_Eigenbasis, object, object]:
         """(eigenbasis, to, back): the eigenvalues E (:class:`_Eigenbasis`),
         V -> Q^T V Q into it, a three-factor
         :meth:`~krylov_exact.numeric.Context.matmul` rounded once per entry
-        and held as exact :class:`~krylov_exact.numeric.Mantissas`, and
+        (for eta :attr:`_moved_eta`) and held as exact Mantissas, and
         X -> Q X Q^T back, the exact product (:meth:`Mantissas.product`),
-        rounded by the caller.  Q and Q^T are converted to integer
-        mantissas once per pair."""
-        energies, _, q, qt = self._decomposition
-        ctx = self.ctx
-        return _Eigenbasis(energies, ctx), lambda v: ctx.mantissas(ctx.matmul(qt, v, q)), lambda x: q.product(x, qt)
-
-    @cached_property
-    def orthogonal(self) -> bool:
-        """Whether the chain, oracle and profile under the trace may run in
-        the eigenbasis: bigreal, H tridiagonal, H and eta real and exactly
-        symmetric.  An orthogonal Q then keeps the trace product, and
-        Q^T eta Q is exactly symmetric before its one rounding."""
-        h, eta = self.h, self.eta
-        real = not any(hasattr(x, "_mpc_") for x in chain(h.flat, eta.flat))
-        return not self.ctx.is_exact and _bandwidth(h) <= 1 and real and (h == h.T).all() and (eta == eta.T).all()
+        rounded by the caller.  Q and Q^T become integer mantissas once."""
+        (energies, _, q, qt), ctx = self._decomposition, self.ctx
+        return (_Eigenbasis(energies, ctx), lambda v: ctx.mantissas(self._moved_eta if v is self.eta else
+                                                                    ctx.matmul(qt, v, q)), lambda x: q.product(x, qt))
 
     @cached_property
     def spectrum(self) -> tuple[OperatorPair, object]:
@@ -402,10 +390,10 @@ class _Banded:
         The exact system's eta is tridiagonal in its energy basis, and the
         rest of eta' is rounding, which without the rule would hand the
         chain a Krylov space the exact H does not have."""
-        energies, _, qm, qtm = self._decomposition
+        energies, _, qm, _ = self._decomposition
         ctx = self.ctx
         kappa = eigenbasis_zero_bounds(self.h, self.eta, energies, qm, ctx.mp)
-        moved = ctx.matmul(qtm, self.eta, qm)
+        moved = self._moved_eta.copy()
         drop = (np.abs(moved) <= np.add.outer(kappa, kappa)).astype(bool)
         total = ctx.dot(moved.ravel(), moved.ravel())
         dropped = ctx.dot(moved[drop], moved[drop]) / total if total else ctx.zero
@@ -418,10 +406,11 @@ class _Banded:
         return len(self.h) - 1 if steps is None else min(w_eta + steps * w_h, len(self.h) - 1)
 
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> _BandSpace | EigenSupport:
+        """An exact pair's band of STEPS commutators, or a bigreal pair's eigenbasis."""
         _check_dims(pair, ip)
-        if self.orthogonal and pair.metric is None and ip.half is None and ip.metric is None:
-            return _kept_space(self, pair, ip, lambda: EigenSupport(pair, *self.spectrum))
-        return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
+        if self.ctx.is_exact:
+            return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
+        return _kept_space(self, pair, ip, lambda: EigenSupport(pair, ip))
 
 
 class _Eigenbasis:
@@ -553,18 +542,16 @@ class OperatorChain:
     and ``norms_sq`` is None; in exact mode they are the unnormalised
     rational chain vectors and only ``b_squared`` (with the squared norms
     ``norms_sq``, one more) is stored, so that the stop test b_{k+1} = 0
-    stays literal (:func:`operator_lanczos`).  The vectors
-    stay in the form the chain's operator ``space`` holds them (folded on
-    the eta support, in the eigenbasis of a bigreal position H, or on a
-    band, :class:`~krylov_exact.band._Scaled` in exact mode), where the
-    profile reads them; :attr:`ops`, their dense matrices in the pair's
-    own basis, is built on first read.  ``dropped_mass`` is the share of
-    |eta|^2 that the eigenbasis route set to 0 (:attr:`_Banded.spectrum`),
-    0 on every other space.
+    stays literal (:func:`operator_lanczos`).  The vectors stay as the
+    chain's ``space`` holds them: folded on the eta support of a spectrum
+    (for a bigreal matrix H, in its eigenbasis), or on an exact band as
+    :class:`~krylov_exact.band._Scaled`; :attr:`ops`, their dense matrices
+    in the pair's own basis, is built on first read.  ``dropped_mass`` is
+    the share of |eta|^2 the eigenbasis set to 0, else 0.
     """
 
     vectors: list = field(repr=False)
-    space: SupportBasis | _BandSpace = field(repr=False)
+    space: SupportBasis | EigenSupport | _BandSpace = field(repr=False)  # _BandSpace in exact mode only
     b_squared: list
     stopped: bool
     ctx: Context
@@ -742,9 +729,22 @@ class EigenSupport(SupportBasis):
     the moments, the chain's b and the amplitudes are those of the pair's
     own basis; :meth:`scatter` moves a vector back, Q V Q^T, each entry
     rounded once.  ``dropped_mass`` is the share of |eta|^2 that the zero
-    rule set to 0.  Nothing here reads the system's closed forms."""
+    rule set to 0.  Nothing here reads the system's closed forms.  It takes
+    the trace without a metric, H tridiagonal, H and eta real and exactly
+    symmetric; :class:`~krylov_exact.errors.BasisMismatch` names the first
+    of these a pair fails (exact mode runs such a pair on the band)."""
 
-    def __init__(self, pair: OperatorPair, spectrum: OperatorPair, dropped):
+    def __init__(self, pair: OperatorPair, ip: InnerProduct):
+        h, eta = pair.h, pair.eta
+        unmet = ("there is a metric" if pair.metric is not None or ip.metric is not None
+                 else "the inner product is not the trace" if ip.half is not None
+                 else "H is wider than tridiagonal" if _bandwidth(h) > 1
+                 else "H or eta is complex" if any(hasattr(x, "_mpc_") for x in chain(h.flat, eta.flat))
+                 else "H is not symmetric" if (h != h.T).any() else "eta is not symmetric" if (eta != eta.T).any()
+                 else None)
+        if unmet:
+            raise BasisMismatch(f"{unmet}: a bigreal matrix H runs the chain and the oracle in its eigenbasis")
+        spectrum, dropped = pair.rep.spectrum
         super().__init__(spectrum, trace_inner(spectrum))
         self.pair, self.dropped_mass = pair, dropped
 
@@ -773,8 +773,7 @@ def operator_lanczos(
     of H, :class:`EigenSupport`).
 
     In bigreal mode V_k = O_k is normalised, c_k = b_k, b_{k+1} = |W|, and
-    W is reorthogonalised against the earlier vectors of its parity (all of
-    them on a space that does not fold) by one
+    W is reorthogonalised against the earlier vectors of its parity by one
     :meth:`~krylov_exact.numeric.Context.gram_schmidt`.  In exact mode
     V_k = (b_1 ... b_k |eta|) O_k stays unnormalised: its squared norms
     nu_k (``norms_sq``) give c_k = b_k^2 = nu_k / nu_{k-1}, all rational,

@@ -15,7 +15,7 @@ matrices, with the same operations per entry as the library's evaluation
 on the eta support.
 
 mpmath's dense ``eigsy``, the reference of the package's implicit QL
-eigendecomposition.  Two bigreal position pairs whose band does not fold:
+eigendecomposition.  Two bigreal position pairs off the eigenbasis route:
 one rotated to a dense H, one with a tridiagonal H nudged by one ulp.
 
 Closed forms only the tests use (the dual Hahn mu_2 and the affine
@@ -26,18 +26,16 @@ check of <n|eta|n>, which no ``verify`` row runs.
 Exact rational values of mpmath numbers and of their product chains, and
 rounding once at a context's precision.
 
-The band route of a matrix H, which bigreal position pairs left for the
-eigenbasis of H: its space, chain and oracle, the reference of the band
-tests.  The exact reference b^2 of a finite pair, from the oracle's
-moments through Chebyshev's algorithm.
+The exact reference b^2 of a finite pair, from the oracle's moments
+through Chebyshev's algorithm.  Bigreal values against exact ones to a
+number of digits, and an exact chain's vectors normalised in the
+symmetric representation, the references of the eigenbasis route.
 
-The full-band reference for the position basis: the moment oracle, the
-unnormalised exact chain and the fully reorthogonalised bigreal chain
-from dense commutators and dots over every entry, with no fold (the
-bigreal chain reorthogonalises with the package's exact-accumulator
-kernel, on dense vectors against every earlier one), and the profile
-rows from dense matrices in rational arithmetic, rounded only where the
-package's eigenbasis route rounds.  A dense commutator or product is
+The full-band reference for the position basis: the moment oracle and
+the unnormalised exact chain from dense commutators and dots over every
+entry, with no fold, and the profile rows from dense matrices in
+rational arithmetic, rounded where O_0 moves to the eigenbasis and
+where each amplitude part ends.  A dense commutator or product is
 ``h @ v - v @ h`` or ``x @ y`` in exact mode and, in bigreal mode, that
 product formed in rationals and rounded once per entry, as the band
 kernel forms it.  The bound between the Heisenberg check's deviation and
@@ -64,7 +62,6 @@ from krylov_exact import (
     SystemKind,
     default_system,
     energy_pair,
-    inner,
     liouville,
     make_system,
     moments_closed,
@@ -77,9 +74,7 @@ from krylov_exact import (
 from krylov_exact.catalog import _polyval
 from krylov_exact.dynamics import _exp_differences
 from krylov_exact.errors import TruncationTooSmall
-from krylov_exact.band import _BandSpace
-from krylov_exact.moments import _oracle
-from krylov_exact.operators import _lanczos, conjugate, eig_symmetric, solve_consistent, trace_inner, zeros
+from krylov_exact.operators import eig_symmetric, solve_consistent, zeros
 
 FINITE_KINDS = [k for k in SystemKind if k.is_finite]
 THERMAL_KINDS = [k for k in SystemKind if not k.is_finite]
@@ -378,25 +373,8 @@ def diagonal_eta_identity(spec, n_max: int | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The band route and the exact reference b^2
+# Exact references of the eigenbasis route
 # ---------------------------------------------------------------------------
-
-
-def band_space(pair, ip=None, steps=None):
-    """The band operator space of PAIR's matrix H under IP (the trace by
-    default), reaching STEPS commutators (every entry for None)."""
-    return _BandSpace(pair, ip or trace_inner(pair), steps)
-
-
-def band_chain(pair, ip=None, k_max=None):
-    """:func:`~krylov_exact.operator_lanczos` on the band."""
-    return _lanczos(band_space(pair, ip, k_max), k_max)
-
-
-def band_oracle(pair, ip=None, K=6):
-    """:func:`~krylov_exact.moments_oracle` on the band."""
-    ip = ip or trace_inner(pair)
-    return _oracle(band_space(pair, ip, K), K, ip.beta)
 
 
 def exact_b2_reference(pair) -> list:
@@ -408,6 +386,23 @@ def exact_b2_reference(pair) -> list:
     coeffs = moments_to_lanczos(moments_oracle(pair, K=2 * pair.dim - 1))
     assert coeffs.stop_index is not None
     return coeffs.b_squared
+
+
+def agree(got, want, digits: int = 47) -> bool:
+    """Whether each bigreal value of GOT lies within 10^-DIGITS relative of
+    the exact rational at its place in WANT, and so an exact 0 exactly."""
+    want = [Fraction(int(w.numerator), int(w.denominator)) for w in want]
+    return len(got) == len(want) and all(abs(exact_value(g) - w) <= abs(w) / 10**digits for g, w in zip(got, want))
+
+
+def normalised_ops(ops, norms_sq, metric, ctx) -> list:
+    """Exact unnormalised chain matrices V_k with squared norms nu_k as
+    ctx's bigreal O_k = V_k / sqrt(nu_k), moved to the symmetric
+    representation of a pair under the metric g: O_ab sqrt(g_b / g_a)."""
+    n = len(ops[0])
+    g = [ctx.one] * n if metric is None else [ctx.num(x) for x in metric]
+    scale = np.array([[ctx.sqrt(g[b] / g[a]) for b in range(n)] for a in range(n)], dtype=object)
+    return [np.vectorize(ctx.num, otypes=[object])(v) * scale / ctx.sqrt(ctx.num(nu)) for v, nu in zip(ops, norms_sq)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +424,8 @@ def eigsy_reference(h, ctx):
 def rotated_pair(pair):
     """The bigreal position pair moved to the eigenbasis by plain object
     products: entries (a, b) and (b, a) round differently, so H and eta
-    are symmetric only up to rounding and the band is not folded.  H is
-    dense, so :func:`~krylov_exact.operators.eig_symmetric` rejects it."""
+    are symmetric only up to rounding.  H is dense, so
+    :func:`~krylov_exact.operators.eig_symmetric` rejects it."""
     _, q = eig_symmetric(pair.h, pair.ctx)
     return OperatorPair(q.T @ pair.h @ q, q.T @ pair.eta @ q, pair.ctx)
 
@@ -438,7 +433,7 @@ def rotated_pair(pair):
 def nudged_pair(pair):
     """The bigreal position pair with H[1, 0] moved up by one unit in the
     last place: H stays tridiagonal and is symmetric only up to rounding,
-    so the band is not folded and ``eig_symmetric`` still accepts it."""
+    so ``eig_symmetric`` still accepts it, and the chain does not."""
     h, mp = pair.h.copy(), pair.ctx.mp
     h[1, 0] = h[1, 0] + mp.ldexp(1, mp.mag(h[1, 0]) - mp.prec)
     return OperatorPair(h, pair.eta, pair.ctx)
@@ -503,34 +498,6 @@ def reference_oracle(pair, dot, K: int) -> list:
         values += [dot(v, v_next) / norm, dot(v_next, v_next) / norm]
         v = v_next
     return values
-
-
-def reference_chain(pair, ip, k_max: int | None = None):
-    """(ops, b, stopped) of the normalised bigreal chain under the inner
-    product IP, on dense matrices, reorthogonalised against every earlier
-    vector with the package's kernel (``Context.gram_schmidt``) and the
-    dense covectors weight * conj(O_j), to k_max steps (all of them by
-    default)."""
-    ctx = pair.ctx
-    k_max = pair.dim**2 if k_max is None else k_max
-    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    o_prev, o_cur = None, pair.eta / ctx.sqrt(dot(pair.eta, pair.eta))
-    ops, bs = [o_cur], []
-    basis = [(o_cur.ravel(), (ip.weight * conjugate(o_cur)).ravel())]
-    while len(bs) < k_max:
-        w = dense_commutator(pair, o_cur)
-        if o_prev is not None:
-            w = w - o_prev * bs[-1]
-        w, basis = ctx.gram_schmidt(w.ravel(), basis)
-        w = w.reshape(o_cur.shape)
-        b = ctx.sqrt(dot(w, w))
-        if ctx.is_zero(b):
-            return ops, bs, True
-        bs.append(b)
-        o_prev, o_cur = o_cur, w / b
-        ops.append(o_cur)
-        basis.append((o_cur.ravel(), (ip.weight * conjugate(o_cur)).ravel()))
-    return ops, bs, False
 
 
 def reference_exact_chain(pair, dot, k_max: int | None = None):

@@ -14,8 +14,8 @@ from krylov_exact import (
     OperatorPair,
     apply_liouville_power,
     default_system,
-    krylov_profile,
     make_system,
+    moments_oracle,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -117,11 +117,12 @@ def test_eig_symmetric_rejects_an_asymmetric_h():
     )
     with pytest.raises(BasisMismatch, match=r"entries \(0, 1\) and \(1, 0\)"):
         eig_symmetric(pair.h, big)
-    # the chain runs, and the profile stops at the eigendecomposition
-    ip = trace_inner(pair)
-    chain = operator_lanczos(pair, ip)
-    with pytest.raises(BasisMismatch):
-        krylov_profile(chain, pair, ip, [big.one])
+    # the chain and the oracle run in the eigenbasis, which takes no metric,
+    # so they stop before the eigendecomposition; the exact pair runs
+    for run in (operator_lanczos, moments_oracle):
+        with pytest.raises(BasisMismatch, match="there is a metric"):
+            run(pair, trace_inner(pair))
+    assert operator_lanczos(rescaled).stopped
 
 
 def test_eig_symmetric_accepts_h_symmetric_up_to_rounding():

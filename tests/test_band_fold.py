@@ -1,24 +1,17 @@
-"""The parity fold of the position-basis band, in both modes.
+"""The parity fold of the position-basis band in exact mode, and of the
+eigenbasis route in bigreal.
 
-Exact position pairs run their chain and oracle here.  Bigreal position
-pairs run theirs in the eigenbasis of H (``test_eigen_route``); the
-bigreal band stays the reference of these tests, reached through
-``helpers.band_chain`` and ``helpers.band_oracle``, until it goes.
-
-When H, eta and the band weights are mirror images -- exactly, or in
-exact mode under the metric g (H_ba g_a = H_ab g_b) -- L^k eta has the
-exact parity W_ba = (-1)^k W_ab for W = G^-1 L^k eta, the band keeps one
-entry per mirror pair, and the chain reorthogonalises against every
-second earlier vector.  In bigreal mode every term the fold skips is an
-exact zero, so b, the dense chain vectors, the oracle moments and the
-profile rows equal the full-band reference of ``helpers`` (dense
-commutators, dots over every entry, full reorthogonalisation) bit for
-bit; in exact mode the oracle moments, b^2, squared norms and chain
-operators equal the dense exact reference in value and type.  Pairs
-that are mirror images only up to rounding, and bigreal pairs under a
-metric, keep the whole band and stride 1.  Exact pairs whose H, eta or
-weights break the mirror keep the whole band in the oracle, and the
-chain refuses them with ``MirrorAsymmetry``.
+When H, eta and the band weights are mirror images under the metric g
+(H_ba g_a = H_ab g_b), L^k eta has the exact parity W_ba = (-1)^k W_ab
+for W = G^-1 L^k eta, and the exact band keeps one entry per mirror pair:
+the oracle moments, b^2, squared norms and chain operators equal the
+dense exact reference in value and type.  Exact pairs whose H, eta or
+weights break the mirror keep the whole band in the oracle, and the chain
+refuses them with ``MirrorAsymmetry``.  A bigreal position pair folds in
+the eigenbasis of H (``EigenSupport``) and reorthogonalises against every
+second earlier vector; its oracle moments and b^2 equal the exact pair's
+to 47 digits, its odd moments are exact zeros, and it stops where the
+exact chain stops.  A complex seed has no eigenbasis route.
 """
 
 from dataclasses import replace
@@ -33,7 +26,6 @@ from krylov_exact import (
     OperatorPair,
     default_system,
     inner,
-    krylov_profile,
     make_system,
     moments_oracle,
     operator_lanczos,
@@ -41,48 +33,30 @@ from krylov_exact import (
     trace_inner,
 )
 
-from krylov_exact.errors import MirrorAsymmetry
+from krylov_exact.errors import BasisMismatch, MirrorAsymmetry
+from krylov_exact.operators import EigenSupport
 
 from helpers import (
     FINITE_KINDS,
-    band_chain,
-    band_oracle,
-    band_space,
+    agree,
     exact_b2_reference,
     exact_value,
-    nudged_pair,
     param_samples,
-    reference_chain,
     reference_exact_chain,
     reference_oracle,
-    reference_profile,
-    rotated_pair,
 )
 
 K = 6
-TIMES = ["1/10", "7/5", "3"]
 
 
-def _keys(values) -> list:
-    return [v._mpf_ for v in values]
-
-
-def _check(pair, stride: int, profile: bool = True) -> None:
-    """Band oracle, chain and profile of PAIR against the full-band reference."""
-    ip = trace_inner(pair)
-    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    assert _keys(band_oracle(pair, ip, K).values) == _keys(reference_oracle(pair, dot, K))
-    chain = band_chain(pair, ip)
-    assert chain.space.lanczos_stride() == stride
-    ops, bs, stopped = reference_chain(pair, ip)
-    assert chain.stopped == stopped
-    assert _keys(chain.b) == _keys(bs)
-    for got, want in zip(chain.ops, ops, strict=True):
-        assert _keys(got.ravel()) == _keys(want.ravel())
-    if profile:
-        rows = krylov_profile(chain, pair, ip, TIMES).phi
-        for got, want in zip(rows, reference_profile(pair, ip, ops, map(pair.ctx.num, TIMES)), strict=True):
-            assert _keys(got) == _keys(want)
+def _check(pair, exact) -> None:
+    """The bigreal PAIR's oracle and chain, folded in the eigenbasis of H,
+    against the exact pair EXACT's on the whole band."""
+    assert agree(moments_oracle(pair, K=K).values, moments_oracle(exact, K=K).values)
+    chain, want = operator_lanczos(pair), operator_lanczos(exact)
+    assert isinstance(chain.space, EigenSupport) and chain.space.lanczos_stride() == 2
+    assert (chain.stop_index, chain.stopped) == (want.stop_index, want.stopped)
+    assert agree(chain.b_squared, want.b_squared)
 
 
 def _check_exact(pair, k_max: int | None = None) -> None:
@@ -143,76 +117,51 @@ def test_exact_pairs_off_the_mirror_keep_the_whole_band(ctx):
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
-def test_folded_defaults_equal_full_band(bctx, kind):
-    pair = position_pair(default_system(kind, bctx))
-    _check(pair, stride=2)
+def test_folded_defaults_equal_full_band(ctx, bctx, kind):
+    _check(position_pair(default_system(kind, bctx)), position_pair(default_system(kind, ctx)))
     # the doubled pair of the scaling check folds too
-    doubled = replace(pair, h=pair.h * bctx.frac(2))
-    ip = trace_inner(doubled)
-    assert band_space(doubled, ip, 2).folded
-    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    assert _keys(band_oracle(doubled, ip, 2).values) == _keys(reference_oracle(doubled, dot, 2))
+    doubled = [replace(pair, h=pair.h * 2) for pair in (position_pair(default_system(kind, c)) for c in (bctx, ctx))]
+    assert agree(moments_oracle(doubled[0], K=2).values, moments_oracle(doubled[1], K=2).values)
 
 
 @pytest.mark.parametrize("N", [6, pytest.param(8, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
-def test_folded_samples_equal_full_band(bctx, kind, N):
+def test_folded_samples_equal_full_band(ctx, bctx, kind, N):
     for params in param_samples(kind, N):
-        _check(position_pair(make_system(kind, N, params, bctx)), stride=2)
+        _check(position_pair(make_system(kind, N, params, bctx)), position_pair(make_system(kind, N, params, ctx)))
 
 
-def test_folded_chain_halves_the_reorthogonalisation(bctx, monkeypatch):
-    # the step from O_{m-1} reorthogonalises W against the m earlier vectors
-    # on the whole band, or the m // 2 of W's parity on the fold: one
-    # coefficient of Context.gram_schmidt each, in one call per step
-    coefficients, lengths = [], set()
+def test_folded_chain_halves_the_reorthogonalisation(ctx, bctx, monkeypatch):
+    # the step from O_{m-1} reorthogonalises W against the m // 2 earlier
+    # vectors of W's parity, where the unfolded space would take all m: one
+    # coefficient of Context.gram_schmidt each, in one call per step.  The
+    # exact chain reorthogonalises nothing, and its folded vectors hold the
+    # entries a <= b of the band
+    coefficients = []
     real = Context.gram_schmidt
-
-    def counting(self, w, basis):
-        coefficients.append(len(basis))
-        lengths.add(len(w))
-        return real(self, w, basis)
-
-    monkeypatch.setattr(Context, "gram_schmidt", counting)
-    folded = position_pair(default_system("hahn", bctx))
-    n = folded.dim
-    reorth = {}
-    # the folded vectors hold the entries a <= b of the band
-    for pair, stride, entries in ((folded, 2, n * (n + 1) // 2), (rotated_pair(folded), 1, n * n)):
-        coefficients.clear()
-        lengths.clear()
-        chain = band_chain(pair)
-        steps = range(1, len(chain.b) + chain.stopped + 1)
-        assert len(coefficients) == len(steps)
-        reorth[stride] = sum(coefficients)
-        assert reorth[stride] == sum(m // stride for m in steps)
-        assert lengths == {entries}
-    assert len(steps) > 8 and 2 * reorth[2] <= reorth[1]
-
-
-def test_unfolded_pairs_keep_stride_one(ctx, bctx):
-    spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx)
-    _check(nudged_pair(position_pair(spec)), stride=1)
-    # the exact rescaled pair in bigreal: H is not symmetric (metric g), so
-    # eig_symmetric does not apply and there is no profile
-    exact = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
-    metric = np.array([bctx.num(g) for g in exact.metric], dtype=object)
-    _check(OperatorPair(exact.h, exact.eta, bctx, metric), stride=1, profile=False)
+    monkeypatch.setattr(Context, "gram_schmidt", lambda self, w, basis: coefficients.append(len(basis))
+                        or real(self, w, basis))
+    chain = operator_lanczos(position_pair(default_system("hahn", bctx)))
+    steps = range(1, len(chain.b) + chain.stopped + 1)
+    assert len(coefficients) == len(steps) > 8
+    assert sum(coefficients) == sum(m // 2 for m in steps)
+    exact = operator_lanczos(position_pair(default_system("hahn", ctx)))
+    n = exact.space.n
+    assert len(coefficients) == len(steps)  # no call from the exact chain
+    assert {len(v.num) for v in exact.vectors} == {n * (n + 1) // 2}
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_imaginary_seed_follows_the_real_chain(bctx, kind):
-    # i eta makes every vector complex with an exactly zero real part, so
-    # the covectors conjugate (dual) and every coefficient is complex with
-    # an exactly zero imaginary part; each imaginary part then takes the
-    # real chain's operations
+    # i eta would follow the real chain with every b the same, but the
+    # eigenbasis route holds a real symmetric eta alone: the chain and the
+    # oracle of the imaginary seed name that, and the real seed runs
     pair = position_pair(default_system(kind, bctx))
     seeded = OperatorPair(pair.h, pair.eta * bctx.mp.mpc(0, 1), bctx)
-    real, imaginary = band_chain(pair), band_chain(seeded)
-    assert imaginary.stopped == real.stopped
-    assert all(hasattr(b, "_mpc_") for b in imaginary.b)
-    assert _keys(b.real for b in imaginary.b) == _keys(real.b)
-    assert all(b.imag == 0 for b in imaginary.b)
+    for run in (operator_lanczos, moments_oracle):
+        with pytest.raises(BasisMismatch, match="eta is complex"):
+            run(seeded)
+    assert operator_lanczos(pair).stopped
 
 
 @pytest.mark.slow

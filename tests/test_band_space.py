@@ -1,23 +1,18 @@
 """The position-basis band space where the band is narrower than the matrix.
 
 K commutators of the tridiagonal H on the diagonal eta reach bandwidth K,
-so at N=16 with K=6 the space keeps 13 of the 33 diagonals.  The
+so at N=16 with K=6 the exact space keeps 13 of the 33 diagonals.  The
 references below are dense: ``h @ v - v @ h`` and every dot over all n^2
-entries (in bigreal one fused ``Context.dot``, as :func:`inner` forms
-it), and the chain reorthogonalises the dense vectors with the package's
-kernel (``Context.gram_schmidt``).  Exact results must match in type and value, bigreal ones bit for
-bit (``_mpf_``), which checks that a fused dot over the band equals the
-fused dot over every entry.  The profile reads the dense O_0(t) on the
-band of a 3-step chain at N=10.  Bigreal position pairs run in the
-eigenbasis of H; their band (``helpers.band_chain``, ``helpers.band_oracle``)
-is checked here as the reference it stays.
+entries.  Exact results must match in type and value.  The bigreal
+K-step oracle and chain run in the eigenbasis of H, not on a band; they
+equal the same dense exact references to 47 digits, and the chain's
+matrices, moved back to the position basis, the normalised dense ones
+to 1e-50.
 """
 
 import pytest
 
 from krylov_exact import (
-    inner,
-    krylov_profile,
     make_system,
     moments_oracle,
     operator_lanczos,
@@ -25,14 +20,7 @@ from krylov_exact import (
     trace_inner,
 )
 
-from helpers import (
-    band_chain,
-    band_oracle,
-    reference_chain,
-    reference_exact_chain,
-    reference_oracle,
-    reference_profile,
-)
+from helpers import agree, normalised_ops, reference_exact_chain, reference_oracle
 
 K = 6
 # L^k eta has bandwidth k for q-Krawtchouk, so its band is full at its
@@ -69,24 +57,15 @@ def test_narrow_band_equals_dense_exact(ctx, kind, N, params):
 
 
 @pytest.mark.parametrize("kind, N, params", PAIRS)
-def test_narrow_band_equals_dense_bigreal(bctx, kind, N, params):
-    pair = position_pair(make_system(kind, N, params, bctx))
-    ip = trace_inner(pair)
-    dot = lambda u, v: inner(ip, u, v)  # noqa: E731
-    _assert_same(band_oracle(pair, K=K).values, reference_oracle(pair, dot, K))
-    chain = band_chain(pair, k_max=K)
-    ops, bs, stopped = reference_chain(pair, ip, K)
+def test_narrow_band_equals_dense_bigreal(ctx, bctx, kind, N, params):
+    pair, exact = (position_pair(make_system(kind, N, params, c)) for c in (bctx, ctx))
+    weight = trace_inner(exact).weight
+    dot = lambda u, v: (weight * u * v).sum()  # noqa: E731
+    assert agree(moments_oracle(pair, K=K).values, reference_oracle(exact, dot, K))
+    chain = operator_lanczos(pair, k_max=K)
+    ops, b2s, nus, stopped = reference_exact_chain(exact, dot, K)
     assert chain.stopped == stopped
-    _assert_same(chain.b, bs)
-    _assert_same(chain.b_squared, [b * b for b in bs])
-    for got, want in zip(chain.ops, ops, strict=True):
-        _assert_same(got.ravel(), want.ravel())
-
-
-def test_narrow_band_profile_equals_dense(bctx):
-    pair = position_pair(make_system("q-krawtchouk", 10, {"q": "1/2", "p": "2/3"}, bctx))
-    ip = trace_inner(pair)
-    chain = band_chain(pair, k_max=3)
-    profile = krylov_profile(chain, pair, ip, ["1/2", "3/2"])
-    for row, want in zip(profile.phi, reference_profile(pair, ip, chain.ops, profile.times), strict=True):
-        _assert_same(row, want)
+    assert agree(chain.b_squared, b2s)
+    bound = bctx.num("1e-50")
+    for got, want in zip(chain.ops, normalised_ops(ops, nus, exact.metric, bctx), strict=True):
+        assert max(abs(x - y) for x, y in zip(got.ravel(), want.ravel())) <= bound

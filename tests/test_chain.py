@@ -30,7 +30,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.moments import MomentTable
 
-from helpers import FINITE_KINDS, THERMAL_KINDS, hankel_b2_reference, param_samples, rotated_pair
+from helpers import FINITE_KINDS, THERMAL_KINDS, hankel_b2_reference, param_samples
 
 
 def _table(ctx, even):
@@ -138,14 +138,15 @@ def test_asymmetric_bigreal_table_raises(bctx):
 
 
 def test_oracle_rounding_noise_in_odd_moments_converts(bctx):
-    # the position pair moved to the eigenbasis by plain object products:
-    # entry (a, b) and (b, a) round differently, so the oracle's odd
-    # moments are rounding noise instead of exact zeros
+    # the oracle's odd moments as rounding noise instead of exact zeros, as
+    # a pair symmetric only up to rounding gives them: a few units of
+    # 2^-prec of the Cauchy-Schwarz scale sqrt(mu_2k mu_2k+2), of either sign
     spec = make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx)
-    pair = position_pair(spec)
-    rotated = rotated_pair(pair)
-    oracle = moments_oracle(rotated, K=8)
-    assert any(v != 0 for v in oracle.values[1::2])
+    oracle = moments_oracle(position_pair(spec), K=8)
+    ulp = bctx.mp.ldexp(1, -bctx.mp.prec)
+    for k in range(8):
+        oracle.values[2 * k + 1] = (-1) ** k * (k + 3) * ulp * bctx.sqrt(oracle.mu(2 * k) * oracle.mu(2 * k + 2))
+    assert all(v != 0 for v in oracle.values[1::2])
     got = moments_to_lanczos(oracle)
     want = moments_to_lanczos(moments_closed_finite(spec, 8))
     assert got.stop_index == want.stop_index and len(got.b_squared) == 8

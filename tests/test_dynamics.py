@@ -32,7 +32,7 @@ from krylov_exact.errors import (
 )
 from krylov_exact.operators import conjugate, max_abs
 
-from helpers import FINITE_KINDS, band_chain, heisenberg_route_bound, nudged_pair, param_samples
+from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples
 
 
 def test_closure_hermite_pure_frequency(bctx):
@@ -307,26 +307,6 @@ def test_profile_rejects_exact(ctx):
     chain = operator_lanczos(pair, ip)
     with pytest.raises(ModeError):
         krylov_profile(chain, pair, ip, [ctx.one])
-
-
-def test_complex_amplitude_guard(bctx):
-    # corrupt O_1 of a band chain so that it has no definite parity.  On a
-    # folded band the mirror (1, 0) follows entry (0, 1), so the corruption
-    # goes on the diagonal, its own mirror, where an odd vector vanishes.
-    # (A chain in the eigenbasis reads each O_n against one wave, cos or
-    # sin by parity, so no corruption there leaves an imaginary part.)  The nudged
-    # pair is symmetric only up to rounding, keeps the whole band, and there
-    # entry (0, 1) moves alone
-    folded = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
-    for pair, (a, b), stride in ((folded, (0, 0), 2), (nudged_pair(folded), (0, 1), 1)):
-        ip = trace_inner(pair)
-        chain = band_chain(pair, ip)
-        space = chain.space
-        assert space.lanczos_stride() == stride
-        (at,) = np.flatnonzero((space.rows == a) & (space.cols == b))
-        chain.vectors[1][at] = chain.vectors[1][at] + bctx.num("1/3")
-        with pytest.raises(ComplexAmplitude):
-            krylov_profile(chain, pair, ip, [bctx.num("1/2")])
 
 
 @pytest.mark.parametrize("n", range(4))

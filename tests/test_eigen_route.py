@@ -9,7 +9,9 @@ to about the working precision.  On the band the rounded H gave a Krylov
 space the exact H does not have, and 25 of the 60 samples below stopped
 late.  The route reads only H and eta: a spec whose closed forms raise
 changes nothing.  The zero bound is a bound: every entry of eta' lies
-within it of the same entry at three times the precision.
+within it of the same entry at three times the precision.  A bigreal pair
+the eigenbasis cannot hold is refused, and names why; its exact
+counterpart runs on the band.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import pytest
 
 from krylov_exact import (
     Context,
+    InnerProduct,
     OperatorPair,
     default_system,
     energy_pair,
@@ -31,10 +34,20 @@ from krylov_exact import (
     position_pair,
     trace_inner,
 )
+from krylov_exact.errors import BasisMismatch
 from krylov_exact.numeric import eigenbasis_zero_bounds
 from krylov_exact.operators import EigenSupport
 
-from helpers import FINITE_KINDS, band_chain, exact_b2_reference, exact_value, param_samples
+from helpers import (
+    FINITE_KINDS,
+    agree,
+    exact_b2_reference,
+    exact_value,
+    normalised_ops,
+    nudged_pair,
+    param_samples,
+    rotated_pair,
+)
 
 TIMES = ["1/10", "7/5", "3"]
 
@@ -151,26 +164,50 @@ def test_dropped_mass_is_carried_on_the_chain(ctx, bctx):
         assert operator_lanczos(other).dropped_mass == 0
 
 
-def test_chain_ops_are_in_the_pairs_basis(bctx):
+def test_chain_ops_are_in_the_pairs_basis(ctx, bctx):
     # O_n moved back, Q O_n' Q^T: the first matches the position eta, and
-    # the matrices match the band chain's
-    pair = position_pair(make_system("krawtchouk", 4, {"p": "1/3"}, bctx))
-    chain, band = operator_lanczos(pair), band_chain(pair)
-    assert len(chain.ops) == len(band.ops)
+    # the matrices match the exact chain's vectors, normalised
+    pair, exact = (position_pair(make_system("krawtchouk", 4, {"p": "1/3"}, c)) for c in (bctx, ctx))
+    chain, want = operator_lanczos(pair), operator_lanczos(exact)
+    assert len(chain.ops) == len(want.ops)
     bound = bctx.num("1e-50")
-    for got, want in zip(chain.ops, band.ops, strict=True):
-        assert got.shape == want.shape == pair.eta.shape
-        assert max(abs(x - y) for x, y in zip(got.ravel(), want.ravel())) <= bound
+    for got, w in zip(chain.ops, normalised_ops(want.ops, want.norms_sq, exact.metric, bctx), strict=True):
+        assert got.shape == w.shape == pair.eta.shape
+        assert max(abs(x - y) for x, y in zip(got.ravel(), w.ravel())) <= bound
 
 
-def test_a_degenerate_spectrum_drops_nothing(bctx):
+def test_a_degenerate_spectrum_drops_nothing(ctx, bctx):
     # E = 1, 1, 2: the residual intervals of the first two meet, so no
     # eigenvector error is bounded and no entry is set to 0; the chain
-    # still runs and matches the band's
-    h = np.diag([bctx.one, bctx.one, bctx.num(2)]).astype(object)
+    # still runs and matches the same integer pair's in exact mode
+    h = np.diag([1, 1, 2]).astype(object)
     eta = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 3]], dtype=object)
-    pair = OperatorPair(h, eta, bctx)
-    chain, band = operator_lanczos(pair), band_chain(pair)
+    pair, exact = (OperatorPair(*(np.vectorize(c.num, otypes=[object])(m) for m in (h, eta)), c) for c in (bctx, ctx))
+    chain, want = operator_lanczos(pair), operator_lanczos(exact)
     assert isinstance(chain.space, EigenSupport) and chain.dropped_mass == 0
-    assert chain.stop_index == band.stop_index
-    assert all(abs(x - y) <= bctx.num("1e-50") for x, y in zip(chain.b, band.b, strict=True))
+    assert chain.stop_index == want.stop_index
+    assert agree(chain.b_squared, want.b_squared)
+
+
+def test_pairs_off_the_eigenbasis_are_refused(ctx, bctx):
+    # the chain and the oracle name the first condition a bigreal pair
+    # fails; the lifted pair's exact counterpart, under its metric, runs on
+    # the band and has the symmetric bigreal pair's b^2
+    pair = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, bctx))
+    exact = position_pair(make_system("krawtchouk", 3, {"p": "1/3"}, ctx))
+    assert exact.metric is not None
+    h, eta, metric = (np.vectorize(bctx.num, otypes=[object])(m) for m in (exact.h, exact.eta, exact.metric))
+    thermal = InnerProduct(bctx, pair.dim, bctx.one, half=np.full(pair.dim, bctx.one, dtype=object), z=bctx.num(4))
+    cases = [
+        (rotated_pair(pair), None, "H is wider than tridiagonal"),
+        (nudged_pair(pair), None, "H is not symmetric"),
+        (OperatorPair(pair.h, pair.eta * bctx.mp.mpc(0, 1), bctx), None, "H or eta is complex"),
+        (OperatorPair(h, eta, bctx, metric), None, "there is a metric"),
+        (pair, thermal, "the inner product is not the trace"),
+    ]
+    for off, ip, unmet in cases:
+        for run in (operator_lanczos, moments_oracle):
+            with pytest.raises(BasisMismatch, match=unmet):
+                run(off, ip)
+    assert agree(operator_lanczos(pair).b_squared, operator_lanczos(exact).b_squared)
+    assert agree(moments_oracle(pair).values, moments_oracle(exact).values)

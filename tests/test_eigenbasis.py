@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from krylov_exact import (
+    Context,
     SystemKind,
     default_system,
     energy_pair,
@@ -17,6 +18,7 @@ from krylov_exact import (
     liouville,
     make_system,
     matrix_exponential_conjugate,
+    moments_oracle,
     operator_lanczos,
     position_pair,
     trace_inner,
@@ -31,7 +33,7 @@ from krylov_exact.dynamics import (
 from krylov_exact.numeric import Mantissas
 from krylov_exact.operators import conjugate, eig_symmetric, max_abs
 
-from helpers import FINITE_KINDS, band_chain, heisenberg_route_bound, param_samples
+from helpers import FINITE_KINDS, heisenberg_route_bound, param_samples
 
 
 def _dense_reference(pair):
@@ -151,12 +153,13 @@ def test_position_and_energy_routes_agree(bctx, kind):
     assert all(abs(x - y) <= bound * max(abs(y), 1) for x, y in zip(k_pos, k_en))
 
 
-def _profile_product_counts(bctx, monkeypatch, lanczos):
-    """Factors of every ``Mantissas.product`` the profile makes, for a short
-    and a full chain of the same pair."""
+def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
+    # in the eigenbasis each time is one product of the even coefficients
+    # with the cos of the frequencies and one of the odd with the sin, for
+    # a short and a full chain of the same pair alike
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, bctx))
     ip = trace_inner(pair)
-    short, full = lanczos(pair, ip, k_max=3), lanczos(pair, ip)
+    short, full = operator_lanczos(pair, ip, k_max=3), operator_lanczos(pair, ip)
     assert len(full.vectors) > 3 * len(short.vectors)
     times = [bctx.frac(k, 3) for k in range(5)]
     calls = []
@@ -167,27 +170,10 @@ def _profile_product_counts(bctx, monkeypatch, lanczos):
         return real(self, *others)
 
     monkeypatch.setattr(Mantissas, "product", counting)
-    counts = []
     for chain in (short, full):
         calls.clear()
         krylov_profile(chain, pair, ip, times)
-        counts.append(list(calls))
-    return counts, len(times)
-
-
-def test_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
-    # in the eigenbasis each time is one product of the even coefficients
-    # with the cos of the frequencies and one of the odd with the sin
-    counts, n_times = _profile_product_counts(bctx, monkeypatch, operator_lanczos)
-    assert counts[0] == counts[1] == [2, 2] * n_times
-
-
-def test_band_profile_transforms_do_not_grow_with_the_chain(bctx, monkeypatch):
-    # on the band O_0 moves in once as Q^T O_0 Q; each time moves O_0(t)
-    # back as one chain Q X Q^T and, the band being folded, meets the even
-    # covectors in one batched product and the odd ones in another
-    counts, n_times = _profile_product_counts(bctx, monkeypatch, band_chain)
-    assert counts[0] == counts[1] == [3] + [3, 2, 2] * n_times
+        assert calls == [2, 2] * len(times)
 
 
 def test_eigendecomposition_once_per_pair(bctx, monkeypatch):
@@ -207,6 +193,29 @@ def test_eigendecomposition_once_per_pair(bctx, monkeypatch):
     ip = trace_inner(pair)
     krylov_profile(operator_lanczos(pair, ip, k_max=4), pair, ip, [bctx.one])
     assert len(calls) == 1
+
+
+def test_eta_moves_once_per_pair(bctx, monkeypatch):
+    # the zero rule of the chain's spectrum pair and the Heisenberg check
+    # read one rounded Q^T eta Q, so the check's deviations are those of a
+    # pair that never ran a chain, bit for bit
+    moves = []
+    real = Context.matmul
+
+    def counting(self, *factors):
+        moves.extend(f for f in factors if f is pair.eta)
+        return real(self, *factors)
+
+    fresh = position_pair(default_system("racah", bctx))
+    want = heisenberg_check(fresh, verify_closure(fresh), HEISENBERG_TIMES)[0]
+    monkeypatch.setattr(Context, "matmul", counting)
+    pair = position_pair(default_system("racah", bctx))
+    closure = verify_closure(pair)
+    operator_lanczos(pair)
+    moments_oracle(pair)
+    devs, ok = heisenberg_check(pair, closure, HEISENBERG_TIMES)
+    assert len(moves) == 1
+    assert ok and [d._mpf_ for d in devs] == [d._mpf_ for d in want]
 
 
 @pytest.mark.parametrize("basis", ["position", "energy"])

@@ -1,14 +1,13 @@
-"""The bigreal position pair on the integer kernel.
+"""The position pair on the integer kernel.
 
 Every bigreal product of the band kernel -- a commutator, V f(H), a
 function f(H) -- is the exact rational product rounded once per entry;
 the references here form it with ``Fraction`` arithmetic and round it
-with ``from_rational``.  A folded band gives the whole band's commutators
-bit for bit, the folded profile read gives the whole band's amplitudes
-bit for bit (the band stays the reference of the bigreal position chain,
-which runs in the eigenbasis of H), and the Heisenberg check's deviations stay within the
-rounding bound of the same check at three times the precision, a bound
-that R_-1 off by 1e-50 relative breaks.
+with ``from_rational``.  The folded exact band gives the whole band's
+commutators, the folded profile read of the eigenbasis route gives the
+dense read over every entry to 1e-50, and the Heisenberg check's
+deviations stay within the rounding bound of the same check at three
+times the precision, a bound that R_-1 off by 1e-50 relative breaks.
 """
 
 import dataclasses
@@ -21,7 +20,9 @@ import pytest
 from krylov_exact import (
     Context,
     default_system,
+    krylov_profile,
     make_system,
+    operator_lanczos,
     position_pair,
     trace_inner,
     verify_closure,
@@ -30,7 +31,7 @@ from krylov_exact import band
 from krylov_exact.dynamics import HEISENBERG_TIMES, heisenberg_check
 from krylov_exact.operators import max_abs
 
-from helpers import FINITE_KINDS, band_chain, band_space, exact_chain, exact_value, rounded_value
+from helpers import FINITE_KINDS, exact_chain, exact_value, reference_profile, rounded_value
 
 
 def _same(got, want) -> bool:
@@ -83,33 +84,35 @@ def test_band_products_are_the_exact_product_rounded_once(bctx, system, N, kind)
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
-def test_folded_band_commutators_equal_the_whole_band(bctx, kind):
-    pair = position_pair(default_system(kind, bctx))
-    folded, whole = band_space(pair), band._BandOperators(pair.rep, None)
+def test_folded_band_commutators_equal_the_whole_band(ctx, kind):
+    # the folded space holds W = G^-1 V on the entries a <= b; scattered
+    # back, each commutator is the whole band's, in type and value
+    pair = position_pair(default_system(kind, ctx))
+    folded, whole = pair.rep.space(pair, trace_inner(pair), None), band._BandOperators(pair.rep, None)
     assert folded.folded and not whole.folded
     f, w = folded.gather(pair.eta), whole.gather(pair.eta)
     for k in range(2 * pair.dim):
         f, w = folded.liouville(f, k % 2), whole.liouville(w)
-        assert _same(folded.unfold(f, (k + 1) % 2), w), k
+        got, want = folded.scatter(f, (k + 1) % 2), whole.scatter(w)
+        assert [(type(x), x) for x in got.ravel()] == [(type(x), x) for x in want.ravel()], k
 
 
 @pytest.mark.parametrize("system", ["hahn", "q-racah", "quantum-q-krawtchouk"])
-def test_folded_profile_read_equals_the_whole_band(bctx, monkeypatch, system):
+def test_folded_profile_read_equals_the_whole_band(bctx, system):
+    # the eigenbasis route reads an even O_n against the cos wave alone and
+    # an odd one against the sin wave, so the other part of each amplitude
+    # is an exact zero, and phi_n(t) is the dense read over every entry
     pair = position_pair(default_system(system, bctx))
     ip = trace_inner(pair)
-    chain = band_chain(pair, ip)
-    folded = chain.space
-    assert folded.folded
-    monkeypatch.setattr(band, "_mirrored", lambda *args: False)
-    whole = band._BandSpace(pair, ip, None)
-    assert not whole.folded and whole.band[0].tolist() == folded.band[0].tolist()
-    at_folded = folded.overlaps(chain.vectors)
-    at_whole = whole.overlaps([folded.unfold(v, n % 2) for n, v in enumerate(chain.vectors)])
-    for t in map(bctx.num, ("1/10", "7/10", "157/50", "10")):
-        got, want = at_folded(t), at_whole(t)
-        assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
-        # the other part of each amplitude is an exact zero on both reads
-        assert all(not (z.imag if n % 2 == 0 else z.real) for n, z in enumerate(got))
+    chain = operator_lanczos(pair, ip)
+    at = chain.space.overlaps(chain.vectors)
+    times = list(map(bctx.num, ("1/10", "7/10", "157/50", "10")))
+    for t in times:
+        assert all(not (z.imag if n % 2 == 0 else z.real) for n, z in enumerate(at(t)))
+    rows = krylov_profile(chain, pair, ip, times).phi
+    bound = bctx.num("1e-50")
+    for got, want in zip(rows, reference_profile(pair, ip, chain.ops, times), strict=True):
+        assert max(abs(x - y) for x, y in zip(got, want, strict=True)) <= bound
 
 
 def _rounding_bound(pair, t):

@@ -6,8 +6,9 @@ eta has bandwidth k and a function of H of degree d has bandwidth d w_H.
 An operator is its row-major entries within W = min(w_eta + k w_H, n - 1)
 of the diagonal, for the k commutators the caller applies
 (:class:`_BandOperators`), in both modes.  The exact chain and oracle add
-an inner product (:class:`_BandSpace`), folded to the entries a <= b where
-H and eta are mirror images under the metric.  A bigreal pair runs its
+an inner product (:class:`_BandSpace`), kept on the entries a <= b: H,
+eta and the weights must be mirror images under the metric, which the
+space checks once, when it is built.  A bigreal pair runs its
 chain, oracle and profile in the eigenbasis of H
 (:class:`~krylov_exact.operators.EigenSupport`) instead, so no bigreal
 vector here has an inner product.
@@ -160,7 +161,7 @@ class _Band:
     within ``width`` of its diagonal, and the kernel's products on them."""
 
     def __init__(self, n: int, width: int):
-        self.n, self.width, self.folded = n, width, False
+        self.n, self.width = n, width
         rows, cols = self.rows, self.cols = self.band = _band(n, width)
         self.offsets = cols - rows
         self.mirror = np.searchsorted(rows * n + cols, cols * n + rows)  # where (b, a) sits
@@ -175,18 +176,10 @@ class _Band:
         w = int(np.abs(self.offsets[np.flatnonzero(vec)]).max(initial=0))
         return w, self.width, p.reshape(2, self.n, -1)
 
-    def commutator(self, h: tuple, vec: np.ndarray, parity: int = 0) -> np.ndarray:
-        """[H, V] = HV - VH for V on this band.  Folded, VEC is W = G^-1 V
-        with W_ba = (-1)^parity W_ab, for H_ba g_a = H_ab g_b, so G^-1 [H, V]
-        = H^T W - WH with (WH)_ab = +-(H^T W)_ba term for term: it is
-        (H^T W)_ab -+ (H^T W)_ba on the entries ``reps`` alone."""
+    def commutator(self, h: tuple, vec: np.ndarray) -> np.ndarray:
+        """[H, V] = HV - VH for V on this band."""
         v = self.lay_out(vec)
-        if not self.folded:
-            return _product(h, v, self) - _product(v, h, self)
-        w_h, width, p = h
-        hv = _product((w_h, width, p[::-1]), v, self)  # H^T laid out: its rows are H's columns
-        reps, mirrors = self.reps
-        return hv[reps] + hv[mirrors] if parity else hv[reps] - hv[mirrors]
+        return _product(h, v, self) - _product(v, h, self)
 
 
 def _product(x: tuple, y: tuple, band: _Band) -> np.ndarray:
@@ -226,9 +219,7 @@ class _BandOperators(_Band):
     exact result rounded once per entry (:meth:`_value`).  Functions of H
     of degree steps - 1 share the band,
     so the closure's R_0(H), R_1(H), M and fit columns I, H, H^2 fit on
-    it, as does [H, M]."""
-
-    g = None  # on a folded space, which holds W = G^-1 V: the metric, integer numerators over d_g
+    it, as does [H, M].  A vector holds V itself, with no inner product."""
 
     def __init__(self, rep, steps: int | None):
         self.ctx, self.exact, self.steps = rep.ctx, rep.ctx.is_exact, steps
@@ -239,26 +230,11 @@ class _BandOperators(_Band):
 
     def gather(self, mat: np.ndarray):
         vec = mat[self.rows, self.cols]
-        if self.g is not None:
-            nz = np.flatnonzero(vec)
-            vec[nz] = vec[nz] * self.d_g / self.g[self.rows[nz]]
         return _held(vec) if self.exact else vec
 
-    def unfold(self, vec, parity: int):
-        """The integers VEC of the given parity on the whole band."""
-        if not self.folded:
-            return vec
-        full = vec[self.spread]
-        if parity:
-            full[self.lower] = -full[self.lower]
-        return full
-
-    def scatter(self, vec, parity: int = 0) -> np.ndarray:
+    def scatter(self, vec) -> np.ndarray:
         out = zeros(self.n, self.ctx)
-        if self.exact:  # V = G W
-            g, d_g = (1, 1) if self.g is None else (self.g[self.band[0]], self.d_g)
-            vec = _Scaled(self.unfold(vec.num, parity) * g, vec.den * d_g).rationals(self.ctx.zero)
-        out[self.band] = vec
+        out[self.band] = vec.rationals(self.ctx.zero) if self.exact else vec
         return out
 
     def _times(self, x, y, op):
@@ -277,8 +253,8 @@ class _BandOperators(_Band):
         entries each rounded once."""
         return x if self.exact else x.rounded()[0]
 
-    def liouville(self, vec, parity: int = 0):
-        return self._value(self._times(self.h, vec, lambda h, v: self.commutator(h, self.unfold(v, parity), parity)))
+    def liouville(self, vec):
+        return self._value(self._times(self.h, vec, self.commutator))
 
     def _product(self, x, y):
         def laid(p):  # H's parts are laid out once, a vector's here
@@ -328,24 +304,26 @@ def _mirrored(m: np.ndarray, width: int, g: np.ndarray) -> bool:
 class _BandSpace(_BandOperators):
     """The exact operator space of a matrix H for the chain and the oracle:
     the band of ``steps`` commutators (:class:`_BandOperators`) with an
-    inner product.  (A bigreal pair runs them in the eigenbasis of H,
+    inner product, kept on one entry per mirror pair under the metric g as
+    :class:`~krylov_exact.operators.SupportBasis` folds with r = 1.  (A
+    bigreal pair runs them in the eigenbasis of H,
     :class:`~krylov_exact.operators.EigenSupport`, and no profile reads an
-    exact chain.)  Where H, eta and the band weights are mirror images
-    under the metric g (H_ba g_a = H_ab g_b, the same for eta, w_ab g_a^2
-    symmetric; g = 1 without a metric), as for every exact
-    :func:`~krylov_exact.operators.position_pair`, the band is ``folded``
-    as :class:`~krylov_exact.operators.SupportBasis` folds with r = 1.  It
-    holds W = G^-1 V (:meth:`gather` divides by g_a, :meth:`scatter`
-    multiplies again), of exact parity W_ba = (-1)^k W_ab, on the entries
-    a <= b, with w+ = 2 w_ab g_a^2 off the diagonal and w- = 0: odd oracle
-    moments are exact zeros, the chain reorthogonalises with stride 2, and
-    a commutator forms H^T W alone.  A band that does not fold holds V
-    itself under the band's own weights, for the oracle; the chain refuses
-    it.  A dot clears the weights of denominators once per space,
-    w_num / d_w, and is one integer sum over d_w * den_u * den_v; under the
-    trace with the pair's own metric the folded weights w_ab g_a^2 are
-    g_a g_b, formed directly as the integer products of the metric's
-    numerators over d_g^2.  Values equal those of rational arithmetic.
+    exact chain.)  H, eta and the band weights must be mirror images under
+    g: H_ba g_a = H_ab g_b, the same for eta, and w_ab g_a^2 symmetric (g =
+    1 without a metric), as for every exact
+    :func:`~krylov_exact.operators.position_pair`.  The space checks that
+    once, when it is built, and raises
+    :class:`~krylov_exact.errors.MirrorAsymmetry` naming the first entry
+    that breaks it.  It holds W = G^-1 V (:meth:`gather` divides by g_a,
+    :meth:`scatter` multiplies again), of exact parity W_ba = (-1)^k W_ab,
+    on the entries a <= b, with w+ = 2 w_ab g_a^2 off the diagonal: vectors
+    of opposite parity are orthogonal, so odd oracle moments are exact
+    zeros, and a commutator forms H^T W alone.  A dot clears the weights
+    of denominators once per space, w_num / d_w, and is one integer sum
+    over d_w * den_u * den_v; under the trace with the pair's own metric
+    the weights w_ab g_a^2 of W are g_a g_b, formed directly as the
+    integer products of the metric's numerators over d_g^2.  Values equal
+    those of rational arithmetic on the whole band.
     """
 
     def __init__(self, pair, ip, steps: int | None):
@@ -360,12 +338,16 @@ class _BandSpace(_BandOperators):
         else:
             weight, d_w = _integer_numerators(ip.entries(rows, cols))
             weight, d_w = weight * g[rows] ** 2, d_w * d_g**2
-        self.folded = (weight == weight[self.mirror]).all() and all(
-            _mirrored(m, width, g) for m, width in ((pair.h, self.w_h), (pair.eta, self.w_eta))
-        )
-        if not self.folded:  # V itself, with the band's own weights
-            self.wplus, self.d_w = _integer_numerators(ip.entries(rows, cols))
-            return
+        if not ((weight == weight[self.mirror]).all() and all(
+                _mirrored(m, width, g) for m, width in ((pair.h, self.w_h), (pair.eta, self.w_eta)))):
+            # name the first entry: M_ab g_b = M_ba g_a, w_ab g_a^2 = w_ba g_b^2, on dense matrices here alone
+            dense = np.zeros((self.n, self.n), dtype=object)
+            dense[self.band] = weight
+            name, m = next((name, m) for name, m in (("H", pair.h * g), ("eta", pair.eta * g), ("weight", dense))
+                           if (m != m.T).any())
+            a, b = np.argwhere(m != m.T)[0]
+            raise MirrorAsymmetry(f"{name} entries ({a}, {b}) and ({b}, {a}) are not mirror images under the "
+                                  "metric, so the chain would need a_n != 0")
         self.g, self.d_g, self.d_w = None if pair.metric is None else g, d_g, d_w
         reps = np.flatnonzero(rows <= cols)
         self.rows, self.cols = rows[reps], cols[reps]
@@ -375,27 +357,40 @@ class _BandSpace(_BandOperators):
         self.spread = (np.cumsum(rows <= cols) - 1)[np.minimum(np.arange(len(rows)), self.mirror)]
         self.lower = np.flatnonzero(rows > cols)
 
+    def gather(self, mat: np.ndarray) -> _Scaled:
+        vec = mat[self.rows, self.cols]
+        if self.g is not None:
+            nz = np.flatnonzero(vec)
+            vec[nz] = vec[nz] * self.d_g / self.g[self.rows[nz]]
+        return _held(vec)
+
+    def unfold(self, vec: np.ndarray, parity: int) -> np.ndarray:
+        """The integers VEC of the given parity on the whole band."""
+        full = vec[self.spread]
+        if parity:
+            full[self.lower] = -full[self.lower]
+        return full
+
+    def scatter(self, vec: _Scaled, parity: int = 0) -> np.ndarray:
+        """V = G W on the whole band, for W of the given parity."""
+        g, d_g = (1, 1) if self.g is None else (self.g[self.band[0]], self.d_g)
+        out = zeros(self.n, self.ctx)
+        out[self.band] = _Scaled(self.unfold(vec.num, parity) * g, vec.den * d_g).rationals(self.ctx.zero)
+        return out
+
+    def liouville(self, vec: _Scaled, parity: int) -> _Scaled:
+        """G^-1 [H, V] for W = G^-1 V of the given parity: W_ba = (-1)^parity
+        W_ab and H_ba g_a = H_ab g_b, so G^-1 [H, V] = H^T W - WH with (WH)_ab
+        = +-(H^T W)_ba term for term: it is (H^T W)_ab -+ (H^T W)_ba on the
+        entries a <= b alone."""
+        reps, mirrors = self.reps
+
+        def commutator(h, w):
+            w_h, width, p = h
+            hw = _product((w_h, width, p[::-1]), self.lay_out(self.unfold(w, parity)), self)  # H^T: H's columns
+            return hw[reps] + hw[mirrors] if parity else hw[reps] - hw[mirrors]
+
+        return _bilinear(commutator, self.h, _parts(vec))
+
     def dot(self, u: _Scaled, v: _Scaled):
         return rational(self.ctx.dot(self.wplus * u.num, v.num), self.d_w * u.den * v.den)
-
-    def cross_dot(self, u: _Scaled, v: _Scaled):
-        """(U, V) for U and V of opposite parity: an exact 0 when folded."""
-        return self.ctx.zero if self.folded else self.dot(u, v)
-
-    def lanczos_stride(self) -> int:
-        """2: the chain runs on a folded band alone.  It takes a_n = 0 and
-        L self-adjoint, so H, eta and the band weights must be mirror
-        images under the metric g, which is the fold's own test: on a band
-        that does not fold :class:`~krylov_exact.errors.MirrorAsymmetry`
-        names the first entry that is not."""
-        if self.folded:
-            return 2
-        g = np.ones(self.n, dtype=object) if self.pair.metric is None else self.pair.metric
-        weight = zeros(self.n, self.ctx)
-        weight[self.band] = self.wplus * g[self.rows] ** 2
-        # M_ab g_b = M_ba g_a, w_ab g_a^2 = w_ba g_b^2
-        name, m = next((name, m) for name, m in (("H", self.pair.h * g), ("eta", self.eta * g), ("weight", weight))
-                       if (m != m.T).any())
-        a, b = np.argwhere(m != m.T)[0]
-        raise MirrorAsymmetry(f"{name} entries ({a}, {b}) and ({b}, {a}) are not mirror images under the metric, "
-                              "so the chain would need a_n != 0")

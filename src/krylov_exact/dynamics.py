@@ -23,10 +23,9 @@ from mpmath.libmp import mpf_neg
 
 from .catalog import SystemSpec, _polyval
 from .errors import BasisMismatch, ClosureViolated, ComplexAmplitude, DegenerateFrequencies, ModeError
-from .band import _BandOperators, max_abs
+from .band import max_abs
 from .numeric import Context
 from .operators import (
-    ENERGY,
     InnerProduct,
     OperatorChain,
     OperatorPair,
@@ -59,12 +58,6 @@ class ClosureData:
         return _polyval(self.rm1, e)
 
 
-def _closure_space(pair: OperatorPair, degree: int):
-    """Where the closure relation runs, with room for functions of H of
-    degree at most DEGREE: a spectrum's own entries, or bands of a matrix H."""
-    return pair.rep if pair.basis == ENERGY else _BandOperators(pair.rep, degree + 1)
-
-
 def verify_closure(pair: OperatorPair) -> ClosureData:
     """Reconstruct R_{-1} from the double-commutator residual.
 
@@ -82,7 +75,7 @@ def verify_closure(pair: OperatorPair) -> ClosureData:
     ctx = pair.ctx
     r0, r1 = tuple(spec.r0_coeffs), tuple(spec.r1_coeffs)
     # room for eta R_0(H), (L eta) R_1(H) and the fit column H^2
-    rep = _closure_space(pair, max(len(r0) - 1, len(r1), 2))
+    rep = pair.rep.closure_space(max(len(r0) - 1, len(r1), 2))
     eta = rep.gather(pair.eta)
     l1 = rep.liouville(eta)
     l2 = rep.liouville(l1)
@@ -131,7 +124,7 @@ def apply_liouville_power(pair: OperatorPair, closure: ClosureData, m: int) -> n
     ctx = pair.ctx
     polys = (closure.r0, closure.r1, closure.rm1)
     # A_k, B_k and C_k have degree at most k times the largest R_i's
-    rep = _closure_space(pair, max(m, 1) * (max(map(len, polys)) - 1))
+    rep = pair.rep.closure_space(max(m, 1) * (max(map(len, polys)) - 1))
     r0, r1, rm1 = map(rep.poly, polys)
     a_k, b_k, c_k = rep.poly((ctx.one,)), rep.poly((ctx.zero,)), rep.poly((ctx.zero,))
     for _ in range(m):

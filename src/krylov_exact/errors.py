@@ -91,10 +91,12 @@ class ComplexAmplitude(KrylovExactError):
 
 
 class MirrorAsymmetry(KrylovExactError):
-    """A mirror pair of the eta support does not cancel in cross-parity inner
-    products, or H, eta or the weights of a band are not mirror images
-    under the metric, so the Lanczos chain would need diagonal
-    coefficients a_n."""
+    """L is not self-adjoint under the inner product of an operator space:
+    a mirror pair of the eta support does not cancel (w_ab != w_ba r_ab^2),
+    or H, eta or the weights of an exact band are not mirror images under
+    the metric.  The odd moments would not vanish and the Lanczos chain
+    would need diagonal coefficients a_n, so the space refuses the pair
+    when it is built, and the oracle and the chain name the same entry."""
 
 
 class NonFiniteValue(KrylovExactError):

@@ -222,20 +222,21 @@ def closed_form_stop(spec: SystemSpec, table: MomentTable) -> int | None:
 def moments_oracle(pair: OperatorPair, ip: InnerProduct | None = None, K: int = 6) -> MomentTable:
     """Brute-force moments from K literal commutators and inner products.
 
-    With v_k = L^k eta, mu_2k = (v_k, v_k) / |eta|^2 and
-    mu_2k+1 = (v_k, v_k+1) / |eta|^2, because L is self-adjoint under
-    the (metric) trace and the Wightman inner products.  The iterates
-    live in the operator space of :func:`operator_lanczos`: the eta
-    support folded to one entry per mirror pair for a diagonal H, where
-    [H, V]_ab = (E_a - E_b) V_ab, the same on the spectrum pair of a
+    With v_k = L^k eta, mu_2k = (v_k, v_k) / |eta|^2, because L is
+    self-adjoint under the (metric) trace and the Wightman inner products.
+    The iterates live in the operator space of :func:`operator_lanczos`:
+    the eta support, one entry per mirror pair, for a diagonal H,
+    where [H, V]_ab = (E_a - E_b) V_ab, the same on the spectrum pair of a
     bigreal matrix H (its eigenbasis,
     :class:`~krylov_exact.operators.EigenSupport`), else the exact band
-    that K commutators reach.  v_k and v_k+1 have opposite parity, so the odd
-    moments take the space's cross-parity dot; no symmetry of eta is
-    assumed, and on a folded band, whose mirror symmetry is checked
-    exactly, they are exact zeros.  The chain shares the space and the
-    seed: a zero eta raises :class:`~krylov_exact.errors.ZeroEta`.  No
-    closed form enters: the eigenbasis is H's own.
+    that K commutators reach.  The space checks, when it is built, that L
+    is self-adjoint there: eta, H and the weights are mirror images under
+    the inner product, else :class:`~krylov_exact.errors.MirrorAsymmetry`
+    names the first entry that is not.  So v_k and v_k+1, of opposite
+    parity, are orthogonal, and every odd moment mu_2k+1 = (v_k, v_k+1) /
+    |eta|^2 is an exact zero.  The chain shares the space and the seed: a
+    zero eta raises :class:`~krylov_exact.errors.ZeroEta`.  No closed form
+    enters: the eigenbasis is H's own.
     """
     _check_count("K", K)
     ip = ip or trace_inner(pair)
@@ -248,10 +249,8 @@ def _oracle(space, K: int, beta=None) -> MomentTable:
     v, norm = _seed(space)
     values = [ctx.one]
     for k in range(K):
-        v_next = space.liouville(v, k % 2)
-        values.append(space.cross_dot(v, v_next) / norm)
-        values.append(space.dot(v_next, v_next) / norm)
-        v = v_next
+        v = space.liouville(v, k % 2)
+        values += [ctx.zero, space.dot(v, v) / norm]  # (v_k, v_k+1) = 0: the space is mirror-symmetric
     return MomentTable(values=values, provenance=ORACLE, ctx=ctx, kind=spec.kind if spec else None, beta=beta)
 
 

@@ -208,21 +208,23 @@ class Context:
             return mp.convert(v)
         if isinstance(v, str):
             p, slash, q = v.strip().partition("/")
-            x = mp.mpf(int(p)) / mp.mpf(int(q)) if slash else mp.mpf(p)
+            x = mp.fdiv(int(p), int(q)) if slash else mp.mpf(p)
             if not mp.isfinite(x):
                 raise NonFiniteValue(f"{v!r} is not finite")
             return x
         if isinstance(v, int):
             return mp.mpf(v)
         if isinstance(v, numbers.Rational):
-            return mp.mpf(v.numerator) / mp.mpf(v.denominator)
+            return mp.fdiv(int(v.numerator), int(v.denominator))
         raise ModeError(f"cannot interpret {type(v).__name__} as bigreal")
 
     def frac(self, p, q=1):
-        """Literal fraction p/q in this context's type."""
+        """Literal fraction p/q in this context's type: in bigreal mode the
+        exact quotient rounded once, so integers wider than the precision
+        are not rounded first."""
         if self.is_exact:
             return rational(p, q)
-        return self.mp.mpf(p) / self.mp.mpf(q)
+        return self.mp.fdiv(p, q)
 
     @property
     def zero(self):

@@ -41,18 +41,22 @@ The parity fold
 ---------------
 L multiplies entry (a, b) by E_a - E_b and its mirror (b, a) by the
 negative, so L^k eta has the parity V_ba = (-1)^k r_ab V_ab with the
-mirror ratio r_ab = eta_ba / eta_ab; this is why odd moments vanish.
-:class:`SupportBasis` stores one entry per mirror pair plus the diagonal
-and restores the mirrors from a vector's parity.  Dots of equal parity
-weigh an entry with w+ = w_ab + w_ba r_ab^2, dots of opposite parity
-(the oracle's odd moments) with w- = w_ab - w_ba r_ab^2.  The Lanczos
-chain needs every w- to vanish, which makes vectors of opposite parity
-orthogonal, so it reorthogonalises against only those of its own
-parity.  For the pairs :func:`energy_pair` builds in bigreal, r = 1 and
-w+ = 2 w exactly, so the folded sums are the unfolded ones bit for bit.
-An exact band folds the same way (:class:`~krylov_exact.band._BandSpace`),
-under the metric g below: H_ba g_a = H_ab g_b, so W = G^-1 L^k eta has
-the parity W_ba = (-1)^k W_ab, checked exactly once per space.
+mirror ratio r_ab = eta_ba / eta_ab.  :class:`SupportBasis` stores one
+entry per mirror pair plus the diagonal and restores the mirrors from a
+vector's parity; a dot weighs an entry with w+ = w_ab + w_ba r_ab^2.
+Every operator space requires L to be self-adjoint under its inner
+product, as it is under the trace and Wightman products of the paper:
+on the support every mirror pair must cancel, w_ab = w_ba r_ab^2, and
+an exact band must be a mirror image under the metric g below, H_ba g_a
+= H_ab g_b, the same for eta and the weights, so that W = G^-1 L^k eta
+has the parity W_ba = (-1)^k W_ab (:class:`~krylov_exact.band._BandSpace`).
+Each space checks this once, when it is built, and raises
+:class:`~krylov_exact.errors.MirrorAsymmetry` naming the first entry
+that breaks it.  Vectors of opposite parity are then orthogonal: the odd
+moments are exact zeros, the Lanczos chain has a_n = 0 and
+reorthogonalises against only the vectors of its own parity.  For the
+pairs :func:`energy_pair` builds in bigreal, r = 1 and w+ = 2 w exactly,
+so the sums over the fold are the full-support ones bit for bit.
 
 Exact mode and the off-diagonal square roots
 --------------------------------------------
@@ -76,7 +80,7 @@ from itertools import chain
 import numpy as np
 
 from .band import (  # noqa: F401
-    _Band, _bandwidth, _BandSpace, _bilinear, _held, _parts, conjugate, lay_out_matrix, max_abs, zeros,
+    _Band, _bandwidth, _BandOperators, _BandSpace, _bilinear, _held, _parts, conjugate, lay_out_matrix, max_abs, zeros,
 )
 from .catalog import SystemSpec, _polyval
 from .errors import (
@@ -314,6 +318,11 @@ class _Spectrum:
     def space(self, pair: OperatorPair, ip: InnerProduct, steps: int | None) -> SupportBasis:
         return _kept_space(self, pair, ip, lambda: SupportBasis(pair, ip))
 
+    def closure_space(self, degree: int) -> _Spectrum:
+        """Where the closure relation runs: the spectrum's own entries hold
+        every function of H."""
+        return self
+
 
 class _Banded:
     """H as a symmetric banded matrix (tridiagonal in the position basis).
@@ -411,6 +420,11 @@ class _Banded:
         if self.ctx.is_exact:
             return _kept_space(self, pair, ip, lambda: _BandSpace(pair, ip, steps), self.reach(steps))
         return _kept_space(self, pair, ip, lambda: EigenSupport(pair, ip))
+
+    def closure_space(self, degree: int) -> _BandOperators:
+        """Where the closure relation runs: the band with room for functions
+        of H of degree at most DEGREE."""
+        return _BandOperators(self, degree + 1)
 
 
 class _Eigenbasis:
@@ -543,8 +557,9 @@ class OperatorChain:
     rational chain vectors and only ``b_squared`` (with the squared norms
     ``norms_sq``, one more) is stored, so that the stop test b_{k+1} = 0
     stays literal (:func:`operator_lanczos`).  The vectors stay as the
-    chain's ``space`` holds them: folded on the eta support of a spectrum
-    (for a bigreal matrix H, in its eigenbasis), or on an exact band as
+    chain's ``space`` holds them: one entry per mirror pair of the eta
+    support of a spectrum (for a bigreal matrix H, in its eigenbasis), or
+    on an exact band as
     :class:`~krylov_exact.band._Scaled`; :attr:`ops`, their dense matrices
     in the pair's own basis, is built on first read.  ``dropped_mass`` is
     the share of |eta|^2 the eigenbasis set to 0, else 0.
@@ -581,7 +596,7 @@ def _check_count(name: str, value: int | None) -> None:
 
 
 class SupportBasis:
-    """The eta support, folded to one entry per mirror pair.
+    """The eta support, one entry per mirror pair.
 
     With H diagonal the commutator acts elementwise, [H, V]_ab =
     (E_a - E_b) V_ab, so every operator of the Krylov chain lives on the
@@ -595,17 +610,19 @@ class SupportBasis:
     measure into ± frequency pairs (Chihara, *An Introduction to
     Orthogonal Polynomials*, 1978, ch. I).
 
-    Inner products fold with it.  Two vectors of equal parity pair entry
+    Inner products fold with it: two vectors of equal parity pair entry
     (a, b) with the weight w+ = w_ab + w_ba r_ab^2 (:meth:`dot`, w+ = w_aa
-    on the diagonal); two of opposite parity with w- = w_ab - w_ba r_ab^2
-    (:meth:`cross_dot`, zero on the diagonal, where an odd vector
-    vanishes).  The oracle's odd moments are cross-parity dots, so an eta
-    that is not self-adjoint under the inner product still gets its
-    nonzero odd moments.  When every w- vanishes (the trace and Wightman
-    products of :func:`energy_pair`), vectors of opposite parity are
-    orthogonal and the Lanczos chain reorthogonalises each new vector
-    against only every second earlier one.  ``size`` is the unfolded
-    support count, which bounds the chain length.
+    on the diagonal).  Two of opposite parity would pair it with w_ab -
+    w_ba r_ab^2, which must vanish: L is then self-adjoint under the inner
+    product, as under the trace and Wightman products of
+    :func:`energy_pair`, vectors of opposite parity are orthogonal, the
+    odd moments are exact zeros and the Lanczos chain reorthogonalises
+    each new vector against only every second earlier one.  The space
+    checks |w_ab - w_ba r_ab^2| <= rel_eps w+ once, when it is built
+    (literal equality in exact mode), and raises
+    :class:`~krylov_exact.errors.MirrorAsymmetry` naming the first entry
+    that fails.  ``size`` is the full support count, which bounds the
+    chain length.
     """
 
     def __init__(self, pair: OperatorPair, ip: InnerProduct):
@@ -625,14 +642,18 @@ class SupportBasis:
         self.weight = ip.entries(r, c)
         mirror_sq = np.where(diag, ctx.zero, ip.entries(c, r)) * self.ratio * self.ratio
         self.wplus = self.weight + mirror_sq
-        self.wminus = np.where(diag, ctx.zero, self.weight - mirror_sq)
+        # opposite parities pair an entry with w_ab - w_ba r_ab^2, which must vanish
+        rel_eps = ctx.default_tolerance().rel_eps
+        for s in np.flatnonzero(~diag & (np.abs(self.weight - mirror_sq) > np.abs(self.wplus) * rel_eps))[:1]:
+            raise MirrorAsymmetry(f"eta entries ({r[s]}, {c[s]}) and ({c[s]}, {r[s]}) are not mirror images "
+                                  "under the inner product, so the chain would need a_n != 0")
         self.mirrors = np.flatnonzero(~diag & (self.ratio != 0))
 
     def gather(self, mat: np.ndarray) -> np.ndarray:
         return mat[self.rows, self.cols]
 
     def scatter(self, vec: np.ndarray, parity: int = 0) -> np.ndarray:
-        """The full matrix of a folded vector of the given parity."""
+        """The full matrix of a vector of the given parity."""
         out = zeros(self.dim, self.ctx)
         out[self.rows, self.cols] = vec
         m = self.mirrors
@@ -653,58 +674,28 @@ class SupportBasis:
         """(U, V) for U and V of equal parity."""
         return self.ctx.dot(self.dual(u), v)
 
-    def cross_dot(self, u: np.ndarray, v: np.ndarray):
-        """(U, V) for U and V of opposite parity."""
-        return self.ctx.dot(self.wminus * u, v)
-
-    def lanczos_stride(self) -> int:
-        """Check that the chain may run here and return the stride of its
-        reorthogonalisation.
-
-        The chain takes a_n = (O_n, L O_n) = 0, a cross-parity dot, so
-        every w- must vanish: |w-| <= rel_eps * |w+|, which is w- = 0 in
-        exact mode.  Vectors of opposite parity are then orthogonal and
-        only every second earlier vector is needed.
-        """
-        rel_eps = self.ctx.default_tolerance().rel_eps
-        for s, (wm, wp) in enumerate(zip(self.wminus, self.wplus)):
-            if abs(wm) > rel_eps * abs(wp):
-                a, b = self.rows[s], self.cols[s]
-                raise MirrorAsymmetry(
-                    f"eta entries ({a}, {b}) and ({b}, {a}) are not mirror images under the "
-                    f"inner product (w- = {self.ctx.fmt(wm)}), so the chain would need a_n != 0"
-                )
-        return 2
-
     def overlaps(self, vectors: list):
-        """t -> [(O_n, O_0(t))] for folded chain vectors O_n of parity n mod
+        """t -> [(O_n, O_0(t))] for the chain vectors O_n, of parity n mod
         2.  An entry of frequency omega and its mirror add
-        v_n v_0 (w+ cos(omega t) + i w- sin(omega t)) for even n, w+ and w-
-        swapped for odd n.  The coefficients w+ v_n v_0 and w- v_n v_0 are
-        formed once, for all times, and stacked as integer mantissas into
-        one matrix against cos (w+ rows of even n, w- rows of odd n) and one
-        against sin (the others); w- rows are left out where every w-
-        vanishes, as for the bigreal pairs of :func:`energy_pair`.  Columns
-        of equal frequency are summed there, exactly.  Each time is then one
+        w+ v_n v_0 cos(omega t) for even n and i w+ v_n v_0 sin(omega t) for
+        odd n: the mirror check makes the other part an exact zero.  The
+        coefficients w+ v_n v_0 are formed once, for all times, and stacked
+        as integer mantissas into one matrix against cos (even n) and one
+        against sin (odd n), with the columns of equal frequency summed
+        exactly.  Each time is then one
         :meth:`~krylov_exact.numeric.Context.matmul` per matrix against the
         cos or sin of the distinct frequencies, each phase computed once.
-        An amplitude part is still the fused dot over the folded entries,
-        bit for bit: exact sums and exact zeros change nothing before its
-        one rounding."""
+        An amplitude part is still the fused dot over the kept entries,
+        bit for bit: exact sums change nothing before its one rounding."""
         ctx, v0, count = self.ctx, vectors[0], len(vectors)
         position = {}  # mpf keys compare by exact value; entry s takes phase slot[s]
         slot = np.array([position.setdefault(f, len(position)) for f in self.freq], dtype=int)
-        distinct, cross = list(position), any(self.wminus)
-        stacks = ([], [])  # (n, coefficients) against cos, against sin
-        for n, v in enumerate(vectors):
-            stacks[n % 2].append((n, self.dual(v) * v0))
-            if cross:
-                stacks[1 - n % 2].append((n, self.wminus * v * v0))
+        distinct = list(position)
         products = []  # (wave: 0 cos, 1 sin; amplitudes; coefficient matrix)
-        for wave, stack in enumerate(stacks):
-            if stack:
-                ns, rows = zip(*stack)
-                coeffs = ctx.mantissas(np.array(rows, dtype=object))
+        for wave in (0, 1):
+            ns = range(wave, count, 2)
+            if ns:
+                coeffs = ctx.mantissas(np.array([self.dual(vectors[n]) * v0 for n in ns], dtype=object))
                 products.append((wave, ns, coeffs.summed_columns(slot, len(distinct))))
         zero = ctx.zero._mpf_
 
@@ -791,7 +782,6 @@ def _lanczos(space, k_max: int | None) -> OperatorChain:
     """:func:`operator_lanczos` on a given operator space."""
     ctx, exact = space.ctx, space.ctx.is_exact
     k_max = space.size if k_max is None else min(k_max, space.size)
-    stride = space.lanczos_stride()
     v, nu = _seed(space)
     if not exact:
         v = v / ctx.sqrt(nu)
@@ -806,10 +796,11 @@ def _lanczos(space, k_max: int | None) -> OperatorChain:
             # full reorthogonalisation: thermal weights make the inner
             # product extremely ill-conditioned, and the bare three-term
             # recurrence would drift into ghost directions near the end
-            # of the chain.  W has the parity of O_{k+1}; on a folded
-            # support the vectors of the other parity are orthogonal to it.
-            first = len(vectors) % stride
-            w, basis[first::stride] = ctx.gram_schmidt(w, basis[first::stride])
+            # of the chain.  W has the parity of O_{k+1}; the space is
+            # mirror-symmetric, so the vectors of the other parity are
+            # orthogonal to it.
+            first = len(vectors) % 2
+            w, basis[first::2] = ctx.gram_schmidt(w, basis[first::2])
         nu = space.dot(w, w)
         c = nu / nus[-1] if exact else ctx.sqrt(nu)
         if ctx.is_zero(c):

@@ -151,6 +151,8 @@ class SystemChecks:
         return self.ctx.fmt(dev), dev <= self.rel_eps * max(abs(v) for v in values) * 1000
 
     def odd_moments(self):
+        # the oracle's space checks the mirror when it is built, so these are
+        # exact zeros; a pair off the mirror fails the row as MirrorAsymmetry
         ok = all(self.ctx.is_zero(v) for v in self.oracle.values[1::2])
         return ("0" if ok else "nonzero"), ok
 

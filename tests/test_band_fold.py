@@ -5,9 +5,10 @@ When H, eta and the band weights are mirror images under the metric g
 (H_ba g_a = H_ab g_b), L^k eta has the exact parity W_ba = (-1)^k W_ab
 for W = G^-1 L^k eta, and the exact band keeps one entry per mirror pair:
 the oracle moments, b^2, squared norms and chain operators equal the
-dense exact reference in value and type.  Exact pairs whose H, eta or
-weights break the mirror keep the whole band in the oracle, and the chain
-refuses them with ``MirrorAsymmetry``.  A bigreal position pair folds in
+dense exact reference in value and type.  The band space checks the
+mirror when it is built, so an exact pair whose H, eta or weights break
+it is refused with ``MirrorAsymmetry`` by the oracle and the chain alike,
+naming the same entry.  A bigreal position pair folds in
 the eigenbasis of H (``EigenSupport``) and reorthogonalises against every
 second earlier vector; its oracle moments and b^2 equal the exact pair's
 to 47 digits, its odd moments are exact zeros, and it stops where the
@@ -49,25 +50,40 @@ from helpers import (
 K = 6
 
 
+def _counted_chain(pair):
+    """(chain, coefficients): PAIR's chain, and the number of earlier
+    vectors each of its ``Context.gram_schmidt`` calls took."""
+    coefficients, real = [], Context.gram_schmidt
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Context, "gram_schmidt", lambda self, w, basis: coefficients.append(len(basis))
+                      or real(self, w, basis))
+        return operator_lanczos(pair), coefficients
+
+
 def _check(pair, exact) -> None:
     """The bigreal PAIR's oracle and chain, folded in the eigenbasis of H,
-    against the exact pair EXACT's on the whole band."""
+    against the exact pair EXACT's on the whole band.  The fold keeps the
+    entries a <= b of the eigenbasis support, and the step from O_{m-1}
+    reorthogonalises against the m // 2 earlier vectors of its parity."""
     assert agree(moments_oracle(pair, K=K).values, moments_oracle(exact, K=K).values)
-    chain, want = operator_lanczos(pair), operator_lanczos(exact)
-    assert isinstance(chain.space, EigenSupport) and chain.space.lanczos_stride() == 2
+    (chain, coefficients), want = _counted_chain(pair), operator_lanczos(exact)
+    assert isinstance(chain.space, EigenSupport) and (chain.space.rows <= chain.space.cols).all()
+    assert sum(coefficients) == sum(m // 2 for m in range(1, len(chain.b) + chain.stopped + 1))
     assert (chain.stop_index, chain.stopped) == (want.stop_index, want.stopped)
     assert agree(chain.b_squared, want.b_squared)
 
 
 def _check_exact(pair, k_max: int | None = None) -> None:
     """Exact oracle and chain of PAIR, which folds, under the trace (the
-    whole chain by default) against the dense exact reference."""
+    whole chain by default) against the dense exact reference.  Every
+    chain vector holds the band's entries a <= b alone."""
     ip = trace_inner(pair)
     dot = lambda u, v: inner(ip, u, v)  # noqa: E731
     same = lambda got, want: [(type(v), v) for v in got] == [(type(v), v) for v in want]  # noqa: E731
     assert same(moments_oracle(pair, ip, K).values, reference_oracle(pair, dot, K))
     chain = operator_lanczos(pair, ip, k_max)
-    assert chain.space.folded and chain.space.lanczos_stride() == 2
+    rows, cols = chain.space.band
+    assert {len(v.num) for v in chain.vectors} == {np.count_nonzero(rows <= cols)}
     ops, b2s, nus, stopped = reference_exact_chain(pair, dot, k_max)
     assert chain.stopped == stopped
     assert same(chain.b_squared, b2s) and same(chain.norms_sq, nus)
@@ -87,13 +103,12 @@ def test_exact_samples_fold_under_their_metric(ctx, kind, N):
         _check_exact(position_pair(make_system(kind, N, params, ctx)))
 
 
-def test_exact_pairs_off_the_mirror_keep_the_whole_band(ctx):
+def test_exact_pairs_off_the_mirror_are_refused(ctx):
     # eta gains the entries (0, 1) and (1, 0): mirror images under g when
     # eta_10 g_0 = eta_01 g_1, which folds; one unit more in eta_10 or in
     # H_10, or a trace product under another metric, breaks the mirror.
-    # The oracle then keeps the whole band, with its odd moments (mu_1 =
-    # 285/824 for eta_10), and the chain, which takes a_n = 0 and L
-    # self-adjoint, refuses the pair and names the entry
+    # The band space checks the mirror when it is built, so the oracle and
+    # the chain, which share it, refuse the pair with the same error
     pair = position_pair(make_system("hahn", 6, {"a": "1/2", "b": "2"}, ctx))
     g = pair.metric
     assert g is not None and g[0] != g[1]
@@ -108,12 +123,12 @@ def test_exact_pairs_off_the_mirror_keep_the_whole_band(ctx):
             _check_exact(off, k_max=8)
             continue
         ip = ip or trace_inner(off)
-        got, want = moments_oracle(off, ip, K).values, reference_oracle(off, lambda u, v: inner(ip, u, v), K)
-        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
-        assert not off.rep.space(off, ip, K).folded
-        assert broken != "eta" or got[1] == Fraction(285, 824)
-        with pytest.raises(MirrorAsymmetry, match=rf"{broken} entries \(0, 1\) and \(1, 0\)"):
-            operator_lanczos(off, ip, 8)
+        errors = []
+        for run in (lambda: moments_oracle(off, ip, K), lambda: operator_lanczos(off, ip, 8)):
+            with pytest.raises(MirrorAsymmetry, match=rf"{broken} entries \(0, 1\) and \(1, 0\)") as err:
+                run()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
@@ -131,23 +146,19 @@ def test_folded_samples_equal_full_band(ctx, bctx, kind, N):
         _check(position_pair(make_system(kind, N, params, bctx)), position_pair(make_system(kind, N, params, ctx)))
 
 
-def test_folded_chain_halves_the_reorthogonalisation(ctx, bctx, monkeypatch):
+def test_folded_chain_halves_the_reorthogonalisation(ctx, bctx):
     # the step from O_{m-1} reorthogonalises W against the m // 2 earlier
     # vectors of W's parity, where the unfolded space would take all m: one
     # coefficient of Context.gram_schmidt each, in one call per step.  The
     # exact chain reorthogonalises nothing, and its folded vectors hold the
     # entries a <= b of the band
-    coefficients = []
-    real = Context.gram_schmidt
-    monkeypatch.setattr(Context, "gram_schmidt", lambda self, w, basis: coefficients.append(len(basis))
-                        or real(self, w, basis))
-    chain = operator_lanczos(position_pair(default_system("hahn", bctx)))
+    chain, coefficients = _counted_chain(position_pair(default_system("hahn", bctx)))
     steps = range(1, len(chain.b) + chain.stopped + 1)
     assert len(coefficients) == len(steps) > 8
     assert sum(coefficients) == sum(m // 2 for m in steps)
-    exact = operator_lanczos(position_pair(default_system("hahn", ctx)))
+    exact, none = _counted_chain(position_pair(default_system("hahn", ctx)))
     n = exact.space.n
-    assert len(coefficients) == len(steps)  # no call from the exact chain
+    assert none == []  # no call from the exact chain
     assert {len(v.num) for v in exact.vectors} == {n * (n + 1) // 2}
 
 

@@ -85,11 +85,13 @@ def test_band_products_are_the_exact_product_rounded_once(bctx, system, N, kind)
 
 @pytest.mark.parametrize("kind", FINITE_KINDS, ids=lambda k: k.value)
 def test_folded_band_commutators_equal_the_whole_band(ctx, kind):
-    # the folded space holds W = G^-1 V on the entries a <= b; scattered
-    # back, each commutator is the whole band's, in type and value
+    # the folded space holds W = G^-1 V on the entries a <= b, the whole
+    # band every entry; scattered back, each commutator is the whole band's,
+    # in type and value
     pair = position_pair(default_system(kind, ctx))
     folded, whole = pair.rep.space(pair, trace_inner(pair), None), band._BandOperators(pair.rep, None)
-    assert folded.folded and not whole.folded
+    n = pair.dim
+    assert (folded.rows <= folded.cols).all() and len(folded.rows) == n * (n + 1) // 2 and len(whole.rows) == n * n
     f, w = folded.gather(pair.eta), whole.gather(pair.eta)
     for k in range(2 * pair.dim):
         f, w = folded.liouville(f, k % 2), whole.liouville(w)

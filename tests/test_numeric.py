@@ -184,6 +184,19 @@ def test_parse_fraction_strings(ctx):
     assert ctx.num("0.25") == rational(1, 4)
 
 
+def test_bigreal_fractions_round_once(bctx):
+    # p and q wider than the precision: dividing the rounded integers rounds
+    # twice and misses the correctly rounded quotient by an ulp about a third
+    # of the time; "p/q", a Fraction and frac(p, q) each round once
+    mp, rng = bctx.mp, random.Random(7)
+    for _ in range(300):
+        p = rng.choice((-1, 1)) * rng.getrandbits(400)
+        q = rng.getrandbits(300) | 1 << 299
+        want = from_rational(p, q, mp.prec, "n")
+        for got in (bctx.num(f"{p}/{q}"), bctx.num(Fraction(p, q)), bctx.frac(p, q)):
+            assert got._mpf_ == want
+
+
 def test_expj_equals_exp_of_imaginary_argument(bctx):
     mp = bctx.mp
     sample = [bctx.zero] + [bctx.num(s) for s in ("1/3", "-7/2", "157/50", "-10", "999", "-1234567/1000", "2718")]
